@@ -31,24 +31,6 @@ let hit_ratio hits misses =
   let t = hits + misses in
   if t = 0 then 0. else float_of_int hits /. float_of_int t
 
-(* replay the staged trace in boot-loader style: walk, open, read
-   sequentially in 512-byte chunks, clunk *)
-let replay_trace eng client root ~db ~sys =
-  ignore eng;
-  List.iter
-    (fun path ->
-      let fid = Ninep.Client.walk_path client root (Cfs_bench.split_path path) in
-      ignore (Ninep.Client.open_ client fid Ninep.Fcall.Oread);
-      let rec go off =
-        let data =
-          Ninep.Client.read client fid ~offset:(Int64.of_int off) ~count:512
-        in
-        if data <> "" then go (off + String.length data)
-      in
-      go 0;
-      Ninep.Client.clunk client fid)
-    (P9net.Bootstage.trace ~db ~sys)
-
 let run_storm ~seed ~racks ~terminals ~tiered =
   let rts = ref 0 and bytes = ref 0 in
   let tap =
@@ -91,7 +73,9 @@ let run_storm ~seed ~racks ~terminals ~tiered =
              let client = Ninep.Client.make eng client_tr in
              Ninep.Client.session client;
              let root = Ninep.Client.attach client ~uname:tname ~aname:"" in
-             replay_trace eng client root ~db ~sys:tname;
+             List.iter
+               (Cfs_bench.boot_read client root)
+               (P9net.Bootstage.trace ~db ~sys:tname);
              incr booted;
              if Sim.Engine.now eng > !last_finish then
                last_finish := Sim.Engine.now eng)))
@@ -138,11 +122,9 @@ let side_json s =
     s.b_rack_coalesced
 
 type result = {
-  res_json : string;  (* deterministic: byte-identical across same-seed runs *)
-  res_tiered : side;
-  res_direct : side;
-  res_offload : float;  (* direct origin rts / tiered origin rts *)
-  res_perf : (string * Obs.Prof.report) list;  (* wall clock; never in res_json *)
+  tiered : side;
+  direct : side;
+  offload : float;  (* direct origin rts / tiered origin rts *)
 }
 
 let run ?(seed = 17) ?(racks = 8) ?(terminals = 13) () =
@@ -171,9 +153,68 @@ let run ?(seed = 17) ?(racks = 8) ?(terminals = 13) () =
   Printf.bprintf b "  \"origin_offload\": %.4f\n" offload;
   Printf.bprintf b "}\n";
   {
-    res_json = Buffer.contents b;
-    res_tiered = tiered;
-    res_direct = direct;
-    res_offload = offload;
-    res_perf = [ ("tiered", perf_t); ("direct", perf_d) ];
+    Bench.json = Buffer.contents b;
+    perf = [ ("tiered", perf_t); ("direct", perf_d) ];
+    value = { tiered; direct; offload };
+  }
+
+(* [floor]: the origin round-trip offload the hierarchy must buy *)
+let checks ~floor =
+  let booted mode side =
+    ( mode ^ " booted",
+      fun r ->
+        let s = side r in
+        Bench.expect (s.b_booted = s.b_total) "%s storm booted %d of %d terminals"
+          mode s.b_booted s.b_total )
+  and converged mode side =
+    ( mode ^ " converged",
+      fun r ->
+        Bench.expect ((side r).b_convergence > 0.)
+          "%s storm converged in no virtual time" mode )
+  in
+  let modes = [ ("tiered", fun r -> r.tiered); ("direct", fun r -> r.direct) ] in
+  List.concat_map (fun (m, side) -> [ booted m side; converged m side ]) modes
+  @ [
+      ( "offload",
+        fun r ->
+          Bench.expect (r.offload >= floor)
+            "origin round-trip offload %.2fx < %.1fx (tiered %d, direct %d) — \
+             the cache hierarchy regressed"
+            r.offload floor r.tiered.b_origin_rts r.direct.b_origin_rts );
+      ( "rack coalescing",
+        fun r ->
+          Bench.expect (r.tiered.b_rack_coalesced > 0)
+            "the storm coalesced no same-block misses at the rack tier — \
+             single-flight is not engaging" );
+    ]
+
+let spec =
+  {
+    Bench.name = "bootstorm";
+    title = "bootstorm - the whole fleet powers on at once, tiered vs direct";
+    file = "bootstorm";
+    run = (fun () -> run ());
+    show = Bench.print_json;
+    checks = checks ~floor:2.0;
+    golden = true;
+  }
+
+(* the tier-1 fleet smoke: 2 racks x 4 terminals, the same checks with an
+   offload floor the small fleet can reach *)
+let smoke_spec =
+  {
+    Bench.name = "bootstorm-smoke";
+    title = "bootstorm-smoke - 8-terminal fleet storm";
+    file = "bootstorm_smoke";
+    run = (fun () -> run ~racks:2 ~terminals:4 ());
+    show =
+      (fun { Bench.value = r; _ } ->
+        Printf.printf
+          "fleet smoke: %d terminals booted, offload %.2fx, rack hit ratio \
+           %.2f, %d misses coalesced\n%!"
+          r.tiered.b_booted r.offload
+          (hit_ratio r.tiered.b_rack_hits r.tiered.b_rack_misses)
+          r.tiered.b_rack_coalesced);
+    checks = checks ~floor:1.2;
+    golden = false;
   }

@@ -67,8 +67,24 @@ type run = {
 let split_path p =
   List.filter (fun s -> s <> "") (String.split_on_char '/' p)
 
+(* read [path] the way a boot loader does: walk, open, read
+   sequentially in 512-byte chunks, clunk *)
+let boot_read client root path =
+  let fid = Ninep.Client.walk_path client root (split_path path) in
+  ignore (Ninep.Client.open_ client fid Ninep.Fcall.Oread);
+  let rec go off =
+    let data =
+      Ninep.Client.read client fid ~offset:(Int64.of_int off) ~count:512
+    in
+    if data <> "" then go (off + String.length data)
+  in
+  go 0;
+  Ninep.Client.clunk client fid
+
 let replay ~cached ~seed ~baud =
   let eng = Sim.Engine.create ~seed () in
+  let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
+  Sim.Engine.attach_prof eng prof;
   let term_end, srv_end =
     Netsim.Serial.create_pair ~baud ~name:"bootline" eng
   in
@@ -91,29 +107,16 @@ let replay ~cached ~seed ~baud =
     (Sim.Proc.spawn eng ~name:"terminal" (fun () ->
          Ninep.Client.session client;
          let root = Ninep.Client.attach client ~uname:"terminal" ~aname:"" in
-         List.iter
-           (fun path ->
-             let fid = Ninep.Client.walk_path client root (split_path path) in
-             ignore (Ninep.Client.open_ client fid Ninep.Fcall.Oread);
-             (* a boot loader reads in small sequential chunks *)
-             let rec go off =
-               let data =
-                 Ninep.Client.read client fid ~offset:(Int64.of_int off)
-                   ~count:512
-               in
-               if data <> "" then go (off + String.length data)
-             in
-             go 0;
-             Ninep.Client.clunk client fid)
-           boot_trace;
+         List.iter (boot_read client root) boot_trace;
          finish := Sim.Engine.now eng));
   Sim.Engine.run eng;
-  {
-    r_round_trips = !rts;
-    r_wire_bytes = !wire;
-    r_elapsed = !finish;
-    r_cache = cache;
-  }
+  ( {
+      r_round_trips = !rts;
+      r_wire_bytes = !wire;
+      r_elapsed = !finish;
+      r_cache = cache;
+    },
+    Obs.Prof.report prof )
 
 let json ~seed ~baud uncached cached =
   let b = Buffer.create 1024 in
@@ -145,21 +148,36 @@ let json ~seed ~baud uncached cached =
   Printf.bprintf b "}\n";
   Buffer.contents b
 
-type result = {
-  res_json : string;
-  res_uncached_rts : int;
-  res_cached_rts : int;
-  res_uncached_elapsed : float;
-  res_cached_elapsed : float;
-}
-
 let run ?(seed = 9) ?(baud = 9600) () =
-  let uncached = replay ~cached:false ~seed ~baud in
-  let cached = replay ~cached:true ~seed ~baud in
+  let uncached, perf_u = replay ~cached:false ~seed ~baud in
+  let cached, perf_c = replay ~cached:true ~seed ~baud in
   {
-    res_json = json ~seed ~baud uncached cached;
-    res_uncached_rts = uncached.r_round_trips;
-    res_cached_rts = cached.r_round_trips;
-    res_uncached_elapsed = uncached.r_elapsed;
-    res_cached_elapsed = cached.r_elapsed;
+    Bench.json = json ~seed ~baud uncached cached;
+    perf = [ ("uncached", perf_u); ("cached", perf_c) ];
+    value = (uncached, cached);
+  }
+
+let spec =
+  {
+    Bench.name = "cfs";
+    title = "cfs - caching the 9P stream on a 9600-baud boot line";
+    file = "cfs";
+    run = (fun () -> run ());
+    show = Bench.print_json;
+    checks =
+      [
+        ( "fewer round trips",
+          fun (u, c) ->
+            Bench.expect
+              (c.r_round_trips < u.r_round_trips)
+              "cached replay used %d round trips, uncached %d — the cache \
+               saved nothing"
+              c.r_round_trips u.r_round_trips );
+        ( "faster",
+          fun (u, c) ->
+            Bench.expect (c.r_elapsed < u.r_elapsed)
+              "cached replay took %.3fs virtual, uncached %.3fs — no speedup"
+              c.r_elapsed u.r_elapsed );
+      ];
+    golden = false;
   }

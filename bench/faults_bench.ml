@@ -17,131 +17,6 @@ let canonical_schedule f =
   Netsim.Fault.set_reorder f ~delay:2e-3 0.05;
   Netsim.Fault.set_jitter f 0.5e-3
 
-type xfer = {
-  x_converged : bool;
-  x_elapsed : float;  (* virtual seconds to deliver everything *)
-  x_retransmits : int;
-  x_queries : int;  (* IL queries / URP enqs; 0 for TCP *)
-  x_dups_suppressed : int;
-  x_rtt_samples : int;  (* IL only *)
-  x_drops_injected : int;
-  x_dups_injected : int;
-  x_reorders_injected : int;
-}
-
-let ether_pair ~seed =
-  let eng = Sim.Engine.create ~seed () in
-  let seg = Netsim.Ether.create ~name:"ether0" eng in
-  let mk n addr =
-    let nic =
-      Netsim.Ether.attach seg
-        (Netsim.Eaddr.of_string (Printf.sprintf "08006902%04x" n))
-    in
-    let port = Inet.Etherport.create eng nic in
-    ( nic,
-      Inet.Ip.create
-        ~addr:(Inet.Ipaddr.of_string addr)
-        ~mask:(Inet.Ipaddr.of_string "255.255.255.0")
-        port )
-  in
-  let a = mk 1 "10.0.0.1" in
-  let b = mk 2 "10.0.0.2" in
-  canonical_schedule (Netsim.Ether.faults seg);
-  (eng, a, b)
-
-let injected nics =
-  List.fold_left
-    (fun (d, u, r) nic ->
-      let s = Netsim.Ether.nic_stats nic in
-      ( d + s.Netsim.Ether.drops_injected,
-        u + s.Netsim.Ether.dups_injected,
-        r + s.Netsim.Ether.reorders_injected ))
-    (0, 0, 0) nics
-
-let il_xfer ~seed =
-  let eng, (nic_a, ipa), (nic_b, ipb) = ether_pair ~seed in
-  let ila = Inet.Il.attach ipa and ilb = Inet.Il.attach ipb in
-  let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
-  Sim.Engine.attach_prof eng prof;
-  let finish = ref 0. and got = ref 0 in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Il.announce ilb ~port:1 in
-         let conv = Inet.Il.listen lis in
-         for _ = 1 to msgs do
-           match Inet.Il.read_msg conv with
-           | Some _ -> incr got
-           | None -> ()
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Il.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  let ca = Inet.Il.counters ila and cb = Inet.Il.counters ilb in
-  let d, u, r = injected [ nic_a; nic_b ] in
-  ( {
-      x_converged = !got = msgs;
-      x_elapsed = !finish;
-      x_retransmits = ca.Inet.Il.retransmits + cb.Inet.Il.retransmits;
-      x_queries = ca.Inet.Il.queries_sent + cb.Inet.Il.queries_sent;
-      x_dups_suppressed = ca.Inet.Il.dups_dropped + cb.Inet.Il.dups_dropped;
-      x_rtt_samples = ca.Inet.Il.rtt_samples;
-      x_drops_injected = d;
-      x_dups_injected = u;
-      x_reorders_injected = r;
-    },
-    Obs.Prof.report prof )
-
-let tcp_xfer ~seed =
-  let eng, (nic_a, ipa), (nic_b, ipb) = ether_pair ~seed in
-  let tcpa = Inet.Tcp.attach ipa and tcpb = Inet.Tcp.attach ipb in
-  let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
-  Sim.Engine.attach_prof eng prof;
-  let total = msgs * size in
-  let finish = ref 0. and got = ref 0 in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Tcp.announce tcpb ~port:1 in
-         let conv = Inet.Tcp.listen lis in
-         while !got < total do
-           let s = Inet.Tcp.read conv 8192 in
-           if s = "" then got := total else got := !got + String.length s
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Tcp.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  let ca = Inet.Tcp.counters tcpa and cb = Inet.Tcp.counters tcpb in
-  let d, u, r = injected [ nic_a; nic_b ] in
-  ( {
-      x_converged = !finish > 0.;
-      x_elapsed = !finish;
-      x_retransmits = ca.Inet.Tcp.retransmits + cb.Inet.Tcp.retransmits;
-      x_queries = 0;
-      x_dups_suppressed = ca.Inet.Tcp.dups_dropped + cb.Inet.Tcp.dups_dropped;
-      x_rtt_samples = 0;
-      x_drops_injected = d;
-      x_dups_injected = u;
-      x_reorders_injected = r;
-    },
-    Obs.Prof.report prof )
-
 let urp_xfer ~seed =
   let eng = Sim.Engine.create ~seed () in
   let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
@@ -151,87 +26,63 @@ let urp_xfer ~seed =
   let lb = Dk.Switch.attach sw ~name:"nj/astro/b" in
   canonical_schedule (Dk.Switch.faults sw);
   let finish = ref 0. and got = ref 0 in
-  let rx_stats = ref None in
+  let convs = ref [] in
   let inq = Dk.Circuit.announce lb ~service:"bench" in
   ignore
     (Sim.Proc.spawn eng ~name:"rx" (fun () ->
          let inc = Sim.Mbox.recv inq in
          let circ = Dk.Circuit.accept inc in
          let conv = Dk.Urp.over circ in
-         rx_stats := Some (Dk.Urp.counters conv);
+         convs := conv :: !convs;
          for _ = 1 to msgs do
            match Dk.Urp.read_msg conv with
            | Some _ -> incr got
            | None -> ()
          done;
          finish := Sim.Engine.now eng));
-  let tx_stats = ref None in
   ignore
     (Sim.Proc.spawn eng ~name:"tx" (fun () ->
          let circ = Dk.Circuit.dial la ~dest:"nj/astro/b" ~service:"bench" in
          let conv = Dk.Urp.over circ in
-         tx_stats := Some (Dk.Urp.counters conv);
+         convs := conv :: !convs;
          let payload = String.make size 'u' in
          for _ = 1 to msgs do
            Dk.Urp.write conv payload
          done));
   Sim.Engine.run ~until:600.0 eng;
-  let dstat l =
-    let s = Dk.Switch.line_stats l in
-    ( s.Dk.Switch.drops_injected,
-      s.Dk.Switch.dups_injected,
-      s.Dk.Switch.reorders_injected )
-  in
-  let da, ua, ra = dstat la and db, ub, rb = dstat lb in
-  let cnt f = match f with
-    | Some (c : Dk.Urp.counters) -> c
-    | None ->
-      {
-        Dk.Urp.cells_sent = 0;
-        cells_rcvd = 0;
-        bytes_sent = 0;
-        bytes_rcvd = 0;
-        retransmits = 0;
-        enqs_sent = 0;
-        dups_dropped = 0;
-      }
-  in
-  let tx = cnt !tx_stats and rx = cnt !rx_stats in
+  let sum f = List.fold_left (fun a c -> a + f (Dk.Urp.counters c)) 0 !convs in
+  let line f = f (Dk.Switch.line_stats la) + f (Dk.Switch.line_stats lb) in
   ( {
-      x_converged = !got = msgs;
-      x_elapsed = !finish;
-      x_retransmits = tx.Dk.Urp.retransmits + rx.Dk.Urp.retransmits;
-      x_queries = tx.Dk.Urp.enqs_sent + rx.Dk.Urp.enqs_sent;
-      x_dups_suppressed = tx.Dk.Urp.dups_dropped + rx.Dk.Urp.dups_dropped;
-      x_rtt_samples = 0;
-      x_drops_injected = da + db;
-      x_dups_injected = ua + ub;
-      x_reorders_injected = ra + rb;
+      Xfer.zero with
+      converged = !got = msgs;
+      elapsed = !finish;
+      retransmits = sum (fun c -> c.Dk.Urp.retransmits);
+      queries = sum (fun c -> c.Dk.Urp.enqs_sent);
+      dups_suppressed = sum (fun c -> c.Dk.Urp.dups_dropped);
+      drops_injected = line (fun s -> s.Dk.Switch.drops_injected);
+      dups_injected = line (fun s -> s.Dk.Switch.dups_injected);
+      reorders_injected = line (fun s -> s.Dk.Switch.reorders_injected);
     },
     Obs.Prof.report prof )
 
-let xfer_json name x =
+let xfer_json name (x : Xfer.t) =
   Printf.sprintf
     "  %S: {\"converged\": %b, \"elapsed_s\": %.6f, \"retransmits\": %d, \
      \"queries\": %d, \"dups_suppressed\": %d, \"rtt_samples\": %d, \
      \"drops_injected\": %d, \"dups_injected\": %d, \"reorders_injected\": \
      %d}"
-    name x.x_converged x.x_elapsed x.x_retransmits x.x_queries
-    x.x_dups_suppressed x.x_rtt_samples x.x_drops_injected x.x_dups_injected
-    x.x_reorders_injected
-
-type result = {
-  res_json : string;  (* deterministic: byte-identical across same-seed runs *)
-  res_il : xfer;
-  res_tcp : xfer;
-  res_urp : xfer;
-  res_perf : (string * Obs.Prof.report) list;  (* wall clock; never in res_json *)
-}
+    name x.converged x.elapsed x.retransmits x.queries x.dups_suppressed
+    x.rtt_samples x.drops_injected x.dups_injected x.reorders_injected
 
 let run ?(seed = 9) () =
-  let il, perf_il = il_xfer ~seed in
-  let tcp, perf_tcp = tcp_xfer ~seed in
-  let urp, perf_urp = urp_xfer ~seed in
+  let ip proto = Xfer.run ~seed ~schedule:canonical_schedule ~msgs ~size proto in
+  let rows =
+    [
+      ("il", ip (Xfer.Il Inet.Il.default_config));
+      ("tcp", ip (Xfer.Tcp Inet.Tcp.attach));
+      ("urp", urp_xfer ~seed);
+    ]
+  in
   let b = Buffer.create 1024 in
   Printf.bprintf b "{\n";
   Printf.bprintf b "  \"bench\": \"faults\",\n";
@@ -242,14 +93,45 @@ let run ?(seed = 9) () =
      \"reorder_delay_ms\": 2.0, \"jitter_ms\": 0.5},\n";
   Printf.bprintf b "  \"msgs\": %d,\n" msgs;
   Printf.bprintf b "  \"msg_bytes\": %d,\n" size;
-  Printf.bprintf b "%s,\n" (xfer_json "il" il);
-  Printf.bprintf b "%s,\n" (xfer_json "tcp" tcp);
-  Printf.bprintf b "%s\n" (xfer_json "urp" urp);
-  Printf.bprintf b "}\n";
+  Printf.bprintf b "%s\n}\n"
+    (String.concat ",\n" (List.map (fun (p, (x, _)) -> xfer_json p x) rows));
   {
-    res_json = Buffer.contents b;
-    res_il = il;
-    res_tcp = tcp;
-    res_urp = urp;
-    res_perf = [ ("il", perf_il); ("tcp", perf_tcp); ("urp", perf_urp) ];
+    Bench.json = Buffer.contents b;
+    perf = List.map (fun (p, (_, rep)) -> (p, rep)) rows;
+    value = List.map (fun (p, (x, _)) -> (p, x)) rows;
+  }
+
+let spec =
+  let converged proto =
+    ( proto ^ " converged",
+      fun rows ->
+        let x = List.assoc proto rows in
+        Bench.expect x.Xfer.converged
+          "%s did not complete the transfer under the canonical schedule \
+           (virtual %.1fs)"
+          proto x.Xfer.elapsed )
+  in
+  {
+    Bench.name = "faults";
+    title = "fault injection - 20% burst loss + dup + reorder (DESIGN.md)";
+    file = "faults";
+    run = (fun () -> run ());
+    show = Bench.print_json;
+    checks =
+      List.map converged [ "il"; "tcp"; "urp" ]
+      @ [
+          ( "loss reaches the wire",
+            fun rows ->
+              Bench.expect
+                ((List.assoc "il" rows).Xfer.retransmits > 0)
+                "the schedule injected no recoverable loss (IL retransmits \
+                 = 0) — fault injection is not reaching the wire" );
+          ( "dups suppressed",
+            fun rows ->
+              Bench.expect
+                ((List.assoc "il" rows).Xfer.dups_suppressed > 0)
+                "no duplicates suppressed by IL under a 5%% duplication \
+                 schedule" );
+        ];
+    golden = true;
   }

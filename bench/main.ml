@@ -5,9 +5,8 @@
    Run with:  dune exec bench/main.exe            (all sections)
               dune exec bench/main.exe -- table1  (one section)     *)
 
-let section name = Printf.printf "\n===== %s =====\n%!" name
-
-let hr () = print_endline (String.make 66 '-')
+let section = Bench.section
+let hr = Bench.hr
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: throughput and latency per path                            *)
@@ -38,56 +37,66 @@ let run_table1 () =
 (* ------------------------------------------------------------------ *)
 (* table1 again, machine-readable, with the kernel trace attached:     *)
 (* throughput, latency, and every observability counter per path.      *)
-(* Smoke check for CI — fails if a path records no events at all.      *)
 (* ------------------------------------------------------------------ *)
 
-let run_table1_json () =
-  let rows =
-    List.map
-      (fun p ->
-        let tr = Obs.Trace.create () in
-        let instrument eng = Sim.Engine.attach_obs eng tr in
-        let mbs = Table1.throughput_mbs ~instrument p in
-        let ms = Table1.latency_ms ~instrument p in
-        (p, mbs, ms, tr))
-      Table1.all
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"table1\": [\n";
-  let n = List.length rows in
-  List.iteri
-    (fun i (p, mbs, ms, tr) ->
-      Printf.bprintf buf
+let table1_spec =
+  let run () =
+    let rows =
+      List.map
+        (fun p ->
+          let tr = Obs.Trace.create () in
+          let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
+          let instrument eng =
+            Sim.Engine.attach_obs eng tr;
+            Sim.Engine.attach_prof eng prof
+          in
+          let mbs = Table1.throughput_mbs ~instrument p in
+          let ms = Table1.latency_ms ~instrument p in
+          (p, mbs, ms, tr, prof))
+        Table1.all
+    in
+    let row (p, mbs, ms, tr, _) =
+      Printf.sprintf
         "    {\"path\": %S, \"paper_mbs\": %g, \"measured_mbs\": %.4f, \
          \"paper_ms\": %g, \"measured_ms\": %.4f, \"events\": %d, \
-         \"counters\": %s}%s\n"
+         \"counters\": %s}"
         p.Table1.p_name p.Table1.p_paper_mbs mbs p.Table1.p_paper_ms ms
         (Obs.Trace.seq tr)
         (Obs.Trace.counters_json tr)
-        (if i < n - 1 then "," else ""))
-    rows;
-  Buffer.add_string buf "  ]\n}\n";
-  let oc = open_out "BENCH_table1.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_table1.json (%d paths)\n%!" n;
-  let dead =
-    List.filter
-      (fun (_, _, _, tr) ->
-        Obs.Trace.seq tr = 0
-        || List.for_all
-             (fun (_, v) -> v = 0)
-             (Obs.Metrics.counters (Obs.Trace.metrics tr)))
-      rows
+    in
+    {
+      Bench.json =
+        "{\n  \"table1\": [\n"
+        ^ String.concat ",\n" (List.map row rows)
+        ^ "\n  ]\n}\n";
+      perf =
+        List.map
+          (fun (p, _, _, _, prof) -> (p.Table1.p_name, Obs.Prof.report prof))
+          rows;
+      value = List.map (fun (p, _, _, tr, _) -> (p.Table1.p_name, tr)) rows;
+    }
   in
-  if dead <> [] then begin
-    List.iter
-      (fun (p, _, _, _) ->
-        Printf.eprintf "error: no observability counters recorded for %s\n"
-          p.Table1.p_name)
-      dead;
-    exit 1
-  end
+  (* a smoke check for CI: every path must record events and counters *)
+  let traced p =
+    ( p.Table1.p_name ^ " traced",
+      fun rows ->
+        let tr = List.assoc p.Table1.p_name rows in
+        Bench.expect
+          (Obs.Trace.seq tr > 0
+          && List.exists
+               (fun (_, v) -> v <> 0)
+               (Obs.Metrics.counters (Obs.Trace.metrics tr)))
+          "no observability counters recorded for %s" p.Table1.p_name )
+  in
+  {
+    Bench.name = "json";
+    title = "Table 1 - machine-readable, with the kernel trace attached";
+    file = "table1";
+    run;
+    show = Bench.print_json;
+    checks = List.map traced Table1.all;
+    golden = false;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Figure 1: the Ethernet device file tree                             *)
@@ -162,81 +171,6 @@ let run_codesize () =
 (* Section 3's congestion claim: query-based vs blind retransmission   *)
 (* ------------------------------------------------------------------ *)
 
-let make_pair ?(loss = 0.) ?(seed = 9) () =
-  let eng = Sim.Engine.create ~seed () in
-  let seg = Netsim.Ether.create ~loss ~name:"ether0" eng in
-  let mk n addr =
-    let nic =
-      Netsim.Ether.attach seg
-        (Netsim.Eaddr.of_string (Printf.sprintf "08006902%04x" n))
-    in
-    let port = Inet.Etherport.create eng nic in
-    Inet.Ip.create
-      ~addr:(Inet.Ipaddr.of_string addr)
-      ~mask:(Inet.Ipaddr.of_string "255.255.255.0")
-      port
-  in
-  (eng, mk 1 "10.0.0.1", mk 2 "10.0.0.2")
-
-let congestion_row_il ?seed ~loss ~msgs ~size () =
-  let eng, ipa, ipb = make_pair ~loss ?seed () in
-  let ila = Inet.Il.attach ipa and ilb = Inet.Il.attach ipb in
-  let finish = ref 0. in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Il.announce ilb ~port:1 in
-         let conv = Inet.Il.listen lis in
-         for _ = 1 to msgs do
-           ignore (Inet.Il.read_msg conv)
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Il.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  let c = Inet.Il.counters ila in
-  ( !finish,
-    c.Inet.Il.retransmitted_bytes,
-    c.Inet.Il.bytes_sent + c.Inet.Il.retransmitted_bytes )
-
-let congestion_row_tcp ?seed ~loss ~msgs ~size () =
-  let eng, ipa, ipb = make_pair ~loss ?seed () in
-  let tcpa = Inet.Tcp.attach ipa and tcpb = Inet.Tcp.attach ipb in
-  let total = msgs * size in
-  let finish = ref 0. in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Tcp.announce tcpb ~port:1 in
-         let conv = Inet.Tcp.listen lis in
-         let got = ref 0 in
-         while !got < total do
-           let s = Inet.Tcp.read conv 8192 in
-           if s = "" then got := total else got := !got + String.length s
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Tcp.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  let c = Inet.Tcp.counters tcpa in
-  ( !finish,
-    c.Inet.Tcp.retransmitted_bytes,
-    c.Inet.Tcp.bytes_sent + c.Inet.Tcp.retransmitted_bytes )
-
 let run_congestion () =
   section "IL vs TCP under loss (paper section 3: no blind retransmission)";
   let msgs = 200 and size = 1000 in
@@ -252,20 +186,25 @@ let run_congestion () =
   let seeds = [ 9; 10; 11 ] in
   List.iter
     (fun loss ->
-      let row3 row =
+      let row3 proto =
         let runs =
-          List.map (fun seed -> row ?seed:(Some seed) ~loss ~msgs ~size ())
+          List.map
+            (fun seed ->
+              fst (Xfer.run ~seed ~msgs ~size ~schedule:(Xfer.loss loss) proto))
             seeds
         in
-        let n = float_of_int (List.length runs) in
-        ( List.fold_left (fun a (t, _, _) -> a +. t) 0. runs /. n,
-          List.fold_left (fun a (_, re, _) -> a +. float_of_int re) 0. runs
-          /. n,
-          List.fold_left (fun a (_, _, s) -> a +. float_of_int s) 0. runs
-          /. n )
+        let mean f =
+          List.fold_left (fun a x -> a +. f x) 0. runs
+          /. float_of_int (List.length runs)
+        in
+        Xfer.
+          ( mean (fun x -> x.elapsed),
+            mean (fun x -> float_of_int x.retransmitted_bytes),
+            mean (fun x -> float_of_int (x.bytes_sent + x.retransmitted_bytes))
+          )
       in
-      let t_il, re_il, sent_il = row3 congestion_row_il in
-      let t_tcp, re_tcp, sent_tcp = row3 congestion_row_tcp in
+      let t_il, re_il, sent_il = row3 (Xfer.Il Inet.Il.default_config) in
+      let t_tcp, re_tcp, sent_tcp = row3 (Xfer.Tcp Inet.Tcp.attach) in
       let rate t = if t <= 0. then 0. else float_of_int payload /. t /. 1e3 in
       let ovr sent = (sent -. float_of_int payload) /. float_of_int payload *. 100. in
       Printf.printf "%5.0f%% | %8.1f %8.0f %6.1f%% | %8.1f %8.0f %6.1f%%\n%!"
@@ -282,48 +221,24 @@ let run_congestion () =
 (* Ablations: the design choices DESIGN.md calls out                   *)
 (* ------------------------------------------------------------------ *)
 
-let il_transfer ~config ~loss ~msgs ~size =
-  let eng, ipa, ipb = make_pair ~loss () in
-  let ila = Inet.Il.attach ~config ipa in
-  let ilb = Inet.Il.attach ~config ipb in
-  let finish = ref 0. in
-  ignore
-    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Il.announce ilb ~port:1 in
-         let conv = Inet.Il.listen lis in
-         for _ = 1 to msgs do
-           ignore (Inet.Il.read_msg conv)
-         done;
-         finish := Sim.Engine.now eng));
-  ignore
-    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
-         let conv =
-           Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-             ~rport:1
-         in
-         let payload = String.make size 'd' in
-         for _ = 1 to msgs do
-           Inet.Il.write conv payload
-         done));
-  Sim.Engine.run ~until:600.0 eng;
-  (!finish, Inet.Il.counters ila)
-
 let run_ablation () =
   section "ablations (design choices, see DESIGN.md)";
   let msgs = 200 and size = 1000 in
-  let kbs t = if t <= 0. then 0. else float_of_int (msgs * size) /. t /. 1e3 in
+  let il ?(loss = 0.) config =
+    fst (Xfer.run ~msgs ~size ~schedule:(Xfer.loss loss) (Xfer.Il config))
+  in
+  let kbs x =
+    let t = x.Xfer.elapsed in
+    if t <= 0. then 0. else float_of_int (msgs * size) /. t /. 1e3
+  in
 
   Printf.printf
     "A. IL outstanding-message window (\"a small outstanding message\n\
     \   window\"): bulk throughput on a clean 10 Mb/s ether\n";
   List.iter
     (fun window ->
-      let t, _ =
-        il_transfer
-          ~config:{ Inet.Il.default_config with window }
-          ~loss:0.0 ~msgs ~size
-      in
-      Printf.printf "   window %3d : %7.1f KB/s\n%!" window (kbs t))
+      Printf.printf "   window %3d : %7.1f KB/s\n%!" window
+        (kbs (il { Inet.Il.default_config with window })))
     [ 1; 2; 4; 8; 20; 40 ];
   Printf.printf
     "   (the window must cover the bandwidth-delay product; beyond\n\
@@ -334,14 +249,10 @@ let run_ablation () =
     \   query-timeout recovery, at 5%% loss\n";
   List.iter
     (fun fast_recovery ->
-      let t, c =
-        il_transfer
-          ~config:{ Inet.Il.default_config with fast_recovery }
-          ~loss:0.05 ~msgs ~size
-      in
+      let x = il ~loss:0.05 { Inet.Il.default_config with fast_recovery } in
       Printf.printf "   %-22s : %7.1f KB/s, %d resent, %d queries\n%!"
         (if fast_recovery then "gap-prompted (default)" else "timeout only")
-        (kbs t) c.Inet.Il.retransmits c.Inet.Il.queries_sent)
+        (kbs x) x.Xfer.retransmits x.Xfer.queries)
     [ true; false ];
   Printf.printf "\n";
 
@@ -350,13 +261,9 @@ let run_ablation () =
     \   clean link (acks per data message)\n";
   List.iter
     (fun ack_delay ->
-      let t, _ =
-        il_transfer
-          ~config:{ Inet.Il.default_config with ack_delay }
-          ~loss:0.0 ~msgs ~size
-      in
       Printf.printf "   ack delay %4.0f ms : %7.1f KB/s\n%!"
-        (ack_delay *. 1000.) (kbs t))
+        (ack_delay *. 1000.)
+        (kbs (il { Inet.Il.default_config with ack_delay })))
     [ 0.0; 0.005; 0.02; 0.1 ]
 
 (* ------------------------------------------------------------------ *)
@@ -502,562 +409,34 @@ let run_gateway () =
     \ makes the three paths the same two lines of client code)"
 
 (* ------------------------------------------------------------------ *)
-(* cfs: the diskless-boot replay over a 9600-baud line                  *)
-(* ------------------------------------------------------------------ *)
-
-let run_cfs () =
-  section "cfs - caching the 9P stream on a 9600-baud boot line";
-  let r = Cfs_bench.run () in
-  let oc = open_out "BENCH_cfs.json" in
-  output_string oc r.Cfs_bench.res_json;
-  close_out oc;
-  print_string r.Cfs_bench.res_json;
-  Printf.printf
-    "wrote BENCH_cfs.json (round trips %d -> %d, virtual %.1fs -> %.1fs)\n%!"
-    r.Cfs_bench.res_uncached_rts r.Cfs_bench.res_cached_rts
-    r.Cfs_bench.res_uncached_elapsed r.Cfs_bench.res_cached_elapsed;
-  if r.Cfs_bench.res_cached_rts >= r.Cfs_bench.res_uncached_rts then begin
-    Printf.eprintf
-      "error: cached replay used %d round trips, uncached %d — the cache \
-       saved nothing\n"
-      r.Cfs_bench.res_cached_rts r.Cfs_bench.res_uncached_rts;
-    exit 1
-  end;
-  if r.Cfs_bench.res_cached_elapsed >= r.Cfs_bench.res_uncached_elapsed then begin
-    Printf.eprintf
-      "error: cached replay took %.3fs virtual, uncached %.3fs — no speedup\n"
-      r.Cfs_bench.res_cached_elapsed r.Cfs_bench.res_uncached_elapsed;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
-(* perf: the wall-clock engine profiler's report, carried in the BENCH  *)
-(* files as ONE line injected right after the opening brace.  Stripping *)
-(* that single line (grep -v '"perf"') restores the deterministic       *)
-(* document byte-for-byte, which is how the golden comparison works.    *)
-(* ------------------------------------------------------------------ *)
-
-let perf_line perfs =
-  "  \"perf\": {"
-  ^ String.concat ", "
-      (List.map
-         (fun (name, rep) ->
-           Printf.sprintf "%S: %s" name (Obs.Prof.report_json rep))
-         perfs)
-  ^ "}"
-
-let inject_perf json perfs =
-  if String.length json < 2 || json.[0] <> '{' || json.[1] <> '\n' then json
-  else "{\n" ^ perf_line perfs ^ ",\n" ^ String.sub json 2 (String.length json - 2)
-
-let is_perf_line l =
-  let p = "  \"perf\":" in
-  let n = String.length p in
-  String.length l >= n && String.sub l 0 n = p
-
-let strip_perf json =
-  String.split_on_char '\n' json
-  |> List.filter (fun l -> not (is_perf_line l))
-  |> String.concat "\n"
-
-(* soft regression guard: warn (never fail) when the engine dispatched
-   fewer events per wall-clock second than the floor; tune with
-   PERF_FLOOR=events_per_sec *)
-let perf_floor () =
-  match Sys.getenv_opt "PERF_FLOOR" with
-  | Some s -> ( match float_of_string_opt s with Some f -> f | None -> 1000.)
-  | None -> 1000.
-
-let perf_soft_guard bench perfs =
-  let floor = perf_floor () in
-  List.iter
-    (fun (name, (rep : Obs.Prof.report)) ->
-      if rep.Obs.Prof.r_events_per_sec < floor then
-        Printf.eprintf
-          "warning: %s/%s dispatched %.0f events/s, below the soft floor \
-           %.0f (set PERF_FLOOR to tune)\n%!"
-          bench name rep.Obs.Prof.r_events_per_sec floor)
-    perfs
-
-(* hard shape check: the values are machine-dependent, the shape is not *)
-let perf_shape_check bench perfs =
-  List.iter
-    (fun (name, (rep : Obs.Prof.report)) ->
-      let fail fmt =
-        Printf.ksprintf
-          (fun m ->
-            Printf.eprintf "error: perf shape %s/%s: %s\n" bench name m;
-            exit 1)
-          fmt
-      in
-      if rep.Obs.Prof.r_events <= 0 then fail "no events dispatched";
-      if rep.Obs.Prof.r_events_per_sec <= 0. then
-        fail "events_per_sec = %g" rep.Obs.Prof.r_events_per_sec;
-      if rep.Obs.Prof.r_minor_words_per_event < 0. then
-        fail "negative minor_words_per_event";
-      if rep.Obs.Prof.r_layers = [] then fail "no layers attributed";
-      let share_sum =
-        List.fold_left
-          (fun a l -> a +. l.Obs.Prof.l_share)
-          0. rep.Obs.Prof.r_layers
-      in
-      if abs_float (share_sum -. 1.0) > 0.05 then
-        fail "layer shares sum to %.3f, not ~1.0" share_sum)
-    perfs
-
-(* ------------------------------------------------------------------ *)
-(* fault injection: IL/TCP/URP under the canonical adverse schedule     *)
-(* ------------------------------------------------------------------ *)
-
-let run_faults () =
-  section "fault injection - 20% burst loss + dup + reorder (DESIGN.md)";
-  let r = Faults_bench.run () in
-  let r2 = Faults_bench.run () in
-  print_string r.Faults_bench.res_json;
-  let oc = open_out "BENCH_faults.json" in
-  output_string oc (inject_perf r.Faults_bench.res_json r.Faults_bench.res_perf);
-  close_out oc;
-  Printf.printf "wrote BENCH_faults.json\n%!";
-  perf_soft_guard "faults" r.Faults_bench.res_perf;
-  let check name (x : Faults_bench.xfer) =
-    if not x.Faults_bench.x_converged then begin
-      Printf.eprintf
-        "error: %s did not complete the transfer under the canonical \
-         schedule (virtual %.1fs)\n"
-        name x.Faults_bench.x_elapsed;
-      exit 1
-    end
-  in
-  check "IL" r.Faults_bench.res_il;
-  check "TCP" r.Faults_bench.res_tcp;
-  check "URP" r.Faults_bench.res_urp;
-  if r.Faults_bench.res_il.Faults_bench.x_retransmits = 0 then begin
-    Printf.eprintf
-      "error: the schedule injected no recoverable loss (IL retransmits = \
-       0) — fault injection is not reaching the wire\n";
-    exit 1
-  end;
-  if r.Faults_bench.res_il.Faults_bench.x_dups_suppressed = 0 then begin
-    Printf.eprintf
-      "error: no duplicates suppressed by IL under a 5%% duplication \
-       schedule\n";
-    exit 1
-  end;
-  if r.Faults_bench.res_json <> r2.Faults_bench.res_json then begin
-    Printf.eprintf
-      "error: two same-seed runs produced different BENCH_faults.json — \
-       fault injection broke determinism\n";
-    exit 1
-  end;
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
-
-(* ------------------------------------------------------------------ *)
-(* swarm: a thousand concurrent conversations per transport             *)
-(* ------------------------------------------------------------------ *)
-
-(* recorded baselines for engine events per conversation (seed 11,
-   25 hosts x 40 conversations, 512-byte messages); the run fails if
-   the event economy regresses past them — e.g. if someone reintroduces
-   a per-conversation ticker, events per conversation explodes *)
-let swarm_baseline_il = 46.0 (* measured 36.35 *)
-let swarm_baseline_tcp = 60.0 (* measured 47.35 *)
-
-let run_swarm () =
-  section "swarm - 1000 concurrent conversations, IL and TCP";
-  let t0 = Unix.gettimeofday () in
-  let r = Swarm_bench.run () in
-  let t1 = Unix.gettimeofday () in
-  let r2 = Swarm_bench.run () in
-  let t2 = Unix.gettimeofday () in
-  print_string r.Swarm_bench.res_json;
-  let oc = open_out "BENCH_swarm.json" in
-  output_string oc (inject_perf r.Swarm_bench.res_json r.Swarm_bench.res_perf);
-  close_out oc;
-  (* wall clock is machine-dependent: deterministic JSON stays perf-free;
-     the perf member is one strippable line *)
-  Printf.printf "wrote BENCH_swarm.json (wall clock %.2fs + %.2fs rerun)\n%!"
-    (t1 -. t0) (t2 -. t1);
-  perf_soft_guard "swarm" r.Swarm_bench.res_perf;
-  perf_shape_check "swarm" r.Swarm_bench.res_perf;
-  (* shape stability across same-seed reruns: same perf keys and the
-     same layer label sets, values exempt *)
-  let shape perfs =
-    List.map
-      (fun (n, (rep : Obs.Prof.report)) ->
-        ( n,
-          List.sort compare
-            (List.map (fun l -> l.Obs.Prof.l_label) rep.Obs.Prof.r_layers) ))
-      perfs
-  in
-  if shape r.Swarm_bench.res_perf <> shape r2.Swarm_bench.res_perf then begin
-    Printf.eprintf
-      "error: two same-seed runs attributed different layer sets — the \
-       profiler shape is unstable\n";
-    exit 1
-  end;
-  let check baseline (s : Swarm_bench.side) =
-    if not s.Swarm_bench.s_converged then begin
-      Printf.eprintf
-        "error: %s swarm converged only %d of %d conversations\n"
-        s.Swarm_bench.s_proto s.Swarm_bench.s_completed Swarm_bench.total;
-      exit 1
-    end;
-    if s.Swarm_bench.s_peak_convs < Swarm_bench.total then begin
-      Printf.eprintf
-        "error: %s peak concurrency %d < %d — the barrier did not hold \
-         every conversation open at once\n"
-        s.Swarm_bench.s_proto s.Swarm_bench.s_peak_convs Swarm_bench.total;
-      exit 1
-    end;
-    let epc = Swarm_bench.events_per_conv s in
-    if epc > baseline then begin
-      Printf.eprintf
-        "error: %s used %.2f engine events per conversation (baseline \
-         %.2f) — the event economy regressed\n"
-        s.Swarm_bench.s_proto epc baseline;
-      exit 1
-    end
-  in
-  check swarm_baseline_il r.Swarm_bench.res_il;
-  check swarm_baseline_tcp r.Swarm_bench.res_tcp;
-  if r.Swarm_bench.res_json <> r2.Swarm_bench.res_json then begin
-    Printf.eprintf
-      "error: two same-seed runs produced different BENCH_swarm.json — the \
-       swarm broke determinism\n";
-    exit 1
-  end;
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
-
-(* ------------------------------------------------------------------ *)
-(* routed swarm: 10k conversations across a multi-segment internet      *)
-(* ------------------------------------------------------------------ *)
-
-(* engine events per conversation for the routed topology (seed 11,
-   16 leaves x 14 clients x 45 conversations): dearer than the flat
-   swarm because every packet crosses two to four gateway hops *)
-let routed_baseline = 110.0 (* measured 85.82 *)
-
-let run_routed () =
-  section "routed swarm - 10k conversations across a 20-subnet internet";
-  let t0 = Unix.gettimeofday () in
-  let r = Routed_swarm_bench.run () in
-  let t1 = Unix.gettimeofday () in
-  let r2 = Routed_swarm_bench.run () in
-  let t2 = Unix.gettimeofday () in
-  print_string r.Routed_swarm_bench.res_json;
-  let perfs = [ ("il", r.Routed_swarm_bench.res_perf) ] in
-  let oc = open_out "BENCH_routed.json" in
-  output_string oc (inject_perf r.Routed_swarm_bench.res_json perfs);
-  close_out oc;
-  Printf.printf "wrote BENCH_routed.json (wall clock %.2fs + %.2fs rerun)\n%!"
-    (t1 -. t0) (t2 -. t1);
-  perf_soft_guard "routed" perfs;
-  perf_shape_check "routed" perfs;
-  let s = r.Routed_swarm_bench.res in
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "error: routed swarm: %s\n" m;
-        exit 1)
-      fmt
-  in
-  if not s.Routed_swarm_bench.r_converged then
-    fail "converged only %d of %d conversations"
-      s.Routed_swarm_bench.r_completed s.Routed_swarm_bench.r_total;
-  if s.Routed_swarm_bench.r_peak_convs < 10000 then
-    fail "peak concurrency %d < 10000 — the barrier did not hold"
-      s.Routed_swarm_bench.r_peak_convs;
-  if s.Routed_swarm_bench.r_segments < 12 then
-    fail "only %d segments — not a multi-segment internet"
-      s.Routed_swarm_bench.r_segments;
-  if s.Routed_swarm_bench.r_forwarded = 0 then
-    fail "gateways forwarded nothing — traffic is not crossing subnets";
-  if s.Routed_swarm_bench.r_tun_tx = 0 || s.Routed_swarm_bench.r_tun_rx = 0 then
-    fail "the Datakit transit carried nothing (tun_tx %d, tun_rx %d)"
-      s.Routed_swarm_bench.r_tun_tx s.Routed_swarm_bench.r_tun_rx;
-  if s.Routed_swarm_bench.r_drops > 0 then
-    fail "%d packets dropped at the routing choke point"
-      s.Routed_swarm_bench.r_drops;
-  let epc = Routed_swarm_bench.events_per_conv s in
-  if epc > routed_baseline then
-    fail
-      "%.2f engine events per conversation (baseline %.2f) — the routed \
-       event economy regressed"
-      epc routed_baseline;
-  if r.Routed_swarm_bench.res_json <> r2.Routed_swarm_bench.res_json then
-    fail "two same-seed runs produced different BENCH_routed.json";
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
-
-(* ------------------------------------------------------------------ *)
-(* collapse: the synchronized-close schedule, first class               *)
-(* ------------------------------------------------------------------ *)
-
-let collapse_table trio =
-  hr ();
-  Printf.printf "%-6s | %5s | %9s | %9s | %8s | %7s | %7s\n" "proto" "conv"
-    "completed" "elapsed s" "resent" "fastrtx" "refused";
-  hr ();
-  List.iter
-    (fun (_, (s : Swarm_bench.side)) ->
-      Printf.printf "%-6s | %5s | %5d/%-4d| %9.2f | %8d | %7d | %7d\n%!"
-        s.Swarm_bench.s_proto
-        (if s.Swarm_bench.s_converged then "yes" else "NO")
-        s.Swarm_bench.s_completed s.Swarm_bench.s_total
-        s.Swarm_bench.s_elapsed s.Swarm_bench.s_retransmits
-        s.Swarm_bench.s_fast_retransmits s.Swarm_bench.s_refused)
-    trio;
-  hr ()
-
-let run_collapse () =
-  section "collapse - 1000 synchronized closes on a 10 Mb/s ether";
-  Printf.printf
-    "schedule: %d hosts x %d conversations, zero close stagger, %d-byte\n\
-     messages; every conversation sends its second echo and hangs up at\n\
-     the same instant.  The baseline TCP answers the queueing delay with\n\
-     go-back-N at a fixed window; tcpcc answers with AIMD + fast\n\
-     retransmit on the same wire format.\n"
-    Congestion_bench.collapse_hosts Congestion_bench.collapse_convs_per_host
-    Congestion_bench.collapse_msg_bytes;
-  let trio = Congestion_bench.collapse_trio () in
-  collapse_table (List.map (fun (p, (s, _)) -> (p, s)) trio)
-
-(* ------------------------------------------------------------------ *)
-(* congestion-matrix: loss x flows x {il, tcp, tcpcc}                   *)
-(* ------------------------------------------------------------------ *)
-
-(* recorded bound on tcpcc retransmissions under the collapse schedule
-   (seed 9); the run fails if congestion control stops containing the
-   synchronized-close storm *)
-let collapse_tcpcc_retransmit_cap = 20_000 (* measured 17272, seed 9 *)
-
-let run_congestion_matrix () =
-  section "congestion matrix - {uniform, burst, collapse} x {il, tcp, tcpcc}";
-  let t0 = Unix.gettimeofday () in
-  let r = Congestion_bench.run () in
-  let t1 = Unix.gettimeofday () in
-  let r2 = Congestion_bench.run () in
-  let t2 = Unix.gettimeofday () in
-  print_string r.Congestion_bench.res_json;
-  let oc = open_out "BENCH_congestion.json" in
-  output_string oc
-    (inject_perf r.Congestion_bench.res_json r.Congestion_bench.res_perf);
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_congestion.json (wall clock %.2fs + %.2fs rerun)\n%!"
-    (t1 -. t0) (t2 -. t1);
-  perf_soft_guard "congestion" r.Congestion_bench.res_perf;
-  perf_shape_check "congestion" r.Congestion_bench.res_perf;
-  let fail fmt =
-    Printf.ksprintf
-      (fun m ->
-        Printf.eprintf "error: congestion matrix: %s\n" m;
-        exit 1)
-      fmt
-  in
-  (* every transport must survive both loss schedules *)
-  List.iter
-    (fun (group, rows) ->
-      List.iter
-        (fun (proto, (x : Congestion_bench.xfer)) ->
-          if not x.Congestion_bench.c_converged then
-            fail "%s/%s did not complete the transfer (virtual %.1fs)" group
-              proto x.Congestion_bench.c_elapsed)
-        rows)
-    [ ("uniform", r.Congestion_bench.res_uniform);
-      ("burst", r.Congestion_bench.res_burst) ];
-  (* loss must actually reach tcpcc, and fast retransmit must fire:
-     recovery without it would mean the dupack machinery is dead code *)
-  let ucc = List.assoc "tcpcc" r.Congestion_bench.res_uniform in
-  if ucc.Congestion_bench.c_fast_retransmits = 0 then
-    fail "tcpcc recovered from 5%% uniform loss without one fast retransmit";
-  (* the headline: the same synchronized-close schedule that collapses
-     the baseline converges under tcpcc, in bounded retransmissions *)
-  let side p = List.assoc p r.Congestion_bench.res_collapse in
-  let cc = side "tcpcc" and base = side "tcp" in
-  if not cc.Swarm_bench.s_converged then
-    fail "tcpcc collapse run converged only %d of %d"
-      cc.Swarm_bench.s_completed cc.Swarm_bench.s_total;
-  if cc.Swarm_bench.s_retransmits > collapse_tcpcc_retransmit_cap then
-    fail "tcpcc resent %d segments under collapse (cap %d)"
-      cc.Swarm_bench.s_retransmits collapse_tcpcc_retransmit_cap;
-  (* the baseline's collapse is pinned, not fixed: if it ever converges
-     this cheaply the schedule stopped biting and the comparison is
-     meaningless *)
-  if
-    base.Swarm_bench.s_converged
-    && base.Swarm_bench.s_retransmits <= collapse_tcpcc_retransmit_cap
-  then
-    fail
-      "baseline tcp survived the collapse schedule (%d resent) — the \
-       schedule no longer collapses anything"
-      base.Swarm_bench.s_retransmits;
-  if r.Congestion_bench.res_json <> r2.Congestion_bench.res_json then
-    fail "two same-seed runs produced different BENCH_congestion.json";
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
-
-(* ------------------------------------------------------------------ *)
-(* guard: golden determinism with perf stripped + perf schema check     *)
-(* ------------------------------------------------------------------ *)
-(* bootstorm: the fleet powers on at once, tiered caches vs direct      *)
-(* ------------------------------------------------------------------ *)
-
-let bootstorm_checks ~smoke (r : Bootstorm_bench.result) =
-  let check (s : Bootstorm_bench.side) =
-    if s.Bootstorm_bench.b_booted <> s.Bootstorm_bench.b_total then begin
-      Printf.eprintf "error: %s storm booted %d of %d terminals\n"
-        s.Bootstorm_bench.b_mode s.Bootstorm_bench.b_booted
-        s.Bootstorm_bench.b_total;
-      exit 1
-    end;
-    if s.Bootstorm_bench.b_convergence <= 0. then begin
-      Printf.eprintf "error: %s storm converged in no virtual time\n"
-        s.Bootstorm_bench.b_mode;
-      exit 1
-    end
-  in
-  check r.Bootstorm_bench.res_tiered;
-  check r.Bootstorm_bench.res_direct;
-  (* the headline: the hierarchy must at least halve what reaches the
-     origin (the smoke fleet is too small to demand the full 2x) *)
-  let floor = if smoke then 1.2 else 2.0 in
-  if r.Bootstorm_bench.res_offload < floor then begin
-    Printf.eprintf
-      "error: origin round-trip offload %.2fx < %.1fx (tiered %d, direct \
-       %d) — the cache hierarchy regressed\n"
-      r.Bootstorm_bench.res_offload floor
-      r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_origin_rts
-      r.Bootstorm_bench.res_direct.Bootstorm_bench.b_origin_rts;
-    exit 1
-  end;
-  if r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_rack_coalesced = 0 then begin
-    Printf.eprintf
-      "error: the storm coalesced no same-block misses at the rack tier — \
-       single-flight is not engaging\n";
-    exit 1
-  end
-
-let run_bootstorm () =
-  section "bootstorm - the whole fleet powers on at once, tiered vs direct";
-  let t0 = Unix.gettimeofday () in
-  let r = Bootstorm_bench.run () in
-  let t1 = Unix.gettimeofday () in
-  let r2 = Bootstorm_bench.run () in
-  let t2 = Unix.gettimeofday () in
-  print_string r.Bootstorm_bench.res_json;
-  let oc = open_out "BENCH_bootstorm.json" in
-  output_string oc
-    (inject_perf r.Bootstorm_bench.res_json r.Bootstorm_bench.res_perf);
-  close_out oc;
-  Printf.printf
-    "wrote BENCH_bootstorm.json (wall clock %.2fs + %.2fs rerun)\n%!"
-    (t1 -. t0) (t2 -. t1);
-  perf_soft_guard "bootstorm" r.Bootstorm_bench.res_perf;
-  perf_shape_check "bootstorm" r.Bootstorm_bench.res_perf;
-  bootstorm_checks ~smoke:false r;
-  if r.Bootstorm_bench.res_json <> r2.Bootstorm_bench.res_json then begin
-    Printf.eprintf
-      "error: two same-seed runs produced different BENCH_bootstorm.json — \
-       the storm broke determinism\n";
-    exit 1
-  end;
-  print_endline "same-seed rerun: byte-identical (determinism holds)"
-
-(* the tier-1 fleet smoke: 2 racks x 4 terminals, same guards scaled *)
-let run_bootstorm_smoke () =
-  section "bootstorm-smoke - 8-terminal fleet storm";
-  let r = Bootstorm_bench.run ~racks:2 ~terminals:4 () in
-  bootstorm_checks ~smoke:true r;
-  Printf.printf
-    "fleet smoke: 8 terminals booted, offload %.2fx, rack hit ratio %.2f, \
-     %d misses coalesced\n%!"
-    r.Bootstorm_bench.res_offload
-    (Bootstorm_bench.hit_ratio
-       r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_rack_hits
-       r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_rack_misses)
-    r.Bootstorm_bench.res_tiered.Bootstorm_bench.b_rack_coalesced
-
-(* ------------------------------------------------------------------ *)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let run_guard () =
-  run_faults ();
-  run_swarm ();
-  run_routed ();
-  run_congestion_matrix ();
-  run_bootstorm ();
-  section "bench-guard - golden JSON (perf-stripped) + perf schema";
-  List.iter
-    (fun base ->
-      let got = read_file base and want = read_file ("bench/golden/" ^ base) in
-      if strip_perf got <> want then begin
-        Printf.eprintf
-          "error: %s (perf stripped) differs from bench/golden/%s — the \
-           deterministic document changed\n"
-          base base;
-        exit 1
-      end;
-      (* the perf member itself: values are machine-dependent, but the
-         keys of the schema must all be present *)
-      let perf = List.find_opt is_perf_line (String.split_on_char '\n' got) in
-      match perf with
-      | None ->
-        Printf.eprintf "error: %s carries no perf line\n" base;
-        exit 1
-      | Some line ->
-        let has key =
-          let klen = String.length key and n = String.length line in
-          let rec go i =
-            i + klen <= n && (String.sub line i klen = key || go (i + 1))
-          in
-          go 0
-        in
-        List.iter
-          (fun key ->
-            if not (has ("\"" ^ key ^ "\"")) then begin
-              Printf.eprintf "error: %s perf line lacks key %S\n" base key;
-              exit 1
-            end)
-          [
-            "events"; "wall_s"; "dispatch_s"; "events_per_sec";
-            "minor_words"; "minor_words_per_event"; "share_sum"; "layers";
-            "layer"; "share"; "words_per_event";
-          ];
-        Printf.printf "%s: golden match (perf stripped), perf schema ok\n%!"
-          base)
-    [
-      "BENCH_faults.json"; "BENCH_swarm.json"; "BENCH_routed.json";
-      "BENCH_congestion.json"; "BENCH_bootstorm.json";
-    ]
-
-(* ------------------------------------------------------------------ *)
 (* profile: a tiny swarm as a smoke test for the engine profiler        *)
 (* ------------------------------------------------------------------ *)
 
-let run_profile () =
-  section "profile smoke - engine profiler on a tiny swarm";
-  let r = Swarm_bench.run ~hosts:2 ~convs_per_host:3 () in
-  perf_shape_check "profile" r.Swarm_bench.res_perf;
-  List.iter
-    (fun (name, (rep : Obs.Prof.report)) ->
-      Printf.printf
-        "%-4s %6d events in %.3fs wall (%.0f events/s), %.1f minor \
-         words/event\n"
-        name rep.Obs.Prof.r_events rep.Obs.Prof.r_wall_s
-        rep.Obs.Prof.r_events_per_sec rep.Obs.Prof.r_minor_words_per_event;
-      List.iter
-        (fun l ->
-          Printf.printf "       %-10s %6d events  share %.3f  %.1f w/ev\n"
-            l.Obs.Prof.l_label l.Obs.Prof.l_events l.Obs.Prof.l_share
-            l.Obs.Prof.l_words_per_event)
-        rep.Obs.Prof.r_layers)
-    r.Swarm_bench.res_perf;
-  print_endline "profile smoke: shape ok (events/s > 0, shares sum to ~1)"
+let profile_spec =
+  {
+    Bench.name = "profile";
+    title = "profile smoke - engine profiler on a tiny swarm";
+    file = "profile";
+    run = (fun () -> Swarm_bench.run ~hosts:2 ~convs_per_host:3 ());
+    show =
+      (fun o ->
+        List.iter
+          (fun (name, (rep : Obs.Prof.report)) ->
+            Printf.printf
+              "%-4s %6d events in %.3fs wall (%.0f events/s), %.1f minor \
+               words/event\n"
+              name rep.r_events rep.r_wall_s rep.r_events_per_sec
+              rep.r_minor_words_per_event;
+            List.iter
+              (fun l ->
+                Printf.printf "       %-10s %6d events  share %.3f  %.1f w/ev\n"
+                  l.Obs.Prof.l_label l.Obs.Prof.l_events l.Obs.Prof.l_share
+                  l.Obs.Prof.l_words_per_event)
+              rep.r_layers)
+          o.Bench.perf);
+    checks = [];
+    golden = false;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Wall-clock microbenchmarks (bechamel)                                *)
@@ -1144,10 +523,30 @@ let run_bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
+(* report every failure, then fail the whole run *)
+let fail_on = function
+  | [] -> ()
+  | failures ->
+    List.iter
+      (fun f ->
+        Printf.eprintf "error: %s: %s: %s\n" f.Bench.bench f.Bench.check
+          f.Bench.detail)
+      failures;
+    exit 1
+
+let golden =
+  let drive s () = Bench.drive s in
+  [
+    drive Faults_bench.spec; drive Swarm_bench.spec;
+    drive Routed_swarm_bench.spec; drive Congestion_bench.spec;
+    drive Bootstorm_bench.spec;
+  ]
+
 let sections =
+  let spec s = (s.Bench.name, fun () -> fail_on (Bench.drive s)) in
   [
     ("table1", run_table1);
-    ("json", run_table1_json);
+    spec table1_spec;
     ("fig1", run_fig1);
     ("codesize", run_codesize);
     ("congestion", run_congestion);
@@ -1156,16 +555,17 @@ let sections =
     ("csquery", run_csquery);
     ("import", run_import);
     ("gateway", run_gateway);
-    ("cfs", run_cfs);
-    ("faults", run_faults);
-    ("swarm", run_swarm);
-    ("routed", run_routed);
-    ("collapse", run_collapse);
-    ("congestion-matrix", run_congestion_matrix);
-    ("bootstorm", run_bootstorm);
-    ("bootstorm-smoke", run_bootstorm_smoke);
-    ("guard", run_guard);
-    ("profile", run_profile);
+    spec Cfs_bench.spec;
+    spec Faults_bench.spec;
+    spec Swarm_bench.spec;
+    spec Routed_swarm_bench.spec;
+    spec Congestion_bench.collapse_spec;
+    spec Congestion_bench.spec;
+    spec Bootstorm_bench.spec;
+    spec Bootstorm_bench.smoke_spec;
+    (* every golden bench, each failure reported before the run fails *)
+    ("guard", fun () -> fail_on (List.concat_map (fun d -> d ()) golden));
+    spec profile_spec;
     ("micro", run_bechamel);
   ]
 
@@ -1178,12 +578,13 @@ let () =
     | _ :: (_ :: _ as names) -> names
     | _ -> List.map fst sections
   in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name sections with
-      | Some f -> f ()
-      | None ->
-        Printf.eprintf "unknown section %s (have: %s)\n" name
-          (String.concat " " (List.map fst sections)))
-    wanted;
+  (* a mistyped section must fail before anything runs *)
+  (match List.filter (fun n -> not (List.mem_assoc n sections)) wanted with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown section %s (have: %s)\n"
+      (String.concat " " unknown)
+      (String.concat " " (List.map fst sections));
+    exit 2);
+  List.iter (fun name -> (List.assoc name sections) ()) wanted;
   print_newline ()

@@ -40,16 +40,6 @@ type result = {
 
 let events_per_conv r = float_of_int r.r_events /. float_of_int r.r_total
 
-let echo_once env data_fd payload =
-  ignore (Vfs.Env.write env data_fd payload);
-  let want = String.length payload in
-  let got = ref 0 in
-  while !got < want do
-    let s = Vfs.Env.read env data_fd 4096 in
-    if s = "" then failwith "echo: eof before full reply"
-    else got := !got + String.length s
-  done
-
 let run_once ~seed ~leaves ~clients_per_leaf ~convs_per_client =
   let n_clients = leaves * clients_per_leaf in
   let total = n_clients * convs_per_client in
@@ -78,25 +68,12 @@ let run_once ~seed ~leaves ~clients_per_leaf ~convs_per_client =
                P9net.World.add_host w (Genndb.client_sys (k + 1) (i + 1)))))
   in
   P9net.World.autoroute w;
-  ignore
-    (P9net.Listener.start eng ~backlog:64 server.P9net.Host.env
-       ~addr:"il!*!echo"
-       ~handler:(fun env _conn ~data_fd ->
-         let rec go () =
-           let data = Vfs.Env.read env data_fd 8192 in
-           if data <> "" then begin
-             ignore (Vfs.Env.write env data_fd data);
-             go ()
-           end
-         in
-         go ()));
+  Swarm_bench.serve_echo eng server "il!*!echo";
   let barrier = Sim.Rendez.create eng in
   let arrived = ref 0 and peak = ref 0 in
   let completed = ref 0 and finish = ref 0. in
   let server_convs () =
-    match server.P9net.Host.il with
-    | Some st -> Inet.Il.conv_count st
-    | None -> 0
+    Option.fold ~none:0 ~some:Inet.Il.conv_count server.P9net.Host.il
   in
   let payload = String.make msg_bytes 's' in
   List.iteri
@@ -113,7 +90,7 @@ let run_once ~seed ~leaves ~clients_per_leaf ~convs_per_client =
                    ~pause:(fun () -> Sim.Time.sleep eng 0.05)
                    "il!swarmsrv!echo"
                in
-               echo_once env conn.P9net.Dial.data_fd payload;
+               Swarm_bench.echo_once env conn.P9net.Dial.data_fd payload;
                incr arrived;
                if !arrived = total then begin
                  peak := server_convs ();
@@ -121,7 +98,7 @@ let run_once ~seed ~leaves ~clients_per_leaf ~convs_per_client =
                end
                else Sim.Rendez.sleep barrier;
                Sim.Time.sleep eng (float_of_int idx *. ramp_step);
-               echo_once env conn.P9net.Dial.data_fd payload;
+               Swarm_bench.echo_once env conn.P9net.Dial.data_fd payload;
                P9net.Dial.hangup env conn;
                incr completed;
                if !completed = total then finish := Sim.Engine.now eng))
@@ -146,17 +123,9 @@ let run_once ~seed ~leaves ~clients_per_leaf ~convs_per_client =
       | None -> ())
     gateways;
   let refused =
-    match server.P9net.Host.il with
-    | Some st -> Inet.Il.refusals st
-    | None -> 0
+    Option.fold ~none:0 ~some:Inet.Il.refusals server.P9net.Host.il
   in
-  let hits, misses =
-    List.fold_left
-      (fun (h, m) host ->
-        let h', m' = P9net.Cs.cache_stats host.P9net.Host.cs in
-        (h + h', m + m'))
-      (0, 0) clients
-  in
+  let hits, misses = Swarm_bench.cs_stats clients in
   ( {
       r_total = total;
       r_converged = !completed = total;
@@ -175,12 +144,6 @@ let run_once ~seed ~leaves ~clients_per_leaf ~convs_per_client =
       r_cs_misses = misses;
     },
     Obs.Prof.report prof )
-
-type run = {
-  res_json : string;  (* deterministic: byte-identical across same-seed runs *)
-  res : result;
-  res_perf : Obs.Prof.report;  (* wall clock; never in res_json *)
-}
 
 let run ?(seed = 11) ?(leaves = leaves) ?(clients_per_leaf = clients_per_leaf)
     ?(convs_per_client = convs_per_client) () =
@@ -205,4 +168,49 @@ let run ?(seed = 11) ?(leaves = leaves) ?(clients_per_leaf = clients_per_leaf)
     (events_per_conv r) r.r_forwarded r.r_tun_tx r.r_tun_rx r.r_drops
     r.r_refused r.r_cs_hits r.r_cs_misses;
   Printf.bprintf b "}\n";
-  { res_json = Buffer.contents b; res = r; res_perf = perf }
+  { Bench.json = Buffer.contents b; perf = [ ("il", perf) ]; value = r }
+
+(* engine events per conversation for the routed topology (seed 11,
+   16 leaves x 14 clients x 45 conversations): dearer than the flat
+   swarm because every packet crosses two to four gateway hops *)
+let baseline = 110.0 (* measured 85.82 *)
+
+let spec =
+  {
+    Bench.name = "routed";
+    title = "routed swarm - 10k conversations across a 20-subnet internet";
+    file = "routed";
+    run = (fun () -> run ());
+    show = Bench.print_json;
+    checks =
+      [
+        ("converged", fun r ->
+            Bench.expect r.r_converged "converged only %d of %d conversations"
+              r.r_completed r.r_total);
+        ("peak", fun r ->
+            Bench.expect (r.r_peak_convs >= 10000)
+              "peak concurrency %d < 10000 — the barrier did not hold"
+              r.r_peak_convs);
+        ("segments", fun r ->
+            Bench.expect (r.r_segments >= 12)
+              "only %d segments — not a multi-segment internet" r.r_segments);
+        ("forwarding", fun r ->
+            Bench.expect (r.r_forwarded > 0)
+              "gateways forwarded nothing — traffic is not crossing subnets");
+        ("dk transit", fun r ->
+            Bench.expect
+              (r.r_tun_tx > 0 && r.r_tun_rx > 0)
+              "the Datakit transit carried nothing (tun_tx %d, tun_rx %d)"
+              r.r_tun_tx r.r_tun_rx);
+        ("no route drops", fun r ->
+            Bench.expect (r.r_drops = 0)
+              "%d packets dropped at the routing choke point" r.r_drops);
+        ("events/conv", fun r ->
+            let epc = events_per_conv r in
+            Bench.expect (epc <= baseline)
+              "%.2f engine events per conversation (baseline %.2f) — the \
+               routed event economy regressed"
+              epc baseline);
+      ];
+    golden = true;
+  }

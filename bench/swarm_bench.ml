@@ -73,6 +73,28 @@ let echo_once env data_fd payload =
     else got := !got + String.length s
   done
 
+(* the echo service, bench-owned so the backlog is explicit *)
+let serve_echo eng (server : P9net.Host.t) addr =
+  ignore
+    (P9net.Listener.start eng ~backlog:64 server.env ~addr
+       ~handler:(fun env _conn ~data_fd ->
+         let rec go () =
+           let data = Vfs.Env.read env data_fd 8192 in
+           if data <> "" then begin
+             ignore (Vfs.Env.write env data_fd data);
+             go ()
+           end
+         in
+         go ()))
+
+(* connection-server cache hits and misses, summed over [clients] *)
+let cs_stats clients =
+  List.fold_left
+    (fun (h, m) (host : P9net.Host.t) ->
+      let h', m' = P9net.Cs.cache_stats host.cs in
+      (h + h', m + m'))
+    (0, 0) clients
+
 let run_side ?(bandwidth = 100e6) ?(ramp = ramp_step) ?close_ramp
     ?(msg_bytes = msg_bytes) ?(until = 600.0) ~seed ~proto ~hosts
     ~convs_per_host () =
@@ -91,7 +113,7 @@ let run_side ?(bandwidth = 100e6) ?(ramp = ramp_step) ?close_ramp
   let tr = Obs.Trace.create () in
   Sim.Engine.attach_obs eng tr;
   (* the profiler reads the real clock; its report never lands in the
-     deterministic JSON, only in the strippable perf line *)
+     deterministic JSON, only in the perf sidecar *)
   let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
   Sim.Engine.attach_prof eng prof;
   let server = P9net.World.add_host w "swarmsrv" in
@@ -99,40 +121,21 @@ let run_side ?(bandwidth = 100e6) ?(ramp = ramp_step) ?close_ramp
     List.init hosts (fun i ->
         P9net.World.add_host w (Printf.sprintf "swarmc%d" (i + 1)))
   in
-  (* the echo service, bench-owned so the backlog is explicit *)
-  ignore
-    (P9net.Listener.start eng ~backlog:64 server.P9net.Host.env
-       ~addr:(proto ^ "!*!echo")
-       ~handler:(fun env _conn ~data_fd ->
-         let rec go () =
-           let data = Vfs.Env.read env data_fd 8192 in
-           if data <> "" then begin
-             ignore (Vfs.Env.write env data_fd data);
-             go ()
-           end
-         in
-         go ()));
+  serve_echo eng server (proto ^ "!*!echo");
   (* barrier: every client parks here once connected, so all [total]
      conversations are simultaneously established when the last one
      arrives; the releaser samples the server's conversation table *)
   let barrier = Sim.Rendez.create eng in
   let arrived = ref 0 and peak = ref 0 in
   let completed = ref 0 and finish = ref 0. in
-  let server_convs () =
+  (* a figure of the server's [proto] stack, read through [il] or [tcp] *)
+  let server_stat il tcp =
     match proto with
-    | "il" -> (
-      match server.P9net.Host.il with
-      | Some st -> Inet.Il.conv_count st
-      | None -> 0)
-    | "tcpcc" -> (
-      match server.P9net.Host.tcpcc with
-      | Some st -> Inet.Tcp.conv_count st
-      | None -> 0)
-    | _ -> (
-      match server.P9net.Host.tcp with
-      | Some st -> Inet.Tcp.conv_count st
-      | None -> 0)
+    | "il" -> Option.fold ~none:0 ~some:il server.P9net.Host.il
+    | "tcpcc" -> Option.fold ~none:0 ~some:tcp server.P9net.Host.tcpcc
+    | _ -> Option.fold ~none:0 ~some:tcp server.P9net.Host.tcp
   in
+  let server_convs () = server_stat Inet.Il.conv_count Inet.Tcp.conv_count in
   let payload = String.make msg_bytes 's' in
   List.iteri
     (fun hi host ->
@@ -173,40 +176,10 @@ let run_side ?(bandwidth = 100e6) ?(ramp = ramp_step) ?close_ramp
                if !completed = total then finish := Sim.Engine.now eng))
       done)
     clients;
-  (if Sys.getenv_opt "SWARM_DEBUG" <> None then
-     ignore
-       (Sim.Proc.spawn eng ~name:"probe" (fun () ->
-            List.iter
-              (fun t ->
-                Sim.Time.sleep eng t;
-                Printf.eprintf "probe %s t=%.1f events=%d pending=%d convs=%d\n%!"
-                  proto (Sim.Engine.now eng) (Sim.Engine.events eng)
-                  (Sim.Engine.pending eng) (server_convs ()))
-              [ 1.; 1.; 1.; 1.; 1.; 1.; 4.; 10.; 30.; 50.; 100.; 100.; 100. ])));
   P9net.World.run ~until w;
   let counter name = Obs.Metrics.counter (Obs.Trace.metrics tr) name in
-  let refused =
-    match proto with
-    | "il" -> (
-      match server.P9net.Host.il with
-      | Some st -> Inet.Il.refusals st
-      | None -> 0)
-    | "tcpcc" -> (
-      match server.P9net.Host.tcpcc with
-      | Some st -> Inet.Tcp.refusals st
-      | None -> 0)
-    | _ -> (
-      match server.P9net.Host.tcp with
-      | Some st -> Inet.Tcp.refusals st
-      | None -> 0)
-  in
-  let hits, misses =
-    List.fold_left
-      (fun (h, m) host ->
-        let h', m' = P9net.Cs.cache_stats host.P9net.Host.cs in
-        (h + h', m + m'))
-      (0, 0) clients
-  in
+  let refused = server_stat Inet.Il.refusals Inet.Tcp.refusals in
+  let hits, misses = cs_stats clients in
   ( {
     s_proto = proto;
     s_total = total;
@@ -237,16 +210,12 @@ let side_json s =
     (events_per_conv s) (events_per_byte s) s.s_timer_arm s.s_timer_fire
     s.s_timer_disarm s.s_refused s.s_cs_hits s.s_cs_misses
 
-type result = {
-  res_json : string;  (* deterministic: byte-identical across same-seed runs *)
-  res_il : side;
-  res_tcp : side;
-  res_perf : (string * Obs.Prof.report) list;  (* wall clock; never in res_json *)
-}
-
 let run ?(seed = 11) ?(hosts = hosts) ?(convs_per_host = convs_per_host) () =
-  let il, perf_il = run_side ~seed ~proto:"il" ~hosts ~convs_per_host () in
-  let tcp, perf_tcp = run_side ~seed ~proto:"tcp" ~hosts ~convs_per_host () in
+  let sides =
+    List.map
+      (fun proto -> run_side ~seed ~proto ~hosts ~convs_per_host ())
+      [ "il"; "tcp" ]
+  in
   let b = Buffer.create 1024 in
   Printf.bprintf b "{\n";
   Printf.bprintf b "  \"bench\": \"swarm\",\n";
@@ -255,12 +224,52 @@ let run ?(seed = 11) ?(hosts = hosts) ?(convs_per_host = convs_per_host) () =
   Printf.bprintf b "  \"convs_per_host\": %d,\n" convs_per_host;
   Printf.bprintf b "  \"convs\": %d,\n" (hosts * convs_per_host);
   Printf.bprintf b "  \"msg_bytes\": %d,\n" msg_bytes;
-  Printf.bprintf b "%s,\n" (side_json il);
-  Printf.bprintf b "%s\n" (side_json tcp);
-  Printf.bprintf b "}\n";
+  Printf.bprintf b "%s\n}\n"
+    (String.concat ",\n" (List.map (fun (s, _) -> side_json s) sides));
   {
-    res_json = Buffer.contents b;
-    res_il = il;
-    res_tcp = tcp;
-    res_perf = [ ("il", perf_il); ("tcp", perf_tcp) ];
+    Bench.json = Buffer.contents b;
+    perf = List.map (fun (s, rep) -> (s.s_proto, rep)) sides;
+    value = List.map fst sides;
+  }
+
+(* recorded baselines for engine events per conversation (seed 11,
+   25 hosts x 40 conversations, 512-byte messages); the run fails if
+   the event economy regresses past them — e.g. if someone reintroduces
+   a per-conversation ticker, events per conversation explodes *)
+let baselines = [ ("il", 46.0 (* measured 36.35 *)); ("tcp", 60.0 (* 47.35 *)) ]
+
+let spec =
+  let checks (proto, baseline) =
+    let side sides = List.find (fun s -> s.s_proto = proto) sides in
+    [
+      ( proto ^ " converged",
+        fun sides ->
+          let s = side sides in
+          Bench.expect s.s_converged
+            "%s swarm converged only %d of %d conversations" proto
+            s.s_completed s.s_total );
+      ( proto ^ " peak",
+        fun sides ->
+          let s = side sides in
+          Bench.expect (s.s_peak_convs >= s.s_total)
+            "%s peak concurrency %d < %d — the barrier did not hold every \
+             conversation open at once"
+            proto s.s_peak_convs s.s_total );
+      ( proto ^ " events/conv",
+        fun sides ->
+          let epc = events_per_conv (side sides) in
+          Bench.expect (epc <= baseline)
+            "%s used %.2f engine events per conversation (baseline %.2f) — \
+             the event economy regressed"
+            proto epc baseline );
+    ]
+  in
+  {
+    Bench.name = "swarm";
+    title = "swarm - 1000 concurrent conversations, IL and TCP";
+    file = "swarm";
+    run = (fun () -> run ());
+    show = Bench.print_json;
+    checks = List.concat_map checks baselines;
+    golden = true;
   }

@@ -68,7 +68,6 @@ module Switch = struct
 
   let engine t = t.eng
   let faults t = t.sw_fault
-  let set_loss t p = Fault.set_loss t.sw_fault p
 
   let attach t ~name =
     if Hashtbl.mem t.lines name then

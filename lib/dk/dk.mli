@@ -47,9 +47,6 @@ module Switch : sig
       tore circuits down out of band).  Same determinism contract as
       {!Netsim.Fault}. *)
 
-  val set_loss : t -> float -> unit
-  (** Alias for [Netsim.Fault.set_loss (faults t)]. *)
-
   val attach : t -> name:string -> line
   (** Attach a host under a hierarchical name like ["nj/astro/helix"].
       @raise Invalid_argument if the name is taken. *)

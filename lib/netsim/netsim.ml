@@ -254,7 +254,6 @@ module Ether = struct
     }
 
   let faults t = t.sfault
-  let set_loss t p = Fault.set_loss t.sfault p
   let name t = t.ename
   let engine t = t.eng
 

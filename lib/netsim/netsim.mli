@@ -175,10 +175,6 @@ module Ether : sig
   val faults : t -> Fault.t
   (** The segment-wide fault schedule, applied once per frame. *)
 
-  val set_loss : t -> float -> unit
-  (** Change the uniform frame-loss probability (used by the congestion
-      sweep).  Alias for [Fault.set_loss (faults t)]. *)
-
   val name : t -> string
   val engine : t -> Sim.Engine.t
 

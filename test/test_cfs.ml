@@ -309,12 +309,12 @@ let test_mnt_counters () =
 let test_bench_deterministic () =
   let a = Cfs_bench.run ~seed:9 () in
   let b = Cfs_bench.run ~seed:9 () in
-  Alcotest.(check string) "byte-identical JSON" a.Cfs_bench.res_json
-    b.Cfs_bench.res_json;
+  Alcotest.(check string) "byte-identical JSON" a.Bench.json b.Bench.json;
+  let uncached, cached = a.Bench.value in
   Alcotest.(check bool) "cached strictly fewer round trips" true
-    (a.Cfs_bench.res_cached_rts < a.Cfs_bench.res_uncached_rts);
+    (cached.Cfs_bench.r_round_trips < uncached.Cfs_bench.r_round_trips);
   Alcotest.(check bool) "cached strictly faster" true
-    (a.Cfs_bench.res_cached_elapsed < a.Cfs_bench.res_uncached_elapsed)
+    (cached.Cfs_bench.r_elapsed < uncached.Cfs_bench.r_elapsed)
 
 let () =
   Alcotest.run "cfs"

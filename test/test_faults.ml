@@ -22,7 +22,7 @@ let test_dial_no_such_service () =
 
 let test_total_loss_fails_cleanly () =
   let w = P9net.World.bell_labs () in
-  Netsim.Ether.set_loss w.P9net.World.ether 1.0;
+  Netsim.Fault.set_loss (Netsim.Ether.faults w.P9net.World.ether) 1.0;
   let musca = P9net.World.host w "musca" in
   let failed = ref false in
   ignore
@@ -50,8 +50,8 @@ let test_remote_hangup_fails_reads () =
          on the terminal side: simulate the circuit dropping by closing
          the dk switch line loss... simplest reliable method: kill the
          serving processes on helix *)
-      Netsim.Ether.set_loss w.P9net.World.ether 1.0;
-      Dk.Switch.set_loss w.P9net.World.dk 1.0;
+      Netsim.Fault.set_loss (Netsim.Ether.faults w.P9net.World.ether) 1.0;
+      Netsim.Fault.set_loss (Dk.Switch.faults w.P9net.World.dk) 1.0;
       (* the 9P RPC must eventually fail via the transport death timer *)
       match Vfs.Env.read_file env "/n/f" with
       | _ ->
@@ -70,7 +70,7 @@ let test_il_peer_silence_kills_connection () =
     (P9net.Host.spawn musca "test" (fun env ->
          let conn = P9net.Dial.dial env "il!135.104.9.31!56" in
          (* now the wire dies *)
-         Netsim.Ether.set_loss w.P9net.World.ether 1.0;
+         Netsim.Fault.set_loss (Netsim.Ether.faults w.P9net.World.ether) 1.0;
          (* keep writing until the connection declares death *)
          (try
             for _ = 1 to 10_000 do

@@ -162,8 +162,8 @@ let read_golden path =
 
 let test_cold_boot_replay () =
   let r = Bootstorm_bench.run ~seed:7 ~racks:2 ~terminals:2 () in
-  let t = r.Bootstorm_bench.res_tiered in
-  let d = r.Bootstorm_bench.res_direct in
+  let t = r.Bench.value.Bootstorm_bench.tiered in
+  let d = r.Bench.value.Bootstorm_bench.direct in
   let got =
     Printf.sprintf
       "booted %d of %d\n\

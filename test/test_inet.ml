@@ -626,9 +626,9 @@ let test_il_out_of_window_discard () =
     spawn eng (fun () ->
         let conv = Inet.Il.connect ila ~raddr:(ip "10.0.0.2") ~rport:1 in
         (* lose exactly the first data message *)
-        Netsim.Ether.set_loss seg 1.0;
+        Netsim.Fault.set_loss (Netsim.Ether.faults seg) 1.0;
         Inet.Il.write conv "m01";
-        Netsim.Ether.set_loss seg 0.0;
+        Netsim.Fault.set_loss (Netsim.Ether.faults seg) 0.0;
         for i = 2 to 12 do
           Inet.Il.write conv (Printf.sprintf "m%02d" i)
         done)

@@ -193,22 +193,22 @@ let frame_to a b payload =
   }
 
 let test_set_loss_alias () =
-  (* Ether.set_loss is a thin alias over the segment fault schedule;
-     losses route through the choke point (crc_errors for legacy
-     consumers, drops_injected for attribution) *)
+  (* loss set on the segment fault schedule routes through the choke
+     point (crc_errors for legacy consumers, drops_injected for
+     attribution) *)
   let eng, seg = mk_seg () in
   let a = Netsim.Ether.attach seg (ea "0800690222f0") in
   let b = Netsim.Ether.attach seg (ea "0800690222f1") in
   let got = ref 0 in
   Netsim.Ether.set_rx b (fun _ -> incr got);
-  Netsim.Ether.set_loss seg 1.0;
+  Netsim.Fault.set_loss (Netsim.Ether.faults seg) 1.0;
   Netsim.Ether.transmit a (frame_to a b "doomed");
   Sim.Engine.run eng;
   let sb = Netsim.Ether.nic_stats b in
   Alcotest.(check int) "lost" 0 !got;
   Alcotest.(check int) "crc_errors (legacy)" 1 sb.Netsim.Ether.crc_errors;
   Alcotest.(check int) "drops_injected" 1 sb.Netsim.Ether.drops_injected;
-  Netsim.Ether.set_loss seg 0.0;
+  Netsim.Fault.set_loss (Netsim.Ether.faults seg) 0.0;
   Netsim.Ether.transmit a (frame_to a b "fine");
   Sim.Engine.run eng;
   Alcotest.(check int) "delivered after clearing" 1 !got
