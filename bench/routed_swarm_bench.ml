@@ -55,10 +55,14 @@ let run_once ~seed ~leaves ~clients_per_leaf ~convs_per_client =
   let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
   Sim.Engine.attach_prof eng prof;
   (* gateways first, so tunnel listeners are announced before anything
-     routes into them; then the server; then the leaves *)
+     routes into them: the cores, right before left, then the leaf
+     gateways; then the server; then the leaves.  The golden event count
+     depends on this creation order. *)
+  let gwcorer = P9net.World.add_host w "gwcorer" in
+  let gwcorel = P9net.World.add_host w "gwcorel" in
   let gateways =
     List.init leaves (fun k -> P9net.World.add_host w (Genndb.gw_sys (k + 1)))
-    @ [ P9net.World.add_host w "gwcorel"; P9net.World.add_host w "gwcorer" ]
+    @ [ gwcorel; gwcorer ]
   in
   let server = P9net.World.add_host w Genndb.server_sys in
   let clients =

@@ -514,40 +514,7 @@ let status_text t =
 
 (* ---- the ctl/stats/status conversation directory ---- *)
 
-type cfile = CRoot | CCtl | CStats | CStatus
-
-type ctlnode = { mutable cf : cfile; mutable copened : bool }
-
-let cqid = function
-  | CRoot ->
-    { Ninep.Fcall.qpath = Int32.logor Ninep.Fcall.qdir_bit 1l; qvers = 0l }
-  | CCtl -> { Ninep.Fcall.qpath = 2l; qvers = 0l }
-  | CStats -> { Ninep.Fcall.qpath = 3l; qvers = 0l }
-  | CStatus -> { Ninep.Fcall.qpath = 4l; qvers = 0l }
-
-let cname = function
-  | CRoot -> "."
-  | CCtl -> "ctl"
-  | CStats -> "stats"
-  | CStatus -> "status"
-
-let cstat f =
-  {
-    Ninep.Fcall.d_name = cname f;
-    d_uid = "cfs";
-    d_gid = "cfs";
-    d_qid = cqid f;
-    d_mode =
-      (match f with
-      | CRoot -> Int32.logor Ninep.Fcall.dmdir 0o555l
-      | CCtl -> 0o222l
-      | CStats | CStatus -> 0o444l);
-    d_atime = 0l;
-    d_mtime = 0l;
-    d_length = 0L;
-    d_type = Char.code 'C';
-    d_dev = 0;
-  }
+type ctlnode = unit Ninep.Devtab.node
 
 let ctl_write t text =
   let words =
@@ -580,58 +547,30 @@ let ctl_write t text =
   | _ -> Error ("bad control message: " ^ String.trim text)
 
 let ctl_fs t =
-  {
-    Ninep.Server.fs_name = "cfsctl";
-    fs_attach = (fun ~uname:_ ~aname:_ -> Ok { cf = CRoot; copened = false });
-    fs_qid = (fun n -> cqid n.cf);
-    fs_walk =
-      (fun n name ->
-        match (n.cf, name) with
-        | CRoot, ".." -> Ok n
-        | CRoot, "ctl" ->
-          n.cf <- CCtl;
-          Ok n
-        | CRoot, "stats" ->
-          n.cf <- CStats;
-          Ok n
-        | CRoot, "status" ->
-          n.cf <- CStatus;
-          Ok n
-        | (CCtl | CStats | CStatus), ".." ->
-          n.cf <- CRoot;
-          Ok n
-        | (CRoot | CCtl | CStats | CStatus), _ -> Error "file does not exist");
-    fs_open =
-      (fun n _mode ~trunc:_ ->
-        n.copened <- true;
-        Ok ());
-    fs_read =
-      (fun n ~offset ~count ->
-        if not n.copened then Error "not open"
-        else
-          match n.cf with
-          | CRoot ->
-            Ok
-              (Ninep.Server.dir_data
-                 [ cstat CCtl; cstat CStats; cstat CStatus ]
-                 ~offset ~count)
-          | CCtl -> Ok ""
-          | CStats -> Ok (Ninep.Server.slice (stats_text t) ~offset ~count)
-          | CStatus -> Ok (Ninep.Server.slice (status_text t) ~offset ~count));
-    fs_write =
-      (fun n ~offset:_ ~data ->
-        if not n.copened then Error "not open"
-        else
-          match n.cf with
-          | CCtl -> (
-            match ctl_write t data with
-            | Ok () -> Ok (String.length data)
-            | Error e -> Error e)
-          | CRoot | CStats | CStatus -> Error Ninep.Server.read_only_err);
-    fs_create = (fun _ ~name:_ ~perm:_ _ -> Error Ninep.Server.read_only_err);
-    fs_remove = (fun _ -> Error Ninep.Server.read_only_err);
-    fs_stat = (fun n -> Ok (cstat n.cf));
-    fs_wstat = (fun _ _ -> Error Ninep.Server.read_only_err);
-    fs_clunk = (fun _ -> ());
-    fs_clone = (fun n -> { cf = n.cf; copened = false });
-  }
+  let text name f =
+    {
+      Ninep.Devtab.file with
+      name;
+      perm = 0o444l;
+      read = (fun _ ~offset ~count -> Ok (Ninep.Server.slice (f t) ~offset ~count));
+    }
+  in
+  Ninep.Devtab.fs
+    {
+      Ninep.Devtab.table with
+      fs_name = "cfsctl";
+      owner = "cfs";
+      letter = 'C';
+      top =
+        [|
+          {
+            Ninep.Devtab.file with
+            name = "ctl";
+            perm = 0o222l;
+            write =
+              (fun _ data -> Result.map (fun () -> String.length data) (ctl_write t data));
+          };
+          text "stats" stats_text;
+          text "status" status_text;
+        |];
+    }

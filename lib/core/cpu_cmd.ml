@@ -4,14 +4,7 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 type command = Vfs.Env.t -> args:string list -> string
 
-let dmdir_perm = Int32.logor Ninep.Fcall.dmdir 0o775l
-
-let ensure_dir env path =
-  try ignore (Vfs.Env.stat env path)
-  with Vfs.Chan.Error _ ->
-    Vfs.Env.close env (Vfs.Env.create env path ~perm:dmdir_perm Ninep.Fcall.Oread)
-
-let handle_session eng commands env ~data_fd =
+let handle_session eng commands env ~dir ~data_fd =
   (* first message: the request line *)
   let request = Vfs.Env.read env data_fd 8192 in
   match
@@ -22,7 +15,7 @@ let handle_session eng commands env ~data_fd =
   | cmd :: args -> (
     (* from here the descriptor carries 9P: we are the client, the
        terminal's exportfs is the server *)
-    let tr = Fdtrans.of_fd env data_fd in
+    let tr = Fdtrans.of_conn env ~dir data_fd in
     let client = Ninep.Client.make eng tr in
     match List.assoc_opt cmd commands with
     | None ->
@@ -30,8 +23,7 @@ let handle_session eng commands env ~data_fd =
          space: mount it and write to its cons *)
       (try
          Ninep.Client.session client;
-         ensure_dir env "/mnt";
-         ensure_dir env "/mnt/term";
+         Vfs.Env.ensure_dir env "/mnt/term";
          Vfs.Env.mount env client ~onto:"/mnt/term" Vfs.Ns.Repl;
          Vfs.Env.write_file env "/mnt/term/dev/cons"
            (Printf.sprintf "cpu: unknown command: %s\n" cmd)
@@ -40,8 +32,7 @@ let handle_session eng commands env ~data_fd =
     | Some fn ->
       (try
          Ninep.Client.session client;
-         ensure_dir env "/mnt";
-         ensure_dir env "/mnt/term";
+         Vfs.Env.ensure_dir env "/mnt/term";
          Vfs.Env.mount env client ~onto:"/mnt/term" Vfs.Ns.Repl;
          let output =
            try fn env ~args
@@ -56,32 +47,30 @@ let handle_session eng commands env ~data_fd =
 
 let serve host ~commands =
   let protos =
-    List.concat
-      [
-        (match host.Host.il with Some _ -> [ "il" ] | None -> []);
-        (match host.Host.dkline with Some _ -> [ "dk" ] | None -> []);
-        (match host.Host.tcp with Some _ -> [ "tcp" ] | None -> []);
-      ]
+    List.filter_map
+      (fun (proto, present) -> if present then Some proto else None)
+      [ ("il", Option.is_some host.Host.il); ("dk", Option.is_some host.Host.dkline);
+        ("tcp", Option.is_some host.Host.tcp) ]
   in
   List.iter
     (fun proto ->
       ignore
         (Listener.start host.Host.eng host.Host.env
            ~addr:(Printf.sprintf "%s!*!cpu" proto)
-           ~handler:(fun env _conn ~data_fd ->
-             handle_session host.Host.eng commands env ~data_fd)))
+           ~handler:(fun env conn ~data_fd ->
+             handle_session host.Host.eng commands env ~dir:conn.Dial.dir ~data_fd)))
     protos
 
 let cpu eng env ~host ~cmd ?(args = []) () =
   (* the terminal's side: dial, send the request, serve our own name
      space until the CPU server hangs up, then collect the output the
      server wrote into our cons *)
-  ensure_dir env "/dev";
+  Vfs.Env.ensure_dir env "/dev";
   Vfs.Env.write_file env "/dev/cons" "";
   let conn = Dial.dial env (Printf.sprintf "net!%s!cpu" host) in
   ignore
     (Vfs.Env.write env conn.Dial.data_fd (String.concat " " (cmd :: args)));
-  let tr = Fdtrans.of_fd env conn.Dial.data_fd in
+  let tr = Fdtrans.of_conn env ~dir:conn.Dial.dir conn.Dial.data_fd in
   let srv = Exportfs.serve eng env tr in
   Sim.Proc.join srv;
   Vfs.Env.close env conn.Dial.ctl_fd;

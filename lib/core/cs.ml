@@ -168,12 +168,8 @@ let translate t query =
     Hashtbl.replace t.cache query r;
     r
 
-let fs t =
-  Onefile.fs ~name:"cs" ~filename:"cs"
-    ~handle:(fun ~uname:_ query ->
-      match translate t query with
-      | Ok lines -> Ok (String.concat "\n" lines ^ "\n")
-      | Error e -> Error e)
-    ()
-
-let mount env t = Vfs.Env.mount_fs env (fs t) ~onto:"/net" Vfs.Ns.After
+let mount env t =
+  Netinfo.mount_service env ~name:"cs" ~file:"cs"
+    ~show:(fun () -> "")
+    (fun query ->
+      Result.map (fun lines -> String.concat "\n" lines ^ "\n") (translate t query))

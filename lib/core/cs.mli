@@ -52,8 +52,5 @@ val cache_stats : t -> int * int
 val flush_cache : t -> unit
 (** Drop all memoized answers (and zero the hit/miss counters). *)
 
-val fs : t -> Onefile.node Ninep.Server.fs
-(** The [/net/cs] file. *)
-
 val mount : Vfs.Env.t -> t -> unit
-(** Union the cs file into [/net]. *)
+(** Union the [/net/cs] file into [/net]. *)

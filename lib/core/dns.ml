@@ -199,9 +199,10 @@ let lookup r name ~rrtype =
 
 let lookup_ip r name = lookup r name ~rrtype:"ip"
 
-let fs r =
-  Onefile.fs ~name:"dns" ~filename:"dns"
-    ~handle:(fun ~uname:_ request ->
+let mount env r =
+  Netinfo.mount_service env ~name:"dns" ~file:"dns"
+    ~show:(fun () -> "")
+    (fun request ->
       match words request with
       | [ name ] | [ name; "ip" ] -> (
         match lookup_ip r name with
@@ -220,6 +221,3 @@ let fs r =
                   (fun v -> Printf.sprintf "%s %s\t%s\n" name rrtype v)
                   vs)))
       | _ -> Error "dns: malformed request")
-    ()
-
-let mount env r = Vfs.Env.mount_fs env (fs r) ~onto:"/net" Vfs.Ns.After

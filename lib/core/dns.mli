@@ -53,7 +53,5 @@ val counters : resolver -> counters
 
 (** {1 The /net/dns file} *)
 
-val fs : resolver -> Onefile.node Ninep.Server.fs
-
 val mount : Vfs.Env.t -> resolver -> unit
 (** Union the dns file into [/net]. *)

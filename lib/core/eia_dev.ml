@@ -1,52 +1,18 @@
-type file = Root | Data | Ctl
+type node = unit Ninep.Devtab.node
 
-type dev = {
-  index : int;
-  line : Netsim.Serial.endpoint;
-  rq : Block.Q.t;  (* received bytes; a plain byte stream *)
-}
-
-type node = { dev : dev; mutable f : file; mutable opened : bool }
-
-let qid_of f =
-  match f with
-  | Root -> { Ninep.Fcall.qpath = Int32.logor Ninep.Fcall.qdir_bit 1l; qvers = 0l }
-  | Data -> { Ninep.Fcall.qpath = 2l; qvers = 0l }
-  | Ctl -> { Ninep.Fcall.qpath = 3l; qvers = 0l }
-
-let file_name dev = function
-  | Root -> "."
-  | Data -> Printf.sprintf "eia%d" dev.index
-  | Ctl -> Printf.sprintf "eia%dctl" dev.index
-
-let stat_of dev f =
-  {
-    Ninep.Fcall.d_name = file_name dev f;
-    d_uid = "bootes";
-    d_gid = "bootes";
-    d_qid = qid_of f;
-    d_mode =
-      (if f = Root then Int32.logor Ninep.Fcall.dmdir 0o555l else 0o666l);
-    d_atime = 0l;
-    d_mtime = 0l;
-    d_length = 0L;
-    d_type = Char.code 't';
-    d_dev = 0;
-  }
-
-let ctl_write dev text =
+let ctl_write line rq text =
   let cmd = String.trim text in
   if String.length cmd >= 2 && cmd.[0] = 'b' then
     match int_of_string_opt (String.sub cmd 1 (String.length cmd - 1)) with
     | Some baud when baud > 0 ->
-      Netsim.Serial.set_baud dev.line baud;
+      Netsim.Serial.set_baud line baud;
       Ok ()
     | Some _ | None -> Error ("bad baud rate: " ^ cmd)
   else if cmd = "f" then begin
     (* flush pending input *)
     let rec drain () =
-      if Block.Q.blocks dev.rq > 0 then begin
-        ignore (Block.Q.read dev.rq 4096);
+      if Block.Q.blocks rq > 0 then begin
+        ignore (Block.Q.read rq 4096);
         drain ()
       end
     in
@@ -57,70 +23,45 @@ let ctl_write dev text =
 
 let fs ~index line =
   let eng = Netsim.Serial.engine line in
-  let dev = { index; line; rq = Block.Q.create ~limit:(64 * 1024) eng } in
+  (* received bytes; a plain byte stream *)
+  let rq = Block.Q.create ~limit:(64 * 1024) eng in
   (* interrupt side: queue the arriving bytes, dropping on overflow
      like a real UART fifo *)
   Netsim.Serial.set_rx line (fun bytes ->
-      ignore (Block.Q.try_put dev.rq (Block.make bytes)));
-  {
-    Ninep.Server.fs_name = Printf.sprintf "eia%d" index;
-    fs_attach =
-      (fun ~uname:_ ~aname:_ -> Ok { dev; f = Root; opened = false });
-    fs_qid = (fun n -> qid_of n.f);
-    fs_walk =
-      (fun n name ->
-        match (n.f, name) with
-        | Root, ".." -> Ok n
-        | Root, name when name = file_name dev Data ->
-          n.f <- Data;
-          Ok n
-        | Root, name when name = file_name dev Ctl ->
-          n.f <- Ctl;
-          Ok n
-        | (Data | Ctl), ".." ->
-          n.f <- Root;
-          Ok n
-        | (Root | Data | Ctl), _ -> Error "file does not exist");
-    fs_open =
-      (fun n _mode ~trunc:_ ->
-        n.opened <- true;
-        Ok ());
-    fs_read =
-      (fun n ~offset ~count ->
-        if not n.opened then Error "not open"
-        else
-          match n.f with
-          | Root ->
-            Ok
-              (Ninep.Server.dir_data
-                 [ stat_of dev Data; stat_of dev Ctl ]
-                 ~offset ~count)
-          | Data -> Ok (Block.Q.read dev.rq count)
-          | Ctl ->
-            Ok
-              (Ninep.Server.slice
-                 (Printf.sprintf "b%d\n" (Netsim.Serial.baud dev.line))
-                 ~offset ~count));
-    fs_write =
-      (fun n ~offset:_ ~data ->
-        if not n.opened then Error "not open"
-        else
-          match n.f with
-          | Root -> Error "permission denied"
-          | Data ->
-            Netsim.Serial.send dev.line data;
-            Ok (String.length data)
-          | Ctl -> (
-            match ctl_write dev data with
-            | Ok () -> Ok (String.length data)
-            | Error e -> Error e));
-    fs_create = (fun _ ~name:_ ~perm:_ _ -> Error "permission denied");
-    fs_remove = (fun _ -> Error "permission denied");
-    fs_stat = (fun n -> Ok (stat_of dev n.f));
-    fs_wstat = (fun _ _ -> Error "permission denied");
-    fs_clunk = (fun _ -> ());
-    fs_clone = (fun n -> { dev = n.dev; f = n.f; opened = false });
-  }
+      ignore (Block.Q.try_put rq (Block.make bytes)));
+  let name = Printf.sprintf "eia%d" index in
+  Ninep.Devtab.fs
+    {
+      Ninep.Devtab.table with
+      fs_name = name;
+      owner = "bootes";
+      letter = 't';
+      top =
+        [|
+          {
+            Ninep.Devtab.file with
+            name;
+            read = (fun _ ~offset:_ ~count -> Ok (Block.Q.read rq count));
+            write =
+              (fun _ data ->
+                Netsim.Serial.send line data;
+                Ok (String.length data));
+          };
+          {
+            Ninep.Devtab.file with
+            name = name ^ "ctl";
+            read =
+              (fun _ ~offset ~count ->
+                Ok
+                  (Ninep.Server.slice
+                     (Printf.sprintf "b%d\n" (Netsim.Serial.baud line))
+                     ~offset ~count));
+            write =
+              (fun _ data ->
+                Result.map (fun () -> String.length data) (ctl_write line rq data));
+          };
+        |];
+    }
 
 (* 9P straight over the wire: a serial line preserves bytes, not
    message boundaries, so each message travels length-prefixed and a
@@ -150,10 +91,5 @@ let transport line =
   }
 
 let mount env ~index line =
-  (try ignore (Vfs.Env.stat env "/dev")
-   with Vfs.Chan.Error _ ->
-     Vfs.Env.close env
-       (Vfs.Env.create env "/dev"
-          ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
-          Ninep.Fcall.Oread));
+  Vfs.Env.ensure_dir env "/dev";
   Vfs.Env.mount_fs env (fs ~index line) ~onto:"/dev" Vfs.Ns.After

@@ -1,5 +1,6 @@
 type conn = {
   id : int;
+  dev : dev;
   port_conn : Inet.Etherport.conn;
   (* [Some q] for connections created through the clone file; [None]
      for the kernel's own connections (IP, ARP), which are visible in
@@ -8,69 +9,12 @@ type conn = {
   mutable users : int;
 }
 
-type dev = {
+and dev = {
   port : Inet.Etherport.t;
   conns : (int, conn) Hashtbl.t;  (* every conn we have exposed *)
 }
 
-type file =
-  | Root
-  | Clone
-  | ConnDir of conn
-  | Ctl of conn
-  | Data of conn
-  | Stats of conn
-  | Type of conn
-
-type node = { mutable f : file; mutable opened : bool }
-
-let conn_files = [ "ctl"; "data"; "stats"; "type" ]
-
-let file_slot = function
-  | Ctl _ -> 1
-  | Data _ -> 2
-  | Stats _ -> 3
-  | Type _ -> 4
-  | Root | Clone | ConnDir _ -> 0
-
-let qid_of = function
-  | Root -> { Ninep.Fcall.qpath = Int32.logor Ninep.Fcall.qdir_bit 1l; qvers = 0l }
-  | Clone -> { Ninep.Fcall.qpath = 2l; qvers = 0l }
-  | ConnDir c ->
-    {
-      Ninep.Fcall.qpath =
-        Int32.logor Ninep.Fcall.qdir_bit (Int32.of_int (0x100 * (c.id + 1)));
-      qvers = 0l;
-    }
-  | (Ctl c | Data c | Stats c | Type c) as f ->
-    {
-      Ninep.Fcall.qpath = Int32.of_int ((0x100 * (c.id + 1)) + file_slot f);
-      qvers = 0l;
-    }
-
-let file_name = function
-  | Root -> "."
-  | Clone -> "clone"
-  | ConnDir c -> string_of_int c.id
-  | Ctl _ -> "ctl"
-  | Data _ -> "data"
-  | Stats _ -> "stats"
-  | Type _ -> "type"
-
-let stat_of f =
-  let dir = match f with Root | ConnDir _ -> true | _ -> false in
-  {
-    Ninep.Fcall.d_name = file_name f;
-    d_uid = "bootes";
-    d_gid = "bootes";
-    d_qid = qid_of f;
-    d_mode = (if dir then Int32.logor Ninep.Fcall.dmdir 0o555l else 0o666l);
-    d_atime = 0l;
-    d_mtime = 0l;
-    d_length = 0L;
-    d_type = Char.code 'l';
-    d_dev = 0;
-  }
+type node = conn Ninep.Devtab.node
 
 let hex_of_frame (fr : Netsim.Ether.frame) =
   Netsim.Eaddr.to_string fr.Netsim.Ether.src ^ fr.Netsim.Ether.payload
@@ -80,7 +24,7 @@ let alloc_conn dev =
   let port_conn = Inet.Etherport.connect dev.port 0 in
   let id = Inet.Etherport.conn_id port_conn in
   let q = Block.Q.create ~limit:(128 * 1024) eng in
-  let c = { id; port_conn; rq = Some q; users = 0 } in
+  let c = { id; dev; port_conn; rq = Some q; users = 0 } in
   Inet.Etherport.set_rx port_conn (fun fr ->
       (* drop when the reader is slow, like real hardware *)
       ignore (Block.Q.try_put q (Block.make ~delim:true (hex_of_frame fr))));
@@ -92,19 +36,16 @@ let alloc_conn dev =
 let lookup_conn dev id =
   match Hashtbl.find_opt dev.conns id with
   | Some c -> Some c
-  | None -> (
-    match
-      List.find_opt
-        (fun pc -> Inet.Etherport.conn_id pc = id)
-        (Inet.Etherport.conns dev.port)
-    with
-    | Some pc ->
-      let c = { id; port_conn = pc; rq = None; users = 0 } in
-      Hashtbl.replace dev.conns id c;
-      Some c
-    | None -> None)
+  | None ->
+    List.find_opt
+      (fun pc -> Inet.Etherport.conn_id pc = id)
+      (Inet.Etherport.conns dev.port)
+    |> Option.map (fun pc ->
+           let c = { id; dev; port_conn = pc; rq = None; users = 0 } in
+           Hashtbl.replace dev.conns id c;
+           c)
 
-let release dev c =
+let release c =
   match c.rq with
   | None -> () (* not ours to close *)
   | Some q ->
@@ -112,7 +53,7 @@ let release dev c =
     if c.users <= 0 then begin
       Inet.Etherport.close_conn c.port_conn;
       Block.Q.close q;
-      Hashtbl.remove dev.conns c.id
+      Hashtbl.remove c.dev.conns c.id
     end
 
 let ctl_write c text =
@@ -139,153 +80,86 @@ let parse_dst data =
     | dst -> Some (dst, String.sub data 12 (String.length data - 12))
     | exception Invalid_argument _ -> None
 
-let fs port =
-  let dev = { port; conns = Hashtbl.create 17 } in
-  let root_entries () =
-    (* every live driver connection appears, kernel-owned included *)
-    let ids =
-      List.map Inet.Etherport.conn_id (Inet.Etherport.conns dev.port)
-      |> List.sort compare
-    in
-    stat_of Clone
-    :: List.filter_map
-         (fun id ->
-           Option.map (fun c -> stat_of (ConnDir c)) (lookup_conn dev id))
-         ids
-  in
-  let conn_entries c =
-    List.map
-      (fun name ->
-        stat_of
-          (match name with
-          | "ctl" -> Ctl c
-          | "data" -> Data c
-          | "stats" -> Stats c
-          | _ -> Type c))
-      conn_files
-  in
+let conv = Ninep.Devtab.conv
+let kernel = Error "connection belongs to the kernel"
+
+let text name f =
   {
-    Ninep.Server.fs_name = "etherdev";
-    fs_attach = (fun ~uname:_ ~aname:_ -> Ok { f = Root; opened = false });
-    fs_qid = (fun n -> qid_of n.f);
-    fs_walk =
-      (fun n name ->
-        match (n.f, name) with
-        | Root, "clone" ->
-          n.f <- Clone;
-          Ok n
-        | Root, ".." -> Ok n
-        | Root, name -> (
-          match Option.bind (int_of_string_opt name) (lookup_conn dev) with
-          | Some c ->
-            n.f <- ConnDir c;
-            Ok n
-          | None -> Error "file does not exist")
-        | ConnDir _, ".." ->
-          n.f <- Root;
-          Ok n
-        | ConnDir c, ("ctl" | "data" | "stats" | "type") ->
-          n.f <-
-            (match name with
-            | "ctl" -> Ctl c
-            | "data" -> Data c
-            | "stats" -> Stats c
-            | _ -> Type c);
-          Ok n
-        | (Clone | ConnDir _ | Ctl _ | Data _ | Stats _ | Type _), _ ->
-          Error "file does not exist")
-    ;
-    fs_open =
-      (fun n _mode ~trunc:_ ->
-        match n.f with
-        | Root | ConnDir _ ->
-          n.opened <- true;
-          Ok ()
-        | Clone ->
-          let c = alloc_conn dev in
-          c.users <- c.users + 1;
-          n.f <- Ctl c;
-          n.opened <- true;
-          Ok ()
-        | Ctl c | Data c | Stats c | Type c ->
-          c.users <- c.users + 1;
-          n.opened <- true;
-          Ok ())
-    ;
-    fs_read =
-      (fun n ~offset ~count ->
-        if not n.opened then Error "not open"
-        else
-          match n.f with
-          | Root -> Ok (Ninep.Server.dir_data (root_entries ()) ~offset ~count)
-          | ConnDir c ->
-            Ok (Ninep.Server.dir_data (conn_entries c) ~offset ~count)
-          | Clone -> Error "not open"
-          | Ctl c -> Ok (Ninep.Server.slice (string_of_int c.id) ~offset ~count)
-          | Data c -> (
-            match c.rq with
-            | Some q -> Ok (Block.Q.read q count)
-            | None -> Error "connection belongs to the kernel")
-          | Stats _ -> Ok (Ninep.Server.slice (Inet.Etherport.stats_text dev.port) ~offset ~count)
-          | Type c ->
-            Ok
-              (Ninep.Server.slice
-                 (string_of_int (Inet.Etherport.conn_type c.port_conn) ^ "\n")
-                 ~offset ~count))
-    ;
-    fs_write =
-      (fun n ~offset:_ ~data ->
-        if not n.opened then Error "not open"
-        else
-          match n.f with
-          | Ctl c -> (
-            if c.rq = None then Error "connection belongs to the kernel"
-            else
-              match ctl_write c data with
-              | Ok () -> Ok (String.length data)
-              | Error e -> Error e)
-          | Data c -> (
-            if c.rq = None then Error "connection belongs to the kernel"
-            else
-              match parse_dst data with
-              | Some (dst, payload) ->
-                Inet.Etherport.send c.port_conn ~dst payload;
-                Ok (String.length data)
-              | None -> Error "bad frame: want 12 hex digit destination")
-          | Root | Clone | ConnDir _ | Stats _ | Type _ ->
-            Error "permission denied")
-    ;
-    fs_create = (fun _ ~name:_ ~perm:_ _ -> Error "permission denied");
-    fs_remove = (fun _ -> Error "permission denied");
-    fs_stat = (fun n -> Ok (stat_of n.f));
-    fs_wstat = (fun _ _ -> Error "permission denied");
-    fs_clunk =
-      (fun n ->
-        if n.opened then begin
-          n.opened <- false;
-          match n.f with
-          | Ctl c | Data c | Stats c | Type c -> release dev c
-          | Root | Clone | ConnDir _ -> ()
-        end)
-    ;
-    fs_clone = (fun n -> { f = n.f; opened = false });
+    Ninep.Devtab.file with
+    name;
+    read = (fun n ~offset ~count -> Ok (Ninep.Server.slice (f (conv n)) ~offset ~count));
   }
 
+(* the files of every connection directory, shared by every interface *)
+let conv_files =
+  [|
+    {
+      (text "ctl" (fun c -> string_of_int c.id)) with
+      write =
+        (fun n data ->
+          let c = conv n in
+          if c.rq = None then kernel
+          else Result.map (fun () -> String.length data) (ctl_write c data));
+    };
+    {
+      Ninep.Devtab.file with
+      name = "data";
+      read =
+        (fun n ~offset:_ ~count ->
+          match (conv n).rq with
+          | Some q -> Ok (Block.Q.read q count)
+          | None -> kernel);
+      write =
+        (fun n data ->
+          let c = conv n in
+          if c.rq = None then kernel
+          else
+            match parse_dst data with
+            | Some (dst, payload) ->
+              Inet.Etherport.send c.port_conn ~dst payload;
+              Ok (String.length data)
+            | None -> Error "bad frame: want 12 hex digit destination");
+    };
+    text "stats" (fun c -> Inet.Etherport.stats_text c.dev.port);
+    text "type" (fun c -> string_of_int (Inet.Etherport.conn_type c.port_conn) ^ "\n");
+  |]
+
+let fs port =
+  let dev = { port; conns = Hashtbl.create 17 } in
+  Ninep.Devtab.fs
+    {
+      Ninep.Devtab.table with
+      fs_name = "etherdev";
+      owner = "bootes";
+      letter = 'l';
+      top =
+        [|
+          {
+            Ninep.Devtab.file with
+            name = "clone";
+            open_ = (fun n -> Ninep.Devtab.redirect n (alloc_conn dev) "ctl");
+          };
+        |];
+      convs =
+        {
+          conv_files;
+          number = (fun c -> c.id);
+          find = lookup_conn dev;
+          listing =
+            (fun () ->
+              (* every live driver connection appears, kernel-owned
+                 included *)
+              List.map Inet.Etherport.conn_id (Inet.Etherport.conns dev.port)
+              |> List.sort compare
+              |> List.filter_map (lookup_conn dev));
+          hold = (fun c -> c.users <- c.users + 1);
+          release;
+        };
+    }
+
 let mount env port ~name =
-  (try ignore (Vfs.Env.stat env "/net") with
-  | Vfs.Chan.Error _ ->
-    Vfs.Env.close env
-      (Vfs.Env.create env "/net"
-         ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
-         Ninep.Fcall.Oread));
-  let dir = "/net/" ^ name in
-  (try ignore (Vfs.Env.stat env dir) with
-  | Vfs.Chan.Error _ ->
-    Vfs.Env.close env
-      (Vfs.Env.create env dir
-         ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
-         Ninep.Fcall.Oread));
-  Vfs.Env.mount_fs env (fs port) ~onto:dir Vfs.Ns.Repl
+  Vfs.Env.ensure_dir env ("/net/" ^ name);
+  Vfs.Env.mount_fs env (fs port) ~onto:("/net/" ^ name) Vfs.Ns.Repl
 
 let render_tree port =
   let conns = Inet.Etherport.conns port in

@@ -163,7 +163,7 @@ let import eng env ?(proto = "net") ?(mcreate = true) ~host ~remote_root
     let conn = Dial.dial env (Printf.sprintf "%s!%s!exportfs" proto host) in
     (* the ctl fd must stay open or the connection would drop; it is
        owned by the mount from here on.  9P flows over the data fd. *)
-    let tr = Fdtrans.of_fd env conn.Dial.data_fd in
+    let tr = Fdtrans.of_conn env ~dir:conn.Dial.dir conn.Dial.data_fd in
     let client = Ninep.Client.make eng tr in
     Ninep.Client.session client;
     Vfs.Env.mount ~mcreate env client ~aname:remote_root ~onto flag

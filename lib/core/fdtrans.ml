@@ -39,3 +39,13 @@ let of_fd ?(framed = false) env fd =
       t_close = (fun () -> Vfs.Env.close env fd);
     }
   end
+
+(* the conversation's network is the directory above it, as in
+   /net/tcp/3 *)
+let of_conn env ~dir fd =
+  let framed =
+    match Filename.basename (Filename.dirname dir) with
+    | "tcp" | "tcpcc" -> true
+    | _ -> false
+  in
+  of_fd ~framed env fd

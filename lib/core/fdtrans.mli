@@ -11,3 +11,8 @@ val of_fd :
   ?framed:bool -> Vfs.Env.t -> Vfs.Env.fd -> Ninep.Transport.t
 (** The caller keeps ownership of any other descriptors; [t_close]
     closes this one. *)
+
+val of_conn : Vfs.Env.t -> dir:string -> Vfs.Env.fd -> Ninep.Transport.t
+(** {!of_fd} for a descriptor on the conversation directory [dir] (a
+    {!Dial.conn}'s [dir]), framed when the conversation runs on a byte
+    stream: TCP and TCP with congestion control. *)

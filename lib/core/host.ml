@@ -113,10 +113,10 @@ let create ?uname ?ether ?(segments = []) ?dk ?il_config ?tcp_config
       let tcp = Inet.Tcp.attach ?config:tcp_config ipstack in
       let tcpcc = Inet.Tcp.attach_cc ?config:tcpcc_config ipstack in
       let udp = Inet.Udp.attach ipstack in
-      Netdev.mount env eng (Netdev.il_proto il);
-      Netdev.mount env eng (Netdev.tcp_proto tcp);
-      Netdev.mount env eng (Netdev.tcp_proto tcpcc);
-      Netdev.mount env eng (Netdev.udp_proto udp);
+      Netdev.mount env (Netdev.il_proto il);
+      Netdev.mount env (Netdev.tcp_proto tcp);
+      Netdev.mount env (Netdev.tcp_proto tcpcc);
+      Netdev.mount env (Netdev.udp_proto udp);
       (Some il, Some tcp, Some tcpcc, Some udp)
     | None -> (None, None, None, None)
   in
@@ -134,7 +134,7 @@ let create ?uname ?ether ?(segments = []) ?dk ?il_config ?tcp_config
     match (dk, Ndb.get entry "dk") with
     | Some switch, Some dkname ->
       let line = Dk.Switch.attach switch ~name:dkname in
-      Netdev.mount env eng (Netdev.dk_proto line);
+      Netdev.mount env (Netdev.dk_proto line);
       Some line
     | _, _ -> None
   in
@@ -229,34 +229,17 @@ let create ?uname ?ether ?(segments = []) ?dk ?il_config ?tcp_config
 
   (* --- the connection server --- *)
   let networks =
-    List.concat
+    List.filter_map
+      (fun (proto, present, nw_kind) ->
+        if present then
+          Some { Cs.nw_proto = proto; nw_clone = "/net/" ^ proto ^ "/clone"; nw_kind }
+        else None)
       [
-        (match il with
-        | Some _ ->
-          [ { Cs.nw_proto = "il"; nw_clone = "/net/il/clone"; nw_kind = `Inet } ]
-        | None -> []);
-        (match dkline with
-        | Some _ ->
-          [ { Cs.nw_proto = "dk"; nw_clone = "/net/dk/clone"; nw_kind = `Dk } ]
-        | None -> []);
-        (match tcp with
-        | Some _ ->
-          [ { Cs.nw_proto = "tcp"; nw_clone = "/net/tcp/clone"; nw_kind = `Inet } ]
-        | None -> []);
-        (match tcpcc with
-        | Some _ ->
-          [
-            {
-              Cs.nw_proto = "tcpcc";
-              nw_clone = "/net/tcpcc/clone";
-              nw_kind = `Inet;
-            };
-          ]
-        | None -> []);
-        (match udp with
-        | Some _ ->
-          [ { Cs.nw_proto = "udp"; nw_clone = "/net/udp/clone"; nw_kind = `Inet } ]
-        | None -> []);
+        ("il", Option.is_some il, `Inet);
+        ("dk", Option.is_some dkline, `Dk);
+        ("tcp", Option.is_some tcp, `Inet);
+        ("tcpcc", Option.is_some tcpcc, `Inet);
+        ("udp", Option.is_some udp, `Inet);
       ]
   in
   let dns_fn =
@@ -303,13 +286,10 @@ let spawn t name fn =
   Sim.Proc.spawn t.eng ~name:(t.name ^ ":" ^ name) (fun () -> fn env)
 
 let nets_of t =
-  List.concat
-    [
-      (match t.il with Some _ -> [ "il" ] | None -> []);
-      (match t.dkline with Some _ -> [ "dk" ] | None -> []);
-      (match t.tcp with Some _ -> [ "tcp" ] | None -> []);
-      (match t.tcpcc with Some _ -> [ "tcpcc" ] | None -> []);
-    ]
+  List.filter_map
+    (fun (net, present) -> if present then Some net else None)
+    [ ("il", Option.is_some t.il); ("dk", Option.is_some t.dkline);
+      ("tcp", Option.is_some t.tcp); ("tcpcc", Option.is_some t.tcpcc) ]
 
 let serve_exportfs t =
   List.iter
@@ -317,8 +297,8 @@ let serve_exportfs t =
       ignore
         (Listener.start t.eng t.env
            ~addr:(Printf.sprintf "%s!*!exportfs" proto)
-           ~handler:(fun env _conn ~data_fd ->
-             let tr = Fdtrans.of_fd env data_fd in
+           ~handler:(fun env conn ~data_fd ->
+             let tr = Fdtrans.of_conn env ~dir:conn.Dial.dir data_fd in
              let srv = Exportfs.serve t.eng env tr in
              Sim.Proc.join srv)))
     (nets_of t)

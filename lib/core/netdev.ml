@@ -39,85 +39,10 @@ type conn = {
 }
 
 and dev = {
-  eng : Sim.Engine.t;
   proto : proto;
   conns : (int, conn) Hashtbl.t;
   mutable next_conn : int;
 }
-
-type file =
-  | Root
-  | Clone
-  | ConnDir of conn
-  | Ctl of conn
-  | Data of conn
-  | Listen of conn
-  | Local of conn
-  | Remote of conn
-  | Status of conn
-  | Stats of conn
-
-type node = { mutable f : file; mutable opened : bool }
-
-(* ---- qids ---- *)
-
-let conn_files =
-  [ "ctl"; "data"; "listen"; "local"; "remote"; "status"; "stats" ]
-
-let file_slot = function
-  | Ctl _ -> 1
-  | Data _ -> 2
-  | Listen _ -> 3
-  | Local _ -> 4
-  | Remote _ -> 5
-  | Status _ -> 6
-  | Stats _ -> 7
-  | Root | Clone | ConnDir _ -> 0
-
-let qid_of = function
-  | Root -> { Ninep.Fcall.qpath = Int32.logor Ninep.Fcall.qdir_bit 1l; qvers = 0l }
-  | Clone -> { Ninep.Fcall.qpath = 2l; qvers = 0l }
-  | ConnDir c ->
-    {
-      Ninep.Fcall.qpath =
-        Int32.logor Ninep.Fcall.qdir_bit (Int32.of_int (0x100 * (c.id + 1)));
-      qvers = 0l;
-    }
-  | (Ctl c | Data c | Listen c | Local c | Remote c | Status c | Stats c) as f
-    ->
-    {
-      Ninep.Fcall.qpath = Int32.of_int ((0x100 * (c.id + 1)) + file_slot f);
-      qvers = 0l;
-    }
-
-let file_name = function
-  | Root -> "."
-  | Clone -> "clone"
-  | ConnDir c -> string_of_int c.id
-  | Ctl _ -> "ctl"
-  | Data _ -> "data"
-  | Listen _ -> "listen"
-  | Local _ -> "local"
-  | Remote _ -> "remote"
-  | Status _ -> "status"
-  | Stats _ -> "stats"
-
-let stat_of dev f =
-  let dir = match f with Root | ConnDir _ -> true | _ -> false in
-  {
-    Ninep.Fcall.d_name = file_name f;
-    d_uid = "network";
-    d_gid = "network";
-    d_qid = qid_of f;
-    d_mode =
-      (if dir then Int32.logor Ninep.Fcall.dmdir 0o555l else 0o666l);
-    d_atime = 0l;
-    d_mtime = 0l;
-    d_length = 0L;
-    d_type = Char.code 'I';
-    d_dev = 0;
-  }
-  |> fun d -> ignore dev; d
 
 (* ---- connection lifecycle ---- *)
 
@@ -138,8 +63,7 @@ let close_conn c =
 let release c =
   c.users <- c.users - 1;
   if c.users <= 0 then begin
-    (* "A connection remains established while any of the files in the
-       connection directory are referenced" — last reference gone *)
+    (* the last reference is gone (see [Ninep.Devtab.hold]) *)
     close_conn c;
     Hashtbl.remove c.dev.conns c.id
   end
@@ -179,204 +103,121 @@ let ctl_write dev c text =
     Ok ()
   | _, _ -> Error ("bad control message: " ^ String.trim text)
 
-(* ---- the fs ---- *)
+(* ---- the device table ---- *)
 
-let fs eng proto =
-  let dev = { eng; proto; conns = Hashtbl.create 17; next_conn = 0 } in
-  let root_entries () =
-    stat_of dev Clone
-    :: (Hashtbl.fold (fun _ c acc -> c :: acc) dev.conns []
-       |> List.sort (fun a b -> compare a.id b.id)
-       |> List.map (fun c -> stat_of dev (ConnDir c)))
-  in
-  let conn_entries c =
-    List.map
-      (fun name ->
-        let f =
-          match name with
-          | "ctl" -> Ctl c
-          | "data" -> Data c
-          | "listen" -> Listen c
-          | "local" -> Local c
-          | "remote" -> Remote c
-          | "status" -> Status c
-          | "stats" -> Stats c
-          | _ -> assert false
-        in
-        stat_of dev f)
-      conn_files
-  in
-  let local_text c =
-    match c.state with
-    | Connected (cv, _) -> cv.cv_local () ^ "\n"
-    | Announced (_, addr) -> addr ^ "\n"
-    | Idle | Hungup -> "\n"
-  in
-  let remote_text c =
-    match c.state with
-    | Connected (cv, _) -> cv.cv_remote () ^ "\n"
-    | Announced _ | Idle | Hungup -> "\n"
-  in
-  let status_text c =
-    let s =
-      match c.state with
-      | Connected (cv, _) -> cv.cv_status ()
-      | Announced (ln, _) ->
-        Printf.sprintf "%s/%d %s" proto.pr_name c.id (ln.ln_status ())
-      | Idle -> Printf.sprintf "%s/%d 0 Closed" proto.pr_name c.id
-      | Hungup -> Printf.sprintf "%s/%d 0 Hungup" proto.pr_name c.id
-    in
-    s ^ "\n"
-  in
-  let stats_text c =
-    match c.state with
-    | Connected (cv, _) -> cv.cv_stats ()
-    | Announced _ | Idle | Hungup -> ""
-  in
+type node = conn Ninep.Devtab.node
+
+let conv = Ninep.Devtab.conv
+
+let text name f =
   {
-    Ninep.Server.fs_name = "netdev:" ^ proto.pr_name;
-    fs_attach = (fun ~uname:_ ~aname:_ -> Ok { f = Root; opened = false });
-    fs_qid = (fun n -> qid_of n.f);
-    fs_walk =
-      (fun n name ->
-        match (n.f, name) with
-        | Root, "clone" ->
-          n.f <- Clone;
-          Ok n
-        | Root, ".." -> Ok n
-        | Root, name -> (
-          match
-            Option.bind (int_of_string_opt name) (Hashtbl.find_opt dev.conns)
-          with
-          | Some c ->
-            n.f <- ConnDir c;
-            Ok n
-          | None -> Error "file does not exist")
-        | ConnDir _, ".." ->
-          n.f <- Root;
-          Ok n
-        | ( ConnDir c,
-            ("ctl" | "data" | "listen" | "local" | "remote" | "status"
-            | "stats") ) ->
-          n.f <-
-            (match name with
-            | "ctl" -> Ctl c
-            | "data" -> Data c
-            | "listen" -> Listen c
-            | "local" -> Local c
-            | "remote" -> Remote c
-            | "stats" -> Stats c
-            | _ -> Status c);
-          Ok n
-        | (Clone | ConnDir _ | Ctl _ | Data _ | Listen _ | Local _ | Remote _
-          | Status _ | Stats _), _ ->
-          Error "file does not exist")
-    ;
-    fs_open =
-      (fun n _mode ~trunc:_ ->
-        match n.f with
-        | Root | ConnDir _ ->
-          n.opened <- true;
-          Ok ()
-        | Clone ->
-          (* reserve an unused connection and become its ctl file *)
-          let c = alloc_conn dev in
-          c.users <- c.users + 1;
-          n.f <- Ctl c;
-          n.opened <- true;
-          Ok ()
-        | Listen c -> (
+    Ninep.Devtab.file with
+    name;
+    read = (fun n ~offset ~count -> Ok (Ninep.Server.slice (f (conv n)) ~offset ~count));
+  }
+
+(* the files of every conversation directory, shared by every device:
+   a conversation reaches its device through [c.dev] *)
+let conv_files =
+  [|
+    {
+      (text "ctl" (fun c -> string_of_int c.id)) with
+      write =
+        (fun n data ->
+          let c = conv n in
+          Result.map (fun () -> String.length data) (ctl_write c.dev c data));
+    };
+    {
+      Ninep.Devtab.file with
+      name = "data";
+      read =
+        (fun n ~offset:_ ~count ->
+          match (conv n).state with
+          | Connected (cv, _) -> Ok (cv.cv_read ~count)
+          | Idle | Announced _ | Hungup -> Error "not connected");
+      write =
+        (fun n data ->
+          match (conv n).state with
+          | Connected (cv, _) -> cv.cv_write data
+          | Idle | Announced _ | Hungup -> Error "not connected");
+    };
+    {
+      Ninep.Devtab.file with
+      name = "listen";
+      open_ =
+        (fun n ->
+          let c = conv n in
           match c.state with
           | Announced (ln, _) -> (
             (* blocks until an incoming call arrives *)
             match ln.ln_accept () with
             | Ok (cv, remote) ->
-              let nc = alloc_conn dev in
+              let nc = alloc_conn c.dev in
               nc.state <- Connected (cv, remote);
-              nc.users <- nc.users + 1;
-              (* the returned descriptor points at the new conn's ctl *)
-              n.f <- Ctl nc;
-              n.opened <- true;
-              Ok ()
+              (* the returned descriptor points at the new
+                 conversation's ctl *)
+              Ninep.Devtab.redirect n nc "ctl"
             | Error e -> Error e)
-          | Idle | Connected _ | Hungup -> Error "not announced")
-        | Ctl c | Data c | Local c | Remote c | Status c | Stats c ->
-          c.users <- c.users + 1;
-          n.opened <- true;
-          Ok ())
-    ;
-    fs_read =
-      (fun n ~offset ~count ->
-        if not n.opened then Error "not open"
-        else
-          match n.f with
-          | Root ->
-            Ok (Ninep.Server.dir_data (root_entries ()) ~offset ~count)
-          | ConnDir c -> Ok (Ninep.Server.dir_data (conn_entries c) ~offset ~count)
-          | Clone -> Error "not open"
-          | Ctl c ->
-            Ok (Ninep.Server.slice (string_of_int c.id) ~offset ~count)
-          | Data c -> (
-            match c.state with
-            | Connected (cv, _) -> Ok (cv.cv_read ~count)
-            | Idle | Announced _ | Hungup -> Error "not connected")
-          | Listen _ -> Error "not open"
-          | Local c -> Ok (Ninep.Server.slice (local_text c) ~offset ~count)
-          | Remote c -> Ok (Ninep.Server.slice (remote_text c) ~offset ~count)
-          | Status c -> Ok (Ninep.Server.slice (status_text c) ~offset ~count)
-          | Stats c -> Ok (Ninep.Server.slice (stats_text c) ~offset ~count))
-    ;
-    fs_write =
-      (fun n ~offset:_ ~data ->
-        if not n.opened then Error "not open"
-        else
-          match n.f with
-          | Ctl c -> (
-            match ctl_write dev c data with
-            | Ok () -> Ok (String.length data)
-            | Error e -> Error e)
-          | Data c -> (
-            match c.state with
-            | Connected (cv, _) -> cv.cv_write data
-            | Idle | Announced _ | Hungup -> Error "not connected")
-          | Root | Clone | ConnDir _ | Listen _ | Local _ | Remote _
-          | Status _ | Stats _ ->
-            Error "permission denied")
-    ;
-    fs_create = (fun _ ~name:_ ~perm:_ _ -> Error "permission denied");
-    fs_remove = (fun _ -> Error "permission denied");
-    fs_stat = (fun n -> Ok (stat_of dev n.f));
-    fs_wstat = (fun _ _ -> Error "permission denied");
-    fs_clunk =
-      (fun n ->
-        if n.opened then begin
-          n.opened <- false;
-          match n.f with
-          | Ctl c | Data c | Local c | Remote c | Status c | Stats c
-          | Listen c ->
-            release c
-          | Root | Clone | ConnDir _ -> ()
-        end)
-    ;
-    fs_clone = (fun n -> { f = n.f; opened = false });
-  }
+          | Idle | Connected _ | Hungup -> Error "not announced");
+    };
+    text "local" (fun c ->
+        match c.state with
+        | Connected (cv, _) -> cv.cv_local () ^ "\n"
+        | Announced (_, addr) -> addr ^ "\n"
+        | Idle | Hungup -> "\n");
+    text "remote" (fun c ->
+        match c.state with
+        | Connected (cv, _) -> cv.cv_remote () ^ "\n"
+        | Announced _ | Idle | Hungup -> "\n");
+    text "status" (fun c ->
+        let name = c.dev.proto.pr_name in
+        (match c.state with
+        | Connected (cv, _) -> cv.cv_status ()
+        | Announced (ln, _) -> Printf.sprintf "%s/%d %s" name c.id (ln.ln_status ())
+        | Idle -> Printf.sprintf "%s/%d 0 Closed" name c.id
+        | Hungup -> Printf.sprintf "%s/%d 0 Hungup" name c.id)
+        ^ "\n");
+    text "stats" (fun c ->
+        match c.state with
+        | Connected (cv, _) -> cv.cv_stats ()
+        | Announced _ | Idle | Hungup -> "");
+  |]
 
-let mount env eng proto =
-  (* ensure /net/<proto> exists as a mount point *)
-  (try ignore (Vfs.Env.stat env "/net") with
-  | Vfs.Chan.Error _ ->
-    Vfs.Env.close env
-      (Vfs.Env.create env "/net"
-         ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
-         Ninep.Fcall.Oread));
+let fs proto =
+  let dev = { proto; conns = Hashtbl.create 17; next_conn = 0 } in
+  Ninep.Devtab.fs
+    {
+      Ninep.Devtab.table with
+      fs_name = "netdev:" ^ proto.pr_name;
+      owner = "network";
+      letter = 'I';
+      top =
+        [|
+          (* reserve an unused connection and become its ctl file *)
+          {
+            Ninep.Devtab.file with
+            name = "clone";
+            open_ = (fun n -> Ninep.Devtab.redirect n (alloc_conn dev) "ctl");
+          };
+        |];
+      convs =
+        {
+          conv_files;
+          number = (fun c -> c.id);
+          find = Hashtbl.find_opt dev.conns;
+          listing =
+            (fun () ->
+              Hashtbl.fold (fun _ c acc -> c :: acc) dev.conns []
+              |> List.sort (fun a b -> compare a.id b.id));
+          hold = (fun c -> c.users <- c.users + 1);
+          release;
+        };
+    }
+
+let mount env proto =
   let dir = "/net/" ^ proto.pr_name in
-  (try ignore (Vfs.Env.stat env dir) with
-  | Vfs.Chan.Error _ ->
-    Vfs.Env.close env
-      (Vfs.Env.create env dir
-         ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
-         Ninep.Fcall.Oread));
-  Vfs.Env.mount_fs env (fs eng proto) ~onto:dir Vfs.Ns.Repl
+  Vfs.Env.ensure_dir env dir;
+  Vfs.Env.mount_fs env (fs proto) ~onto:dir Vfs.Ns.Repl
 
 (* ---- protocol adapters ---- *)
 
@@ -387,111 +228,70 @@ let split_addr addr =
       String.sub addr (i + 1) (String.length addr - i - 1) )
   | None -> (addr, "")
 
-let il_conv st conv =
-  {
-    cv_read = (fun ~count -> Inet.Il.read conv count);
-    cv_write =
-      (fun data ->
-        try
-          Inet.Il.write conv data;
-          Ok (String.length data)
-        with Inet.Il.Hungup -> Error "hungup");
-    cv_local =
-      (* the paper's transcripts show "address port" *)
-      (fun () ->
-        Printf.sprintf "%s %d"
-          (Inet.Ipaddr.to_string (Inet.Il.local_addr st))
-          (Inet.Il.local_port conv));
-    cv_remote =
-      (fun () ->
-        Printf.sprintf "%s %d"
-          (Inet.Ipaddr.to_string (Inet.Il.remote_addr conv))
-          (Inet.Il.remote_port conv));
-    cv_status = (fun () -> Inet.Il.status conv);
-    cv_stats = (fun () -> Inet.Il.conv_stats conv);
-    cv_close = (fun () -> Inet.Il.close conv);
-  }
+(* the port after the last '!': announcements accept "17008" and
+   "*!17008" *)
+let after_bang addr =
+  match String.rindex_opt addr '!' with
+  | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
+  | None -> addr
 
-let il_proto st =
-  {
-    pr_name = "il";
-    pr_connect =
-      (fun addr ->
-        let host, port = split_addr addr in
-        match
-          (Inet.Ipaddr.of_string_opt host, int_of_string_opt port)
-        with
-        | Some raddr, Some rport -> (
-          try Ok (il_conv st (Inet.Il.connect st ~raddr ~rport), addr) with
-          | Inet.Il.Refused e -> Error e
-          | Inet.Il.Timeout e -> Error e
-          | Inet.Il.Port_exhausted -> Error "no free local ports")
-        | _, _ -> Error ("bad il address: " ^ addr));
-    pr_announce =
-      (fun addr ->
-        (* accept "17008" and "*!17008" *)
-        let port_str =
-          match String.rindex_opt addr '!' with
-          | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
-          | None -> addr
-        in
-        match int_of_string_opt port_str with
-        | None -> Error ("bad il announcement: " ^ addr)
-        | Some port -> (
+(* what IL and TCP have in common: the conversation calls and their
+   three failures *)
+module type IP = sig
+  type stack
+  type conv
+  type listener
+
+  exception Refused of string
+  exception Timeout of string
+  exception Hungup
+  exception Port_exhausted
+
+  val local_addr : stack -> Inet.Ipaddr.t
+  val connect : ?lport:int -> stack -> raddr:Inet.Ipaddr.t -> rport:int -> conv
+  val announce : ?backlog:int -> stack -> port:int -> listener
+  val listen : listener -> conv
+  val close_listener : listener -> unit
+  val set_backlog : listener -> int -> unit
+  val backlog : listener -> int
+  val queued : listener -> int
+  val refused : listener -> int
+  val write : conv -> string -> unit
+  val read : conv -> int -> string
+  val close : conv -> unit
+  val local_port : conv -> int
+  val remote_port : conv -> int
+  val remote_addr : conv -> Inet.Ipaddr.t
+  val status : conv -> string
+  val conv_stats : conv -> string
+end
+
+let ip_proto (type s) (module T : IP with type stack = s) name (st : s) =
+  let conv_ops conv =
+    {
+      cv_read = (fun ~count -> T.read conv count);
+      cv_write =
+        (fun data ->
           try
-            let lis = Inet.Il.announce st ~port in
-            Ok
-              {
-                ln_accept =
-                  (fun () ->
-                    let conv = Inet.Il.listen lis in
-                    Ok
-                      ( il_conv st conv,
-                        Printf.sprintf "%s!%d"
-                          (Inet.Ipaddr.to_string (Inet.Il.remote_addr conv))
-                          (Inet.Il.remote_port conv) ));
-                ln_set_backlog =
-                  (fun n ->
-                    Inet.Il.set_backlog lis n;
-                    Ok ());
-                ln_status =
-                  (fun () ->
-                    Printf.sprintf "%d Announced backlog %d queued %d refused %d"
-                      port (Inet.Il.backlog lis) (Inet.Il.queued lis)
-                      (Inet.Il.refused lis));
-                ln_close = (fun () -> Inet.Il.close_listener lis);
-              }
-          with Invalid_argument e -> Error e));
-  }
-
-let tcp_conv st conv =
-  {
-    cv_read = (fun ~count -> Inet.Tcp.read conv count);
-    cv_write =
-      (fun data ->
-        try
-          Inet.Tcp.write conv data;
-          Ok (String.length data)
-        with Inet.Tcp.Hungup -> Error "hungup");
-    cv_local =
-      (fun () ->
-        Printf.sprintf "%s %d"
-          (Inet.Ipaddr.to_string (Inet.Tcp.local_addr st))
-          (Inet.Tcp.local_port conv));
-    cv_remote =
-      (fun () ->
-        Printf.sprintf "%s %d"
-          (Inet.Ipaddr.to_string (Inet.Tcp.remote_addr conv))
-          (Inet.Tcp.remote_port conv));
-    cv_status = (fun () -> Inet.Tcp.status conv);
-    cv_stats = (fun () -> Inet.Tcp.conv_stats conv);
-    cv_close = (fun () -> Inet.Tcp.close conv);
-  }
-
-let tcp_proto st =
-  (* serves both registered variants: the directory name and error
-     strings follow the stack ("tcp" or "tcpcc") *)
-  let name = Inet.Tcp.proto_name st in
+            T.write conv data;
+            Ok (String.length data)
+          with T.Hungup -> Error "hungup");
+      cv_local =
+        (* the paper's transcripts show "address port" *)
+        (fun () ->
+          Printf.sprintf "%s %d"
+            (Inet.Ipaddr.to_string (T.local_addr st))
+            (T.local_port conv));
+      cv_remote =
+        (fun () ->
+          Printf.sprintf "%s %d"
+            (Inet.Ipaddr.to_string (T.remote_addr conv))
+            (T.remote_port conv));
+      cv_status = (fun () -> T.status conv);
+      cv_stats = (fun () -> T.conv_stats conv);
+      cv_close = (fun () -> T.close conv);
+    }
+  in
   {
     pr_name = name;
     pr_connect =
@@ -499,92 +299,69 @@ let tcp_proto st =
         let host, port = split_addr addr in
         match (Inet.Ipaddr.of_string_opt host, int_of_string_opt port) with
         | Some raddr, Some rport -> (
-          try Ok (tcp_conv st (Inet.Tcp.connect st ~raddr ~rport), addr) with
-          | Inet.Tcp.Refused e -> Error e
-          | Inet.Tcp.Timeout e -> Error e
-          | Inet.Tcp.Port_exhausted -> Error "no free local ports")
+          try Ok (conv_ops (T.connect st ~raddr ~rport), addr) with
+          | T.Refused e | T.Timeout e -> Error e
+          | T.Port_exhausted -> Error "no free local ports")
         | _, _ -> Error (Printf.sprintf "bad %s address: %s" name addr));
     pr_announce =
       (fun addr ->
-        let port_str =
-          match String.rindex_opt addr '!' with
-          | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
-          | None -> addr
-        in
-        match int_of_string_opt port_str with
+        match int_of_string_opt (after_bang addr) with
         | None -> Error (Printf.sprintf "bad %s announcement: %s" name addr)
         | Some port -> (
           try
-            let lis = Inet.Tcp.announce st ~port in
+            let lis = T.announce st ~port in
             Ok
               {
                 ln_accept =
                   (fun () ->
-                    let conv = Inet.Tcp.listen lis in
+                    let conv = T.listen lis in
                     Ok
-                      ( tcp_conv st conv,
+                      ( conv_ops conv,
                         Printf.sprintf "%s!%d"
-                          (Inet.Ipaddr.to_string (Inet.Tcp.remote_addr conv))
-                          (Inet.Tcp.remote_port conv) ));
+                          (Inet.Ipaddr.to_string (T.remote_addr conv))
+                          (T.remote_port conv) ));
                 ln_set_backlog =
                   (fun n ->
-                    Inet.Tcp.set_backlog lis n;
+                    T.set_backlog lis n;
                     Ok ());
                 ln_status =
                   (fun () ->
                     Printf.sprintf "%d Announced backlog %d queued %d refused %d"
-                      port (Inet.Tcp.backlog lis) (Inet.Tcp.queued lis)
-                      (Inet.Tcp.refused lis));
-                ln_close = (fun () -> Inet.Tcp.close_listener lis);
+                      port (T.backlog lis) (T.queued lis) (T.refused lis));
+                ln_close = (fun () -> T.close_listener lis);
               }
           with Invalid_argument e -> Error e));
   }
 
-(* "connected" UDP: a bound socket restricted to one peer *)
-let udp_conv st conv ~raddr ~rport =
-  let pending = Buffer.create 0 in
-  ignore pending;
-  let closed = ref false in
+(* each transport's module is packed once *)
+let il_proto = ip_proto (module Inet.Il) "il"
+
+(* serves both registered variants: the directory name and error
+   strings follow the stack ("tcp" or "tcpcc") *)
+let tcp_proto =
+  let tcp = ip_proto (module Inet.Tcp) in
+  fun st -> tcp (Inet.Tcp.proto_name st) st
+
+(* a UDP conversation with one peer, whose next datagram [recv]
+   blocks for *)
+let udp_conv st ~port ~raddr ~rport ~recv ~send ~close =
   {
     cv_read =
       (fun ~count ->
-        if !closed then ""
-        else
-          let rec go () =
-            let src, sport, data = Inet.Udp.recv conv in
-            if Inet.Ipaddr.equal src raddr && sport = rport then
-              if String.length data <= count then data
-              else String.sub data 0 count
-            else go ()
-          in
-          go ());
-    cv_write =
-      (fun data ->
-        if !closed then Error "hungup"
-        else begin
-          Inet.Udp.send conv ~dst:raddr ~dport:rport data;
-          Ok (String.length data)
-        end);
+        let d = recv () in
+        if String.length d <= count then d else String.sub d 0 count);
+    cv_write = send;
     cv_local =
       (fun () ->
-        Printf.sprintf "%s!%d"
-          (Inet.Ipaddr.to_string (Inet.Udp.local_addr st))
-          (Inet.Udp.port conv));
-    cv_remote =
-      (fun () ->
-        Printf.sprintf "%s!%d" (Inet.Ipaddr.to_string raddr) rport);
-    cv_status =
-      (fun () -> Printf.sprintf "udp/%d Open" (Inet.Udp.port conv));
+        Printf.sprintf "%s!%d" (Inet.Ipaddr.to_string (Inet.Udp.local_addr st)) port);
+    cv_remote = (fun () -> Printf.sprintf "%s!%d" (Inet.Ipaddr.to_string raddr) rport);
+    cv_status = (fun () -> Printf.sprintf "udp/%d Open" port);
     cv_stats =
       (fun () ->
         let c = Inet.Udp.counters st in
-        Printf.sprintf
-          "dgrams_sent %d\ndgrams_rcvd %d\nno_port %d\n"
+        Printf.sprintf "dgrams_sent %d\ndgrams_rcvd %d\nno_port %d\n"
           c.Inet.Udp.dg_sent c.Inet.Udp.dg_rcvd c.Inet.Udp.dg_dropped_noport);
-    cv_close =
-      (fun () ->
-        closed := true;
-        Inet.Udp.close conv);
+    cv_close = close;
   }
 
 let udp_proto st =
@@ -595,17 +372,30 @@ let udp_proto st =
         let host, port = split_addr addr in
         match (Inet.Ipaddr.of_string_opt host, int_of_string_opt port) with
         | Some raddr, Some rport ->
+          (* "connected" UDP: a bound socket restricted to one peer *)
           let conv = Inet.Udp.bind st in
-          Ok (udp_conv st conv ~raddr ~rport, addr)
+          let closed = ref false in
+          let rec recv () =
+            let src, sport, data = Inet.Udp.recv conv in
+            if Inet.Ipaddr.equal src raddr && sport = rport then data else recv ()
+          in
+          Ok
+            ( udp_conv st ~port:(Inet.Udp.port conv) ~raddr ~rport
+                ~recv:(fun () -> if !closed then "" else recv ())
+                ~send:(fun data ->
+                  if !closed then Error "hungup"
+                  else begin
+                    Inet.Udp.send conv ~dst:raddr ~dport:rport data;
+                    Ok (String.length data)
+                  end)
+                ~close:(fun () ->
+                  closed := true;
+                  Inet.Udp.close conv),
+              addr )
         | _, _ -> Error ("bad udp address: " ^ addr));
     pr_announce =
       (fun addr ->
-        let port_str =
-          match String.rindex_opt addr '!' with
-          | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
-          | None -> addr
-        in
-        match int_of_string_opt port_str with
+        match int_of_string_opt (after_bang addr) with
         | None -> Error ("bad udp announcement: " ^ addr)
         | Some port -> (
           try
@@ -642,36 +432,12 @@ let udp_proto st =
                     let src, sport, mb = Sim.Mbox.recv accept_q in
                     let key = (Inet.Ipaddr.to_int32 src, sport) in
                     let cv =
-                      {
-                        cv_read =
-                          (fun ~count ->
-                            let d = Sim.Mbox.recv mb in
-                            if String.length d <= count then d
-                            else String.sub d 0 count);
-                        cv_write =
-                          (fun data ->
-                            Inet.Udp.send conv ~dst:src ~dport:sport data;
-                            Ok (String.length data));
-                        cv_local =
-                          (fun () ->
-                            Printf.sprintf "%s!%d"
-                              (Inet.Ipaddr.to_string (Inet.Udp.local_addr st))
-                              port);
-                        cv_remote =
-                          (fun () ->
-                            Printf.sprintf "%s!%d"
-                              (Inet.Ipaddr.to_string src) sport);
-                        cv_status =
-                          (fun () -> Printf.sprintf "udp/%d Open" port);
-                        cv_stats =
-                          (fun () ->
-                            let cs = Inet.Udp.counters st in
-                            Printf.sprintf
-                              "dgrams_sent %d\ndgrams_rcvd %d\nno_port %d\n"
-                              cs.Inet.Udp.dg_sent cs.Inet.Udp.dg_rcvd
-                              cs.Inet.Udp.dg_dropped_noport);
-                        cv_close = (fun () -> Hashtbl.remove peers key);
-                      }
+                      udp_conv st ~port ~raddr:src ~rport:sport
+                        ~recv:(fun () -> Sim.Mbox.recv mb)
+                        ~send:(fun data ->
+                          Inet.Udp.send conv ~dst:src ~dport:sport data;
+                          Ok (String.length data))
+                        ~close:(fun () -> Hashtbl.remove peers key)
                     in
                     Ok
                       ( cv,
@@ -733,11 +499,7 @@ let dk_proto line =
     pr_announce =
       (fun addr ->
         (* service name, possibly "*" *)
-        let service =
-          match String.rindex_opt addr '!' with
-          | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
-          | None -> addr
-        in
+        let service = after_bang addr in
         try
           let calls = Dk.Circuit.announce line ~service in
           Ok

@@ -60,10 +60,11 @@ type proto = {
 
 type node
 
-val fs : Sim.Engine.t -> proto -> node Ninep.Server.fs
-(** The device as a kernel-resident file server. *)
+val fs : proto -> node Ninep.Server.fs
+(** The device as a kernel-resident file server: one {!Ninep.Devtab}
+    table whose conversations are the connections. *)
 
-val mount : Vfs.Env.t -> Sim.Engine.t -> proto -> unit
+val mount : Vfs.Env.t -> proto -> unit
 (** Serve the device tree at [/net/<pr_name>] (creating the directory
     if needed). *)
 

@@ -1,3 +1,8 @@
+let mount_service env ~name ~file ~show handle =
+  Vfs.Env.mount_fs env
+    (Ninep.Devtab.service ~name ~file ~show handle)
+    ~onto:"/net" Vfs.Ns.After
+
 let arp_text ip =
   String.concat ""
     (List.map
@@ -8,15 +13,12 @@ let arp_text ip =
        (Inet.Ip.arp_cache_dump ip))
 
 let mount_arp env ip =
-  Vfs.Env.mount_fs env
-    (Onefile.fs ~name:"arp" ~filename:"arp"
-       ~read_default:(fun () -> arp_text ip)
-       ~handle:(fun ~uname:_ req ->
-         match String.trim req with
-         | "" | "flush" -> Ok (arp_text ip)
-         | other -> Error ("arp: bad request: " ^ other))
-       ())
-    ~onto:"/net" Vfs.Ns.After
+  mount_service env ~name:"arp" ~file:"arp"
+    ~show:(fun () -> arp_text ip)
+    (fun req ->
+      match String.trim req with
+      | "" | "flush" -> Ok (arp_text ip)
+      | other -> Error ("arp: bad request: " ^ other))
 
 let ipifc_text ip =
   let c = Inet.Ip.counters ip in
@@ -45,24 +47,21 @@ let log_text ?limit eng =
     else body
 
 let mount_log env eng =
-  Vfs.Env.mount_fs env
-    (Onefile.fs ~name:"netlog" ~filename:"log"
-       ~read_default:(fun () -> log_text eng)
-       ~handle:(fun ~uname:_ req ->
-         match String.split_on_char ' ' (String.trim req) with
-         | [ "" ] -> Ok (log_text eng)
-         | [ "clear" ] ->
-           (match Sim.Engine.obs eng with
-           | Some tr -> Obs.Trace.clear tr
-           | None -> ());
-           Ok ""
-         | [ "limit"; n ] -> (
-           match int_of_string_opt n with
-           | Some limit when limit > 0 -> Ok (log_text ~limit eng)
-           | _ -> Error ("log: bad limit: " ^ n))
-         | _ -> Error ("log: bad request: " ^ String.trim req))
-       ())
-    ~onto:"/net" Vfs.Ns.After
+  mount_service env ~name:"netlog" ~file:"log"
+    ~show:(fun () -> log_text eng)
+    (fun req ->
+      match String.split_on_char ' ' (String.trim req) with
+      | [ "" ] -> Ok (log_text eng)
+      | [ "clear" ] ->
+        (match Sim.Engine.obs eng with
+        | Some tr -> Obs.Trace.clear tr
+        | None -> ());
+        Ok ""
+      | [ "limit"; n ] -> (
+        match int_of_string_opt n with
+        | Some limit when limit > 0 -> Ok (log_text ~limit eng)
+        | _ -> Error ("log: bad limit: " ^ n))
+      | _ -> Error ("log: bad request: " ^ String.trim req))
 
 (* /net/metrics: periodic counter snapshots as "name value ts" lines
    (Prometheus exposition, virtual timestamps).  Sampling is opt-in —
@@ -106,52 +105,43 @@ let mount_metrics env eng =
     | None -> "tracing disabled\n"
     | Some s -> Obs.Series.render ~live_ts:(Sim.Engine.now eng) s
   in
-  Vfs.Env.mount_fs env
-    (Onefile.fs ~name:"netmetrics" ~filename:"metrics"
-       ~read_default:text
-       ~handle:(fun ~uname:_ req ->
-         match String.split_on_char ' ' (String.trim req) with
-         | [ "" ] -> Ok (text ())
-         | [ "start" ] -> ( match start 1.0 with Ok _ -> Ok "" | Error e -> Error e)
-         | [ "start"; iv ] -> (
-           match float_of_string_opt iv with
-           | Some dt when dt > 0. -> (
-             match start dt with Ok _ -> Ok "" | Error e -> Error e)
-           | _ -> Error ("metrics: bad interval: " ^ iv))
-         | [ "stop" ] ->
-           stop ();
-           Ok ""
-         | [ "sample" ] -> (
-           match get_series () with
-           | None -> Error "metrics: tracing disabled"
-           | Some s ->
-             Obs.Series.sample s (Sim.Engine.now eng);
-             Ok (text ()))
-         | [ "clear" ] ->
-           (match !series with Some s -> Obs.Series.clear s | None -> ());
-           Ok ""
-         | _ -> Error ("metrics: bad request: " ^ String.trim req))
-       ())
-    ~onto:"/net" Vfs.Ns.After
+  mount_service env ~name:"netmetrics" ~file:"metrics"
+    ~show:text
+    (fun req ->
+      match String.split_on_char ' ' (String.trim req) with
+      | [ "" ] -> Ok (text ())
+      | [ "start" ] -> ( match start 1.0 with Ok _ -> Ok "" | Error e -> Error e)
+      | [ "start"; iv ] -> (
+        match float_of_string_opt iv with
+        | Some dt when dt > 0. -> (
+          match start dt with Ok _ -> Ok "" | Error e -> Error e)
+        | _ -> Error ("metrics: bad interval: " ^ iv))
+      | [ "stop" ] ->
+        stop ();
+        Ok ""
+      | [ "sample" ] -> (
+        match get_series () with
+        | None -> Error "metrics: tracing disabled"
+        | Some s ->
+          Obs.Series.sample s (Sim.Engine.now eng);
+          Ok (text ()))
+      | [ "clear" ] ->
+        (match !series with Some s -> Obs.Series.clear s | None -> ());
+        Ok ""
+      | _ -> Error ("metrics: bad request: " ^ String.trim req))
 
 (* /net/iproute: the host's route table — interfaces, entries
    most-specific first with use counts, and the forward/drop counters.
    Writes speak the Route.ctl grammar (add/del/flush). *)
 let mount_iproute env node =
-  Vfs.Env.mount_fs env
-    (Onefile.fs ~name:"iproute" ~filename:"iproute"
-       ~read_default:(fun () -> Route.dump node)
-       ~handle:(fun ~uname:_ req -> Route.ctl node req)
-       ())
-    ~onto:"/net" Vfs.Ns.After
+  mount_service env ~name:"iproute" ~file:"iproute"
+    ~show:(fun () -> Route.dump node)
+    (Route.ctl node)
 
 let mount_ipifc env ip =
-  Vfs.Env.mount_fs env
-    (Onefile.fs ~name:"ipifc" ~filename:"ipifc"
-       ~read_default:(fun () -> ipifc_text ip)
-       ~handle:(fun ~uname:_ req ->
-         match String.trim req with
-         | "" -> Ok (ipifc_text ip)
-         | other -> Error ("ipifc: bad request: " ^ other))
-       ())
-    ~onto:"/net" Vfs.Ns.After
+  mount_service env ~name:"ipifc" ~file:"ipifc"
+    ~show:(fun () -> ipifc_text ip)
+    (fun req ->
+      match String.trim req with
+      | "" -> Ok (ipifc_text ip)
+      | other -> Error ("ipifc: bad request: " ^ other))

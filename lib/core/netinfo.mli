@@ -17,6 +17,15 @@
       [sample] takes one snapshot now, [clear] empties the ring.  A
       read with no stored samples shows one live snapshot. *)
 
+val mount_service :
+  Vfs.Env.t ->
+  name:string ->
+  file:string ->
+  show:(unit -> string) ->
+  (string -> (string, string) result) ->
+  unit
+(** Union a one-file {!Ninep.Devtab.service} into [/net]. *)
+
 val mount_arp : Vfs.Env.t -> Inet.Ip.stack -> unit
 val mount_ipifc : Vfs.Env.t -> Inet.Ip.stack -> unit
 

@@ -1,99 +1,34 @@
-type instance = { s0 : Streams.stream; s1 : Streams.stream }
+type node = unit Ninep.Devtab.node
 
-type file = Root | Data0 | Data1
-
-type node = { inst : instance; mutable f : file; mutable opened : bool }
-
-let qid_of = function
-  | Root -> { Ninep.Fcall.qpath = Int32.logor Ninep.Fcall.qdir_bit 1l; qvers = 0l }
-  | Data0 -> { Ninep.Fcall.qpath = 2l; qvers = 0l }
-  | Data1 -> { Ninep.Fcall.qpath = 3l; qvers = 0l }
-
-let file_name = function Root -> "." | Data0 -> "data" | Data1 -> "data1"
-
-let stat_of f =
+(* one end: reads and writes go to its own stream, and closing the fid
+   closes the stream *)
+let end_ name s =
   {
-    Ninep.Fcall.d_name = file_name f;
-    d_uid = "pipe";
-    d_gid = "pipe";
-    d_qid = qid_of f;
-    d_mode = (if f = Root then Int32.logor Ninep.Fcall.dmdir 0o555l else 0o666l);
-    d_atime = 0l;
-    d_mtime = 0l;
-    d_length = 0L;
-    d_type = Char.code '|';
-    d_dev = 0;
+    Ninep.Devtab.file with
+    name;
+    read = (fun _ ~offset:_ ~count -> Ok (Streams.read s count));
+    write =
+      (fun _ data ->
+        if Streams.closed s then Error "write on closed pipe"
+        else begin
+          Streams.write s data;
+          Ok (String.length data)
+        end);
+    clunk = (fun _ -> Streams.close s);
   }
 
-let stream_of n =
-  match n.f with
-  | Data0 -> Some n.inst.s0
-  | Data1 -> Some n.inst.s1
-  | Root -> None
+let table =
+  { Ninep.Devtab.table with fs_name = "pipe"; owner = "pipe"; letter = '|' }
 
 let fs eng =
   {
-    Ninep.Server.fs_name = "pipe";
-    fs_attach =
-      (fun ~uname:_ ~aname:_ ->
-        (* every attach is a fresh pipe, like #| *)
+    (Ninep.Devtab.fs table) with
+    (* every attach is a fresh pipe, like #| *)
+    Ninep.Server.fs_attach =
+      (fun ~uname ~aname ->
         let s0, s1 = Streams.Pipe.create eng in
-        Ok { inst = { s0; s1 }; f = Root; opened = false });
-    fs_qid = (fun n -> qid_of n.f);
-    fs_walk =
-      (fun n name ->
-        match (n.f, name) with
-        | Root, "data" ->
-          n.f <- Data0;
-          Ok n
-        | Root, "data1" ->
-          n.f <- Data1;
-          Ok n
-        | Root, ".." -> Ok n
-        | (Data0 | Data1), ".." ->
-          n.f <- Root;
-          Ok n
-        | (Root | Data0 | Data1), _ -> Error "file does not exist");
-    fs_open =
-      (fun n _mode ~trunc:_ ->
-        n.opened <- true;
-        Ok ());
-    fs_read =
-      (fun n ~offset ~count ->
-        if not n.opened then Error "not open"
-        else
-          match stream_of n with
-          | None ->
-            Ok
-              (Ninep.Server.dir_data
-                 [ stat_of Data0; stat_of Data1 ]
-                 ~offset ~count)
-          | Some s -> Ok (Streams.read s count));
-    fs_write =
-      (fun n ~offset:_ ~data ->
-        if not n.opened then Error "not open"
-        else
-          match stream_of n with
-          | None -> Error "permission denied"
-          | Some s ->
-            if Streams.closed s then Error "write on closed pipe"
-            else begin
-              Streams.write s data;
-              Ok (String.length data)
-            end);
-    fs_create = (fun _ ~name:_ ~perm:_ _ -> Error "permission denied");
-    fs_remove = (fun _ -> Error "permission denied");
-    fs_stat = (fun n -> Ok (stat_of n.f));
-    fs_wstat = (fun _ _ -> Error "permission denied");
-    fs_clunk =
-      (fun n ->
-        if n.opened then begin
-          n.opened <- false;
-          match stream_of n with
-          | Some s -> Streams.close s
-          | None -> ()
-        end);
-    fs_clone = (fun n -> { inst = n.inst; f = n.f; opened = false });
+        let pipe = { table with top = [| end_ "data" s0; end_ "data1" s1 |] } in
+        (Ninep.Devtab.fs pipe).fs_attach ~uname ~aname);
   }
 
 let pipe eng env =

@@ -58,22 +58,19 @@ let summary t =
 (* /net/snoop: read the capture so far; "clear" resets it, "stop" and
    "start" gate it, "stats" answers with per-protocol frame counts. *)
 let mount env t =
-  Vfs.Env.mount_fs env
-    (Onefile.fs ~name:"snoop" ~filename:"snoop"
-       ~read_default:(fun () -> dump t)
-       ~handle:(fun ~uname:_ req ->
-         match String.trim req with
-         | "" -> Ok (dump t)
-         | "clear" ->
-           clear t;
-           Ok ""
-         | "stop" ->
-           stop t;
-           Ok ""
-         | "start" ->
-           resume t;
-           Ok ""
-         | "stats" -> Ok (summary t)
-         | other -> Error ("snoop: bad request: " ^ other))
-       ())
-    ~onto:"/net" Vfs.Ns.After
+  Netinfo.mount_service env ~name:"snoop" ~file:"snoop"
+    ~show:(fun () -> dump t)
+    (fun req ->
+      match String.trim req with
+      | "" -> Ok (dump t)
+      | "clear" ->
+        clear t;
+        Ok ""
+      | "stop" ->
+        stop t;
+        Ok ""
+      | "start" ->
+        resume t;
+        Ok ""
+      | "stats" -> Ok (summary t)
+      | other -> Error ("snoop: bad request: " ^ other))

@@ -220,6 +220,20 @@ let write_file t path data =
   ignore (write t fd data);
   close t fd
 
+let ensure_dir t path =
+  ignore
+    (List.fold_left
+       (fun dir name ->
+         let path = dir ^ "/" ^ name in
+         (try ignore (stat t path)
+          with Chan.Error _ ->
+            close t
+              (create t path
+                 ~perm:(Int32.logor Ninep.Fcall.dmdir 0o775l)
+                 Ninep.Fcall.Oread));
+         path)
+       "" (Ns.normalize ~dot:t.env_dot path))
+
 let install_chan t chan ~path =
   install t
     { of_chan = chan; of_path = path; of_offset = 0L; of_dirdata = None;

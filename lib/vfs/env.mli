@@ -57,6 +57,10 @@ val read_file : t -> string -> string
 val write_file : t -> string -> string -> unit
 (** Convenience: open for write (or create), write, close. *)
 
+val ensure_dir : t -> string -> unit
+(** Create the directory [path], and any missing directory above it,
+    unless it exists — e.g. a device's mount point. *)
+
 (** {1 Name space operations} *)
 
 val bind : ?mcreate:bool -> t -> src:string -> onto:string -> Ns.flag -> unit

@@ -105,106 +105,41 @@ let stats_text m =
 
 (* ---- the /dev/mnt stats directory ---- *)
 
-type sfile = SMountpoint | SStats
-type spos = SRoot | SDir of int | SFile of int * sfile
-type stats_node = { mutable sp : spos }
-
-let sqid = function
-  | SRoot ->
-    { Ninep.Fcall.qpath = Int32.logor Ninep.Fcall.qdir_bit 1l; qvers = 0l }
-  | SDir i ->
-    {
-      Ninep.Fcall.qpath =
-        Int32.logor Ninep.Fcall.qdir_bit (Int32.of_int (0x100 * (i + 1)));
-      qvers = 0l;
-    }
-  | SFile (i, f) ->
-    {
-      Ninep.Fcall.qpath =
-        Int32.of_int ((0x100 * (i + 1)) + (match f with SMountpoint -> 1 | SStats -> 2));
-      qvers = 0l;
-    }
-
-let sname = function
-  | SRoot -> "mnt"
-  | SDir i -> string_of_int i
-  | SFile (_, SMountpoint) -> "mountpoint"
-  | SFile (_, SStats) -> "stats"
-
-let sstat p =
-  {
-    Ninep.Fcall.d_name = sname p;
-    d_uid = "mnt";
-    d_gid = "mnt";
-    d_qid = sqid p;
-    d_mode =
-      (match p with
-      | SRoot | SDir _ -> Int32.logor Ninep.Fcall.dmdir 0o555l
-      | SFile _ -> 0o444l);
-    d_atime = 0l;
-    d_mtime = 0l;
-    d_length = 0L;
-    d_type = Char.code 'M';
-    d_dev = 0;
-  }
+type stats_node = int Ninep.Devtab.node
 
 let stats_fs list =
   let nth i = List.nth_opt (list ()) i in
-  {
-    Ninep.Server.fs_name = "mntstats";
-    fs_attach = (fun ~uname:_ ~aname:_ -> Ok { sp = SRoot });
-    fs_qid = (fun n -> sqid n.sp);
-    fs_walk =
-      (fun n name ->
-        match (n.sp, name) with
-        | SRoot, ".." -> Ok n
-        | SRoot, _ -> (
-          match int_of_string_opt name with
-          | Some i when i >= 0 && nth i <> None ->
-            n.sp <- SDir i;
-            Ok n
-          | Some _ | None -> Error "file does not exist")
-        | SDir _, ".." ->
-          n.sp <- SRoot;
-          Ok n
-        | SDir i, "mountpoint" ->
-          n.sp <- SFile (i, SMountpoint);
-          Ok n
-        | SDir i, "stats" ->
-          n.sp <- SFile (i, SStats);
-          Ok n
-        | SDir _, _ -> Error "file does not exist"
-        | SFile (i, _), ".." ->
-          n.sp <- SDir i;
-          Ok n
-        | SFile _, _ -> Error "not a directory");
-    fs_open = (fun _ _ ~trunc:_ -> Ok ());
-    fs_read =
-      (fun n ~offset ~count ->
-        match n.sp with
-        | SRoot ->
-          let ds = List.mapi (fun i _ -> sstat (SDir i)) (list ()) in
-          Ok (Ninep.Server.dir_data ds ~offset ~count)
-        | SDir i ->
-          Ok
-            (Ninep.Server.dir_data
-               [ sstat (SFile (i, SMountpoint)); sstat (SFile (i, SStats)) ]
-               ~offset ~count)
-        | SFile (i, f) -> (
-          match nth i with
+  let text name f =
+    {
+      Ninep.Devtab.file with
+      name;
+      perm = 0o444l;
+      read =
+        (fun n ~offset ~count ->
+          match nth (Ninep.Devtab.conv n) with
           | None -> Error "mount is gone"
-          | Some (onto, m) ->
-            let text =
-              match f with
-              | SMountpoint -> onto ^ "\n"
-              | SStats -> stats_text m
-            in
-            Ok (Ninep.Server.slice text ~offset ~count)));
-    fs_write = (fun _ ~offset:_ ~data:_ -> Error Ninep.Server.read_only_err);
-    fs_create = (fun _ ~name:_ ~perm:_ _ -> Error Ninep.Server.read_only_err);
-    fs_remove = (fun _ -> Error Ninep.Server.read_only_err);
-    fs_stat = (fun n -> Ok (sstat n.sp));
-    fs_wstat = (fun _ _ -> Error Ninep.Server.read_only_err);
-    fs_clunk = (fun _ -> ());
-    fs_clone = (fun n -> { sp = n.sp });
-  }
+          | Some (onto, m) -> Ok (Ninep.Server.slice (f onto m) ~offset ~count));
+    }
+  in
+  Ninep.Devtab.fs
+    {
+      Ninep.Devtab.table with
+      fs_name = "mntstats";
+      owner = "mnt";
+      letter = 'M';
+      root = "mnt";
+      notdir = "not a directory";
+      convs =
+        {
+          conv_files =
+            [|
+              text "mountpoint" (fun onto _ -> onto ^ "\n");
+              text "stats" (fun _ m -> stats_text m);
+            |];
+          number = Fun.id;
+          find = (fun i -> if i >= 0 && nth i <> None then Some i else None);
+          listing = (fun () -> List.mapi (fun i _ -> i) (list ()));
+          hold = ignore;
+          release = ignore;
+        };
+    }

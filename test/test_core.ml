@@ -395,6 +395,26 @@ let test_import_gateway_dials_tcp () =
         "Last login by philw\n" reply;
       P9net.Dial.hangup env conn)
 
+(* 9P through exportfs on every IP network, with writes shorter and
+   longer than one TCP segment: TCP "does not preserve delimiters", so
+   on tcp and tcpcc both ends frame the messages *)
+let test_import_rw_every_network () =
+  List.iter
+    (fun proto ->
+      List.iter
+        (fun size ->
+          Util.in_world ~horizon:60.0 ~from:"musca" (fun w env ->
+              let data = String.init size (fun i -> Char.chr (32 + (i mod 95))) in
+              P9net.Exportfs.import w.P9net.World.eng env ~proto ~host:"helix"
+                ~remote_root:"/tmp" ~onto:"/n" ~flag:Vfs.Ns.Repl ();
+              Vfs.Env.write_file env "/n/x" data;
+              Alcotest.(check string)
+                (Printf.sprintf "%s: %d bytes back" proto size)
+                data
+                (Vfs.Env.read_file env "/n/x")))
+        [ 1; 8000 ])
+    [ "il"; "tcp"; "tcpcc" ]
+
 let test_import_local_supersedes () =
   in_world (fun w ->
       let musca = P9net.World.host w "musca" in
@@ -698,6 +718,8 @@ let () =
           Alcotest.test_case "rename through import" `Quick
             test_rename_and_stat_through_import;
           Alcotest.test_case "cs requery" `Quick test_cs_requery_same_fd;
+          Alcotest.test_case "read/write on every IP network" `Quick
+            test_import_rw_every_network;
         ] );
       ( "ether",
         [

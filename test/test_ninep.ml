@@ -438,6 +438,156 @@ let test_pp_dir_format () =
   Alcotest.(check string) "ls -l style"
     "-rw-rw-rw- t 0 bootes   bootes          0 eia1" s
 
+(* ---- device tables ---- *)
+
+(* a device with a clone file and [n] conversations of two files each;
+   [refs] counts the open fids holding each conversation *)
+let devtab_fixture n =
+  let module D = Ninep.Devtab in
+  let refs = Array.make n 0 in
+  let fs =
+    D.fs
+      {
+        D.table with
+        fs_name = "fixture";
+        owner = "o";
+        letter = 'x';
+        top = [| { D.file with name = "clone"; open_ = (fun nd -> D.redirect nd 0 "ctl") } |];
+        convs =
+          {
+            conv_files =
+              [|
+                {
+                  D.file with
+                  name = "ctl";
+                  read =
+                    (fun nd ~offset ~count ->
+                      Ok (Ninep.Server.slice (string_of_int (D.conv nd)) ~offset ~count));
+                };
+                { D.file with name = "data"; perm = 0o444l };
+              |];
+            number = Fun.id;
+            find = (fun i -> if i >= 0 && i < n then Some i else None);
+            listing = (fun () -> List.init n Fun.id);
+            hold = (fun c -> refs.(c) <- refs.(c) + 1);
+            release = (fun c -> refs.(c) <- refs.(c) - 1);
+          };
+      }
+  in
+  (fs, refs)
+
+let ok = function Ok v -> v | Error e -> Alcotest.fail e
+
+let devtab_walk fs names =
+  List.fold_left
+    (fun nd name -> ok (fs.Ninep.Server.fs_walk nd name))
+    (ok (fs.Ninep.Server.fs_attach ~uname:"u" ~aname:""))
+    names
+
+let test_devtab_layout () =
+  let fs, refs = devtab_fixture 5 in
+  let qpath names = (fs.Ninep.Server.fs_qid (devtab_walk fs names)).F.qpath in
+  Alcotest.(check int32) "root" (Int32.logor F.qdir_bit 1l) (qpath []);
+  Alcotest.(check int32) "top-level file" 2l (qpath [ "clone" ]);
+  Alcotest.(check int32) "conversation 3"
+    (Int32.logor F.qdir_bit 0x400l) (qpath [ "3" ]);
+  Alcotest.(check int32) "its second file" 0x402l (qpath [ "3"; "data" ]);
+  Alcotest.(check int32) ".. from a file" (Int32.logor F.qdir_bit 0x400l)
+    (qpath [ "3"; "data"; ".." ]);
+  Alcotest.(check int32) ".. from a conversation" (Int32.logor F.qdir_bit 1l)
+    (qpath [ "3"; ".." ]);
+  let d = ok (fs.fs_stat (devtab_walk fs [ "3"; "data" ])) in
+  Alcotest.(check (list string)) "stat" [ "data"; "o"; "o"; "444"; "x" ]
+    [ d.F.d_name; d.F.d_uid; d.F.d_gid; Printf.sprintf "%lo" d.F.d_mode;
+      String.make 1 (Char.chr d.F.d_type) ];
+  let walk_err names name =
+    match fs.fs_walk (devtab_walk fs names) name with
+    | Ok _ -> "ok"
+    | Error e -> e
+  in
+  Alcotest.(check (list string)) "bad walks"
+    [ "file does not exist"; "file does not exist"; "file does not exist" ]
+    [ walk_err [] "5"; walk_err [ "3" ] "clone"; walk_err [ "3"; "ctl" ] "x" ];
+  (* opening clone yields conversation 0's ctl, held until clunk *)
+  let nd = devtab_walk fs [ "clone" ] in
+  ok (fs.fs_open nd F.Oread ~trunc:false);
+  Alcotest.(check int32) "redirected" 0x101l (fs.fs_qid nd).F.qpath;
+  Alcotest.(check string) "reads the ctl" "0" (ok (fs.fs_read nd ~offset:0L ~count:10));
+  Alcotest.(check int) "held" 1 refs.(0);
+  fs.fs_clunk nd;
+  Alcotest.(check int) "released" 0 refs.(0)
+
+let test_devtab_dir_reads_whole_entries () =
+  let fs, _ = devtab_fixture 40 in
+  let root = devtab_walk fs [] in
+  ok (fs.Ninep.Server.fs_open root F.Oread ~trunc:false);
+  let read ~offset ~count = ok (fs.fs_read root ~offset:(Int64.of_int offset) ~count) in
+  let whole = read ~offset:0 ~count:F.maxfdata in
+  Alcotest.(check int) "clone + 40 conversations" (41 * F.dirlen) (String.length whole);
+  List.iter
+    (fun count ->
+      (* sequential reads at any count reassemble the listing... *)
+      let b = Buffer.create 8192 in
+      let rec go off =
+        let s = read ~offset:off ~count in
+        Alcotest.(check int) "whole entries" 0 (String.length s mod F.dirlen);
+        if s <> "" then begin
+          Buffer.add_string b s;
+          go (off + String.length s)
+        end
+      in
+      if count >= F.dirlen then begin
+        go 0;
+        Alcotest.(check string) (Printf.sprintf "count %d" count) whole (Buffer.contents b)
+      end
+      else Alcotest.(check string) "too small for one entry" "" (read ~offset:0 ~count);
+      (* ...and an offset inside an entry returns nothing *)
+      List.iter
+        (fun off ->
+          Alcotest.(check string) (Printf.sprintf "offset %d" off) "" (read ~offset:off ~count))
+        [ 1; 115; 117; 500; 4000 ])
+    [ 1; 115; 116; 117; 231; 232; 1000; F.maxfdata ]
+
+let test_devtab_clone_is_unopened () =
+  let fs, refs = devtab_fixture 2 in
+  let nd = devtab_walk fs [ "1"; "ctl" ] in
+  ok (fs.Ninep.Server.fs_open nd F.Ordwr ~trunc:false);
+  let c = fs.fs_clone nd in
+  Alcotest.(check (result string string)) "clone refuses reads" (Error "not open")
+    (fs.fs_read c ~offset:0L ~count:10);
+  Alcotest.(check (result int string)) "and writes" (Error "not open")
+    (fs.fs_write c ~offset:0L ~data:"x");
+  fs.fs_clunk c;
+  Alcotest.(check int) "unopened clone holds nothing" 1 refs.(1);
+  Alcotest.(check (result string string)) "original still open" (Ok "1")
+    (fs.fs_read nd ~offset:0L ~count:10);
+  Alcotest.(check (result int string)) "no write handler" (Error "permission denied")
+    (fs.fs_write nd ~offset:0L ~data:"x");
+  fs.fs_clunk nd;
+  Alcotest.(check int) "released" 0 refs.(1)
+
+let test_devtab_service_replies_per_fid () =
+  let fs =
+    Ninep.Devtab.service ~name:"echo" ~file:"echo"
+      ~show:(fun () -> "default\n")
+      (fun req -> if req = "bad" then Error "echo: bad" else Ok (req ^ "\n"))
+  in
+  let opened () =
+    let nd = devtab_walk fs [ "echo" ] in
+    ok (fs.Ninep.Server.fs_open nd F.Ordwr ~trunc:false);
+    nd
+  in
+  let a = opened () and b = opened () in
+  let read nd = ok (fs.fs_read nd ~offset:0L ~count:100) in
+  Alcotest.(check string) "a read before any write shows the default" "default\n" (read a);
+  ignore (ok (fs.fs_write a ~offset:0L ~data:"  one "));
+  ignore (ok (fs.fs_write b ~offset:0L ~data:"two"));
+  Alcotest.(check (list string)) "replies don't interleave" [ "one\n"; "two\n" ]
+    [ read a; read b ];
+  Alcotest.(check (result int string)) "handler error fails the write" (Error "echo: bad")
+    (fs.fs_write a ~offset:0L ~data:"bad");
+  Alcotest.(check string) "and keeps the reply" "one\n" (read a)
+
 let () =
   Alcotest.run "ninep"
     [
@@ -472,6 +622,16 @@ let () =
           Alcotest.test_case "qid dir bit" `Quick test_qid_dir_bit;
           Alcotest.test_case "session resets fids" `Quick
             test_session_resets_fids;
+        ] );
+      ( "devtab",
+        [
+          Alcotest.test_case "qid layout, walks, clone" `Quick test_devtab_layout;
+          Alcotest.test_case "dir reads never split an entry" `Quick
+            test_devtab_dir_reads_whole_entries;
+          Alcotest.test_case "clone of an opened fid is unopened" `Quick
+            test_devtab_clone_is_unopened;
+          Alcotest.test_case "service replies per fid" `Quick
+            test_devtab_service_replies_per_fid;
         ] );
       ( "mount-driver",
         [
