@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain dune underneath.
 
 .PHONY: all check smoke explore explore-smoke bench bench-cfs bench-faults \
-	bench-swarm bench-routed bench-congestion bench-bootstorm bench-guard \
-	fleet-smoke profile-smoke coverage clean
+	bench-swarm bench-routed bench-scale bench-congestion bench-bootstorm \
+	bench-guard fleet-smoke profile-smoke coverage clean
 
 all:
 	dune build
@@ -72,6 +72,15 @@ bench-swarm:
 # break.
 bench-routed:
 	dune exec bench/main.exe -- routed
+
+# The scale guard: the routed swarm at N, 2N and 4N conversations
+# (4,928, 10,080, 20,160).  The bench exits non-zero if the profiler's
+# minor words per event at 4N exceed N's by more than 10% (per-event
+# cost must not grow with the number of live processes), if any point
+# fails to converge, or if the engine's peak live processes fall short
+# of the conversation count.  Also run by bench-guard.
+bench-scale:
+	dune exec bench/main.exe -- scale
 
 # The congestion proof: IL vs baseline TCP vs tcpcc across uniform 5%
 # loss, Gilbert 20% burst loss, and the PR 4 synchronized-close collapse

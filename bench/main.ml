@@ -539,7 +539,7 @@ let golden =
   [
     drive Faults_bench.spec; drive Swarm_bench.spec;
     drive Routed_swarm_bench.spec; drive Congestion_bench.spec;
-    drive Bootstorm_bench.spec;
+    drive Bootstorm_bench.spec; drive Routed_swarm_bench.scale_spec;
   ]
 
 let sections =
@@ -559,11 +559,13 @@ let sections =
     spec Faults_bench.spec;
     spec Swarm_bench.spec;
     spec Routed_swarm_bench.spec;
+    spec Routed_swarm_bench.scale_spec;
     spec Congestion_bench.collapse_spec;
     spec Congestion_bench.spec;
     spec Bootstorm_bench.spec;
     spec Bootstorm_bench.smoke_spec;
-    (* every golden bench, each failure reported before the run fails *)
+    (* every golden bench and the scale guard, each failure reported
+       before the run fails *)
     ("guard", fun () -> fail_on (List.concat_map (fun d -> d ()) golden));
     spec profile_spec;
     ("micro", run_bechamel);

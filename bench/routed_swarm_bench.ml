@@ -36,6 +36,7 @@ type result = {
   r_refused : int;  (* listener backlog refusals at the server *)
   r_cs_hits : int;
   r_cs_misses : int;
+  r_peak_procs : int;  (* engine high-water of live processes *)
 }
 
 let events_per_conv r = float_of_int r.r_events /. float_of_int r.r_total
@@ -146,6 +147,7 @@ let run_once ~seed ~leaves ~clients_per_leaf ~convs_per_client =
       r_refused = refused;
       r_cs_hits = hits;
       r_cs_misses = misses;
+      r_peak_procs = Sim.Engine.peak_procs eng;
     },
     Obs.Prof.report prof )
 
@@ -217,4 +219,87 @@ let spec =
               epc baseline);
       ];
     golden = true;
+  }
+
+(* The scale guard: the routed swarm at N, 2N and 4N conversations
+   (22, 45 and 90 per client).  Per-event cost must not grow with the
+   number of live conversations, so the profiler's minor words per
+   event at 4N may exceed N's by at most 10%.  Allocation is
+   deterministic for a given compiler, so this is a hard check; a
+   process list copied on every exit fails it (617 words per event at
+   N, 1,616 at 4N).  Words/event comes from the profiler, so it lives
+   in the perf sidecar and the checked value, never in the JSON. *)
+let scale_points = [ 22; 45; 90 ]
+let scale_slack = 1.10
+
+let scale_spec =
+  let run () =
+    let points =
+      List.map
+        (fun c ->
+          let r, perf =
+            run_once ~seed:11 ~leaves ~clients_per_leaf ~convs_per_client:c
+          in
+          (c, r, perf))
+        scale_points
+    in
+    let row (c, r, _) =
+      Printf.sprintf
+        "    {\"convs_per_client\": %d, \"convs\": %d, \"converged\": %b, \
+         \"peak_procs\": %d, \"engine_events\": %d, \"events_per_conv\": %.2f}"
+        c r.r_total r.r_converged r.r_peak_procs r.r_events (events_per_conv r)
+    in
+    {
+      Bench.json =
+        "{\n  \"bench\": \"routed_scale\",\n  \"seed\": 11,\n  \"points\": [\n"
+        ^ String.concat ",\n" (List.map row points)
+        ^ "\n  ]\n}\n";
+      perf =
+        List.map (fun (_, r, perf) -> (Printf.sprintf "n%d" r.r_total, perf)) points;
+      value =
+        List.map
+          (fun (_, r, (perf : Obs.Prof.report)) ->
+            (r, perf.r_minor_words_per_event))
+          points;
+    }
+  in
+  let show o =
+    Bench.print_json o;
+    List.iter
+      (fun (r, wpe) ->
+        Printf.printf "%6d convs: %7.1f minor words/event\n" r.r_total wpe)
+      o.Bench.value
+  in
+  {
+    Bench.name = "scale";
+    title = "scale - routed swarm at N, 2N and 4N conversations";
+    file = "scale";
+    run;
+    show;
+    checks =
+      [
+        ("converged", fun pts ->
+            List.find_map
+              (fun (r, _) ->
+                Bench.expect r.r_converged "%d convs: converged only %d"
+                  r.r_total r.r_completed)
+              pts);
+        ("peak procs", fun pts ->
+            List.find_map
+              (fun (r, _) ->
+                Bench.expect
+                  (r.r_peak_procs >= r.r_total)
+                  "%d convs: peak live processes %d < conversations"
+                  r.r_total r.r_peak_procs)
+              pts);
+        ("words/event flat", fun pts ->
+            let n, w1 = List.hd pts and n4, w4 = List.hd (List.rev pts) in
+            Bench.expect
+              (w4 <= w1 *. scale_slack)
+              "%.1f minor words/event at %d convs vs %.1f at %d (> +%.0f%%) \
+               — per-event cost grows with N"
+              w4 n4.r_total w1 n.r_total
+              ((scale_slack -. 1.) *. 100.));
+      ];
+    golden = false;
   }

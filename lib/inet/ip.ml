@@ -35,6 +35,16 @@ type reasm = {
   mutable born : float;
 }
 
+type header = {
+  h_len : int;
+  h_ipid : int;
+  h_frag_off : int;
+  h_more : bool;
+  h_proto : int;
+  h_src : Ipaddr.t;
+  h_dst : Ipaddr.t;
+}
+
 type stack = {
   eng : Sim.Engine.t;
   port : Etherport.t;
@@ -51,7 +61,7 @@ type stack = {
   stats : counters;
   (* a routing node hands non-local arrivals here; None until a
      Route.Node claims the stack *)
-  mutable forward : (string -> unit) option;
+  mutable forward : (header -> string -> unit) option;
   (* route selection for locally-originated packets, one raw fragment
      at a time; None falls back to the built-in my-subnet-or-gateway
      rule *)
@@ -110,16 +120,6 @@ let encode_header ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
   let sum = Chksum.finish (Chksum.ones_sum (Bytes.to_string b) 0 header_len) in
   put16 b 10 sum;
   Bytes.to_string b
-
-type header = {
-  h_len : int;
-  h_ipid : int;
-  h_frag_off : int;
-  h_more : bool;
-  h_proto : int;
-  h_src : Ipaddr.t;
-  h_dst : Ipaddr.t;
-}
 
 let decode_header pkt =
   if String.length pkt < header_len then None
@@ -276,11 +276,11 @@ let ip_input t (frame : Netsim.Ether.frame) =
     if String.length p < h.h_len then emit_badsum t
     else begin
       t.stats.ip_in <- t.stats.ip_in + 1;
-      let payload = String.sub p header_len (h.h_len - header_len) in
       if
         Ipaddr.equal h.h_dst t.my_addr
         || Ipaddr.equal h.h_dst Ipaddr.broadcast
       then begin
+        let payload = String.sub p header_len (h.h_len - header_len) in
         if h.h_frag_off = 0 && not h.h_more then
           dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto payload
         else
@@ -291,7 +291,9 @@ let ip_input t (frame : Netsim.Ether.frame) =
       end
       else
         match t.forward with
-        | Some fwd -> fwd (String.sub p 0 h.h_len)
+        | Some fwd ->
+          (* transit: the frame as it came, trimmed only when padded *)
+          fwd h (if String.length p = h.h_len then p else String.sub p 0 h.h_len)
         | None -> () (* hosts silently drop transit packets *)
     end
 

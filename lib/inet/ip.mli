@@ -104,11 +104,13 @@ val set_route_out : stack -> (string -> Ipaddr.t -> unit) -> unit
     (already fragmented) packet with the destination, instead of
     applying the built-in my-subnet-or-gateway rule. *)
 
-val set_forward : stack -> (string -> unit) -> unit
+val set_forward : stack -> (header -> string -> unit) -> unit
 (** Install the transit hook: packets arriving from the wire whose
     destination is not this stack's address are handed over raw
-    (truncated to the header's length).  Without it they are silently
-    dropped, as hosts should. *)
+    (truncated to the header's length), with the header already decoded
+    from them.  The raw string is the received frame itself whenever no
+    truncation was needed.  Without the hook they are silently dropped,
+    as hosts should. *)
 
 val output_raw : stack -> nexthop:Ipaddr.t -> string -> unit
 (** Transmit one raw IP packet toward [nexthop] on this interface's

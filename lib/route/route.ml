@@ -217,52 +217,59 @@ let output t raw dst =
 
 (* -------- transit -------- *)
 
+(* the one copy a forwarded packet costs: TTL and checksum are patched
+   in the copy, and the finished buffer becomes the outgoing string
+   without a second copy — nothing else holds it *)
 let decrement_ttl raw =
-  let ttl = Char.code raw.[8] in
   let b = Bytes.of_string raw in
-  Bytes.set b 8 (Char.chr (ttl - 1));
-  (* repatch the header checksum for the new TTL *)
+  Bytes.set b 8 (Char.chr (Char.code raw.[8] - 1));
   Bytes.set b 10 '\000';
   Bytes.set b 11 '\000';
+  (* the checksum reads the buffer through a view that dies with the
+     call, before the two checksum bytes are written *)
   let sum =
-    Inet.Chksum.finish (Inet.Chksum.ones_sum (Bytes.to_string b) 0 20)
+    Inet.Chksum.finish
+      (Inet.Chksum.ones_sum (Bytes.unsafe_to_string b) 0 Inet.Ip.header_len)
   in
   Bytes.set b 10 (Char.chr ((sum lsr 8) land 0xff));
   Bytes.set b 11 (Char.chr (sum land 0xff));
-  Bytes.to_string b
+  Bytes.unsafe_to_string b
 
 (* a packet arriving from the wire whose destination is not the
-   receiving stack: deliver if it is for any of our interfaces,
-   otherwise forward (gateways) or refuse (hosts) *)
-let input t ~ingress raw =
-  match Inet.Ip.decode_header raw with
-  | None -> drop t ~reason:"bad_header" raw
-  | Some h ->
-    let dst = h.Inet.Ip.h_dst in
-    if local t dst || Inet.Ipaddr.equal dst Inet.Ipaddr.broadcast then
-      deliver_local t raw
-    else if not t.forwarding then drop t ~reason:"transit_refused" raw
-    else if Char.code raw.[8] <= 1 then begin
+   receiving stack, with its header already decoded: deliver if it is
+   for any of our interfaces, otherwise forward (gateways) or refuse
+   (hosts) *)
+let transit t ~ingress h raw =
+  let dst = h.Inet.Ip.h_dst in
+  if local t dst || Inet.Ipaddr.equal dst Inet.Ipaddr.broadcast then
+    deliver_local t raw
+  else if not t.forwarding then drop t ~reason:"transit_refused" raw
+  else if Char.code raw.[8] <= 1 then begin
+    (match ingress.if_stack with
+    | Some st ->
+      let c = Inet.Ip.counters st in
+      c.Inet.Ip.ip_ttl_exceeded <- c.Inet.Ip.ip_ttl_exceeded + 1
+    | None -> ());
+    drop t ~reason:"ttl_exceeded" raw
+  end
+  else
+    let raw = decrement_ttl raw in
+    match resolve t dst with
+    | Emit (i, nexthop) ->
+      t.stats.forwarded <- t.stats.forwarded + 1;
       (match ingress.if_stack with
       | Some st ->
         let c = Inet.Ip.counters st in
-        c.Inet.Ip.ip_ttl_exceeded <- c.Inet.Ip.ip_ttl_exceeded + 1
+        c.Inet.Ip.ip_forwarded <- c.Inet.Ip.ip_forwarded + 1
       | None -> ());
-      drop t ~reason:"ttl_exceeded" raw
-    end
-    else
-      let raw = decrement_ttl raw in
-      match resolve t dst with
-      | Emit (i, nexthop) ->
-        t.stats.forwarded <- t.stats.forwarded + 1;
-        (match ingress.if_stack with
-        | Some st ->
-          let c = Inet.Ip.counters st in
-          c.Inet.Ip.ip_forwarded <- c.Inet.Ip.ip_forwarded + 1
-        | None -> ());
-        i.if_emit ~nexthop raw
-      | Black -> drop t ~reason:"blackhole" raw
-      | Unroutable -> drop t ~reason:"no_route" raw
+      i.if_emit ~nexthop raw
+    | Black -> drop t ~reason:"blackhole" raw
+    | Unroutable -> drop t ~reason:"no_route" raw
+
+let input t ~ingress raw =
+  match Inet.Ip.decode_header raw with
+  | None -> drop t ~reason:"bad_header" raw
+  | Some h -> transit t ~ingress h raw
 
 (* -------- interfaces -------- *)
 
@@ -287,7 +294,7 @@ let attach_stack t ~ifname st =
   in
   add_iface t iface;
   Inet.Ip.set_route_out st (fun raw dst -> output t raw dst);
-  Inet.Ip.set_forward st (fun raw -> input t ~ingress:iface raw);
+  Inet.Ip.set_forward st (fun h raw -> transit t ~ingress:iface h raw);
   iface
 
 (* -------- IP over Datakit --------

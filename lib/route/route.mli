@@ -136,7 +136,11 @@ val output : t -> string -> Inet.Ipaddr.t -> unit
 val input : t -> ingress:iface -> string -> unit
 (** A packet from the wire not claimed by the receiving stack: deliver
     locally, or decrement TTL and forward (gateways), or refuse
-    (hosts).  All discards go through the choke point. *)
+    (hosts).  All discards go through the choke point.  This entry
+    decodes the header itself (tunnel ingress); Ethernet interfaces from
+    {!attach_stack} hand over the header their stack already decoded.
+    A forwarded packet costs one copy: the TTL and checksum are patched
+    in it, and [raw] is never modified. *)
 
 val dump : t -> string
 (** The /net/iproute text: interfaces, the table (most-specific first,

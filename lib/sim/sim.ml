@@ -129,13 +129,16 @@ type proc_state =
   | Suspended of (exn -> unit)  (* abort callback *)
   | Dead
 
+module Pidtbl = Hashtbl.Make (Int)
+
 type engine = {
   mutable now : float;
   heap : Heap.t;
   mutable serial : int;
   sched : Sched.policy;
   rng : Random.State.t;
-  mutable procs : proc list;  (* live processes, newest first *)
+  procs : proc Pidtbl.t;  (* live processes by pid *)
+  mutable peak_procs : int;  (* high-water mark of [procs] *)
   mutable crashes : (string * exn) list;
   mutable next_pid : int;
   mutable events : int;  (* live events executed since creation *)
@@ -194,7 +197,8 @@ module Engine = struct
       serial = 0;
       sched;
       rng = Random.State.make [| seed; 0x9b4e |];
-      procs = [];
+      procs = Pidtbl.create 64;
+      peak_procs = 0;
       crashes = [];
       next_pid = 1;
       events = 0;
@@ -268,11 +272,19 @@ module Engine = struct
       Log.err (fun m -> m "proc %s crashed: %s" name (Printexc.to_string e));
       raise e
 
+  let live_procs t = Pidtbl.length t.procs
+  let peak_procs t = t.peak_procs
+
+  (* oldest first: pids are handed out in spawn order *)
   let stalled t =
-    let blocked p =
-      match p.state with Suspended _ | Ready -> true | Running | Dead -> false
-    in
-    List.rev_map (fun p -> p.pname) (List.filter blocked t.procs)
+    Pidtbl.fold
+      (fun pid p acc ->
+        match p.state with
+        | Suspended _ | Ready -> (pid, p.pname) :: acc
+        | Running | Dead -> acc)
+      t.procs []
+    |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    |> List.map snd
 end
 
 module Proc = struct
@@ -316,7 +328,7 @@ module Proc = struct
 
   let finish p =
     p.state <- Dead;
-    p.eng.procs <- List.filter (fun q -> q.pid <> p.pid) p.eng.procs;
+    Pidtbl.remove p.eng.procs p.pid;
     let ws = p.exit_waiters in
     p.exit_waiters <- [];
     List.iter (fun w -> w ()) ws
@@ -331,7 +343,9 @@ module Proc = struct
       { pid; pname; pclass = proc_class pname; eng; state = Ready;
         exit_waiters = [] }
     in
-    eng.procs <- p :: eng.procs;
+    Pidtbl.add eng.procs pid p;
+    let live = Pidtbl.length eng.procs in
+    if live > eng.peak_procs then eng.peak_procs <- live;
     emit_phase p Obs.Event.Spawn;
     let handler : (unit, unit) Effect.Deep.handler =
       {

@@ -105,8 +105,14 @@ module Engine : sig
 
   val stalled : t -> string list
   (** Names of processes that are neither dead nor scheduled — i.e.
-      blocked forever if the event queue is empty.  Useful to diagnose
-      deadlock in tests. *)
+      blocked forever if the event queue is empty — oldest first (spawn
+      order).  Useful to diagnose deadlock in tests. *)
+
+  val live_procs : t -> int
+  (** Processes spawned and not yet exited; O(1). *)
+
+  val peak_procs : t -> int
+  (** High-water mark of {!live_procs} since creation. *)
 
   val pending : t -> int
   (** Number of queued events. *)

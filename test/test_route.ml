@@ -347,6 +347,136 @@ let test_ttl_expiry_between_gateways () =
      + (Route.stats gw_b).Route.forwarded
     > 50)
 
+(* ---- transit: one copy per hop ---- *)
+
+(* a raw IP packet with the given TTL, built by hand so the test does
+   not share the encoder it checks *)
+let ip_packet ~ttl ~src ~dst payload =
+  let len = Inet.Ip.header_len + String.length payload in
+  let b = Bytes.make len '\000' in
+  let put16 off v =
+    Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
+    Bytes.set b (off + 1) (Char.chr (v land 0xff))
+  in
+  let put32 off a =
+    let v = Inet.Ipaddr.to_int32 (ip a) in
+    put16 off (Int32.to_int (Int32.shift_right_logical v 16));
+    put16 (off + 2) (Int32.to_int (Int32.logand v 0xffffl))
+  in
+  Bytes.set b 0 '\x45';
+  put16 2 len;
+  put16 4 77;
+  Bytes.set b 8 (Char.chr ttl);
+  Bytes.set b 9 (Char.chr Inet.Ip.proto_udp);
+  put32 12 src;
+  put32 16 dst;
+  Bytes.blit_string payload 0 b Inet.Ip.header_len (String.length payload);
+  put16 10
+    (Inet.Chksum.finish
+       (Inet.Chksum.ones_sum (Bytes.to_string b) 0 Inet.Ip.header_len));
+  Bytes.to_string b
+
+(* a two-interface gateway whose interfaces record what they emit *)
+let capture_gateway () =
+  let eng = Sim.Engine.create () in
+  let tr = Obs.Trace.create () in
+  Sim.Engine.attach_obs eng tr;
+  let node = Route.create ~name:"gw" eng in
+  let sent = ref [] in
+  let iface name addr =
+    {
+      Route.if_name = name;
+      if_addr = ip addr;
+      if_mask = ip "255.255.255.0";
+      if_emit = (fun ~nexthop raw -> sent := (nexthop, raw) :: !sent);
+      if_stack = None;
+    }
+  in
+  let ingress = iface "ether0" "10.71.0.1" in
+  Route.add_iface node ingress;
+  Route.add_iface node (iface "ether1" "10.72.0.1");
+  (node, ingress, tr, sent)
+
+(* everything but the TTL (byte 8) and the checksum (10-11) *)
+let unpatched s =
+  String.sub s 0 8 ^ String.sub s 9 1 ^ String.sub s 12 (String.length s - 12)
+
+let test_forward_patches_ttl_only () =
+  let node, ingress, _tr, sent = capture_gateway () in
+  let raw = ip_packet ~ttl:9 ~src:"10.71.0.5" ~dst:"10.72.0.9" "transit" in
+  let before = Bytes.to_string (Bytes.of_string raw) in
+  Route.input node ~ingress raw;
+  match !sent with
+  | [ (nexthop, out) ] ->
+    Alcotest.(check string) "on-link next hop" "10.72.0.9"
+      (Inet.Ipaddr.to_string nexthop);
+    Alcotest.(check int) "same length" (String.length raw) (String.length out);
+    Alcotest.(check int) "ttl decremented" 8 (Char.code out.[8]);
+    Alcotest.(check string) "all else byte-equal" (unpatched raw)
+      (unpatched out);
+    Alcotest.(check bool) "checksum valid" true
+      (Inet.Ip.decode_header out <> None);
+    Alcotest.(check string) "ingress string untouched" before raw
+  | l -> Alcotest.failf "%d packets emitted, expected 1" (List.length l)
+
+let test_forward_ttl_reaching_one () =
+  let node, ingress, tr, sent = capture_gateway () in
+  (* TTL 2 leaves with TTL 1; the same packet arriving again dies *)
+  Route.input node ~ingress
+    (ip_packet ~ttl:2 ~src:"10.71.0.5" ~dst:"10.72.0.9" "last hop");
+  let out =
+    match !sent with
+    | [ (_, out) ] -> out
+    | l -> Alcotest.failf "%d packets emitted, expected 1" (List.length l)
+  in
+  Alcotest.(check int) "left with ttl 1" 1 (Char.code out.[8]);
+  Route.input node ~ingress out;
+  Alcotest.(check int) "nothing more emitted" 1 (List.length !sent);
+  Alcotest.(check int) "node counted ttl_exceeded" 1
+    (Route.stats node).Route.ttl_exceeded;
+  Alcotest.(check int) "trace counter ip.ttl_exceeded" 1
+    (Obs.Metrics.counter (Obs.Trace.metrics tr) "ip.ttl_exceeded")
+
+let test_padded_transit_frame_trimmed () =
+  (* a frame longer than its IP header says reaches the gateway's
+     Ethernet stack; the forwarded packet is trimmed to the IP length *)
+  let eng = Sim.Engine.create () in
+  let seg = Netsim.Ether.create ~name:"ether0" eng in
+  let gw_ea = ea "080069050001" in
+  let st =
+    Inet.Ip.create ~addr:(ip "10.71.0.1") ~mask:(ip "255.255.255.0")
+      (Inet.Etherport.create eng (Netsim.Ether.attach seg gw_ea))
+  in
+  let node = Route.create ~name:"gw" eng in
+  ignore (Route.attach_stack node ~ifname:"ether0" st);
+  let sent = ref [] in
+  Route.add_iface node
+    {
+      Route.if_name = "ether1";
+      if_addr = ip "10.72.0.1";
+      if_mask = ip "255.255.255.0";
+      if_emit = (fun ~nexthop:_ raw -> sent := raw :: !sent);
+      if_stack = None;
+    };
+  let raw = ip_packet ~ttl:9 ~src:"10.71.0.5" ~dst:"10.72.0.9" "padded" in
+  let sender = Netsim.Ether.attach seg (ea "080069050002") in
+  Netsim.Ether.transmit sender
+    {
+      Netsim.Ether.src = Netsim.Ether.nic_addr sender;
+      dst = gw_ea;
+      etype = 0x0800;
+      payload = raw ^ String.make 24 '\xee';
+    };
+  Sim.Engine.run ~until:1.0 eng;
+  match !sent with
+  | [ out ] ->
+    Alcotest.(check int) "trimmed to the IP length" (String.length raw)
+      (String.length out);
+    Alcotest.(check string) "payload intact" (unpatched raw) (unpatched out);
+    Alcotest.(check int) "stack counted the forward" 1
+      (Inet.Ip.counters st).Inet.Ip.ip_forwarded
+  | l -> Alcotest.failf "%d packets forwarded, expected 1" (List.length l)
+
 let () =
   Alcotest.run "route"
     [
@@ -380,5 +510,14 @@ let () =
             test_choke_point_blackhole_and_refusal;
           Alcotest.test_case "ttl expiry" `Quick
             test_ttl_expiry_between_gateways;
+        ] );
+      ( "transit",
+        [
+          Alcotest.test_case "forward patches ttl and checksum only" `Quick
+            test_forward_patches_ttl_only;
+          Alcotest.test_case "ttl reaching one drops" `Quick
+            test_forward_ttl_reaching_one;
+          Alcotest.test_case "padded frame trimmed" `Quick
+            test_padded_transit_frame_trimmed;
         ] );
     ]

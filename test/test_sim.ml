@@ -212,6 +212,63 @@ let test_lost_wakeup_diagnosis () =
     [ "reader-a"; "reader-b" ]
     (List.sort compare (Sim.Engine.stalled eng))
 
+let test_stalled_spawn_order_after_exits () =
+  (* forty processes: the even ones block forever, the odd ones exit
+     in reverse spawn order; a late spawn blocks after the exits.  The
+     stalled list must still read oldest first. *)
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let n = 40 in
+  for i = 0 to n - 1 do
+    ignore
+      (Sim.Proc.spawn eng ~name:(Printf.sprintf "p%02d" i) (fun () ->
+           if i mod 2 = 1 then Sim.Time.sleep eng (float_of_int (n - i))
+           else begin
+             Sim.Time.sleep eng (float_of_int ((i * 7) mod 13));
+             Sim.Rendez.sleep r
+           end))
+  done;
+  Sim.Engine.at eng (float_of_int (n + 1)) (fun () ->
+      ignore (Sim.Proc.spawn eng ~name:"late" (fun () -> Sim.Rendez.sleep r)));
+  Sim.Engine.run eng;
+  let evens = List.init (n / 2) (fun k -> Printf.sprintf "p%02d" (2 * k)) in
+  Alcotest.(check (list string)) "blocked, in spawn order" (evens @ [ "late" ])
+    (Sim.Engine.stalled eng);
+  Alcotest.(check int) "live" ((n / 2) + 1) (Sim.Engine.live_procs eng);
+  Alcotest.(check int) "peak" n (Sim.Engine.peak_procs eng)
+
+(* minor words spent spawning and finishing [churn] short-lived
+   processes while [blocked] others sit in the process table *)
+let churn_words ~blocked ~churn =
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  for _ = 1 to blocked do
+    ignore (Sim.Proc.spawn eng ~name:"blocked" (fun () -> Sim.Rendez.sleep r))
+  done;
+  Sim.Engine.run eng;
+  let before = Gc.minor_words () in
+  for _ = 1 to churn do
+    ignore (Sim.Proc.spawn eng ~name:"short" ignore)
+  done;
+  Sim.Engine.run eng;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "only the blocked remain" blocked
+    (Sim.Engine.live_procs eng);
+  Alcotest.(check int) "peak" (blocked + churn) (Sim.Engine.peak_procs eng);
+  words
+
+let test_exit_cost_flat () =
+  (* spawn and exit are O(1): the allocation of a fixed churn does not
+     grow with the number of other live processes.  Minor words are
+     deterministic, so this is exact, not a timing. *)
+  let small = churn_words ~blocked:1_000 ~churn:1_000 in
+  let large = churn_words ~blocked:16_000 ~churn:1_000 in
+  if large > small *. 1.10 then
+    Alcotest.failf
+      "1000 spawn/exit cost %.0f minor words beside 16000 blocked processes \
+       but %.0f beside 1000"
+      large small
+
 let test_determinism () =
   let trace () =
     let eng = Sim.Engine.create ~seed:42 () in
@@ -394,6 +451,10 @@ let () =
           Alcotest.test_case "lost wakeup diagnosis" `Quick
             test_lost_wakeup_diagnosis;
           Alcotest.test_case "determinism" `Quick test_determinism;
+          Alcotest.test_case "stalled in spawn order after exits" `Quick
+            test_stalled_spawn_order_after_exits;
+          Alcotest.test_case "exit cost flat in live processes" `Quick
+            test_exit_cost_flat;
         ] );
       ( "proc",
         [
