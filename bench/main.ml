@@ -442,7 +442,56 @@ let profile_spec =
 (* Wall-clock microbenchmarks (bechamel)                                *)
 (* ------------------------------------------------------------------ *)
 
-let bechamel_tests () =
+(* The process-switch primitives, one switch per call of [op], on a
+   world built once: a process parks in the primitive and each call
+   wakes it and runs the engine until it has parked again. *)
+let switch_primitives () =
+  let idle eng = while Sim.Engine.step eng do () done in
+  let parked name body = (name, body (Sim.Engine.create ())) in
+  let forever f eng = ignore (Sim.Proc.spawn eng (fun () -> while true do f () done)) in
+  [
+    parked "sim:time-sleep" (fun eng ->
+        forever (fun () -> Sim.Time.sleep eng 1.0) eng;
+        ignore (Sim.Engine.step eng);
+        (* the timer fires, then the process resumes and sleeps again *)
+        fun () ->
+          ignore (Sim.Engine.step eng);
+          ignore (Sim.Engine.step eng));
+    parked "sim:rendez-switch" (fun eng ->
+        let r = Sim.Rendez.create eng in
+        forever (fun () -> Sim.Rendez.sleep r) eng;
+        idle eng;
+        fun () ->
+          Sim.Rendez.wakeup r;
+          idle eng);
+    parked "sim:mbox-message" (fun eng ->
+        let mb = Sim.Mbox.create eng in
+        forever (fun () -> ignore (Sim.Mbox.recv mb)) eng;
+        idle eng;
+        fun () ->
+          Sim.Mbox.send mb 0;
+          idle eng);
+    parked "block:q-put-blocked-get" (fun eng ->
+        let q = Block.Q.create eng in
+        let b = Block.make "x" in
+        forever (fun () -> ignore (Block.Q.get q)) eng;
+        idle eng;
+        fun () ->
+          Block.Q.put q b;
+          idle eng);
+  ]
+
+(* minor words per call of [op]; deterministic for a given compiler *)
+let words_per_op op =
+  let n = 10_000 in
+  op ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    op ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let bechamel_tests switches =
   let open Bechamel in
   let twrite =
     Ninep.Fcall.T
@@ -464,7 +513,7 @@ let bechamel_tests () =
   let packet = String.make 1500 'p' in
   (* one Test.make per table/figure, plus the hot paths they exercise *)
   Test.make_grouped ~name:"plan9net"
-    [
+    ([
       Test.make ~name:"table1:sim-transfer-64k"
         (Staged.stage (fun () ->
              ignore (Table1.throughput_mbs ~bytes:(64 * 1024) Table1.pipes)));
@@ -492,12 +541,19 @@ let bechamel_tests () =
         (Staged.stage (fun () ->
              ignore (Ndb.parse_string "sys=helix\n\tip=1.2.3.4 ether=aa0069000001\n")));
     ]
+    @ List.map (fun (name, op) -> Test.make ~name (Staged.stage op)) switches)
 
 let run_bechamel () =
   section "microbenchmarks (wall clock, bechamel)";
   let open Bechamel in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.25) ~kde:None () in
-  let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] (bechamel_tests ()) in
+  let switches = switch_primitives () in
+  let words =
+    List.map (fun (name, op) -> ("plan9net/" ^ name, words_per_op op)) switches
+  in
+  let raw =
+    Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] (bechamel_tests switches)
+  in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
@@ -518,7 +574,10 @@ let run_bechamel () =
         else if ns > 1e3 then Printf.sprintf "%8.2f us" (ns /. 1e3)
         else Printf.sprintf "%8.0f ns" ns
       in
-      Printf.printf "%-34s %s/op\n" name pretty)
+      match List.assoc_opt name words with
+      | None -> Printf.printf "%-34s %s/op\n" name pretty
+      | Some w ->
+        Printf.printf "%-34s %s/op %8.1f minor words/op\n" name pretty w)
     rows
 
 (* ------------------------------------------------------------------ *)

@@ -79,54 +79,52 @@ module Heap = struct
     || (x.time = y.time
        && (x.rank < y.rank || (x.rank = y.rank && x.serial < y.serial)))
 
+  let rec sift_up h i =
+    if i > 0 then begin
+      let p = (i - 1) / 2 in
+      if before h.a.(i) h.a.(p) then begin
+        let t = h.a.(i) in
+        h.a.(i) <- h.a.(p);
+        h.a.(p) <- t;
+        sift_up h p
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let m = if l < h.n && before h.a.(l) h.a.(i) then l else i in
+    let m = if r < h.n && before h.a.(r) h.a.(m) then r else m in
+    if m <> i then begin
+      let t = h.a.(i) in
+      h.a.(i) <- h.a.(m);
+      h.a.(m) <- t;
+      sift_down h m
+    end
+
   let push h e =
     if h.n = Array.length h.a then begin
       let a = Array.make (2 * h.n) dummy in
       Array.blit h.a 0 a 0 h.n;
       h.a <- a
     end;
-    let rec up i =
-      if i > 0 then begin
-        let p = (i - 1) / 2 in
-        if before h.a.(i) h.a.(p) then begin
-          let t = h.a.(i) in
-          h.a.(i) <- h.a.(p);
-          h.a.(p) <- t;
-          up p
-        end
-      end
-    in
     h.a.(h.n) <- e;
     h.n <- h.n + 1;
-    up (h.n - 1)
+    sift_up h (h.n - 1)
 
+  (* the earliest entry; the caller checks [n > 0] *)
   let pop h =
-    if h.n = 0 then None
-    else begin
-      let top = h.a.(0) in
-      h.n <- h.n - 1;
-      h.a.(0) <- h.a.(h.n);
-      h.a.(h.n) <- dummy;
-      let rec down i =
-        let l = (2 * i) + 1 and r = (2 * i) + 2 in
-        let m = if l < h.n && before h.a.(l) h.a.(i) then l else i in
-        let m = if r < h.n && before h.a.(r) h.a.(m) then r else m in
-        if m <> i then begin
-          let t = h.a.(i) in
-          h.a.(i) <- h.a.(m);
-          h.a.(m) <- t;
-          down m
-        end
-      in
-      down 0;
-      Some top
-    end
+    let top = h.a.(0) in
+    h.n <- h.n - 1;
+    h.a.(0) <- h.a.(h.n);
+    h.a.(h.n) <- dummy;
+    sift_down h 0;
+    top
 end
 
 type proc_state =
-  | Ready
+  | Ready  (* its resume event is queued *)
   | Running
-  | Suspended of (exn -> unit)  (* abort callback *)
+  | Blocked  (* waiting on a Rendez, a timer or a generic suspension *)
   | Dead
 
 module Pidtbl = Hashtbl.Make (Int)
@@ -150,6 +148,9 @@ type engine = {
          dispatch with begin/end_event under the entry's label *)
 }
 
+(* A process owns its sleep state, as in the Plan 9 kernel: everything
+   a wait needs is set up once at spawn and reused by every wait, so
+   sleep and wakeup allocate only the heap entries they schedule. *)
 and proc = {
   pid : int;
   pname : string;
@@ -157,7 +158,29 @@ and proc = {
   eng : engine;
   mutable state : proc_state;
   mutable exit_waiters : (unit -> unit) list;
+  some : proc option;  (* [Some p], shared by [current] and the links *)
+  mutable slot : (unit, unit) Effect.Deep.continuation option;
+      (* the continuation a [Block] left behind *)
+  mutable gen : int;  (* bumped by every settle; stamps generic callbacks *)
+  mutable timer : Heap.entry;  (* the pending timer, or [Heap.dummy] *)
+  mutable rendez : rendez;  (* the Rendez slept on, or [no_rendez] *)
+  mutable prev : proc option;  (* Rendez FIFO links *)
+  mutable next : proc option;
+  mutable cleanup : unit -> unit;  (* a generic suspension's, or [no_cleanup] *)
+  mutable abort_with : exn option;  (* raise this at resume instead *)
+  resume : unit -> unit;  (* the resume event: continue the slot *)
+  wake : unit -> unit;  (* the timer's event: wake this process *)
 }
+
+(* An intrusive FIFO of the processes sleeping on it, oldest first. *)
+and rendez = {
+  mutable head : proc option;
+  mutable tail : proc option;
+  mutable count : int;
+}
+
+let no_rendez = { head = None; tail = None; count = 0 }
+let no_cleanup () = ()
 
 let rank_of sched cls serial =
   match (sched, cls) with
@@ -166,7 +189,7 @@ let rank_of sched cls serial =
   | Sched.Shuffle seed, Normal -> Sched.mix seed serial
   | Sched.Adversarial, Normal -> -serial
 
-let schedule_entry ?(cls = Normal) ?(label = "engine") eng time fn =
+let push_entry eng cls label time fn =
   let time = if time < eng.now then eng.now else time in
   eng.serial <- eng.serial + 1;
   let rank = rank_of eng.sched cls eng.serial in
@@ -174,18 +197,17 @@ let schedule_entry ?(cls = Normal) ?(label = "engine") eng time fn =
   Heap.push eng.heap e;
   e
 
-let schedule_at ?cls ?label eng time fn =
-  ignore (schedule_entry ?cls ?label eng time fn)
+let schedule_at ?(cls = Normal) ?(label = "engine") eng time fn =
+  ignore (push_entry eng cls label time fn)
 
 (* The process currently executing, if any.  Engines never run
    concurrently, so a single global is safe and avoids threading a
    context parameter through every blocking call. *)
 let current : proc option ref = ref None
 
-type _ Effect.t +=
-  | Suspend :
-      (resume:('a -> unit) -> abort:(exn -> unit) -> unit -> unit)
-      -> 'a Effect.t
+(* Performed by a process that has registered its waiter; the handler
+   only stores the continuation in the process's slot. *)
+type _ Effect.t += Block : unit Effect.t
 
 module Engine = struct
   type t = engine
@@ -225,9 +247,9 @@ module Engine = struct
   let events t = t.events
 
   let rec step t =
-    match Heap.pop t.heap with
-    | None -> false
-    | Some e ->
+    if t.heap.Heap.n = 0 then false
+    else begin
+      let e = Heap.pop t.heap in
       if e.Heap.live then begin
         t.now <- e.Heap.time;
         t.events <- t.events + 1;
@@ -240,6 +262,7 @@ module Engine = struct
         true
       end
       else step t (* cancelled: skip without advancing time *)
+    end
 
   let run ?until t =
     let continue_ () =
@@ -280,7 +303,7 @@ module Engine = struct
     Pidtbl.fold
       (fun pid p acc ->
         match p.state with
-        | Suspended _ | Ready -> (pid, p.pname) :: acc
+        | Blocked | Ready -> (pid, p.pname) :: acc
         | Running | Dead -> acc)
       t.procs []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -333,20 +356,112 @@ module Proc = struct
     p.exit_waiters <- [];
     List.iter (fun w -> w ()) ws
 
+  (* Rendez links: O(1) append at the tail and O(1) unlink anywhere *)
+  let enqueue r p =
+    p.rendez <- r;
+    p.prev <- r.tail;
+    (match r.tail with None -> r.head <- p.some | Some q -> q.next <- p.some);
+    r.tail <- p.some;
+    r.count <- r.count + 1
+
+  let unlink r p =
+    (match p.prev with None -> r.head <- p.next | Some q -> q.next <- p.next);
+    (match p.next with None -> r.tail <- p.prev | Some q -> q.prev <- p.prev);
+    p.prev <- None;
+    p.next <- None;
+    p.rendez <- no_rendez;
+    r.count <- r.count - 1
+
+  (* End the current wait, whatever it was: leave the Rendez, cancel
+     the timer, run a generic suspension's cleanup.  The generation bump
+     turns every callback handed out for this wait into a no-op. *)
+  let settle p =
+    p.gen <- p.gen + 1;
+    if p.rendez != no_rendez then unlink p.rendez p;
+    if p.timer != Heap.dummy then begin
+      p.timer.Heap.live <- false;
+      p.timer <- Heap.dummy
+    end;
+    if p.cleanup != no_cleanup then begin
+      let f = p.cleanup in
+      p.cleanup <- no_cleanup;
+      f ()
+    end
+
+  let make_ready p =
+    emit_phase p Obs.Event.Wake;
+    p.state <- Ready;
+    ignore (push_entry p.eng Normal p.pclass p.eng.now p.resume)
+
+  (* the one wakeup path and the one abort path; callers guarantee [p]
+     is waiting (it is linked, its timer is live, or the stamp matches) *)
+  let wake p =
+    settle p;
+    make_ready p
+
+  let abort p e =
+    settle p;
+    p.abort_with <- Some e;
+    make_ready p
+
+  (* run [f p] as the current process [p] *)
+  let run_as p f =
+    p.state <- Running;
+    let saved = !current in
+    current := p.some;
+    match f p with
+    | () -> current := saved
+    | exception e ->
+      current := saved;
+      raise e
+
+  (* continue the slot; this runs after the [Block] that filled it *)
+  let continue_slot p =
+    match p.slot with
+    | None -> assert false
+    | Some k -> (
+      p.slot <- None;
+      match p.abort_with with
+      | None -> Effect.Deep.continue k ()
+      | Some e ->
+        p.abort_with <- None;
+        Effect.Deep.discontinue k e)
+
+  (* The two halves of every wait: mark the caller blocked, register
+     the waiter (link on a Rendez, push a timer, hand out callbacks),
+     then [block]. *)
+  let block_begin () =
+    let p = self () in
+    p.state <- Blocked;
+    emit_phase p Obs.Event.Block;
+    p
+
+  let block () = Effect.perform Block
+
+  let timed_wait eng cls time =
+    let p = block_begin () in
+    p.timer <- push_entry eng cls p.pclass time p.wake;
+    block ()
+
   let spawn eng ?name body =
     let pid = eng.next_pid in
     eng.next_pid <- pid + 1;
     let pname =
       match name with Some n -> n | None -> Printf.sprintf "proc%d" pid
     in
-    let p =
-      { pid; pname; pclass = proc_class pname; eng; state = Ready;
-        exit_waiters = [] }
+    let pclass = proc_class pname in
+    let rec p =
+      { pid; pname; pclass; eng; state = Ready; exit_waiters = [];
+        some = Some p; slot = None; gen = 0; timer = Heap.dummy;
+        rendez = no_rendez; prev = None; next = None; cleanup = no_cleanup;
+        abort_with = None; resume = (fun () -> run_as p continue_slot);
+        wake = (fun () -> wake p) }
     in
     Pidtbl.add eng.procs pid p;
     let live = Pidtbl.length eng.procs in
     if live > eng.peak_procs then eng.peak_procs <- live;
     emit_phase p Obs.Event.Spawn;
+    let on_block = Some (fun k -> p.slot <- Some k) in
     let handler : (unit, unit) Effect.Deep.handler =
       {
         retc =
@@ -362,77 +477,41 @@ module Proc = struct
               eng.crashes <- (pname, e) :: eng.crashes);
             finish p);
         effc =
-          (fun (type a) (eff : a Effect.t) ->
+          (fun (type a) (eff : a Effect.t) :
+               ((a, unit) Effect.Deep.continuation -> unit) option ->
             match eff with
-            | Suspend register ->
-              Some
-                (fun (k : (a, unit) Effect.Deep.continuation) ->
-                  let fired = ref false in
-                  let cleanup = ref None in
-                  let cleaned = ref false in
-                  let settle () =
-                    match !cleanup with
-                    | Some f when not !cleaned ->
-                      cleaned := true;
-                      f ()
-                    | Some _ | None -> ()
-                  in
-                  let resume v =
-                    if not !fired then begin
-                      fired := true;
-                      settle ();
-                      emit_phase p Obs.Event.Wake;
-                      p.state <- Ready;
-                      schedule_at ~label:p.pclass eng eng.now (fun () ->
-                          p.state <- Running;
-                          let saved = !current in
-                          current := Some p;
-                          Fun.protect
-                            ~finally:(fun () -> current := saved)
-                            (fun () -> Effect.Deep.continue k v))
-                    end
-                  in
-                  let abort e =
-                    if not !fired then begin
-                      fired := true;
-                      settle ();
-                      emit_phase p Obs.Event.Wake;
-                      p.state <- Ready;
-                      schedule_at ~label:p.pclass eng eng.now (fun () ->
-                          p.state <- Running;
-                          let saved = !current in
-                          current := Some p;
-                          Fun.protect
-                            ~finally:(fun () -> current := saved)
-                            (fun () -> Effect.Deep.discontinue k e))
-                    end
-                  in
-                  p.state <- Suspended abort;
-                  emit_phase p Obs.Event.Block;
-                  let cl = register ~resume ~abort in
-                  cleanup := Some cl;
-                  if !fired then settle ())
+            | Block -> on_block
             | _ -> None);
       }
     in
-    schedule_at ~label:p.pclass eng eng.now (fun () ->
-        p.state <- Running;
-        let saved = !current in
-        current := Some p;
-        Fun.protect
-          ~finally:(fun () -> current := saved)
-          (fun () -> Effect.Deep.match_with body () handler));
+    schedule_at ~label:pclass eng eng.now (fun () ->
+        run_as p (fun _ -> Effect.Deep.match_with body () handler));
     p
 
-  let suspend ~register = Effect.perform (Suspend register)
+  let suspend ~register =
+    let p = block_begin () in
+    let stamp = p.gen in
+    let got = ref None in
+    let resume v =
+      if p.gen = stamp then begin
+        got := Some v;
+        wake p
+      end
+    in
+    let abort e = if p.gen = stamp then abort p e in
+    let cleanup = register ~resume ~abort in
+    (* settled already if [register] resumed or aborted at once *)
+    if p.gen = stamp then p.cleanup <- cleanup else cleanup ();
+    block ();
+    match !got with Some v -> v | None -> assert false
 
   let kill p =
     match p.state with
     | Dead -> ()
-    | Suspended abort -> abort Killed
+    | Blocked -> abort p Killed
     | Ready | Running ->
-      (* The kill lands when the victim next suspends: we poll cheaply
-         by scheduling a check; a Ready proc will be Suspended or Dead
+      (* The kill lands when the victim next blocks: we poll cheaply
+         by scheduling a check; a Ready proc will be Blocked or Dead
          once its current event completes. *)
       (* Deferred class: the poll must run after the victim's pending
          same-time work under every policy, or an adversarial schedule
@@ -440,7 +519,7 @@ module Proc = struct
       let rec retry () =
         match p.state with
         | Dead -> ()
-        | Suspended abort -> abort Killed
+        | Blocked -> abort p Killed
         | Ready | Running -> schedule_at ~cls:Deferred p.eng p.eng.now retry
       in
       schedule_at ~cls:Deferred p.eng p.eng.now retry
@@ -449,7 +528,7 @@ module Proc = struct
     if alive p then
       suspend ~register:(fun ~resume ~abort:_ ->
           p.exit_waiters <- (fun () -> resume ()) :: p.exit_waiters;
-          ignore)
+          no_cleanup)
 end
 
 module Time = struct
@@ -458,15 +537,7 @@ module Time = struct
        process leaves no phantom event behind.  A zero-length sleep is a
        yield, whose contract is "after already-queued same-time events"
        under every policy — hence the Deferred class. *)
-    let cls = if dt <= 0. then Deferred else Normal in
-    let label =
-      match !current with Some p -> p.pclass | None -> "engine"
-    in
-    Proc.suspend ~register:(fun ~resume ~abort:_ ->
-        let e =
-          schedule_entry ~cls ~label eng (eng.now +. dt) (fun () -> resume ())
-        in
-        fun () -> e.Heap.live <- false)
+    Proc.timed_wait eng (if dt <= 0. then Deferred else Normal) (eng.now +. dt)
 
   let yield eng = sleep eng 0.
 
@@ -515,7 +586,7 @@ module Time = struct
     disarm t;
     timer_bump t "timer.arm";
     let e =
-      schedule_entry ~label:t.tlabel t.teng time (fun () ->
+      push_entry t.teng Normal t.tlabel time (fun () ->
           t.tentry <- None;
           timer_bump t "timer.fire";
           fn ())
@@ -550,66 +621,30 @@ module Cpu = struct
 
   let busy_wait t dt =
     let finish = occupy t dt in
-    let label =
-      match !current with Some p -> p.pclass | None -> "engine"
-    in
-    Proc.suspend ~register:(fun ~resume ~abort:_ ->
-        let e = schedule_entry ~label t.ceng finish (fun () -> resume ()) in
-        fun () -> e.Heap.live <- false)
+    Proc.timed_wait t.ceng Normal finish
 end
 
 module Rendez = struct
-  type waiter = { mutable valid : bool; fire : unit -> unit }
+  type t = rendez
 
-  type t = { reng : engine; mutable queue : waiter list (* oldest last *) }
-
-  let create eng = { reng = eng; queue = [] }
+  let create (_ : engine) = { head = None; tail = None; count = 0 }
 
   let sleep r =
-    Proc.suspend ~register:(fun ~resume ~abort:_ ->
-        let w = { valid = true; fire = (fun () -> resume ()) } in
-        r.queue <- w :: r.queue;
-        (* on settle, drop the waiter so an aborted sleeper doesn't
-           swallow a later wakeup *)
-        fun () ->
-          if w.valid then begin
-            w.valid <- false;
-            r.queue <- List.filter (fun x -> x != w) r.queue
-          end)
+    let p = Proc.block_begin () in
+    Proc.enqueue r p;
+    Proc.block ()
 
-  let rec pop_oldest = function
-    | [] -> (None, [])
-    | [ w ] -> (Some w, [])
-    | w :: rest ->
-      let found, rest' = pop_oldest rest in
-      (found, w :: rest')
+  let wakeup r = match r.head with None -> () | Some p -> Proc.wake p
 
-  let wakeup r =
-    let rec go () =
-      match pop_oldest r.queue with
-      | None, _ -> ()
-      | Some w, rest ->
-        r.queue <- rest;
-        if w.valid then begin
-          w.valid <- false;
-          w.fire ()
-        end
-        else go ()
-    in
-    go ()
+  (* each wake unlinks the head, so this drains the FIFO oldest first *)
+  let rec wakeup_all r =
+    match r.head with
+    | None -> ()
+    | Some p ->
+      Proc.wake p;
+      wakeup_all r
 
-  let wakeup_all r =
-    let ws = List.rev r.queue in
-    r.queue <- [];
-    List.iter
-      (fun w ->
-        if w.valid then begin
-          w.valid <- false;
-          w.fire ()
-        end)
-      ws
-
-  let waiters r = List.length r.queue
+  let waiters r = r.count
 end
 
 module Mbox = struct

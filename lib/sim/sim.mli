@@ -5,7 +5,9 @@
     section 2.4).  An {!Engine.t} owns a virtual clock and an event
     queue; {!Proc.spawn} creates a cooperative process implemented with
     OCaml 5 effect handlers.  Processes run until they block on a
-    {!Rendez.t}, an {!Mbox.t}, a {!Time.sleep}, or exit.  Execution is
+    {!Rendez.t}, an {!Mbox.t}, a {!Time.sleep}, or exit.  Every blocking
+    call must be made from inside a process: outside one it raises the
+    [Failure] of {!Proc.self} and schedules nothing.  Execution is
     fully deterministic: events at equal timestamps fire in the order
     the engine's {!Sched.policy} dictates (FIFO by default) and all
     randomness flows from the engine's seeded {!Engine.random} state, so
@@ -159,18 +161,27 @@ module Proc : sig
   val suspend :
     register:(resume:('a -> unit) -> abort:(exn -> unit) -> unit -> unit) ->
     'a
-  (** The primitive every blocking operation is built from.  [register]
-      is called immediately with two one-shot callbacks: [resume v]
-      schedules the process to continue returning [v]; [abort e]
-      schedules it to continue by raising [e].  Whichever is called
-      first wins.  [register] returns a cleanup thunk that runs exactly
-      once when the suspension settles (either way) — blocking
-      operations use it to cancel timers or dequeue waiters. *)
+  (** Block the calling process on a wait that outside code settles.
+      [register] is called at once, on the caller's stack, with two
+      callbacks: [resume v] schedules the process to continue returning
+      [v]; [abort e] schedules it to continue by raising [e].  The first
+      of them to be called, or a {!kill}, settles the suspension; each
+      callback carries the suspension's generation stamp, so after the
+      settle both are no-ops forever — calling a kept [resume] or
+      [abort] cannot disturb a later suspension of the same process.
+      [register] may call either callback itself.  It returns a cleanup
+      thunk that runs exactly once when the suspension settles, in the
+      settling caller's context (at once, if [register] already settled
+      it); callers use it to drop the callbacks they stored.
+      [Rendez.sleep] and [Time.sleep] do not go through here: they link
+      the process's own wake slot and allocate no callbacks.
+      @raise Failure outside a process. *)
 end
 
 module Time : sig
   val sleep : Engine.t -> float -> unit
-  (** Block the calling process for [dt] virtual seconds. *)
+  (** Block the calling process for [dt] virtual seconds.
+      @raise Failure outside a process. *)
 
   val yield : Engine.t -> unit
   (** Reschedule the calling process after already-queued same-time
@@ -237,27 +248,33 @@ module Cpu : sig
 
   val busy_wait : t -> float -> unit
   (** Occupy the CPU for [dt] and block the calling process until the
-      work completes. *)
+      work completes.  @raise Failure outside a process. *)
 end
 
 module Rendez : sig
   type t
   (** A rendezvous point, after the Plan 9 kernel's [sleep]/[wakeup]:
-      a queue of blocked processes.  There is no spurious wakeup, but
+      a FIFO of blocked processes, linked through the processes
+      themselves, so sleep, wakeup and the removal of a killed sleeper
+      are O(1) and allocate nothing.  There is no spurious wakeup, but
       callers should still re-check their predicate in a loop when
       several sleepers compete for the same condition. *)
 
   val create : Engine.t -> t
 
   val sleep : t -> unit
-  (** Block the calling process until a wakeup. *)
+  (** Block the calling process until a wakeup.  A sleeper that is
+      killed leaves the queue at once, so it never swallows a later
+      wakeup.  @raise Failure outside a process. *)
 
   val wakeup : t -> unit
   (** Wake the longest-sleeping process, if any. *)
 
   val wakeup_all : t -> unit
+  (** Wake every sleeper, oldest first; {!waiters} reads 0 after it. *)
 
   val waiters : t -> int
+  (** Processes asleep on [t]; O(1). *)
 end
 
 module Mbox : sig
@@ -268,7 +285,8 @@ module Mbox : sig
   val create : Engine.t -> 'a t
   val send : 'a t -> 'a -> unit
   val recv : 'a t -> 'a
-  (** Blocks while empty. *)
+  (** Blocks while empty.  @raise Failure outside a process, when it
+      would block. *)
 
   val try_recv : 'a t -> 'a option
   val length : 'a t -> int

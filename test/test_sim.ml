@@ -153,6 +153,123 @@ let test_mbox () =
   Alcotest.(check (list int)) "all received in order" [ 1; 2; 3 ]
     (List.rev !got)
 
+let test_killed_sleeper_passes_wakeup () =
+  (* a killed sleeper leaves the Rendez at once: the next wakeup goes
+     to the next waiter instead of being swallowed *)
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let woke = ref [] in
+  let sleeper name =
+    Sim.Proc.spawn eng ~name (fun () ->
+        Sim.Rendez.sleep r;
+        woke := name :: !woke)
+  in
+  let a = sleeper "a" in
+  let _b = sleeper "b" in
+  Sim.Engine.after eng 1.0 (fun () ->
+      Sim.Proc.kill a;
+      Alcotest.(check int) "killed sleeper dequeued" 1 (Sim.Rendez.waiters r);
+      Sim.Rendez.wakeup r);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "b got the wakeup" [ "b" ] !woke;
+  Alcotest.(check bool) "a dead" false (Sim.Proc.alive a);
+  Alcotest.(check (list string)) "nobody stalled" [] (Sim.Engine.stalled eng)
+
+let test_stale_callbacks_inert () =
+  (* callbacks kept past their suspension's settlement (as dk's
+     in_resume and the 9P client's waiting table may be) do nothing to
+     a later suspension of the same process *)
+  let eng = Sim.Engine.create () in
+  let first = ref None and second = ref None in
+  let got = ref [] in
+  let p =
+    Sim.Proc.spawn eng ~name:"waiter" (fun () ->
+        let v =
+          Sim.Proc.suspend ~register:(fun ~resume ~abort ->
+              first := Some (resume, abort);
+              ignore)
+        in
+        got := v :: !got;
+        let v =
+          Sim.Proc.suspend ~register:(fun ~resume ~abort:_ ->
+              second := Some resume;
+              ignore)
+        in
+        got := v :: !got)
+  in
+  Sim.Engine.run eng;
+  let resume1, abort1 = Option.get !first in
+  resume1 1;
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "first resumed" [ 1 ] !got;
+  (* the process is suspended again: the first pair must be inert *)
+  resume1 99;
+  abort1 (Failure "stale abort");
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "stale resume ignored" [ 1 ] !got;
+  Alcotest.(check (list string)) "still suspended" [ "waiter" ]
+    (Sim.Engine.stalled eng);
+  (Option.get !second) 7;
+  Sim.Engine.run eng;
+  Alcotest.(check (list int)) "second resumed by its own callback" [ 7; 1 ]
+    !got;
+  Alcotest.(check bool) "exited normally" false (Sim.Proc.alive p)
+
+let test_wakeup_all_fifo () =
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let woke = ref [] in
+  let names = [ "a"; "b"; "c"; "d"; "e" ] in
+  List.iteri
+    (fun i name ->
+      ignore
+        (Sim.Proc.spawn eng ~name (fun () ->
+             (* sleep in an order unlike spawn order *)
+             Sim.Time.sleep eng (float_of_int ((i * 3) mod 5));
+             Sim.Rendez.sleep r;
+             woke := name :: !woke)))
+    names;
+  Sim.Engine.after eng 10.0 (fun () ->
+      Alcotest.(check int) "all asleep" 5 (Sim.Rendez.waiters r);
+      Sim.Rendez.wakeup_all r;
+      Alcotest.(check int) "drained" 0 (Sim.Rendez.waiters r));
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "in sleep order" [ "a"; "c"; "e"; "b"; "d" ]
+    (List.rev !woke)
+
+let test_kill_after_wakeup () =
+  (* woken but not yet run, then killed: the process runs on and takes
+     Killed at its next blocking point *)
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  let log = ref [] in
+  let p =
+    Sim.Proc.spawn eng ~name:"victim" (fun () ->
+        Sim.Rendez.sleep r;
+        log := "ran" :: !log;
+        match Sim.Time.sleep eng 10.0 with
+        | () -> log := "slept" :: !log
+        | exception Sim.Proc.Killed ->
+          log := Printf.sprintf "killed@%.1f" (Sim.Engine.now eng) :: !log)
+  in
+  Sim.Engine.after eng 1.0 (fun () ->
+      Sim.Rendez.wakeup r;
+      Sim.Proc.kill p);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "killed at the next block"
+    [ "ran"; "killed@1.0" ] (List.rev !log);
+  Alcotest.(check bool) "dead" false (Sim.Proc.alive p)
+
+let test_block_outside_process () =
+  let eng = Sim.Engine.create () in
+  let outside = Failure "Sim.Proc.self: not inside a simulated process" in
+  Alcotest.check_raises "Time.sleep" outside (fun () -> Sim.Time.sleep eng 1.0);
+  Alcotest.check_raises "Rendez.sleep" outside (fun () ->
+      Sim.Rendez.sleep (Sim.Rendez.create eng));
+  Alcotest.check_raises "Mbox.recv" outside (fun () ->
+      ignore (Sim.Mbox.recv (Sim.Mbox.create eng : int Sim.Mbox.t)));
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.Engine.pending eng)
+
 let test_ticker () =
   let eng = Sim.Engine.create () in
   let ticks = ref 0 in
@@ -268,6 +385,82 @@ let test_exit_cost_flat () =
       "1000 spawn/exit cost %.0f minor words beside 16000 blocked processes \
        but %.0f beside 1000"
       large small
+
+(* run the engine until nothing is queued *)
+let idle eng = while Sim.Engine.step eng do () done
+
+(* minor words per call of [op], after one warm-up call *)
+let words_per_op n op =
+  op ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    op ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* minor words per wakeup of one of [waiters] processes that all sleep
+   on the same Rendez: each wakeup takes the head, which runs and
+   sleeps again at the tail, so the queue stays [waiters] long *)
+let rendez_cycle_words ~waiters =
+  let eng = Sim.Engine.create () in
+  let r = Sim.Rendez.create eng in
+  for _ = 1 to waiters do
+    ignore
+      (Sim.Proc.spawn eng ~name:"sleeper" (fun () ->
+           while true do
+             Sim.Rendez.sleep r
+           done))
+  done;
+  idle eng;
+  Alcotest.(check int) "all queued" waiters (Sim.Rendez.waiters r);
+  words_per_op 1_000 (fun () ->
+      Sim.Rendez.wakeup r;
+      idle eng)
+
+let test_wakeup_cost_flat () =
+  (* a wakeup is O(1) in the number of processes queued on the same
+     Rendez; minor words are deterministic, so this is exact *)
+  let small = rendez_cycle_words ~waiters:10 in
+  let large = rendez_cycle_words ~waiters:10_000 in
+  if large > small *. 1.10 then
+    Alcotest.failf
+      "a Rendez sleep/wakeup cycle cost %.0f minor words with 10000 \
+       waiters but %.0f with 10"
+      large small
+
+let check_ceiling what ceiling words =
+  if words > ceiling then
+    Alcotest.failf "%s costs %.1f minor words, ceiling %.0f" what words
+      ceiling
+
+let test_sleep_words () =
+  (* one Time.sleep: push the timer, block, fire, resume *)
+  let eng = Sim.Engine.create () in
+  ignore
+    (Sim.Proc.spawn eng (fun () ->
+         while true do
+           Sim.Time.sleep eng 1.0
+         done));
+  ignore (Sim.Engine.step eng);
+  check_ceiling "Time.sleep" 24.
+    (words_per_op 1_000 (fun () ->
+         ignore (Sim.Engine.step eng);
+         ignore (Sim.Engine.step eng)))
+
+let test_mbox_words () =
+  (* one Mbox.send to a receiver blocked in recv, until it blocks again *)
+  let eng = Sim.Engine.create () in
+  let mb = Sim.Mbox.create eng in
+  ignore
+    (Sim.Proc.spawn eng (fun () ->
+         while true do
+           ignore (Sim.Mbox.recv mb)
+         done));
+  idle eng;
+  check_ceiling "an Mbox message" 20.
+    (words_per_op 1_000 (fun () ->
+         Sim.Mbox.send mb 0;
+         idle eng))
 
 let test_determinism () =
   let trace () =
@@ -455,6 +648,10 @@ let () =
             test_stalled_spawn_order_after_exits;
           Alcotest.test_case "exit cost flat in live processes" `Quick
             test_exit_cost_flat;
+          Alcotest.test_case "wakeup cost flat in waiters" `Quick
+            test_wakeup_cost_flat;
+          Alcotest.test_case "Time.sleep words" `Quick test_sleep_words;
+          Alcotest.test_case "Mbox message words" `Quick test_mbox_words;
         ] );
       ( "proc",
         [
@@ -471,6 +668,16 @@ let () =
           Alcotest.test_case "rendez empty wakeup" `Quick
             test_rendez_wakeup_empty;
           Alcotest.test_case "mbox" `Quick test_mbox;
+          Alcotest.test_case "killed sleeper passes the wakeup on" `Quick
+            test_killed_sleeper_passes_wakeup;
+          Alcotest.test_case "stale suspend callbacks are inert" `Quick
+            test_stale_callbacks_inert;
+          Alcotest.test_case "wakeup_all in FIFO order" `Quick
+            test_wakeup_all_fifo;
+          Alcotest.test_case "kill after wakeup lands at next block" `Quick
+            test_kill_after_wakeup;
+          Alcotest.test_case "blocking outside a process" `Quick
+            test_block_outside_process;
           Alcotest.test_case "ticker" `Quick test_ticker;
         ] );
       ( "cpu",
