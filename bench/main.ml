@@ -442,13 +442,49 @@ let profile_spec =
 (* Wall-clock microbenchmarks (bechamel)                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Two hosts on one Ethernet with IL attached: (client, server). *)
+let il_pair eng =
+  let seg = Netsim.Ether.create ~name:"ether0" eng in
+  let mk n =
+    let nic =
+      Netsim.Ether.attach seg
+        (Netsim.Eaddr.of_string (Printf.sprintf "08006902%04x" n))
+    in
+    let ip =
+      Inet.Ip.create
+        ~addr:(Inet.Ipaddr.of_string (Printf.sprintf "135.104.9.%d" n))
+        ~mask:(Inet.Ipaddr.of_string "255.255.255.0")
+        (Inet.Etherport.create eng nic)
+    in
+    Inet.Il.attach ip
+  in
+  (mk 1, mk 2)
+
 (* The process-switch primitives, one switch per call of [op], on a
    world built once: a process parks in the primitive and each call
-   wakes it and runs the engine until it has parked again. *)
+   wakes it and runs the engine until it has parked again.  The IL and
+   9P rows follow the same pattern with a whole round trip per call:
+   the client parks on a mailbox, and each call releases it for one
+   exchange and runs the engine until every timer has lapsed. *)
 let switch_primitives () =
   let idle eng = while Sim.Engine.step eng do () done in
   let parked name body = (name, body (Sim.Engine.create ())) in
   let forever f eng = ignore (Sim.Proc.spawn eng (fun () -> while true do f () done)) in
+  let round_trips eng ~setup exchange =
+    let go = Sim.Mbox.create eng in
+    ignore
+      (Sim.Proc.spawn eng (fun () ->
+           let st = setup () in
+           while true do
+             Sim.Mbox.recv go;
+             exchange st
+           done));
+    idle eng;
+    fun () ->
+      Sim.Mbox.send go ();
+      idle eng
+  in
+  let server_addr = Inet.Ipaddr.of_string "135.104.9.2" in
   [
     parked "sim:time-sleep" (fun eng ->
         forever (fun () -> Sim.Time.sleep eng 1.0) eng;
@@ -479,6 +515,49 @@ let switch_primitives () =
         fun () ->
           Block.Q.put q b;
           idle eng);
+    parked "il:echo-560" (fun eng ->
+        let cli, srv = il_pair eng in
+        let lis = Inet.Il.announce srv ~port:7 in
+        ignore
+          (Sim.Proc.spawn eng (fun () ->
+               let c = Inet.Il.listen lis in
+               while true do
+                 Option.iter (Inet.Il.write c) (Inet.Il.read_msg c)
+               done));
+        let msg = String.make 560 'e' in
+        round_trips eng
+          ~setup:(fun () -> Inet.Il.connect cli ~raddr:server_addr ~rport:7)
+          (fun c ->
+            Inet.Il.write c msg;
+            ignore (Inet.Il.read_msg c)));
+    parked "9p:tread-512-il" (fun eng ->
+        let cli, srv = il_pair eng in
+        let ram = Ninep.Ramfs.make ~name:"ram" () in
+        Ninep.Ramfs.add_file ram "/f" (String.make 4096 'f');
+        (* 9P over IL the way boot and exportfs carry it *)
+        let transport c =
+          {
+            Ninep.Transport.t_send = Inet.Il.write c;
+            t_recv = (fun () -> Inet.Il.read_msg c);
+            t_close = (fun () -> Inet.Il.close c);
+          }
+        in
+        let lis = Inet.Il.announce srv ~port:17008 in
+        ignore
+          (Sim.Proc.spawn eng (fun () ->
+               let c = Inet.Il.listen lis in
+               ignore (Ninep.Server.serve eng (Ninep.Ramfs.fs ram) (transport c))));
+        round_trips eng
+          ~setup:(fun () ->
+            let c = Inet.Il.connect cli ~raddr:server_addr ~rport:17008 in
+            let client = Ninep.Client.make eng (transport c) in
+            Ninep.Client.session client;
+            let root = Ninep.Client.attach client ~uname:"none" ~aname:"" in
+            let f = Ninep.Client.walk_path client root [ "f" ] in
+            ignore (Ninep.Client.open_ client f Ninep.Fcall.Oread);
+            (client, f))
+          (fun (client, f) ->
+            ignore (Ninep.Client.read client f ~offset:0L ~count:512)));
   ]
 
 (* minor words per call of [op]; deterministic for a given compiler *)

@@ -2,7 +2,7 @@ type kind = Data | Ctl | Hangup
 
 type t = {
   kind : kind;
-  buf : Bytes.t;
+  buf : string;
   mutable rp : int;
   mutable wp : int;
   mutable delim : bool;
@@ -10,19 +10,24 @@ type t = {
 
 let max_atomic_write = 32 * 1024
 
-let make_bytes ?(kind = Data) ?(delim = false) b =
-  { kind; buf = b; rp = 0; wp = Bytes.length b; delim }
+let make ?(kind = Data) ?(delim = false) s =
+  { kind; buf = s; rp = 0; wp = String.length s; delim }
 
-let make ?kind ?delim s = make_bytes ?kind ?delim (Bytes.of_string s)
+let view s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Block.view";
+  { kind = Data; buf = s; rp = off; wp = off + len; delim = false }
 
-let alloc ?(kind = Data) n =
-  { kind; buf = Bytes.create n; rp = 0; wp = 0; delim = false }
-
-let hangup () =
-  { kind = Hangup; buf = Bytes.create 0; rp = 0; wp = 0; delim = true }
+let hangup () = { kind = Hangup; buf = ""; rp = 0; wp = 0; delim = true }
 
 let len b = b.wp - b.rp
-let to_string b = Bytes.sub_string b.buf b.rp (len b)
+
+(* strings are immutable, so a block spanning its whole buffer can hand
+   the buffer itself out *)
+let to_string b =
+  if b.rp = 0 && b.wp = String.length b.buf then b.buf
+  else String.sub b.buf b.rp (len b)
+
 let is_ctl b = b.kind = Ctl
 
 let consume b n =
@@ -31,13 +36,7 @@ let consume b n =
 
 let sub b n =
   if n < 0 || n > len b then invalid_arg "Block.sub";
-  {
-    kind = b.kind;
-    buf = Bytes.sub b.buf b.rp n;
-    rp = 0;
-    wp = n;
-    delim = b.delim && n = len b;
-  }
+  { b with wp = b.rp + n; delim = b.delim && n = len b }
 
 let concat bs =
   let total = List.fold_left (fun acc b -> acc + len b) 0 bs in
@@ -45,11 +44,11 @@ let concat bs =
   let off = ref 0 in
   List.iter
     (fun b ->
-      Bytes.blit b.buf b.rp buf !off (len b);
+      Bytes.blit_string b.buf b.rp buf !off (len b);
       off := !off + len b)
     bs;
   let delim = match List.rev bs with [] -> false | last :: _ -> last.delim in
-  { kind = Data; buf; rp = 0; wp = total; delim }
+  make ~delim (Bytes.unsafe_to_string buf)
 
 let ctl_words b =
   String.split_on_char ' ' (to_string b)
@@ -236,7 +235,7 @@ module Q = struct
           q.nbytes <- q.nbytes - len b
         | Data ->
           let take = min (want - Buffer.length buf) (len b) in
-          Buffer.add_subbytes buf b.buf b.rp take;
+          Buffer.add_substring buf b.buf b.rp take;
           consume b take;
           q.nbytes <- q.nbytes - take;
           Sim.Rendez.wakeup q.writers;

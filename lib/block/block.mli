@@ -17,7 +17,9 @@ type kind =
 
 type t = {
   kind : kind;
-  buf : Bytes.t;
+  buf : string;
+      (** shared, never written: a block is a view of [buf], so many
+          blocks (and the received frame itself) may alias one string *)
   mutable rp : int;  (** read pointer: first live byte *)
   mutable wp : int;  (** write pointer: one past last live byte *)
   mutable delim : bool;  (** this block ends a message *)
@@ -28,13 +30,13 @@ val max_atomic_write : int
     single block." *)
 
 val make : ?kind:kind -> ?delim:bool -> string -> t
-(** Block holding a copy of the string. *)
+(** Block viewing the whole string (no copy). *)
 
-val make_bytes : ?kind:kind -> ?delim:bool -> bytes -> t
-(** Block taking ownership of [bytes] (no copy). *)
-
-val alloc : ?kind:kind -> int -> t
-(** Empty block with [n] bytes of capacity ([rp = wp = 0]). *)
+val view : string -> int -> int -> t
+(** [view s off len] is a data block over [len] bytes of [s] starting
+    at [off] (no copy) — how a transport hands up the payload of a
+    received frame.  @raise Invalid_argument if the range is outside
+    [s]. *)
 
 val hangup : unit -> t
 
@@ -42,7 +44,8 @@ val len : t -> int
 (** Live bytes, [wp - rp]. *)
 
 val to_string : t -> string
-(** Copy of the live bytes. *)
+(** The live bytes: a copy, or [buf] itself when the block spans all of
+    it. *)
 
 val is_ctl : t -> bool
 
@@ -50,9 +53,9 @@ val consume : t -> int -> unit
 (** Advance [rp] by [n].  @raise Invalid_argument if [n > len]. *)
 
 val sub : t -> int -> t
-(** [sub b n] is a fresh block holding the first [n] live bytes of [b]
-    (the delimiter flag carries over only when the whole block is
-    taken). *)
+(** [sub b n] is a new view of the first [n] live bytes of [b], over
+    the same buffer (the delimiter flag carries over only when the
+    whole block is taken). *)
 
 val concat : t list -> t
 (** Single data block with the concatenated payloads; delimited if the

@@ -18,12 +18,14 @@ let finish sum =
 
 let checksum s = finish (ones_sum s 0 (String.length s))
 
-let valid s =
+let valid_sub s off len =
   let folded =
-    let v = ref (ones_sum s 0 (String.length s)) in
+    let v = ref (ones_sum s off len) in
     while !v lsr 16 <> 0 do
       v := (!v land 0xffff) + (!v lsr 16)
     done;
     !v
   in
   folded = 0xffff
+
+let valid s = valid_sub s 0 (String.length s)

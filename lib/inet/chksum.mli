@@ -16,3 +16,7 @@ val checksum : string -> int
 val valid : string -> bool
 (** A buffer whose checksum field was filled with {!checksum} sums to
     zero. *)
+
+val valid_sub : string -> int -> int -> bool
+(** [valid_sub s off len] is {!valid} on [len] bytes of [s] at [off],
+    checked in place. *)

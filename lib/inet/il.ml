@@ -85,8 +85,10 @@ type conv = {
   mutable next : int;  (* next id we will send *)
   mutable rstart : int;  (* peer's initial sequence number *)
   mutable recvd : int;  (* highest in-order id received *)
-  mutable unacked : (int * string) list;  (* ascending ids awaiting ack *)
-  mutable oow : (int * string) list;  (* out-of-order buffer, ascending *)
+  unacked : (int * string) Queue.t;
+      (* ascending ids awaiting ack, each with the buffer that went to
+         IP for it (IP header included once sent) *)
+  mutable oow : (int * Block.t) list;  (* out-of-order buffer, ascending *)
   rq : Block.Q.t;
   wwait : Sim.Rendez.t;  (* writers waiting for window space *)
   estwait : Sim.Rendez.t;  (* connect/close waiters *)
@@ -151,7 +153,7 @@ let status c =
   Printf.sprintf
     "il/%d %d %s sent %d rcvd %d unacked %d window %d rexmit %d rtt %.0fms"
     c.cid c.lport (state_name c) (c.next - c.start - 1) (c.recvd - c.rstart)
-    (List.length c.unacked) c.stack.cfg.window c.cstats.retransmits
+    (Queue.length c.unacked) c.stack.cfg.window c.cstats.retransmits
     (c.srtt *. 1000.)
 
 let conv_counters c = c.cstats
@@ -205,21 +207,28 @@ let put32 b off v =
 let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
 let get32 s off = (get16 s off lsl 16) lor get16 s (off + 2)
 
-let encode ~ty ~sport ~dport ~id ~ack payload =
-  let len = header_len + String.length payload in
-  let b = Bytes.create len in
-  put16 b 0 0;
-  put16 b 2 len;
-  Bytes.set b 4 (Char.chr (type_code ty));
-  Bytes.set b 5 '\000';
-  put16 b 6 sport;
-  put16 b 8 dport;
-  put32 b 10 id;
-  put32 b 14 ack;
-  Bytes.blit_string payload 0 b header_len (String.length payload);
-  let sum = Chksum.checksum (Bytes.to_string b) in
-  put16 b 0 sum;
-  Bytes.to_string b
+(* One buffer per message: IP's headroom, then our header, then [len]
+   bytes of [data] from [off].  The buffer goes to [Ip.send] as is. *)
+let encode ~ty ~sport ~dport ~id ~ack data off len =
+  let o = Ip.header_len in
+  let mlen = header_len + len in
+  let b = Bytes.create (o + mlen) in
+  put16 b o 0;
+  put16 b (o + 2) mlen;
+  Bytes.set b (o + 4) (Char.chr (type_code ty));
+  Bytes.set b (o + 5) '\000';
+  put16 b (o + 6) sport;
+  put16 b (o + 8) dport;
+  put32 b (o + 10) id;
+  put32 b (o + 14) ack;
+  Bytes.blit_string data off b (o + header_len) len;
+  (* the sum reads through a view that dies with the call *)
+  let sum = Chksum.finish (Chksum.ones_sum (Bytes.unsafe_to_string b) o mlen) in
+  put16 b o sum;
+  b
+
+(* where a message's data sits in the buffer [encode] built *)
+let data_off = Ip.header_len + header_len
 
 type packet = {
   p_ty : msg_type;
@@ -227,45 +236,57 @@ type packet = {
   p_dport : int;
   p_id : int;
   p_ack : int;
-  p_data : string;
+  p_data : Block.t;  (* the datagram's own view, advanced past our header *)
 }
 
-let decode pkt =
-  if String.length pkt < header_len then None
-  else if not (Chksum.valid pkt) then None
-  else if get16 pkt 2 <> String.length pkt then None
+(* checked and parsed in place over the received frame *)
+let decode (pkt : Block.t) =
+  let s = pkt.Block.buf and o = pkt.Block.rp and n = Block.len pkt in
+  if n < header_len then None
+  else if not (Chksum.valid_sub s o n) then None
+  else if get16 s (o + 2) <> n then None
   else
-    match type_of_code (Char.code pkt.[4]) with
+    match type_of_code (Char.code s.[o + 4]) with
     | None -> None
     | Some ty ->
+      Block.consume pkt header_len;
       Some
         {
           p_ty = ty;
-          p_sport = get16 pkt 6;
-          p_dport = get16 pkt 8;
-          p_id = get32 pkt 10;
-          p_ack = get32 pkt 14;
-          p_data = String.sub pkt header_len (String.length pkt - header_len);
+          p_sport = get16 s (o + 6);
+          p_dport = get16 s (o + 8);
+          p_id = get32 s (o + 10);
+          p_ack = get32 s (o + 14);
+          p_data = pkt;
         }
 
 (* ---- output ---- *)
 
-let raw_output st ~dst pkt =
+let raw_output st ~dst buf =
   match st.cfg.cpu with
-  | None -> Ip.send st.ip ~proto:Ip.proto_il ~dst pkt
+  | None -> Ip.send st.ip ~proto:Ip.proto_il ~dst buf
   | Some cpu ->
     let cost =
       st.cfg.cost_per_msg
-      +. (st.cfg.cost_per_byte *. float_of_int (String.length pkt))
+      +. st.cfg.cost_per_byte
+         *. float_of_int (Bytes.length buf - Ip.header_len)
     in
     Sim.Cpu.run_after ~label:"il" cpu cost (fun () ->
-        Ip.send st.ip ~proto:Ip.proto_il ~dst pkt)
+        Ip.send st.ip ~proto:Ip.proto_il ~dst buf)
 
-let xmit c ty ~id ?(data = "") () =
+(* encode and send one message carrying [len] bytes of [data] from
+   [off]; the result is the buffer handed to IP, which nobody writes
+   again *)
+let xmit_data c ty ~id data off len =
   (* every outgoing message acknowledges what we have received *)
   if ty = Data || ty = Ack then Sim.Time.disarm c.ack_tmr;
-  raw_output c.stack ~dst:c.raddr
-    (encode ~ty ~sport:c.lport ~dport:c.rport ~id ~ack:c.recvd data)
+  let buf =
+    encode ~ty ~sport:c.lport ~dport:c.rport ~id ~ack:c.recvd data off len
+  in
+  raw_output c.stack ~dst:c.raddr buf;
+  Bytes.unsafe_to_string buf
+
+let xmit c ty ~id () = ignore (xmit_data c ty ~id "" 0 0)
 
 let rto c =
   let t = c.srtt +. (4. *. c.mdev) in
@@ -314,7 +335,7 @@ and rexmit_fire c =
     xmit c Sync ~id:c.start ();
     arm_timer c
   | SEstablished | SClosing ->
-    if c.unacked <> [] || c.state = SClosing then begin
+    if (not (Queue.is_empty c.unacked)) || c.state = SClosing then begin
       if c.state = SClosing && c.close_sent then begin
         c.backoff <- c.backoff + 1;
         xmit c Close ~id:(c.next - 1) ();
@@ -350,7 +371,7 @@ and death_fire c =
     | SEstablished | SClosing ->
       (* an idle, fully-acked conversation just lets the timer lapse;
          fresh traffic re-arms it *)
-      if c.unacked <> [] || c.state = SClosing then
+      if (not (Queue.is_empty c.unacked)) || c.state = SClosing then
         destroy c (Some "connection timed out")
 
 (* ---- rtt ---- *)
@@ -375,9 +396,13 @@ let rtt_sample c sample =
 (* ---- ack processing ---- *)
 
 let process_ack c ack =
-  let before = List.length c.unacked in
-  c.unacked <- List.filter (fun (id, _) -> id > ack) c.unacked;
-  let acked = before - List.length c.unacked in
+  let before = Queue.length c.unacked in
+  while
+    (not (Queue.is_empty c.unacked)) && fst (Queue.peek c.unacked) <= ack
+  do
+    ignore (Queue.pop c.unacked)
+  done;
+  let acked = before - Queue.length c.unacked in
   if acked > 0 then begin
     if c.rtt_id <> 0 && ack >= c.rtt_id then begin
       rtt_sample c (Sim.Engine.now c.stack.eng -. c.rtt_sent_at);
@@ -385,18 +410,22 @@ let process_ack c ack =
     end;
     c.backoff <- 0;
     arm_death c;
-    if c.unacked = [] then Sim.Time.disarm c.rexmit_tmr else arm_timer c;
+    if Queue.is_empty c.unacked then Sim.Time.disarm c.rexmit_tmr
+    else arm_timer c;
     Sim.Rendez.wakeup_all c.wwait
   end
 
 (* ---- receive path ---- *)
 
-let deliver c data =
+(* the payload view itself is queued: one message, one block *)
+let deliver c (data : Block.t) =
+  let n = Block.len data in
   c.stack.stats.msgs_rcvd <- c.stack.stats.msgs_rcvd + 1;
-  c.stack.stats.bytes_rcvd <- c.stack.stats.bytes_rcvd + String.length data;
+  c.stack.stats.bytes_rcvd <- c.stack.stats.bytes_rcvd + n;
   c.cstats.msgs_rcvd <- c.cstats.msgs_rcvd + 1;
-  c.cstats.bytes_rcvd <- c.cstats.bytes_rcvd + String.length data;
-  Block.Q.force_put c.rq (Block.make ~delim:true data)
+  c.cstats.bytes_rcvd <- c.cstats.bytes_rcvd + n;
+  data.Block.delim <- true;
+  Block.Q.force_put c.rq data
 
 let send_ack_now c = xmit c Ack ~id:(c.next - 1) ()
 
@@ -457,26 +486,27 @@ let retransmit_missing c peer_ack =
      did): later ones are usually still in flight, and the receiver's
      window buffers successors, so one resend unlocks a cumulative
      ack.  This is what keeps IL polite in congestion. *)
-  match List.find_opt (fun (id, _) -> id > peer_ack) c.unacked with
-  | Some (id, data) ->
+  match Seq.find (fun (id, _) -> id > peer_ack) (Queue.to_seq c.unacked) with
+  | Some (id, sent) ->
+    let len = String.length sent - data_off in
     c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
     c.stack.stats.retransmitted_bytes <-
-      c.stack.stats.retransmitted_bytes + String.length data;
+      c.stack.stats.retransmitted_bytes + len;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
-    c.cstats.retransmitted_bytes <-
-      c.cstats.retransmitted_bytes + String.length data;
+    c.cstats.retransmitted_bytes <- c.cstats.retransmitted_bytes + len;
     (match Sim.Engine.obs c.stack.eng with
     | None -> ()
     | Some tr ->
       Obs.Trace.emit tr
-        (Obs.Event.Retransmit
-           { proto = "il"; conv = c.cid; id; bytes = String.length data });
+        (Obs.Event.Retransmit { proto = "il"; conv = c.cid; id; bytes = len });
       Obs.Trace.bump tr "il.retransmits" 1);
     (* Karn: a message that was retransmitted must not contribute a
        round-trip sample — it would fold the whole recovery delay into
        srtt *)
     c.rtt_id <- 0;
-    xmit c Data ~id ~data ();
+    (* a fresh buffer: the resend carries a new ack and IP id, and the
+       one already sent may still be on the wire *)
+    ignore (xmit_data c Data ~id sent data_off len);
     c.backoff <- c.backoff + 1;
     arm_timer c
   | None -> ()
@@ -559,7 +589,7 @@ let handle_packet c (p : packet) =
       destroy c (Some "reset"))
 
 let send_reset st ~dst ~sport ~dport ~id =
-  raw_output st ~dst (encode ~ty:Reset ~sport ~dport ~id ~ack:id "")
+  raw_output st ~dst (encode ~ty:Reset ~sport ~dport ~id ~ack:id "" 0 0)
 
 let new_isn st =
   1 + Random.State.int (Sim.Engine.random st.eng) 0xffffff
@@ -591,7 +621,7 @@ let make_conv st ~lport ~rport ~raddr ~state ~start ~rstart =
       next = start + 1;
       rstart;
       recvd = rstart;
-      unacked = [];
+      unacked = Queue.create ();
       oow = [];
       rq = Block.Q.create st.eng;
       wwait = Sim.Rendez.create st.eng;
@@ -621,13 +651,16 @@ let make_conv st ~lport ~rport ~raddr ~state ~start ~rstart =
          { proto = "il"; conv = c.cid; from_ = "Closed"; to_ = state_str state }));
   c
 
-let input st ~src:sa ~dst:_ pkt =
+let input st ~src:sa ~dst:_ (pkt : Block.t) =
   match decode pkt with
   | None -> (
     match Sim.Engine.obs st.eng with
     | None -> ()
     | Some tr ->
-      if String.length pkt >= header_len && not (Chksum.valid pkt) then begin
+      if
+        Block.len pkt >= header_len
+        && not (Chksum.valid_sub pkt.Block.buf pkt.Block.rp (Block.len pkt))
+      then begin
         Obs.Trace.emit tr (Obs.Event.Checksum_err { proto = "il" });
         Obs.Trace.bump tr "il.badsum" 1
       end)
@@ -698,7 +731,7 @@ let attach ?(config = default_config) ip =
       | Some cpu ->
         let cost =
           config.cost_per_msg
-          +. (config.cost_per_byte *. float_of_int (String.length pkt))
+          +. (config.cost_per_byte *. float_of_int (Block.len pkt))
         in
         Sim.Cpu.run_after ~label:"il" cpu cost (fun () -> input st ~src ~dst pkt));
   st
@@ -785,14 +818,13 @@ let write c data =
   | SClosed | SClosing | SSyncer | SSyncee -> raise Hungup);
   while
     c.state = SEstablished
-    && List.length c.unacked >= c.stack.cfg.window
+    && Queue.length c.unacked >= c.stack.cfg.window
   do
     Sim.Rendez.sleep c.wwait
   done;
   if c.state <> SEstablished then raise Hungup;
   let id = c.next in
   c.next <- id + 1;
-  c.unacked <- c.unacked @ [ (id, data) ];
   c.stack.stats.msgs_sent <- c.stack.stats.msgs_sent + 1;
   c.stack.stats.bytes_sent <- c.stack.stats.bytes_sent + String.length data;
   c.cstats.msgs_sent <- c.cstats.msgs_sent + 1;
@@ -805,7 +837,9 @@ let write c data =
     arm_timer c;
     arm_death c
   end;
-  xmit c Data ~id ~data ()
+  (* an ack for the message can only arrive on a later event, so
+     queueing it after the send is in time *)
+  Queue.push (id, xmit_data c Data ~id data 0 (String.length data)) c.unacked
 
 let read c n = Block.Q.read c.rq n
 

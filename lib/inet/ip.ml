@@ -31,7 +31,7 @@ type arp_state =
   | Pending of string list ref * int ref  (* queued raw IP packets, tries *)
 
 type reasm = {
-  mutable frags : (int * bool * string) list;  (* offset, more, data *)
+  mutable frags : (int * bool * Block.t) list;  (* offset, more, data *)
   mutable born : float;
 }
 
@@ -54,7 +54,7 @@ type stack = {
   my_mask : Ipaddr.t;
   gw : Ipaddr.t option;
   mtu_ : int;
-  protos : (int, src:Ipaddr.t -> dst:Ipaddr.t -> string -> unit) Hashtbl.t;
+  protos : (int, src:Ipaddr.t -> dst:Ipaddr.t -> Block.t -> unit) Hashtbl.t;
   arp : (int32, arp_state) Hashtbl.t;
   reasm_tbl : (int32 * int, reasm) Hashtbl.t;  (* src, ipid *)
   mutable next_ipid : int;
@@ -107,19 +107,25 @@ let eaddr_of_raw s off =
 
 (* -------- IP header -------- *)
 
-let encode_header ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
-  let b = Bytes.make header_len '\000' in
+(* fill the first [header_len] bytes of [b] with the header of a
+   datagram [len] bytes long, in place *)
+let write_header b ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
   Bytes.set b 0 '\x45';
+  Bytes.set b 1 '\000';
   put16 b 2 len;
   put16 b 4 ipid;
   put16 b 6 (((if more then 1 else 0) lsl 13) lor (frag_off / 8));
   Bytes.set b 8 '\x40' (* ttl 64 *);
   Bytes.set b 9 (Char.chr proto);
+  put16 b 10 0;
   put32 b 12 (Ipaddr.to_int32 sa);
   put32 b 16 (Ipaddr.to_int32 da);
-  let sum = Chksum.finish (Chksum.ones_sum (Bytes.to_string b) 0 header_len) in
-  put16 b 10 sum;
-  Bytes.to_string b
+  (* the checksum reads the header through a view that dies with the
+     call, before the two checksum bytes are written *)
+  let sum =
+    Chksum.finish (Chksum.ones_sum (Bytes.unsafe_to_string b) 0 header_len)
+  in
+  put16 b 10 sum
 
 let decode_header pkt =
   if String.length pkt < header_len then None
@@ -250,15 +256,15 @@ let reassemble t h payload =
     | [] -> None
     | (off, more, data) :: rest ->
       if off <> expected then None
-      else if more then check (expected + String.length data) rest
-      else if rest = [] then Some (expected + String.length data)
+      else if more then check (expected + Block.len data) rest
+      else if rest = [] then Some (expected + Block.len data)
       else None
   in
   match check 0 sorted with
   | None -> None
   | Some _total ->
     Hashtbl.remove t.reasm_tbl key;
-    Some (String.concat "" (List.map (fun (_, _, d) -> d) sorted))
+    Some (Block.concat (List.map (fun (_, _, d) -> d) sorted))
 
 let emit_badsum t =
   t.stats.ip_bad_checksum <- t.stats.ip_bad_checksum + 1;
@@ -267,6 +273,17 @@ let emit_badsum t =
   | Some tr ->
     Obs.Trace.emit tr (Obs.Event.Checksum_err { proto = "ip" });
     Obs.Trace.bump tr "ip.badsum" 1
+
+(* hand the transport a view of the datagram's payload over the
+   received bytes; fragments wait for the rest of their datagram *)
+let input_local t h raw =
+  let payload = Block.view raw header_len (h.h_len - header_len) in
+  if h.h_frag_off = 0 && not h.h_more then
+    dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto payload
+  else
+    match reassemble t h payload with
+    | Some whole -> dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto whole
+    | None -> ()
 
 let ip_input t (frame : Netsim.Ether.frame) =
   match decode_header frame.Netsim.Ether.payload with
@@ -279,16 +296,7 @@ let ip_input t (frame : Netsim.Ether.frame) =
       if
         Ipaddr.equal h.h_dst t.my_addr
         || Ipaddr.equal h.h_dst Ipaddr.broadcast
-      then begin
-        let payload = String.sub p header_len (h.h_len - header_len) in
-        if h.h_frag_off = 0 && not h.h_more then
-          dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto payload
-        else
-          match reassemble t h payload with
-          | Some whole ->
-            dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto whole
-          | None -> ()
-      end
+      then input_local t h p
       else
         match t.forward with
         | Some fwd ->
@@ -299,11 +307,14 @@ let ip_input t (frame : Netsim.Ether.frame) =
 
 (* -------- send path -------- *)
 
-let send t ~proto ~dst payload =
-  if Ipaddr.equal dst t.my_addr then
+let send t ~proto ~dst buf =
+  let total = Bytes.length buf - header_len in
+  if Ipaddr.equal dst t.my_addr then begin
     (* loopback: deliver on the next tick, no wire *)
+    let payload = Block.view (Bytes.unsafe_to_string buf) header_len total in
     Sim.Engine.after ~label:"ip" t.eng 0. (fun () ->
         dispatch t ~src:t.my_addr ~dst ~proto payload)
+  end
   else begin
     let emit_frag =
       match t.route_out with
@@ -324,19 +335,24 @@ let send t ~proto ~dst payload =
     let max_data = t.mtu_ - header_len in
     (* fragment offsets must be multiples of 8 *)
     let max_data = max_data - (max_data mod 8) in
-    let total = String.length payload in
-    let rec emit off =
-      let remaining = total - off in
-      let take = min max_data remaining in
-      let more = off + take < total in
-      let hdr =
-        encode_header ~len:(header_len + take) ~ipid ~frag_off:off ~more
-          ~proto ~src:t.my_addr ~dst
+    if total <= max_data then begin
+      (* the common case: the buffer itself becomes the frame *)
+      write_header buf ~len:(header_len + total) ~ipid ~frag_off:0
+        ~more:false ~proto ~src:t.my_addr ~dst;
+      emit_frag (Bytes.unsafe_to_string buf)
+    end
+    else
+      let rec emit off =
+        let take = min max_data (total - off) in
+        let more = off + take < total in
+        let frag = Bytes.create (header_len + take) in
+        Bytes.blit buf (header_len + off) frag header_len take;
+        write_header frag ~len:(header_len + take) ~ipid ~frag_off:off ~more
+          ~proto ~src:t.my_addr ~dst;
+        emit_frag (Bytes.unsafe_to_string frag);
+        if more then emit (off + take)
       in
-      emit_frag (hdr ^ String.sub payload off take);
-      if more then emit (off + take)
-    in
-    emit 0
+      emit 0
   end
 
 let register_proto t ~proto handler =
@@ -393,16 +409,7 @@ let deliver_raw t raw =
   match decode_header raw with
   | None -> emit_badsum t
   | Some h ->
-    if String.length raw < h.h_len then emit_badsum t
-    else
-      let payload = String.sub raw header_len (h.h_len - header_len) in
-      if h.h_frag_off = 0 && not h.h_more then
-        dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto payload
-      else
-        match reassemble t h payload with
-        | Some whole ->
-          dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto whole
-        | None -> ()
+    if String.length raw < h.h_len then emit_badsum t else input_local t h raw
 
 let set_forward t fn = t.forward <- Some fn
 let set_route_out t fn = t.route_out <- Some fn

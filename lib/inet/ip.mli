@@ -46,15 +46,26 @@ val mtu : stack -> int
 exception No_route of Ipaddr.t
 (** Destination off-subnet and no gateway configured. *)
 
-val send : stack -> proto:int -> dst:Ipaddr.t -> string -> unit
-(** Transmit one IP packet (fragmenting if needed).  Packets to the
-    stack's own address loop back locally.  ARP misses queue the packet
-    and resolve asynchronously; unresolvable destinations are dropped
-    after the retry budget (a counter records it). *)
+val send : stack -> proto:int -> dst:Ipaddr.t -> Bytes.t -> unit
+(** Transmit one datagram (fragmenting if needed).  The buffer is the
+    transport's message behind {!header_len} bytes of headroom: [send]
+    writes the IP header into the headroom in place and, when the
+    datagram fits the MTU, the buffer itself becomes the frame.  The
+    caller hands the buffer over — nobody may write it afterwards, and
+    readers may keep it (see DESIGN.md, "One buffer per message").
+    Datagrams to the stack's own address loop back locally.  ARP misses
+    queue the packet and resolve asynchronously; unresolvable
+    destinations are dropped after the retry budget (a counter records
+    it). *)
 
 val register_proto :
-  stack -> proto:int -> (src:Ipaddr.t -> dst:Ipaddr.t -> string -> unit) -> unit
-(** Install the handler for an IP protocol number.
+  stack ->
+  proto:int ->
+  (src:Ipaddr.t -> dst:Ipaddr.t -> Block.t -> unit) ->
+  unit
+(** Install the handler for an IP protocol number.  The handler gets a
+    view of the datagram's payload over the received frame (no copy);
+    the view record is the handler's own to advance.
     @raise Invalid_argument if already registered. *)
 
 type counters = {
@@ -94,7 +105,8 @@ type header = {
 }
 
 val header_len : int
-(** 20 — our headers are always option-free. *)
+(** 20 — our headers are always option-free.  Also the headroom a
+    transport leaves at the front of the buffer it hands to {!send}. *)
 
 val decode_header : string -> header option
 (** Parse and checksum-validate an IP header; [None] when malformed. *)

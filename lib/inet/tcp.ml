@@ -101,7 +101,7 @@ type conv = {
   mutable dupacks : int;  (* consecutive duplicate acks at snd_una *)
   mutable recover : int;  (* snd_nxt at loss; fast recovery ends past it *)
   mutable in_recovery : bool;
-  mutable ooo : (int * string) list;
+  mutable ooo : (int * Block.t) list;
       (* out-of-order reassembly, (seq, data) sorted by seq — tcpcc
          only.  The baseline receiver drops anything not at rcv_nxt,
          which is what makes its sender's go-back-N necessary *)
@@ -240,21 +240,26 @@ let put32 b off v =
 let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
 let get32 s off = (get16 s off lsl 16) lor get16 s (off + 2)
 
-let encode ~sport ~dport ~seq ~ack ~flags ~window payload =
-  let len = header_len + String.length payload in
-  let b = Bytes.create len in
-  put16 b 0 sport;
-  put16 b 2 dport;
-  put32 b 4 seq;
-  put32 b 8 ack;
-  put16 b 12 ((5 lsl 12) lor flags);
-  put16 b 14 window;
-  put16 b 16 0;
-  put16 b 18 0;
-  Bytes.blit_string payload 0 b header_len (String.length payload);
-  let sum = Chksum.checksum (Bytes.to_string b) in
-  put16 b 16 sum;
-  Bytes.to_string b
+(* One buffer per segment: IP's headroom, our header, then [len] bytes
+   of the send buffer [data] from [off].  The buffer goes to [Ip.send]
+   as is. *)
+let encode_buf ~sport ~dport ~seq ~ack ~flags ~window data off len =
+  let o = Ip.header_len in
+  let slen = header_len + len in
+  let b = Bytes.create (o + slen) in
+  put16 b o sport;
+  put16 b (o + 2) dport;
+  put32 b (o + 4) seq;
+  put32 b (o + 8) ack;
+  put16 b (o + 12) ((5 lsl 12) lor flags);
+  put16 b (o + 14) window;
+  put16 b (o + 16) 0;
+  put16 b (o + 18) 0;
+  Buffer.blit data off b (o + header_len) len;
+  (* the sum reads through a view that dies with the call *)
+  let sum = Chksum.finish (Chksum.ones_sum (Bytes.unsafe_to_string b) o slen) in
+  put16 b (o + 16) sum;
+  b
 
 type segment = {
   s_sport : int;
@@ -263,40 +268,54 @@ type segment = {
   s_ack : int;
   s_flags : int;
   s_window : int;
-  s_data : string;
+  s_data : Block.t;  (* the datagram's own view, advanced past our header *)
 }
 
-let decode pkt =
-  if String.length pkt < header_len then None
-  else if not (Chksum.valid pkt) then None
+(* checked and parsed in place over the received frame *)
+let decode_view (pkt : Block.t) =
+  let s = pkt.Block.buf and o = pkt.Block.rp and n = Block.len pkt in
+  if n < header_len then None
+  else if not (Chksum.valid_sub s o n) then None
   else
-    let off_flags = get16 pkt 12 in
+    let off_flags = get16 s (o + 12) in
     let data_off = (off_flags lsr 12) * 4 in
-    if data_off < header_len || data_off > String.length pkt then None
-    else
+    if data_off < header_len || data_off > n then None
+    else begin
+      Block.consume pkt data_off;
       Some
         {
-          s_sport = get16 pkt 0;
-          s_dport = get16 pkt 2;
-          s_seq = get32 pkt 4;
-          s_ack = get32 pkt 8;
+          s_sport = get16 s o;
+          s_dport = get16 s (o + 2);
+          s_seq = get32 s (o + 4);
+          s_ack = get32 s (o + 8);
           s_flags = off_flags land 0x3f;
-          s_window = get16 pkt 14;
-          s_data = String.sub pkt data_off (String.length pkt - data_off);
+          s_window = get16 s (o + 14);
+          s_data = pkt;
         }
+    end
+
+let encode ~sport ~dport ~seq ~ack ~flags ~window data =
+  let n = String.length data in
+  let b = Buffer.create n in
+  Buffer.add_string b data;
+  let buf = encode_buf ~sport ~dport ~seq ~ack ~flags ~window b 0 n in
+  Bytes.sub_string buf Ip.header_len (Bytes.length buf - Ip.header_len)
+
+let decode s = decode_view (Block.make s)
 
 (* ---- output ---- *)
 
-let raw_output st ~dst pkt =
+let raw_output st ~dst buf =
   match st.cfg.cpu with
-  | None -> Ip.send st.ip ~proto:st.ipproto ~dst pkt
+  | None -> Ip.send st.ip ~proto:st.ipproto ~dst buf
   | Some cpu ->
     let cost =
       st.cfg.cost_per_seg
-      +. (st.cfg.cost_per_byte *. float_of_int (String.length pkt))
+      +. st.cfg.cost_per_byte
+         *. float_of_int (Bytes.length buf - Ip.header_len)
     in
     Sim.Cpu.run_after ~label:st.pname cpu cost (fun () ->
-        Ip.send st.ip ~proto:st.ipproto ~dst pkt)
+        Ip.send st.ip ~proto:st.ipproto ~dst buf)
 
 let recv_window c =
   let w = max 0 (c.stack.cfg.recv_window - Block.Q.bytes c.rq) in
@@ -307,20 +326,24 @@ let recv_window c =
      an advertised 0 genuinely means "stop" *)
   if c.stack.cc then min 0xffff w else w
 
-let xmit c ~seq ~flags data =
+(* send a segment carrying [len] bytes of the send buffer from [seq]
+   (none for a bare control segment) *)
+let xmit c ~seq ~flags len =
   c.stack.stats.segs_sent <- c.stack.stats.segs_sent + 1;
   c.cstats.segs_sent <- c.cstats.segs_sent + 1;
   raw_output c.stack ~dst:c.raddr
-    (encode ~sport:c.lport ~dport:c.rport ~seq ~ack:c.rcv_nxt
-       ~flags:(flags lor flag_ack) ~window:(recv_window c) data)
+    (encode_buf ~sport:c.lport ~dport:c.rport ~seq ~ack:c.rcv_nxt
+       ~flags:(flags lor flag_ack) ~window:(recv_window c) c.txbuf
+       (if len = 0 then 0 else seq - c.tx_base)
+       len)
 
 (* the very first SYN carries no ACK — there is nothing to acknowledge *)
 let xmit_initial_syn c =
   c.stack.stats.segs_sent <- c.stack.stats.segs_sent + 1;
   c.cstats.segs_sent <- c.cstats.segs_sent + 1;
   raw_output c.stack ~dst:c.raddr
-    (encode ~sport:c.lport ~dport:c.rport ~seq:c.iss ~ack:0 ~flags:flag_syn
-       ~window:(recv_window c) "")
+    (encode_buf ~sport:c.lport ~dport:c.rport ~seq:c.iss ~ack:0 ~flags:flag_syn
+       ~window:(recv_window c) c.txbuf 0 0)
 
 let rto c =
   let t = if c.srtt = 0. then 0.5 else c.srtt +. (4. *. c.mdev) in
@@ -411,7 +434,7 @@ and rto_fire c =
     arm_rto c
   | TSynRcvd ->
     c.backoff <- c.backoff + 1;
-    xmit c ~seq:c.iss ~flags:flag_syn "";
+    xmit c ~seq:c.iss ~flags:flag_syn 0;
     arm_rto c
   | TEstablished | TFinWait1 | TFinWait2 | TCloseWait | TLastAck
   | TTimeWait ->
@@ -460,15 +483,13 @@ and push_segments c =
     let room = tx_limit c - inflight in
     let take = min (min unsent room) c.stack.cfg.mss in
     if take > 0 then begin
-      let off = c.snd_nxt - c.tx_base in
-      let data = Buffer.sub c.txbuf off take in
       if c.rtt_seq = 0 && not c.retransmitting then begin
         c.rtt_seq <- c.snd_nxt + take;
         c.rtt_sent_at <- Sim.Engine.now c.stack.eng
       end;
       c.stack.stats.bytes_sent <- c.stack.stats.bytes_sent + take;
       c.cstats.bytes_sent <- c.cstats.bytes_sent + take;
-      xmit c ~seq:c.snd_nxt ~flags:0 data;
+      xmit c ~seq:c.snd_nxt ~flags:0 take;
       c.snd_nxt <- c.snd_nxt + take;
       if not (Sim.Time.armed c.rexmit_tmr) then begin
         arm_rto c;
@@ -483,7 +504,7 @@ and push_segments c =
         && c.snd_nxt = fin_seq c
         && (c.state = TFinWait1 || c.state = TLastAck)
       then begin
-        xmit c ~seq:c.snd_nxt ~flags:flag_fin "";
+        xmit c ~seq:c.snd_nxt ~flags:flag_fin 0;
         c.snd_nxt <- c.snd_nxt + 1;
         if not (Sim.Time.armed c.rexmit_tmr) then arm_rto c
       end
@@ -523,17 +544,16 @@ and persist_fire c =
       in
       let data_end = min (fin_seq c) (probe_seq + 1) in
       if probe_seq < data_end then begin
-        let data = Buffer.sub c.txbuf (probe_seq - c.tx_base) 1 in
         c.stack.stats.persist_probes <- c.stack.stats.persist_probes + 1;
         c.cstats.persist_probes <- c.cstats.persist_probes + 1;
         bump_counter c "persist_probes" 1;
         (if probe_seq = c.snd_nxt then begin
            c.stack.stats.bytes_sent <- c.stack.stats.bytes_sent + 1;
            c.cstats.bytes_sent <- c.cstats.bytes_sent + 1;
-           xmit c ~seq:probe_seq ~flags:0 data;
+           xmit c ~seq:probe_seq ~flags:0 1;
            c.snd_nxt <- c.snd_nxt + 1
          end
-         else xmit c ~seq:probe_seq ~flags:0 data);
+         else xmit c ~seq:probe_seq ~flags:0 1);
         arm_death c
       end;
       c.persist_backoff <- c.persist_backoff + 1;
@@ -553,21 +573,20 @@ and retransmit_all c =
   let seq = ref c.snd_una in
   while !seq < data_end do
     let take = min (data_end - !seq) c.stack.cfg.mss in
-    let data = Buffer.sub c.txbuf (!seq - c.tx_base) take in
     c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
     c.stack.stats.retransmitted_bytes <-
       c.stack.stats.retransmitted_bytes + take;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     c.cstats.retransmitted_bytes <- c.cstats.retransmitted_bytes + take;
     emit_retransmit c ~seq:!seq ~bytes:take;
-    xmit c ~seq:!seq ~flags:0 data;
+    xmit c ~seq:!seq ~flags:0 take;
     seq := !seq + take
   done;
   if c.fin_queued && c.snd_nxt > fin_seq c then begin
     c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     emit_retransmit c ~seq:(fin_seq c) ~bytes:0;
-    xmit c ~seq:(fin_seq c) ~flags:flag_fin ""
+    xmit c ~seq:(fin_seq c) ~flags:flag_fin 0
   end;
   if outstanding > 0 || c.fin_queued then begin
     c.backoff <- c.backoff + 1;
@@ -582,20 +601,19 @@ and retransmit_head c =
   let data_end = min c.snd_nxt (fin_seq c) in
   if c.snd_una < data_end then begin
     let take = min (data_end - c.snd_una) c.stack.cfg.mss in
-    let data = Buffer.sub c.txbuf (c.snd_una - c.tx_base) take in
     c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
     c.stack.stats.retransmitted_bytes <-
       c.stack.stats.retransmitted_bytes + take;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     c.cstats.retransmitted_bytes <- c.cstats.retransmitted_bytes + take;
     emit_retransmit c ~seq:c.snd_una ~bytes:take;
-    xmit c ~seq:c.snd_una ~flags:0 data
+    xmit c ~seq:c.snd_una ~flags:0 take
   end
   else if c.fin_queued && c.snd_nxt > fin_seq c then begin
     c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     emit_retransmit c ~seq:(fin_seq c) ~bytes:0;
-    xmit c ~seq:(fin_seq c) ~flags:flag_fin ""
+    xmit c ~seq:(fin_seq c) ~flags:flag_fin 0
   end
 
 let process_ack c (s : segment) =
@@ -674,7 +692,7 @@ let process_ack c (s : segment) =
     else if
       c.stack.cc && ack = c.snd_una
       && c.snd_nxt > c.snd_una
-      && String.length s.s_data = 0
+      && Block.len s.s_data = 0
       && s.s_flags land (flag_syn lor flag_fin) = 0
     then begin
       (* duplicate ack: the receiver saw something out of order *)
@@ -710,15 +728,17 @@ let process_ack c (s : segment) =
 
 (* ---- receive ---- *)
 
-let deliver c data =
-  if String.length data > 0 then begin
-    c.stack.stats.bytes_rcvd <- c.stack.stats.bytes_rcvd + String.length data;
-    c.cstats.bytes_rcvd <- c.cstats.bytes_rcvd + String.length data;
+(* the segment's payload view itself is queued *)
+let deliver c (data : Block.t) =
+  let n = Block.len data in
+  if n > 0 then begin
+    c.stack.stats.bytes_rcvd <- c.stack.stats.bytes_rcvd + n;
+    c.cstats.bytes_rcvd <- c.cstats.bytes_rcvd + n;
     (* no delimiters: a plain byte-stream block *)
-    Block.Q.force_put c.rq (Block.make ~delim:false data)
+    Block.Q.force_put c.rq data
   end
 
-let send_bare_ack c = xmit c ~seq:c.snd_nxt ~flags:0 ""
+let send_bare_ack c = xmit c ~seq:c.snd_nxt ~flags:0 0
 
 (* drain the reassembly queue once the in-order edge moved: deliver
    every buffered byte that is now contiguous with rcv_nxt *)
@@ -726,10 +746,11 @@ let drain_ooo c =
   let rec go () =
     match c.ooo with
     | (seq, data) :: rest when seq <= c.rcv_nxt ->
-      let len = String.length data in
+      let len = Block.len data in
       if seq + len > c.rcv_nxt then begin
         let take = seq + len - c.rcv_nxt in
-        deliver c (String.sub data (len - take) take);
+        Block.consume data (len - take);
+        deliver c data;
         c.rcv_nxt <- c.rcv_nxt + take
       end;
       c.ooo <- rest;
@@ -739,13 +760,13 @@ let drain_ooo c =
   go ()
 
 let ooo_bytes c =
-  List.fold_left (fun a (_, d) -> a + String.length d) 0 c.ooo
+  List.fold_left (fun a (_, d) -> a + Block.len d) 0 c.ooo
 
 (* stash a beyond-the-hole segment for later reassembly, keeping the
    list seq-sorted and the total bounded by the receive buffer *)
 let stash_ooo c ~seq data =
   if
-    ooo_bytes c + String.length data <= c.stack.cfg.recv_window
+    ooo_bytes c + Block.len data <= c.stack.cfg.recv_window
     && not (List.exists (fun (q, _) -> q = seq) c.ooo)
   then begin
     c.ooo <-
@@ -755,9 +776,9 @@ let stash_ooo c ~seq data =
 
 let handle_established c (s : segment) =
   process_ack c s;
-  if String.length s.s_data > 0 || s.s_flags land flag_fin <> 0 then begin
+  if Block.len s.s_data > 0 || s.s_flags land flag_fin <> 0 then begin
     if s.s_seq = c.rcv_nxt then begin
-      c.rcv_nxt <- c.rcv_nxt + String.length s.s_data;
+      c.rcv_nxt <- c.rcv_nxt + Block.len s.s_data;
       deliver c s.s_data;
       (* no data follows a FIN, so draining there could only discard
          stale sub-rcv_nxt leftovers — don't let it move rcv_nxt under
@@ -787,7 +808,7 @@ let handle_established c (s : segment) =
          that drives the peer's fast retransmit *)
       if s.s_seq > c.rcv_nxt then begin
         if
-          c.stack.cc && String.length s.s_data > 0
+          c.stack.cc && Block.len s.s_data > 0
           && s.s_flags land (flag_syn lor flag_fin) = 0
         then stash_ooo c ~seq:s.s_seq s.s_data
         else begin
@@ -847,12 +868,12 @@ let handle_segment c (s : segment) =
           c.lis <- None;
           if lis.lis_open then Sim.Mbox.send lis.accepts c
         | None -> ());
-        if String.length s.s_data > 0 || s.s_flags land flag_fin <> 0 then
+        if Block.len s.s_data > 0 || s.s_flags land flag_fin <> 0 then
           handle_established c s
       end
       else if s.s_flags land flag_syn <> 0 then
         (* retransmitted SYN: repeat our SYN-ACK *)
-        xmit c ~seq:c.iss ~flags:flag_syn ""
+        xmit c ~seq:c.iss ~flags:flag_syn 0
     | TEstablished | TFinWait1 | TFinWait2 | TCloseWait | TLastAck
     | TTimeWait -> (
       handle_established c s;
@@ -870,8 +891,8 @@ let handle_segment c (s : segment) =
 
 let send_rst st ~dst ~sport ~dport ~seq ~ack =
   raw_output st ~dst
-    (encode ~sport ~dport ~seq ~ack ~flags:(flag_rst lor flag_ack) ~window:0
-       "")
+    (encode_buf ~sport ~dport ~seq ~ack ~flags:(flag_rst lor flag_ack) ~window:0
+       (Buffer.create 0) 0 0)
 
 let new_iss st = 1 + Random.State.int (Sim.Engine.random st.eng) 0xffffff
 
@@ -947,13 +968,16 @@ let make_conv st ~lport ~rport ~raddr ~state ~iss =
          }));
   c
 
-let input st ~src:sa ~dst:_ pkt =
-  match decode pkt with
+let input st ~src:sa ~dst:_ (pkt : Block.t) =
+  match decode_view pkt with
   | None -> (
     match Sim.Engine.obs st.eng with
     | None -> ()
     | Some tr ->
-      if String.length pkt >= header_len && not (Chksum.valid pkt) then begin
+      if
+        Block.len pkt >= header_len
+        && not (Chksum.valid_sub pkt.Block.buf pkt.Block.rp (Block.len pkt))
+      then begin
         Obs.Trace.emit tr (Obs.Event.Checksum_err { proto = st.pname });
         Obs.Trace.bump tr (st.pname ^ ".badsum") 1
       end)
@@ -978,7 +1002,7 @@ let input st ~src:sa ~dst:_ pkt =
           | None -> ()
           | Some tr -> Obs.Trace.bump tr (st.pname ^ ".backlog_refused") 1);
           send_rst st ~dst:sa ~sport:s.s_dport ~dport:s.s_sport ~seq:s.s_ack
-            ~ack:(s.s_seq + String.length s.s_data)
+            ~ack:(s.s_seq + Block.len s.s_data)
         end
         else begin
           let c =
@@ -991,12 +1015,12 @@ let input st ~src:sa ~dst:_ pkt =
           c.rcv_nxt <- s.s_seq + 1;
           c.snd_wnd <- s.s_window;
           arm_rto c;
-          xmit c ~seq:c.iss ~flags:flag_syn ""
+          xmit c ~seq:c.iss ~flags:flag_syn 0
         end
       | Some _ | None ->
         if s.s_flags land flag_rst = 0 then
           send_rst st ~dst:sa ~sport:s.s_dport ~dport:s.s_sport ~seq:s.s_ack
-            ~ack:(s.s_seq + String.length s.s_data)))
+            ~ack:(s.s_seq + Block.len s.s_data)))
 
 let attach_gen ~pname ~ipproto ~cc ~config ip =
   let eng = Ip.engine ip in
@@ -1035,7 +1059,7 @@ let attach_gen ~pname ~ipproto ~cc ~config ip =
       | Some cpu ->
         let cost =
           config.cost_per_seg
-          +. (config.cost_per_byte *. float_of_int (String.length pkt))
+          +. (config.cost_per_byte *. float_of_int (Block.len pkt))
         in
         Sim.Cpu.run_after ~label:pname cpu cost (fun () ->
             input st ~src ~dst pkt));

@@ -150,7 +150,7 @@ type segment = {
   s_ack : int;
   s_flags : int;
   s_window : int;
-  s_data : string;
+  s_data : Block.t;  (** a view of the payload over the decoded bytes *)
 }
 
 val header_len : int
@@ -165,6 +165,9 @@ val encode :
   window:int ->
   string ->
   string
+(** The segment's bytes — header and data, as IP carries them.  The
+    stack itself encodes straight into the buffer it hands to
+    [Ip.send]. *)
 
 val decode : string -> segment option
 (** [None] on short input or checksum failure; never raises. *)

@@ -32,27 +32,30 @@ let put16 b off v =
 
 let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
 
+(* header and payload behind IP's headroom, ready for [Ip.send] *)
 let encode ~sport ~dport payload =
+  let o = Ip.header_len in
   let len = header_len + String.length payload in
-  let b = Bytes.create len in
-  put16 b 0 sport;
-  put16 b 2 dport;
-  put16 b 4 len;
-  put16 b 6 0;
-  Bytes.blit_string payload 0 b header_len (String.length payload);
-  let sum = Chksum.checksum (Bytes.to_string b) in
-  put16 b 6 (if sum = 0 then 0xffff else sum);
-  Bytes.to_string b
+  let b = Bytes.create (o + len) in
+  put16 b o sport;
+  put16 b (o + 2) dport;
+  put16 b (o + 4) len;
+  put16 b (o + 6) 0;
+  Bytes.blit_string payload 0 b (o + header_len) (String.length payload);
+  let sum = Chksum.finish (Chksum.ones_sum (Bytes.unsafe_to_string b) o len) in
+  put16 b (o + 6) (if sum = 0 then 0xffff else sum);
+  b
 
-let input st ~src ~dst:_ pkt =
-  if String.length pkt >= header_len && Chksum.valid pkt then begin
-    let sport = get16 pkt 0 and dport = get16 pkt 2 and len = get16 pkt 4 in
-    if len = String.length pkt then
+let input st ~src ~dst:_ (pkt : Block.t) =
+  let s = pkt.Block.buf and o = pkt.Block.rp and n = Block.len pkt in
+  if n >= header_len && Chksum.valid_sub s o n then begin
+    let sport = get16 s o and dport = get16 s (o + 2) and len = get16 s (o + 4) in
+    if len = n then
       match Hashtbl.find_opt st.ports dport with
       | Some conv when conv.open_ ->
         st.stats.dg_rcvd <- st.stats.dg_rcvd + 1;
         Sim.Mbox.send conv.inbox
-          (src, sport, String.sub pkt header_len (len - header_len))
+          (src, sport, String.sub s (o + header_len) (len - header_len))
       | Some _ | None ->
         st.stats.dg_dropped_noport <- st.stats.dg_dropped_noport + 1
   end

@@ -137,9 +137,18 @@ and tflush = 82
 
 let rerror = 59
 
-(* ---- little-endian primitive writers/readers ---- *)
+(* ---- little-endian primitive writers/readers ----
 
-let w8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+   The writers run over a cursor.  [encode] makes two passes over a
+   message with the same writers: a sizing pass that only counts bytes,
+   then a pass that fills a buffer of exactly that size — one
+   allocation per message, and one description of each layout. *)
+
+type cursor = { out : Bytes.t; mutable pos : int; sizing : bool }
+
+let w8 b v =
+  if not b.sizing then Bytes.set b.out b.pos (Char.unsafe_chr (v land 0xff));
+  b.pos <- b.pos + 1
 
 let w16 b v =
   w8 b v;
@@ -155,21 +164,29 @@ let w64 b (v : int64) =
   w32 b (Int64.to_int32 v);
   w32 b (Int64.to_int32 (Int64.shift_right_logical v 32))
 
+let wsub b s len =
+  if not b.sizing then Bytes.blit_string s 0 b.out b.pos len;
+  b.pos <- b.pos + len
+
+let wzeros b n =
+  if not b.sizing then Bytes.fill b.out b.pos n '\000';
+  b.pos <- b.pos + n
+
 let wname b s =
   if String.length s >= namelen then
     raise (Bad_message ("name too long: " ^ s));
-  Buffer.add_string b s;
-  Buffer.add_string b (String.make (namelen - String.length s) '\000')
+  wsub b s (String.length s);
+  wzeros b (namelen - String.length s)
 
 let werr b s =
-  let s = if String.length s >= errlen then String.sub s 0 (errlen - 1) else s in
-  Buffer.add_string b s;
-  Buffer.add_string b (String.make (errlen - String.length s) '\000')
+  let n = min (String.length s) (errlen - 1) in
+  wsub b s n;
+  wzeros b (errlen - n)
 
 let wstr2 b s =
   (* 2-byte count + bytes, used for data and variable strings *)
   w16 b (String.length s);
-  Buffer.add_string b s
+  wsub b s (String.length s)
 
 let r8 s off = Char.code s.[off]
 let r16 s off = r8 s off lor (r8 s (off + 1) lsl 8)
@@ -204,8 +221,7 @@ let rstr2 s off what =
 
 (* ---- dir (stat) marshalling ---- *)
 
-let encode_dir d =
-  let b = Buffer.create dirlen in
+let wdir b d =
   wname b d.d_name;
   wname b d.d_uid;
   wname b d.d_gid;
@@ -216,9 +232,13 @@ let encode_dir d =
   w32 b d.d_mtime;
   w64 b d.d_length;
   w16 b d.d_type;
-  w16 b d.d_dev;
-  assert (Buffer.length b = dirlen);
-  Buffer.contents b
+  w16 b d.d_dev
+
+let encode_dir d =
+  let b = { out = Bytes.create dirlen; pos = 0; sizing = false } in
+  wdir b d;
+  assert (b.pos = dirlen);
+  Bytes.unsafe_to_string b.out
 
 let decode_dir s off =
   need s off dirlen "stat";
@@ -237,8 +257,7 @@ let decode_dir s off =
 
 (* ---- top-level encode ---- *)
 
-let encode msg =
-  let b = Buffer.create 64 in
+let write b msg =
   let tag = match msg with T (tag, _) | R (tag, _) -> tag in
   let hdr code =
     w8 b code;
@@ -306,7 +325,7 @@ let encode msg =
     | Twstat { fid; stat } ->
       hdr twstat;
       w16 b fid;
-      Buffer.add_string b (encode_dir stat)
+      wdir b stat
     | Tflush { oldtag } ->
       hdr tflush;
       w16 b oldtag)
@@ -365,12 +384,18 @@ let encode msg =
       w16 b fid
     | Rstat { stat } ->
       hdr (tstat + 1);
-      Buffer.add_string b (encode_dir stat)
+      wdir b stat
     | Rwstat { fid } ->
       hdr (twstat + 1);
       w16 b fid
-    | Rflush -> hdr (tflush + 1)));
-  Buffer.contents b
+    | Rflush -> hdr (tflush + 1)))
+
+let encode msg =
+  let sizer = { out = Bytes.empty; pos = 0; sizing = true } in
+  write sizer msg;
+  let b = { out = Bytes.create sizer.pos; pos = 0; sizing = false } in
+  write b msg;
+  Bytes.unsafe_to_string b.out
 
 (* ---- top-level decode ---- *)
 
@@ -579,27 +604,48 @@ module Frame = struct
     Bytes.set b 0 (Char.chr ((n lsr 8) land 0xff));
     Bytes.set b 1 (Char.chr (n land 0xff));
     Bytes.blit_string s 0 b 2 n;
-    Bytes.to_string b
+    Bytes.unsafe_to_string b
 
-  type splitter = { mutable pending : string }
+  (* [pend] holds the bytes after the last whole message: at most one
+     incomplete message, so every byte is copied a bounded number of
+     times however the stream is chunked *)
+  type splitter = { pend : Buffer.t }
 
-  let splitter () = { pending = "" }
+  let splitter () = { pend = Buffer.create 64 }
+
+  let complete p =
+    let have = Buffer.length p in
+    have >= 2
+    && have >= 2 + ((Char.code (Buffer.nth p 0) lsl 8) lor Char.code (Buffer.nth p 1))
 
   let feed sp chunk =
-    sp.pending <- sp.pending ^ chunk;
-    let out = ref [] in
-    let continue_ = ref true in
-    while !continue_ do
-      let p = sp.pending in
-      if String.length p < 2 then continue_ := false
+    let p = sp.pend in
+    let stream =
+      if Buffer.length p = 0 then Some chunk
       else begin
-        let n = (Char.code p.[0] lsl 8) lor Char.code p.[1] in
-        if String.length p < 2 + n then continue_ := false
-        else begin
-          out := String.sub p 2 n :: !out;
-          sp.pending <- String.sub p (2 + n) (String.length p - 2 - n)
+        Buffer.add_string p chunk;
+        if complete p then begin
+          let s = Buffer.contents p in
+          Buffer.clear p;
+          Some s
         end
+        else None
       end
-    done;
-    List.rev !out
+    in
+    match stream with
+    | None -> []
+    | Some s ->
+      let rec split off acc =
+        let rest = String.length s - off in
+        let n =
+          if rest < 2 then max_int
+          else (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
+        in
+        if n <= rest - 2 then split (off + 2 + n) (String.sub s (off + 2) n :: acc)
+        else begin
+          Buffer.add_substring p s off rest;
+          List.rev acc
+        end
+      in
+      split 0 []
 end

@@ -113,7 +113,10 @@ let fs t =
                  (List.map stat_of (List.rev !children))
                  ~offset ~count)
           | File b ->
-            Ok (Server.slice (Buffer.contents b) ~offset ~count));
+            (* only the requested range leaves the file *)
+            let len = Buffer.length b and off = Int64.to_int offset in
+            if off >= len || off < 0 then Ok ""
+            else Ok (Buffer.sub b off (min count (len - off))));
     fs_write =
       (fun n ~offset ~data ->
         if not n.n_open then Error "not open"
@@ -122,16 +125,18 @@ let fs t =
           | Dir _ -> Error "is a directory"
           | File b ->
             let off = Int64.to_int offset in
-            let cur = Buffer.contents b in
-            let curlen = String.length cur in
+            let curlen = Buffer.length b in
             if off > curlen then Error "write past end of file"
             else begin
-              Buffer.clear b;
-              Buffer.add_string b (String.sub cur 0 off);
+              (* rewrite from [off] on, in place: only bytes past the
+                 write's end are carried over, so appends copy nothing *)
+              let stop = off + String.length data in
+              let tail =
+                if stop < curlen then Buffer.sub b stop (curlen - stop) else ""
+              in
+              Buffer.truncate b off;
               Buffer.add_string b data;
-              let tail = off + String.length data in
-              if tail < curlen then
-                Buffer.add_string b (String.sub cur tail (curlen - tail));
+              Buffer.add_string b tail;
               bump n.n_entry;
               Ok (String.length data)
             end);

@@ -262,13 +262,12 @@ let frame_factory () =
       (fun slot b ->
         match b.Block.kind with
         | Block.Data ->
-          let s = Block.to_string b in
-          let n = String.length s in
+          let n = Block.len b in
           let prefixed = Bytes.create (n + 2) in
           Bytes.set prefixed 0 (Char.chr ((n lsr 8) land 0xff));
           Bytes.set prefixed 1 (Char.chr (n land 0xff));
-          Bytes.blit_string s 0 prefixed 2 n;
-          pass_down slot (Block.make_bytes prefixed)
+          Bytes.blit_string b.Block.buf b.Block.rp prefixed 2 n;
+          pass_down slot (Block.make (Bytes.unsafe_to_string prefixed))
         | Block.Ctl | Block.Hangup -> pass_down slot b);
   }
 

@@ -13,14 +13,14 @@ type host = {
   udp : Inet.Udp.stack;
 }
 
-let make_world ?loss ?(seed = 9) () =
+let make_world ?loss ?mtu ?(seed = 9) () =
   let eng = Sim.Engine.create ~seed () in
   let seg = Netsim.Ether.create ?loss ~name:"ether0" eng in
   let mask = ip "255.255.255.0" in
   let mk n addr =
     let nic = Netsim.Ether.attach seg (ea (Printf.sprintf "08006902%04x" n)) in
     let port = Inet.Etherport.create eng nic in
-    let ipstack = Inet.Ip.create ~addr:(ip addr) ~mask port in
+    let ipstack = Inet.Ip.create ?mtu ~addr:(ip addr) ~mask port in
     {
       ipstack;
       il = Inet.Il.attach ipstack;
@@ -1071,6 +1071,143 @@ let test_routing_ttl_expiry () =
   Alcotest.(check int) "no forward possible" 0
     (Inet.Ip.counters r_a).Inet.Ip.ip_forwarded
 
+(* ---- one buffer per message ---- *)
+
+(* an ether frame carrying IL: IPv4 header (version byte 0x45, proto 40
+   at offset 9) followed by the IL header, whose type byte sits at
+   offset 24.  Type 1 is Data. *)
+let il_type pkt =
+  if String.length pkt > 24 && pkt.[0] = '\x45' && Char.code pkt.[9] = 40
+  then Some (Char.code pkt.[24])
+  else None
+
+let test_il_one_copy_per_side () =
+  (* from Il.write to the peer's Il.read a message is copied once on
+     each side: into the buffer IL hands to IP, and out of the receive
+     queue (Block.Q.read's scratch buffer, then its contents).  The MTU
+     lets the message travel as one frame; a fragmented datagram costs
+     a copy per fragment and one to reassemble. *)
+  let n = 4096 in
+  let eng, _seg, h1, h2 = make_world ~mtu:(2 * n) () in
+  let msg = String.make n 'm' in
+  let before = ref 0. and after = ref 0. and got = ref "" in
+  let _server =
+    spawn eng ~name:"server" (fun () ->
+        let conv = Inet.Il.listen (Inet.Il.announce h2.il ~port:17008) in
+        got := Inet.Il.read conv (2 * n);
+        after := Gc.allocated_bytes ())
+  in
+  let _client =
+    spawn eng ~name:"client" (fun () ->
+        let conv =
+          Inet.Il.connect h1.il ~raddr:(ip "135.104.9.32") ~rport:17008
+        in
+        (* let the handshake settle, with the server parked in its read *)
+        Sim.Time.sleep eng 1.0;
+        before := Gc.allocated_bytes ();
+        Inet.Il.write conv msg)
+  in
+  Sim.Engine.run ~until:10.0 eng;
+  Alcotest.(check bool) "message arrived intact" true (!got = msg);
+  let budget = float_of_int ((3 * n) + (300 * (Sys.word_size / 8))) in
+  let spent = !after -. !before in
+  if spent > budget then
+    Alcotest.failf "write to read allocated %.0f bytes, budget %.0f" spent
+      budget
+
+(* the canonical fault schedule (DESIGN.md): 20% stationary burst loss,
+   5% duplication, 5% reordering, 0.5 ms jitter *)
+let canonical f =
+  Netsim.Fault.set_burst f ~p_enter:0.05 ~p_exit:0.2 ~loss:1.0;
+  Netsim.Fault.set_dup f 0.05;
+  Netsim.Fault.set_reorder ~delay:2e-3 f 0.05;
+  Netsim.Fault.set_jitter f 0.5e-3
+
+let test_il_sent_buffer_never_rewritten () =
+  (* the frame on the wire and the copy IL keeps for retransmission are
+     one string: losing the first Data frame forces IL to resend from
+     it, and the resend (fresh ack, fresh IP id) must not touch the
+     captured frame *)
+  let eng, seg, h1, h2 = make_world ~seed:11 () in
+  let faults = Netsim.Ether.faults seg in
+  canonical faults;
+  let captured = ref None in
+  Netsim.Fault.set_filter faults (fun pkt ->
+      match il_type pkt with
+      | Some 1 when !captured = None ->
+        captured := Some (pkt, Bytes.to_string (Bytes.of_string pkt));
+        Some "filter"
+      | _ -> None);
+  let msgs =
+    List.init 40 (fun i ->
+        Printf.sprintf "msg-%03d-%s" i (String.make (i * 13) 'z'))
+  in
+  let got = ref [] in
+  let _server =
+    spawn eng ~name:"server" (fun () ->
+        let conv = Inet.Il.listen (Inet.Il.announce h2.il ~port:17008) in
+        List.iter
+          (fun _ ->
+            match Inet.Il.read_msg conv with
+            | Some m -> got := m :: !got
+            | None -> ())
+          msgs)
+  in
+  let _client =
+    spawn eng ~name:"client" (fun () ->
+        let conv =
+          Inet.Il.connect h1.il ~raddr:(ip "135.104.9.32") ~rport:17008
+        in
+        List.iter (Inet.Il.write conv) msgs)
+  in
+  Sim.Engine.run ~until:600.0 eng;
+  Alcotest.(check (list string)) "every message delivered as written" msgs
+    (List.rev !got);
+  Alcotest.(check bool) "the lost frame was resent" true
+    ((Inet.Il.counters h1.il).Inet.Il.retransmits >= 1);
+  match !captured with
+  | None -> Alcotest.fail "no Data frame was captured"
+  | Some (frame, snapshot) ->
+    Alcotest.(check bool) "captured frame byte-identical" true
+      (String.equal frame snapshot)
+
+let test_block_views_share_buffer () =
+  let s = String.init 64 (fun i -> Char.chr (i + 32)) in
+  let b = Block.make ~delim:true s in
+  Alcotest.(check bool) "make shares" true (b.Block.buf == s);
+  let sub = Block.sub b 10 in
+  Alcotest.(check bool) "sub shares" true (sub.Block.buf == s);
+  Alcotest.(check string) "sub contents" (String.sub s 0 10)
+    (Block.to_string sub);
+  let v = Block.view s 8 16 in
+  Alcotest.(check bool) "view shares" true (v.Block.buf == s);
+  Alcotest.(check string) "view contents" (String.sub s 8 16)
+    (Block.to_string v)
+
+let test_ip_hands_up_frame_view () =
+  (* a transport handler sees its payload in place in the received
+     frame: same bytes, no copy *)
+  let eng, seg, h1, h2 = make_world () in
+  let proto = 99 in
+  let wire = ref "" and seen = ref None in
+  Netsim.Fault.set_filter (Netsim.Ether.faults seg) (fun pkt ->
+      if String.length pkt > 9 && Char.code pkt.[9] = proto then wire := pkt;
+      None);
+  Inet.Ip.register_proto h2.ipstack ~proto (fun ~src:_ ~dst:_ pkt ->
+      seen := Some pkt);
+  let payload = "in place" in
+  let buf = Bytes.make (Inet.Ip.header_len + String.length payload) '\000' in
+  Bytes.blit_string payload 0 buf Inet.Ip.header_len (String.length payload);
+  Inet.Ip.send h1.ipstack ~proto ~dst:(ip "135.104.9.32") buf;
+  Sim.Engine.run ~until:10.0 eng;
+  match !seen with
+  | None -> Alcotest.fail "datagram not delivered"
+  | Some pkt ->
+    Alcotest.(check string) "payload" payload (Block.to_string pkt);
+    Alcotest.(check bool) "view over the frame" true (pkt.Block.buf == !wire);
+    Alcotest.(check int) "payload after the IP header" Inet.Ip.header_len
+      pkt.Block.rp
+
 let () =
   Alcotest.run "inet"
     [
@@ -1161,5 +1298,16 @@ let () =
             test_routing_large_message_fragments;
           Alcotest.test_case "unroutable dropped" `Quick
             test_routing_ttl_expiry;
+        ] );
+      ( "one-buffer",
+        [
+          Alcotest.test_case "one copy per side" `Quick
+            test_il_one_copy_per_side;
+          Alcotest.test_case "sent buffer never rewritten" `Quick
+            test_il_sent_buffer_never_rewritten;
+          Alcotest.test_case "block views share the buffer" `Quick
+            test_block_views_share_buffer;
+          Alcotest.test_case "ip hands up a view of the frame" `Quick
+            test_ip_hands_up_frame_view;
         ] );
     ]

@@ -588,6 +588,29 @@ let test_devtab_service_replies_per_fid () =
     (fs.fs_write a ~offset:0L ~data:"bad");
   Alcotest.(check string) "and keeps the reply" "one\n" (read a)
 
+let test_ramfs_append_cost_flat () =
+  (* a write that reaches end of file appends in place: a 512-byte
+     write costs the same at the end of a 1 KiB file as at the end of a
+     1 MiB one, instead of copying the whole file *)
+  let append_cost size =
+    let ram = Ninep.Ramfs.make ~name:"ram" () in
+    Ninep.Ramfs.add_file ram "/f" (String.make size 'x');
+    let fs = Ninep.Ramfs.fs ram in
+    let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+    let nd = ok (fs.fs_walk (ok (fs.fs_attach ~uname:"u" ~aname:"")) "f") in
+    ok (fs.fs_open nd F.Owrite ~trunc:false);
+    let data = String.make 512 'y' in
+    (* the first append may grow the file's buffer; measure the second *)
+    ignore (ok (fs.fs_write nd ~offset:(Int64.of_int size) ~data));
+    let before = Gc.allocated_bytes () in
+    ignore (ok (fs.fs_write nd ~offset:(Int64.of_int (size + 512)) ~data));
+    Gc.allocated_bytes () -. before
+  in
+  let small = append_cost 1024 and large = append_cost (1024 * 1024) in
+  if Float.abs (large -. small) > 0.1 *. small then
+    Alcotest.failf "512-byte append: %.0f bytes at 1 KiB, %.0f at 1 MiB" small
+      large
+
 let () =
   Alcotest.run "ninep"
     [
@@ -620,6 +643,8 @@ let () =
           Alcotest.test_case "read without open" `Quick
             test_read_without_open_fails;
           Alcotest.test_case "qid dir bit" `Quick test_qid_dir_bit;
+          Alcotest.test_case "ramfs append cost is flat" `Quick
+            test_ramfs_append_cost_flat;
           Alcotest.test_case "session resets fids" `Quick
             test_session_resets_fids;
         ] );

@@ -296,7 +296,7 @@ let prop_tcp_roundtrip =
       | Some s ->
         s.Inet.Tcp.s_sport = sport && s.s_dport = dport && s.s_seq = seq
         && s.s_ack = ack && s.s_flags = flags && s.s_window = window
-        && s.s_data = data
+        && Block.to_string s.s_data = data
       | None -> false)
 
 let prop_tcp_decode_never_raises =
@@ -330,6 +330,34 @@ let prop_tcp_decode_flip =
       let pos = pos mod Bytes.length b in
       Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
       Inet.Tcp.decode (Bytes.to_string b) = None)
+
+(* ---- 9P framing over byte streams ---- *)
+
+(* a byte stream may be cut anywhere: mid-prefix, mid-body, or many
+   messages to one chunk.  The splitter must hand back exactly the
+   messages that went in, in order, whatever the cuts *)
+let prop_frame_any_split =
+  QCheck.Test.make ~name:"frame splitter: any chunking yields the same messages"
+    ~count:500
+    (QCheck.make
+       QCheck.Gen.(
+         pair
+           (list_size (0 -- 12)
+              (oneof [ bytes_gen 8; bytes_gen 300; bytes_gen 3000 ]))
+           (list_size (0 -- 20) (int_bound 700))))
+    (fun (msgs, cuts) ->
+      let wire = String.concat "" (List.map F.Frame.wrap msgs) in
+      let sp = F.Frame.splitter () in
+      let rec feed off cuts acc =
+        let rest = String.length wire - off in
+        let n, cuts =
+          match cuts with c :: cs -> (min c rest, cs) | [] -> (rest, [])
+        in
+        let acc = List.rev_append (F.Frame.feed sp (String.sub wire off n)) acc in
+        if off + n >= String.length wire then List.rev acc
+        else feed (off + n) cuts acc
+      in
+      feed 0 cuts [] = msgs)
 
 (* ---- the ndb tuple-file parser ---- *)
 
@@ -787,6 +815,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_decode_arbitrary;
           QCheck_alcotest.to_alcotest prop_decode_truncated;
           QCheck_alcotest.to_alcotest prop_decode_mutated;
+          QCheck_alcotest.to_alcotest prop_frame_any_split;
         ] );
       ( "ipaddr",
         [
