@@ -520,7 +520,7 @@ let switch_primitives () =
         let lis = Inet.Il.announce srv ~port:7 in
         ignore
           (Sim.Proc.spawn eng (fun () ->
-               let c = Inet.Il.listen lis in
+               let c = Inet.Conv.listen lis in
                while true do
                  Option.iter (Inet.Il.write c) (Inet.Il.read_msg c)
                done));
@@ -545,7 +545,7 @@ let switch_primitives () =
         let lis = Inet.Il.announce srv ~port:17008 in
         ignore
           (Sim.Proc.spawn eng (fun () ->
-               let c = Inet.Il.listen lis in
+               let c = Inet.Conv.listen lis in
                ignore (Ninep.Server.serve eng (Ninep.Ramfs.fs ram) (transport c))));
         round_trips eng
           ~setup:(fun () ->

@@ -95,7 +95,7 @@ let il_ether =
         let accepted = ref None in
         ignore
           (Sim.Proc.spawn eng ~name:"accept" (fun () ->
-               accepted := Some (Inet.Il.listen lis)));
+               accepted := Some (Inet.Conv.listen lis)));
         let dialer = ref None in
         ignore
           (Sim.Proc.spawn eng ~name:"dial" (fun () ->

@@ -75,7 +75,7 @@ let run ?(seed = 9) ?(schedule = ignore) ?(msgs = 200) ?(size = 1000) proto =
     | Il config ->
       let a = Inet.Il.attach ~config ipa and b = Inet.Il.attach ~config ipb in
       receive (fun () ->
-          let conv = Inet.Il.listen (Inet.Il.announce b ~port:1) in
+          let conv = Inet.Conv.listen (Inet.Il.announce b ~port:1) in
           for _ = 1 to msgs do
             Option.iter
               (fun m -> got := !got + String.length m)
@@ -100,13 +100,13 @@ let run ?(seed = 9) ?(schedule = ignore) ?(msgs = 200) ?(size = 1000) proto =
     | Tcp attach ->
       let a = attach ipa and b = attach ipb in
       receive (fun () ->
-          let conv = Inet.Tcp.listen (Inet.Tcp.announce b ~port:1) in
+          let conv = Inet.Conv.listen (Inet.Conv.announce b ~port:1) in
           while !got < total do
             let s = Inet.Tcp.read conv 8192 in
             if s = "" then got := total else got := !got + String.length s
           done);
       spawn "tx" (fun () ->
-          let conv = Inet.Tcp.connect a ~raddr ~rport:1 in
+          let conv = Inet.Conv.connect a ~raddr ~rport:1 in
           for _ = 1 to msgs do
             Inet.Tcp.write conv payload
           done);

@@ -150,7 +150,7 @@ let boot_diskless w ~ether_addr customize =
   in
   let conv =
     try Inet.Il.connect il ~raddr:fs_ip ~rport:port_9p
-    with Inet.Il.Refused e | Inet.Il.Timeout e -> raise (Boot_error e)
+    with Inet.Conv.Refused e | Inet.Conv.Timeout e -> raise (Boot_error e)
   in
   let tr =
     {

@@ -49,7 +49,7 @@ let zone_answer db name rrtype =
 
 let serve_zone udp ~db =
   let conv = Inet.Udp.bind ~port udp in
-  let eng = Inet.Udp.engine udp in
+  let eng = Inet.Conv.engine udp in
   Sim.Proc.spawn eng ~name:"dns-server" (fun () ->
       let rec loop () =
         let src_addr, src_port, data = Inet.Udp.recv conv in
@@ -112,7 +112,7 @@ let counters r = r.stats
 (* one datagram exchange with one server; collects the matching reply
    or times out *)
 let exchange r server name rrtype =
-  let eng = Inet.Udp.engine r.udp in
+  let eng = Inet.Conv.engine r.udp in
   let conv = Inet.Udp.bind r.udp in
   Fun.protect
     ~finally:(fun () -> Inet.Udp.close conv)
@@ -157,7 +157,7 @@ let exchange r server name rrtype =
       attempt r.retries)
 
 let lookup r name ~rrtype =
-  let eng = Inet.Udp.engine r.udp in
+  let eng = Inet.Conv.engine r.udp in
   let key = (name, rrtype) in
   match Hashtbl.find_opt r.cache key with
   | Some (expiry, values) when Sim.Engine.now eng < expiry ->

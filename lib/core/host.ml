@@ -113,10 +113,10 @@ let create ?uname ?ether ?(segments = []) ?dk ?il_config ?tcp_config
       let tcp = Inet.Tcp.attach ?config:tcp_config ipstack in
       let tcpcc = Inet.Tcp.attach_cc ?config:tcpcc_config ipstack in
       let udp = Inet.Udp.attach ipstack in
-      Netdev.mount env (Netdev.il_proto il);
-      Netdev.mount env (Netdev.tcp_proto tcp);
-      Netdev.mount env (Netdev.tcp_proto tcpcc);
-      Netdev.mount env (Netdev.udp_proto udp);
+      Netdev.mount env (Netdev.ip_proto il);
+      Netdev.mount env (Netdev.ip_proto tcp);
+      Netdev.mount env (Netdev.ip_proto tcpcc);
+      Netdev.mount env (Netdev.ip_proto udp);
       (Some il, Some tcp, Some tcpcc, Some udp)
     | None -> (None, None, None, None)
   in

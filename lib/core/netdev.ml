@@ -1,15 +1,18 @@
-type conv_ops = {
-  cv_read : count:int -> string;
-  cv_write : string -> (int, string) result;
-  cv_local : unit -> string;
-  cv_remote : unit -> string;
-  cv_status : unit -> string;
-  cv_stats : unit -> string;
-  cv_close : unit -> unit;
+type 'c conv_ops = {
+  cv_read : 'c -> count:int -> string;
+  cv_write : 'c -> string -> (int, string) result;
+  cv_local : 'c -> string;
+  cv_remote : 'c -> string;
+  cv_status : 'c -> string;
+  cv_stats : 'c -> string;
+  cv_close : 'c -> unit;
+  cv_hangup : 'c -> unit;  (* close for ctl "hangup": ends blocked reads *)
 }
 
+type conv = Conv : 'c conv_ops * 'c -> conv
+
 type listener_ops = {
-  ln_accept : unit -> (conv_ops * string, string) result;
+  ln_accept : unit -> (conv, string) result;
   ln_set_backlog : int -> (unit, string) result;
       (* the ctl message "backlog n"; protocols without a bounded
          accept queue answer Error *)
@@ -21,14 +24,14 @@ type listener_ops = {
 
 type proto = {
   pr_name : string;
-  pr_connect : string -> (conv_ops * string, string) result;
+  pr_connect : string -> (conv, string) result;
   pr_announce : string -> (listener_ops, string) result;
 }
 
 type conn_state =
   | Idle
   | Announced of listener_ops * string  (* announce address *)
-  | Connected of conv_ops * string  (* remote address *)
+  | Connected of conv
   | Hungup
 
 type conn = {
@@ -53,9 +56,10 @@ let alloc_conn dev =
   Hashtbl.replace dev.conns id c;
   c
 
-let close_conn c =
+let close_conn ?(hangup = false) c =
   (match c.state with
-  | Connected (cv, _) -> cv.cv_close ()
+  | Connected (Conv (ops, cv)) ->
+    if hangup then ops.cv_hangup cv else ops.cv_close cv
   | Announced (ln, _) -> ln.ln_close ()
   | Idle | Hungup -> ());
   c.state <- Hungup
@@ -78,8 +82,8 @@ let ctl_write dev c text =
   match (words, c.state) with
   | [ "connect"; addr ], Idle -> (
     match dev.proto.pr_connect addr with
-    | Ok (cv, remote) ->
-      c.state <- Connected (cv, remote);
+    | Ok cv ->
+      c.state <- Connected cv;
       Ok ()
     | Error e -> Error e)
   | "connect" :: _, (Announced _ | Connected _ | Hungup) ->
@@ -99,7 +103,7 @@ let ctl_write dev c text =
   | "hangup" :: _, _ ->
     (* an optional rejection reason is accepted and, on IP networks,
        ignored — as the paper says *)
-    close_conn c;
+    close_conn ~hangup:true c;
     Ok ()
   | _, _ -> Error ("bad control message: " ^ String.trim text)
 
@@ -133,12 +137,12 @@ let conv_files =
       read =
         (fun n ~offset:_ ~count ->
           match (conv n).state with
-          | Connected (cv, _) -> Ok (cv.cv_read ~count)
+          | Connected (Conv (ops, cv)) -> Ok (ops.cv_read cv ~count)
           | Idle | Announced _ | Hungup -> Error "not connected");
       write =
         (fun n data ->
           match (conv n).state with
-          | Connected (cv, _) -> cv.cv_write data
+          | Connected (Conv (ops, cv)) -> ops.cv_write cv data
           | Idle | Announced _ | Hungup -> Error "not connected");
     };
     {
@@ -151,9 +155,9 @@ let conv_files =
           | Announced (ln, _) -> (
             (* blocks until an incoming call arrives *)
             match ln.ln_accept () with
-            | Ok (cv, remote) ->
+            | Ok cv ->
               let nc = alloc_conn c.dev in
-              nc.state <- Connected (cv, remote);
+              nc.state <- Connected cv;
               (* the returned descriptor points at the new
                  conversation's ctl *)
               Ninep.Devtab.redirect n nc "ctl"
@@ -162,24 +166,24 @@ let conv_files =
     };
     text "local" (fun c ->
         match c.state with
-        | Connected (cv, _) -> cv.cv_local () ^ "\n"
+        | Connected (Conv (ops, cv)) -> ops.cv_local cv ^ "\n"
         | Announced (_, addr) -> addr ^ "\n"
         | Idle | Hungup -> "\n");
     text "remote" (fun c ->
         match c.state with
-        | Connected (cv, _) -> cv.cv_remote () ^ "\n"
+        | Connected (Conv (ops, cv)) -> ops.cv_remote cv ^ "\n"
         | Announced _ | Idle | Hungup -> "\n");
     text "status" (fun c ->
         let name = c.dev.proto.pr_name in
         (match c.state with
-        | Connected (cv, _) -> cv.cv_status ()
+        | Connected (Conv (ops, cv)) -> ops.cv_status cv
         | Announced (ln, _) -> Printf.sprintf "%s/%d %s" name c.id (ln.ln_status ())
         | Idle -> Printf.sprintf "%s/%d 0 Closed" name c.id
         | Hungup -> Printf.sprintf "%s/%d 0 Hungup" name c.id)
         ^ "\n");
     text "stats" (fun c ->
         match c.state with
-        | Connected (cv, _) -> cv.cv_stats ()
+        | Connected (Conv (ops, cv)) -> ops.cv_stats cv
         | Announced _ | Idle | Hungup -> "");
   |]
 
@@ -235,61 +239,26 @@ let after_bang addr =
   | Some i -> String.sub addr (i + 1) (String.length addr - i - 1)
   | None -> addr
 
-(* what IL and TCP have in common: the conversation calls and their
-   three failures *)
-module type IP = sig
-  type stack
-  type conv
-  type listener
-
-  exception Refused of string
-  exception Timeout of string
-  exception Hungup
-  exception Port_exhausted
-
-  val local_addr : stack -> Inet.Ipaddr.t
-  val connect : ?lport:int -> stack -> raddr:Inet.Ipaddr.t -> rport:int -> conv
-  val announce : ?backlog:int -> stack -> port:int -> listener
-  val listen : listener -> conv
-  val close_listener : listener -> unit
-  val set_backlog : listener -> int -> unit
-  val backlog : listener -> int
-  val queued : listener -> int
-  val refused : listener -> int
-  val write : conv -> string -> unit
-  val read : conv -> int -> string
-  val close : conv -> unit
-  val local_port : conv -> int
-  val remote_port : conv -> int
-  val remote_addr : conv -> Inet.Ipaddr.t
-  val status : conv -> string
-  val conv_stats : conv -> string
-end
-
-let ip_proto (type s) (module T : IP with type stack = s) name (st : s) =
-  let conv_ops conv =
+(* the IP transports: every call goes through the conversation core
+   and the protocol's function table *)
+let ip_proto st =
+  let name = Inet.Conv.name st and pr = Inet.Conv.proto st in
+  (* the paper's transcripts show "address port" *)
+  let addr a port = Printf.sprintf "%s %d" (Inet.Ipaddr.to_string a) port in
+  let ops =
     {
-      cv_read = (fun ~count -> T.read conv count);
+      cv_read = (fun c ~count -> pr.read c count);
       cv_write =
-        (fun data ->
-          try
-            T.write conv data;
-            Ok (String.length data)
-          with T.Hungup -> Error "hungup");
-      cv_local =
-        (* the paper's transcripts show "address port" *)
-        (fun () ->
-          Printf.sprintf "%s %d"
-            (Inet.Ipaddr.to_string (T.local_addr st))
-            (T.local_port conv));
-      cv_remote =
-        (fun () ->
-          Printf.sprintf "%s %d"
-            (Inet.Ipaddr.to_string (T.remote_addr conv))
-            (T.remote_port conv));
-      cv_status = (fun () -> T.status conv);
-      cv_stats = (fun () -> T.conv_stats conv);
-      cv_close = (fun () -> T.close conv);
+        (fun c data ->
+          match pr.write c data with
+          | () -> Ok (String.length data)
+          | exception Inet.Conv.Hungup -> Error "hungup");
+      cv_local = (fun c -> addr (Inet.Conv.local_addr st) (pr.ep c).lport);
+      cv_remote = (fun c -> addr (pr.ep c).raddr (pr.ep c).rport);
+      cv_status = pr.status;
+      cv_stats = pr.stats;
+      cv_close = pr.close;
+      cv_hangup = Inet.Conv.shutdown st;
     }
   in
   {
@@ -299,9 +268,9 @@ let ip_proto (type s) (module T : IP with type stack = s) name (st : s) =
         let host, port = split_addr addr in
         match (Inet.Ipaddr.of_string_opt host, int_of_string_opt port) with
         | Some raddr, Some rport -> (
-          try Ok (conv_ops (T.connect st ~raddr ~rport), addr) with
-          | T.Refused e | T.Timeout e -> Error e
-          | T.Port_exhausted -> Error "no free local ports")
+          try Ok (Conv (ops, Inet.Conv.connect st ~raddr ~rport)) with
+          | Inet.Conv.Refused e | Inet.Conv.Timeout e -> Error e
+          | Inet.Conv.Port_exhausted -> Error "no free local ports")
         | _, _ -> Error (Printf.sprintf "bad %s address: %s" name addr));
     pr_announce =
       (fun addr ->
@@ -309,177 +278,57 @@ let ip_proto (type s) (module T : IP with type stack = s) name (st : s) =
         | None -> Error (Printf.sprintf "bad %s announcement: %s" name addr)
         | Some port -> (
           try
-            let lis = T.announce st ~port in
+            let lis = Inet.Conv.announce st ~port in
             Ok
               {
-                ln_accept =
-                  (fun () ->
-                    let conv = T.listen lis in
-                    Ok
-                      ( conv_ops conv,
-                        Printf.sprintf "%s!%d"
-                          (Inet.Ipaddr.to_string (T.remote_addr conv))
-                          (T.remote_port conv) ));
+                ln_accept = (fun () -> Ok (Conv (ops, Inet.Conv.listen lis)));
                 ln_set_backlog =
                   (fun n ->
-                    T.set_backlog lis n;
+                    Inet.Conv.set_backlog lis n;
                     Ok ());
                 ln_status =
                   (fun () ->
                     Printf.sprintf "%d Announced backlog %d queued %d refused %d"
-                      port (T.backlog lis) (T.queued lis) (T.refused lis));
-                ln_close = (fun () -> T.close_listener lis);
+                      port (Inet.Conv.backlog lis) (Inet.Conv.queued lis)
+                      (Inet.Conv.refused lis));
+                ln_close = (fun () -> Inet.Conv.close_listener lis);
               }
           with Invalid_argument e -> Error e));
   }
 
-(* each transport's module is packed once *)
-let il_proto = ip_proto (module Inet.Il) "il"
+(* a URP conversation over a Datakit circuit *)
+type urp = { line : Dk.Switch.line; urp : Dk.Urp.conv; remote : string }
 
-(* serves both registered variants: the directory name and error
-   strings follow the stack ("tcp" or "tcpcc") *)
-let tcp_proto =
-  let tcp = ip_proto (module Inet.Tcp) in
-  fun st -> tcp (Inet.Tcp.proto_name st) st
-
-(* a UDP conversation with one peer, whose next datagram [recv]
-   blocks for *)
-let udp_conv st ~port ~raddr ~rport ~recv ~send ~close =
+let urp_ops =
   {
-    cv_read =
-      (fun ~count ->
-        let d = recv () in
-        if String.length d <= count then d else String.sub d 0 count);
-    cv_write = send;
-    cv_local =
-      (fun () ->
-        Printf.sprintf "%s!%d" (Inet.Ipaddr.to_string (Inet.Udp.local_addr st)) port);
-    cv_remote = (fun () -> Printf.sprintf "%s!%d" (Inet.Ipaddr.to_string raddr) rport);
-    cv_status = (fun () -> Printf.sprintf "udp/%d Open" port);
-    cv_stats =
-      (fun () ->
-        let c = Inet.Udp.counters st in
-        Printf.sprintf "dgrams_sent %d\ndgrams_rcvd %d\nno_port %d\n"
-          c.Inet.Udp.dg_sent c.Inet.Udp.dg_rcvd c.Inet.Udp.dg_dropped_noport);
-    cv_close = close;
-  }
-
-let udp_proto st =
-  {
-    pr_name = "udp";
-    pr_connect =
-      (fun addr ->
-        let host, port = split_addr addr in
-        match (Inet.Ipaddr.of_string_opt host, int_of_string_opt port) with
-        | Some raddr, Some rport ->
-          (* "connected" UDP: a bound socket restricted to one peer *)
-          let conv = Inet.Udp.bind st in
-          let closed = ref false in
-          let rec recv () =
-            let src, sport, data = Inet.Udp.recv conv in
-            if Inet.Ipaddr.equal src raddr && sport = rport then data else recv ()
-          in
-          Ok
-            ( udp_conv st ~port:(Inet.Udp.port conv) ~raddr ~rport
-                ~recv:(fun () -> if !closed then "" else recv ())
-                ~send:(fun data ->
-                  if !closed then Error "hungup"
-                  else begin
-                    Inet.Udp.send conv ~dst:raddr ~dport:rport data;
-                    Ok (String.length data)
-                  end)
-                ~close:(fun () ->
-                  closed := true;
-                  Inet.Udp.close conv),
-              addr )
-        | _, _ -> Error ("bad udp address: " ^ addr));
-    pr_announce =
-      (fun addr ->
-        match int_of_string_opt (after_bang addr) with
-        | None -> Error ("bad udp announcement: " ^ addr)
-        | Some port -> (
-          try
-            let conv = Inet.Udp.bind ~port st in
-            let eng = Inet.Udp.engine st in
-            (* a dispatcher demultiplexes datagrams into one
-               conversation per remote endpoint; replies go out from
-               the announced port *)
-            let peers :
-                (int32 * int, string Sim.Mbox.t) Hashtbl.t =
-              Hashtbl.create 7
-            in
-            let accept_q = Sim.Mbox.create eng in
-            let dispatcher =
-              Sim.Proc.spawn eng ~name:"udp-demux" (fun () ->
-                  let rec loop () =
-                    let src, sport, data = Inet.Udp.recv conv in
-                    let key = (Inet.Ipaddr.to_int32 src, sport) in
-                    (match Hashtbl.find_opt peers key with
-                    | Some mb -> Sim.Mbox.send mb data
-                    | None ->
-                      let mb = Sim.Mbox.create eng in
-                      Hashtbl.replace peers key mb;
-                      Sim.Mbox.send mb data;
-                      Sim.Mbox.send accept_q (src, sport, mb));
-                    loop ()
-                  in
-                  loop ())
-            in
-            Ok
-              {
-                ln_accept =
-                  (fun () ->
-                    let src, sport, mb = Sim.Mbox.recv accept_q in
-                    let key = (Inet.Ipaddr.to_int32 src, sport) in
-                    let cv =
-                      udp_conv st ~port ~raddr:src ~rport:sport
-                        ~recv:(fun () -> Sim.Mbox.recv mb)
-                        ~send:(fun data ->
-                          Inet.Udp.send conv ~dst:src ~dport:sport data;
-                          Ok (String.length data))
-                        ~close:(fun () -> Hashtbl.remove peers key)
-                    in
-                    Ok
-                      ( cv,
-                        Printf.sprintf "%s!%d" (Inet.Ipaddr.to_string src)
-                          sport ))
-                ;
-                ln_set_backlog = (fun _ -> Error "udp has no backlog");
-                ln_status = (fun () -> "0 Announced");
-                ln_close =
-                  (fun () ->
-                    Sim.Proc.kill dispatcher;
-                    Inet.Udp.close conv);
-              }
-          with Invalid_argument e -> Error e));
-  }
-
-let urp_conv line conv ~remote =
-  {
-    cv_read = (fun ~count -> Dk.Urp.read conv count);
+    cv_read = (fun u ~count -> Dk.Urp.read u.urp count);
     cv_write =
-      (fun data ->
+      (fun u data ->
         try
-          Dk.Urp.write conv data;
+          Dk.Urp.write u.urp data;
           Ok (String.length data)
         with Dk.Urp.Hungup -> Error "hungup");
-    cv_local = (fun () -> Dk.Switch.line_name line);
-    cv_remote = (fun () -> remote);
+    cv_local = (fun u -> Dk.Switch.line_name u.line);
+    cv_remote = (fun u -> u.remote);
     cv_status =
-      (fun () ->
-        let c = Dk.Urp.counters conv in
+      (fun u ->
+        let c = Dk.Urp.counters u.urp in
         Printf.sprintf "urp Established rexmit %d" c.Dk.Urp.retransmits);
     cv_stats =
-      (fun () ->
-        let c = Dk.Urp.counters conv in
+      (fun u ->
+        let c = Dk.Urp.counters u.urp in
         Printf.sprintf
           "cells_sent %d\ncells_rcvd %d\nbytes_sent %d\nbytes_rcvd %d\n\
            retransmits %d\nenqs_sent %d\ndups_dropped %d\n"
           c.Dk.Urp.cells_sent c.Dk.Urp.cells_rcvd c.Dk.Urp.bytes_sent
           c.Dk.Urp.bytes_rcvd c.Dk.Urp.retransmits c.Dk.Urp.enqs_sent
           c.Dk.Urp.dups_dropped);
-    cv_close = (fun () -> Dk.Urp.close conv);
+    cv_close = (fun u -> Dk.Urp.close u.urp);
+    cv_hangup = (fun u -> Dk.Urp.close u.urp);
   }
+
+let urp_conv line circ ~remote =
+  Conv (urp_ops, { line; urp = Dk.Urp.over circ; remote })
 
 let dk_proto line =
   {
@@ -492,7 +341,7 @@ let dk_proto line =
         else
           try
             let circ = Dk.Circuit.dial line ~dest ~service in
-            Ok (urp_conv line (Dk.Urp.over circ) ~remote:addr, addr)
+            Ok (urp_conv line circ ~remote:addr)
           with
           | Dk.Circuit.Rejected reason -> Error reason
           | Dk.Circuit.No_such_line l -> Error ("no such system: " ^ l));
@@ -509,7 +358,7 @@ let dk_proto line =
                   let inc = Sim.Mbox.recv calls in
                   let caller = Dk.Circuit.caller inc in
                   let circ = Dk.Circuit.accept inc in
-                  Ok (urp_conv line (Dk.Urp.over circ) ~remote:caller, caller));
+                  Ok (urp_conv line circ ~remote:caller));
               ln_set_backlog = (fun _ -> Error "dk has no backlog");
               ln_status = (fun () -> "0 Announced");
               ln_close = (fun () -> ());

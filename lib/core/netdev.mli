@@ -23,23 +23,29 @@
     small record of protocol operations — the network-specific part is
     only address parsing and the conversation calls. *)
 
-type conv_ops = {
-  cv_read : count:int -> string;
+(** The calls on one protocol's conversations (of type ['c]). *)
+type 'c conv_ops = {
+  cv_read : 'c -> count:int -> string;
       (** blocking; respects message delimiters where the protocol has
           them; [""] at end of conversation *)
-  cv_write : string -> (int, string) result;
-  cv_local : unit -> string;
-  cv_remote : unit -> string;
-  cv_status : unit -> string;
-  cv_stats : unit -> string;
+  cv_write : 'c -> string -> (int, string) result;
+  cv_local : 'c -> string;
+  cv_remote : 'c -> string;
+  cv_status : 'c -> string;
+  cv_stats : 'c -> string;
       (** per-connection statistics, one ["name value\n"] line per
           counter — the [stats] file *)
-  cv_close : unit -> unit;
+  cv_close : 'c -> unit;
+  cv_hangup : 'c -> unit;
+      (** the ctl message [hangup]: close, and end any read blocked on
+          the conversation *)
 }
 
+(** A conversation with its protocol's calls. *)
+type conv = Conv : 'c conv_ops * 'c -> conv
+
 type listener_ops = {
-  ln_accept : unit -> (conv_ops * string, string) result;
-      (** blocks; also returns the remote address for the new conn *)
+  ln_accept : unit -> (conv, string) result;  (** blocks *)
   ln_set_backlog : int -> (unit, string) result;
       (** the ctl message [backlog n]; protocols without a bounded
           accept queue answer [Error] *)
@@ -51,10 +57,9 @@ type listener_ops = {
 
 type proto = {
   pr_name : string;  (** directory name under /net: "il", "tcp", ... *)
-  pr_connect : string -> (conv_ops * string, string) result;
+  pr_connect : string -> (conv, string) result;
       (** [addr] is the protocol-specific ASCII string CS produced,
-          e.g. ["135.104.9.31!17008"]; blocks until established; also
-          returns the remote address string *)
+          e.g. ["135.104.9.31!17008"]; blocks until established *)
   pr_announce : string -> (listener_ops, string) result;
 }
 
@@ -70,7 +75,8 @@ val mount : Vfs.Env.t -> proto -> unit
 
 (** {1 Protocol adapters} *)
 
-val il_proto : Inet.Il.stack -> proto
-val tcp_proto : Inet.Tcp.stack -> proto
-val udp_proto : Inet.Udp.stack -> proto
+val ip_proto : ('c, 'p) Inet.Conv.stack -> proto
+(** IL, TCP, tcpcc or UDP: the device named after the stack, its calls
+    those of the conversation core and the protocol's table. *)
+
 val dk_proto : Dk.Switch.line -> proto

@@ -25,13 +25,18 @@
     The wire format is the historical one: an 18-byte header
     [sum len type spec srcport dstport id ack] in front of the data. *)
 
-type stack
-(** The per-host IL protocol instance. *)
-
 type conv
-(** One conversation. *)
+(** One conversation; it embeds the core's {!Conv.ep}. *)
 
-type listener
+type priv
+(** IL's per-stack data: configuration and counters. *)
+
+type stack = (conv, priv) Conv.stack
+(** The per-host IL protocol instance: the conversation core with IL's
+    table, so every shared call ({!Conv.listen}, {!Conv.set_backlog},
+    ...) applies to it directly. *)
+
+type listener = (conv, priv) Conv.listener
 
 type config = {
   window : int;  (** outstanding-message window (default 20) *)
@@ -70,60 +75,24 @@ type counters = {
 val attach : ?config:config -> Ip.stack -> stack
 (** Register IL with the IP stack.  One per host. *)
 
-val engine : stack -> Sim.Engine.t
 val counters : stack -> counters
-val local_addr : stack -> Ipaddr.t
-
-exception Refused of string
-(** Connection reset or rejected by the peer. *)
-
-exception Timeout of string
-(** Handshake or data death-timer expiry. *)
-
-exception Hungup
-(** Write on a closed/hung-up conversation. *)
-
-exception Port_exhausted
-(** Every ephemeral local port is in use. *)
 
 val connect : ?lport:int -> stack -> raddr:Ipaddr.t -> rport:int -> conv
-(** Active open; blocks the calling process until established.
-    @raise Refused or @raise Timeout on failure.
-    @raise Port_exhausted if no ephemeral port is free. *)
+(** {!Conv.connect}. *)
 
 val announce : ?backlog:int -> stack -> port:int -> listener
-(** Passive open.  [backlog] (default 16) bounds calls pending accept —
-    half-open handshakes plus established calls waiting in {!listen}'s
-    queue; a Sync arriving beyond it is refused with a reset, counted in
-    {!refused}.  @raise Invalid_argument if the port is taken. *)
-
-val listen : listener -> conv
-(** Block until an incoming call is established. *)
-
-val close_listener : listener -> unit
-
-val set_backlog : listener -> int -> unit
-(** Adjust the accept backlog (clamped to >= 1); the ctl message
-    [backlog n] lands here. *)
-
-val backlog : listener -> int
-val queued : listener -> int
-(** Calls currently occupying backlog slots (half-open + awaiting
-    accept). *)
-
-val refused : listener -> int
-(** Calls refused because the backlog was full. *)
+(** {!Conv.announce}: a Sync beyond the backlog is answered with a
+    reset. *)
 
 val refusals : stack -> int
-(** Stack-wide backlog refusals, surviving listener teardown. *)
-
 val conv_count : stack -> int
-(** Live conversations on this stack. *)
+(** {!Conv.refusals} and {!Conv.conv_count}, under the names the
+    benchmark reads. *)
 
 val write : conv -> string -> unit
 (** Send one message (delimited; sequenced; reliable).  Blocks while
     the outstanding-message window is full.
-    @raise Hungup once the conversation is down. *)
+    @raise Conv.Hungup once the conversation is down. *)
 
 val read : conv -> int -> string
 (** Read up to [n] bytes; never crosses a message boundary; [""] at end
@@ -134,27 +103,3 @@ val read_msg : conv -> string option
 
 val close : conv -> unit
 (** Orderly close (close handshake with the peer). *)
-
-val conv_id : conv -> int
-val local_port : conv -> int
-val remote_port : conv -> int
-val remote_addr : conv -> Ipaddr.t
-
-val status : conv -> string
-(** State name plus window/retransmit/timer detail, like reading the
-    [status] file. *)
-
-val conv_counters : conv -> counters
-(** Per-conversation counters (the stack's {!counters} aggregate all
-    conversations; these belong to just this one). *)
-
-val conv_stats : conv -> string
-(** The per-conversation counters as [name value] lines — the contents
-    of the conversation's [stats] file. *)
-
-val state_name : conv -> string
-(** [Closed], [Syncer], [Syncee], [Established], [Listening],
-    [Closing]. *)
-
-val rtt_estimate : conv -> float
-(** Current smoothed round-trip estimate in seconds. *)

@@ -84,15 +84,11 @@ let put16 b off v =
   Bytes.set b (off + 1) (Char.chr (v land 0xff))
 
 let put32 b off v =
-  put16 b off (Int32.to_int (Int32.shift_right_logical v 16));
-  put16 b (off + 2) (Int32.to_int (Int32.logand v 0xffffl))
+  put16 b off ((v lsr 16) land 0xffff);
+  put16 b (off + 2) (v land 0xffff)
 
 let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-
-let get32 s off =
-  Int32.logor
-    (Int32.shift_left (Int32.of_int (get16 s off)) 16)
-    (Int32.of_int (get16 s (off + 2)))
+let get32 s off = (get16 s off lsl 16) lor get16 s (off + 2)
 
 (* Ethernet addresses travel on the wire as 6 raw bytes. *)
 let eaddr_to_raw e =
@@ -118,8 +114,8 @@ let write_header b ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
   Bytes.set b 8 '\x40' (* ttl 64 *);
   Bytes.set b 9 (Char.chr proto);
   put16 b 10 0;
-  put32 b 12 (Ipaddr.to_int32 sa);
-  put32 b 16 (Ipaddr.to_int32 da);
+  put32 b 12 (Int32.to_int (Ipaddr.to_int32 sa));
+  put32 b 16 (Int32.to_int (Ipaddr.to_int32 da));
   (* the checksum reads the header through a view that dies with the
      call, before the two checksum bytes are written *)
   let sum =
@@ -147,8 +143,8 @@ let decode_header pkt =
         h_frag_off = (fragword land 0x1fff) * 8;
         h_more = fragword land 0x2000 <> 0;
         h_proto = Char.code pkt.[9];
-        h_src = Ipaddr.of_int32 (get32 pkt 12);
-        h_dst = Ipaddr.of_int32 (get32 pkt 16);
+        h_src = Ipaddr.of_int32 (Int32.of_int (get32 pkt 12));
+        h_dst = Ipaddr.of_int32 (Int32.of_int (get32 pkt 16));
       }
 
 (* -------- ARP -------- *)
@@ -161,9 +157,9 @@ let encode_arp ~op ~sha ~spa ~tha ~tpa =
   Bytes.set b 5 '\004';
   put16 b 6 op;
   Bytes.blit_string (eaddr_to_raw sha) 0 b 8 6;
-  put32 b 14 (Ipaddr.to_int32 spa);
+  put32 b 14 (Int32.to_int (Ipaddr.to_int32 spa));
   Bytes.blit_string (eaddr_to_raw tha) 0 b 18 6;
-  put32 b 24 (Ipaddr.to_int32 tpa);
+  put32 b 24 (Int32.to_int (Ipaddr.to_int32 tpa));
   Bytes.to_string b
 
 let transmit_raw t ~dst_ether raw =
@@ -207,8 +203,8 @@ let arp_input t (frame : Netsim.Ether.frame) =
   if String.length p >= 28 && get16 p 0 = 1 && get16 p 2 = etype_ip then begin
     let op = get16 p 6 in
     let sha = eaddr_of_raw p 8 in
-    let spa = Ipaddr.of_int32 (get32 p 14) in
-    let tpa = Ipaddr.of_int32 (get32 p 24) in
+    let spa = Ipaddr.of_int32 (Int32.of_int (get32 p 14)) in
+    let tpa = Ipaddr.of_int32 (Int32.of_int (get32 p 24)) in
     (* learn the sender either way *)
     let key = Ipaddr.to_int32 spa in
     let queued =

@@ -108,6 +108,16 @@ val header_len : int
 (** 20 — our headers are always option-free.  Also the headroom a
     transport leaves at the front of the buffer it hands to {!send}. *)
 
+(** {2 Big-endian fields}
+
+    The wire helpers every header codec here uses; 32-bit fields are
+    unsigned [int]s. *)
+
+val put16 : Bytes.t -> int -> int -> unit
+val put32 : Bytes.t -> int -> int -> unit
+val get16 : string -> int -> int
+val get32 : string -> int -> int
+
 val decode_header : string -> header option
 (** Parse and checksum-validate an IP header; [None] when malformed. *)
 

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "tcp" ~doc:"baseline TCP"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let header_len = 20
 let flag_fin = 1
 let flag_syn = 2
@@ -58,17 +54,17 @@ type tstate =
   | TLastAck
   | TTimeWait
 
-exception Refused of string
-exception Timeout of string
-exception Hungup
-exception Port_exhausted
+type priv = {
+  eng : Sim.Engine.t;
+  pname : string;  (* "tcp" or "tcpcc": /net dir, Obs event tag *)
+  cc : bool;  (* congestion machinery enabled *)
+  cfg : config;
+  stats : counters;
+}
 
 type conv = {
-  cid : int;
-  stack : stack;
-  lport : int;
-  rport : int;
-  raddr : Ipaddr.t;
+  ep : (conv, priv) Conv.ep;
+  pv : priv;
   cstats : counters;  (* per-conversation mirror of the stack counters *)
   mutable state : tstate;
   mutable iss : int;  (* initial send sequence *)
@@ -81,17 +77,10 @@ type conv = {
   txbuf : Buffer.t;
   mutable tx_base : int;  (* sequence number of txbuf byte 0 *)
   mutable fin_queued : bool;
-  rq : Block.Q.t;
-  wwait : Sim.Rendez.t;
-  estwait : Sim.Rendez.t;
   mutable srtt : float;
   mutable mdev : float;
   mutable backoff : int;
   rexmit_tmr : Sim.Time.timer;  (* disarmed = nothing outstanding *)
-  death_tmr : Sim.Time.timer;
-  mutable death_at : float;
-      (* pushed on every ack; the timer fires at the stale deadline and
-         re-arms itself if the real one moved (lazy reschedule) *)
   mutable rtt_seq : int;  (* sequence being timed; 0 = none *)
   mutable rtt_sent_at : float;
   mutable retransmitting : bool;  (* Karn: don't time retransmitted data *)
@@ -108,43 +97,12 @@ type conv = {
   (* zero-window persist state (both protos) *)
   persist_tmr : Sim.Time.timer;
   mutable persist_backoff : int;
-  mutable err : string option;
-  mutable lis : listener option;  (* half-open SynRcvd's listener slot *)
 }
 
-and listener = {
-  lstack : stack;
-  lis_port : int;
-  accepts : conv Sim.Mbox.t;
-  mutable lis_open : bool;
-  mutable backlog : int;
-  mutable lis_pending : int;  (* half-open SynRcvds counted in backlog *)
-  mutable refused : int;
-}
+type stack = (conv, priv) Conv.stack
+type listener = (conv, priv) Conv.listener
 
-and stack = {
-  eng : Sim.Engine.t;
-  ip : Ip.stack;
-  pname : string;  (* "tcp" or "tcpcc": /net dir, Obs event tag *)
-  ipproto : int;
-  cc : bool;  (* congestion machinery enabled *)
-  cfg : config;
-  convs : (int * int * int32, conv) Hashtbl.t;
-  listeners : (int, listener) Hashtbl.t;
-  mutable next_port : int;
-  mutable next_cid : int;
-  mutable refusals : int;  (* backlog refusals, all listeners *)
-  stats : counters;
-}
-
-let engine st = st.eng
-let counters st = st.stats
-let local_addr st = Ip.addr st.ip
-let proto_name st = st.pname
-let conv_id c = c.cid
-let local_port c = c.lport
-let remote_port c = c.rport
-let remote_addr c = c.raddr
+let counters st = (Conv.priv st).stats
 
 let state_str = function
   | TClosed -> "Closed"
@@ -157,7 +115,11 @@ let state_str = function
   | TLastAck -> "Last_ack"
   | TTimeWait -> "Time_wait"
 
-let state_name c = state_str c.state
+let phase = function
+  | TClosed -> Conv.Closed
+  | TSynSent | TSynRcvd -> Conv.Opening
+  | TEstablished -> Conv.Open
+  | TFinWait1 | TFinWait2 | TCloseWait | TLastAck | TTimeWait -> Conv.Closing
 
 (* the sender-side recovery state, surfaced in status/stats *)
 let recovery_str c =
@@ -168,16 +130,15 @@ let recovery_str c =
 let status c =
   let base =
     Printf.sprintf "%s/%d %d %s una %d nxt %d rcv %d rexmit %d rtt %.0fms"
-      c.stack.pname c.cid c.lport (state_name c) c.snd_una c.snd_nxt c.rcv_nxt
+      c.pv.pname c.ep.cid c.ep.lport (state_str c.state) c.snd_una c.snd_nxt
+      c.rcv_nxt
       c.cstats.retransmits (c.srtt *. 1000.)
   in
-  if c.stack.cc then
+  if c.pv.cc then
     base
     ^ Printf.sprintf " cwnd %d ssthresh %d %s" c.cwnd c.ssthresh
         (recovery_str c)
   else base
-
-let conv_counters c = c.cstats
 
 let conv_stats c =
   let s = c.cstats in
@@ -195,7 +156,7 @@ let conv_stats c =
        Printf.sprintf "rtt_ms %.3f" (c.srtt *. 1000.);
      ]
     @
-    if c.stack.cc then
+    if c.pv.cc then
       [
         Printf.sprintf "cwnd %d" c.cwnd;
         Printf.sprintf "ssthresh %d" c.ssthresh;
@@ -207,38 +168,16 @@ let conv_stats c =
   ^ "\n"
 
 let cwnd c = c.cwnd
-let ssthresh c = c.ssthresh
-let in_recovery c = c.in_recovery
 
 (* state transitions are traced; every change funnels through here *)
 let set_state c s =
   if c.state <> s then begin
-    (match Sim.Engine.obs c.stack.eng with
-    | None -> ()
-    | Some tr ->
-      Obs.Trace.emit tr
-        (Obs.Event.Proto_state
-           {
-             proto = c.stack.pname;
-             conv = c.cid;
-             from_ = state_str c.state;
-             to_ = state_str s;
-           }));
-    c.state <- s
+    Conv.trace_state c.ep ~from_:(state_str c.state) ~to_:(state_str s);
+    c.state <- s;
+    c.ep.phase <- phase s
   end
 
 (* ---- wire format ---- *)
-
-let put16 b off v =
-  Bytes.set b off (Char.chr ((v lsr 8) land 0xff));
-  Bytes.set b (off + 1) (Char.chr (v land 0xff))
-
-let put32 b off v =
-  put16 b off ((v lsr 16) land 0xffff);
-  put16 b (off + 2) (v land 0xffff)
-
-let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-let get32 s off = (get16 s off lsl 16) lor get16 s (off + 2)
 
 (* One buffer per segment: IP's headroom, our header, then [len] bytes
    of the send buffer [data] from [off].  The buffer goes to [Ip.send]
@@ -247,18 +186,18 @@ let encode_buf ~sport ~dport ~seq ~ack ~flags ~window data off len =
   let o = Ip.header_len in
   let slen = header_len + len in
   let b = Bytes.create (o + slen) in
-  put16 b o sport;
-  put16 b (o + 2) dport;
-  put32 b (o + 4) seq;
-  put32 b (o + 8) ack;
-  put16 b (o + 12) ((5 lsl 12) lor flags);
-  put16 b (o + 14) window;
-  put16 b (o + 16) 0;
-  put16 b (o + 18) 0;
+  Ip.put16 b o sport;
+  Ip.put16 b (o + 2) dport;
+  Ip.put32 b (o + 4) seq;
+  Ip.put32 b (o + 8) ack;
+  Ip.put16 b (o + 12) ((5 lsl 12) lor flags);
+  Ip.put16 b (o + 14) window;
+  Ip.put16 b (o + 16) 0;
+  Ip.put16 b (o + 18) 0;
   Buffer.blit data off b (o + header_len) len;
   (* the sum reads through a view that dies with the call *)
   let sum = Chksum.finish (Chksum.ones_sum (Bytes.unsafe_to_string b) o slen) in
-  put16 b (o + 16) sum;
+  Ip.put16 b (o + 16) sum;
   b
 
 type segment = {
@@ -277,19 +216,19 @@ let decode_view (pkt : Block.t) =
   if n < header_len then None
   else if not (Chksum.valid_sub s o n) then None
   else
-    let off_flags = get16 s (o + 12) in
+    let off_flags = Ip.get16 s (o + 12) in
     let data_off = (off_flags lsr 12) * 4 in
     if data_off < header_len || data_off > n then None
     else begin
       Block.consume pkt data_off;
       Some
         {
-          s_sport = get16 s o;
-          s_dport = get16 s (o + 2);
-          s_seq = get32 s (o + 4);
-          s_ack = get32 s (o + 8);
+          s_sport = Ip.get16 s o;
+          s_dport = Ip.get16 s (o + 2);
+          s_seq = Ip.get32 s (o + 4);
+          s_ack = Ip.get32 s (o + 8);
           s_flags = off_flags land 0x3f;
-          s_window = get16 s (o + 14);
+          s_window = Ip.get16 s (o + 14);
           s_data = pkt;
         }
     end
@@ -305,82 +244,63 @@ let decode s = decode_view (Block.make s)
 
 (* ---- output ---- *)
 
-let raw_output st ~dst buf =
-  match st.cfg.cpu with
-  | None -> Ip.send st.ip ~proto:st.ipproto ~dst buf
-  | Some cpu ->
-    let cost =
-      st.cfg.cost_per_seg
-      +. st.cfg.cost_per_byte
-         *. float_of_int (Bytes.length buf - Ip.header_len)
-    in
-    Sim.Cpu.run_after ~label:st.pname cpu cost (fun () ->
-        Ip.send st.ip ~proto:st.ipproto ~dst buf)
-
 let recv_window c =
-  let w = max 0 (c.stack.cfg.recv_window - Block.Q.bytes c.rq) in
+  let w = max 0 (c.pv.cfg.recv_window - Block.Q.bytes c.ep.rq) in
   (* the wire field is 16 bits, so the default 64 KiB buffer wraps to an
      advertised window of 0 whenever the receive queue is empty.  The
      baseline keeps that wart (its sender's one-MSS floor masks it, and
      the pinned goldens encode the resulting schedule); tcpcc clamps so
      an advertised 0 genuinely means "stop" *)
-  if c.stack.cc then min 0xffff w else w
+  if c.pv.cc then min 0xffff w else w
 
 (* send a segment carrying [len] bytes of the send buffer from [seq]
    (none for a bare control segment) *)
 let xmit c ~seq ~flags len =
-  c.stack.stats.segs_sent <- c.stack.stats.segs_sent + 1;
+  c.pv.stats.segs_sent <- c.pv.stats.segs_sent + 1;
   c.cstats.segs_sent <- c.cstats.segs_sent + 1;
-  raw_output c.stack ~dst:c.raddr
-    (encode_buf ~sport:c.lport ~dport:c.rport ~seq ~ack:c.rcv_nxt
+  Conv.output c.ep.stack ~dst:c.ep.raddr
+    (encode_buf ~sport:c.ep.lport ~dport:c.ep.rport ~seq ~ack:c.rcv_nxt
        ~flags:(flags lor flag_ack) ~window:(recv_window c) c.txbuf
        (if len = 0 then 0 else seq - c.tx_base)
        len)
 
 (* the very first SYN carries no ACK — there is nothing to acknowledge *)
 let xmit_initial_syn c =
-  c.stack.stats.segs_sent <- c.stack.stats.segs_sent + 1;
+  c.pv.stats.segs_sent <- c.pv.stats.segs_sent + 1;
   c.cstats.segs_sent <- c.cstats.segs_sent + 1;
-  raw_output c.stack ~dst:c.raddr
-    (encode_buf ~sport:c.lport ~dport:c.rport ~seq:c.iss ~ack:0 ~flags:flag_syn
+  Conv.output c.ep.stack ~dst:c.ep.raddr
+    (encode_buf ~sport:c.ep.lport ~dport:c.ep.rport ~seq:c.iss ~ack:0
+       ~flags:flag_syn
        ~window:(recv_window c) c.txbuf 0 0)
 
 let rto c =
   let t = if c.srtt = 0. then 0.5 else c.srtt +. (4. *. c.mdev) in
-  if c.stack.cc then
+  if c.pv.cc then
     (* backoff exponentiates the clamped base.  The baseline multiplies
        the raw srtt term first, so a stale few-millisecond estimate caps
        the backed-off RTO at srtt * 64 — half a second against a queue
        seconds deep, and Karn's rule keeps srtt stale for as long as the
        retransmissions it causes continue: the RTO can never climb out
        of the collapse it is feeding *)
-    min c.stack.cfg.max_rto
-      ((max c.stack.cfg.min_rto t) *. float_of_int (1 lsl min c.backoff 6))
+    min c.pv.cfg.max_rto
+      ((max c.pv.cfg.min_rto t) *. float_of_int (1 lsl min c.backoff 6))
   else
     let t = t *. float_of_int (1 lsl min c.backoff 6) in
-    min c.stack.cfg.max_rto (max c.stack.cfg.min_rto t)
-
-let conv_key c = (c.lport, c.rport, Ipaddr.to_int32 c.raddr)
+    min c.pv.cfg.max_rto (max c.pv.cfg.min_rto t)
 
 let destroy c reason =
   if c.state <> TClosed then begin
     set_state c TClosed;
-    c.err <- reason;
     Sim.Time.disarm c.rexmit_tmr;
-    Sim.Time.disarm c.death_tmr;
     Sim.Time.disarm c.persist_tmr;
     c.ooo <- [];
-    (match c.lis with
-    | Some lis ->
-      lis.lis_pending <- max 0 (lis.lis_pending - 1);
-      c.lis <- None
-    | None -> ());
-    Hashtbl.remove c.stack.convs (conv_key c);
-    Block.Q.force_put c.rq (Block.hangup ());
-    Block.Q.close c.rq;
-    Sim.Rendez.wakeup_all c.wwait;
-    Sim.Rendez.wakeup_all c.estwait
+    Conv.hangup c.ep reason
   end
+
+let arm_death c = Conv.arm_death c.ep
+
+(* work outstanding: sent bytes (or a FIN) not yet acknowledged *)
+let busy c = c.snd_una < c.snd_nxt
 
 (* ---- sending machinery and per-conversation timers ----
 
@@ -399,30 +319,30 @@ let tx_limit c =
      receiver's 0 never quenches it, which is part of the blind
      behaviour the goldens pin *)
   let wnd =
-    if c.stack.cc && c.snd_wnd = 0 then 0 else max c.snd_wnd c.stack.cfg.mss
+    if c.pv.cc && c.snd_wnd = 0 then 0 else max c.snd_wnd c.pv.cfg.mss
   in
-  let wnd = if c.stack.cc then min wnd c.cwnd else wnd in
-  min c.stack.cfg.send_window wnd
+  let wnd = if c.pv.cc then min wnd c.cwnd else wnd in
+  min c.pv.cfg.send_window wnd
 
 let fin_seq c = c.tx_base + Buffer.length c.txbuf
 
 let emit_retransmit c ~seq ~bytes =
-  match Sim.Engine.obs c.stack.eng with
+  match Sim.Engine.obs c.pv.eng with
   | None -> ()
   | Some tr ->
     Obs.Trace.emit tr
       (Obs.Event.Retransmit
-         { proto = c.stack.pname; conv = c.cid; id = seq; bytes });
-    Obs.Trace.bump tr (c.stack.pname ^ ".retransmits") 1
+         { proto = c.pv.pname; conv = c.ep.cid; id = seq; bytes });
+    Obs.Trace.bump tr (c.pv.pname ^ ".retransmits") 1
 
 let bump_counter c name n =
-  match Sim.Engine.obs c.stack.eng with
+  match Sim.Engine.obs c.pv.eng with
   | None -> ()
-  | Some tr -> Obs.Trace.bump tr (c.stack.pname ^ "." ^ name) n
+  | Some tr -> Obs.Trace.bump tr (c.pv.pname ^ "." ^ name) n
 
 let rec arm_rto c =
   Sim.Time.arm_at c.rexmit_tmr
-    (Sim.Engine.now c.stack.eng +. rto c)
+    (Sim.Engine.now c.pv.eng +. rto c)
     (fun () -> rto_fire c)
 
 and rto_fire c =
@@ -439,13 +359,13 @@ and rto_fire c =
   | TEstablished | TFinWait1 | TFinWait2 | TCloseWait | TLastAck
   | TTimeWait ->
     if c.snd_una < c.snd_nxt then
-      if c.stack.cc then begin
+      if c.pv.cc then begin
         (* congestion-controlled timeout: multiplicative decrease and a
            slow-start restart, resending only the head-of-window
            segment — never the whole window blindly *)
         let inflight = c.snd_nxt - c.snd_una in
-        c.ssthresh <- max (2 * c.stack.cfg.mss) (inflight / 2);
-        c.cwnd <- c.stack.cfg.mss;
+        c.ssthresh <- max (2 * c.pv.cfg.mss) (inflight / 2);
+        c.cwnd <- c.pv.cfg.mss;
         c.in_recovery <- false;
         c.dupacks <- 0;
         bump_counter c "cwnd_reset" 1;
@@ -455,25 +375,6 @@ and rto_fire c =
       end
       else retransmit_all c
 
-and arm_death c =
-  c.death_at <- Sim.Engine.now c.stack.eng +. c.stack.cfg.death_time;
-  if not (Sim.Time.armed c.death_tmr) then
-    Sim.Time.arm_at c.death_tmr c.death_at (fun () -> death_fire c)
-
-and death_fire c =
-  if Sim.Engine.now c.stack.eng < c.death_at then
-    (* the deadline moved while we slept: chase it *)
-    Sim.Time.arm_at c.death_tmr c.death_at (fun () -> death_fire c)
-  else
-    match c.state with
-    | TClosed -> ()
-    | TSynSent | TSynRcvd -> destroy c (Some "connect timed out")
-    | TEstablished | TFinWait1 | TFinWait2 | TCloseWait | TLastAck
-    | TTimeWait ->
-      (* idle with everything acked: let the timer lapse; fresh
-         traffic re-arms it *)
-      if c.snd_una < c.snd_nxt then destroy c (Some "connection timed out")
-
 and push_segments c =
   (* send any unsent bytes that fit in the window *)
   let continue_ = ref true in
@@ -481,13 +382,13 @@ and push_segments c =
     let unsent = c.tx_base + Buffer.length c.txbuf - c.snd_nxt in
     let inflight = c.snd_nxt - c.snd_una in
     let room = tx_limit c - inflight in
-    let take = min (min unsent room) c.stack.cfg.mss in
+    let take = min (min unsent room) c.pv.cfg.mss in
     if take > 0 then begin
       if c.rtt_seq = 0 && not c.retransmitting then begin
         c.rtt_seq <- c.snd_nxt + take;
-        c.rtt_sent_at <- Sim.Engine.now c.stack.eng
+        c.rtt_sent_at <- Sim.Engine.now c.pv.eng
       end;
-      c.stack.stats.bytes_sent <- c.stack.stats.bytes_sent + take;
+      c.pv.stats.bytes_sent <- c.pv.stats.bytes_sent + take;
       c.cstats.bytes_sent <- c.cstats.bytes_sent + take;
       xmit c ~seq:c.snd_nxt ~flags:0 take;
       c.snd_nxt <- c.snd_nxt + take;
@@ -512,7 +413,7 @@ and push_segments c =
         (* zero-window sender state: data waiting, nothing in flight,
            peer advertised 0 — only the persist probe may touch the
            wire until the window reopens *)
-        c.stack.cc && unsent > 0
+        c.pv.cc && unsent > 0
         && c.snd_wnd = 0
         && c.snd_una = c.snd_nxt
         && not (Sim.Time.armed c.persist_tmr)
@@ -522,11 +423,11 @@ and push_segments c =
 
 and persist_interval c =
   let t = 0.5 *. float_of_int (1 lsl min c.persist_backoff 6) in
-  min c.stack.cfg.max_rto (max c.stack.cfg.min_rto t)
+  min c.pv.cfg.max_rto (max c.pv.cfg.min_rto t)
 
 and arm_persist c =
   Sim.Time.arm_at c.persist_tmr
-    (Sim.Engine.now c.stack.eng +. persist_interval c)
+    (Sim.Engine.now c.pv.eng +. persist_interval c)
     (fun () -> persist_fire c)
 
 and persist_fire c =
@@ -544,11 +445,11 @@ and persist_fire c =
       in
       let data_end = min (fin_seq c) (probe_seq + 1) in
       if probe_seq < data_end then begin
-        c.stack.stats.persist_probes <- c.stack.stats.persist_probes + 1;
+        c.pv.stats.persist_probes <- c.pv.stats.persist_probes + 1;
         c.cstats.persist_probes <- c.cstats.persist_probes + 1;
         bump_counter c "persist_probes" 1;
         (if probe_seq = c.snd_nxt then begin
-           c.stack.stats.bytes_sent <- c.stack.stats.bytes_sent + 1;
+           c.pv.stats.bytes_sent <- c.pv.stats.bytes_sent + 1;
            c.cstats.bytes_sent <- c.cstats.bytes_sent + 1;
            xmit c ~seq:probe_seq ~flags:0 1;
            c.snd_nxt <- c.snd_nxt + 1
@@ -572,10 +473,10 @@ and retransmit_all c =
   let data_end = min c.snd_nxt (fin_seq c) in
   let seq = ref c.snd_una in
   while !seq < data_end do
-    let take = min (data_end - !seq) c.stack.cfg.mss in
-    c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
-    c.stack.stats.retransmitted_bytes <-
-      c.stack.stats.retransmitted_bytes + take;
+    let take = min (data_end - !seq) c.pv.cfg.mss in
+    c.pv.stats.retransmits <- c.pv.stats.retransmits + 1;
+    c.pv.stats.retransmitted_bytes <-
+      c.pv.stats.retransmitted_bytes + take;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     c.cstats.retransmitted_bytes <- c.cstats.retransmitted_bytes + take;
     emit_retransmit c ~seq:!seq ~bytes:take;
@@ -583,7 +484,7 @@ and retransmit_all c =
     seq := !seq + take
   done;
   if c.fin_queued && c.snd_nxt > fin_seq c then begin
-    c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
+    c.pv.stats.retransmits <- c.pv.stats.retransmits + 1;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     emit_retransmit c ~seq:(fin_seq c) ~bytes:0;
     xmit c ~seq:(fin_seq c) ~flags:flag_fin 0
@@ -600,17 +501,17 @@ and retransmit_head c =
   c.rtt_seq <- 0;
   let data_end = min c.snd_nxt (fin_seq c) in
   if c.snd_una < data_end then begin
-    let take = min (data_end - c.snd_una) c.stack.cfg.mss in
-    c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
-    c.stack.stats.retransmitted_bytes <-
-      c.stack.stats.retransmitted_bytes + take;
+    let take = min (data_end - c.snd_una) c.pv.cfg.mss in
+    c.pv.stats.retransmits <- c.pv.stats.retransmits + 1;
+    c.pv.stats.retransmitted_bytes <-
+      c.pv.stats.retransmitted_bytes + take;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     c.cstats.retransmitted_bytes <- c.cstats.retransmitted_bytes + take;
     emit_retransmit c ~seq:c.snd_una ~bytes:take;
     xmit c ~seq:c.snd_una ~flags:0 take
   end
   else if c.fin_queued && c.snd_nxt > fin_seq c then begin
-    c.stack.stats.retransmits <- c.stack.stats.retransmits + 1;
+    c.pv.stats.retransmits <- c.pv.stats.retransmits + 1;
     c.cstats.retransmits <- c.cstats.retransmits + 1;
     emit_retransmit c ~seq:(fin_seq c) ~bytes:0;
     xmit c ~seq:(fin_seq c) ~flags:flag_fin 0
@@ -625,7 +526,7 @@ let process_ack c (s : segment) =
       (* new data acknowledged *)
       let sampled = c.rtt_seq <> 0 && ack >= c.rtt_seq in
       if sampled then begin
-        let sample = Sim.Engine.now c.stack.eng -. c.rtt_sent_at in
+        let sample = Sim.Engine.now c.pv.eng -. c.rtt_sent_at in
         if c.srtt = 0. then begin
           c.srtt <- sample;
           c.mdev <- sample /. 2.
@@ -643,7 +544,7 @@ let process_ack c (s : segment) =
          min_rto into a still-full queue forever — that loop IS the
          collapse.  tcpcc keeps the backed-off RTO until a clean sample
          from an untransmitted segment says the network recovered. *)
-      if sampled || not c.stack.cc then c.backoff <- 0;
+      if sampled || not c.pv.cc then c.backoff <- 0;
       arm_death c;
       (* drop acked bytes from the front of txbuf *)
       let data_acked = min ack (fin_seq c) in
@@ -655,8 +556,8 @@ let process_ack c (s : segment) =
         c.tx_base <- data_acked
       end;
       c.snd_una <- ack;
-      if c.stack.cc then begin
-        let mss = c.stack.cfg.mss in
+      if c.pv.cc then begin
+        let mss = c.pv.cfg.mss in
         if c.in_recovery then
           if ack >= c.recover then begin
             (* full ack: recovery over, deflate to ssthresh *)
@@ -674,23 +575,23 @@ let process_ack c (s : segment) =
           c.dupacks <- 0;
           if c.cwnd < c.ssthresh then
             (* slow start: one segment per segment acked *)
-            c.cwnd <- min c.stack.cfg.send_window (c.cwnd + min acked mss)
+            c.cwnd <- min c.pv.cfg.send_window (c.cwnd + min acked mss)
           else
             (* congestion avoidance: ~one segment per round trip *)
             c.cwnd <-
-              min c.stack.cfg.send_window
+              min c.pv.cfg.send_window
                 (c.cwnd + max 1 (mss * mss / c.cwnd))
         end
       end;
       if c.snd_una = c.snd_nxt then Sim.Time.disarm c.rexmit_tmr
       else arm_rto c;
-      Sim.Rendez.wakeup_all c.wwait;
+      Sim.Rendez.wakeup_all c.ep.wwait;
       (* the ack may have opened the send window: the ticker used to
          retry this on the next tick, now the ack itself drives it *)
       if Buffer.length c.txbuf + c.tx_base > c.snd_nxt then push_segments c
     end
     else if
-      c.stack.cc && ack = c.snd_una
+      c.pv.cc && ack = c.snd_una
       && c.snd_nxt > c.snd_una
       && Block.len s.s_data = 0
       && s.s_flags land (flag_syn lor flag_fin) = 0
@@ -699,17 +600,17 @@ let process_ack c (s : segment) =
       c.dupacks <- c.dupacks + 1;
       if c.in_recovery then begin
         (* inflate: each dup ack means a segment left the network *)
-        c.cwnd <- c.cwnd + c.stack.cfg.mss;
+        c.cwnd <- c.cwnd + c.pv.cfg.mss;
         push_segments c
       end
       else if c.dupacks = 3 then begin
         (* fast retransmit + fast recovery *)
-        let mss = c.stack.cfg.mss in
+        let mss = c.pv.cfg.mss in
         let inflight = c.snd_nxt - c.snd_una in
         c.ssthresh <- max (2 * mss) (inflight / 2);
         c.recover <- c.snd_nxt;
         c.in_recovery <- true;
-        c.stack.stats.fast_retransmits <- c.stack.stats.fast_retransmits + 1;
+        c.pv.stats.fast_retransmits <- c.pv.stats.fast_retransmits + 1;
         c.cstats.fast_retransmits <- c.cstats.fast_retransmits + 1;
         bump_counter c "fast_retransmits" 1;
         bump_counter c "cwnd_halved" 1;
@@ -732,10 +633,10 @@ let process_ack c (s : segment) =
 let deliver c (data : Block.t) =
   let n = Block.len data in
   if n > 0 then begin
-    c.stack.stats.bytes_rcvd <- c.stack.stats.bytes_rcvd + n;
+    c.pv.stats.bytes_rcvd <- c.pv.stats.bytes_rcvd + n;
     c.cstats.bytes_rcvd <- c.cstats.bytes_rcvd + n;
     (* no delimiters: a plain byte-stream block *)
-    Block.Q.force_put c.rq data
+    Block.Q.force_put c.ep.rq data
   end
 
 let send_bare_ack c = xmit c ~seq:c.snd_nxt ~flags:0 0
@@ -766,7 +667,7 @@ let ooo_bytes c =
    list seq-sorted and the total bounded by the receive buffer *)
 let stash_ooo c ~seq data =
   if
-    ooo_bytes c + Block.len data <= c.stack.cfg.recv_window
+    ooo_bytes c + Block.len data <= c.pv.cfg.recv_window
     && not (List.exists (fun (q, _) -> q = seq) c.ooo)
   then begin
     c.ooo <-
@@ -783,17 +684,17 @@ let handle_established c (s : segment) =
       (* no data follows a FIN, so draining there could only discard
          stale sub-rcv_nxt leftovers — don't let it move rcv_nxt under
          the FIN's own +1 *)
-      if c.stack.cc && s.s_flags land flag_fin = 0 && c.ooo <> [] then
+      if c.pv.cc && s.s_flags land flag_fin = 0 && c.ooo <> [] then
         drain_ooo c;
       if s.s_flags land flag_fin <> 0 then begin
         c.rcv_nxt <- c.rcv_nxt + 1;
-        Block.Q.force_put c.rq (Block.hangup ());
+        Block.Q.force_put c.ep.rq (Block.hangup ());
         (match c.state with
         | TEstablished -> set_state c TCloseWait
         | TFinWait1 -> set_state c TTimeWait (* simultaneous close *)
         | TFinWait2 ->
           set_state c TTimeWait;
-          Sim.Engine.after ~label:c.stack.pname c.stack.eng 1.0 (fun () ->
+          Sim.Engine.after ~label:c.pv.pname c.pv.eng 1.0 (fun () ->
               destroy c None)
         | TClosed | TSynSent | TSynRcvd | TCloseWait | TLastAck | TTimeWait
           ->
@@ -808,19 +709,19 @@ let handle_established c (s : segment) =
          that drives the peer's fast retransmit *)
       if s.s_seq > c.rcv_nxt then begin
         if
-          c.stack.cc && Block.len s.s_data > 0
+          c.pv.cc && Block.len s.s_data > 0
           && s.s_flags land (flag_syn lor flag_fin) = 0
         then stash_ooo c ~seq:s.s_seq s.s_data
         else begin
-          c.stack.stats.out_of_order_dropped <-
-            c.stack.stats.out_of_order_dropped + 1;
+          c.pv.stats.out_of_order_dropped <-
+            c.pv.stats.out_of_order_dropped + 1;
           c.cstats.out_of_order_dropped <- c.cstats.out_of_order_dropped + 1
         end
       end
       else begin
         (* already-delivered data: a duplicate from the wire or a
            retransmission crossing our ack *)
-        c.stack.stats.dups_dropped <- c.stack.stats.dups_dropped + 1;
+        c.pv.stats.dups_dropped <- c.pv.stats.dups_dropped + 1;
         c.cstats.dups_dropped <- c.cstats.dups_dropped + 1
       end;
       send_bare_ack c
@@ -828,10 +729,10 @@ let handle_established c (s : segment) =
   end
 
 let handle_segment c (s : segment) =
-  c.stack.stats.segs_rcvd <- c.stack.stats.segs_rcvd + 1;
+  c.pv.stats.segs_rcvd <- c.pv.stats.segs_rcvd + 1;
   c.cstats.segs_rcvd <- c.cstats.segs_rcvd + 1;
   if s.s_flags land flag_rst <> 0 then begin
-    c.stack.stats.resets <- c.stack.stats.resets + 1;
+    c.pv.stats.resets <- c.pv.stats.resets + 1;
     c.cstats.resets <- c.cstats.resets + 1;
     destroy c (Some "connection reset")
   end
@@ -851,7 +752,7 @@ let handle_segment c (s : segment) =
         c.backoff <- 0;
         arm_death c;
         send_bare_ack c;
-        Sim.Rendez.wakeup_all c.estwait
+        Conv.established c.ep c
       end
     | TSynRcvd ->
       if s.s_flags land flag_ack <> 0 && s.s_ack = c.iss + 1 then begin
@@ -861,13 +762,7 @@ let handle_segment c (s : segment) =
         Sim.Time.disarm c.rexmit_tmr;
         c.backoff <- 0;
         arm_death c;
-        (* the accept queue inherits this conversation's backlog slot *)
-        (match c.lis with
-        | Some lis ->
-          lis.lis_pending <- max 0 (lis.lis_pending - 1);
-          c.lis <- None;
-          if lis.lis_open then Sim.Mbox.send lis.accepts c
-        | None -> ());
+        Conv.established c.ep c;
         if Block.len s.s_data > 0 || s.s_flags land flag_fin <> 0 then
           handle_established c s
       end
@@ -883,289 +778,134 @@ let handle_segment c (s : segment) =
         set_state c TFinWait2
       | TLastAck when c.snd_una = c.snd_nxt -> destroy c None
       | TTimeWait ->
-        Sim.Engine.after ~label:c.stack.pname c.stack.eng 1.0 (fun () ->
+        Sim.Engine.after ~label:c.pv.pname c.pv.eng 1.0 (fun () ->
             destroy c None)
       | TClosed | TSynSent | TSynRcvd | TEstablished | TFinWait1
       | TFinWait2 | TCloseWait | TLastAck ->
         ())
 
 let send_rst st ~dst ~sport ~dport ~seq ~ack =
-  raw_output st ~dst
+  Conv.output st ~dst
     (encode_buf ~sport ~dport ~seq ~ack ~flags:(flag_rst lor flag_ack) ~window:0
        (Buffer.create 0) 0 0)
 
-let new_iss st = 1 + Random.State.int (Sim.Engine.random st.eng) 0xffffff
+let new_iss st =
+  1 + Random.State.int (Sim.Engine.random (Conv.engine st)) 0xffffff
 
-let make_conv st ~lport ~rport ~raddr ~state ~iss =
+let zero_counters () =
+  {
+    segs_sent = 0;
+    segs_rcvd = 0;
+    bytes_sent = 0;
+    bytes_rcvd = 0;
+    retransmits = 0;
+    retransmitted_bytes = 0;
+    out_of_order_dropped = 0;
+    dups_dropped = 0;
+    resets = 0;
+    fast_retransmits = 0;
+    persist_probes = 0;
+  }
+
+let make_conv ?lis st ~lport ~rport ~raddr ~state ~iss =
+  let pv = Conv.priv st in
   let c =
     {
-      cid = st.next_cid;
-      stack = st;
-      lport;
-      rport;
-      raddr;
-      cstats =
-        {
-          segs_sent = 0;
-          segs_rcvd = 0;
-          bytes_sent = 0;
-          bytes_rcvd = 0;
-          retransmits = 0;
-          retransmitted_bytes = 0;
-          out_of_order_dropped = 0;
-          dups_dropped = 0;
-          resets = 0;
-          fast_retransmits = 0;
-          persist_probes = 0;
-        };
+      ep =
+        Conv.make ~limit:pv.cfg.recv_window ?lis st ~lport ~rport ~raddr
+          (phase state);
+      pv;
+      cstats = zero_counters ();
       state;
       iss;
       snd_una = iss;
       snd_nxt = iss + 1;
-      snd_wnd = st.cfg.mss;
+      snd_wnd = pv.cfg.mss;
       irs = 0;
       rcv_nxt = 0;
       txbuf = Buffer.create 4096;
       tx_base = iss + 1;
       fin_queued = false;
-      rq = Block.Q.create ~limit:st.cfg.recv_window st.eng;
-      wwait = Sim.Rendez.create st.eng;
-      estwait = Sim.Rendez.create st.eng;
       srtt = 0.;
       mdev = 0.;
       backoff = 0;
-      rexmit_tmr = Sim.Time.timer ~label:st.pname st.eng;
-      death_tmr = Sim.Time.timer ~label:st.pname st.eng;
-      death_at = Sim.Engine.now st.eng +. st.cfg.death_time;
+      rexmit_tmr = Sim.Time.timer ~label:pv.pname pv.eng;
       rtt_seq = 0;
       rtt_sent_at = 0.;
       retransmitting = false;
-      cwnd = 2 * st.cfg.mss;
-      ssthresh = st.cfg.send_window;
+      cwnd = 2 * pv.cfg.mss;
+      ssthresh = pv.cfg.send_window;
       dupacks = 0;
       recover = 0;
       in_recovery = false;
       ooo = [];
-      persist_tmr = Sim.Time.timer ~label:st.pname st.eng;
+      persist_tmr = Sim.Time.timer ~label:pv.pname pv.eng;
       persist_backoff = 0;
-      err = None;
-      lis = None;
     }
   in
-  st.next_cid <- st.next_cid + 1;
-  Hashtbl.replace st.convs (conv_key c) c;
-  Sim.Time.arm_at c.death_tmr c.death_at (fun () -> death_fire c);
-  (match Sim.Engine.obs st.eng with
-  | None -> ()
-  | Some tr ->
-    Obs.Trace.emit tr
-      (Obs.Event.Proto_state
-         {
-           proto = st.pname;
-           conv = c.cid;
-           from_ = "Closed";
-           to_ = state_str state;
-         }));
+  Conv.opened c.ep c ~state:(state_str state);
   c
 
-let input st ~src:sa ~dst:_ (pkt : Block.t) =
+let input st ~src:sa (pkt : Block.t) =
   match decode_view pkt with
-  | None -> (
-    match Sim.Engine.obs st.eng with
-    | None -> ()
-    | Some tr ->
-      if
-        Block.len pkt >= header_len
-        && not (Chksum.valid_sub pkt.Block.buf pkt.Block.rp (Block.len pkt))
-      then begin
-        Obs.Trace.emit tr (Obs.Event.Checksum_err { proto = st.pname });
-        Obs.Trace.bump tr (st.pname ^ ".badsum") 1
-      end)
+  | None -> Conv.badsum st pkt ~header_len
   | Some s -> (
-    match
-      Hashtbl.find_opt st.convs (s.s_dport, s.s_sport, Ipaddr.to_int32 sa)
-    with
+    match Conv.find st ~lport:s.s_dport ~rport:s.s_sport ~raddr:sa with
     | Some c -> handle_segment c s
     | None -> (
-      match Hashtbl.find_opt st.listeners s.s_dport with
+      match Conv.listener st s.s_dport with
       | Some lis
-        when lis.lis_open
-             && s.s_flags land flag_syn <> 0
-             && s.s_flags land flag_ack = 0 ->
-        if lis.lis_pending + Sim.Mbox.length lis.accepts >= lis.backlog
-        then begin
-          (* backlog full: refuse rather than wedge — the caller sees a
-             clean "connection reset" and may redial *)
-          lis.refused <- lis.refused + 1;
-          st.refusals <- st.refusals + 1;
-          (match Sim.Engine.obs st.eng with
-          | None -> ()
-          | Some tr -> Obs.Trace.bump tr (st.pname ^ ".backlog_refused") 1);
-          send_rst st ~dst:sa ~sport:s.s_dport ~dport:s.s_sport ~seq:s.s_ack
-            ~ack:(s.s_seq + Block.len s.s_data)
-        end
-        else begin
+        when s.s_flags land flag_syn <> 0 && s.s_flags land flag_ack = 0 ->
+        if Conv.admit lis then begin
           let c =
-            make_conv st ~lport:s.s_dport ~rport:s.s_sport ~raddr:sa
+            make_conv ~lis st ~lport:s.s_dport ~rport:s.s_sport ~raddr:sa
               ~state:TSynRcvd ~iss:(new_iss st)
           in
-          c.lis <- Some lis;
-          lis.lis_pending <- lis.lis_pending + 1;
           c.irs <- s.s_seq;
           c.rcv_nxt <- s.s_seq + 1;
           c.snd_wnd <- s.s_window;
           arm_rto c;
           xmit c ~seq:c.iss ~flags:flag_syn 0
         end
+        else
+          (* the caller sees a clean "connection reset" *)
+          send_rst st ~dst:sa ~sport:s.s_dport ~dport:s.s_sport ~seq:s.s_ack
+            ~ack:(s.s_seq + Block.len s.s_data)
       | Some _ | None ->
         if s.s_flags land flag_rst = 0 then
           send_rst st ~dst:sa ~sport:s.s_dport ~dport:s.s_sport ~seq:s.s_ack
             ~ack:(s.s_seq + Block.len s.s_data)))
 
-let attach_gen ~pname ~ipproto ~cc ~config ip =
-  let eng = Ip.engine ip in
-  let st =
-    {
-      eng;
-      ip;
-      pname;
-      ipproto;
-      cc;
-      cfg = config;
-      convs = Hashtbl.create 31;
-      listeners = Hashtbl.create 7;
-      next_port = 5000;
-      next_cid = 0;
-      refusals = 0;
-      stats =
-        {
-          segs_sent = 0;
-          segs_rcvd = 0;
-          bytes_sent = 0;
-          bytes_rcvd = 0;
-          retransmits = 0;
-          retransmitted_bytes = 0;
-          out_of_order_dropped = 0;
-          dups_dropped = 0;
-          resets = 0;
-          fast_retransmits = 0;
-          persist_probes = 0;
-        };
-    }
-  in
-  Ip.register_proto ip ~proto:ipproto (fun ~src ~dst pkt ->
-      match config.cpu with
-      | None -> input st ~src ~dst pkt
-      | Some cpu ->
-        let cost =
-          config.cost_per_seg
-          +. (config.cost_per_byte *. float_of_int (Block.len pkt))
-        in
-        Sim.Cpu.run_after ~label:pname cpu cost (fun () ->
-            input st ~src ~dst pkt));
-  st
-
-let attach ?(config = default_config) ip =
-  attach_gen ~pname:"tcp" ~ipproto:Ip.proto_tcp ~cc:false ~config ip
-
-let attach_cc ?(config = default_config) ip =
-  attach_gen ~pname:"tcpcc" ~ipproto:Ip.proto_tcpcc ~cc:true ~config ip
-
-let alloc_port st =
-  let start = st.next_port - 5000 in
-  let rec try_port i =
-    if i >= 60000 then raise Port_exhausted
-    else
-      let p = 5000 + ((start + i) mod 60000) in
-      let used =
-        Hashtbl.fold (fun (lp, _, _) _ acc -> acc || lp = p) st.convs false
-        || Hashtbl.mem st.listeners p
-      in
-      if used then try_port (i + 1) else p
-  in
-  let p = try_port 0 in
-  st.next_port <- p + 1;
-  p
-
-let connect ?lport st ~raddr ~rport =
-  let lport = match lport with Some p -> p | None -> alloc_port st in
-  let sp =
-    match Sim.Engine.obs st.eng with
-    | None -> Obs.Span.none
-    | Some tr -> Obs.Span.enter tr ~layer:st.pname (st.pname ^ ".connect")
-  in
-  let fin () =
-    match Sim.Engine.obs st.eng with
-    | None -> ()
-    | Some tr -> Obs.Span.exit tr sp
-  in
+(* the active open *)
+let start st ~lport ~raddr ~rport =
   let c = make_conv st ~lport ~rport ~raddr ~state:TSynSent ~iss:(new_iss st) in
   arm_rto c;
   xmit_initial_syn c;
-  while c.state = TSynSent do
-    Sim.Rendez.sleep c.estwait
-  done;
-  (match (c.state, c.err) with
-  | TEstablished, _ -> fin ()
-  | _, Some "connect timed out" ->
-    fin ();
-    raise (Timeout "tcp connect")
-  | _, Some reason ->
-    fin ();
-    raise (Refused reason)
-  | _, None ->
-    fin ();
-    raise (Refused "closed"));
   c
-
-let default_backlog = 16
-
-let announce ?(backlog = default_backlog) st ~port =
-  if Hashtbl.mem st.listeners port then
-    invalid_arg (Printf.sprintf "Tcp.announce: port %d in use" port);
-  let lis =
-    { lstack = st; lis_port = port; accepts = Sim.Mbox.create st.eng;
-      lis_open = true; backlog = max 1 backlog; lis_pending = 0;
-      refused = 0 }
-  in
-  Hashtbl.replace st.listeners port lis;
-  lis
-
-let listen lis = Sim.Mbox.recv lis.accepts
-let set_backlog lis n = lis.backlog <- max 1 n
-let backlog lis = lis.backlog
-let queued lis = lis.lis_pending + Sim.Mbox.length lis.accepts
-let refused lis = lis.refused
-let refusals st = st.refusals
-let conv_count st = Hashtbl.length st.convs
-
-let close_listener lis =
-  lis.lis_open <- false;
-  Hashtbl.remove lis.lstack.listeners lis.lis_port
 
 let write c data =
   (match c.state with
   | TEstablished | TCloseWait -> ()
   | TClosed | TSynSent | TSynRcvd | TFinWait1 | TFinWait2 | TLastAck
   | TTimeWait ->
-    raise Hungup);
-  if c.fin_queued then raise Hungup;
+    raise Conv.Hungup);
+  if c.fin_queued then raise Conv.Hungup;
   (* block while the send buffer is full *)
   while
     (c.state = TEstablished || c.state = TCloseWait)
-    && Buffer.length c.txbuf >= c.stack.cfg.recv_window
+    && Buffer.length c.txbuf >= c.pv.cfg.recv_window
   do
-    Sim.Rendez.sleep c.wwait
+    Sim.Rendez.sleep c.ep.wwait
   done;
   (match c.state with
   | TEstablished | TCloseWait -> ()
   | TClosed | TSynSent | TSynRcvd | TFinWait1 | TFinWait2 | TLastAck
   | TTimeWait ->
-    raise Hungup);
+    raise Conv.Hungup);
   Buffer.add_string c.txbuf data;
   push_segments c
 
-let read c n = Block.Q.read c.rq n
+let read c n = Conv.read c.ep n
 
 let close c =
   match c.state with
@@ -1182,4 +922,30 @@ let close c =
     push_segments c;
     arm_death c
 
-let _ = ignore Log.debug
+let attach_gen ~pname ~ipproto ~cc ~config ip =
+  let eng = Ip.engine ip in
+  Conv.create ip ~name:pname ~ipproto ~death_time:config.death_time
+    ~cpu:config.cpu ~cost_per_msg:config.cost_per_seg
+    ~cost_per_byte:config.cost_per_byte
+    ~priv:{ eng; pname; cc; cfg = config; stats = zero_counters () }
+    {
+      ep = (fun c -> c.ep);
+      input;
+      start;
+      read;
+      write;
+      close;
+      status;
+      stats = conv_stats;
+      busy;
+      abort = destroy;
+    }
+
+let attach ?(config = default_config) ip =
+  attach_gen ~pname:"tcp" ~ipproto:Ip.proto_tcp ~cc:false ~config ip
+
+let attach_cc ?(config = default_config) ip =
+  attach_gen ~pname:"tcpcc" ~ipproto:Ip.proto_tcpcc ~cc:true ~config ip
+
+let refusals = Conv.refusals
+let conv_count = Conv.conv_count

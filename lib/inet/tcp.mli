@@ -21,9 +21,19 @@
     [tcpcc] is the fix for the synchronized-close congestion collapse
     the swarm bench pinned. *)
 
-type stack
 type conv
-type listener
+(** One conversation; it embeds the core's {!Conv.ep}. *)
+
+type priv
+(** TCP's per-stack data: name, configuration and counters. *)
+
+type stack = (conv, priv) Conv.stack
+(** A TCP instance: the conversation core with TCP's table.  Its
+    {!Conv.name} is ["tcp"] or ["tcpcc"] — the /net directory name and
+    counter prefix.  A SYN beyond a listener's backlog is answered with
+    RST. *)
+
+type listener = (conv, priv) Conv.listener
 
 type config = {
   mss : int;  (** max segment payload (default 1460) *)
@@ -61,54 +71,16 @@ val attach_cc : ?config:config -> Ip.stack -> stack
 (** The congestion-controlled variant, registered as IP proto 105 under
     the name ["tcpcc"].  Both can coexist on one IP stack. *)
 
-val proto_name : stack -> string
-(** ["tcp"] or ["tcpcc"] — the /net directory name and counter prefix. *)
-
-val engine : stack -> Sim.Engine.t
 val counters : stack -> counters
-val local_addr : stack -> Ipaddr.t
-
-exception Refused of string
-exception Timeout of string
-exception Hungup
-
-exception Port_exhausted
-(** Every ephemeral local port is in use. *)
-
-val connect : ?lport:int -> stack -> raddr:Ipaddr.t -> rport:int -> conv
-(** Active open; blocks until established.
-    @raise Port_exhausted if no ephemeral port is free. *)
-
-val announce : ?backlog:int -> stack -> port:int -> listener
-(** Passive open.  [backlog] (default 16) bounds calls pending accept —
-    half-open handshakes plus established calls waiting in {!listen}'s
-    queue; a SYN arriving beyond it is refused with RST, counted in
-    {!refused}. *)
-
-val listen : listener -> conv
-val close_listener : listener -> unit
-
-val set_backlog : listener -> int -> unit
-(** Adjust the accept backlog (clamped to >= 1); the ctl message
-    [backlog n] lands here. *)
-
-val backlog : listener -> int
-val queued : listener -> int
-(** Calls currently occupying backlog slots (half-open + awaiting
-    accept). *)
-
-val refused : listener -> int
-(** Calls refused because the backlog was full. *)
 
 val refusals : stack -> int
-(** Stack-wide backlog refusals, surviving listener teardown. *)
-
 val conv_count : stack -> int
-(** Live conversations on this stack. *)
+(** {!Conv.refusals} and {!Conv.conv_count}, under the names the
+    benchmark reads. *)
 
 val write : conv -> string -> unit
 (** Queue bytes on the stream; blocks while the send buffer is full.
-    Boundaries are {e not} preserved. *)
+    Boundaries are {e not} preserved.  @raise Conv.Hungup once down. *)
 
 val read : conv -> int -> string
 (** Up to [n] bytes; [""] at end of stream. *)
@@ -116,27 +88,8 @@ val read : conv -> int -> string
 val close : conv -> unit
 (** Send FIN; the reader side keeps draining until the peer closes. *)
 
-val conv_id : conv -> int
-val local_port : conv -> int
-val remote_port : conv -> int
-val remote_addr : conv -> Ipaddr.t
-val status : conv -> string
-val state_name : conv -> string
-
-val conv_counters : conv -> counters
-(** Per-conversation counters (the stack's {!counters} aggregate all
-    conversations). *)
-
-val conv_stats : conv -> string
-(** Per-conversation counters as [name value] lines — the contents of
-    the conversation's [stats] file.  On a [tcpcc] stack the congestion
-    state ([cwnd]/[ssthresh]/recovery) is appended. *)
-
 val cwnd : conv -> int
 (** Current congestion window in bytes (meaningful on [tcpcc]). *)
-
-val ssthresh : conv -> int
-val in_recovery : conv -> bool
 
 (** {1 Wire format}
 

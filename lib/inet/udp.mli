@@ -1,20 +1,30 @@
 (** UDP — "while cheap, does not provide reliable sequenced delivery"
     (paper section 3).  Datagram service with port demultiplexing;
     message boundaries are preserved per packet; delivery is whatever
-    the simulated wire does.  Used by the DNS server. *)
+    the simulated wire does.
 
-type stack
-type conv
+    Two faces share one ephemeral-port cursor.  /net/udp runs on the
+    conversation core ({!Conv}): a dialed conversation takes its peer's
+    datagrams, and each new peer of an announced port is a new call,
+    admitted against the listener's backlog.  A bound socket ({!bind})
+    is the raw face the DNS server and resolver poll. *)
+
+type face
+(** A /net/udp conversation: one peer's datagrams, one per read. *)
+
+type priv
+type stack = (face, priv) Conv.stack
 
 val attach : Ip.stack -> stack
-val engine : stack -> Sim.Engine.t
-val local_addr : stack -> Ipaddr.t
+
+(** {1 Bound sockets} *)
+
+type conv
+(** A bound socket. *)
 
 val bind : ?port:int -> stack -> conv
 (** Open an endpoint; [port] defaults to an ephemeral one.
     @raise Invalid_argument if the port is taken. *)
-
-val port : conv -> int
 
 val send : conv -> dst:Ipaddr.t -> dport:int -> string -> unit
 (** Transmit one datagram. *)

@@ -123,6 +123,70 @@ let echo_scenario name proto =
 let il_echo = echo_scenario "il-echo" "il"
 let tcp_echo = echo_scenario "tcp-echo" "tcp"
 
+(* ---- ctl "hangup" ends a read blocked on the conversation ---- *)
+
+(* Run from a process on musca against helix over [proto]: each end
+   reads until it blocks, then the client's ctl and then the server's
+   get "hangup".  Returns, for the client and then the server, what the
+   blocked read returned and how long after that end's hangup (negative
+   when the peer's close ended it first). *)
+let hangup_readers w env proto ~port =
+  let eng = w.P9net.World.eng in
+  let helix = P9net.World.host w "helix" in
+  let srv_dir = ref "" and srv = ref None and cli = ref None in
+  let read_into env fd r =
+    let got = Vfs.Env.read env fd 4096 in
+    r := Some (got, Sim.Engine.now eng)
+  in
+  ignore
+    (P9net.Host.spawn helix ("sc:server-" ^ proto) (fun henv ->
+         let ann =
+           P9net.Dial.announce henv (Printf.sprintf "%s!*!%d" proto port)
+         in
+         let conn = P9net.Dial.listen henv ann in
+         let dfd = P9net.Dial.accept henv conn in
+         srv_dir := conn.P9net.Dial.dir;
+         ignore (Vfs.Env.read henv dfd 4096);
+         read_into henv dfd srv));
+  Sim.Time.sleep eng 0.1;
+  let conn =
+    P9net.Dial.dial env (Printf.sprintf "%s!135.104.9.31!%d" proto port)
+  in
+  (* the server accepts a UDP call only once a datagram arrives *)
+  ignore (Vfs.Env.write env conn.P9net.Dial.data_fd "hello");
+  ignore
+    (Sim.Proc.spawn eng ~name:("sc:client-" ^ proto) (fun () ->
+         read_into env conn.P9net.Dial.data_fd cli));
+  Sim.Time.sleep eng 1.0;
+  let hangup env ctl r =
+    let t0 = Sim.Engine.now eng in
+    ignore (Vfs.Env.write env ctl "hangup");
+    Sim.Time.sleep eng 2.0;
+    Option.map (fun (got, t) -> (got, t -. t0)) !r
+  in
+  let c = hangup env conn.P9net.Dial.ctl_fd cli in
+  let henv = Vfs.Env.fork helix.P9net.Host.env in
+  let sctl = Vfs.Env.open_ henv (!srv_dir ^ "/ctl") Ninep.Fcall.Owrite in
+  let s = hangup henv sctl srv in
+  Vfs.Env.close henv sctl;
+  P9net.Dial.hangup env conn;
+  (c, s)
+
+let net_hangup =
+  world "net-hangup" ~from:"musca"
+    ~descr:"ctl hangup ends blocked reads on il, tcp and udp conversations"
+    (fun w env say ->
+      List.iteri
+        (fun i proto ->
+          let show = function
+            | Some (got, dt) when dt <= 2.0 -> Printf.sprintf "%S" got
+            | Some _ -> "late"
+            | None -> "blocked"
+          in
+          let c, s = hangup_readers w env proto ~port:(7301 + i) in
+          say (Printf.sprintf "%s: client %s server %s" proto (show c) (show s)))
+        [ "il"; "tcp"; "udp" ])
+
 (* ---- announce backlog: a full accept queue refuses cleanly ---- *)
 
 let backlog =
@@ -155,7 +219,7 @@ let backlog =
                    ~raddr:(Inet.Ipaddr.of_string "10.0.0.2") ~rport:7
                with
                | _ -> incr connected
-               | exception Inet.Il.Refused _ -> incr refused))
+               | exception Inet.Conv.Refused _ -> incr refused))
       in
       (* three callers land at the same instant, before anyone accepts;
          which one is refused is a schedule choice but the counts are
@@ -166,15 +230,15 @@ let backlog =
       ignore
         (Sim.Proc.spawn eng ~name:"sc:server" (fun () ->
              Sim.Time.sleep eng 5.0;
-             ignore (Inet.Il.listen lis);
-             ignore (Inet.Il.listen lis);
-             ignore (Inet.Il.listen lis)));
+             ignore (Inet.Conv.listen lis);
+             ignore (Inet.Conv.listen lis);
+             ignore (Inet.Conv.listen lis)));
       (* a late caller proves the listener was not wedged *)
       client 4 10.0;
       Sim.Time.sleep eng 30.0;
       say
         (Printf.sprintf "connected=%d refused=%d listener_refused=%d"
-           !connected !refused (Inet.Il.refused lis)))
+           !connected !refused (Inet.Conv.refused lis)))
 
 (* ---- tcpcc under a synchronized close: bounded retransmission ---- *)
 
@@ -209,13 +273,13 @@ let tcpcc_collapse =
       in
       let cca = mk 1 "10.0.0.1" in
       let ccb = mk 2 "10.0.0.2" in
-      let lis = Inet.Tcp.announce ccb ~backlog:tcpcc_collapse_convs ~port:7 in
+      let lis = Inet.Conv.announce ccb ~backlog:tcpcc_collapse_convs ~port:7 in
       for i = 1 to tcpcc_collapse_convs do
         ignore
           (Sim.Proc.spawn eng
              ~name:(Printf.sprintf "sc:echo%d" i)
              (fun () ->
-               let conv = Inet.Tcp.listen lis in
+               let conv = Inet.Conv.listen lis in
                let rec go () =
                  let s = Inet.Tcp.read conv 8192 in
                  if s <> "" then begin
@@ -235,7 +299,7 @@ let tcpcc_collapse =
                (* stagger the dials; the echo bursts are synchronized *)
                Sim.Time.sleep eng (0.1 *. float_of_int i);
                let conv =
-                 Inet.Tcp.connect cca ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
+                 Inet.Conv.connect cca ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
                    ~rport:7
                in
                Sim.Time.sleep eng (5.0 -. Sim.Engine.now eng);
@@ -1138,6 +1202,7 @@ let all : E.scenario list =
   [
     il_echo;
     tcp_echo;
+    net_hangup;
     backlog;
     tcpcc_collapse;
     ninep_mount;

@@ -233,7 +233,35 @@ let test_udp_via_netdev () =
       ignore (Vfs.Env.write env conn.P9net.Dial.data_fd "dgram");
       Alcotest.(check string) "udp conversation" "re:dgram"
         (Vfs.Env.read env conn.P9net.Dial.data_fd 4096);
+      (* addresses read "addr port", as on IL and TCP *)
+      Alcotest.(check string) "remote" "135.104.9.31 3049\n"
+        (Vfs.Env.read_file env (conn.P9net.Dial.dir ^ "/remote"));
+      (match
+         String.split_on_char ' '
+           (Vfs.Env.read_file env (conn.P9net.Dial.dir ^ "/local"))
+       with
+      | [ "135.104.9.6"; port ] ->
+        Alcotest.(check bool) ("local port: " ^ port) true
+          (int_of_string_opt (String.trim port) <> None)
+      | _ -> Alcotest.fail "local is not \"addr port\"");
       P9net.Dial.hangup env conn)
+
+(* ctl "hangup" must end a read blocked on the conversation, on the
+   end hung up: TCP's reader no longer waits for the peer's FIN, and
+   UDP's for a datagram nobody will send *)
+let test_hangup_ends_blocked_reads proto port () =
+  Util.in_world ~from:"musca" (fun w env ->
+      let c, s = Scenarios.hangup_readers w env proto ~port in
+      let check_end name = function
+        | Some (got, dt) ->
+          Alcotest.(check string) (name ^ " read ends the stream") "" got;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s read returns within 2 s of hangup (%.3f)" name dt)
+            true (dt <= 2.0)
+        | None -> Alcotest.fail (name ^ " read still blocked after hangup")
+      in
+      check_end "client" c;
+      check_end "server" s)
 
 let test_dk_reject_reason_via_files () =
   in_world (fun w ->
@@ -685,6 +713,12 @@ let () =
           Alcotest.test_case "paper transcript (2.3)" `Quick
             test_paper_transcript_cat_local_remote_status;
           Alcotest.test_case "udp via netdev" `Quick test_udp_via_netdev;
+          Alcotest.test_case "hangup ends il reads" `Quick
+            (test_hangup_ends_blocked_reads "il" 7401);
+          Alcotest.test_case "hangup ends tcp reads" `Quick
+            (test_hangup_ends_blocked_reads "tcp" 7402);
+          Alcotest.test_case "hangup ends udp reads" `Quick
+            (test_hangup_ends_blocked_reads "udp" 7403);
           Alcotest.test_case "dk reject reason" `Quick
             test_dk_reject_reason_via_files;
         ] );

@@ -179,7 +179,7 @@ let il_transfer ?(msgs = 1) ?(payload = fun i -> Printf.sprintf "msg-%03d" i)
   ignore
     (Sim.Proc.spawn eng ~name:"rx" (fun () ->
          let lis = Inet.Il.announce ilb ~port:7 in
-         let conv = Inet.Il.listen lis in
+         let conv = Inet.Conv.listen lis in
          for _ = 1 to msgs do
            match Inet.Il.read_msg conv with
            | Some m -> got := m :: !got
@@ -341,8 +341,8 @@ let test_tcp_survives_burst () =
   let got = ref 0 in
   ignore
     (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Tcp.announce tcpb ~port:7 in
-         let conv = Inet.Tcp.listen lis in
+         let lis = Inet.Conv.announce tcpb ~port:7 in
+         let conv = Inet.Conv.listen lis in
          while !got < total do
            let s = Inet.Tcp.read conv 8192 in
            if s = "" then got := total else got := !got + String.length s
@@ -350,7 +350,7 @@ let test_tcp_survives_burst () =
   ignore
     (Sim.Proc.spawn eng ~name:"tx" (fun () ->
          let conv =
-           Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
+           Inet.Conv.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
              ~rport:7
          in
          for _ = 1 to msgs do

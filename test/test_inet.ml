@@ -101,7 +101,7 @@ let test_il_connect_and_echo () =
   let _server =
     spawn eng ~name:"server" (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         match Inet.Il.read_msg conv with
         | Some m -> Inet.Il.write conv ("echo:" ^ m)
         | None -> ())
@@ -126,7 +126,7 @@ let test_il_preserves_delimiters () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:564 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with
           | Some m ->
@@ -155,7 +155,7 @@ let test_il_read_does_not_cross_messages () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:564 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         first_read := Inet.Il.read conv 100)
   in
   let _client =
@@ -174,7 +174,7 @@ let test_il_bulk_transfer () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with
           | Some m ->
@@ -205,7 +205,7 @@ let test_il_reliable_under_loss () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with
           | Some m ->
@@ -240,7 +240,7 @@ let test_il_query_based_recovery () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with Some _ -> go () | None -> ()
         in
@@ -270,7 +270,7 @@ let test_il_connect_refused () =
         try
           ignore
             (Inet.Il.connect h1.il ~raddr:(ip "135.104.9.32") ~rport:9999)
-        with Inet.Il.Refused _ -> refused := true)
+        with Inet.Conv.Refused _ -> refused := true)
   in
   Sim.Engine.run ~until:10.0 eng;
   Alcotest.(check bool) "refused" true !refused
@@ -284,7 +284,7 @@ let test_il_connect_timeout () =
           (* no such host: ARP can never resolve *)
           ignore
             (Inet.Il.connect h1.il ~raddr:(ip "135.104.9.99") ~rport:17008)
-        with Inet.Il.Timeout _ -> timed_out := true)
+        with Inet.Conv.Timeout _ -> timed_out := true)
   in
   Sim.Engine.run ~until:120.0 eng;
   Alcotest.(check bool) "timed out" true !timed_out
@@ -298,7 +298,7 @@ let test_il_large_message_fragments () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         match Inet.Il.read_msg conv with
         | Some m -> got := m
         | None -> ())
@@ -319,7 +319,7 @@ let test_il_window_blocks_writer () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with Some _ -> go () | None -> ()
         in
@@ -357,7 +357,7 @@ let prop_il_exactly_once =
       let _server =
         spawn eng (fun () ->
             let lis = Inet.Il.announce h2.il ~port:7777 in
-            let conv = Inet.Il.listen lis in
+            let conv = Inet.Conv.listen lis in
             let rec go () =
               match Inet.Il.read_msg conv with
               | Some m ->
@@ -376,7 +376,7 @@ let prop_il_exactly_once =
               for i = 1 to n do
                 Inet.Il.write conv (Printf.sprintf "m%02d" i)
               done
-            with Inet.Il.Timeout _ | Inet.Il.Refused _ -> ())
+            with Inet.Conv.Timeout _ | Inet.Conv.Refused _ -> ())
       in
       Sim.Engine.run ~until:300.0 eng;
       let expect = List.init n (fun i -> Printf.sprintf "m%02d" (i + 1)) in
@@ -397,8 +397,8 @@ let prop_tcp_stream_intact =
       let got = Buffer.create (String.length payload) in
       let _server =
         spawn eng (fun () ->
-            let lis = Inet.Tcp.announce h2.tcp ~port:7777 in
-            let conv = Inet.Tcp.listen lis in
+            let lis = Inet.Conv.announce h2.tcp ~port:7777 in
+            let conv = Inet.Conv.listen lis in
             let rec go () =
               let s = Inet.Tcp.read conv 8192 in
               if s <> "" then begin
@@ -412,7 +412,7 @@ let prop_tcp_stream_intact =
         spawn eng (fun () ->
             try
               let conv =
-                Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:7777
+                Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:7777
               in
               List.iteri
                 (fun i n ->
@@ -420,7 +420,7 @@ let prop_tcp_stream_intact =
                     (String.make n (Char.chr (65 + (i mod 26)))))
                 sizes;
               Inet.Tcp.close conv
-            with Inet.Tcp.Timeout _ | Inet.Tcp.Refused _ -> ())
+            with Inet.Conv.Timeout _ | Inet.Conv.Refused _ -> ())
       in
       Sim.Engine.run ~until:300.0 eng;
       Buffer.contents got = payload)
@@ -432,15 +432,15 @@ let test_tcp_connect_and_echo () =
   let got = ref "" in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let lis = Inet.Conv.announce h2.tcp ~port:513 in
+        let conv = Inet.Conv.listen lis in
         let m = Inet.Tcp.read conv 100 in
         Inet.Tcp.write conv ("echo:" ^ m))
   in
   let _client =
     spawn eng (fun () ->
         let conv =
-          Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
+          Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
         in
         Inet.Tcp.write conv "hello tcp";
         got := Inet.Tcp.read conv 100;
@@ -455,8 +455,8 @@ let test_tcp_does_not_preserve_delimiters () =
   let first_read = ref "" in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce h2.tcp ~port:564 in
-        let conv = Inet.Tcp.listen lis in
+        let lis = Inet.Conv.announce h2.tcp ~port:564 in
+        let conv = Inet.Conv.listen lis in
         (* wait for both writes to land, then read once *)
         Sim.Time.sleep eng 1.0;
         first_read := Inet.Tcp.read conv 100)
@@ -464,7 +464,7 @@ let test_tcp_does_not_preserve_delimiters () =
   let _client =
     spawn eng (fun () ->
         let conv =
-          Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:564
+          Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:564
         in
         Inet.Tcp.write conv "one";
         Inet.Tcp.write conv "two")
@@ -478,8 +478,8 @@ let test_tcp_bulk_transfer () =
   let want = 200_000 in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let lis = Inet.Conv.announce h2.tcp ~port:513 in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           let s = Inet.Tcp.read conv 8192 in
           if s <> "" then begin
@@ -492,7 +492,7 @@ let test_tcp_bulk_transfer () =
   let _client =
     spawn eng (fun () ->
         let conv =
-          Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
+          Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
         in
         let sent = ref 0 in
         while !sent < want do
@@ -511,8 +511,8 @@ let test_tcp_reliable_under_loss () =
   let want = 50_000 in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let lis = Inet.Conv.announce h2.tcp ~port:513 in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           let s = Inet.Tcp.read conv 8192 in
           if s <> "" then begin
@@ -525,7 +525,7 @@ let test_tcp_reliable_under_loss () =
   let _client =
     spawn eng (fun () ->
         let conv =
-          Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
+          Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
         in
         let sent = ref 0 in
         while !sent < want do
@@ -546,8 +546,8 @@ let test_tcp_fin_gives_eof () =
   let reads = ref [] in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let lis = Inet.Conv.announce h2.tcp ~port:513 in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           let s = Inet.Tcp.read conv 100 in
           reads := s :: !reads;
@@ -558,7 +558,7 @@ let test_tcp_fin_gives_eof () =
   let _client =
     spawn eng (fun () ->
         let conv =
-          Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
+          Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
         in
         Inet.Tcp.write conv "bye";
         Inet.Tcp.close conv)
@@ -574,8 +574,8 @@ let test_tcp_connect_refused () =
     spawn eng (fun () ->
         try
           ignore
-            (Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:9999)
-        with Inet.Tcp.Refused _ -> refused := true)
+            (Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:9999)
+        with Inet.Conv.Refused _ -> refused := true)
   in
   Sim.Engine.run ~until:30.0 eng;
   Alcotest.(check bool) "rst refuses" true !refused
@@ -612,7 +612,7 @@ let test_il_out_of_window_discard () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce ilb ~port:1 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         let rec go () =
           match Inet.Il.read_msg conv with
           | Some m ->
@@ -659,8 +659,8 @@ let make_cc_world ?(seed = 9) ?cfg1 ?cfg2 () =
 
 let cc_sink eng cc ~port total =
   spawn eng (fun () ->
-      let lis = Inet.Tcp.announce cc ~port in
-      let conv = Inet.Tcp.listen lis in
+      let lis = Inet.Conv.announce cc ~port in
+      let conv = Inet.Conv.listen lis in
       let rec go () =
         let s = Inet.Tcp.read conv 8192 in
         if s <> "" then begin
@@ -672,7 +672,7 @@ let cc_sink eng cc ~port total =
 
 let cc_source eng cc ~rport want k =
   spawn eng (fun () ->
-      let conv = Inet.Tcp.connect cc ~raddr:(ip "135.104.9.32") ~rport in
+      let conv = Inet.Conv.connect cc ~raddr:(ip "135.104.9.32") ~rport in
       let sent = ref 0 in
       while !sent < want do
         let n = min 4096 (want - !sent) in
@@ -687,15 +687,15 @@ let test_tcpcc_connect_and_echo () =
   let got = ref "" in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce cc2 ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let lis = Inet.Conv.announce cc2 ~port:513 in
+        let conv = Inet.Conv.listen lis in
         let m = Inet.Tcp.read conv 100 in
         Inet.Tcp.write conv ("echo:" ^ m))
   in
   let _client =
     spawn eng (fun () ->
         let conv =
-          Inet.Tcp.connect cc1 ~raddr:(ip "135.104.9.32") ~rport:513
+          Inet.Conv.connect cc1 ~raddr:(ip "135.104.9.32") ~rport:513
         in
         Inet.Tcp.write conv "hello tcpcc";
         got := Inet.Tcp.read conv 100;
@@ -791,8 +791,8 @@ let test_tcpcc_zero_window_persist () =
   let want = 32_768 in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce cc2 ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let lis = Inet.Conv.announce cc2 ~port:513 in
+        let conv = Inet.Conv.listen lis in
         (* stall long enough for the sender to fill the 4 KiB buffer
            and sit against a zero window across several probes *)
         Sim.Time.sleep eng 5.0;
@@ -818,8 +818,8 @@ let test_tcp_half_close () =
   let client_got = ref "" in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        let conv = Inet.Tcp.listen lis in
+        let lis = Inet.Conv.announce h2.tcp ~port:513 in
+        let conv = Inet.Conv.listen lis in
         (* read until the client's FIN *)
         let rec drain () = if Inet.Tcp.read conv 4096 <> "" then drain () in
         drain ();
@@ -830,7 +830,7 @@ let test_tcp_half_close () =
   let _client =
     spawn eng (fun () ->
         let conv =
-          Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
+          Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
         in
         Inet.Tcp.write conv "bye";
         Inet.Tcp.close conv;
@@ -853,17 +853,17 @@ let test_tcp_write_after_close_raises () =
   let raised = ref false in
   let _server =
     spawn eng (fun () ->
-        let lis = Inet.Tcp.announce h2.tcp ~port:513 in
-        ignore (Inet.Tcp.listen lis))
+        let lis = Inet.Conv.announce h2.tcp ~port:513 in
+        ignore (Inet.Conv.listen lis))
   in
   let _client =
     spawn eng (fun () ->
         let conv =
-          Inet.Tcp.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
+          Inet.Conv.connect h1.tcp ~raddr:(ip "135.104.9.32") ~rport:513
         in
         Inet.Tcp.close conv;
         try Inet.Tcp.write conv "zombie"
-        with Inet.Tcp.Hungup -> raised := true)
+        with Inet.Conv.Hungup -> raised := true)
   in
   Sim.Engine.run ~until:30.0 eng;
   Alcotest.(check bool) "write after close" true !raised
@@ -874,13 +874,13 @@ let test_il_write_after_close_raises () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce h2.il ~port:1 in
-        ignore (Inet.Il.listen lis))
+        ignore (Inet.Conv.listen lis))
   in
   let _client =
     spawn eng (fun () ->
         let conv = Inet.Il.connect h1.il ~raddr:(ip "135.104.9.32") ~rport:1 in
         Inet.Il.close conv;
-        try Inet.Il.write conv "zombie" with Inet.Il.Hungup -> raised := true)
+        try Inet.Il.write conv "zombie" with Inet.Conv.Hungup -> raised := true)
   in
   Sim.Engine.run ~until:30.0 eng;
   Alcotest.(check bool) "write after close" true !raised
@@ -922,6 +922,27 @@ let test_udp_no_listener_drops () =
   Sim.Engine.run ~until:5.0 eng;
   Alcotest.(check int) "drop counted" 1
     (Inet.Udp.counters h2.udp).Inet.Udp.dg_dropped_noport
+
+(* a dialed UDP conversation takes only its peer's datagrams: one from
+   another port on the same host is dropped as having no port *)
+let test_udp_dialed_takes_its_peer () =
+  let eng, _seg, h1, h2 = make_world () in
+  let got = ref "" in
+  let _p =
+    spawn eng (fun () ->
+        let c = Inet.Conv.connect h1.udp ~raddr:(ip "135.104.9.32") ~rport:9 in
+        let lport = ((Inet.Conv.proto h1.udp).ep c).Inet.Conv.lport in
+        let peer = Inet.Udp.bind ~port:9 h2.udp in
+        let stranger = Inet.Udp.bind ~port:10 h2.udp in
+        Inet.Udp.send stranger ~dst:(ip "135.104.9.31") ~dport:lport "no";
+        Inet.Udp.send peer ~dst:(ip "135.104.9.31") ~dport:lport "yes";
+        got := (Inet.Conv.proto h1.udp).read c 100)
+  in
+  Sim.Engine.run ~until:5.0 eng;
+  Alcotest.(check string) "the peer's datagram" "yes" !got;
+  let c = Inet.Udp.counters h1.udp in
+  Alcotest.(check int) "one received" 1 c.Inet.Udp.dg_rcvd;
+  Alcotest.(check int) "the stranger's dropped" 1 c.Inet.Udp.dg_dropped_noport
 
 (* ---- IP layer details ---- *)
 
@@ -1009,7 +1030,7 @@ let test_routing_il_across_subnets () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce il_b ~port:17008 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         match Inet.Il.read_msg conv with
         | Some m -> Inet.Il.write conv ("echo:" ^ m)
         | None -> ())
@@ -1039,7 +1060,7 @@ let test_routing_large_message_fragments () =
   let _server =
     spawn eng (fun () ->
         let lis = Inet.Il.announce il_b ~port:1 in
-        let conv = Inet.Il.listen lis in
+        let conv = Inet.Conv.listen lis in
         match Inet.Il.read_msg conv with
         | Some m -> got := m
         | None -> ())
@@ -1093,7 +1114,7 @@ let test_il_one_copy_per_side () =
   let before = ref 0. and after = ref 0. and got = ref "" in
   let _server =
     spawn eng ~name:"server" (fun () ->
-        let conv = Inet.Il.listen (Inet.Il.announce h2.il ~port:17008) in
+        let conv = Inet.Conv.listen (Inet.Il.announce h2.il ~port:17008) in
         got := Inet.Il.read conv (2 * n);
         after := Gc.allocated_bytes ())
   in
@@ -1145,7 +1166,7 @@ let test_il_sent_buffer_never_rewritten () =
   let got = ref [] in
   let _server =
     spawn eng ~name:"server" (fun () ->
-        let conv = Inet.Il.listen (Inet.Il.announce h2.il ~port:17008) in
+        let conv = Inet.Conv.listen (Inet.Il.announce h2.il ~port:17008) in
         List.iter
           (fun _ ->
             match Inet.Il.read_msg conv with
@@ -1283,6 +1304,8 @@ let () =
           Alcotest.test_case "datagram" `Quick test_udp_datagram;
           Alcotest.test_case "no listener drops" `Quick
             test_udp_no_listener_drops;
+          Alcotest.test_case "dialed takes its peer" `Quick
+            test_udp_dialed_takes_its_peer;
         ] );
       ( "ip",
         [

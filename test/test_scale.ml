@@ -40,7 +40,7 @@ let test_il_idle_is_eventless () =
   ignore
     (Sim.Proc.spawn eng ~name:"rx" (fun () ->
          let lis = Inet.Il.announce ilb ~port:1 in
-         let conv = Inet.Il.listen lis in
+         let conv = Inet.Conv.listen lis in
          got := Inet.Il.read_msg conv));
   ignore
     (Sim.Proc.spawn eng ~name:"tx" (fun () ->
@@ -70,13 +70,13 @@ let test_tcp_idle_is_eventless () =
   let got = ref "" in
   ignore
     (Sim.Proc.spawn eng ~name:"rx" (fun () ->
-         let lis = Inet.Tcp.announce tcpb ~port:1 in
-         let conv = Inet.Tcp.listen lis in
+         let lis = Inet.Conv.announce tcpb ~port:1 in
+         let conv = Inet.Conv.listen lis in
          got := Inet.Tcp.read conv 4));
   ignore
     (Sim.Proc.spawn eng ~name:"tx" (fun () ->
          let conv =
-           Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
+           Inet.Conv.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
              ~rport:1
          in
          Inet.Tcp.write conv "ping"));
@@ -92,34 +92,28 @@ let test_tcp_idle_is_eventless () =
   Alcotest.(check int) "zero timer arms while idle" arms (counter tr "timer.arm");
   Alcotest.(check int) "event heap is empty" 0 (Sim.Engine.pending eng)
 
+(* ---- the transports, each on the one conversation core ---- *)
+
+let il ip = Inet.Il.attach ip
+let tcp ip = Inet.Tcp.attach ip
+let tcpcc ip = Inet.Tcp.attach_cc ip
+let udp ip = Inet.Udp.attach ip
+let peer = Inet.Ipaddr.of_string "10.0.0.2"
+
 (* ---- ephemeral port exhaustion is a clean error ---- *)
 
 (* occupy every ephemeral port with listeners, so the next active open
    has nowhere to bind: the stack must answer Port_exhausted, not spin
    or pick a duplicate *)
-let test_il_port_exhaustion () =
+let test_port_exhaustion attach () =
   let _eng, _tr, ipa, _ipb = ether_pair () in
-  let ila = Inet.Il.attach ipa in
+  let st = attach ipa in
   for p = 5000 to 64999 do
-    ignore (Inet.Il.announce ila ~port:p)
+    ignore (Inet.Conv.announce st ~port:p)
   done;
-  match
-    Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2") ~rport:1
-  with
+  match Inet.Conv.connect st ~raddr:peer ~rport:1 with
   | _ -> Alcotest.fail "connect should not find a port"
-  | exception Inet.Il.Port_exhausted -> ()
-
-let test_tcp_port_exhaustion () =
-  let _eng, _tr, ipa, _ipb = ether_pair () in
-  let tcpa = Inet.Tcp.attach ipa in
-  for p = 5000 to 64999 do
-    ignore (Inet.Tcp.announce tcpa ~port:p)
-  done;
-  match
-    Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2") ~rport:1
-  with
-  | _ -> Alcotest.fail "connect should not find a port"
-  | exception Inet.Tcp.Port_exhausted -> ()
+  | exception Inet.Conv.Port_exhausted -> ()
 
 (* the same condition through the protocol device and dial library:
    the caller sees a Dial_error naming the cause, not a hang *)
@@ -147,93 +141,95 @@ let test_dial_port_exhaustion_is_clean () =
 
 (* ---- a full backlog refuses without wedging the listener ---- *)
 
-let test_il_backlog_refusal () =
+(* Three callers against a backlog of two, before anyone accepts; the
+   server drains the queue only afterwards, and a fourth call then
+   succeeds — the listener was never wedged by the refusal.  On UDP
+   ([~datagram:true]) connecting sends nothing: the call is the first
+   datagram, and the caller never sees the refusal. *)
+let test_backlog_refusal ?(datagram = false) attach () =
   let eng, _tr, ipa, ipb = ether_pair () in
-  let ila = Inet.Il.attach ipa and ilb = Inet.Il.attach ipb in
-  let lis = Inet.Il.announce ilb ~backlog:2 ~port:7 in
-  let refused = ref 0 and connected = ref 0 in
+  let a = attach ipa and b = attach ipb in
+  let lis = Inet.Conv.announce b ~backlog:2 ~port:7 in
+  let refused = ref 0 and connected = ref 0 and accepted = ref 0 in
   let client delay =
     ignore
       (Sim.Proc.spawn eng ~name:"client" (fun () ->
            Sim.Time.sleep eng delay;
-           match
-             Inet.Il.connect ila ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-               ~rport:7
-           with
-           | _ -> incr connected
-           | exception Inet.Il.Refused _ -> incr refused))
+           match Inet.Conv.connect a ~raddr:peer ~rport:7 with
+           | c ->
+             incr connected;
+             if datagram then (Inet.Conv.proto a).write c "call"
+           | exception Inet.Conv.Refused _ -> incr refused))
   in
-  (* three callers against a backlog of two, before anyone accepts *)
   client 0.0;
   client 0.01;
   client 0.02;
-  (* the server drains the queue only afterwards; a fourth call then
-     succeeds — the listener was never wedged by the refusal *)
   ignore
     (Sim.Proc.spawn eng ~name:"server" (fun () ->
          Sim.Time.sleep eng 1.0;
-         ignore (Inet.Il.listen lis);
-         ignore (Inet.Il.listen lis);
-         ignore (Inet.Il.listen lis)));
+         for _ = 1 to 3 do
+           ignore (Inet.Conv.listen lis);
+           incr accepted
+         done));
   client 2.0;
   Sim.Engine.run ~until:60.0 eng;
-  Alcotest.(check int) "two early callers connected, plus the late one" 3
-    !connected;
-  Alcotest.(check int) "one caller refused" 1 !refused;
-  Alcotest.(check int) "listener counted the refusal" 1 (Inet.Il.refused lis);
-  Alcotest.(check int) "stack-wide refusals" 1 (Inet.Il.refusals ilb)
+  if datagram then
+    Alcotest.(check int) "every caller connects at once" 4 !connected
+  else begin
+    Alcotest.(check int) "two early callers connected, plus the late one" 3
+      !connected;
+    Alcotest.(check int) "one caller refused" 1 !refused
+  end;
+  Alcotest.(check int) "two early calls accepted, plus the late one" 3
+    !accepted;
+  Alcotest.(check int) "listener counted the refusal" 1 (Inet.Conv.refused lis);
+  Alcotest.(check int) "stack-wide refusals" 1 (Inet.Conv.refusals b)
 
-let test_tcp_backlog_refusal () =
-  let eng, _tr, ipa, ipb = ether_pair () in
-  let tcpa = Inet.Tcp.attach ipa and tcpb = Inet.Tcp.attach ipb in
-  let lis = Inet.Tcp.announce tcpb ~backlog:2 ~port:7 in
-  let refused = ref 0 and connected = ref 0 in
-  let client delay =
-    ignore
-      (Sim.Proc.spawn eng ~name:"client" (fun () ->
-           Sim.Time.sleep eng delay;
-           match
-             Inet.Tcp.connect tcpa ~raddr:(Inet.Ipaddr.of_string "10.0.0.2")
-               ~rport:7
-           with
-           | _ -> incr connected
-           | exception Inet.Tcp.Refused _ -> incr refused))
-  in
-  client 0.0;
-  client 0.01;
-  client 0.02;
+(* ---- failures name the protocol ---- *)
+
+(* a call to an address nobody answers dies of its handshake timer with
+   the protocol's name on it, and a second announce of a port names the
+   protocol too *)
+let test_errors_name_protocol attach ~name () =
+  let eng, _tr, ipa, _ipb = ether_pair () in
+  let st = attach ipa in
+  let got = ref "" in
   ignore
-    (Sim.Proc.spawn eng ~name:"server" (fun () ->
-         Sim.Time.sleep eng 1.0;
-         ignore (Inet.Tcp.listen lis);
-         ignore (Inet.Tcp.listen lis);
-         ignore (Inet.Tcp.listen lis)));
-  client 2.0;
-  Sim.Engine.run ~until:60.0 eng;
-  Alcotest.(check int) "two early callers connected, plus the late one" 3
-    !connected;
-  Alcotest.(check int) "one caller refused" 1 !refused;
-  Alcotest.(check int) "listener counted the refusal" 1 (Inet.Tcp.refused lis);
-  Alcotest.(check int) "stack-wide refusals" 1 (Inet.Tcp.refusals tcpb)
+    (Sim.Proc.spawn eng ~name:"caller" (fun () ->
+         match
+           Inet.Conv.connect st ~raddr:(Inet.Ipaddr.of_string "10.0.0.9")
+             ~rport:7
+         with
+         | _ -> got := "connected"
+         | exception Inet.Conv.Timeout e -> got := e));
+  Sim.Engine.run ~until:120.0 eng;
+  Alcotest.(check string) "timeout text" (name ^ " connect") !got;
+  ignore (Inet.Conv.announce st ~port:7);
+  Alcotest.check_raises "announce text"
+    (Invalid_argument
+       (Printf.sprintf "%s.announce: port 7 in use"
+          (String.capitalize_ascii name)))
+    (fun () -> ignore (Inet.Conv.announce st ~port:7))
 
 (* ---- the backlog through the ctl file and status text ---- *)
 
 let test_backlog_ctl_and_status () =
   Util.in_world ~from:"helix" (fun _w env ->
-      let ann = P9net.Dial.announce env "il!*!7777" in
-      ignore (Vfs.Env.write env ann.P9net.Dial.ann_ctl_fd "backlog 3");
-      let status =
-        Vfs.Env.read_file env (ann.P9net.Dial.ann_dir ^ "/status")
-      in
-      let contains sub =
-        let n = String.length sub and m = String.length status in
-        let rec find i = i + n <= m && (String.sub status i n = sub || find (i + 1)) in
-        find 0
-      in
-      Alcotest.(check bool)
-        (Printf.sprintf "status shows the backlog: %s" status)
-        true
-        (contains "Announced backlog 3 queued 0 refused 0"))
+      (* UDP's announced ports share the core's backlog *)
+      List.iter
+        (fun (proto, port) ->
+          let ann =
+            P9net.Dial.announce env (Printf.sprintf "%s!*!%d" proto port)
+          in
+          ignore (Vfs.Env.write env ann.P9net.Dial.ann_ctl_fd "backlog 3");
+          Alcotest.(check string)
+            (proto ^ " status shows the backlog")
+            (Printf.sprintf "%s/%s %d Announced backlog 3 queued 0 refused 0\n"
+               proto
+               (Filename.basename ann.P9net.Dial.ann_dir)
+               port)
+            (Vfs.Env.read_file env (ann.P9net.Dial.ann_dir ^ "/status")))
+        [ ("il", 7777); ("udp", 7778) ])
 
 (* ---- the CS answer cache ---- *)
 
@@ -289,20 +285,36 @@ let () =
       ( "port-exhaustion",
         [
           Alcotest.test_case "IL: clean Port_exhausted" `Quick
-            test_il_port_exhaustion;
+            (test_port_exhaustion il);
           Alcotest.test_case "TCP: clean Port_exhausted" `Quick
-            test_tcp_port_exhaustion;
+            (test_port_exhaustion tcp);
+          Alcotest.test_case "TCPCC: clean Port_exhausted" `Quick
+            (test_port_exhaustion tcpcc);
           Alcotest.test_case "dial reports no free local ports" `Quick
             test_dial_port_exhaustion_is_clean;
         ] );
       ( "backlog",
         [
           Alcotest.test_case "IL: full backlog refuses, listener survives"
-            `Quick test_il_backlog_refusal;
+            `Quick (test_backlog_refusal il);
           Alcotest.test_case "TCP: full backlog refuses, listener survives"
-            `Quick test_tcp_backlog_refusal;
+            `Quick (test_backlog_refusal tcp);
+          Alcotest.test_case "TCPCC: full backlog refuses, listener survives"
+            `Quick (test_backlog_refusal tcpcc);
+          Alcotest.test_case "UDP: full backlog refuses, listener survives"
+            `Quick
+            (test_backlog_refusal ~datagram:true udp);
           Alcotest.test_case "backlog ctl message and status text" `Quick
             test_backlog_ctl_and_status;
+        ] );
+      ( "errors",
+        [
+          Alcotest.test_case "IL: failures name the protocol" `Quick
+            (test_errors_name_protocol il ~name:"il");
+          Alcotest.test_case "TCP: failures name the protocol" `Quick
+            (test_errors_name_protocol tcp ~name:"tcp");
+          Alcotest.test_case "TCPCC: failures name the protocol" `Quick
+            (test_errors_name_protocol tcpcc ~name:"tcpcc");
         ] );
       ("cs-cache", [ Alcotest.test_case "answer cache" `Quick test_cs_cache ]);
     ]
