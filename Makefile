@@ -77,8 +77,10 @@ bench-routed:
 # (4,928, 10,080, 20,160).  The bench exits non-zero if the profiler's
 # minor words per event at 4N exceed N's by more than 10% (per-event
 # cost must not grow with the number of live processes), if any point
-# fails to converge, or if the engine's peak live processes fall short
-# of the conversation count.  Also run by bench-guard.
+# fails to converge, if the engine's peak live processes fall short
+# of the conversation count, or if any point allocates more than one
+# word per event straight into the major heap (a staging buffer per
+# read).  Also run by bench-guard.
 bench-scale:
 	dune exec bench/main.exe -- scale
 

@@ -227,10 +227,16 @@ let spec =
    event at 4N may exceed N's by at most 10%.  Allocation is
    deterministic for a given compiler, so this is a hard check; a
    process list copied on every exit fails it (617 words per event at
-   N, 1,616 at 4N).  Words/event comes from the profiler, so it lives
-   in the perf sidecar and the checked value, never in the JSON. *)
+   N, 1,616 at 4N).  Words allocated straight into the major heap are
+   bounded too, at every point: reads hand out the bytes their blocks
+   already hold, which leaves about 0.2 words per event there, while a
+   staging buffer per read (a 4 KiB Buffer is 513 words) puts about 30
+   there and fails the bound.  Words/event comes from the profiler, so
+   it lives in the perf sidecar and the checked value, never in the
+   JSON. *)
 let scale_points = [ 22; 45; 90 ]
 let scale_slack = 1.10
+let direct_major_bound = 1.0
 
 let scale_spec =
   let run () =
@@ -259,15 +265,19 @@ let scale_spec =
       value =
         List.map
           (fun (_, r, (perf : Obs.Prof.report)) ->
-            (r, perf.r_minor_words_per_event))
+            ( r,
+              perf.r_minor_words_per_event,
+              perf.r_direct_major_words /. float_of_int perf.r_events ))
           points;
     }
   in
   let show o =
     Bench.print_json o;
     List.iter
-      (fun (r, wpe) ->
-        Printf.printf "%6d convs: %7.1f minor words/event\n" r.r_total wpe)
+      (fun (r, wpe, dmaj) ->
+        Printf.printf
+          "%6d convs: %7.1f minor words/event %6.2f direct-major words/event\n"
+          r.r_total wpe dmaj)
       o.Bench.value
   in
   {
@@ -280,26 +290,35 @@ let scale_spec =
       [
         ("converged", fun pts ->
             List.find_map
-              (fun (r, _) ->
+              (fun (r, _, _) ->
                 Bench.expect r.r_converged "%d convs: converged only %d"
                   r.r_total r.r_completed)
               pts);
         ("peak procs", fun pts ->
             List.find_map
-              (fun (r, _) ->
+              (fun (r, _, _) ->
                 Bench.expect
                   (r.r_peak_procs >= r.r_total)
                   "%d convs: peak live processes %d < conversations"
                   r.r_total r.r_peak_procs)
               pts);
         ("words/event flat", fun pts ->
-            let n, w1 = List.hd pts and n4, w4 = List.hd (List.rev pts) in
+            let n, w1, _ = List.hd pts and n4, w4, _ = List.hd (List.rev pts) in
             Bench.expect
               (w4 <= w1 *. scale_slack)
               "%.1f minor words/event at %d convs vs %.1f at %d (> +%.0f%%) \
                — per-event cost grows with N"
               w4 n4.r_total w1 n.r_total
               ((scale_slack -. 1.) *. 100.));
+        ("direct-major words/event", fun pts ->
+            List.find_map
+              (fun (r, _, dmaj) ->
+                Bench.expect
+                  (dmaj <= direct_major_bound)
+                  "%d convs: %.2f words/event allocated straight into the \
+                   major heap (bound %.1f) — a read stages its bytes again"
+                  r.r_total dmaj direct_major_bound)
+              pts);
       ];
     golden = false;
   }

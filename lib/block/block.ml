@@ -50,6 +50,23 @@ let concat bs =
   let delim = match List.rev bs with [] -> false | last :: _ -> last.delim in
   make ~delim (Bytes.unsafe_to_string buf)
 
+let gather first off total rest =
+  match rest with
+  | [] ->
+    if off = 0 && total = String.length first then first
+    else String.sub first off total
+  | pieces ->
+    let out = Bytes.create total in
+    let fin =
+      List.fold_left
+        (fun fin (s, o, n) ->
+          Bytes.blit_string s o out (fin - n) n;
+          fin - n)
+        total pieces
+    in
+    Bytes.blit_string first off out 0 fin;
+    Bytes.unsafe_to_string out
+
 let ctl_words b =
   String.split_on_char ' ' (to_string b)
   |> List.concat_map (String.split_on_char '\t')
@@ -215,13 +232,12 @@ module Q = struct
     in
     if want <= 0 || not (wait ()) then ""
     else begin
-      let buf = Buffer.create (min want 4096) in
+      (* the bytes taken are noted as pieces of the blocks' own strings,
+         which nobody writes, and joined once by [gather] at the end *)
+      let first = ref "" and first_off = ref 0 and got = ref 0 in
+      let rest = ref [] in
       let stop = ref false in
-      while
-        (not !stop)
-        && Buffer.length buf < want
-        && not (Queue.is_empty q.items)
-      do
+      while (not !stop) && !got < want && not (Queue.is_empty q.items) do
         let b = Queue.peek q.items in
         match b.kind with
         | Hangup ->
@@ -234,8 +250,15 @@ module Q = struct
           ignore (Queue.pop q.items);
           q.nbytes <- q.nbytes - len b
         | Data ->
-          let take = min (want - Buffer.length buf) (len b) in
-          Buffer.add_substring buf b.buf b.rp take;
+          let take = min (want - !got) (len b) in
+          if take > 0 then begin
+            if !got = 0 then begin
+              first := b.buf;
+              first_off := b.rp
+            end
+            else rest := (b.buf, b.rp, take) :: !rest;
+            got := !got + take
+          end;
           consume b take;
           q.nbytes <- q.nbytes - take;
           Sim.Rendez.wakeup q.writers;
@@ -250,7 +273,7 @@ module Q = struct
          next reader ourselves (found by the schedule explorer:
          stream-read-cascade stranded its second reader) *)
       if not (Queue.is_empty q.items) then Sim.Rendez.wakeup q.readers;
-      Buffer.contents buf
+      gather !first !first_off !got !rest
     end
 
   let close q =

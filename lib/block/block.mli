@@ -61,6 +61,15 @@ val concat : t list -> t
 (** Single data block with the concatenated payloads; delimited if the
     last input block was. *)
 
+val gather : string -> int -> int -> (string * int * int) list -> string
+(** [gather first off total rest] joins pieces of immutable strings
+    into [total] bytes: [rest] holds the later pieces [(s, off, len)],
+    newest first, and [first] from [off] supplies the bytes before
+    them.  With no later pieces the result is [first] itself when it
+    spans all of [first], else one [String.sub]; otherwise one copy
+    into a string of exactly [total] bytes.  How reads hand out bytes
+    they already hold without staging them. *)
+
 val ctl_words : t -> string list
 (** Split a control block's text into whitespace-separated words, the
     way stream modules parse commands like ["connect 2048"]. *)
@@ -108,7 +117,10 @@ module Q : sig
   val read : t -> int -> string
   (** Byte-stream read with the paper's semantics: collects up to [n]
       bytes but stops early at a delimiter boundary; [""] at EOF.
-      Partial blocks stay queued. *)
+      Partial blocks stay queued.  Nothing is staged: a read one block
+      answers returns that block's string itself when the read spans
+      all of it (one [String.sub] otherwise), and a read that gathers
+      several blocks copies once into a string of the exact size. *)
 
   val close : t -> unit
   (** No more {!put}s; readers drain then see EOF. *)

@@ -8,11 +8,18 @@ let default_config = { bsize = 1024; budget = 256 * 1024; readahead = 8 }
 
 (* A cached block, threaded on an intrusive LRU list.  The list is
    cyclic through a sentinel: sentinel.next is most recently used,
-   sentinel.prev the eviction victim. *)
+   sentinel.prev the eviction victim.  Its bytes are a view of the fill
+   reply they arrived in (or of the fresh string a write-through
+   built), never a copy: strings are immutable, so the view stays
+   valid, and a surviving block pins at most that one fill, which is at
+   most maxfdata bytes.  [used] and the budget count view bytes, not
+   the pinned strings. *)
 type blk = {
   bk_path : int32;
   bk_idx : int;
-  mutable bk_data : string;  (* < bsize only for the end-of-file tail *)
+  mutable bk_buf : string;
+  mutable bk_off : int;
+  mutable bk_len : int;  (* < bsize only for the end-of-file tail *)
   mutable bk_prev : blk;
   mutable bk_next : blk;
 }
@@ -71,7 +78,7 @@ let touch t b =
 
 let forget_block t b =
   unlink b;
-  t.used <- t.used - String.length b.bk_data;
+  t.used <- t.used - b.bk_len;
   match Hashtbl.find_opt t.files b.bk_path with
   | Some e -> Hashtbl.remove e.ce_blocks b.bk_idx
   | None -> ()
@@ -83,19 +90,25 @@ let rec evict t =
     evict t
   end
 
-let insert t e idx data =
+let set_view t b buf off len =
+  t.used <- t.used - b.bk_len + len;
+  b.bk_buf <- buf;
+  b.bk_off <- off;
+  b.bk_len <- len
+
+(* cache [len] bytes of [buf] from [off] as block [idx] of [e] *)
+let insert t e idx buf off len =
   (match Hashtbl.find_opt e.ce_blocks idx with
   | Some b ->
-    t.used <- t.used - String.length b.bk_data + String.length data;
-    b.bk_data <- data;
+    set_view t b buf off len;
     touch t b
   | None ->
     let rec b =
-      { bk_path = e.ce_path; bk_idx = idx; bk_data = data; bk_prev = b;
-        bk_next = b }
+      { bk_path = e.ce_path; bk_idx = idx; bk_buf = buf; bk_off = off;
+        bk_len = len; bk_prev = b; bk_next = b }
     in
     Hashtbl.replace e.ce_blocks idx b;
-    t.used <- t.used + String.length data;
+    t.used <- t.used + len;
     push_front t b);
   evict t
 
@@ -116,7 +129,7 @@ let invalidate t e ~vers =
   Hashtbl.iter
     (fun _ b ->
       unlink b;
-      t.used <- t.used - String.length b.bk_data)
+      t.used <- t.used - b.bk_len)
     e.ce_blocks;
   Hashtbl.reset e.ce_blocks;
   e.ce_vers <- vers;
@@ -146,7 +159,7 @@ let drop_file t path =
     Hashtbl.iter
       (fun _ b ->
         unlink b;
-        t.used <- t.used - String.length b.bk_data)
+        t.used <- t.used - b.bk_len)
       e.ce_blocks;
     Hashtbl.remove t.files path
 
@@ -168,14 +181,17 @@ let read_cached t qid fid ~offset ~count =
        stopped (including the very first, at 0) are sequential and get
        the full read-ahead window on a miss *)
     let sequential = Int64.equal offset e.ce_lastend in
-    let buf = Buffer.create (min count Ninep.Fcall.maxfdata) in
+    (* the answer's pieces, views of cached blocks and fills, joined
+       once at the end by [Block.gather] *)
+    let first = ref "" and first_off = ref 0 and got = ref 0 in
+    let rest = ref [] in
     let upstream = ref 0 in
     let eof = ref false in
     (* On a miss, fetch from the missing block's start: enough blocks to
        finish the request, widened to the read-ahead window when
        sequential, in a single upstream round trip. *)
     let fetch idx boff =
-      let remaining = count - Buffer.length buf in
+      let remaining = count - !got in
       let nb_needed = (boff + remaining + bsize - 1) / bsize in
       let cap = max 1 (Ninep.Fcall.maxfdata / bsize) in
       let nb =
@@ -215,19 +231,18 @@ let read_cached t qid fid ~offset ~count =
       if fresh then begin
         let full = len / bsize in
         for k = 0 to full - 1 do
-          insert t e (idx + k) (String.sub data (k * bsize) bsize)
+          insert t e (idx + k) data (k * bsize) bsize
         done;
         (* a reply shorter than asked means the file ends inside it; an
            exact-multiple (or empty) short reply is remembered as an
-           empty end-of-file marker block *)
+           empty end-of-file marker block, which pins nothing *)
         if len < req then
-          insert t e (idx + full)
-            (if len mod bsize > 0 then
-               String.sub data (full * bsize) (len mod bsize)
-             else "")
+          if len mod bsize > 0 then
+            insert t e (idx + full) data (full * bsize) (len mod bsize)
+          else insert t e (idx + full) "" 0 0
       end;
       let blen = min bsize len in
-      (String.sub data 0 blen, blen = bsize)
+      (data, 0, blen, blen = bsize)
     in
     (* Single flight: when another client's miss on this very block is
        already filling upstream, wait for that read instead of issuing a
@@ -239,7 +254,7 @@ let read_cached t qid fid ~offset ~count =
       match Hashtbl.find_opt e.ce_blocks idx with
       | Some b ->
         touch t b;
-        (b.bk_data, String.length b.bk_data = bsize)
+        (b.bk_buf, b.bk_off, b.bk_len, b.bk_len = bsize)
       | None -> (
         let key = (e.ce_path, idx) in
         match Hashtbl.find_opt t.flights key with
@@ -257,25 +272,29 @@ let read_cached t qid fid ~offset ~count =
             (fun () -> fetch idx boff))
     in
     let rec serve () =
-      let got = Buffer.length buf in
-      if got < count && not !eof then begin
-        let pos = Int64.add offset (Int64.of_int got) in
+      if !got < count && not !eof then begin
+        let pos = Int64.add offset (Int64.of_int !got) in
         let idx = Int64.to_int (Int64.div pos bs64) in
         let boff = Int64.to_int (Int64.rem pos bs64) in
-        let chunk, full_block = acquire idx boff in
-        let avail = String.length chunk - boff in
+        let chunk, off, blen, full_block = acquire idx boff in
+        let avail = blen - boff in
         if avail <= 0 then eof := true
         else begin
-          let n = min avail (count - got) in
-          Buffer.add_substring buf chunk boff n;
+          let n = min avail (count - !got) in
+          if !got = 0 then begin
+            first := chunk;
+            first_off := off + boff
+          end
+          else rest := (chunk, off + boff, n) :: !rest;
+          got := !got + n;
           (* consuming a short block to its end is end-of-file *)
-          if (not full_block) && boff + n = String.length chunk then eof := true;
+          if (not full_block) && boff + n = blen then eof := true;
           serve ()
         end
       end
     in
     serve ();
-    let out = Buffer.contents buf in
+    let out = Block.gather !first !first_off !got !rest in
     if !upstream = 0 then begin
       bump t "hits" 1;
       bump t "hit_bytes" (String.length out)
@@ -302,21 +321,17 @@ let write_update t (qid : Ninep.Fcall.qid) ~offset ~data =
           let bstart = idx * bsize in
           let s = max off bstart and fin = min (off + len) (bstart + bsize) in
           let rel_s = s - bstart and rel_e = fin - bstart in
-          let cur = b.bk_data in
-          if rel_s > String.length cur then
+          if rel_s > b.bk_len then
             (* a hole this block cannot represent: drop it *)
             forget_block t b
           else begin
-            let head = String.sub cur 0 rel_s in
-            let mid = String.sub data (s - off) (fin - s) in
-            let tail =
-              if String.length cur > rel_e then
-                String.sub cur rel_e (String.length cur - rel_e)
-              else ""
-            in
-            let nd = head ^ mid ^ tail in
-            t.used <- t.used - String.length cur + String.length nd;
-            b.bk_data <- nd;
+            let nd = Bytes.create (max rel_e b.bk_len) in
+            Bytes.blit_string b.bk_buf b.bk_off nd 0 rel_s;
+            Bytes.blit_string data (s - off) nd rel_s (fin - s);
+            if b.bk_len > rel_e then
+              Bytes.blit_string b.bk_buf (b.bk_off + rel_e) nd rel_e
+                (b.bk_len - rel_e);
+            set_view t b (Bytes.unsafe_to_string nd) 0 (Bytes.length nd);
             touch t b
           end
       done;
@@ -449,8 +464,8 @@ let make ?(config = default_config) eng ~upstream () =
   if config.readahead <= 0 then invalid_arg "Cfs.make: readahead must be > 0";
   let client = Ninep.Client.make eng upstream in
   let rec sentinel =
-    { bk_path = 0l; bk_idx = -1; bk_data = ""; bk_prev = sentinel;
-      bk_next = sentinel }
+    { bk_path = 0l; bk_idx = -1; bk_buf = ""; bk_off = 0; bk_len = 0;
+      bk_prev = sentinel; bk_next = sentinel }
   in
   let local, remote = Ninep.Transport.pipe eng in
   let t =

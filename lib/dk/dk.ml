@@ -400,7 +400,9 @@ module Urp = struct
     stats : counters;
     (* transmit side; sequence numbers are mod 256, window << 128 *)
     mutable snd_seq : int;  (* seq of next cell to send *)
-    mutable unacked : (int * string * bool) list;  (* seq, payload, last *)
+    mutable unacked : (int * string) list;
+        (* seq and the cell as sent (header and payload), kept for
+           retransmission *)
     wwait : Sim.Rendez.t;
     mutable last_progress : float;
     mutable backoff : int;
@@ -431,17 +433,26 @@ module Urp = struct
 
   let tx_ctl c s = Circuit.send c.circ (Circuit.Ctl s)
 
-  let send_raw c ~seq ~last payload =
+  let send_raw c cell =
     c.stats.cells_sent <- c.stats.cells_sent + 1;
-    let hdr = Bytes.create 2 in
-    Bytes.set hdr 0 (Char.chr seq);
-    Bytes.set hdr 1 (if last then '\001' else '\000');
-    tx_cell c (Bytes.to_string hdr ^ payload)
+    tx_cell c cell
+
+  (* a cell is a 2-byte header (seq, last flag) and [len] bytes of
+     [msg] from [off], built in one buffer *)
+  let make_cell ~seq ~last msg off len =
+    let cell = Bytes.create (2 + len) in
+    Bytes.set cell 0 (Char.chr seq);
+    Bytes.set cell 1 (if last then '\001' else '\000');
+    Bytes.blit_string msg off cell 2 len;
+    Bytes.unsafe_to_string cell
+
+  (* ack texts for every sequence number, built once *)
+  let ack_text = Array.init 256 (fun seq -> "ack " ^ string_of_int seq)
 
   let process_ack c ack =
     (* ack acknowledges every outstanding cell up to and including
        [ack] *)
-    let acked (seq, _, _) =
+    let acked (seq, _) =
       (* seq is acked if it is within 'window' behind or equal to ack *)
       seq_diff ack seq < 128
     in
@@ -455,10 +466,10 @@ module Urp = struct
 
   let retransmit_from c ack =
     let missing =
-      List.filter (fun (seq, _, _) -> seq_diff ack seq >= 128) c.unacked
+      List.filter (fun (seq, _) -> seq_diff ack seq >= 128) c.unacked
     in
     List.iter
-      (fun (seq, payload, last) ->
+      (fun (seq, cell) ->
         c.stats.retransmits <- c.stats.retransmits + 1;
         (match Sim.Engine.obs c.eng with
         | None -> ()
@@ -469,35 +480,42 @@ module Urp = struct
                  proto = "urp";
                  conv = c.circ.Switch.ce_chan;
                  id = seq;
-                 bytes = String.length payload;
+                 bytes = String.length cell - 2;
                });
           Obs.Trace.bump tr "urp.retransmits" 1);
-        send_raw c ~seq ~last payload)
+        send_raw c cell)
       missing
 
-  let handle_data c payload =
-    if String.length payload >= 2 then begin
-      let seq = Char.code payload.[0] in
-      let last = payload.[1] = '\001' in
-      let data = String.sub payload 2 (String.length payload - 2) in
+  let handle_data c cell =
+    let n = String.length cell - 2 in
+    if n >= 0 then begin
+      let seq = Char.code cell.[0] in
+      let last = cell.[1] = '\001' in
       if seq = c.rcv_expect then begin
         c.stats.cells_rcvd <- c.stats.cells_rcvd + 1;
-        c.stats.bytes_rcvd <- c.stats.bytes_rcvd + String.length data;
+        c.stats.bytes_rcvd <- c.stats.bytes_rcvd + n;
         c.rcv_expect <- (c.rcv_expect + 1) mod 256;
-        Buffer.add_string c.partial data;
-        if last then begin
-          Block.Q.force_put c.rq
-            (Block.make ~delim:true (Buffer.contents c.partial));
-          Buffer.clear c.partial
+        if last && Buffer.length c.partial = 0 then begin
+          (* a one-cell message: queue a view of the cell itself *)
+          let msg = Block.view cell 2 n in
+          msg.Block.delim <- true;
+          Block.Q.force_put c.rq msg
+        end
+        else begin
+          Buffer.add_substring c.partial cell 2 n;
+          if last then begin
+            Block.Q.force_put c.rq
+              (Block.make ~delim:true (Buffer.contents c.partial));
+            Buffer.clear c.partial
+          end
         end;
-        tx_ctl c (Printf.sprintf "ack %d" seq)
+        tx_ctl c ack_text.(seq)
       end
       else begin
         (* URP receivers do not buffer out-of-order cells: the window
            is small, the circuit is ordered, loss is rare *)
         c.stats.dups_dropped <- c.stats.dups_dropped + 1;
-        tx_ctl c
-          (Printf.sprintf "ack %d" ((c.rcv_expect + 255) mod 256))
+        tx_ctl c ack_text.((c.rcv_expect + 255) mod 256)
       end
     end
 
@@ -621,12 +639,12 @@ module Urp = struct
       if c.closed_ then raise Hungup;
       let seq = c.snd_seq in
       c.snd_seq <- (seq + 1) mod 256;
-      let payload = String.sub msg off take in
-      c.unacked <- c.unacked @ [ (seq, payload, last) ];
+      let cell = make_cell ~seq ~last msg off take in
+      c.unacked <- c.unacked @ [ (seq, cell) ];
       if c.unacked <> [] && c.backoff = 0 then
         c.last_progress <- Sim.Engine.now c.eng;
       c.stats.bytes_sent <- c.stats.bytes_sent + take;
-      send_raw c ~seq ~last payload
+      send_raw c cell
     done
 
   let read c n = Block.Q.read c.rq n

@@ -235,7 +235,9 @@ module Prof = struct
      per heap-entry label, so each dispatched event lands in exactly one
      handler class ("il", "tcp", "9p", "app", ...).  The measurement
      itself boxes a few floats per event; that constant overhead is
-     attributed to the event being measured. *)
+     attributed to the event being measured.  Major-heap figures are
+     whole-run only, from a snapshot at the first dispatch to the
+     report: reading them allocates, so they are not taken per event. *)
   type acc = {
     mutable a_events : int;
     mutable a_time : float;
@@ -252,6 +254,10 @@ module Prof = struct
     mutable events : int;
     mutable dispatch : float;  (* sum of per-event wall-clock deltas *)
     mutable words : float;  (* sum of per-event minor words *)
+    mutable direct0 : float;  (* at the first dispatch: major words
+                                 allocated there directly (not promoted) *)
+    mutable promoted0 : float;
+    mutable majors0 : int;  (* major collections *)
   }
 
   let create ~clock () =
@@ -265,6 +271,9 @@ module Prof = struct
       events = 0;
       dispatch = 0.;
       words = 0.;
+      direct0 = 0.;
+      promoted0 = 0.;
+      majors0 = 0;
     }
 
   let reset p =
@@ -275,9 +284,21 @@ module Prof = struct
     p.dispatch <- 0.;
     p.words <- 0.
 
+  (* Gc.counters is exact at any moment; quick_stat's major_words lags
+     direct allocations *)
+  let major_counters () =
+    let _, promoted, major = Gc.counters () in
+    (major -. promoted, promoted, (Gc.quick_stat ()).Gc.major_collections)
+
   let begin_event p =
     let t = p.clock () in
-    if p.first < 0. then p.first <- t;
+    if p.first < 0. then begin
+      p.first <- t;
+      let direct, promoted, majors = major_counters () in
+      p.direct0 <- direct;
+      p.promoted0 <- promoted;
+      p.majors0 <- majors
+    end;
     p.t0 <- t;
     p.w0 <- Gc.minor_words ()
 
@@ -316,6 +337,9 @@ module Prof = struct
     r_events_per_sec : float;
     r_minor_words : float;
     r_minor_words_per_event : float;
+    r_direct_major_words : float;
+    r_promoted_words : float;
+    r_major_collections : int;
     r_layers : layer list;  (* descending by share *)
   }
 
@@ -345,6 +369,12 @@ module Prof = struct
              | 0 -> compare x.l_label y.l_label
              | c -> c)
     in
+    let direct, promoted, majors =
+      if p.first < 0. then (0., 0., 0)
+      else
+        let direct, promoted, majors = major_counters () in
+        (direct -. p.direct0, promoted -. p.promoted0, majors - p.majors0)
+    in
     {
       r_events = p.events;
       r_wall_s = wall;
@@ -352,6 +382,9 @@ module Prof = struct
       r_events_per_sec = (if wall > 0. then fev /. wall else 0.);
       r_minor_words = p.words;
       r_minor_words_per_event = (if p.events = 0 then 0. else p.words /. fev);
+      r_direct_major_words = direct;
+      r_promoted_words = promoted;
+      r_major_collections = majors;
       r_layers = layers;
     }
 
@@ -360,9 +393,12 @@ module Prof = struct
     Printf.bprintf b
       "{\"events\": %d, \"wall_s\": %.6f, \"dispatch_s\": %.6f, \
        \"events_per_sec\": %.1f, \"minor_words\": %.0f, \
-       \"minor_words_per_event\": %.1f, \"share_sum\": %.4f, \"layers\": ["
+       \"minor_words_per_event\": %.1f, \"direct_major_words\": %.0f, \
+       \"promoted_words\": %.0f, \"major_collections\": %d, \
+       \"share_sum\": %.4f, \"layers\": ["
       r.r_events r.r_wall_s r.r_dispatch_s r.r_events_per_sec r.r_minor_words
-      r.r_minor_words_per_event
+      r.r_minor_words_per_event r.r_direct_major_words r.r_promoted_words
+      r.r_major_collections
       (List.fold_left (fun s l -> s +. l.l_share) 0. r.r_layers);
     List.iteri
       (fun i l ->

@@ -172,6 +172,12 @@ module Prof : sig
     r_events_per_sec : float;  (** events / wall_s *)
     r_minor_words : float;
     r_minor_words_per_event : float;
+    r_direct_major_words : float;
+        (** words allocated straight into the major heap (major words
+            less promoted words), whole run: from the first dispatch
+            to the report, so take the report when the run ends *)
+    r_promoted_words : float;  (** whole run, as above *)
+    r_major_collections : int;  (** whole run, as above *)
     r_layers : layer list;  (** descending by share *)
   }
 

@@ -194,6 +194,129 @@ let prop_roundtrip =
       Sim.Engine.run eng;
       !ok)
 
+(* ---- reads hand out the bytes the blocks hold ---- *)
+
+let test_q_read_whole_block_shares () =
+  in_sim (fun eng ->
+      let q = Block.Q.create eng in
+      let s = String.make 100 'm' in
+      Block.Q.put q (Block.make ~delim:true s);
+      Alcotest.(check bool) "the block's own string" true (Block.Q.read q 1000 == s);
+      (* a view of part of a frame costs one copy of just its bytes *)
+      let frame = "hdr" ^ s in
+      Block.Q.put q { (Block.view frame 3 100) with Block.delim = true };
+      let got = Block.Q.read q 1000 in
+      Alcotest.(check string) "view read" s got;
+      Alcotest.(check bool) "not the frame" false (got == frame))
+
+(* words allocated straight into the major heap (not promoted there) *)
+let direct_major () =
+  let _, promoted, major = Gc.counters () in
+  major -. promoted
+
+let test_q_read_no_major_staging () =
+  in_sim (fun eng ->
+      let q = Block.Q.create eng in
+      let frame = String.make 140 'f' in
+      let read_one () =
+        Block.Q.put q { (Block.view frame 40 100) with Block.delim = true };
+        ignore (Block.Q.read q Ninep.Fcall.maxmsg)
+      in
+      read_one ();
+      let before = direct_major () in
+      for _ = 1 to 100 do
+        read_one ()
+      done;
+      Alcotest.(check (float 0.)) "no direct major-heap words" 0.
+        (direct_major () -. before))
+
+(* Property: for any mix of data blocks (delimited or not, views at
+   non-zero offsets), control and hangup blocks, any sequence of reads
+   returns what a byte-stream reference model returns. *)
+type item = D of string * int * bool | C | H
+
+let gen_item =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map3
+            (fun s off delim -> D (s, off, delim))
+            (string_size ~gen:printable (0 -- 12))
+            (0 -- 4) bool );
+        (1, return C);
+        (1, return H);
+      ])
+
+let print_item = function
+  | D (s, off, delim) -> Printf.sprintf "D(%S,%d,%b)" s off delim
+  | C -> "C"
+  | H -> "H"
+
+let block_of = function
+  | D (s, off, delim) ->
+    let frame = String.make off '<' ^ s ^ ">" in
+    { (Block.view frame off (String.length s)) with Block.delim }
+  | C -> Block.make ~kind:Block.Ctl "ctl"
+  | H -> Block.hangup ()
+
+(* the reference: a list of pending items, read one byte string at a
+   time, with the queue closed once everything is queued *)
+let model_read items eof want =
+  if want <= 0 || !eof then ""
+  else if !items = [] then begin
+    eof := true;
+    ""
+  end
+  else begin
+    let buf = Buffer.create 16 in
+    let stop = ref false in
+    while (not !stop) && Buffer.length buf < want && !items <> [] do
+      match !items with
+      | [] -> ()
+      | H :: _ ->
+        items := List.tl !items;
+        eof := true;
+        stop := true
+      | C :: r -> items := r
+      | D (s, off, delim) :: r ->
+        let take = min (want - Buffer.length buf) (String.length s) in
+        Buffer.add_string buf (String.sub s 0 take);
+        if take = String.length s then begin
+          items := r;
+          if delim then stop := true
+        end
+        else
+          items :=
+            D (String.sub s take (String.length s - take), off, delim) :: r
+    done;
+    Buffer.contents buf
+  end
+
+let prop_read_model =
+  QCheck.Test.make ~name:"read matches a byte-stream model" ~count:300
+    (QCheck.make
+       ~print:
+         QCheck.Print.(
+           pair (list print_item) (list int))
+       QCheck.Gen.(pair (list_size (0 -- 12) gen_item) (list_size (1 -- 10) (0 -- 20))))
+    (fun (items, wants) ->
+      let eng = Sim.Engine.create () in
+      let q = Block.Q.create ~limit:max_int eng in
+      let pending = ref items and eof = ref false in
+      let ok = ref false in
+      let _p =
+        Sim.Proc.spawn eng (fun () ->
+            List.iter (fun i -> Block.Q.put q (block_of i)) items;
+            Block.Q.close q;
+            ok :=
+              List.for_all
+                (fun want -> Block.Q.read q want = model_read pending eof want)
+                wants)
+      in
+      Sim.Engine.run eng;
+      !ok)
+
 let () =
   Alcotest.run "block"
     [
@@ -224,7 +347,14 @@ let () =
             test_q_hangup_block_means_eof;
           Alcotest.test_case "try_put" `Quick test_q_try_put;
           Alcotest.test_case "kick" `Quick test_q_kick;
+          Alcotest.test_case "whole-block read shares" `Quick
+            test_q_read_whole_block_shares;
+          Alcotest.test_case "read stages nothing in the major heap" `Quick
+            test_q_read_no_major_staging;
         ] );
       ( "properties",
-        [ QCheck_alcotest.to_alcotest prop_roundtrip ] );
+        [
+          QCheck_alcotest.to_alcotest prop_roundtrip;
+          QCheck_alcotest.to_alcotest prop_read_model;
+        ] );
     ]

@@ -160,6 +160,130 @@ let test_budget_smaller_than_block () =
         (Cfs.cached_bytes cache <= 100);
       Ninep.Client.clunk c fid)
 
+(* ---- cached blocks are views of their fills ---- *)
+
+(* distinct bytes at every offset, so a misplaced view shows *)
+let body n = String.init n (fun i -> Char.chr (33 + (i * 7 mod 90)))
+
+let counts cache =
+  List.map (fun k -> (k, Cfs.counter cache k))
+    [ "hits"; "misses"; "evictions"; "coalesced" ]
+
+let check_counts what cache want =
+  Alcotest.(check (list (pair string int))) what want (counts cache)
+
+let test_view_eof_tail () =
+  with_cfs (fun _eng ram cache c _fc ->
+      let b = body 2500 in
+      Ninep.Ramfs.add_file ram "/f" b;
+      let fid = open_file c "/f" in
+      (* one short fill: blocks 0 and 1 plus a 452-byte tail *)
+      Alcotest.(check string) "cold read" b (read_at c fid 0 8192);
+      Alcotest.(check int) "view bytes counted" 2500 (Cfs.cached_bytes cache);
+      Alcotest.(check string) "tail from cache" (String.sub b 2048 452)
+        (read_at c fid 2048 1000);
+      Alcotest.(check string) "straddling read" (String.sub b 1000 1500)
+        (read_at c fid 1000 4000);
+      Alcotest.(check string) "end of file" "" (read_at c fid 2500 100);
+      check_counts "one fill, the rest hits" cache
+        [ ("hits", 3); ("misses", 1); ("evictions", 0); ("coalesced", 0) ];
+      Ninep.Client.clunk c fid)
+
+let test_view_empty_marker () =
+  with_cfs (fun _eng ram cache c _fc ->
+      let b = body 2048 in
+      Ninep.Ramfs.add_file ram "/f" b;
+      let fid = open_file c "/f" in
+      (* an exact-multiple short fill leaves an empty end-of-file marker *)
+      Alcotest.(check string) "cold read" b (read_at c fid 0 8192);
+      Alcotest.(check int) "marker holds no bytes" 2048 (Cfs.cached_bytes cache);
+      Alcotest.(check string) "at the marker" "" (read_at c fid 2048 512);
+      Alcotest.(check string) "up to the marker" (String.sub b 1024 1024)
+        (read_at c fid 1024 4096);
+      check_counts "the marker answers end-of-file" cache
+        [ ("hits", 2); ("misses", 1); ("evictions", 0); ("coalesced", 0) ];
+      Ninep.Client.clunk c fid)
+
+let test_view_write_through () =
+  with_cfs (fun _eng ram cache c fc ->
+      let b = body 3000 in
+      Ninep.Ramfs.add_file ram "/f" b;
+      let root = Ninep.Client.attach c ~uname:"philw" ~aname:"" in
+      let fid = Ninep.Client.walk_path c root [ "f" ] in
+      ignore (Ninep.Client.open_ c fid Ninep.Fcall.Ordwr);
+      Alcotest.(check string) "cold read" b (read_at c fid 0 8192);
+      (* inside block 1, across blocks 0 and 1, and past the tail *)
+      let writes = [ (1500, "XYZ"); (1020, "abcdefgh"); (2998, "QQQQ") ] in
+      List.iter
+        (fun (off, d) ->
+          ignore (Ninep.Client.write c fid ~offset:(Int64.of_int off) d))
+        writes;
+      let want =
+        List.fold_left
+          (fun acc (off, d) ->
+            let n = max (String.length acc) (off + String.length d) in
+            String.init n (fun i ->
+                if i >= off && i < off + String.length d then d.[i - off]
+                else acc.[i]))
+          b writes
+      in
+      Alcotest.(check int) "bytes follow the writes" 3002
+        (Cfs.cached_bytes cache);
+      Alcotest.(check string) "re-read from cache" want (read_at c fid 0 8192);
+      let ffid = open_file fc "/f" in
+      Alcotest.(check string) "server agrees" want (Ninep.Client.read_all fc ffid);
+      Ninep.Client.clunk fc ffid;
+      check_counts "write-through fills nothing" cache
+        [ ("hits", 1); ("misses", 1); ("evictions", 0); ("coalesced", 0) ];
+      Ninep.Client.clunk c fid;
+      Ninep.Client.clunk c root)
+
+let test_view_lru_one_fill () =
+  let config = { Cfs.default_config with bsize = 512; budget = 2048 } in
+  with_cfs ~config (fun _eng ram cache c _fc ->
+      let b = body 4096 in
+      Ninep.Ramfs.add_file ram "/f" b;
+      let fid = open_file c "/f" in
+      (* one 8-block fill into a 4-block budget: its own first half goes *)
+      Alcotest.(check string) "first block" (String.sub b 0 512)
+        (read_at c fid 0 512);
+      check_counts "four evicted" cache
+        [ ("hits", 0); ("misses", 1); ("evictions", 4); ("coalesced", 0) ];
+      Alcotest.(check int) "budget full" 2048 (Cfs.cached_bytes cache);
+      Alcotest.(check string) "second half cached" (String.sub b 2048 2048)
+        (read_at c fid 2048 2048);
+      Alcotest.(check string) "evicted block refetched" (String.sub b 0 512)
+        (read_at c fid 0 512);
+      check_counts "one hit, one refetch, oldest survivor evicted" cache
+        [ ("hits", 1); ("misses", 2); ("evictions", 5); ("coalesced", 0) ];
+      Alcotest.(check string) "survivors intact" (String.sub b 2560 1536)
+        (read_at c fid 2560 1536);
+      Ninep.Client.clunk c fid)
+
+let test_view_vers_invalidation () =
+  with_cfs (fun _eng ram cache c fc ->
+      Ninep.Ramfs.add_file ram "/f" (body 3000);
+      let fid = open_file c "/f" in
+      ignore (read_at c fid 0 8192);
+      Ninep.Client.clunk c fid;
+      let froot = Ninep.Client.attach fc ~uname:"other" ~aname:"" in
+      let wfid = Ninep.Client.walk_path fc froot [ "f" ] in
+      ignore (Ninep.Client.open_ fc wfid Ninep.Fcall.Owrite);
+      ignore (Ninep.Client.write fc wfid ~offset:100L "foreign");
+      Ninep.Client.clunk fc wfid;
+      Ninep.Client.clunk fc froot;
+      let fid2 = open_file c "/f" in
+      Alcotest.(check int) "every view dropped" 0 (Cfs.cached_bytes cache);
+      let want =
+        let b = Bytes.of_string (body 3000) in
+        Bytes.blit_string "foreign" 0 b 100 7;
+        Bytes.to_string b
+      in
+      Alcotest.(check string) "fresh fill" want (read_at c fid2 0 8192);
+      check_counts "refetched once" cache
+        [ ("hits", 0); ("misses", 2); ("evictions", 0); ("coalesced", 0) ];
+      Ninep.Client.clunk c fid2)
+
 (* ---- the ctl/stats directory ---- *)
 
 let test_ctl_fs () =
@@ -333,6 +457,18 @@ let () =
           Alcotest.test_case "budget smaller than block" `Quick
             test_budget_smaller_than_block;
           Alcotest.test_case "ctl/stats directory" `Quick test_ctl_fs;
+        ] );
+      ( "views",
+        [
+          Alcotest.test_case "end-of-file tail" `Quick test_view_eof_tail;
+          Alcotest.test_case "empty end-of-file marker" `Quick
+            test_view_empty_marker;
+          Alcotest.test_case "write-through into a view" `Quick
+            test_view_write_through;
+          Alcotest.test_case "LRU among one fill's blocks" `Quick
+            test_view_lru_one_fill;
+          Alcotest.test_case "qid.vers drops views" `Quick
+            test_view_vers_invalidation;
         ] );
       ( "ramfs-vers",
         [

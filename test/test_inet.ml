@@ -1105,7 +1105,7 @@ let il_type pkt =
 let test_il_one_copy_per_side () =
   (* from Il.write to the peer's Il.read a message is copied once on
      each side: into the buffer IL hands to IP, and out of the receive
-     queue (Block.Q.read's scratch buffer, then its contents).  The MTU
+     queue (Block.Q.read's one String.sub of the queued view).  The MTU
      lets the message travel as one frame; a fragmented datagram costs
      a copy per fragment and one to reassemble. *)
   let n = 4096 in
@@ -1130,7 +1130,7 @@ let test_il_one_copy_per_side () =
   in
   Sim.Engine.run ~until:10.0 eng;
   Alcotest.(check bool) "message arrived intact" true (!got = msg);
-  let budget = float_of_int ((3 * n) + (300 * (Sys.word_size / 8))) in
+  let budget = float_of_int ((2 * n) + (300 * (Sys.word_size / 8))) in
   let spent = !after -. !before in
   if spent > budget then
     Alcotest.failf "write to read allocated %.0f bytes, budget %.0f" spent

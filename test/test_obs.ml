@@ -146,7 +146,8 @@ let test_prof_report () =
         (contains json ("\"" ^ key ^ "\"")))
     [
       "events"; "wall_s"; "dispatch_s"; "events_per_sec"; "minor_words";
-      "minor_words_per_event"; "share_sum"; "layers"; "layer"; "share";
+      "minor_words_per_event"; "direct_major_words"; "promoted_words";
+      "major_collections"; "share_sum"; "layers"; "layer"; "share";
       "words_per_event";
     ];
   Alcotest.(check bool) "json is one line" true
@@ -156,11 +157,17 @@ let test_prof_attached_to_engine () =
   let eng = Sim.Engine.create () in
   let p = Obs.Prof.create ~clock:Unix.gettimeofday () in
   Sim.Engine.attach_prof eng p;
+  let big = ref [||] in
   ignore
-    (Sim.Proc.spawn eng ~name:"cfs-reader" (fun () -> Sim.Time.sleep eng 1.0));
+    (Sim.Proc.spawn eng ~name:"cfs-reader" (fun () ->
+         Sim.Time.sleep eng 1.0;
+         (* too large for the minor heap: allocated in the major heap *)
+         big := Array.make 10_000 0));
   Sim.Engine.run eng;
   let r = Obs.Prof.report p in
   Alcotest.(check bool) "dispatches measured" true (r.Obs.Prof.r_events >= 2);
+  Alcotest.(check bool) "direct major-heap words seen" true
+    (r.Obs.Prof.r_direct_major_words >= float_of_int (Array.length !big));
   (* the sleeper's resume is attributed to its handler class *)
   Alcotest.(check bool) "cfs layer attributed" true
     (List.exists (fun l -> l.Obs.Prof.l_label = "cfs") r.Obs.Prof.r_layers);
