@@ -15,7 +15,7 @@ let default_config = { bsize = 1024; budget = 256 * 1024; readahead = 8 }
    most maxfdata bytes.  [used] and the budget count view bytes, not
    the pinned strings. *)
 type blk = {
-  bk_path : int32;
+  bk_path : int;
   bk_idx : int;
   mutable bk_buf : string;
   mutable bk_off : int;
@@ -28,8 +28,8 @@ type blk = {
    server holds; a reply qid with a different version means someone
    else changed the file and every block here is stale. *)
 type centry = {
-  ce_path : int32;
-  mutable ce_vers : int32;
+  ce_path : int;
+  mutable ce_vers : int;
   ce_blocks : (int, blk) Hashtbl.t;
   mutable ce_lastend : int64;  (* where the last read stopped: the
                                   sequential-access detector *)
@@ -40,9 +40,9 @@ type t = {
   mutable cfg : config;
   mutable client : Ninep.Client.t;  (* the upstream (real server) connection *)
   mutable local : Ninep.Transport.t;  (* what the terminal mounts *)
-  files : (int32, centry) Hashtbl.t;
+  files : (int, centry) Hashtbl.t;
   lru : blk;  (* sentinel *)
-  flights : (int32 * int, Sim.Rendez.t) Hashtbl.t;
+  flights : (int * int, Sim.Rendez.t) Hashtbl.t;
       (* blocks with an upstream read in flight: concurrent misses on
          the same block wait here instead of fetching again *)
   metrics : Obs.Metrics.t;
@@ -139,7 +139,7 @@ let invalidate t e ~vers =
   | None -> ()
   | Some tr ->
     Obs.Trace.note tr ~sub:"cfs"
-      (Printf.sprintf "invalidate qid %ld (foreign change, vers -> %ld)"
+      (Printf.sprintf "invalidate qid %d (foreign change, vers -> %d)"
          e.ce_path vers)
 
 (* Every Rwalk/Ropen/Rcreate/Rstat carries the file's qid: compare the
@@ -225,7 +225,7 @@ let read_cached t qid fid ~offset ~count =
       let len = String.length data in
       let fresh =
         match Hashtbl.find_opt t.files e.ce_path with
-        | Some e' -> e' == e && Int32.equal e.ce_vers vers0
+        | Some e' -> e' == e && Int.equal e.ce_vers vers0
         | None -> false
       in
       if fresh then begin
@@ -339,7 +339,7 @@ let write_update t (qid : Ninep.Fcall.qid) ~offset ~data =
     end;
     (* the server bumps qid.vers once for our own write; account for it
        so the next open does not read as a foreign change *)
-    e.ce_vers <- Int32.add e.ce_vers 1l
+    e.ce_vers <- (e.ce_vers + 1) land 0xffffffff
 
 (* ---- the proxy file server ---- *)
 
@@ -464,7 +464,7 @@ let make ?(config = default_config) eng ~upstream () =
   if config.readahead <= 0 then invalid_arg "Cfs.make: readahead must be > 0";
   let client = Ninep.Client.make eng upstream in
   let rec sentinel =
-    { bk_path = 0l; bk_idx = -1; bk_buf = ""; bk_off = 0; bk_len = 0;
+    { bk_path = 0; bk_idx = -1; bk_buf = ""; bk_off = 0; bk_len = 0;
       bk_prev = sentinel; bk_next = sentinel }
   in
   let local, remote = Ninep.Transport.pipe eng in

@@ -28,30 +28,18 @@ let flush_cache t =
   t.cache_hits <- 0;
   t.cache_misses <- 0
 
-let looks_like_ip s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] ->
-    List.for_all
-      (fun x -> match int_of_string_opt x with Some v -> v >= 0 && v <= 255 | None -> false)
-      [ a; b; c; d ]
-  | _ -> false
-
-let looks_like_dom s = String.contains s '.' && not (looks_like_ip s)
-
 (* destination addresses a network can use for a host *)
 let addrs_for t nw host =
   if host = "*" then [ "*" ]
   else
     match nw.nw_kind with
     | `Inet -> (
-      if looks_like_ip host then [ host ]
-      else
+      match Inet.Ipaddr.of_string_opt host with
+      | Some _ -> [ host ]
+      | None -> (
         match Ndb.sys_entry t.db host with
-        | Some e -> (
-          match Ndb.get_all e "ip" with
-          | [] -> []
-          | ips -> ips)
-        | None -> if looks_like_dom host then t.dns host else [])
+        | Some e -> Ndb.get_all e "ip"
+        | None -> if String.contains host '.' then t.dns host else []))
     | `Dk -> (
       (* a literal dk path like nj/astro/helix passes through *)
       if String.contains host '/' then [ host ]

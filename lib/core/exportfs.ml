@@ -17,23 +17,24 @@ let union_snapshot env ch =
    underlying file (keyed by the channel's device+qid identity); the
    directory bit and the version — which caches watch for
    invalidation — pass through. *)
-type qmap = { qm_tbl : (int * int32, int32) Hashtbl.t; mutable qm_next : int32 }
+type qmap = { qm_tbl : (int * int, int) Hashtbl.t; mutable qm_next : int }
 
-let remap_qid qm key q =
+let remap_qid qm ch q =
+  let key = (Vfs.Chan.devid ch, (Vfs.Chan.qid ch).Ninep.Fcall.qpath) in
   let path =
     match Hashtbl.find_opt qm.qm_tbl key with
     | Some p -> p
     | None ->
       let p = qm.qm_next in
-      qm.qm_next <- Int32.add p 1l;
+      qm.qm_next <- (p + 1) land 0xffffffff;
       Hashtbl.add qm.qm_tbl key p;
       p
   in
-  let dir = Int32.logand q.Ninep.Fcall.qpath Ninep.Fcall.qdir_bit in
-  { q with Ninep.Fcall.qpath = Int32.logor path dir }
+  let dir = q.Ninep.Fcall.qpath land Ninep.Fcall.qdir_bit in
+  { q with Ninep.Fcall.qpath = path lor dir }
 
 let fs env =
-  let qm = { qm_tbl = Hashtbl.create 64; qm_next = 1l } in
+  let qm = { qm_tbl = Hashtbl.create 64; qm_next = 1 } in
   {
     Ninep.Server.fs_name = "exportfs";
     fs_attach =
@@ -42,7 +43,7 @@ let fs env =
         match Vfs.Env.resolve env path with
         | ch -> Ok { env; ch; opened = false; dirdata = None }
         | exception Vfs.Chan.Error e -> Error e);
-    fs_qid = (fun n -> remap_qid qm (Vfs.Chan.key n.ch) (Vfs.Chan.qid n.ch));
+    fs_qid = (fun n -> remap_qid qm n.ch (Vfs.Chan.qid n.ch));
     fs_walk =
       (fun n name ->
         if name = ".." then
@@ -127,7 +128,7 @@ let fs env =
             {
               d with
               Ninep.Fcall.d_qid =
-                remap_qid qm (Vfs.Chan.key n.ch) d.Ninep.Fcall.d_qid;
+                remap_qid qm n.ch d.Ninep.Fcall.d_qid;
             }
         | exception Vfs.Chan.Error e -> Error e);
     fs_wstat =

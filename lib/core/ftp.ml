@@ -246,10 +246,8 @@ type node = {
 let qid_of n =
   let h = Hashtbl.hash (path_string n.comps) land 0xffffff in
   {
-    Ninep.Fcall.qpath =
-      (if n.dir then Int32.logor Ninep.Fcall.qdir_bit (Int32.of_int h)
-       else Int32.of_int h);
-    qvers = 0l;
+    Ninep.Fcall.qpath = (if n.dir then Ninep.Fcall.qdir_bit lor h else h);
+    qvers = 0;
   }
 
 let stat_of n =

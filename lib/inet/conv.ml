@@ -46,7 +46,7 @@ and ('c, 'p) stack = {
   cpu : Sim.Cpu.t option;
   cost_per_msg : float;
   cost_per_byte : float;
-  convs : (int * int * int32, 'c) Hashtbl.t;  (* lport, rport, raddr *)
+  convs : (int * int * Ipaddr.t, 'c) Hashtbl.t;  (* lport, rport, raddr *)
   listeners : (int, ('c, 'p) listener) Hashtbl.t;
   mutable next_port : int;
   mutable next_cid : int;
@@ -136,7 +136,7 @@ let badsum st (pkt : Block.t) ~header_len =
 
 (* ---- conversations ---- *)
 
-let key ep = (ep.lport, ep.rport, Ipaddr.to_int32 ep.raddr)
+let key ep = (ep.lport, ep.rport, ep.raddr)
 
 let make ?limit ?lis st ~lport ~rport ~raddr phase =
   let cid = st.next_cid in
@@ -162,7 +162,7 @@ let make ?limit ?lis st ~lport ~rport ~raddr phase =
 let insert ep c = Hashtbl.replace ep.stack.convs (key ep) c
 
 let find st ~lport ~rport ~raddr =
-  Hashtbl.find_opt st.convs (lport, rport, Ipaddr.to_int32 raddr)
+  Hashtbl.find_opt st.convs (lport, rport, raddr)
 
 let trace_state ep ~from_ ~to_ =
   match Sim.Engine.obs ep.stack.eng with

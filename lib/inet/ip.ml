@@ -55,8 +55,8 @@ type stack = {
   gw : Ipaddr.t option;
   mtu_ : int;
   protos : (int, src:Ipaddr.t -> dst:Ipaddr.t -> Block.t -> unit) Hashtbl.t;
-  arp : (int32, arp_state) Hashtbl.t;
-  reasm_tbl : (int32 * int, reasm) Hashtbl.t;  (* src, ipid *)
+  arp : (Ipaddr.t, arp_state) Hashtbl.t;
+  reasm_tbl : (Ipaddr.t * int, reasm) Hashtbl.t;  (* src, ipid *)
   mutable next_ipid : int;
   stats : counters;
   (* a routing node hands non-local arrivals here; None until a
@@ -114,8 +114,8 @@ let write_header b ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
   Bytes.set b 8 '\x40' (* ttl 64 *);
   Bytes.set b 9 (Char.chr proto);
   put16 b 10 0;
-  put32 b 12 (Int32.to_int (Ipaddr.to_int32 sa));
-  put32 b 16 (Int32.to_int (Ipaddr.to_int32 da));
+  put32 b 12 (sa : Ipaddr.t :> int);
+  put32 b 16 (da : Ipaddr.t :> int);
   (* the checksum reads the header through a view that dies with the
      call, before the two checksum bytes are written *)
   let sum =
@@ -143,8 +143,8 @@ let decode_header pkt =
         h_frag_off = (fragword land 0x1fff) * 8;
         h_more = fragword land 0x2000 <> 0;
         h_proto = Char.code pkt.[9];
-        h_src = Ipaddr.of_int32 (Int32.of_int (get32 pkt 12));
-        h_dst = Ipaddr.of_int32 (Int32.of_int (get32 pkt 16));
+        h_src = Ipaddr.of_int (get32 pkt 12);
+        h_dst = Ipaddr.of_int (get32 pkt 16);
       }
 
 (* -------- ARP -------- *)
@@ -157,9 +157,9 @@ let encode_arp ~op ~sha ~spa ~tha ~tpa =
   Bytes.set b 5 '\004';
   put16 b 6 op;
   Bytes.blit_string (eaddr_to_raw sha) 0 b 8 6;
-  put32 b 14 (Int32.to_int (Ipaddr.to_int32 spa));
+  put32 b 14 (spa : Ipaddr.t :> int);
   Bytes.blit_string (eaddr_to_raw tha) 0 b 18 6;
-  put32 b 24 (Int32.to_int (Ipaddr.to_int32 tpa));
+  put32 b 24 (tpa : Ipaddr.t :> int);
   Bytes.to_string b
 
 let transmit_raw t ~dst_ether raw =
@@ -171,12 +171,12 @@ let arp_request t target =
        ~tha:Netsim.Eaddr.broadcast ~tpa:target)
 
 let rec arp_retry t target =
-  match Hashtbl.find_opt t.arp (Ipaddr.to_int32 target) with
+  match Hashtbl.find_opt t.arp target with
   | Some (Pending (queued, tries)) ->
     if !tries >= arp_retries then begin
       t.stats.arp_unresolved_drops <-
         t.stats.arp_unresolved_drops + List.length !queued;
-      Hashtbl.remove t.arp (Ipaddr.to_int32 target);
+      Hashtbl.remove t.arp target;
       Log.debug (fun m -> m "arp: giving up on %a" Ipaddr.pp target)
     end
     else begin
@@ -187,14 +187,13 @@ let rec arp_retry t target =
   | Some (Resolved _) | None -> ()
 
 let resolve_and_send t nexthop raw =
-  let key = Ipaddr.to_int32 nexthop in
-  match Hashtbl.find_opt t.arp key with
+  match Hashtbl.find_opt t.arp nexthop with
   | Some (Resolved (ea, expiry)) when Sim.Engine.now t.eng < expiry ->
     transmit_raw t ~dst_ether:ea raw
   | Some (Pending (queued, _)) -> queued := raw :: !queued
   | Some (Resolved _) | None ->
     t.stats.arp_misses <- t.stats.arp_misses + 1;
-    Hashtbl.replace t.arp key (Pending (ref [ raw ], ref 1));
+    Hashtbl.replace t.arp nexthop (Pending (ref [ raw ], ref 1));
     arp_request t nexthop;
     Sim.Engine.after ~label:"ip" t.eng arp_retry_interval (fun () -> arp_retry t nexthop)
 
@@ -203,16 +202,15 @@ let arp_input t (frame : Netsim.Ether.frame) =
   if String.length p >= 28 && get16 p 0 = 1 && get16 p 2 = etype_ip then begin
     let op = get16 p 6 in
     let sha = eaddr_of_raw p 8 in
-    let spa = Ipaddr.of_int32 (Int32.of_int (get32 p 14)) in
-    let tpa = Ipaddr.of_int32 (Int32.of_int (get32 p 24)) in
+    let spa = Ipaddr.of_int (get32 p 14) in
+    let tpa = Ipaddr.of_int (get32 p 24) in
     (* learn the sender either way *)
-    let key = Ipaddr.to_int32 spa in
     let queued =
-      match Hashtbl.find_opt t.arp key with
+      match Hashtbl.find_opt t.arp spa with
       | Some (Pending (q, _)) -> List.rev !q
       | Some (Resolved _) | None -> []
     in
-    Hashtbl.replace t.arp key
+    Hashtbl.replace t.arp spa
       (Resolved (sha, Sim.Engine.now t.eng +. arp_ttl));
     List.iter (fun raw -> transmit_raw t ~dst_ether:sha raw) queued;
     if op = 1 && Ipaddr.equal tpa t.my_addr then
@@ -229,7 +227,7 @@ let dispatch t ~src:sa ~dst:da ~proto payload =
   | None -> t.stats.ip_no_proto <- t.stats.ip_no_proto + 1
 
 let reassemble t h payload =
-  let key = (Ipaddr.to_int32 h.h_src, h.h_ipid) in
+  let key = (h.h_src, h.h_ipid) in
   let r =
     match Hashtbl.find_opt t.reasm_tbl key with
     | Some r -> r
@@ -414,7 +412,7 @@ let arp_cache_dump t =
   Hashtbl.fold
     (fun k v acc ->
       match v with
-      | Resolved (ea, _) -> (Ipaddr.of_int32 k, ea) :: acc
+      | Resolved (ea, _) -> (k, ea) :: acc
       | Pending _ -> acc)
     t.arp []
   |> List.sort (fun (a, _) (b, _) -> Ipaddr.compare a b)

@@ -1,9 +1,8 @@
-type t = int32
+type t = int
 
-let of_int32 i = i
-let to_int32 i = i
-let compare = Int32.compare
-let equal = Int32.equal
+let of_int i = i land 0xffffffff
+let compare = Int.compare
+let equal = Int.equal
 
 let of_string_opt s =
   match String.split_on_char '.' s with
@@ -15,10 +14,7 @@ let of_string_opt s =
     in
     match (byte a, byte b, byte c, byte d) with
     | Some a, Some b, Some c, Some d ->
-      Some
-        (Int32.logor
-           (Int32.shift_left (Int32.of_int a) 24)
-           (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d)))
+      Some ((a lsl 24) lor (b lsl 16) lor (c lsl 8) lor d)
     | _, _, _, _ -> None)
   | _ -> None
 
@@ -28,18 +24,19 @@ let of_string s =
   | None -> invalid_arg ("Ipaddr.of_string: " ^ s)
 
 let to_string t =
-  let b n = Int32.to_int (Int32.logand (Int32.shift_right_logical t n) 0xffl) in
-  Printf.sprintf "%d.%d.%d.%d" (b 24) (b 16) (b 8) (b 0)
+  Printf.sprintf "%d.%d.%d.%d" (t lsr 24) ((t lsr 16) land 0xff)
+    ((t lsr 8) land 0xff) (t land 0xff)
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
-let any = 0l
-let broadcast = 0xffffffffl
-let logand = Int32.logand
-
-let in_subnet t ~net ~mask = Int32.equal (logand t mask) (logand net mask)
+let any = 0
+let broadcast = 0xffffffff
+let logand = ( land )
+let in_subnet t ~net ~mask = t land mask = net land mask
 
 let class_mask t =
-  let top = Int32.to_int (Int32.shift_right_logical t 24) in
-  if top < 128 then 0xff000000l
-  else if top < 192 then 0xffff0000l
-  else 0xffffff00l
+  let top = t lsr 24 in
+  if top < 128 then 0xff000000 else if top < 192 then 0xffff0000 else 0xffffff00
+
+let masklen m =
+  let rec pop n v = if v = 0 then n else pop (n + (v land 1)) (v lsr 1) in
+  pop 0 m

@@ -1,16 +1,21 @@
 (** IPv4 addresses and masks. *)
 
-type t
-(** An IPv4 address (immutable). *)
+type t = private int
+(** An IPv4 address, held as an immediate int in 0 .. 2{^32}-1 so
+    tables key on it and compare it without boxing; [(a :> int)] reads
+    it. *)
 
 val of_string : string -> t
 (** Dotted decimal.  @raise Invalid_argument on malformed input. *)
 
 val of_string_opt : string -> t option
 val to_string : t -> string
-val of_int32 : int32 -> t
-val to_int32 : t -> int32
+val of_int : int -> t
+(** The low 32 bits of an int — how the wire codecs read an address. *)
+
 val compare : t -> t -> int
+(** Unsigned numeric order: 10.0.0.1 sorts before 135.104.9.2. *)
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
@@ -28,3 +33,6 @@ val in_subnet : t -> net:t -> mask:t -> bool
 val class_mask : t -> t
 (** The classful (A/B/C) natural mask of an address — what ndb uses
     when an [ipnet] entry gives no [ipmask]. *)
+
+val masklen : t -> int
+(** Population count of a mask — its prefix length. *)

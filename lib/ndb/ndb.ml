@@ -1,3 +1,5 @@
+module Ipaddr = Inet.Ipaddr
+
 type entry = (string * string) list
 
 type lookup_stats = {
@@ -293,36 +295,6 @@ let sys_entry t name =
       | e :: _ -> Some e
       | [] -> None))
 
-(* parse dotted-quad to int32, without depending on Inet *)
-let ip_of_string s =
-  match String.split_on_char '.' s with
-  | [ a; b; c; d ] -> (
-    let byte x =
-      match int_of_string_opt x with
-      | Some v when v >= 0 && v <= 255 -> Some v
-      | Some _ | None -> None
-    in
-    match (byte a, byte b, byte c, byte d) with
-    | Some a, Some b, Some c, Some d ->
-      Some
-        (Int32.logor
-           (Int32.shift_left (Int32.of_int a) 24)
-           (Int32.of_int ((b lsl 16) lor (c lsl 8) lor d)))
-    | _, _, _, _ -> None)
-  | _ -> None
-
-let class_mask ip =
-  let top = Int32.to_int (Int32.shift_right_logical ip 24) in
-  if top < 128 then 0xff000000l
-  else if top < 192 then 0xffff0000l
-  else 0xffffff00l
-
-let ip_to_string t32 =
-  let b n =
-    Int32.to_int (Int32.logand (Int32.shift_right_logical t32 n) 0xffl)
-  in
-  Printf.sprintf "%d.%d.%d.%d" (b 24) (b 16) (b 8) (b 0)
-
 (* The paper's search order: "the database entry for the source system,
    then its subnetwork (if there is one) and then its network."  The
    network is found under the classful mask; its [ipmask] attribute (if
@@ -344,20 +316,23 @@ let ipattr t ~ip ~attr =
   match host_val with
   | Some v -> Some v
   | None -> (
-    match ip_of_string ip with
+    match Ipaddr.of_string_opt ip with
     | None -> None
     | Some ipn -> (
-      let cmask = class_mask ipn in
-      let cnet = Int32.logand ipn cmask in
-      let network = net_entry (ip_to_string cnet) in
+      let cmask = Ipaddr.class_mask ipn in
+      let cnet = Ipaddr.logand ipn cmask in
+      let network = net_entry (Ipaddr.to_string cnet) in
       let smask =
         match Option.bind network (fun e -> get e "ipmask") with
         | Some m -> (
-          match ip_of_string m with Some m -> m | None -> cmask)
+          match Ipaddr.of_string_opt m with Some m -> m | None -> cmask)
         | None -> cmask
       in
-      let snet = Int32.logand ipn smask in
-      let subnet = if snet <> cnet then net_entry (ip_to_string snet) else None in
+      let snet = Ipaddr.logand ipn smask in
+      let subnet =
+        if Ipaddr.equal snet cnet then None
+        else net_entry (Ipaddr.to_string snet)
+      in
       match Option.bind subnet (fun e -> get e attr) with
       | Some v -> Some v
       | None -> Option.bind network (fun e -> get e attr)))
@@ -368,36 +343,32 @@ let ipattr t ~ip ~attr =
    contains it (the paper's network/subnetwork hierarchy), else the
    class mask.  The most specific covering entry wins, so a /24 subnet
    shadows the /16 network that declares it. *)
-let masklen m =
-  let rec pop n v =
-    if v = 0l then n
-    else pop (n + Int32.to_int (Int32.logand v 1l)) (Int32.shift_right_logical v 1)
-  in
-  pop 0 m
-
 let ipnet_entry t ~ip =
-  match ip_of_string ip with
+  match Ipaddr.of_string_opt ip with
   | None -> None
   | Some ipn ->
     let nets =
       List.filter_map
         (fun e ->
-          match (get e "ipnet", Option.bind (get e "ip") ip_of_string) with
+          let net = Option.bind (get e "ip") Ipaddr.of_string_opt in
+          match (get e "ipnet", net) with
           | Some _, Some net -> Some (e, net)
           | _, _ -> None)
         (Array.to_list t.all)
     in
     let mask_of e net =
-      match Option.bind (get e "ipmask") ip_of_string with
+      match Option.bind (get e "ipmask") Ipaddr.of_string_opt with
       | Some m -> m
       | None -> (
-        let cmask = class_mask net in
-        let cnet = Int32.logand net cmask in
+        let cmask = Ipaddr.class_mask net in
+        let cnet = Ipaddr.logand net cmask in
         match
-          List.find_opt (fun (_, n) -> n = cnet && n <> net) nets
+          List.find_opt
+            (fun (_, n) -> Ipaddr.equal n cnet && not (Ipaddr.equal n net))
+            nets
         with
         | Some (parent, _) -> (
-          match Option.bind (get parent "ipmask") ip_of_string with
+          match Option.bind (get parent "ipmask") Ipaddr.of_string_opt with
           | Some m -> m
           | None -> cmask)
         | None -> cmask)
@@ -405,7 +376,9 @@ let ipnet_entry t ~ip =
     List.filter_map
       (fun (e, net) ->
         let m = mask_of e net in
-        if Int32.logand ipn m = net then Some (masklen m, e) else None)
+        if Ipaddr.equal (Ipaddr.logand ipn m) net then
+          Some (Ipaddr.masklen m, e)
+        else None)
       nets
     |> List.sort (fun (a, _) (b, _) -> compare b a)
     |> function

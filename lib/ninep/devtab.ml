@@ -53,8 +53,8 @@ let table =
 
 let qid ~dir path =
   {
-    Fcall.qpath = (if dir then Int32.logor Fcall.qdir_bit path else path);
-    qvers = 0l;
+    Fcall.qpath = (if dir then Fcall.qdir_bit lor path else path);
+    qvers = 0;
   }
 
 let dir_mode = Int32.logor Fcall.dmdir 0o555l
@@ -75,8 +75,8 @@ let stat tab name q mode =
 
 (* the root's and the first top-level files' qids, shared by every
    device *)
-let root_qid = qid ~dir:true 1l
-let top_qids = Array.init 8 (fun k -> qid ~dir:false (Int32.of_int (k + 2)))
+let root_qid = qid ~dir:true 1
+let top_qids = Array.init 8 (fun k -> qid ~dir:false (k + 2))
 
 (* the entry [k] of a directory (-1: the directory itself) *)
 let qid_at tab conv k =
@@ -84,12 +84,11 @@ let qid_at tab conv k =
   | None ->
     if k < 0 then root_qid
     else if k < Array.length top_qids then top_qids.(k)
-    else qid ~dir:false (Int32.of_int (k + 2))
+    else qid ~dir:false (k + 2)
   | Some c ->
     (* conversation N's qids start at 0x100 * (N + 1) *)
     let base = 0x100 * (tab.convs.number c + 1) in
-    if k < 0 then qid ~dir:true (Int32.of_int base)
-    else qid ~dir:false (Int32.of_int (base + 1 + k))
+    if k < 0 then qid ~dir:true base else qid ~dir:false (base + 1 + k)
 
 let stat_at tab conv k =
   let q = qid_at tab conv k in

@@ -3,10 +3,10 @@ let errlen = 64
 let dirlen = 116
 let maxfdata = 8192
 
-type qid = { qpath : int32; qvers : int32 }
+type qid = { qpath : int; qvers : int }
 
-let qdir_bit = 0x80000000l
-let qid_is_dir q = Int32.logand q.qpath qdir_bit <> 0l
+let qdir_bit = 0x80000000
+let qid_is_dir q = q.qpath land qdir_bit <> 0
 
 type mode = Oread | Owrite | Ordwr | Oexec
 
@@ -41,17 +41,16 @@ type dir = {
 let dmdir = 0x80000000l
 
 let pp_dir fmt d =
-  let mode_char m bit = if Int32.logand m bit <> 0l then true else false in
-  let rwx m shift =
-    let m = Int32.to_int (Int32.shift_right_logical m shift) land 7 in
+  let rwx shift =
+    let m = (Int32.to_int d.d_mode lsr shift) land 7 in
     Printf.sprintf "%c%c%c"
       (if m land 4 <> 0 then 'r' else '-')
       (if m land 2 <> 0 then 'w' else '-')
       (if m land 1 <> 0 then 'x' else '-')
   in
   Format.fprintf fmt "%c%s%s%s %c %d %-8s %-8s %8Ld %s"
-    (if mode_char d.d_mode dmdir then 'd' else '-')
-    (rwx d.d_mode 6) (rwx d.d_mode 3) (rwx d.d_mode 0)
+    (if Int32.logand d.d_mode dmdir <> 0l then 'd' else '-')
+    (rwx 6) (rwx 3) (rwx 0)
     (Char.chr d.d_type) d.d_dev d.d_uid d.d_gid d.d_length d.d_name
 
 (* ---- message kinds ---- *)
@@ -154,15 +153,21 @@ let w16 b v =
   w8 b v;
   w8 b (v lsr 8)
 
-let w32 b (v : int32) =
-  let v = Int32.to_int (Int32.logand v 0xffffffffl) land 0xffffffff in
+(* a 32-bit field is the low 32 bits of an int: qids are ints already,
+   the int32 mode, perm and time fields convert in [w32l] and [r32l] *)
+let w32 b v =
   w16 b (v land 0xffff);
   w16 b ((v lsr 16) land 0xffff)
 
+let w32l b v = w32 b (Int32.to_int v)
 
 let w64 b (v : int64) =
-  w32 b (Int64.to_int32 v);
-  w32 b (Int64.to_int32 (Int64.shift_right_logical v 32))
+  w32 b (Int64.to_int v);
+  w32 b (Int64.to_int (Int64.shift_right_logical v 32))
+
+let wqid b q =
+  w32 b q.qpath;
+  w32 b q.qvers
 
 let wsub b s len =
   if not b.sizing then Bytes.blit_string s 0 b.out b.pos len;
@@ -191,15 +196,16 @@ let wstr2 b s =
 let r8 s off = Char.code s.[off]
 let r16 s off = r8 s off lor (r8 s (off + 1) lsl 8)
 
-let r32 s off =
-  Int32.logor
-    (Int32.of_int (r16 s off))
-    (Int32.shift_left (Int32.of_int (r16 s (off + 2))) 16)
+(* in [0, 2^32) *)
+let r32 s off = r16 s off lor (r16 s (off + 2) lsl 16)
+let r32l s off = Int32.of_int (r32 s off)
 
 let r64 s off =
   Int64.logor
-    (Int64.logand (Int64.of_int32 (r32 s off)) 0xffffffffL)
-    (Int64.shift_left (Int64.of_int32 (r32 s (off + 4))) 32)
+    (Int64.of_int (r32 s off))
+    (Int64.shift_left (Int64.of_int (r32 s (off + 4))) 32)
+
+let rqid s off = { qpath = r32 s off; qvers = r32 s (off + 4) }
 
 let rname s off =
   let rec len i = if i < namelen && s.[off + i] <> '\000' then len (i + 1) else i in
@@ -225,11 +231,10 @@ let wdir b d =
   wname b d.d_name;
   wname b d.d_uid;
   wname b d.d_gid;
-  w32 b d.d_qid.qpath;
-  w32 b d.d_qid.qvers;
-  w32 b d.d_mode;
-  w32 b d.d_atime;
-  w32 b d.d_mtime;
+  wqid b d.d_qid;
+  w32l b d.d_mode;
+  w32l b d.d_atime;
+  w32l b d.d_mtime;
   w64 b d.d_length;
   w16 b d.d_type;
   w16 b d.d_dev
@@ -246,10 +251,10 @@ let decode_dir s off =
     d_name = rname s off;
     d_uid = rname s (off + namelen);
     d_gid = rname s (off + (2 * namelen));
-    d_qid = { qpath = r32 s (off + 84); qvers = r32 s (off + 88) };
-    d_mode = r32 s (off + 92);
-    d_atime = r32 s (off + 96);
-    d_mtime = r32 s (off + 100);
+    d_qid = rqid s (off + 84);
+    d_mode = r32l s (off + 92);
+    d_atime = r32l s (off + 96);
+    d_mtime = r32l s (off + 100);
     d_length = r64 s (off + 104);
     d_type = r16 s (off + 112);
     d_dev = r16 s (off + 114);
@@ -301,7 +306,7 @@ let write b msg =
       hdr tcreate;
       w16 b fid;
       wname b name;
-      w32 b perm;
+      w32l b perm;
       w8 b (mode_to_int mode)
     | Tread { fid; offset; count } ->
       hdr tread;
@@ -345,31 +350,26 @@ let write b msg =
     | Rattach { fid; qid } ->
       hdr (tattach + 1);
       w16 b fid;
-      w32 b qid.qpath;
-      w32 b qid.qvers
+      wqid b qid
     | Rclone { fid } ->
       hdr (tclone + 1);
       w16 b fid
     | Rwalk { fid; qid } ->
       hdr (twalk + 1);
       w16 b fid;
-      w32 b qid.qpath;
-      w32 b qid.qvers
+      wqid b qid
     | Rclwalk { newfid; qid } ->
       hdr (tclwalk + 1);
       w16 b newfid;
-      w32 b qid.qpath;
-      w32 b qid.qvers
+      wqid b qid
     | Ropen { fid; qid } ->
       hdr (topen + 1);
       w16 b fid;
-      w32 b qid.qpath;
-      w32 b qid.qvers
+      wqid b qid
     | Rcreate { fid; qid } ->
       hdr (tcreate + 1);
       w16 b fid;
-      w32 b qid.qpath;
-      w32 b qid.qvers
+      wqid b qid
     | Rread { data } ->
       hdr (tread + 1);
       wstr2 b data
@@ -404,7 +404,6 @@ let decode s =
   let code = r8 s 0 in
   let tag = r16 s 1 in
   let o = 3 in
-  let qid_at off = { qpath = r32 s off; qvers = r32 s (off + 4) } in
   if code = tnop then T (tag, Tnop)
   else if code = tnop + 1 then R (tag, Rnop)
   else if code = rerror then begin
@@ -442,7 +441,7 @@ let decode s =
   end
   else if code = tattach + 1 then begin
     need s o 10 "Rattach";
-    R (tag, Rattach { fid = r16 s o; qid = qid_at (o + 2) })
+    R (tag, Rattach { fid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = tclone then begin
     need s o 4 "Tclone";
@@ -458,7 +457,7 @@ let decode s =
   end
   else if code = twalk + 1 then begin
     need s o 10 "Rwalk";
-    R (tag, Rwalk { fid = r16 s o; qid = qid_at (o + 2) })
+    R (tag, Rwalk { fid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = tclwalk then begin
     need s o (4 + namelen) "Tclwalk";
@@ -469,7 +468,7 @@ let decode s =
   end
   else if code = tclwalk + 1 then begin
     need s o 10 "Rclwalk";
-    R (tag, Rclwalk { newfid = r16 s o; qid = qid_at (o + 2) })
+    R (tag, Rclwalk { newfid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = topen then begin
     need s o 3 "Topen";
@@ -479,7 +478,7 @@ let decode s =
   end
   else if code = topen + 1 then begin
     need s o 10 "Ropen";
-    R (tag, Ropen { fid = r16 s o; qid = qid_at (o + 2) })
+    R (tag, Ropen { fid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = tcreate then begin
     need s o (2 + namelen + 5) "Tcreate";
@@ -491,14 +490,14 @@ let decode s =
             {
               fid = r16 s o;
               name = rname s (o + 2);
-              perm = r32 s (o + 2 + namelen);
+              perm = r32l s (o + 2 + namelen);
               mode;
             } )
     | None -> raise (Bad_message "Tcreate mode")
   end
   else if code = tcreate + 1 then begin
     need s o 10 "Rcreate";
-    R (tag, Rcreate { fid = r16 s o; qid = qid_at (o + 2) })
+    R (tag, Rcreate { fid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = tread then begin
     need s o 12 "Tread";

@@ -29,11 +29,13 @@ val maxfdata : int
 val maxmsg : int
 (** Largest possible marshalled message. *)
 
-type qid = { qpath : int32; qvers : int32 }
+type qid = { qpath : int; qvers : int }
 (** Unique file identity on a server.  The top bit of [qpath]
-    ({!qdir_bit}) marks a directory. *)
+    ({!qdir_bit}) marks a directory.  Both fields are the 32-bit wire
+    values, held as ints in [0, 2{^32}): a version bump wraps with
+    [land 0xffffffff]. *)
 
-val qdir_bit : int32
+val qdir_bit : int
 val qid_is_dir : qid -> bool
 
 (** Open/create modes. *)

@@ -12,7 +12,7 @@ type entry = {
 
 and kind = Dir of entry list ref | File of Buffer.t
 
-type t = { root : entry; owner : string; fsname : string; mutable next_path : int32 }
+type t = { root : entry; owner : string; fsname : string; mutable next_path : int }
 
 (* a fid's state: which entry, and whether it has been opened *)
 type node = { mutable n_entry : entry; mutable n_open : bool }
@@ -22,7 +22,7 @@ let make ?(owner = "bootes") ~name () =
   let root =
     {
       e_name = "/";
-      e_qid = { Fcall.qpath = Int32.logor Fcall.qdir_bit 1l; qvers = 0l };
+      e_qid = { Fcall.qpath = Fcall.qdir_bit lor 1; qvers = 0 };
       e_mode = Int32.logor Fcall.dmdir 0o775l;
       e_uid = owner;
       e_gid = owner;
@@ -32,14 +32,17 @@ let make ?(owner = "bootes") ~name () =
       e_parent = None;
     }
   in
-  { root; owner; fsname = name; next_path = 2l }
+  { root; owner; fsname = name; next_path = 2 }
 
 let alloc_qid t ~dir =
   let p = t.next_path in
-  t.next_path <- Int32.add p 1l;
-  { Fcall.qpath = (if dir then Int32.logor Fcall.qdir_bit p else p); qvers = 0l }
+  t.next_path <- p + 1;
+  { Fcall.qpath = (if dir then Fcall.qdir_bit lor p else p); qvers = 0 }
 
-let bump e = e.e_qid <- { e.e_qid with Fcall.qvers = Int32.add e.e_qid.Fcall.qvers 1l }
+(* the version wraps at 32 bits, as it does on the wire *)
+let bump e =
+  e.e_qid <-
+    { e.e_qid with Fcall.qvers = (e.e_qid.Fcall.qvers + 1) land 0xffffffff }
 
 let length_of e =
   match e.e_kind with
@@ -289,3 +292,8 @@ let read_file t path =
   | Some { e_kind = Dir _; _ } | None -> None
 
 let exists t path = find_entry t.root (split_path path) <> None
+
+let set_vers t path v =
+  match find_entry t.root (split_path path) with
+  | Some e -> e.e_qid <- { e.e_qid with Fcall.qvers = v land 0xffffffff }
+  | None -> invalid_arg "Ramfs.set_vers: no such file"

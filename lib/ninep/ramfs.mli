@@ -28,3 +28,7 @@ val add_file : t -> string -> string -> unit
 
 val read_file : t -> string -> string option
 val exists : t -> string -> bool
+
+val set_vers : t -> string -> int -> unit
+(** Set a file's qid version, e.g. to one bump short of the 32-bit
+    wrap. *)

@@ -73,6 +73,9 @@ let serve ?(threaded = false) ?auth eng fs tr =
              answered. *)
           (match Hashtbl.find_opt inflight oldtag with
           | Some p when Sim.Proc.alive p ->
+            (* the tag is free as soon as Rflush goes out, even while
+               the victim is still unwinding *)
+            Hashtbl.remove inflight oldtag;
             Sim.Proc.kill p;
             (match Sim.Engine.obs eng with
             | Some obs_tr -> Obs.Trace.bump obs_tr "9p.flush_killed" 1
@@ -210,17 +213,27 @@ let serve ?(threaded = false) ?auth eng fs tr =
         | None -> clear_fids ()
         | Some raw ->
           (match Fcall.decode raw with
+          | Fcall.T (tag, _) when threaded && Hashtbl.mem inflight tag ->
+            (* a second request under a live tag would hide the first
+               from Tflush *)
+            reply tag (Fcall.Rerror "tag in use")
           | Fcall.T (tag, t) ->
             if threaded then begin
               let p =
                 Sim.Proc.spawn eng
                   ~name:(Printf.sprintf "9psrv:%s:t%d" fs.fs_name tag)
                   (fun () ->
-                    Fun.protect
-                      ~finally:(fun () -> Hashtbl.remove inflight tag)
-                      (fun () -> safe_handle tag t))
+                    let me = Sim.Proc.self () in
+                    (* a Tflush may have handed the tag to a later
+                       request already *)
+                    let release () =
+                      match Hashtbl.find_opt inflight tag with
+                      | Some p when p == me -> Hashtbl.remove inflight tag
+                      | Some _ | None -> ()
+                    in
+                    Fun.protect ~finally:release (fun () -> safe_handle tag t))
               in
-              if Sim.Proc.alive p then Hashtbl.replace inflight tag p
+              Hashtbl.replace inflight tag p
             end
             else safe_handle tag t
           | Fcall.R (_, _) -> () (* servers ignore replies *)

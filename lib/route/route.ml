@@ -21,16 +21,6 @@ module Table = struct
 
   let create () = { entries = [] }
 
-  let masklen m =
-    let rec pop n v =
-      if v = 0l then n
-      else
-        pop
-          (n + Int32.to_int (Int32.logand v 1l))
-          (Int32.shift_right_logical v 1)
-    in
-    pop 0 (Inet.Ipaddr.to_int32 m)
-
   let same_key a b =
     Inet.Ipaddr.equal a.r_dest b.r_dest && Inet.Ipaddr.equal a.r_mask b.r_mask
 
@@ -39,7 +29,8 @@ module Table = struct
   let resort t =
     t.entries <-
       List.stable_sort
-        (fun a b -> compare (masklen b.r_mask) (masklen a.r_mask))
+        (fun a b ->
+          Int.compare (Inet.Ipaddr.masklen b.r_mask) (Inet.Ipaddr.masklen a.r_mask))
         t.entries
 
   let add t ~dest ~mask target =
@@ -61,10 +52,14 @@ module Table = struct
 
   let flush t = t.entries <- []
 
-  let lookup t dst =
-    List.find_opt
-      (fun e -> Inet.Ipaddr.in_subnet dst ~net:e.r_dest ~mask:e.r_mask)
-      t.entries
+  (* a first-match scan that allocates only its [Some] *)
+  let rec first_match dst = function
+    | [] -> None
+    | e :: rest ->
+      if Inet.Ipaddr.in_subnet dst ~net:e.r_dest ~mask:e.r_mask then Some e
+      else first_match dst rest
+
+  let lookup t dst = first_match dst t.entries
 
   let entries t = t.entries
 end

@@ -34,9 +34,6 @@ module Table : sig
 
   val create : unit -> t
 
-  val masklen : Inet.Ipaddr.t -> int
-  (** Population count of a mask — the prefix length lookups sort by. *)
-
   val add : t -> dest:Inet.Ipaddr.t -> mask:Inet.Ipaddr.t -> target -> unit
   (** Insert (replacing any entry with the same dest/mask).  [dest] is
       masked down, so [10.1.2.3/16] stores as [10.1.0.0/16]. *)

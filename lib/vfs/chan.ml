@@ -22,7 +22,7 @@ let attach ~devid ops ~uname ~aname =
 
 let qid (Chan c) = c.ops.Ninep.Server.fs_qid c.node
 let is_dir c = Ninep.Fcall.qid_is_dir (qid c)
-let key (Chan c as chan) = (c.devid, (qid chan).Ninep.Fcall.qpath)
+let devid (Chan c) = c.devid
 
 let clone (Chan c) =
   Chan { c with node = c.ops.Ninep.Server.fs_clone c.node }

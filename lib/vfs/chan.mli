@@ -25,9 +25,9 @@ val attach : devid:int -> 'n Ninep.Server.fs -> uname:string -> aname:string -> 
 val qid : t -> Ninep.Fcall.qid
 val is_dir : t -> bool
 
-val key : t -> int * int32
-(** Identity: (devid, qid path).  Two channels with equal keys refer to
-    the same file — this is what the mount table compares. *)
+val devid : t -> int
+(** The server instance.  Two channels with equal [devid] and qid path
+    refer to the same file — this is what the mount table compares. *)
 
 val clone : t -> t
 val walk1 : t -> string -> (t, string) result

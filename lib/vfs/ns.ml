@@ -2,7 +2,8 @@ type flag = Repl | Before | After
 
 type member = { m_chan : Chan.t; m_create : bool }
 
-type entry = { onto_key : int * int32; mutable unions : member list }
+(* the mounted-upon file: its channel's devid and qid path *)
+type entry = { onto_dev : int; onto_path : int; mutable unions : member list }
 
 type t = {
   mutable table : entry list;
@@ -43,11 +44,7 @@ let make ~root ~uname =
    copied, so binds after the fork are invisible to the parent...
    except entry.unions is mutable.  Deep-copy the entries. *)
 let fork t =
-  {
-    t with
-    table =
-      List.map (fun e -> { onto_key = e.onto_key; unions = e.unions }) t.table;
-  }
+  { t with table = List.map (fun e -> { e with unions = e.unions }) t.table }
 
 let uname t = t.ns_uname
 let root t = Chan.clone t.root_chan
@@ -60,12 +57,22 @@ let fresh_devid t =
 let register_mount t ~onto metrics = t.mounts := !(t.mounts) @ [ (onto, metrics) ]
 let mounts t = !(t.mounts)
 
-let lookup t key = List.find_opt (fun e -> e.onto_key = key) t.table
+let qpath c = (Chan.qid c).Ninep.Fcall.qpath
+
+(* the entry mounted on file [path] of server [dev]; a scan that
+   allocates nothing *)
+let rec find dev path = function
+  | [] -> raise_notrace Not_found
+  | e :: rest ->
+    if Int.equal e.onto_path path && Int.equal e.onto_dev dev then e
+    else find dev path rest
+
+let lookup t c = find (Chan.devid c) (qpath c) t.table
 
 let members t c =
-  match lookup t (Chan.key c) with
-  | Some e -> e.unions
-  | None -> [ { m_chan = c; m_create = true } ]
+  match lookup t c with
+  | e -> e.unions
+  | exception Not_found -> [ { m_chan = c; m_create = true } ]
 
 let union_of t c = List.map (fun m -> m.m_chan) (members t c)
 
@@ -93,17 +100,17 @@ let walk1 t c name =
 
 (* Cross into the mounted tree at [c], if any: the head of its union. *)
 let enter t c =
-  match lookup t (Chan.key c) with
-  | Some { unions = m0 :: _; _ } -> Chan.clone m0.m_chan
-  | Some { unions = []; _ } | None -> c
+  match lookup t c with
+  | { unions = m0 :: _; _ } -> Chan.clone m0.m_chan
+  | { unions = []; _ } | (exception Not_found) -> c
 
 (* The member creation lands in: the first with the MCREATE bit, per
    the paper's bind -c.  A union where no member allows creation
    refuses, like the kernel's "mounted directory forbids creation". *)
 let create_target t c =
-  match lookup t (Chan.key c) with
-  | None -> Ok (Chan.clone c)
-  | Some e -> (
+  match lookup t c with
+  | exception Not_found -> Ok (Chan.clone c)
+  | e -> (
     match List.find_opt (fun m -> m.m_create) e.unions with
     | Some m -> Ok (Chan.clone m.m_chan)
     | None -> Error "mounted directory forbids creation")
@@ -139,16 +146,15 @@ let resolve t path = resolve_gen ~enter_last:true t path
 let resolve_for_mount t path = resolve_gen ~enter_last:false t path
 
 let bind ?(mcreate = true) t ~src ~onto flag =
-  let key = Chan.key onto in
   let m = { m_chan = src; m_create = mcreate } in
-  match lookup t key with
-  | Some e ->
+  match lookup t onto with
+  | e ->
     e.unions <-
       (match flag with
       | Repl -> [ m ]
       | Before -> m :: e.unions
       | After -> e.unions @ [ m ])
-  | None ->
+  | exception Not_found ->
     (* the mounted-upon directory itself keeps its create permission,
        matching the historical behaviour of this table (a documented
        divergence from the 1993 kernel, which required an explicit
@@ -160,22 +166,25 @@ let bind ?(mcreate = true) t ~src ~onto flag =
       | Before -> [ m; onto_m ]
       | After -> [ onto_m; m ]
     in
-    t.table <- { onto_key = key; unions } :: t.table
+    t.table <-
+      { onto_dev = Chan.devid onto; onto_path = qpath onto; unions } :: t.table
 
 let unmount ?src t ~onto =
-  let key = Chan.key onto in
+  let dev = Chan.devid onto and path = qpath onto in
+  let at_onto e = Int.equal e.onto_dev dev && Int.equal e.onto_path path in
   match src with
-  | None -> t.table <- List.filter (fun e -> e.onto_key <> key) t.table
+  | None -> t.table <- List.filter (fun e -> not (at_onto e)) t.table
   | Some s ->
-    let skey = Chan.key s in
+    let is_src m =
+      Int.equal (Chan.devid m.m_chan) (Chan.devid s)
+      && Int.equal (qpath m.m_chan) (qpath s)
+    in
     t.table <-
       List.filter_map
         (fun e ->
-          if e.onto_key <> key then Some e
+          if not (at_onto e) then Some e
           else
-            match
-              List.filter (fun m -> Chan.key m.m_chan <> skey) e.unions
-            with
+            match List.filter (fun m -> not (is_src m)) e.unions with
             | [] -> None
             | unions -> Some { e with unions })
         t.table

@@ -36,6 +36,12 @@ let open_file c path =
 let read_at c fid off count =
   Ninep.Client.read c fid ~offset:(Int64.of_int off) ~count
 
+let vers_of c path =
+  let root = Ninep.Client.attach c ~uname:"u" ~aname:"" in
+  let q = Ninep.Client.walk c root path in
+  Ninep.Client.clunk c root;
+  q.Ninep.Fcall.qvers
+
 (* ---- hit/miss accounting ---- *)
 
 let test_hit_miss () =
@@ -100,6 +106,39 @@ let test_foreign_write_invalidates () =
       Alcotest.(check string) "fresh contents" "NEW contents"
         (Ninep.Client.read_all c fid2);
       Ninep.Client.clunk c fid2)
+
+(* the version wraps from 0xffffffff to 0: the cache's own write-through
+   follows the server across the wrap, and a foreign write after it is
+   still caught *)
+let test_vers_wrap_invalidates () =
+  with_cfs (fun _eng ram cache c fc ->
+      Ninep.Ramfs.add_file ram "/f" "old contents";
+      Ninep.Ramfs.set_vers ram "/f" 0xffffffff;
+      let root = Ninep.Client.attach c ~uname:"philw" ~aname:"" in
+      let fid = Ninep.Client.walk_path c root [ "f" ] in
+      ignore (Ninep.Client.open_ c fid Ninep.Fcall.Ordwr);
+      Alcotest.(check string) "cold read" "old contents"
+        (Ninep.Client.read_all c fid);
+      ignore (Ninep.Client.write c fid ~offset:0L "OWN");
+      Ninep.Client.clunk c fid;
+      Ninep.Client.clunk c root;
+      let fid = open_file c "/f" in
+      Alcotest.(check int) "the server's version wrapped" 0 (vers_of fc "f");
+      Alcotest.(check int) "our own write is no foreign change" 0
+        (Cfs.counter cache "invalidations");
+      Ninep.Client.clunk c fid;
+      let froot = Ninep.Client.attach fc ~uname:"other" ~aname:"" in
+      let wfid = Ninep.Client.walk_path fc froot [ "f" ] in
+      ignore (Ninep.Client.open_ fc wfid Ninep.Fcall.Owrite);
+      ignore (Ninep.Client.write fc wfid ~offset:0L "NEW");
+      Ninep.Client.clunk fc wfid;
+      Ninep.Client.clunk fc froot;
+      let fid = open_file c "/f" in
+      Alcotest.(check int) "the foreign write invalidates" 1
+        (Cfs.counter cache "invalidations");
+      Alcotest.(check string) "fresh contents" "NEW contents"
+        (Ninep.Client.read_all c fid);
+      Ninep.Client.clunk c fid)
 
 (* ---- write-through coherence ---- *)
 
@@ -340,12 +379,6 @@ let with_ramfs f =
   Sim.Engine.run eng;
   Alcotest.(check bool) "client body completed" true !finished
 
-let vers_of c path =
-  let root = Ninep.Client.attach c ~uname:"u" ~aname:"" in
-  let q = Ninep.Client.walk c root path in
-  Ninep.Client.clunk c root;
-  q.Ninep.Fcall.qvers
-
 let test_ramfs_vers_write () =
   with_ramfs (fun ram c ->
       Ninep.Ramfs.add_file ram "/f" "x";
@@ -357,6 +390,27 @@ let test_ramfs_vers_write () =
       Ninep.Client.clunk c fid;
       Ninep.Client.clunk c root;
       Alcotest.(check bool) "write bumps vers" true (vers_of c "f" <> v0))
+
+(* the version held in memory, as a local mount sees it *)
+let local_vers ram path =
+  let fs = Ninep.Ramfs.fs ram in
+  let ok = function Ok v -> v | Error e -> Alcotest.fail e in
+  let n = ok (fs.fs_walk (ok (fs.fs_attach ~uname:"u" ~aname:"")) path) in
+  (fs.fs_qid n).Ninep.Fcall.qvers
+
+let test_ramfs_vers_wrap () =
+  with_ramfs (fun ram c ->
+      Ninep.Ramfs.add_file ram "/f" "x";
+      Ninep.Ramfs.set_vers ram "/f" 0xffffffff;
+      Alcotest.(check int) "seeded" 0xffffffff (vers_of c "f");
+      let root = Ninep.Client.attach c ~uname:"u" ~aname:"" in
+      let fid = Ninep.Client.walk_path c root [ "f" ] in
+      ignore (Ninep.Client.open_ c fid Ninep.Fcall.Owrite);
+      ignore (Ninep.Client.write c fid ~offset:0L "y");
+      Ninep.Client.clunk c fid;
+      Ninep.Client.clunk c root;
+      Alcotest.(check int) "on the wire" 0 (vers_of c "f");
+      Alcotest.(check int) "in memory" 0 (local_vers ram "f"))
 
 let test_ramfs_vers_wstat () =
   with_ramfs (fun ram c ->
@@ -450,6 +504,8 @@ let () =
             test_readahead_collapses_reads;
           Alcotest.test_case "foreign write invalidates" `Quick
             test_foreign_write_invalidates;
+          Alcotest.test_case "version wrap still invalidates" `Quick
+            test_vers_wrap_invalidates;
           Alcotest.test_case "write-through coherence" `Quick
             test_write_through;
           Alcotest.test_case "LRU eviction at budget" `Quick
@@ -473,6 +529,7 @@ let () =
       ( "ramfs-vers",
         [
           Alcotest.test_case "write bumps" `Quick test_ramfs_vers_write;
+          Alcotest.test_case "write wraps at 32 bits" `Quick test_ramfs_vers_wrap;
           Alcotest.test_case "wstat bumps" `Quick test_ramfs_vers_wstat;
           Alcotest.test_case "truncate bumps" `Quick test_ramfs_vers_trunc;
         ] );

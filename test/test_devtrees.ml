@@ -18,7 +18,7 @@ let read_golden path =
   s
 
 let entry b tag path (d : F.dir) =
-  Printf.bprintf b "%s %s %s %08lx.%ld %lo %s %s %c\n" tag path d.F.d_name
+  Printf.bprintf b "%s %s %s %08x.%d %lo %s %s %c\n" tag path d.F.d_name
     d.F.d_qid.F.qpath d.F.d_qid.F.qvers d.F.d_mode d.F.d_uid d.F.d_gid
     (Char.chr d.F.d_type)
 

@@ -64,6 +64,10 @@ let test_class_mask () =
   Alcotest.(check string) "class C" "255.255.255.0"
     (Inet.Ipaddr.to_string (Inet.Ipaddr.class_mask (ip "192.168.1.1")))
 
+let test_unsigned_order () =
+  Alcotest.(check bool) "10.0.0.1 sorts before 135.104.9.2" true
+    (Inet.Ipaddr.compare (ip "10.0.0.1") (ip "135.104.9.2") < 0)
+
 (* ---- checksum ---- *)
 
 let prop_checksum_validates =
@@ -1229,6 +1233,29 @@ let test_ip_hands_up_frame_view () =
     Alcotest.(check int) "payload after the IP header" Inet.Ip.header_len
       pkt.Block.rp
 
+(* decoding a header allocates its record (8 words) and the [Some] (2)
+   and nothing else: the addresses are immediate *)
+let test_decode_header_boxes_nothing () =
+  let eng, seg, h1, _ = make_world () in
+  let wire = ref "" in
+  Netsim.Fault.set_filter (Netsim.Ether.faults seg) (fun pkt ->
+      if String.length pkt > 9 && Char.code pkt.[9] = 99 then wire := pkt;
+      None);
+  Inet.Ip.send h1.ipstack ~proto:99 ~dst:(ip "135.104.9.32")
+    (Bytes.make (Inet.Ip.header_len + 8) '\000');
+  Sim.Engine.run ~until:10.0 eng;
+  let pkt = !wire in
+  (match Inet.Ip.decode_header pkt with
+  | Some h ->
+    Alcotest.(check string) "source" "135.104.9.31" (Inet.Ipaddr.to_string h.h_src)
+  | None -> Alcotest.fail "no datagram captured");
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Inet.Ip.decode_header pkt))
+  done;
+  Alcotest.(check (float 0.)) "words per decode" 10.
+    ((Gc.minor_words () -. before) /. 1000.)
+
 let () =
   Alcotest.run "inet"
     [
@@ -1238,6 +1265,7 @@ let () =
           Alcotest.test_case "invalid" `Quick test_ipaddr_invalid;
           Alcotest.test_case "subnet" `Quick test_subnet;
           Alcotest.test_case "class mask" `Quick test_class_mask;
+          Alcotest.test_case "compare is unsigned" `Quick test_unsigned_order;
         ] );
       ( "checksum",
         [
@@ -1332,5 +1360,7 @@ let () =
             test_block_views_share_buffer;
           Alcotest.test_case "ip hands up a view of the frame" `Quick
             test_ip_hands_up_frame_view;
+          Alcotest.test_case "header decode boxes no address" `Quick
+            test_decode_header_boxes_nothing;
         ] );
     ]

@@ -7,8 +7,7 @@ module F = Ninep.Fcall
 let qid_gen =
   QCheck.Gen.(
     map2
-      (fun p v ->
-        { F.qpath = Int32.of_int p; qvers = Int32.of_int v })
+      (fun p v -> { F.qpath = p; qvers = v })
       (int_bound 0xfffffff) (int_bound 0xffff))
 
 let name_gen =
@@ -372,7 +371,7 @@ let test_session_resets_fids () =
 let test_threaded_server_no_stall () =
   let eng = Sim.Engine.create () in
   let slow_fs =
-    let quid = { F.qpath = 1l; qvers = 0l } in
+    let quid = { F.qpath = 1; qvers = 0 } in
     {
       Ninep.Server.fs_name = "slowfs";
       fs_attach = (fun ~uname:_ ~aname:_ -> Ok ());
@@ -419,13 +418,152 @@ let test_threaded_server_no_stall () =
   Alcotest.(check bool) "write finished while read blocked" true
     (!fast_done_at > 0. && !fast_done_at < 5.0)
 
+(* A threaded server whose reads block for [offset] virtual seconds and
+   take one more second to unwind when flushed, the way a relaying
+   server passes the flush on.  [script] drives the raw client end:
+   [send tag t] transmits at the current time; [on_reply send tag r]
+   runs as each R arrives.  Returns every T sent and R received, in order. *)
+let tag_trace ~script ~on_reply =
+  let eng = Sim.Engine.create () in
+  let blocking_fs =
+    let quid = { F.qpath = 1; qvers = 0 } in
+    {
+      Ninep.Server.fs_name = "blockfs";
+      fs_attach = (fun ~uname:_ ~aname:_ -> Ok ());
+      fs_qid = (fun () -> quid);
+      fs_walk = (fun () _ -> Ok ());
+      fs_open = (fun () _ ~trunc:_ -> Ok ());
+      fs_read =
+        (fun () ~offset ~count:_ ->
+          (try Sim.Time.sleep eng (Int64.to_float offset)
+           with Sim.Proc.Killed ->
+             Sim.Time.sleep eng 1.0;
+             raise Sim.Proc.Killed);
+          Ok "done");
+      fs_write = (fun () ~offset:_ ~data -> Ok (String.length data));
+      fs_create = (fun () ~name:_ ~perm:_ _ -> Error "no");
+      fs_remove = (fun () -> Error "no");
+      fs_stat = (fun () -> Error "no");
+      fs_wstat = (fun () _ -> Error "no");
+      fs_clunk = ignore;
+      fs_clone = Fun.id;
+    }
+  in
+  let ct, st = Ninep.Transport.pipe eng in
+  let _srv = Ninep.Server.serve ~threaded:true eng blocking_fs st in
+  let log = ref [] in
+  let send tag t =
+    log := `T (tag, t) :: !log;
+    ct.Ninep.Transport.t_send (F.encode (F.T (tag, t)))
+  in
+  let _recorder =
+    Sim.Proc.spawn eng (fun () ->
+        let rec loop () =
+          match ct.Ninep.Transport.t_recv () with
+          | None -> ()
+          | Some raw ->
+            (match F.decode raw with
+            | F.R (tag, r) ->
+              log := `R (tag, r) :: !log;
+              on_reply send tag r
+            | F.T _ -> ());
+            loop ()
+        in
+        loop ())
+  in
+  let _client =
+    Sim.Proc.spawn eng (fun () ->
+        send 1 (F.Tattach { fid = 1; uname = "u"; aname = "" });
+        send 2 (F.Topen { fid = 1; mode = F.Oread; trunc = false });
+        Sim.Time.sleep eng 0.1;
+        script ~sleep:(Sim.Time.sleep eng) send;
+        Sim.Time.sleep eng 60.;
+        ct.Ninep.Transport.t_close ())
+  in
+  Sim.Engine.run eng;
+  List.rev !log
+
+(* The invariants, with tags as the only link between T and R: a tag
+   never has more Rs than Ts, and once a Tflush naming a tag is
+   answered, every request then outstanding under that tag is dead: a
+   later R under it must answer a T sent after the Rflush. *)
+let check_tags trace =
+  let rec go outstanding flushes = function
+    | [] -> ()
+    | `T (tag, t) :: rest ->
+      let flushes =
+        match t with F.Tflush { oldtag } -> (tag, oldtag) :: flushes | _ -> flushes
+      in
+      go ((tag, ref false) :: outstanding) flushes rest
+    | `R (tag, r) :: rest ->
+      (match List.find_opt (fun (t, answered) -> t = tag && not !answered)
+               (List.rev outstanding) with
+      | Some (_, answered) -> answered := true
+      | None -> Alcotest.failf "an R under tag %d answers no outstanding T" tag);
+      let outstanding =
+        match r with
+        | F.Rflush ->
+          let oldtag = List.assoc tag flushes in
+          (* the flushed requests may never be answered *)
+          List.filter (fun (t, answered) -> t <> oldtag || !answered) outstanding
+        | _ -> outstanding
+      in
+      go outstanding flushes rest
+  in
+  go [] [] trace
+
+let rtags trace tag =
+  List.filter_map (function `R (t, r) when t = tag -> Some r | _ -> None) trace
+
+(* two requests under one tag: the first finishes, then a Tflush names
+   the tag.  Holding both would let the second answer after Rflush. *)
+let test_tag_reuse_in_flight () =
+  let flushed = ref false in
+  let trace =
+    tag_trace
+      ~on_reply:(fun send tag r ->
+        match (tag, r) with
+        | 5, F.Rread _ when not !flushed ->
+          flushed := true;
+          send 6 (F.Tflush { oldtag = 5 })
+        | _ -> ())
+      ~script:(fun ~sleep:_ send ->
+        send 5 (F.Tread { fid = 1; offset = 1L; count = 10 });
+        send 5 (F.Tread { fid = 1; offset = 10L; count = 10 }))
+  in
+  check_tags trace;
+  Alcotest.(check (list string)) "replies under tag 5" [ "tag in use"; "read" ]
+    (List.map
+       (function F.Rerror e -> e | F.Rread _ -> "read" | _ -> "other")
+       (rtags trace 5))
+
+(* Tflush, then the tag reused as soon as Rflush arrives, while the
+   flushed handler is still unwinding; then that reuse is flushed too *)
+let test_tag_reuse_after_flush () =
+  let trace =
+    tag_trace
+      ~on_reply:(fun send tag r ->
+        match (tag, r) with
+        | 6, F.Rflush -> send 5 (F.Tread { fid = 1; offset = 10L; count = 10 })
+        | _ -> ())
+      ~script:(fun ~sleep send ->
+        send 5 (F.Tread { fid = 1; offset = 10L; count = 10 });
+        send 6 (F.Tflush { oldtag = 5 });
+        (* after the first handler has unwound *)
+        sleep 2.0;
+        send 7 (F.Tflush { oldtag = 5 }))
+  in
+  check_tags trace;
+  Alcotest.(check int) "nothing answers under tag 5" 0
+    (List.length (rtags trace 5))
+
 let test_pp_dir_format () =
   let d =
     {
       F.d_name = "eia1";
       d_uid = "bootes";
       d_gid = "bootes";
-      d_qid = { F.qpath = 5l; qvers = 0l };
+      d_qid = { F.qpath = 5; qvers = 0 };
       d_mode = 0o666l;
       d_atime = 0l;
       d_mtime = 0l;
@@ -487,14 +625,13 @@ let devtab_walk fs names =
 let test_devtab_layout () =
   let fs, refs = devtab_fixture 5 in
   let qpath names = (fs.Ninep.Server.fs_qid (devtab_walk fs names)).F.qpath in
-  Alcotest.(check int32) "root" (Int32.logor F.qdir_bit 1l) (qpath []);
-  Alcotest.(check int32) "top-level file" 2l (qpath [ "clone" ]);
-  Alcotest.(check int32) "conversation 3"
-    (Int32.logor F.qdir_bit 0x400l) (qpath [ "3" ]);
-  Alcotest.(check int32) "its second file" 0x402l (qpath [ "3"; "data" ]);
-  Alcotest.(check int32) ".. from a file" (Int32.logor F.qdir_bit 0x400l)
+  Alcotest.(check int) "root" (F.qdir_bit lor 1) (qpath []);
+  Alcotest.(check int) "top-level file" 2 (qpath [ "clone" ]);
+  Alcotest.(check int) "conversation 3" (F.qdir_bit lor 0x400) (qpath [ "3" ]);
+  Alcotest.(check int) "its second file" 0x402 (qpath [ "3"; "data" ]);
+  Alcotest.(check int) ".. from a file" (F.qdir_bit lor 0x400)
     (qpath [ "3"; "data"; ".." ]);
-  Alcotest.(check int32) ".. from a conversation" (Int32.logor F.qdir_bit 1l)
+  Alcotest.(check int) ".. from a conversation" (F.qdir_bit lor 1)
     (qpath [ "3"; ".." ]);
   let d = ok (fs.fs_stat (devtab_walk fs [ "3"; "data" ])) in
   Alcotest.(check (list string)) "stat" [ "data"; "o"; "o"; "444"; "x" ]
@@ -511,7 +648,7 @@ let test_devtab_layout () =
   (* opening clone yields conversation 0's ctl, held until clunk *)
   let nd = devtab_walk fs [ "clone" ] in
   ok (fs.fs_open nd F.Oread ~trunc:false);
-  Alcotest.(check int32) "redirected" 0x101l (fs.fs_qid nd).F.qpath;
+  Alcotest.(check int) "redirected" 0x101 (fs.fs_qid nd).F.qpath;
   Alcotest.(check string) "reads the ctl" "0" (ok (fs.fs_read nd ~offset:0L ~count:10));
   Alcotest.(check int) "held" 1 refs.(0);
   fs.fs_clunk nd;
@@ -666,6 +803,10 @@ let () =
             test_hangup_fails_outstanding;
           Alcotest.test_case "threaded server doesn't stall" `Quick
             test_threaded_server_no_stall;
+          Alcotest.test_case "tag reused while in flight" `Quick
+            test_tag_reuse_in_flight;
+          Alcotest.test_case "tag reused right after Rflush" `Quick
+            test_tag_reuse_after_flush;
         ] );
       ( "format",
         [ Alcotest.test_case "pp_dir" `Quick test_pp_dir_format ] );

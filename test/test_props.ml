@@ -27,25 +27,23 @@ let err_gen =
 let bytes_gen n = QCheck.Gen.(string_size ~gen:(char_range '\000' '\255') (0 -- n))
 let w16_gen = QCheck.Gen.int_bound 0xffff
 
-let int32_gen =
+(* a 32-bit wire field as the program holds a qid or an address: an
+   int anywhere in [0, 2^32), the top bit included *)
+let u32_gen =
   QCheck.Gen.(
-    map2
-      (fun hi lo ->
-        Int32.logor (Int32.shift_left (Int32.of_int hi) 16) (Int32.of_int lo))
-      (int_bound 0xffff) (int_bound 0xffff))
+    map2 (fun hi lo -> (hi lsl 16) lor lo) (int_bound 0xffff) (int_bound 0xffff))
+
+(* the mode, perm and time fields, which stay int32 *)
+let bits32_gen = QCheck.Gen.map Int32.of_int u32_gen
 
 let int64_gen =
   QCheck.Gen.(
     map2
-      (fun hi lo ->
-        Int64.logor
-          (Int64.shift_left (Int64.of_int32 hi) 32)
-          (Int64.logand (Int64.of_int32 lo) 0xffffffffL))
-      int32_gen int32_gen)
+      (fun hi lo -> Int64.logor (Int64.shift_left (Int64.of_int hi) 32) (Int64.of_int lo))
+      u32_gen u32_gen)
 
 let qid_gen =
-  QCheck.Gen.(
-    map2 (fun qpath qvers -> { F.qpath; qvers }) int32_gen int32_gen)
+  QCheck.Gen.(map2 (fun qpath qvers -> { F.qpath; qvers }) u32_gen u32_gen)
 
 let mode_gen = QCheck.Gen.oneofl [ F.Oread; F.Owrite; F.Ordwr; F.Oexec ]
 
@@ -69,8 +67,8 @@ let dir_gen =
       (map3
          (fun (mode, atime) (mtime, length) (ty, dev) ->
            (mode, atime, mtime, length, ty, dev))
-         (pair int32_gen int32_gen)
-         (pair int32_gen int64_gen)
+         (pair bits32_gen bits32_gen)
+         (pair bits32_gen int64_gen)
          (pair w16_gen w16_gen)))
 
 (* every message type, exercised one by one: [constructors] lists a
@@ -103,7 +101,7 @@ let tmsg_constructors : (string * F.tmsg QCheck.Gen.t) list =
     ( "Tcreate",
       map3
         (fun fid (name, perm) mode -> F.Tcreate { fid; name; perm; mode })
-        w16_gen (pair name_gen int32_gen) mode_gen );
+        w16_gen (pair name_gen bits32_gen) mode_gen );
     ( "Tread",
       map3
         (fun fid offset count -> F.Tread { fid; offset; count })
@@ -238,14 +236,43 @@ let prop_decode_mutated =
 
 (* ---- Inet.Ipaddr ---- *)
 
+(* print/parse round trip, and the mask and order operations checked
+   against a model computed on the four octets, over the whole unsigned
+   range: half the draws have the top bit set.  [same] puts the second
+   address inside the first's subnet under the drawn mask. *)
 let prop_ipaddr_roundtrip =
   QCheck.Test.make ~name:"ipaddr print/parse roundtrip" ~count:1000
-    (QCheck.make int32_gen)
-    (fun bits ->
-      let a = Inet.Ipaddr.of_int32 bits in
-      match Inet.Ipaddr.of_string_opt (Inet.Ipaddr.to_string a) with
-      | Some b -> Inet.Ipaddr.equal a b
-      | None -> false)
+    (QCheck.make QCheck.Gen.(quad u32_gen u32_gen u32_gen bool))
+    (fun (x, y, m, same) ->
+      let module A = Inet.Ipaddr in
+      let y = if same then x land m lor (y land lnot m land 0xffffffff) else y in
+      let octets v =
+        [ v lsr 24; (v lsr 16) land 0xff; (v lsr 8) land 0xff; v land 0xff ]
+      in
+      let quad v = String.concat "." (List.map string_of_int (octets v)) in
+      let ones o =
+        List.length (List.filter (fun i -> o land (1 lsl i) <> 0) (List.init 8 Fun.id))
+      in
+      let class_model =
+        match octets x with
+        | o :: _ when o < 128 -> "255.0.0.0"
+        | o :: _ when o < 192 -> "255.255.0.0"
+        | _ -> "255.255.255.0"
+      in
+      let sign c = Int.compare c 0 in
+      let a = A.of_int x and b = A.of_int y and mask = A.of_int m in
+      A.to_string a = quad x
+      && (match A.of_string_opt (quad x) with
+         | Some a' -> A.equal a a'
+         | None -> false)
+      && A.to_string (A.class_mask a) = class_model
+      && A.masklen mask = List.fold_left (fun n o -> n + ones o) 0 (octets m)
+      && A.in_subnet a ~net:b ~mask
+         = List.for_all2 ( = )
+             (List.map2 ( land ) (octets x) (octets m))
+             (List.map2 ( land ) (octets y) (octets m))
+      && ((not same) || A.in_subnet a ~net:b ~mask)
+      && sign (A.compare a b) = sign (compare (octets x) (octets y)))
 
 let prop_ipaddr_never_raises =
   QCheck.Test.make ~name:"ipaddr of_string_opt never raises" ~count:2000

@@ -34,6 +34,24 @@ let test_lpm_overlapping_prefixes () =
   Alcotest.(check string) "host route beats /24" "10.9.9.9" (hop "10.1.2.3");
   Alcotest.(check string) "no match" "none" (hop "11.0.0.1")
 
+(* a lookup allocates the [Some] it returns and nothing else: no
+   closure, no boxed address *)
+let test_lookup_allocates_only_its_result () =
+  let t = Route.Table.create () in
+  let add d m = Route.Table.add t ~dest:(ip d) ~mask:(ip m) Route.Table.Blackhole in
+  add "10.0.0.0" "255.0.0.0";
+  add "135.104.9.0" "255.255.255.0";
+  add "0.0.0.0" "0.0.0.0";
+  (* only the default route matches, so every lookup scans all three *)
+  let dst = ip "192.168.1.1" in
+  ignore (Sys.opaque_identity (Route.Table.lookup t dst));
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Route.Table.lookup t dst))
+  done;
+  Alcotest.(check (float 0.)) "words per lookup" 2.
+    ((Gc.minor_words () -. before) /. 1000.)
+
 let test_lpm_default_and_blackhole () =
   let t = Route.Table.create () in
   Route.Table.add t ~dest:(ip "0.0.0.0") ~mask:(ip "0.0.0.0")
@@ -359,9 +377,9 @@ let ip_packet ~ttl ~src ~dst payload =
     Bytes.set b (off + 1) (Char.chr (v land 0xff))
   in
   let put32 off a =
-    let v = Inet.Ipaddr.to_int32 (ip a) in
-    put16 off (Int32.to_int (Int32.shift_right_logical v 16));
-    put16 (off + 2) (Int32.to_int (Int32.logand v 0xffffl))
+    let v = (ip a :> int) in
+    put16 off (v lsr 16);
+    put16 (off + 2) (v land 0xffff)
   in
   Bytes.set b 0 '\x45';
   put16 2 len;
@@ -487,6 +505,8 @@ let () =
           Alcotest.test_case "default and blackhole" `Quick
             test_lpm_default_and_blackhole;
           Alcotest.test_case "add del flush" `Quick test_table_add_del_flush;
+          Alcotest.test_case "lookup allocates only its result" `Quick
+            test_lookup_allocates_only_its_result;
         ] );
       ( "ctl",
         [

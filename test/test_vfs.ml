@@ -83,6 +83,27 @@ let test_bind_repl () =
       Alcotest.(check string) "read through bind" "ax"
         (Vfs.Env.read_file env "/b/x"))
 
+(* finding a channel's mount entry compares two ints per entry and
+   allocates nothing, even at the far end of a 16-entry table *)
+let test_mount_lookup_allocates_nothing () =
+  with_env (fun _eng env ram ->
+      let dir i = Printf.sprintf "/d%d" i in
+      Ninep.Ramfs.add_file ram "/src/f" "y";
+      for i = 0 to 15 do
+        Ninep.Ramfs.add_file ram (dir i ^ "/f") "x";
+        Vfs.Env.bind env ~src:"/src" ~onto:(dir i) Vfs.Ns.After
+      done;
+      let ns = Vfs.Env.ns env in
+      (* the first bind is the last entry scanned *)
+      let c = Vfs.Ns.resolve_for_mount ns (dir 0) in
+      Alcotest.(check int) "a union of two" 2 (List.length (Vfs.Ns.members ns c));
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Vfs.Ns.members ns c))
+      done;
+      Alcotest.(check (float 0.)) "words per lookup" 0.
+        ((Gc.minor_words () -. before) /. 1000.))
+
 let test_bind_after_union () =
   with_env (fun _eng env ram ->
       (* the paper's /net example: local entries supersede remote *)
@@ -335,6 +356,8 @@ let () =
             test_bind_before_union;
           Alcotest.test_case "bind stacking" `Quick test_bind_stacking;
           Alcotest.test_case "unmount" `Quick test_unmount;
+          Alcotest.test_case "mount lookup allocates nothing" `Quick
+            test_mount_lookup_allocates_nothing;
           Alcotest.test_case "create in first member" `Quick
             test_create_goes_to_first_member;
           Alcotest.test_case "walk into second member" `Quick
