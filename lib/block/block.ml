@@ -85,8 +85,7 @@ module Q = struct
     mutable eof : bool;  (* a Hangup has been delivered or drain done *)
     readers : Sim.Rendez.t;
     writers : Sim.Rendez.t;
-    mutable kick : (unit -> unit) option;
-    mutable qname : string;  (* label for flow-control trace events *)
+    qname : string;  (* label for flow-control trace events *)
   }
 
   type t = q
@@ -103,7 +102,6 @@ module Q = struct
       eof = false;
       readers = Sim.Rendez.create eng;
       writers = Sim.Rendez.create eng;
-      kick = None;
       qname = name;
     }
 
@@ -111,9 +109,6 @@ module Q = struct
   let blocks q = Queue.length q.items
   let is_closed q = q.closed
   let full q = q.nbytes >= q.limit
-  let set_kick q fn = q.kick <- fn
-  let set_name q n = q.qname <- n
-  let name q = q.qname
 
   (* Test-only planted ordering bug (see DESIGN.md, "Schedule
      exploration"): when set, a put onto a non-empty queue skips the
@@ -137,8 +132,7 @@ module Q = struct
       Obs.Trace.emit tr (Obs.Event.Blk { op = `Alloc; bytes = len b });
       Obs.Trace.bump tr "blk.alloc" 1);
     if not (!chaos_lost_wakeup && Queue.length q.items > 1) then
-      Sim.Rendez.wakeup q.readers;
-    match q.kick with None -> () | Some fn -> fn ()
+      Sim.Rendez.wakeup q.readers
 
   let force_put q b = if not q.eof then enqueue q b
 
@@ -280,7 +274,6 @@ module Q = struct
     if not q.closed then begin
       q.closed <- true;
       Sim.Rendez.wakeup_all q.readers;
-      Sim.Rendez.wakeup_all q.writers;
-      match q.kick with None -> () | Some fn -> fn ()
+      Sim.Rendez.wakeup_all q.writers
     end
 end

@@ -5,10 +5,10 @@
     type, some state flags, and pointers to an optional buffer.  Block
     buffers can hold either data or control information."
 
-    A {!t} is one block; a {!Q.t} is the queue half of a stream
-    processing module, with the paper's read/write semantics: writes of
-    up to {!max_atomic_write} bytes form a single delimited block, reads
-    stop at a delimiter boundary, and a full queue blocks the writer. *)
+    A {!t} is one block; a {!Q.t} is the read side of a pipe end or a
+    device, with the paper's read/write semantics: writes of up to
+    {!max_atomic_write} bytes form a single delimited block, reads stop
+    at a delimiter boundary, and a full queue blocks the writer. *)
 
 type kind =
   | Data  (** ordinary payload *)
@@ -84,17 +84,11 @@ module Q : sig
       remaining data and then EOF. *)
 
   exception Closed
-  (** Raised by {!put}/{!write} on a closed queue. *)
+  (** Raised by {!put}/{!try_put} on a closed queue. *)
 
   val create : ?limit:int -> ?name:string -> Sim.Engine.t -> t
   (** [limit] defaults to 64 KiB of buffered payload.  [name] (default
       ["q"]) labels this queue in flow-control trace events. *)
-
-  val set_name : t -> string -> unit
-  (** Relabel after creation — streams name their queues once the
-      owning device is known. *)
-
-  val name : t -> string
 
   val put : t -> block -> unit
   (** Append a block, blocking while the queue is over its limit.
@@ -129,10 +123,6 @@ module Q : sig
   val bytes : t -> int
   val blocks : t -> int
   val full : t -> bool
-
-  val set_kick : t -> (unit -> unit) option -> unit
-  (** Callback invoked (outside process context) whenever a block is
-      queued — how a device-end queue wakes its kernel process. *)
 
   val chaos_lost_wakeup : bool ref
   (** {e Test-only.}  When set, {!put} onto a non-empty queue skips the

@@ -82,6 +82,12 @@ let alloc_tag t =
 let rpc t tmsg =
   if t.dead then raise (Err "connection hung up");
   let tag = alloc_tag t in
+  (* encode before anything is recorded for the call: a message the
+     wire cannot carry fails here, leaving no waiter and no open span *)
+  let raw =
+    try Fcall.encode (Fcall.T (tag, tmsg))
+    with Fcall.Bad_message e -> raise (Err e)
+  in
   let sp =
     match Sim.Engine.obs t.eng with
     | None -> Obs.Span.none
@@ -94,7 +100,7 @@ let rpc t tmsg =
       (Obs.Event.Fcall
          { role = `T; tag; msg = Fcall.tmsg_name tmsg; latency = 0. }));
   let t0 = Sim.Engine.now t.eng in
-  t.tr.Transport.t_send (Fcall.encode (Fcall.T (tag, tmsg)));
+  t.tr.Transport.t_send raw;
   let r =
     try
       Sim.Proc.suspend ~register:(fun ~resume ~abort:_ ->

@@ -59,7 +59,8 @@ val read_all : t -> fid -> string
 val flush : t -> oldtag:int -> unit
 
 val rpc : t -> Fcall.tmsg -> Fcall.rmsg
-(** Raw escape hatch (used by tests). *)
+(** Raw escape hatch (used by tests).  Raises {!Err} on an [Rerror],
+    a dead connection, or a message {!Fcall.encode} refuses. *)
 
 val alive : t -> bool
 

@@ -190,8 +190,11 @@ let werr b s =
 
 let wstr2 b s =
   (* 2-byte count + bytes, used for data and variable strings *)
-  w16 b (String.length s);
-  wsub b s (String.length s)
+  let n = String.length s in
+  if n > 0xffff then
+    raise (Bad_message (Printf.sprintf "%d bytes overflow a 2-byte count" n));
+  w16 b n;
+  wsub b s n
 
 let r8 s off = Char.code s.[off]
 let r16 s off = r8 s off lor (r8 s (off + 1) lsl 8)
@@ -599,6 +602,7 @@ let message_name = function
 module Frame = struct
   let wrap s =
     let n = String.length s in
+    if n > 0xffff then invalid_arg "Fcall.Frame.wrap: message over 65535 bytes";
     let b = Bytes.create (n + 2) in
     Bytes.set b 0 (Char.chr ((n lsr 8) land 0xff));
     Bytes.set b 1 (Char.chr (n land 0xff));

@@ -110,6 +110,10 @@ type t = T of int * tmsg | R of int * rmsg  (** tag, message *)
 exception Bad_message of string
 
 val encode : t -> string
+(** @raise Bad_message if the message cannot be marshalled: a name of
+    {!namelen} bytes or more, or data or a string over 65535 bytes,
+    which its 2-byte count cannot carry. *)
+
 val decode : string -> t
 (** @raise Bad_message on malformed input. *)
 
@@ -137,6 +141,8 @@ module Frame : sig
       chunks. *)
 
   val wrap : string -> string
+  (** @raise Invalid_argument for a message over 65535 bytes, which
+      the 2-byte prefix cannot carry. *)
 
   type splitter
 

@@ -153,15 +153,6 @@ let test_q_try_put () =
       Alcotest.(check bool) "full" false
         (Block.Q.try_put q (Block.make "x")))
 
-let test_q_kick () =
-  in_sim (fun eng ->
-      let q = Block.Q.create eng in
-      let kicks = ref 0 in
-      Block.Q.set_kick q (Some (fun () -> incr kicks));
-      Block.Q.put q (Block.make "a");
-      Block.Q.put q (Block.make "b");
-      Alcotest.(check int) "kicked per block" 2 !kicks)
-
 (* Property: any split of a message into blocks reads back identically
    when undelimited, and respects boundaries when delimited. *)
 let prop_roundtrip =
@@ -346,7 +337,6 @@ let () =
           Alcotest.test_case "hangup block" `Quick
             test_q_hangup_block_means_eof;
           Alcotest.test_case "try_put" `Quick test_q_try_put;
-          Alcotest.test_case "kick" `Quick test_q_kick;
           Alcotest.test_case "whole-block read shares" `Quick
             test_q_read_whole_block_shares;
           Alcotest.test_case "read stages nothing in the major heap" `Quick

@@ -127,25 +127,6 @@ let prop_dir_roundtrip =
       let s = F.encode_dir d in
       String.length s = F.dirlen && F.decode_dir s 0 = d)
 
-let prop_frame_split =
-  QCheck.Test.make ~name:"frame splitter reassembles any chunking" ~count:200
-    QCheck.(
-      pair
-        (small_list (string_of_size Gen.(0 -- 80)))
-        small_nat)
-    (fun (msgs, chunk_seed) ->
-      let wire = String.concat "" (List.map F.Frame.wrap msgs) in
-      let sp = F.Frame.splitter () in
-      let out = ref [] in
-      let chunk = 1 + (chunk_seed mod 7) in
-      let i = ref 0 in
-      while !i < String.length wire do
-        let n = min chunk (String.length wire - !i) in
-        out := !out @ F.Frame.feed sp (String.sub wire !i n);
-        i := !i + n
-      done;
-      !out = msgs)
-
 let test_decode_garbage () =
   List.iter
     (fun s ->
@@ -165,6 +146,27 @@ let test_oversize_name_rejected () =
          (F.encode (F.T (1, F.Twalk { fid = 1; name = String.make 28 'x' })));
        false
      with F.Bad_message _ -> true)
+
+(* a 2-byte count carries at most 65535 bytes; a longer string used to
+   be written with its count truncated, so a 70,000-byte Twrite decoded
+   as a 4,464-byte one *)
+let test_oversize_data_rejected () =
+  let twrite n =
+    F.T (1, F.Twrite { fid = 1; offset = 0L; data = String.make n 'd' })
+  in
+  let refused m =
+    match F.encode m with _ -> false | exception F.Bad_message _ -> true
+  in
+  Alcotest.(check bool) "70,000-byte Twrite refused" true
+    (refused (twrite 70_000));
+  Alcotest.(check bool) "65,536-byte Rread refused" true
+    (refused (F.R (1, F.Rread { data = String.make 65_536 'd' })));
+  Alcotest.(check bool) "65,535-byte Twrite roundtrips" true
+    (F.decode (F.encode (twrite 65_535)) = twrite 65_535);
+  Alcotest.(check bool) "Frame.wrap refuses 65,536 bytes" true
+    (match F.Frame.wrap (String.make 65_536 'd') with
+     | _ -> false
+     | exception Invalid_argument _ -> true)
 
 (* ---- client/server over a pipe with ramfs ---- *)
 
@@ -193,6 +195,26 @@ let test_attach_walk_read () =
       Alcotest.(check string) "contents" "sys=helix\n"
         (Ninep.Client.read_all c f);
       Ninep.Client.clunk c f)
+
+(* the client refuses the oversized message before sending it: the
+   call fails with [Err], and neither a span nor a tag is left behind *)
+let test_oversize_write_fails_cleanly () =
+  with_ramfs (fun eng ram c ->
+      let tr = Obs.Trace.create () in
+      Sim.Engine.attach_obs eng tr;
+      Ninep.Ramfs.add_file ram "/f" "";
+      let root = Ninep.Client.attach c ~uname:"philw" ~aname:"" in
+      let f = Ninep.Client.walk_path c root [ "f" ] in
+      ignore (Ninep.Client.open_ c f Ninep.Fcall.Owrite);
+      Alcotest.(check bool) "70,000-byte write raises Err" true
+        (match Ninep.Client.write c f ~offset:0L (String.make 70_000 'd') with
+         | _ -> false
+         | exception Ninep.Client.Err _ -> true);
+      Alcotest.(check int) "no span left open" 0 (Obs.Span.open_count tr);
+      Alcotest.(check int) "next write goes through" 2
+        (Ninep.Client.write c f ~offset:0L "ok");
+      Alcotest.(check (option string)) "file holds only that" (Some "ok")
+        (Ninep.Ramfs.read_file ram "/f"))
 
 let test_create_write_read_back () =
   with_ramfs (fun _eng ram c ->
@@ -755,16 +777,18 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_encode_decode;
           QCheck_alcotest.to_alcotest prop_dir_roundtrip;
-          QCheck_alcotest.to_alcotest prop_frame_split;
           Alcotest.test_case "garbage rejected" `Quick test_decode_garbage;
           Alcotest.test_case "oversize name" `Quick
             test_oversize_name_rejected;
+          Alcotest.test_case "oversize data" `Quick test_oversize_data_rejected;
         ] );
       ( "semantics",
         [
           Alcotest.test_case "attach walk read" `Quick test_attach_walk_read;
           Alcotest.test_case "create write read" `Quick
             test_create_write_read_back;
+          Alcotest.test_case "oversize write fails cleanly" `Quick
+            test_oversize_write_fails_cleanly;
           Alcotest.test_case "walk failure keeps fid" `Quick
             test_walk_failure_keeps_fid;
           Alcotest.test_case "clone independence" `Quick

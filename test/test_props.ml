@@ -362,7 +362,9 @@ let prop_tcp_decode_flip =
 
 (* a byte stream may be cut anywhere: mid-prefix, mid-body, or many
    messages to one chunk.  The splitter must hand back exactly the
-   messages that went in, in order, whatever the cuts *)
+   messages that went in, in order, whatever the cuts: a list of
+   arbitrary cuts (the rest of the wire arriving whole), or the whole
+   wire cut at one fixed size of 1 to 7 bytes *)
 let prop_frame_any_split =
   QCheck.Test.make ~name:"frame splitter: any chunking yields the same messages"
     ~count:500
@@ -371,14 +373,21 @@ let prop_frame_any_split =
          pair
            (list_size (0 -- 12)
               (oneof [ bytes_gen 8; bytes_gen 300; bytes_gen 3000 ]))
-           (list_size (0 -- 20) (int_bound 700))))
+           (oneof
+              [
+                map (fun cs -> `Cuts cs) (list_size (0 -- 20) (int_bound 700));
+                map (fun k -> `Every k) (1 -- 7);
+              ])))
     (fun (msgs, cuts) ->
       let wire = String.concat "" (List.map F.Frame.wrap msgs) in
       let sp = F.Frame.splitter () in
       let rec feed off cuts acc =
         let rest = String.length wire - off in
         let n, cuts =
-          match cuts with c :: cs -> (min c rest, cs) | [] -> (rest, [])
+          match cuts with
+          | `Every k -> (min k rest, cuts)
+          | `Cuts (c :: cs) -> (min c rest, `Cuts cs)
+          | `Cuts [] -> (rest, cuts)
         in
         let acc = List.rev_append (F.Frame.feed sp (String.sub wire off n)) acc in
         if off + n >= String.length wire then List.rev acc

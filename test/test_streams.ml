@@ -1,203 +1,77 @@
-(* Tests for the streams framework (paper section 2.4). *)
+(* Tests for pipes, the streams of paper section 2.4 that are built. *)
 
 let run_sim f =
   let eng = Sim.Engine.create () in
   let _p = Sim.Proc.spawn eng (fun () -> f eng) in
   Sim.Engine.run eng
 
-(* a sink device that records everything written down the stream *)
-let sink_device name =
-  let written = ref [] in
-  let dev =
-    {
-      Streams.dev_name = name;
-      dev_dput = (fun b -> written := b :: !written);
-      dev_close = ignore;
-    }
-  in
-  (dev, written)
+(* the stream events a traced run emitted, one line each *)
+let stream_events tr =
+  List.filter_map
+    (fun (_, _, ev) ->
+      match ev with
+      | Obs.Event.Stream { dev; dir; bytes; delim } ->
+        Some
+          (Printf.sprintf "%s %s %d%s" dev
+             (if dir = Obs.Event.Down then "down" else "up")
+             bytes
+             (if delim then " delim" else ""))
+      | _ -> None)
+    (Obs.Trace.events tr)
 
+let traced_pipe eng =
+  let tr = Obs.Trace.create () in
+  Sim.Engine.attach_obs eng tr;
+  (tr, Streams.Pipe.create eng)
+
+(* a pipe end's device is its peer: the writer's end sends the block
+   down, the reader's end takes it up, both under their own names *)
 let test_write_reaches_device () =
   run_sim (fun eng ->
-      let dev, written = sink_device "sink" in
-      let s = Streams.create eng dev in
-      Streams.write s "hello";
-      match !written with
-      | [ b ] ->
-        Alcotest.(check string) "payload" "hello" (Block.to_string b);
-        Alcotest.(check bool) "delimited" true b.Block.delim
-      | _ -> Alcotest.fail "expected one block")
+      let tr, (a, b) = traced_pipe eng in
+      Streams.write a "hello";
+      Alcotest.(check (list string)) "down at pipe.0, up at pipe.1"
+        [ "pipe.0 down 5 delim"; "pipe.1 up 5 delim" ]
+        (stream_events tr);
+      Alcotest.(check string) "payload" "hello" (Streams.read b 100))
 
 let test_large_write_splits () =
   run_sim (fun eng ->
-      let dev, written = sink_device "sink" in
-      let s = Streams.create eng dev in
-      Streams.write s (String.make (Block.max_atomic_write + 5) 'x');
-      match List.rev !written with
-      | [ b1; b2 ] ->
-        Alcotest.(check int) "first block 32k" Block.max_atomic_write
-          (Block.len b1);
-        Alcotest.(check bool) "first not delimited" false b1.Block.delim;
-        Alcotest.(check int) "tail" 5 (Block.len b2);
-        Alcotest.(check bool) "last delimited" true b2.Block.delim
-      | _ -> Alcotest.fail "expected two blocks")
-
-let test_input_readable () =
-  run_sim (fun eng ->
-      let s = Streams.create eng (Streams.null_device "null") in
-      Streams.input s (Block.make ~delim:true "up");
-      Alcotest.(check string) "read" "up" (Streams.read s 100))
+      let tr, (a, b) = traced_pipe eng in
+      let big = String.make (Block.max_atomic_write + 5) 'x' in
+      Streams.write a big;
+      Streams.write a "next";
+      Alcotest.(check (list string)) "32k block, then a delimited tail"
+        [
+          "pipe.0 down 32768";
+          "pipe.1 up 32768";
+          "pipe.0 down 5 delim";
+          "pipe.1 up 5 delim";
+          "pipe.0 down 4 delim";
+          "pipe.1 up 4 delim";
+        ]
+        (stream_events tr);
+      Alcotest.(check string) "one message, ended by the only delimiter" big
+        (Streams.read b 65536);
+      Alcotest.(check string) "next message" "next" (Streams.read b 65536))
 
 let test_hangup_gives_eof () =
   run_sim (fun eng ->
-      let s = Streams.create eng (Streams.null_device "null") in
-      Streams.input s (Block.make ~delim:true "last");
-      Streams.hangup s;
-      Alcotest.(check string) "data" "last" (Streams.read s 100);
-      Alcotest.(check string) "eof" "" (Streams.read s 100))
-
-(* A module that upcases data going down, and counts blocks going up. *)
-let upcase_factory () =
-  {
-    Streams.mi_name = "upcase";
-    mi_close = ignore;
-    mi_uput = (fun slot b -> Streams.pass_up slot b);
-    mi_dput =
-      (fun slot b ->
-        let s = String.uppercase_ascii (Block.to_string b) in
-        Streams.pass_down slot
-          (Block.make ~kind:b.Block.kind ~delim:b.Block.delim s));
-  }
-
-let reverse_factory () =
-  {
-    Streams.mi_name = "reverse";
-    mi_close = ignore;
-    mi_uput = (fun slot b -> Streams.pass_up slot b);
-    mi_dput =
-      (fun slot b ->
-        let s = Block.to_string b in
-        let n = String.length s in
-        Streams.pass_down slot
-          (Block.make ~delim:b.Block.delim
-             (String.init n (fun i -> s.[n - 1 - i]))));
-  }
-
-let test_push_transforms () =
-  run_sim (fun eng ->
-      let dev, written = sink_device "sink" in
-      let s = Streams.create eng dev in
-      Streams.push_impl s (upcase_factory ());
-      Streams.write s "hello";
-      match !written with
-      | [ b ] -> Alcotest.(check string) "upcased" "HELLO" (Block.to_string b)
-      | _ -> Alcotest.fail "expected one block")
-
-let test_module_order () =
-  (* push upcase then reverse: reverse is now at the top, so data is
-     reversed first, then upcased *)
-  run_sim (fun eng ->
-      let dev, written = sink_device "sink" in
-      let s = Streams.create eng dev in
-      Streams.push_impl s (upcase_factory ());
-      Streams.push_impl s (reverse_factory ());
-      Alcotest.(check (list string)) "top first" [ "reverse"; "upcase" ]
-        (Streams.modules s);
-      Streams.write s "abc";
-      match !written with
-      | [ b ] -> Alcotest.(check string) "reversed, upcased" "CBA"
-          (Block.to_string b)
-      | _ -> Alcotest.fail "expected one block")
-
-let test_pop_removes_top () =
-  run_sim (fun eng ->
-      let dev, written = sink_device "sink" in
-      let s = Streams.create eng dev in
-      Streams.push_impl s (upcase_factory ());
-      Streams.pop s;
-      Alcotest.(check (list string)) "empty" [] (Streams.modules s);
-      Streams.write s "abc";
-      match !written with
-      | [ b ] -> Alcotest.(check string) "untouched" "abc" (Block.to_string b)
-      | _ -> Alcotest.fail "expected one block")
-
-let test_ctl_push_pop_by_name () =
-  Streams.register_module "upcase" upcase_factory;
-  run_sim (fun eng ->
-      let dev, written = sink_device "sink" in
-      let s = Streams.create eng dev in
-      (* a control block interpreted by the stream system *)
-      Streams.write_ctl s "push upcase";
-      Alcotest.(check (list string)) "pushed" [ "upcase" ]
-        (Streams.modules s);
-      Streams.write s "abc";
-      Streams.write_ctl s "pop";
-      Streams.write s "def";
-      match List.rev !written with
-      | [ b1; b2 ] ->
-        Alcotest.(check string) "while pushed" "ABC" (Block.to_string b1);
-        Alcotest.(check string) "after pop" "def" (Block.to_string b2)
-      | _ -> Alcotest.fail "expected two data blocks")
-
-let test_ctl_hangup () =
-  run_sim (fun eng ->
-      let s = Streams.create eng (Streams.null_device "null") in
-      Streams.write_ctl s "hangup";
-      Alcotest.(check string) "reader sees eof" "" (Streams.read s 10))
-
-let test_unknown_ctl_passes_to_module () =
-  run_sim (fun eng ->
-      let seen = ref [] in
-      let spy =
-        {
-          Streams.mi_name = "spy";
-          mi_close = ignore;
-          mi_uput = (fun slot b -> Streams.pass_up slot b);
-          mi_dput =
-            (fun slot b ->
-              if Block.is_ctl b then seen := Block.to_string b :: !seen
-              else Streams.pass_down slot b);
-        }
-      in
-      let s = Streams.create eng (Streams.null_device "null") in
-      Streams.push_impl s spy;
-      Streams.write_ctl s "connect 2048";
-      Alcotest.(check (list string)) "module saw the command"
-        [ "connect 2048" ] !seen)
-
-let test_push_unregistered_fails () =
-  run_sim (fun eng ->
-      let s = Streams.create eng (Streams.null_device "null") in
-      Alcotest.(check bool) "raises" true
+      let tr, (a, b) = traced_pipe eng in
+      Streams.write a "last";
+      Streams.close a;
+      Streams.close a;
+      Alcotest.(check (list string)) "one zero-byte hangup goes up"
+        [ "pipe.0 down 4 delim"; "pipe.1 up 4 delim"; "pipe.1 up 0 delim" ]
+        (stream_events tr);
+      Alcotest.(check bool) "closed" true (Streams.closed a);
+      Alcotest.(check bool) "write after close raises" true
         (try
-           Streams.push s "no-such-module";
+           Streams.write a "more";
            false
-         with Failure _ -> true))
-
-let test_close_closes_modules_and_device () =
-  run_sim (fun eng ->
-      let closed_dev = ref false and closed_mod = ref false in
-      let dev =
-        {
-          Streams.dev_name = "dev";
-          dev_dput = ignore;
-          dev_close = (fun () -> closed_dev := true);
-        }
-      in
-      let m =
-        {
-          Streams.mi_name = "m";
-          mi_close = (fun _ -> closed_mod := true);
-          mi_uput = (fun slot b -> Streams.pass_up slot b);
-          mi_dput = (fun slot b -> Streams.pass_down slot b);
-        }
-      in
-      let s = Streams.create eng dev in
-      Streams.push_impl s m;
-      Streams.close s;
-      Alcotest.(check bool) "device closed" true !closed_dev;
-      Alcotest.(check bool) "module closed" true !closed_mod;
-      Alcotest.(check bool) "marked" true (Streams.closed s))
+         with Block.Q.Closed -> true);
+      Alcotest.(check string) "data" "last" (Streams.read b 100);
+      Alcotest.(check string) "eof" "" (Streams.read b 100))
 
 let test_pipe_roundtrip () =
   let eng = Sim.Engine.create () in
@@ -263,98 +137,6 @@ let test_delimiters_preserved_through_pipe () =
   Alcotest.(check (list string)) "boundaries kept"
     [ "first message"; "second" ]
     (List.rev !msgs)
-
-(* ---- the standard registered modules ---- *)
-
-let test_frame_module_roundtrip () =
-  Streams.Stdmods.register ();
-  let eng = Sim.Engine.create () in
-  (* two streams whose devices are joined by a BYTE pipe that merges
-     blocks (destroying boundaries), with [frame] pushed on both *)
-  let wire_ab = Buffer.create 64 and wire_ba = Buffer.create 64 in
-  let s_a = ref None and s_b = ref None in
-  let mk name wire_out wire_in peer =
-    let dev =
-      {
-        Streams.dev_name = name;
-        dev_dput =
-          (fun b ->
-            (* byte-merging medium: delimiters are lost here *)
-            Buffer.add_string wire_out (Block.to_string b);
-            match !peer with
-            | Some s ->
-              let data = Buffer.contents wire_out in
-              Buffer.clear wire_out;
-              (* deliver in awkward 3-byte chunks *)
-              let i = ref 0 in
-              while !i < String.length data do
-                let n = min 3 (String.length data - !i) in
-                Streams.input s (Block.make (String.sub data !i n));
-                i := !i + n
-              done
-            | None -> ());
-        dev_close = ignore;
-      }
-    in
-    ignore wire_in;
-    Streams.create eng dev
-  in
-  let a = mk "a" wire_ab wire_ba s_b in
-  let b = mk "b" wire_ba wire_ab s_a in
-  s_a := Some a;
-  s_b := Some b;
-  Streams.write_ctl a "push frame";
-  Streams.write_ctl b "push frame";
-  let got = ref [] in
-  let _reader =
-    Sim.Proc.spawn eng (fun () ->
-        for _ = 1 to 3 do
-          got := Streams.read b 4096 :: !got
-        done)
-  in
-  let _writer =
-    Sim.Proc.spawn eng (fun () ->
-        Streams.write a "first message";
-        Streams.write a "second";
-        Streams.write a "third one")
-  in
-  Sim.Engine.run eng;
-  Alcotest.(check (list string)) "boundaries restored by the module"
-    [ "first message"; "second"; "third one" ]
-    (List.rev !got)
-
-let test_count_module () =
-  Streams.Stdmods.register ();
-  let eng = Sim.Engine.create () in
-  let s = Streams.create eng (Streams.null_device "null") in
-  Streams.write_ctl s "push count";
-  let _p =
-    Sim.Proc.spawn eng (fun () ->
-        Streams.write s "12345";
-        Streams.write s "678";
-        Streams.input s (Block.make ~delim:true "up!"))
-  in
-  Sim.Engine.run eng;
-  match
-    Option.bind (Streams.find_slot s "count") Streams.Stdmods.counts
-  with
-  | Some (bd, byd, bu, byu) ->
-    Alcotest.(check int) "blocks down" 2 bd;
-    Alcotest.(check int) "bytes down" 8 byd;
-    Alcotest.(check int) "blocks up" 1 bu;
-    Alcotest.(check int) "bytes up" 3 byu
-  | None -> Alcotest.fail "count module not found"
-
-let test_delim_module () =
-  Streams.Stdmods.register ();
-  let eng = Sim.Engine.create () in
-  let dev, written = sink_device "sink" in
-  let s = Streams.create eng dev in
-  Streams.push s "delim";
-  Streams.write ~delim:false s "chunk";
-  (match !written with
-  | [ b ] -> Alcotest.(check bool) "forced delimiter" true b.Block.delim
-  | _ -> Alcotest.fail "expected one block")
 
 (* ---- wakeup cascades (regressions for schedule-explorer findings) ----
 
@@ -430,30 +212,7 @@ let () =
             test_write_reaches_device;
           Alcotest.test_case "large write splits" `Quick
             test_large_write_splits;
-          Alcotest.test_case "input readable" `Quick test_input_readable;
           Alcotest.test_case "hangup eof" `Quick test_hangup_gives_eof;
-        ] );
-      ( "modules",
-        [
-          Alcotest.test_case "push transforms" `Quick test_push_transforms;
-          Alcotest.test_case "module order" `Quick test_module_order;
-          Alcotest.test_case "pop removes top" `Quick test_pop_removes_top;
-          Alcotest.test_case "ctl push/pop" `Quick test_ctl_push_pop_by_name;
-          Alcotest.test_case "ctl hangup" `Quick test_ctl_hangup;
-          Alcotest.test_case "unknown ctl to module" `Quick
-            test_unknown_ctl_passes_to_module;
-          Alcotest.test_case "push unregistered" `Quick
-            test_push_unregistered_fails;
-          Alcotest.test_case "close cascades" `Quick
-            test_close_closes_modules_and_device;
-        ] );
-      ( "stdmods",
-        [
-          Alcotest.test_case "frame restores boundaries" `Quick
-            test_frame_module_roundtrip;
-          Alcotest.test_case "count taps traffic" `Quick test_count_module;
-          Alcotest.test_case "delim forces boundaries" `Quick
-            test_delim_module;
         ] );
       ( "pipes",
         [

@@ -221,6 +221,22 @@ let test_mount_write_remote () =
         (Some "written remotely")
         (Ninep.Ramfs.read_file remote "/newfile"))
 
+(* a Twrite's data has a 2-byte count: a longer write through the mount
+   driver must fail, not reach the server truncated to its low 16 bits *)
+let test_mount_oversize_write () =
+  with_remote (fun env local remote client ->
+      Ninep.Ramfs.mkdir local "/n/helix";
+      Ninep.Ramfs.add_file remote "/big" "";
+      Vfs.Env.mount env client ~onto:"/n/helix" Vfs.Ns.Repl;
+      let fd = Vfs.Env.open_ env "/n/helix/big" Ninep.Fcall.Owrite in
+      Alcotest.(check bool) "70,000-byte write raises" true
+        (match Vfs.Env.write env fd (String.make 70_000 'd') with
+         | _ -> false
+         | exception Vfs.Chan.Error _ -> true);
+      Vfs.Env.close env fd;
+      Alcotest.(check (option string)) "remote file still empty" (Some "")
+        (Ninep.Ramfs.read_file remote "/big"))
+
 let test_mount_union_local_remote () =
   (* the full import -a example from section 6.1 *)
   with_remote (fun env local remote client ->
@@ -377,6 +393,8 @@ let () =
         [
           Alcotest.test_case "mount remote" `Quick test_mount_remote;
           Alcotest.test_case "write remote" `Quick test_mount_write_remote;
+          Alcotest.test_case "oversize write remote" `Quick
+            test_mount_oversize_write;
           Alcotest.test_case "import -a union" `Quick
             test_mount_union_local_remote;
           Alcotest.test_case "remote errors" `Quick
