@@ -1,7 +1,8 @@
 (* snoopy — the paper's promiscuous Ethernet tap as a command.
 
    Boots the built-in bell-labs world with a tap on the segment,
-   drives a little representative traffic (ARP, IL, UDP, TCP), and
+   drives a little representative traffic (ARP, IL, UDP, TCP, and 9P
+   over IL), and
    prints one line per captured frame:
 
      snoopy                       # every frame, rendered
@@ -29,10 +30,13 @@ let stats_only =
     & info [ "stats" ] ~doc:"Print per-protocol frame counts only.")
 
 (* enough traffic to put every frame type on the wire: ARP resolution
-   happens implicitly, then an IL echo, a UDP datagram, a TCP echo *)
+   happens implicitly, then an IL echo, a UDP datagram, a TCP echo, and
+   last an import over IL that reads one file, whose frames the tap
+   labels with their 9P messages *)
 let drive w =
   let musca = P9net.World.host w "musca" in
   let helix = P9net.World.host w "helix" in
+  Ninep.Ramfs.add_file helix.P9net.Host.root "/tmp/motd" "hello\n";
   ignore
     (P9net.Host.spawn helix "udp-sink" (fun env ->
          let ann = P9net.Dial.announce env "udp!*!3049" in
@@ -54,7 +58,10 @@ let drive w =
          ignore (Vfs.Env.write env conn.P9net.Dial.data_fd "dgram");
          ignore (Vfs.Env.read env conn.P9net.Dial.data_fd 4096);
          P9net.Dial.hangup env conn;
-         echo "tcp"))
+         echo "tcp";
+         P9net.Exportfs.import w.P9net.World.eng env ~proto:"il"
+           ~host:"helix" ~remote_root:"/tmp" ~onto:"/n" ~flag:Vfs.Ns.Repl ();
+         ignore (Vfs.Env.read_file env "/n/motd")))
 
 let run seed horizon stats_only =
   let w = P9net.World.bell_labs ~seed () in

@@ -28,8 +28,6 @@ let to_string b =
   if b.rp = 0 && b.wp = String.length b.buf then b.buf
   else String.sub b.buf b.rp (len b)
 
-let is_ctl b = b.kind = Ctl
-
 let consume b n =
   if n < 0 || n > len b then invalid_arg "Block.consume";
   b.rp <- b.rp + n
@@ -66,12 +64,6 @@ let gather first off total rest =
     in
     Bytes.blit_string first off out 0 fin;
     Bytes.unsafe_to_string out
-
-let ctl_words b =
-  String.split_on_char ' ' (to_string b)
-  |> List.concat_map (String.split_on_char '\t')
-  |> List.concat_map (String.split_on_char '\n')
-  |> List.filter (fun w -> w <> "")
 
 module Q = struct
   type block = t

@@ -47,8 +47,6 @@ val to_string : t -> string
 (** The live bytes: a copy, or [buf] itself when the block spans all of
     it. *)
 
-val is_ctl : t -> bool
-
 val consume : t -> int -> unit
 (** Advance [rp] by [n].  @raise Invalid_argument if [n > len]. *)
 
@@ -69,10 +67,6 @@ val gather : string -> int -> int -> (string * int * int) list -> string
     spans all of [first], else one [String.sub]; otherwise one copy
     into a string of exactly [total] bytes.  How reads hand out bytes
     they already hold without staging them. *)
-
-val ctl_words : t -> string list
-(** Split a control block's text into whitespace-separated words, the
-    way stream modules parse commands like ["connect 2048"]. *)
 
 module Q : sig
   type block = t

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "cfs" ~doc:"caching 9P proxy"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type config = { bsize : int; budget : int; readahead : int }
 
 let default_config = { bsize = 1024; budget = 256 * 1024; readahead = 8 }
@@ -48,8 +44,6 @@ type t = {
   metrics : Obs.Metrics.t;
   mutable used : int;  (* bytes of block data held *)
   mutable sessioned : bool;
-  mutable gen : int;  (* bumped by set_upstream: stale fids must not
-                         alias fresh ones on the new connection *)
 }
 
 let bump t name v =
@@ -171,8 +165,10 @@ let flush t =
 
 (* ---- the cached read path ---- *)
 
-let read_cached t qid fid ~offset ~count =
-  if count <= 0 then ""
+(* [fill n] is the file's own upstream read; a failed fill fails the
+   read, and nothing is cached from it *)
+let read_cached t qid ~offset ~count fill n =
+  if count <= 0 then Ok ""
   else begin
     let e = entry t qid in
     let bsize = t.cfg.bsize in
@@ -210,39 +206,42 @@ let read_cached t qid fid ~offset ~count =
          noticed meanwhile (another connection's walk), the reply bytes
          belong to an unknown version and must not be cached *)
       let vers0 = e.ce_vers in
-      let data =
-        match Ninep.Client.read t.client fid ~offset:start ~count:req with
-        | data ->
+      let filled =
+        match fill n ~offset:start ~count:req with
+        | r ->
           (match obs with None -> () | Some tr -> Obs.Span.exit tr sp);
-          data
+          r
         | exception e ->
           (match obs with None -> () | Some tr -> Obs.Span.exit tr sp);
           raise e
       in
-      incr upstream;
-      bump t "misses" 1;
-      bump t "miss_bytes" (String.length data);
-      let len = String.length data in
-      let fresh =
-        match Hashtbl.find_opt t.files e.ce_path with
-        | Some e' -> e' == e && Int.equal e.ce_vers vers0
-        | None -> false
-      in
-      if fresh then begin
-        let full = len / bsize in
-        for k = 0 to full - 1 do
-          insert t e (idx + k) data (k * bsize) bsize
-        done;
-        (* a reply shorter than asked means the file ends inside it; an
-           exact-multiple (or empty) short reply is remembered as an
-           empty end-of-file marker block, which pins nothing *)
-        if len < req then
-          if len mod bsize > 0 then
-            insert t e (idx + full) data (full * bsize) (len mod bsize)
-          else insert t e (idx + full) "" 0 0
-      end;
-      let blen = min bsize len in
-      (data, 0, blen, blen = bsize)
+      match filled with
+      | Error err -> Error err
+      | Ok data ->
+        incr upstream;
+        bump t "misses" 1;
+        bump t "miss_bytes" (String.length data);
+        let len = String.length data in
+        let fresh =
+          match Hashtbl.find_opt t.files e.ce_path with
+          | Some e' -> e' == e && Int.equal e.ce_vers vers0
+          | None -> false
+        in
+        if fresh then begin
+          let full = len / bsize in
+          for k = 0 to full - 1 do
+            insert t e (idx + k) data (k * bsize) bsize
+          done;
+          (* a reply shorter than asked means the file ends inside it; an
+             exact-multiple (or empty) short reply is remembered as an
+             empty end-of-file marker block, which pins nothing *)
+          if len < req then
+            if len mod bsize > 0 then
+              insert t e (idx + full) data (full * bsize) (len mod bsize)
+            else insert t e (idx + full) "" 0 0
+        end;
+        let blen = min bsize len in
+        Ok (data, 0, blen, blen = bsize)
     in
     (* Single flight: when another client's miss on this very block is
        already filling upstream, wait for that read instead of issuing a
@@ -254,7 +253,7 @@ let read_cached t qid fid ~offset ~count =
       match Hashtbl.find_opt e.ce_blocks idx with
       | Some b ->
         touch t b;
-        (b.bk_buf, b.bk_off, b.bk_len, b.bk_len = bsize)
+        Ok (b.bk_buf, b.bk_off, b.bk_len, b.bk_len = bsize)
       | None -> (
         let key = (e.ce_path, idx) in
         match Hashtbl.find_opt t.flights key with
@@ -272,35 +271,40 @@ let read_cached t qid fid ~offset ~count =
             (fun () -> fetch idx boff))
     in
     let rec serve () =
-      if !got < count && not !eof then begin
+      if !got >= count || !eof then Ok ()
+      else begin
         let pos = Int64.add offset (Int64.of_int !got) in
         let idx = Int64.to_int (Int64.div pos bs64) in
         let boff = Int64.to_int (Int64.rem pos bs64) in
-        let chunk, off, blen, full_block = acquire idx boff in
-        let avail = blen - boff in
-        if avail <= 0 then eof := true
-        else begin
-          let n = min avail (count - !got) in
-          if !got = 0 then begin
-            first := chunk;
-            first_off := off + boff
-          end
-          else rest := (chunk, off + boff, n) :: !rest;
-          got := !got + n;
-          (* consuming a short block to its end is end-of-file *)
-          if (not full_block) && boff + n = blen then eof := true;
+        match acquire idx boff with
+        | Error err -> Error err
+        | Ok (chunk, off, blen, full_block) ->
+          let avail = blen - boff in
+          if avail <= 0 then eof := true
+          else begin
+            let n = min avail (count - !got) in
+            if !got = 0 then begin
+              first := chunk;
+              first_off := off + boff
+            end
+            else rest := (chunk, off + boff, n) :: !rest;
+            got := !got + n;
+            (* consuming a short block to its end is end-of-file *)
+            if (not full_block) && boff + n = blen then eof := true
+          end;
           serve ()
-        end
       end
     in
-    serve ();
-    let out = Block.gather !first !first_off !got !rest in
-    if !upstream = 0 then begin
-      bump t "hits" 1;
-      bump t "hit_bytes" (String.length out)
-    end;
-    e.ce_lastend <- Int64.add offset (Int64.of_int (String.length out));
-    out
+    match serve () with
+    | Error err -> Error err
+    | Ok () ->
+      let out = Block.gather !first !first_off !got !rest in
+      if !upstream = 0 then begin
+        bump t "hits" 1;
+        bump t "hit_bytes" (String.length out)
+      end;
+      e.ce_lastend <- Int64.add offset (Int64.of_int (String.length out));
+      Ok out
   end
 
 (* ---- the write-through update ---- *)
@@ -343,104 +347,75 @@ let write_update t (qid : Ninep.Fcall.qid) ~offset ~data =
 
 (* ---- the proxy file server ---- *)
 
-type pnode = {
-  mutable fid : Ninep.Client.fid option;
-      (* [None] only after a failed clone: every later use errors *)
-  mutable nqid : Ninep.Fcall.qid;
-  p_gen : int;  (* upstream generation this fid was minted on *)
-}
-
-let wrap f = try Ok (f ()) with Ninep.Client.Err e -> Error e
-
-(* A fid minted before [set_upstream] belongs to a dead connection; the
-   fresh client numbers fids from scratch, so using the old number
-   would alias an unrelated file.  Refuse it: the holder must remount. *)
-let getfid t n =
-  if n.p_gen <> t.gen then raise (Ninep.Client.Err "upstream redialed: stale fid");
-  match n.fid with
-  | Some f -> f
-  | None -> raise (Ninep.Client.Err "cloned fid unavailable")
-
+(* The upstream face is the mount driver; caching adds a qid check
+   after every walk, open, create and stat, the block cache on file
+   reads, the cache update after a write and the drop after a remove.
+   Every node keeps the upstream client that minted its fid, so after
+   [set_upstream] an old fid fails on its own hung-up connection and
+   can never name a fid of the new one. *)
 let proxy_fs t =
+  let up = Vfs.Mnt.fs t.client ~name:"cfs" () in
+  let noted n = note_qid t (up.fs_qid n) in
+  let noted_dir d = note_qid t d.Ninep.Fcall.d_qid in
   {
-    Ninep.Server.fs_name = "cfs";
+    up with
     fs_attach =
       (fun ~uname ~aname ->
-        wrap (fun () ->
-            if not t.sessioned then begin
-              Ninep.Client.session t.client;
-              t.sessioned <- true
-            end;
-            let fid, nqid = Ninep.Client.attach_q t.client ~uname ~aname in
-            { fid = Some fid; nqid; p_gen = t.gen }));
-    fs_qid = (fun n -> n.nqid);
+        match
+          if not t.sessioned then begin
+            Ninep.Client.session t.client;
+            t.sessioned <- true
+          end
+        with
+        | () -> (Vfs.Mnt.fs t.client ~name:"cfs" ()).fs_attach ~uname ~aname
+        | exception Ninep.Client.Err e -> Error e);
     fs_walk =
       (fun n name ->
-        wrap (fun () ->
-            let q = Ninep.Client.walk t.client (getfid t n) name in
-            note_qid t q;
-            n.nqid <- q;
-            n));
+        let r = up.fs_walk n name in
+        Result.iter noted r;
+        r);
     fs_open =
       (fun n mode ~trunc ->
-        wrap (fun () ->
-            let q = Ninep.Client.open_ t.client (getfid t n) ~trunc mode in
-            note_qid t q;
-            n.nqid <- q));
+        let r = up.fs_open n mode ~trunc in
+        if Result.is_ok r then noted n;
+        r);
     fs_read =
       (fun n ~offset ~count ->
-        wrap (fun () ->
-            if Ninep.Fcall.qid_is_dir n.nqid then begin
-              bump t "dir_reads" 1;
-              Ninep.Client.read t.client (getfid t n) ~offset ~count
-            end
-            else read_cached t n.nqid (getfid t n) ~offset ~count));
+        let qid = up.fs_qid n in
+        if Ninep.Fcall.qid_is_dir qid then begin
+          bump t "dir_reads" 1;
+          up.fs_read n ~offset ~count
+        end
+        else
+          match Vfs.Mnt.live n with
+          | Error e -> Error e
+          | Ok () -> read_cached t qid ~offset ~count up.fs_read n);
     fs_write =
       (fun n ~offset ~data ->
-        wrap (fun () ->
-            (* write-through: the server confirms before the cache moves *)
-            let cnt = Ninep.Client.write t.client (getfid t n) ~offset data in
-            bump t "write_through" 1;
-            write_update t n.nqid ~offset
-              ~data:(if cnt = String.length data then data
-                     else String.sub data 0 cnt);
-            cnt));
+        (* write-through: the server confirms before the cache moves *)
+        let r = up.fs_write n ~offset ~data in
+        (match r with
+        | Ok cnt ->
+          bump t "write_through" 1;
+          write_update t (up.fs_qid n) ~offset
+            ~data:(if cnt = String.length data then data else String.sub data 0 cnt)
+        | Error _ -> ());
+        r);
     fs_create =
       (fun n ~name ~perm mode ->
-        wrap (fun () ->
-            let q = Ninep.Client.create t.client (getfid t n) ~name ~perm mode in
-            note_qid t q;
-            n.nqid <- q;
-            n));
+        let r = up.fs_create n ~name ~perm mode in
+        Result.iter noted r;
+        r);
     fs_remove =
       (fun n ->
-        wrap (fun () ->
-            Ninep.Client.remove t.client (getfid t n);
-            drop_file t n.nqid.Ninep.Fcall.qpath));
+        let r = up.fs_remove n in
+        if Result.is_ok r then drop_file t (up.fs_qid n).Ninep.Fcall.qpath;
+        r);
     fs_stat =
       (fun n ->
-        wrap (fun () ->
-            let d = Ninep.Client.stat t.client (getfid t n) in
-            note_qid t d.Ninep.Fcall.d_qid;
-            d));
-    fs_wstat =
-      (fun n d -> wrap (fun () -> Ninep.Client.wstat t.client (getfid t n) d));
-    fs_clunk =
-      (fun n ->
-        match n.fid with
-        | None -> ()
-        | Some f when n.p_gen <> t.gen -> ignore f
-        | Some f -> (
-          try Ninep.Client.clunk t.client f with Ninep.Client.Err _ -> ()));
-    fs_clone =
-      (fun n ->
-        match wrap (fun () -> Ninep.Client.clone t.client (getfid t n)) with
-        | Ok fid -> { fid = Some fid; nqid = n.nqid; p_gen = t.gen }
-        | Error e ->
-          (* the serve loop has no error path for clone; a node with no
-             fid makes every later use fail cleanly instead *)
-          Log.debug (fun f -> f "clone failed: %s" e);
-          { fid = None; nqid = n.nqid; p_gen = t.gen });
+        let r = up.fs_stat n in
+        Result.iter noted_dir r;
+        r);
   }
 
 (* ---- construction ---- *)
@@ -471,7 +446,7 @@ let make ?(config = default_config) eng ~upstream () =
   let t =
     { eng; cfg = config; client; local; files = Hashtbl.create 31;
       lru = sentinel; flights = Hashtbl.create 7;
-      metrics = Obs.Metrics.create (); used = 0; sessioned = false; gen = 0 }
+      metrics = Obs.Metrics.create (); used = 0; sessioned = false }
   in
   ignore (Ninep.Server.serve eng (proxy_fs t) remote);
   t
@@ -479,13 +454,12 @@ let make ?(config = default_config) eng ~upstream () =
 (* Point the cache at a new upstream connection — the heal path after a
    partition killed the old one.  Cached blocks and version tracking
    survive (same origin, same qid space), so the cache comes back warm;
-   downstream fids minted on the dead connection are refused (see
-   [getfid]) and their holders must re-attach. *)
+   downstream fids minted on the old connection fail on it, hung up
+   here, and their holders must re-attach. *)
 let set_upstream t upstream =
   (try Ninep.Client.hangup t.client with _ -> ());
   t.client <- Ninep.Client.make t.eng upstream;
-  t.sessioned <- false;
-  t.gen <- t.gen + 1
+  t.sessioned <- false
 
 let transport t = t.local
 let config t = t.cfg

@@ -238,6 +238,23 @@ module Ether = struct
   let min_frame = 60
   let header_bytes = 18
 
+  (* the innermost protocol, read from the wire bytes: unfragmented IP
+     with a 20-byte header names its transport *)
+  let frame_proto ~etype payload =
+    let get16 off = (Char.code payload.[off] lsl 8) lor Char.code payload.[off + 1] in
+    match etype with
+    | 0x0806 -> "arp"
+    | 0x0800 ->
+      if String.length payload < 20 || Char.code payload.[0] <> 0x45 then "ip"
+      else if get16 6 land 0x1fff <> 0 then "ip"
+      else (
+        match Char.code payload.[9] with
+        | 40 -> "il"
+        | 17 -> "udp"
+        | 6 -> "tcp"
+        | _ -> "ip")
+    | _ -> "ether"
+
   let create ?(bandwidth_bps = 10e6) ?(latency = 50e-6) ?(loss = 0.)
       ?(frame_overhead = 0.) ~name eng =
     let sfault = Fault.create () in
@@ -300,7 +317,7 @@ module Ether = struct
     match Sim.Engine.obs t.eng with
     | None -> ()
     | Some tr ->
-      let proto = Obs.Snoopy.frame_proto ~etype:frame.etype frame.payload in
+      let proto = frame_proto ~etype:frame.etype frame.payload in
       Obs.Trace.emit tr
         (Obs.Event.Packet
            {
@@ -352,7 +369,7 @@ module Ether = struct
              reason;
              src = Eaddr.to_string frame.src;
              dst = Eaddr.to_string station.addr;
-             proto = Obs.Snoopy.frame_proto ~etype:frame.etype frame.payload;
+             proto = frame_proto ~etype:frame.etype frame.payload;
              bytes = String.length frame.payload;
            });
       Obs.Trace.bump tr ("fault." ^ kind_s) 1;

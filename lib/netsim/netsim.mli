@@ -175,6 +175,12 @@ module Ether : sig
   val faults : t -> Fault.t
   (** The segment-wide fault schedule, applied once per frame. *)
 
+  val frame_proto : etype:int -> string -> string
+  (** The innermost protocol a frame carries, from its type and payload
+      bytes: ["arp"], ["il"], ["udp"], ["tcp"], ["ip"] (fragments and
+      other protocols) or ["ether"].  Trace events and the tap's
+      counts use it. *)
+
   val name : t -> string
   val engine : t -> Sim.Engine.t
 

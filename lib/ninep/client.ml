@@ -13,51 +13,44 @@ type t = {
      the connection dies is leaked on the server side — the counter the
      chain scenarios watch. *)
   live_fids : (int, unit) Hashtbl.t;
-  mutable death_hooks : (int -> unit) list;
   mutable next_tag : int;
   mutable next_fid : int;
   mutable dead : bool;
-  mutable death_done : bool;
 }
 
 let alive t = not t.dead
 
 let open_fids t = Hashtbl.length t.live_fids
 
-let on_death t f = t.death_hooks <- t.death_hooks @ [ f ]
-
-(* the one-shot death path: every waiter learns the connection hung
-   up, and the fids the server still held for us are accounted as
-   leaked (both globally and through any registered hooks — the mount
-   driver surfaces them in its per-mount ledger) *)
+(* the death path, run once, just after [dead] is first set: every
+   waiter learns the connection hung up, and the fids the server still
+   held for us are accounted as leaked in the trace.  They stay in
+   [live_fids], which is what the mount driver's per-mount ledger
+   reads. *)
 let fail_all t =
   let ws = Hashtbl.fold (fun _ w acc -> w :: acc) t.waiting [] in
   Hashtbl.reset t.waiting;
   List.iter (fun w -> w (Fcall.Rerror "connection hung up")) ws;
-  if not t.death_done then begin
-    t.death_done <- true;
-    let leaked = Hashtbl.length t.live_fids in
-    if leaked > 0 then begin
-      (match Sim.Engine.obs t.eng with
-      | Some tr -> Obs.Trace.bump tr "9p.fids_leaked" leaked
-      | None -> ());
-      List.iter (fun f -> f leaked) t.death_hooks
-    end
-  end
+  let leaked = Hashtbl.length t.live_fids in
+  if leaked > 0 then
+    match Sim.Engine.obs t.eng with
+    | Some tr -> Obs.Trace.bump tr "9p.fids_leaked" leaked
+    | None -> ()
 
 let make eng tr =
   let t =
     { eng; tr; waiting = Hashtbl.create 17; live_fids = Hashtbl.create 17;
-      death_hooks = []; next_tag = 1; next_fid = 1; dead = false;
-      death_done = false }
+      next_tag = 1; next_fid = 1; dead = false }
   in
   let _demux =
     Sim.Proc.spawn eng ~name:"9p-demux" (fun () ->
         let rec loop () =
           match tr.Transport.t_recv () with
           | None ->
-            t.dead <- true;
-            fail_all t
+            if not t.dead then begin
+              t.dead <- true;
+              fail_all t
+            end
           | Some raw ->
             (match Fcall.decode raw with
             | Fcall.R (tag, r) -> (

@@ -67,13 +67,8 @@ val alive : t -> bool
 val open_fids : t -> int
 (** How many fids the server currently holds for this client
     (attached, cloned or clwalked, not yet clunked/removed).  After the
-    connection dies this is the leak count. *)
-
-val on_death : t -> (int -> unit) -> unit
-(** Register a hook run once when the connection dies with fids still
-    live; the argument is the leak count.  The mount driver uses this
-    to surface [leaked_fids] in its per-mount ledger, and the global
-    [9p.fids_leaked] trace counter is bumped alongside. *)
+    connection dies this is the leak count, and it no longer changes;
+    the death also bumps the [9p.fids_leaked] trace counter by it. *)
 
 val hangup : t -> unit
 (** Close the transport; outstanding and future calls raise

@@ -222,11 +222,19 @@ let need s off n what =
   if String.length s < off + n then
     raise (Bad_message ("truncated " ^ what))
 
+(* A message is exactly its fields: bytes missing or left over mean
+   the input is not 9P, which is how a tap tells 9P from look-alikes *)
+let exact s n what =
+  let len = String.length s in
+  if len < n then raise (Bad_message ("truncated " ^ what))
+  else if len > n then raise (Bad_message ("trailing bytes after " ^ what))
+
+(* a 2-byte-counted string, always the last field of its message *)
 let rstr2 s off what =
   need s off 2 what;
   let n = r16 s off in
-  need s (off + 2) n what;
-  (String.sub s (off + 2) n, off + 2 + n)
+  exact s (off + 2 + n) what;
+  String.sub s (off + 2) n
 
 (* ---- dir (stat) marshalling ---- *)
 
@@ -407,32 +415,30 @@ let decode s =
   let code = r8 s 0 in
   let tag = r16 s 1 in
   let o = 3 in
-  if code = tnop then T (tag, Tnop)
-  else if code = tnop + 1 then R (tag, Rnop)
+  if code = tnop then begin
+    exact s o "Tnop";
+    T (tag, Tnop)
+  end
+  else if code = tnop + 1 then begin
+    exact s o "Rnop";
+    R (tag, Rnop)
+  end
   else if code = rerror then begin
-    need s o errlen "Rerror";
+    exact s (o + errlen) "Rerror";
     R (tag, Rerror (rerrstr s o))
   end
   else if code = tauth then begin
-    need s o (2 + namelen) "Tauth";
-    let ticket, _ = rstr2 s (o + 2 + namelen) "Tauth" in
+    let ticket = rstr2 s (o + 2 + namelen) "Tauth" in
     T (tag, Tauth { afid = r16 s o; uname = rname s (o + 2); ticket })
   end
   else if code = tauth + 1 then begin
-    need s o 2 "Rauth";
-    let ticket, _ = rstr2 s (o + 2) "Rauth" in
+    let ticket = rstr2 s (o + 2) "Rauth" in
     R (tag, Rauth { afid = r16 s o; ticket })
   end
-  else if code = tsession then begin
-    let chal, _ = rstr2 s o "Tsession" in
-    T (tag, Tsession { chal })
-  end
-  else if code = tsession + 1 then begin
-    let chal, _ = rstr2 s o "Rsession" in
-    R (tag, Rsession { chal })
-  end
+  else if code = tsession then T (tag, Tsession { chal = rstr2 s o "Tsession" })
+  else if code = tsession + 1 then R (tag, Rsession { chal = rstr2 s o "Rsession" })
   else if code = tattach then begin
-    need s o (2 + (2 * namelen)) "Tattach";
+    exact s (o + 2 + (2 * namelen)) "Tattach";
     T
       ( tag,
         Tattach
@@ -443,48 +449,48 @@ let decode s =
           } )
   end
   else if code = tattach + 1 then begin
-    need s o 10 "Rattach";
+    exact s (o + 10) "Rattach";
     R (tag, Rattach { fid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = tclone then begin
-    need s o 4 "Tclone";
+    exact s (o + 4) "Tclone";
     T (tag, Tclone { fid = r16 s o; newfid = r16 s (o + 2) })
   end
   else if code = tclone + 1 then begin
-    need s o 2 "Rclone";
+    exact s (o + 2) "Rclone";
     R (tag, Rclone { fid = r16 s o })
   end
   else if code = twalk then begin
-    need s o (2 + namelen) "Twalk";
+    exact s (o + 2 + namelen) "Twalk";
     T (tag, Twalk { fid = r16 s o; name = rname s (o + 2) })
   end
   else if code = twalk + 1 then begin
-    need s o 10 "Rwalk";
+    exact s (o + 10) "Rwalk";
     R (tag, Rwalk { fid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = tclwalk then begin
-    need s o (4 + namelen) "Tclwalk";
+    exact s (o + 4 + namelen) "Tclwalk";
     T
       ( tag,
         Tclwalk
           { fid = r16 s o; newfid = r16 s (o + 2); name = rname s (o + 4) } )
   end
   else if code = tclwalk + 1 then begin
-    need s o 10 "Rclwalk";
+    exact s (o + 10) "Rclwalk";
     R (tag, Rclwalk { newfid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = topen then begin
-    need s o 3 "Topen";
+    exact s (o + 3) "Topen";
     match mode_of_int (r8 s (o + 2)) with
     | Some (mode, trunc) -> T (tag, Topen { fid = r16 s o; mode; trunc })
     | None -> raise (Bad_message "Topen mode")
   end
   else if code = topen + 1 then begin
-    need s o 10 "Ropen";
+    exact s (o + 10) "Ropen";
     R (tag, Ropen { fid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = tcreate then begin
-    need s o (2 + namelen + 5) "Tcreate";
+    exact s (o + 2 + namelen + 5) "Tcreate";
     match mode_of_int (r8 s (o + 2 + namelen + 4)) with
     | Some (mode, _) ->
       T
@@ -499,60 +505,62 @@ let decode s =
     | None -> raise (Bad_message "Tcreate mode")
   end
   else if code = tcreate + 1 then begin
-    need s o 10 "Rcreate";
+    exact s (o + 10) "Rcreate";
     R (tag, Rcreate { fid = r16 s o; qid = rqid s (o + 2) })
   end
   else if code = tread then begin
-    need s o 12 "Tread";
+    exact s (o + 12) "Tread";
     T (tag, Tread { fid = r16 s o; offset = r64 s (o + 2); count = r16 s (o + 10) })
   end
-  else if code = tread + 1 then begin
-    let data, _ = rstr2 s o "Rread" in
-    R (tag, Rread { data })
-  end
+  else if code = tread + 1 then R (tag, Rread { data = rstr2 s o "Rread" })
   else if code = twrite then begin
-    need s o 10 "Twrite";
-    let data, _ = rstr2 s (o + 10) "Twrite" in
+    let data = rstr2 s (o + 10) "Twrite" in
     T (tag, Twrite { fid = r16 s o; offset = r64 s (o + 2); data })
   end
   else if code = twrite + 1 then begin
-    need s o 2 "Rwrite";
+    exact s (o + 2) "Rwrite";
     R (tag, Rwrite { count = r16 s o })
   end
   else if code = tclunk then begin
-    need s o 2 "Tclunk";
+    exact s (o + 2) "Tclunk";
     T (tag, Tclunk { fid = r16 s o })
   end
   else if code = tclunk + 1 then begin
-    need s o 2 "Rclunk";
+    exact s (o + 2) "Rclunk";
     R (tag, Rclunk { fid = r16 s o })
   end
   else if code = tremove then begin
-    need s o 2 "Tremove";
+    exact s (o + 2) "Tremove";
     T (tag, Tremove { fid = r16 s o })
   end
   else if code = tremove + 1 then begin
-    need s o 2 "Rremove";
+    exact s (o + 2) "Rremove";
     R (tag, Rremove { fid = r16 s o })
   end
   else if code = tstat then begin
-    need s o 2 "Tstat";
+    exact s (o + 2) "Tstat";
     T (tag, Tstat { fid = r16 s o })
   end
-  else if code = tstat + 1 then R (tag, Rstat { stat = decode_dir s o })
+  else if code = tstat + 1 then begin
+    exact s (o + dirlen) "Rstat";
+    R (tag, Rstat { stat = decode_dir s o })
+  end
   else if code = twstat then begin
-    need s o 2 "Twstat";
+    exact s (o + 2 + dirlen) "Twstat";
     T (tag, Twstat { fid = r16 s o; stat = decode_dir s (o + 2) })
   end
   else if code = twstat + 1 then begin
-    need s o 2 "Rwstat";
+    exact s (o + 2) "Rwstat";
     R (tag, Rwstat { fid = r16 s o })
   end
   else if code = tflush then begin
-    need s o 2 "Tflush";
+    exact s (o + 2) "Tflush";
     T (tag, Tflush { oldtag = r16 s o })
   end
-  else if code = tflush + 1 then R (tag, Rflush)
+  else if code = tflush + 1 then begin
+    exact s o "Rflush";
+    R (tag, Rflush)
+  end
   else raise (Bad_message (Printf.sprintf "unknown type %d" code))
 
 let decode_opt s =
@@ -561,24 +569,7 @@ let decode_opt s =
   | exception Bad_message e -> Error e
 
 let message_name = function
-  | T (_, t) -> (
-    match t with
-    | Tnop -> "Tnop"
-    | Tauth _ -> "Tauth"
-    | Tsession _ -> "Tsession"
-    | Tattach _ -> "Tattach"
-    | Tclone _ -> "Tclone"
-    | Twalk _ -> "Twalk"
-    | Tclwalk _ -> "Tclwalk"
-    | Topen _ -> "Topen"
-    | Tcreate _ -> "Tcreate"
-    | Tread _ -> "Tread"
-    | Twrite _ -> "Twrite"
-    | Tclunk _ -> "Tclunk"
-    | Tremove _ -> "Tremove"
-    | Tstat _ -> "Tstat"
-    | Twstat _ -> "Twstat"
-    | Tflush _ -> "Tflush")
+  | T (_, t) -> tmsg_name t
   | R (_, r) -> (
     match r with
     | Rnop -> "Rnop"
@@ -598,6 +589,49 @@ let message_name = function
     | Rstat _ -> "Rstat"
     | Rwstat _ -> "Rwstat"
     | Rflush -> "Rflush")
+
+(* data and strings print as their byte counts *)
+let to_string m =
+  let p = Printf.sprintf in
+  let qid q = p " qid=(%d,%d)" q.qpath q.qvers in
+  let fields =
+    match m with
+    | T (_, t) -> (
+      match t with
+      | Tnop -> ""
+      | Tauth { afid; uname; ticket } ->
+        p " afid=%d uname=%s ticket[%d]" afid uname (String.length ticket)
+      | Tsession { chal } -> p " chal[%d]" (String.length chal)
+      | Tattach { fid; uname; aname } -> p " fid=%d uname=%s aname=%s" fid uname aname
+      | Tclone { fid; newfid } -> p " fid=%d newfid=%d" fid newfid
+      | Twalk { fid; name } -> p " fid=%d name=%s" fid name
+      | Tclwalk { fid; newfid; name } -> p " fid=%d newfid=%d name=%s" fid newfid name
+      | Topen { fid; mode; trunc } -> p " fid=%d mode=%d" fid (mode_to_int ~trunc mode)
+      | Tcreate { fid; name; perm; mode } ->
+        p " fid=%d name=%s perm=%lo mode=%d" fid name perm (mode_to_int mode)
+      | Tread { fid; offset; count } -> p " fid=%d offset=%Ld count=%d" fid offset count
+      | Twrite { fid; offset; data } ->
+        p " fid=%d offset=%Ld count=%d" fid offset (String.length data)
+      | Tclunk { fid } | Tremove { fid } | Tstat { fid } -> p " fid=%d" fid
+      | Twstat { fid; stat } -> p " fid=%d name=%s" fid stat.d_name
+      | Tflush { oldtag } -> p " oldtag=%d" oldtag)
+    | R (_, r) -> (
+      match r with
+      | Rnop | Rflush -> ""
+      | Rerror e -> " " ^ e
+      | Rauth { afid; ticket } -> p " afid=%d ticket[%d]" afid (String.length ticket)
+      | Rsession { chal } -> p " chal[%d]" (String.length chal)
+      | Rattach { fid; qid = q } | Rwalk { fid; qid = q } | Ropen { fid; qid = q }
+      | Rcreate { fid; qid = q } ->
+        p " fid=%d%s" fid (qid q)
+      | Rclwalk { newfid; qid = q } -> p " newfid=%d%s" newfid (qid q)
+      | Rread { data } -> p " count=%d" (String.length data)
+      | Rwrite { count } -> p " count=%d" count
+      | Rclone { fid } | Rclunk { fid } | Rremove { fid } | Rwstat { fid } -> p " fid=%d" fid
+      | Rstat { stat } -> p " name=%s" stat.d_name)
+  in
+  let tag = match m with T (tag, _) | R (tag, _) -> tag in
+  p "%s tag=%d%s" (message_name m) tag fields
 
 module Frame = struct
   let wrap s =

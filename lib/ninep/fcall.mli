@@ -115,7 +115,9 @@ val encode : t -> string
     which its 2-byte count cannot carry. *)
 
 val decode : string -> t
-(** @raise Bad_message on malformed input. *)
+(** @raise Bad_message on malformed input, including a message with
+    bytes missing or left over: the input must be exactly one
+    message. *)
 
 val decode_opt : string -> (t, string) result
 (** {!decode} that traps {!Bad_message}: malformed input is an [Error],
@@ -133,6 +135,12 @@ val message_name : t -> string
 
 val tmsg_name : tmsg -> string
 (** e.g. ["Tattach"], without needing a tag. *)
+
+val to_string : t -> string
+(** One line for a tap or a log, e.g.
+    ["Tread tag=1 fid=2 offset=0 count=8192"]: the name, the tag, then
+    the fields, with data, tickets and challenges as byte counts and a
+    stat by its name. *)
 
 module Frame : sig
   (** Delimiter reconstruction for byte-stream transports (TCP): each

@@ -760,280 +760,3 @@ module Span = struct
   let opens = Trace.span_opens
   let tree = Trace.span_tree
 end
-
-module Snoopy = struct
-  (* Pure wire-byte parsing: keep this independent of the protocol
-     stacks so a tap can decode frames even from code it has never
-     linked against. *)
-
-  let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
-  let get32 s off = (get16 s off lsl 16) lor get16 s (off + 2)
-
-  let ipstr s off =
-    Printf.sprintf "%d.%d.%d.%d" (Char.code s.[off])
-      (Char.code s.[off + 1])
-      (Char.code s.[off + 2])
-      (Char.code s.[off + 3])
-
-  let eastr s off =
-    String.concat ""
-      (List.init 6 (fun i -> Printf.sprintf "%02x" (Char.code s.[off + i])))
-
-  let il_type = function
-    | 0 -> "sync"
-    | 1 -> "data"
-    | 2 -> "dataquery"
-    | 3 -> "ack"
-    | 4 -> "query"
-    | 5 -> "state"
-    | 6 -> "close"
-    | 7 -> "reset"
-    | n -> Printf.sprintf "type%d" n
-
-  let tcp_flags f =
-    let names =
-      [ (1, "fin"); (2, "syn"); (4, "rst"); (8, "psh"); (16, "ack") ]
-    in
-    match List.filter_map (fun (b, n) -> if f land b <> 0 then Some n else None) names with
-    | [] -> "none"
-    | fs -> String.concat "+" fs
-
-  (* ---- 9P (Styx) message decoding ----
-     The wire format is little-endian: 1-byte type code (T even in
-     50..82, R = T+1, Rerror = 59), 2-byte tag, then fixed-width fields
-     (28-byte NUL-padded names, 64-byte errors) and 2-byte-counted
-     strings.  We only claim a decode when the bytes are internally
-     consistent and the length is exact, so random payloads don't
-     produce false positives. *)
-
-  let le16 s off = Char.code s.[off] lor (Char.code s.[off + 1] lsl 8)
-  let le32 s off = le16 s off lor (le16 s (off + 2) lsl 16)
-  let le64 s off = le32 s off lor (le32 s (off + 4) lsl 32)
-
-  let styx_name s off =
-    let rec len i = if i < 28 && s.[off + i] <> '\000' then len (i + 1) else i in
-    String.sub s off (len 0)
-
-  let styx_err s off =
-    let rec len i = if i < 64 && s.[off + i] <> '\000' then len (i + 1) else i in
-    String.sub s off (len 0)
-
-  let render_ninep p =
-    let len = String.length p in
-    if len < 3 then None
-    else
-      let code = Char.code p.[0] in
-      if code < 50 || code > 83 then None
-      else
-        let tag = le16 p 1 in
-        let o = 3 in
-        (* exact-length check for fixed-layout messages *)
-        let fixed n s = if len = o + n then Some s else None in
-        let qid off = Printf.sprintf "qid=(%d,%d)" (le32 p off) (le32 p (off + 4)) in
-        let str2_len off =
-          (* total remaining length must be exactly 2 + count *)
-          if len < off + 2 then None
-          else
-            let n = le16 p off in
-            if len = off + 2 + n then Some n else None
-        in
-        try
-          match code with
-          | 50 -> fixed 0 (Printf.sprintf "Tnop tag=%d" tag)
-          | 51 -> fixed 0 (Printf.sprintf "Rnop tag=%d" tag)
-          | 52 ->
-            Option.map
-              (fun n ->
-                Printf.sprintf "Tauth tag=%d afid=%d uname=%s ticket[%d]" tag
-                  (le16 p o) (styx_name p (o + 2)) n)
-              (str2_len (o + 2 + 28))
-          | 53 ->
-            Option.map
-              (fun n ->
-                Printf.sprintf "Rauth tag=%d afid=%d ticket[%d]" tag (le16 p o) n)
-              (str2_len (o + 2))
-          | 54 ->
-            Option.map
-              (fun n -> Printf.sprintf "Tsession tag=%d chal[%d]" tag n)
-              (str2_len o)
-          | 55 ->
-            Option.map
-              (fun n -> Printf.sprintf "Rsession tag=%d chal[%d]" tag n)
-              (str2_len o)
-          | 56 ->
-            fixed (2 + 28 + 28)
-              (Printf.sprintf "Tattach tag=%d fid=%d uname=%s aname=%s" tag
-                 (le16 p o) (styx_name p (o + 2)) (styx_name p (o + 30)))
-          | 57 ->
-            fixed 10
-              (Printf.sprintf "Rattach tag=%d fid=%d %s" tag (le16 p o)
-                 (qid (o + 2)))
-          | 59 ->
-            fixed 64 (Printf.sprintf "Rerror tag=%d %s" tag (styx_err p o))
-          | 60 ->
-            fixed 4
-              (Printf.sprintf "Tclone tag=%d fid=%d newfid=%d" tag (le16 p o)
-                 (le16 p (o + 2)))
-          | 61 -> fixed 2 (Printf.sprintf "Rclone tag=%d fid=%d" tag (le16 p o))
-          | 62 ->
-            fixed (2 + 28)
-              (Printf.sprintf "Twalk tag=%d fid=%d name=%s" tag (le16 p o)
-                 (styx_name p (o + 2)))
-          | 63 ->
-            fixed 10
-              (Printf.sprintf "Rwalk tag=%d fid=%d %s" tag (le16 p o)
-                 (qid (o + 2)))
-          | 64 ->
-            fixed (4 + 28)
-              (Printf.sprintf "Tclwalk tag=%d fid=%d newfid=%d name=%s" tag
-                 (le16 p o) (le16 p (o + 2)) (styx_name p (o + 4)))
-          | 65 ->
-            fixed 10
-              (Printf.sprintf "Rclwalk tag=%d newfid=%d %s" tag (le16 p o)
-                 (qid (o + 2)))
-          | 66 ->
-            fixed 3
-              (Printf.sprintf "Topen tag=%d fid=%d mode=%d" tag (le16 p o)
-                 (Char.code p.[o + 2]))
-          | 67 ->
-            fixed 10
-              (Printf.sprintf "Ropen tag=%d fid=%d %s" tag (le16 p o)
-                 (qid (o + 2)))
-          | 68 ->
-            fixed (2 + 28 + 4 + 1)
-              (Printf.sprintf "Tcreate tag=%d fid=%d name=%s perm=%o mode=%d"
-                 tag (le16 p o) (styx_name p (o + 2)) (le32 p (o + 30))
-                 (Char.code p.[o + 34]))
-          | 69 ->
-            fixed 10
-              (Printf.sprintf "Rcreate tag=%d fid=%d %s" tag (le16 p o)
-                 (qid (o + 2)))
-          | 70 ->
-            fixed 12
-              (Printf.sprintf "Tread tag=%d fid=%d offset=%d count=%d" tag
-                 (le16 p o) (le64 p (o + 2)) (le16 p (o + 10)))
-          | 71 ->
-            Option.map
-              (fun n -> Printf.sprintf "Rread tag=%d count=%d" tag n)
-              (str2_len o)
-          | 72 ->
-            Option.map
-              (fun n ->
-                Printf.sprintf "Twrite tag=%d fid=%d offset=%d count=%d" tag
-                  (le16 p o) (le64 p (o + 2)) n)
-              (str2_len (o + 10))
-          | 73 -> fixed 2 (Printf.sprintf "Rwrite tag=%d count=%d" tag (le16 p o))
-          | 74 -> fixed 2 (Printf.sprintf "Tclunk tag=%d fid=%d" tag (le16 p o))
-          | 75 -> fixed 2 (Printf.sprintf "Rclunk tag=%d fid=%d" tag (le16 p o))
-          | 76 -> fixed 2 (Printf.sprintf "Tremove tag=%d fid=%d" tag (le16 p o))
-          | 77 -> fixed 2 (Printf.sprintf "Rremove tag=%d fid=%d" tag (le16 p o))
-          | 78 -> fixed 2 (Printf.sprintf "Tstat tag=%d fid=%d" tag (le16 p o))
-          | 79 ->
-            fixed 116
-              (Printf.sprintf "Rstat tag=%d name=%s" tag (styx_name p o))
-          | 80 ->
-            fixed (2 + 116)
-              (Printf.sprintf "Twstat tag=%d fid=%d name=%s" tag (le16 p o)
-                 (styx_name p (o + 2)))
-          | 81 -> fixed 2 (Printf.sprintf "Rwstat tag=%d fid=%d" tag (le16 p o))
-          | 82 ->
-            fixed 2 (Printf.sprintf "Tflush tag=%d oldtag=%d" tag (le16 p o))
-          | 83 -> fixed 0 (Printf.sprintf "Rflush tag=%d" tag)
-          | _ -> None
-        with Invalid_argument _ -> None
-
-  let with_ninep base payload =
-    match render_ninep payload with
-    | Some s -> base ^ " 9p(" ^ s ^ ")"
-    | None -> base
-
-  let render_arp p =
-    if String.length p < 28 then "arp runt"
-    else
-      let op = get16 p 6 in
-      let spa = ipstr p 14 and tpa = ipstr p 24 in
-      match op with
-      | 1 -> Printf.sprintf "arp who-has %s tell %s" tpa spa
-      | 2 -> Printf.sprintf "arp %s is-at %s" spa (eastr p 8)
-      | n -> Printf.sprintf "arp op%d %s > %s" n spa tpa
-
-  let render_il p =
-    if String.length p < 18 then "il runt"
-    else
-      let base =
-        Printf.sprintf "il %s %d>%d id %d ack %d len %d"
-          (il_type (Char.code p.[4]))
-          (get16 p 6) (get16 p 8) (get32 p 10) (get32 p 14)
-          (String.length p - 18)
-      in
-      let ty = Char.code p.[4] in
-      if (ty = 1 || ty = 2) && String.length p > 18 then
-        with_ninep base (String.sub p 18 (String.length p - 18))
-      else base
-
-  let render_udp p =
-    if String.length p < 8 then "udp runt"
-    else
-      Printf.sprintf "udp %d>%d len %d" (get16 p 0) (get16 p 2)
-        (String.length p - 8)
-
-  let render_tcp p =
-    if String.length p < 20 then "tcp runt"
-    else
-      let off = ((get16 p 12) lsr 12) * 4 in
-      let base =
-        Printf.sprintf "tcp %s %d>%d seq %d ack %d len %d"
-          (tcp_flags (get16 p 12 land 0x3f))
-          (get16 p 0) (get16 p 2) (get32 p 4) (get32 p 8)
-          (max 0 (String.length p - off))
-      in
-      if off >= 20 && String.length p > off then
-        with_ninep base (String.sub p off (String.length p - off))
-      else base
-
-  let ip_payload p =
-    (* (frag_off, inner rendering) for a well-formed 20-byte header *)
-    let proto = Char.code p.[9] in
-    let frag_off = (get16 p 6 land 0x1fff) * 8 in
-    let body = String.sub p 20 (String.length p - 20) in
-    let inner =
-      if frag_off > 0 then
-        Printf.sprintf "frag off %d proto %d len %d" frag_off proto
-          (String.length body)
-      else
-        match proto with
-        | 40 -> render_il body
-        | 17 -> render_udp body
-        | 6 -> render_tcp body
-        | n -> Printf.sprintf "proto %d len %d" n (String.length body)
-    in
-    inner
-
-  let render_ip p =
-    if String.length p < 20 || Char.code p.[0] <> 0x45 then "ip runt"
-    else
-      Printf.sprintf "ip(%s > %s) %s" (ipstr p 12) (ipstr p 16) (ip_payload p)
-
-  let render_frame ~time ~src ~dst ~etype payload =
-    let body =
-      match etype with
-      | 0x0806 -> render_arp payload
-      | 0x0800 -> render_ip payload
-      | n -> Printf.sprintf "type %d len %d" n (String.length payload)
-    in
-    Printf.sprintf "%.6f ether(%s > %s) %s" time src dst body
-
-  let frame_proto ~etype payload =
-    match etype with
-    | 0x0806 -> "arp"
-    | 0x0800 ->
-      if String.length payload < 20 || Char.code payload.[0] <> 0x45 then "ip"
-      else if (get16 payload 6 land 0x1fff) <> 0 then "ip"
-      else (
-        match Char.code payload.[9] with
-        | 40 -> "il"
-        | 17 -> "udp"
-        | 6 -> "tcp"
-        | _ -> "ip")
-    | _ -> "ether"
-end

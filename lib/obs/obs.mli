@@ -328,32 +328,3 @@ module Span : sig
       only the given trace id) — the golden-file shape for nesting
       tests. *)
 end
-
-module Snoopy : sig
-  (** Promiscuous-tap frame rendering, after Plan 9's [snoopy]: parses
-      raw Ethernet payloads (ARP, IP carrying IL / UDP / TCP) straight
-      from the wire bytes and prints one line per frame.  Pure string
-      parsing — usable on any captured frame without the protocol
-      stacks. *)
-
-  val render_frame :
-    time:float -> src:string -> dst:string -> etype:int -> string -> string
-  (** [render_frame ~time ~src ~dst ~etype payload] where [src]/[dst]
-      are 12-hex-digit Ethernet addresses.  E.g.
-      {v
-      0.000125 ether(080069020001 > ffffffffffff) arp who-has 10.0.0.2 tell 10.0.0.1
-      0.004210 ether(080069020001 > 080069020002) ip(10.0.0.1 > 10.0.0.2) il data 5012>9999 id 7 ack 3 len 1000
-      v} *)
-
-  val frame_proto : etype:int -> string -> string
-  (** The innermost protocol name the renderer identified: ["arp"],
-      ["il"], ["udp"], ["tcp"], ["ip"], or ["ether"]. *)
-
-  val render_ninep : string -> string option
-  (** Decode one 9P (Styx) message from raw bytes, e.g.
-      ["Tread tag=1 fid=2 offset=0 count=8192"].  [None] unless the
-      bytes are a complete, internally consistent message — transport
-      payloads that merely resemble 9P are rejected by the exact-length
-      check.  The IL and TCP renderers call this on their payloads, so
-      snooped cfs/exportfs traffic prints decoded fcalls. *)
-end

@@ -252,9 +252,7 @@ let mount_fs ?(mcreate = true) t fs ~onto flag =
 
 let mount ?(mcreate = true) t client ?(aname = "") ~onto flag =
   let metrics = Obs.Metrics.create () in
-  Ns.register_mount t.env_ns ~onto:(abspath t onto) metrics;
-  Ninep.Client.on_death client (fun leaked ->
-      Obs.Metrics.bump metrics "leaked_fids" leaked);
+  Ns.register_mount t.env_ns ~onto:(abspath t onto) metrics client;
   let fs = Mnt.fs client ~aname ~metrics ~name:("mnt:" ^ onto) () in
   mount_fs ~mcreate t fs ~onto flag
 

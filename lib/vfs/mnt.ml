@@ -17,6 +17,11 @@ let wrapn n f =
   | Some e -> Error e
   | None -> (try Ok (f ()) with Ninep.Client.Err e -> Error e)
 
+let live n =
+  match n.dead with
+  | Some e -> Error e
+  | None -> if Ninep.Client.alive n.c then Ok () else Error "connection hung up"
+
 let rpc_names =
   [ "Tattach"; "Tclone"; "Twalk"; "Topen"; "Tcreate"; "Tread"; "Twrite";
     "Tclunk"; "Tremove"; "Tstat"; "Twstat" ]
@@ -45,7 +50,7 @@ let fs client ?(aname = "") ?metrics ~name () =
     fs_open =
       (fun n mode ~trunc ->
         n.tick "Topen";
-        wrapn n (fun () -> ignore (Ninep.Client.open_ n.c n.fid ~trunc mode)));
+        wrapn n (fun () -> n.nqid <- Ninep.Client.open_ n.c n.fid ~trunc mode));
     fs_read =
       (fun n ~offset ~count ->
         n.tick "Tread";

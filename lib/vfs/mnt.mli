@@ -12,7 +12,11 @@
     [Cfs] prove, at this layer, that round trips really disappeared.
     {!Env.mount} creates and registers one per mount; {!stats_fs}
     serves the whole registry as a directory (mounted at [/dev/mnt] by
-    the core host). *)
+    the core host).
+
+    [Cfs] builds its upstream face on this driver too: it keeps these
+    operations and adds its cache around walk, open, create, stat,
+    read, write and remove, so 9P is spoken in one place. *)
 
 type node
 
@@ -34,17 +38,26 @@ val fs :
     T-message it sends (see {!rpc_names}), counted whether or not the
     server answers with an error.
 
+    A node's qid is the one its last Rattach, Rwalk, Ropen or Rcreate
+    carried.  Every operation goes to the connection that minted the
+    node's fid, whichever connection the [fs] was made with.
+
     A clone against a dead connection does not raise: it yields a dead
     node that answers every subsequent operation with the hangup error,
     so a union walk steps past a partitioned member instead of
     crashing, and directory merges skip it (per-mount error
     isolation). *)
 
+val live : node -> (unit, string) result
+(** [Error] with the reason any operation on the node would now fail
+    with, found without a message: the node is dead, or its connection
+    has hung up. *)
+
 val stats_text : Obs.Metrics.t -> string
 (** One ["name count\n"] line per {!rpc_names} entry (zeros included)
     plus ["total n"] and ["leaked_fids n"] lines — the latter counts
     fids the server still held when the connection died (see
-    {!Ninep.Client.on_death}). *)
+    {!Ns.mounts}). *)
 
 type stats_node
 

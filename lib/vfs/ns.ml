@@ -10,7 +10,7 @@ type t = {
   root_chan : Chan.t;
   ns_uname : string;
   mutable next_devid : int;
-  mounts : (string * Obs.Metrics.t) list ref;
+  mounts : (string * Obs.Metrics.t * Ninep.Client.t) list ref;
       (* 9P-mount RPC ledgers, shared across forks (the [ref] itself is
          copied by [fork], so children see — and add to — one registry) *)
 }
@@ -54,8 +54,20 @@ let fresh_devid t =
   t.next_devid <- id + 1;
   id
 
-let register_mount t ~onto metrics = t.mounts := !(t.mounts) @ [ (onto, metrics) ]
-let mounts t = !(t.mounts)
+let register_mount t ~onto metrics client =
+  t.mounts := !(t.mounts) @ [ (onto, metrics, client) ]
+
+(* a dead connection's open fids are the ones its server still holds;
+   the count no longer changes, so [leaked_fids] is brought up to it
+   whenever the ledger is read *)
+let mounts t =
+  List.map
+    (fun (onto, m, c) ->
+      let leaked = if Ninep.Client.alive c then 0 else Ninep.Client.open_fids c in
+      let d = leaked - Obs.Metrics.counter m "leaked_fids" in
+      if d > 0 then Obs.Metrics.bump m "leaked_fids" d;
+      (onto, m))
+    !(t.mounts)
 
 let qpath c = (Chan.qid c).Ninep.Fcall.qpath
 

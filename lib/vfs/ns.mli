@@ -33,14 +33,16 @@ val fresh_devid : t -> int
 (** Allocate an identity for a newly mounted server instance (the
     mount driver's channels must not collide with anyone else's). *)
 
-val register_mount : t -> onto:string -> Obs.Metrics.t -> unit
-(** Record a 9P mount's RPC counters under its mount-point path.  The
-    registry is shared across {!fork}s — there is one ledger per
-    machine, whichever process mounted. *)
+val register_mount : t -> onto:string -> Obs.Metrics.t -> Ninep.Client.t -> unit
+(** Record a 9P mount's RPC counters and connection under its
+    mount-point path.  The registry is shared across {!fork}s — there
+    is one ledger per machine, whichever process mounted. *)
 
 val mounts : t -> (string * Obs.Metrics.t) list
 (** All registered mounts, in mount order — the input for
-    {!Mnt.stats_fs}. *)
+    {!Mnt.stats_fs}.  Each ledger's [leaked_fids] counter is first
+    brought up to date: 0 while the connection lives, then the fids
+    its server still held when it died. *)
 
 val resolve : t -> string -> Chan.t
 (** Walk an absolute, normalized path to a channel, applying mount

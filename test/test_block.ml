@@ -33,11 +33,6 @@ let test_block_concat () =
   Alcotest.(check string) "concat" "abcde" (Block.to_string b);
   Alcotest.(check bool) "delim carried" true b.Block.delim
 
-let test_ctl_words () =
-  let b = Block.make ~kind:Block.Ctl "connect  2048\n" in
-  Alcotest.(check (list string)) "words" [ "connect"; "2048" ]
-    (Block.ctl_words b)
-
 let test_q_fifo () =
   in_sim (fun eng ->
       let q = Block.Q.create eng in
@@ -316,7 +311,6 @@ let () =
           Alcotest.test_case "basics" `Quick test_block_basics;
           Alcotest.test_case "sub" `Quick test_block_sub;
           Alcotest.test_case "concat" `Quick test_block_concat;
-          Alcotest.test_case "ctl words" `Quick test_ctl_words;
         ] );
       ( "queue",
         [

@@ -484,6 +484,61 @@ let test_mnt_counters () =
 
 (* ---- determinism: same seed => identical BENCH_cfs.json ---- *)
 
+(* ---- the upstream fence ---- *)
+
+(* After [set_upstream] the new connection numbers its fids from
+   scratch, so a fid minted on the old one names, by number, some
+   unrelated file on the new one.  The old fid must fail, cost no
+   upstream message, and leave the cache warm for a fresh walk. *)
+let test_upstream_fence () =
+  let eng = Sim.Engine.create () in
+  let ram = Ninep.Ramfs.make ~name:"ram" () in
+  Ninep.Ramfs.add_file ram "/f" "ffff";
+  Ninep.Ramfs.add_file ram "/g" "gggg";
+  (* an upstream connection whose outgoing messages are logged by name *)
+  let upstream log =
+    let ct, st = Ninep.Transport.pipe eng in
+    ignore (Ninep.Server.serve eng (Ninep.Ramfs.fs ram) st);
+    {
+      ct with
+      Ninep.Transport.t_send =
+        (fun raw ->
+          log := Ninep.Fcall.message_name (Ninep.Fcall.decode raw) :: !log;
+          ct.Ninep.Transport.t_send raw);
+    }
+  in
+  let old_sent = ref [] and new_sent = ref [] in
+  let cache = Cfs.make eng ~upstream:(upstream old_sent) () in
+  let finished = ref false in
+  ignore
+    (Sim.Proc.spawn eng ~name:"client" (fun () ->
+         let c = Ninep.Client.make eng (Cfs.transport cache) in
+         Ninep.Client.session c;
+         let f = open_file c "/f" in
+         Alcotest.(check string) "f" "ffff" (read_at c f 0 64);
+         Cfs.set_upstream cache (upstream new_sent);
+         old_sent := [];
+         (* attach and walk on the new connection: its fids overlap the
+            ones f was minted with *)
+         let g = open_file c "/g" in
+         Alcotest.(check string) "g" "gggg" (read_at c g 0 64);
+         let misses = Cfs.counter cache "misses" in
+         (match read_at c f 0 64 with
+         | data -> Alcotest.failf "stale fid read %S" data
+         | exception Ninep.Client.Err _ -> ());
+         let sent = List.length !new_sent in
+         Ninep.Client.clunk c f;
+         Alcotest.(check int) "stale clunk sends nothing upstream" sent
+           (List.length !new_sent);
+         Alcotest.(check (list string)) "nothing on the old upstream" []
+           !old_sent;
+         let f = open_file c "/f" in
+         Alcotest.(check string) "f again" "ffff" (read_at c f 0 64);
+         Alcotest.(check int) "served warm" misses (Cfs.counter cache "misses");
+         finished := true));
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "client body completed" true !finished
+
 let test_bench_deterministic () =
   let a = Cfs_bench.run ~seed:9 () in
   let b = Cfs_bench.run ~seed:9 () in
@@ -535,6 +590,8 @@ let () =
         ] );
       ( "mnt",
         [ Alcotest.test_case "per-mount RPC counters" `Quick test_mnt_counters ] );
+      ( "upstream",
+        [ Alcotest.test_case "stale fids fenced" `Quick test_upstream_fence ] );
       ( "bench",
         [
           Alcotest.test_case "same seed, identical JSON" `Quick

@@ -687,6 +687,75 @@ let test_ls_l_conn_dir () =
         listing;
       Vfs.Env.close env fd)
 
+(* ---- snoopy rendering (pure, no stacks) ---- *)
+
+let contains haystack needle =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
+(* hand-built frames, byte for byte *)
+let arp_request =
+  let b = Bytes.make 28 '\000' in
+  Bytes.set b 7 '\001';
+  (* sha *)
+  Bytes.blit_string "\x08\x00\x69\x02\x00\x01" 0 b 8 6;
+  (* spa 10.0.0.1 *)
+  Bytes.blit_string "\x0a\x00\x00\x01" 0 b 14 4;
+  (* tpa 10.0.0.2 *)
+  Bytes.blit_string "\x0a\x00\x00\x02" 0 b 24 4;
+  Bytes.to_string b
+
+let ip_header ~proto ~len =
+  let b = Bytes.make (20 + len) '\000' in
+  Bytes.set b 0 '\x45';
+  Bytes.set b 9 (Char.chr proto);
+  (* 10.0.0.1 > 10.0.0.2 *)
+  Bytes.blit_string "\x0a\x00\x00\x01" 0 b 12 4;
+  Bytes.blit_string "\x0a\x00\x00\x02" 0 b 16 4;
+  b
+
+let il_frame =
+  let b = ip_header ~proto:40 ~len:18 in
+  Bytes.set b (20 + 4) '\001';
+  (* type 1 = data *)
+  Bytes.set b (20 + 7) '\x05';
+  (* sport 5 *)
+  Bytes.set b (20 + 9) '\x09';
+  (* dport 9 *)
+  Bytes.set b (20 + 13) '\x07';
+  (* id 7 *)
+  Bytes.set b (20 + 17) '\x03';
+  (* ack 3 *)
+  Bytes.to_string b
+
+let udp_frame =
+  let b = ip_header ~proto:17 ~len:8 in
+  Bytes.set b (20 + 1) '\x35';
+  (* sport 53 *)
+  Bytes.set b (20 + 3) '\x35';
+  Bytes.to_string b
+
+let test_snoopy_renders_frames () =
+  let r etype payload =
+    P9net.Snoop.render_frame ~time:0.5 ~src:"080069020001"
+      ~dst:"ffffffffffff" ~etype payload
+  in
+  let arp = r 0x0806 arp_request in
+  Alcotest.(check bool) "arp line" true
+    (contains arp "arp who-has 10.0.0.2 tell 10.0.0.1");
+  let il = r 0x0800 il_frame in
+  Alcotest.(check bool) "il line" true
+    (contains il "ip(10.0.0.1 > 10.0.0.2)" && contains il "il data 5>9");
+  let udp = r 0x0800 udp_frame in
+  Alcotest.(check bool) "udp line" true (contains udp "udp 53>53");
+  Alcotest.(check string) "proto id: arp" "arp"
+    (Netsim.Ether.frame_proto ~etype:0x0806 arp_request);
+  Alcotest.(check string) "proto id: il" "il"
+    (Netsim.Ether.frame_proto ~etype:0x0800 il_frame);
+  Alcotest.(check string) "proto id: udp" "udp"
+    (Netsim.Ether.frame_proto ~etype:0x0800 udp_frame)
+
 let () =
   Alcotest.run "core"
     [
@@ -754,6 +823,11 @@ let () =
           Alcotest.test_case "cs requery" `Quick test_cs_requery_same_fd;
           Alcotest.test_case "read/write on every IP network" `Quick
             test_import_rw_every_network;
+        ] );
+      ( "snoopy",
+        [
+          Alcotest.test_case "renders frames" `Quick
+            test_snoopy_renders_frames;
         ] );
       ( "ether",
         [

@@ -139,6 +139,111 @@ let test_decode_garbage () =
          with F.Bad_message _ -> true))
     [ ""; "\x00"; "\x01\x02\x03"; "\xff\x00\x00"; "\x32" (* truncated Tnop tag *) ]
 
+(* ---- every message kind as the snooper prints it ----
+   The expected lines are the tap's format, byte for byte: a change to
+   one is a change to every snooped 9P line. *)
+
+let render p = Result.to_option (Result.map F.to_string (F.decode_opt p))
+
+let print_dir =
+  { F.d_name = "motd"; d_uid = "bootes"; d_gid = "sys";
+    d_qid = { F.qpath = 42; qvers = 3 }; d_mode = 0o644l; d_atime = 11l;
+    d_mtime = 22l; d_length = 6L; d_type = Char.code 'M'; d_dev = 1 }
+
+let print_table =
+  let q = { F.qpath = 0x80000001; qvers = 7 } in
+  [
+    (F.T (1, F.Tnop), "Tnop tag=1");
+    ( F.T (2, F.Tauth { afid = 5; uname = "philw"; ticket = "tick" }),
+      "Tauth tag=2 afid=5 uname=philw ticket[4]" );
+    (F.T (3, F.Tsession { chal = "abcdefgh" }), "Tsession tag=3 chal[8]");
+    ( F.T (4, F.Tattach { fid = 1; uname = "philw"; aname = "/tmp" }),
+      "Tattach tag=4 fid=1 uname=philw aname=/tmp" );
+    (F.T (5, F.Tclone { fid = 1; newfid = 2 }), "Tclone tag=5 fid=1 newfid=2");
+    (F.T (6, F.Twalk { fid = 2; name = "motd" }), "Twalk tag=6 fid=2 name=motd");
+    ( F.T (7, F.Tclwalk { fid = 1; newfid = 3; name = "lib" }),
+      "Tclwalk tag=7 fid=1 newfid=3 name=lib" );
+    ( F.T (8, F.Topen { fid = 2; mode = F.Ordwr; trunc = true }),
+      "Topen tag=8 fid=2 mode=18" );
+    ( F.T
+        ( 9,
+          F.Tcreate
+            { fid = 3; name = "new"; perm = Int32.logor F.dmdir 0o755l;
+              mode = F.Owrite } ),
+      "Tcreate tag=9 fid=3 name=new perm=20000000755 mode=1" );
+    ( F.T (10, F.Tread { fid = 2; offset = 8192L; count = 512 }),
+      "Tread tag=10 fid=2 offset=8192 count=512" );
+    ( F.T (11, F.Twrite { fid = 2; offset = 64L; data = "hello" }),
+      "Twrite tag=11 fid=2 offset=64 count=5" );
+    (F.T (12, F.Tclunk { fid = 2 }), "Tclunk tag=12 fid=2");
+    (F.T (13, F.Tremove { fid = 3 }), "Tremove tag=13 fid=3");
+    (F.T (14, F.Tstat { fid = 2 }), "Tstat tag=14 fid=2");
+    ( F.T (15, F.Twstat { fid = 2; stat = print_dir }),
+      "Twstat tag=15 fid=2 name=motd" );
+    (F.T (16, F.Tflush { oldtag = 10 }), "Tflush tag=16 oldtag=10");
+    (F.R (1, F.Rnop), "Rnop tag=1");
+    (F.R (2, F.Rerror "file does not exist"), "Rerror tag=2 file does not exist");
+    (F.R (3, F.Rauth { afid = 5; ticket = "tick" }), "Rauth tag=3 afid=5 ticket[4]");
+    (F.R (4, F.Rsession { chal = "abcdefgh" }), "Rsession tag=4 chal[8]");
+    ( F.R (5, F.Rattach { fid = 1; qid = q }),
+      "Rattach tag=5 fid=1 qid=(2147483649,7)" );
+    (F.R (6, F.Rclone { fid = 1 }), "Rclone tag=6 fid=1");
+    ( F.R (7, F.Rwalk { fid = 2; qid = { F.qpath = 42; qvers = 3 } }),
+      "Rwalk tag=7 fid=2 qid=(42,3)" );
+    ( F.R (8, F.Rclwalk { newfid = 3; qid = q }),
+      "Rclwalk tag=8 newfid=3 qid=(2147483649,7)" );
+    ( F.R (9, F.Ropen { fid = 2; qid = { F.qpath = 42; qvers = 4 } }),
+      "Ropen tag=9 fid=2 qid=(42,4)" );
+    ( F.R (10, F.Rcreate { fid = 3; qid = { F.qpath = 0x80000002; qvers = 0 } }),
+      "Rcreate tag=10 fid=3 qid=(2147483650,0)" );
+    (F.R (11, F.Rread { data = "hello" }), "Rread tag=11 count=5");
+    (F.R (12, F.Rwrite { count = 5 }), "Rwrite tag=12 count=5");
+    (F.R (13, F.Rclunk { fid = 2 }), "Rclunk tag=13 fid=2");
+    (F.R (14, F.Rremove { fid = 3 }), "Rremove tag=14 fid=3");
+    (F.R (15, F.Rstat { stat = print_dir }), "Rstat tag=15 name=motd");
+    (F.R (16, F.Rwstat { fid = 2 }), "Rwstat tag=16 fid=2");
+    (F.R (17, F.Rflush), "Rflush tag=17");
+  ]
+
+let test_print_every_kind () =
+  List.iter
+    (fun (m, want) ->
+      let s = F.encode m in
+      let name = F.message_name m in
+      Alcotest.(check (option string)) name (Some want) (render s);
+      (* one byte too many or too few is not a message *)
+      let long = s ^ "\000" and short = String.sub s 0 (String.length s - 1) in
+      Alcotest.(check (option string)) (name ^ " trailing byte") None (render long);
+      Alcotest.(check (option string)) (name ^ " truncated") None (render short);
+      Alcotest.(check bool) (name ^ " trailing byte is an error") true
+        (Result.is_error (F.decode_opt long));
+      Alcotest.(check bool) (name ^ " truncated is an error") true
+        (Result.is_error (F.decode_opt short)))
+    print_table
+
+let test_snoopy_decodes_ninep () =
+  let enc m = F.encode m in
+  Alcotest.(check (option string)) "Tread"
+    (Some "Tread tag=7 fid=3 offset=64 count=512")
+    (render
+       (enc (F.T (7, F.Tread { fid = 3; offset = 64L; count = 512 }))));
+  Alcotest.(check (option string)) "Tattach"
+    (Some "Tattach tag=1 fid=0 uname=philw aname=")
+    (render
+       (enc (F.T (1, F.Tattach { fid = 0; uname = "philw"; aname = "" }))));
+  Alcotest.(check (option string)) "Rread count only"
+    (Some "Rread tag=7 count=5")
+    (render
+       (enc (F.R (7, F.Rread { data = "hello" }))));
+  (* garbage and truncation are rejected, never mis-rendered *)
+  Alcotest.(check (option string)) "empty" None
+    (render "");
+  Alcotest.(check (option string)) "unknown type" None
+    (render "\xff\x01\x00");
+  let tread = enc (F.T (7, F.Tread { fid = 3; offset = 64L; count = 512 })) in
+  Alcotest.(check (option string)) "truncated Tread" None
+    (render (String.sub tread 0 5))
+
 let test_oversize_name_rejected () =
   Alcotest.(check bool) "28-byte name rejected" true
     (try
@@ -781,6 +886,11 @@ let () =
           Alcotest.test_case "oversize name" `Quick
             test_oversize_name_rejected;
           Alcotest.test_case "oversize data" `Quick test_oversize_data_rejected;
+        ] );
+      ( "snoopy",
+        [
+          Alcotest.test_case "decodes 9p" `Quick test_snoopy_decodes_ninep;
+          Alcotest.test_case "prints every kind" `Quick test_print_every_kind;
         ] );
       ( "semantics",
         [

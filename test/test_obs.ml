@@ -407,70 +407,6 @@ let test_chrome_json_shape () =
   Alcotest.(check bool) "counters flat object" true
     (String.length counters >= 2 && counters.[0] = '{')
 
-(* ---- snoopy rendering (pure, no stacks) ---- *)
-
-(* hand-built frames, byte for byte *)
-let arp_request =
-  let b = Bytes.make 28 '\000' in
-  Bytes.set b 7 '\001';
-  (* sha *)
-  Bytes.blit_string "\x08\x00\x69\x02\x00\x01" 0 b 8 6;
-  (* spa 10.0.0.1 *)
-  Bytes.blit_string "\x0a\x00\x00\x01" 0 b 14 4;
-  (* tpa 10.0.0.2 *)
-  Bytes.blit_string "\x0a\x00\x00\x02" 0 b 24 4;
-  Bytes.to_string b
-
-let ip_header ~proto ~len =
-  let b = Bytes.make (20 + len) '\000' in
-  Bytes.set b 0 '\x45';
-  Bytes.set b 9 (Char.chr proto);
-  (* 10.0.0.1 > 10.0.0.2 *)
-  Bytes.blit_string "\x0a\x00\x00\x01" 0 b 12 4;
-  Bytes.blit_string "\x0a\x00\x00\x02" 0 b 16 4;
-  b
-
-let il_frame =
-  let b = ip_header ~proto:40 ~len:18 in
-  Bytes.set b (20 + 4) '\001';
-  (* type 1 = data *)
-  Bytes.set b (20 + 7) '\x05';
-  (* sport 5 *)
-  Bytes.set b (20 + 9) '\x09';
-  (* dport 9 *)
-  Bytes.set b (20 + 13) '\x07';
-  (* id 7 *)
-  Bytes.set b (20 + 17) '\x03';
-  (* ack 3 *)
-  Bytes.to_string b
-
-let udp_frame =
-  let b = ip_header ~proto:17 ~len:8 in
-  Bytes.set b (20 + 1) '\x35';
-  (* sport 53 *)
-  Bytes.set b (20 + 3) '\x35';
-  Bytes.to_string b
-
-let test_snoopy_renders_frames () =
-  let r etype payload =
-    Obs.Snoopy.render_frame ~time:0.5 ~src:"080069020001"
-      ~dst:"ffffffffffff" ~etype payload
-  in
-  let arp = r 0x0806 arp_request in
-  Alcotest.(check bool) "arp line" true
-    (contains arp "arp who-has 10.0.0.2 tell 10.0.0.1");
-  let il = r 0x0800 il_frame in
-  Alcotest.(check bool) "il line" true
-    (contains il "ip(10.0.0.1 > 10.0.0.2)" && contains il "il data 5>9");
-  let udp = r 0x0800 udp_frame in
-  Alcotest.(check bool) "udp line" true (contains udp "udp 53>53");
-  Alcotest.(check string) "proto id: arp" "arp"
-    (Obs.Snoopy.frame_proto ~etype:0x0806 arp_request);
-  Alcotest.(check string) "proto id: il" "il"
-    (Obs.Snoopy.frame_proto ~etype:0x0800 il_frame);
-  Alcotest.(check string) "proto id: udp" "udp"
-    (Obs.Snoopy.frame_proto ~etype:0x0800 udp_frame)
-
 (* ---- the world: status/stats files, /net/log, the live tap ---- *)
 
 (* a one-shot IL service on helix that waits for one message and then
@@ -655,31 +591,6 @@ let test_net_metrics () =
   P9net.World.run ~until:120.0 w;
   Alcotest.(check bool) "test body completed" true !finished
 
-(* ---- 9P frame decoding in the snooper ---- *)
-
-let test_snoopy_decodes_ninep () =
-  let enc m = F.encode m in
-  Alcotest.(check (option string)) "Tread"
-    (Some "Tread tag=7 fid=3 offset=64 count=512")
-    (Obs.Snoopy.render_ninep
-       (enc (F.T (7, F.Tread { fid = 3; offset = 64L; count = 512 }))));
-  Alcotest.(check (option string)) "Tattach"
-    (Some "Tattach tag=1 fid=0 uname=philw aname=")
-    (Obs.Snoopy.render_ninep
-       (enc (F.T (1, F.Tattach { fid = 0; uname = "philw"; aname = "" }))));
-  Alcotest.(check (option string)) "Rread count only"
-    (Some "Rread tag=7 count=5")
-    (Obs.Snoopy.render_ninep
-       (enc (F.R (7, F.Rread { data = "hello" }))));
-  (* garbage and truncation are rejected, never mis-rendered *)
-  Alcotest.(check (option string)) "empty" None
-    (Obs.Snoopy.render_ninep "");
-  Alcotest.(check (option string)) "unknown type" None
-    (Obs.Snoopy.render_ninep "\xff\x01\x00");
-  let tread = enc (F.T (7, F.Tread { fid = 3; offset = 64L; count = 512 })) in
-  Alcotest.(check (option string)) "truncated Tread" None
-    (Obs.Snoopy.render_ninep (String.sub tread 0 5))
-
 let test_snoop_sees_ninep () =
   (* an import runs 9P over IL on the shared wire: the promiscuous tap
      should label the frames with their 9P payloads *)
@@ -774,9 +685,6 @@ let () =
         ] );
       ( "snoopy",
         [
-          Alcotest.test_case "renders frames" `Quick
-            test_snoopy_renders_frames;
-          Alcotest.test_case "decodes 9p" `Quick test_snoopy_decodes_ninep;
           Alcotest.test_case "live tap" `Quick test_snoop_tap;
           Alcotest.test_case "sees 9p" `Quick test_snoop_sees_ninep;
         ] );
