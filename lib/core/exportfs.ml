@@ -51,15 +51,13 @@ let fs env =
              importer's lexical cleanup before it ever reaches us *)
           Error "walk .. not supported across export"
         else
-          (* walk1 clones union members under the hood; a member whose
-             upstream died can still raise through the clone path —
-             relay the error instead of letting it kill the server *)
+          (* the node's own channel walks in place, as the fid does;
+             only a union crossing clones upstream *)
           match Vfs.Ns.walk1 (Vfs.Env.ns n.env) n.ch name with
           | Ok ch ->
             n.ch <- ch;
             Ok n
-          | Error e -> Error e
-          | exception Vfs.Chan.Error e -> Error e);
+          | Error e -> Error e);
     fs_open =
       (fun n mode ~trunc ->
         match
@@ -102,12 +100,12 @@ let fs env =
            in the kernel; a union that forbids creation relays the
            refusal *)
         match
-          let target =
-            match Vfs.Ns.create_target (Vfs.Env.ns n.env) n.ch with
-            | Ok c -> c
-            | Error e -> raise (Vfs.Chan.Error e)
-          in
-          Vfs.Chan.create target ~name ~perm mode
+          match Vfs.Ns.create_target (Vfs.Env.ns n.env) n.ch with
+          | Ok target ->
+            (* the target replaces the channel, even if create fails *)
+            n.ch <- target;
+            Vfs.Chan.create target ~name ~perm mode
+          | Error e -> raise (Vfs.Chan.Error e)
         with
         | ch ->
           n.ch <- ch;
@@ -139,12 +137,9 @@ let fs env =
     fs_clunk = (fun n -> Vfs.Chan.clunk n.ch);
     fs_clone =
       (fun n ->
-        {
-          env = n.env;
-          ch = Vfs.Chan.clone n.ch;
-          opened = false;
-          dirdata = None;
-        });
+        match Vfs.Chan.clone n.ch with
+        | ch -> Ok { env = n.env; ch; opened = false; dirdata = None }
+        | exception Vfs.Chan.Error e -> Error e);
   }
 
 let serve eng env tr = Ninep.Server.serve ~threaded:true eng (fs env) tr

@@ -403,7 +403,7 @@ let ftpfs session =
         | None -> ());
     fs_clone =
       (fun n ->
-        { s = n.s; comps = n.comps; dir = n.dir; opened = false; wbuf = None });
+        Ok { n with opened = false; wbuf = None });
   }
 
 type mountpoint = { mp_session : session; mp_ctl : Vfs.Env.fd }

@@ -2,8 +2,6 @@ exception Err of string
 
 type fid = int
 
-let no_fid = -1
-
 type t = {
   eng : Sim.Engine.t;
   tr : Transport.t;

@@ -11,10 +11,6 @@
 type t
 type fid
 
-val no_fid : fid
-(** A fid that was never allocated (a dead mount-driver node carries
-    it); any RPC on it is a server-side "unknown fid". *)
-
 exception Err of string
 (** An Rerror from the server (or a dead connection). *)
 

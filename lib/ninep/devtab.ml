@@ -185,7 +185,7 @@ let fs tab =
             Option.iter n.tab.convs.release n.conv
           end
         end);
-    fs_clone = (fun n -> { n with opened = false });
+    fs_clone = (fun n -> Ok { n with opened = false });
   }
 
 let service ~name ~file:fname ~show handle =

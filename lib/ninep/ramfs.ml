@@ -209,7 +209,7 @@ let fs t =
         bump e;
         Ok ());
     fs_clunk = (fun _ -> ());
-    fs_clone = (fun n -> { n_entry = n.n_entry; n_open = false });
+    fs_clone = (fun n -> Ok { n_entry = n.n_entry; n_open = false });
   }
 
 (* ---- direct manipulation ---- *)

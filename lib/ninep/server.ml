@@ -16,7 +16,7 @@ type 'n fs = {
   fs_stat : 'n -> (Fcall.dir, string) result;
   fs_wstat : 'n -> Fcall.dir -> (unit, string) result;
   fs_clunk : 'n -> unit;
-  fs_clone : 'n -> 'n;
+  fs_clone : 'n -> ('n, string) result;
 }
 
 let read_only_err = "permission denied"
@@ -115,10 +115,12 @@ let serve ?(threaded = false) ?auth eng fs tr =
         | Fcall.Tclone { fid; newfid } ->
           with_fid fid (fun node ->
               if Hashtbl.mem fids newfid then err "fid in use"
-              else begin
-                Hashtbl.replace fids newfid (fs.fs_clone node);
-                reply tag (Fcall.Rclone { fid })
-              end)
+              else
+                match fs.fs_clone node with
+                | Ok node' ->
+                  Hashtbl.replace fids newfid node';
+                  reply tag (Fcall.Rclone { fid })
+                | Error e -> err e)
         | Fcall.Twalk { fid; name } ->
           with_fid fid (fun node ->
               match fs.fs_walk node name with
@@ -131,11 +133,17 @@ let serve ?(threaded = false) ?auth eng fs tr =
               if Hashtbl.mem fids newfid && newfid <> fid then
                 err "fid in use"
               else
-                match fs.fs_walk (fs.fs_clone node) name with
-                | Ok node' ->
-                  Hashtbl.replace fids newfid node';
-                  reply tag (Fcall.Rclwalk { newfid; qid = fs.fs_qid node' })
-                | Error e -> err e)
+                match fs.fs_clone node with
+                | Error e -> err e
+                | Ok clone -> (
+                  match fs.fs_walk clone name with
+                  | Ok node' ->
+                    Hashtbl.replace fids newfid node';
+                    reply tag (Fcall.Rclwalk { newfid; qid = fs.fs_qid node' })
+                  | Error e ->
+                    (* a failed Tclwalk leaves no new fid *)
+                    fs.fs_clunk clone;
+                    err e))
         | Fcall.Topen { fid; mode; trunc } ->
           with_fid fid (fun node ->
               match fs.fs_open node mode ~trunc with

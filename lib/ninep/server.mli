@@ -12,6 +12,8 @@ type 'n fs = {
   fs_attach : uname:string -> aname:string -> ('n, string) result;
   fs_qid : 'n -> Fcall.qid;
   fs_walk : 'n -> string -> ('n, string) result;
+      (** in place, as Twalk: the result replaces the node; an error
+          leaves it as it was *)
   fs_open : 'n -> Fcall.mode -> trunc:bool -> (unit, string) result;
   fs_read : 'n -> offset:int64 -> count:int -> (string, string) result;
   fs_write : 'n -> offset:int64 -> data:string -> (int, string) result;
@@ -21,8 +23,10 @@ type 'n fs = {
   fs_stat : 'n -> (Fcall.dir, string) result;
   fs_wstat : 'n -> Fcall.dir -> (unit, string) result;
   fs_clunk : 'n -> unit;
-  fs_clone : 'n -> 'n;
-      (** duplicate per-fid state; identity for stateless nodes *)
+  fs_clone : 'n -> ('n, string) result;
+      (** duplicate per-fid state; identity for stateless nodes.  On
+          [Error] Tclone answers Rerror; a failed Tclwalk gives its
+          clone back (clunks it). *)
 }
 
 val read_only_err : string

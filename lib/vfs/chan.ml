@@ -25,13 +25,33 @@ let is_dir c = Ninep.Fcall.qid_is_dir (qid c)
 let devid (Chan c) = c.devid
 
 let clone (Chan c) =
-  Chan { c with node = c.ops.Ninep.Server.fs_clone c.node }
+  Chan { c with node = ok (c.ops.Ninep.Server.fs_clone c.node) }
 
-let walk1 (Chan c) name =
-  let node = c.ops.Ninep.Server.fs_clone c.node in
-  match c.ops.Ninep.Server.fs_walk node name with
-  | Ok node' -> Ok (Chan { c with node = node' })
+let walk (Chan c) name =
+  match c.ops.Ninep.Server.fs_walk c.node name with
+  | Ok node -> Ok (Chan { c with node })
   | Error e -> Error e
+
+let clunk (Chan c) = c.ops.Ninep.Server.fs_clunk c.node
+
+let clunk_on_error c f =
+  try f c
+  with Error _ as e ->
+    clunk c;
+    raise e
+
+let using c f =
+  let v = clunk_on_error c f in
+  clunk c;
+  v
+
+let walk1 c name =
+  match clone c with
+  | exception Error e -> Result.Error e
+  | c' ->
+    let r = walk c' name in
+    if Result.is_error r then clunk c';
+    r
 
 let open_ (Chan c) ?(trunc = false) mode =
   ok (c.ops.Ninep.Server.fs_open c.node mode ~trunc)
@@ -49,4 +69,3 @@ let write (Chan c) ~offset data =
 let stat (Chan c) = ok (c.ops.Ninep.Server.fs_stat c.node)
 let wstat (Chan c) d = ok (c.ops.Ninep.Server.fs_wstat c.node d)
 let remove (Chan c) = ok (c.ops.Ninep.Server.fs_remove c.node)
-let clunk (Chan c) = c.ops.Ninep.Server.fs_clunk c.node

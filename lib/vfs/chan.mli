@@ -30,8 +30,14 @@ val devid : t -> int
     refer to the same file — this is what the mount table compares. *)
 
 val clone : t -> t
+
+val walk : t -> string -> (t, string) result
+(** Walk one component in place, as Twalk does: the result replaces
+    the argument; on [Error] the argument is unchanged. *)
+
 val walk1 : t -> string -> (t, string) result
-(** Clone-and-walk one component; the argument is untouched. *)
+(** Clone, then {!walk} the clone (clunked if the walk fails); the
+    argument is untouched. *)
 
 val open_ : t -> ?trunc:bool -> Ninep.Fcall.mode -> unit
 val create : t -> name:string -> perm:int32 -> Ninep.Fcall.mode -> t
@@ -41,3 +47,9 @@ val stat : t -> Ninep.Fcall.dir
 val wstat : t -> Ninep.Fcall.dir -> unit
 val remove : t -> unit
 val clunk : t -> unit
+
+val clunk_on_error : t -> (t -> 'a) -> 'a
+(** [f c], clunking [c] if [f] raises {!Error}. *)
+
+val using : t -> (t -> 'a) -> 'a
+(** [f c], then clunk [c]. *)

@@ -52,9 +52,8 @@ let resolve t path = Ns.resolve t.env_ns (abspath t path)
 
 let chdir t path =
   let p = abspath t path in
-  let c = resolve t p in
-  if not (Chan.is_dir c) then raise (Chan.Error (p ^ ": not a directory"));
-  Chan.clunk c;
+  if not (Chan.using (resolve t p) Chan.is_dir) then
+    raise (Chan.Error (p ^ ": not a directory"));
   t.env_dot <- p
 
 let install t ofile =
@@ -68,30 +67,23 @@ let fetch t fd =
   | Some f -> f
   | None -> raise (Chan.Error (Printf.sprintf "bad file descriptor %d" fd))
 
-let union_dir_data t path =
-  (* the union lives on the underlying (mounted-upon) channel, so
-     resolve without entering the final mount *)
-  let under = Ns.resolve_for_mount t.env_ns path in
-  let entries = Ns.read_dir t.env_ns under in
-  Chan.clunk under;
-  String.concat "" (List.map Ninep.Fcall.encode_dir entries)
-
+(* the union lives on the underlying (mounted-upon) channel: snapshot
+   a directory's union there, then cross into the mount and open *)
 let open_ t path ?(trunc = false) mode =
-  let c = resolve t path in
-  if Chan.is_dir c then begin
-    (* directory reads must see the union: snapshot it before open *)
-    let data = union_dir_data t (abspath t path) in
-    Chan.open_ c mode;
-    install t
-      { of_chan = c; of_path = abspath t path; of_offset = 0L;
-        of_dirdata = Some data; of_refs = 1 }
-  end
-  else begin
-    Chan.open_ c ~trunc mode;
-    install t
-      { of_chan = c; of_path = abspath t path; of_offset = 0L;
-        of_dirdata = None; of_refs = 1 }
-  end
+  let p = abspath t path in
+  let under = Ns.resolve_for_mount t.env_ns p in
+  let dirdata =
+    if not (Chan.is_dir under) then None
+    else
+      let es = Ns.read_dir t.env_ns under in
+      Some (String.concat "" (List.map Ninep.Fcall.encode_dir es))
+  in
+  let c = Chan.clunk_on_error under (Ns.enter t.env_ns) in
+  let trunc = trunc && dirdata = None in
+  Chan.clunk_on_error c (fun c -> Chan.open_ c ~trunc mode);
+  install t
+    { of_chan = c; of_path = p; of_offset = 0L; of_dirdata = dirdata;
+      of_refs = 1 }
 
 let create t path ~perm mode =
   let comps = Ns.normalize ~dot:t.env_dot path in
@@ -99,19 +91,16 @@ let create t path ~perm mode =
   | [] -> raise (Chan.Error "create: empty path")
   | name :: rev_dir ->
     let dirpath = "/" ^ String.concat "/" (List.rev rev_dir) in
-    (* the union lives on the underlying (mounted-upon) channel;
-       create happens in the first union member with MCREATE set *)
+    (* create happens in the first union member with MCREATE set *)
     let parent = Ns.resolve_for_mount t.env_ns dirpath in
-    let target =
+    let c =
       match Ns.create_target t.env_ns parent with
-      | Ok c ->
-        Chan.clunk parent;
-        c
+      | Ok dir ->
+        Chan.clunk_on_error dir (fun d -> Chan.create d ~name ~perm mode)
       | Error e ->
         Chan.clunk parent;
         raise (Chan.Error (Printf.sprintf "%s: %s" dirpath e))
     in
-    let c = Chan.create target ~name ~perm mode in
     install t
       { of_chan = c; of_path = abspath t path; of_offset = 0L;
         of_dirdata = None; of_refs = 1 }
@@ -167,35 +156,21 @@ let dup t fd =
 
 let fd_path t fd = (fetch t fd).of_path
 
-let stat t path =
-  let c = resolve t path in
-  let d = Chan.stat c in
-  Chan.clunk c;
-  d
+let stat t path = Chan.using (resolve t path) Chan.stat
 
 let fstat t fd = Chan.stat (fetch t fd).of_chan
 
-let wstat t path d =
-  let c = resolve t path in
-  Chan.wstat c d;
-  Chan.clunk c
+let wstat t path d = Chan.using (resolve t path) (fun c -> Chan.wstat c d)
 
-let remove t path =
-  let c = resolve t path in
-  Chan.remove c
+let remove t path = Chan.remove (resolve t path)
 
 let ls t path =
-  let c = resolve t path in
+  let under = Ns.resolve_for_mount t.env_ns (abspath t path) in
   let entries =
-    if Chan.is_dir c then begin
-      let under = Ns.resolve_for_mount t.env_ns (abspath t path) in
-      let es = Ns.read_dir t.env_ns under in
-      Chan.clunk under;
-      es
-    end
-    else [ Chan.stat c ]
+    if Chan.is_dir under then Chan.using under (Ns.read_dir t.env_ns)
+    else
+      [ Chan.using (Chan.clunk_on_error under (Ns.enter t.env_ns)) Chan.stat ]
   in
-  Chan.clunk c;
   List.sort (fun a b -> compare a.Ninep.Fcall.d_name b.Ninep.Fcall.d_name) entries
 
 let read_file t path =

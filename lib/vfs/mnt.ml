@@ -1,26 +1,14 @@
 type node = {
   c : Ninep.Client.t;
-  mutable fid : Ninep.Client.fid;
+  fid : Ninep.Client.fid;
   mutable nqid : Ninep.Fcall.qid;
   tick : string -> unit;
-  (* a clone that failed (typically: connection hung up) yields a dead
-     node carrying the reason instead of raising — walking a union
-     past a dead mount must not crash the walker, every operation on
-     the dead channel just answers the error *)
-  mutable dead : string option;
 }
 
 let wrap f = try Ok (f ()) with Ninep.Client.Err e -> Error e
 
-let wrapn n f =
-  match n.dead with
-  | Some e -> Error e
-  | None -> (try Ok (f ()) with Ninep.Client.Err e -> Error e)
-
 let live n =
-  match n.dead with
-  | Some e -> Error e
-  | None -> if Ninep.Client.alive n.c then Ok () else Error "connection hung up"
+  if Ninep.Client.alive n.c then Ok () else Error "connection hung up"
 
 let rpc_names =
   [ "Tattach"; "Tclone"; "Twalk"; "Topen"; "Tcreate"; "Tread"; "Twrite";
@@ -38,61 +26,54 @@ let fs client ?(aname = "") ?metrics ~name () =
         tick "Tattach";
         wrap (fun () ->
             let fid, nqid = Ninep.Client.attach_q client ~uname ~aname in
-            { c = client; fid; nqid; tick; dead = None }));
+            { c = client; fid; nqid; tick }));
     fs_qid = (fun n -> n.nqid);
     fs_walk =
       (fun n name ->
         n.tick "Twalk";
-        wrapn n (fun () ->
+        wrap (fun () ->
             let q = Ninep.Client.walk n.c n.fid name in
             n.nqid <- q;
             n));
     fs_open =
       (fun n mode ~trunc ->
         n.tick "Topen";
-        wrapn n (fun () -> n.nqid <- Ninep.Client.open_ n.c n.fid ~trunc mode));
+        wrap (fun () -> n.nqid <- Ninep.Client.open_ n.c n.fid ~trunc mode));
     fs_read =
       (fun n ~offset ~count ->
         n.tick "Tread";
-        wrapn n (fun () -> Ninep.Client.read n.c n.fid ~offset ~count));
+        wrap (fun () -> Ninep.Client.read n.c n.fid ~offset ~count));
     fs_write =
       (fun n ~offset ~data ->
         n.tick "Twrite";
-        wrapn n (fun () -> Ninep.Client.write n.c n.fid ~offset data));
+        wrap (fun () -> Ninep.Client.write n.c n.fid ~offset data));
     fs_create =
       (fun n ~name ~perm mode ->
         n.tick "Tcreate";
-        wrapn n (fun () ->
+        wrap (fun () ->
             let q = Ninep.Client.create n.c n.fid ~name ~perm mode in
             n.nqid <- q;
             n));
     fs_remove =
       (fun n ->
         n.tick "Tremove";
-        wrapn n (fun () -> Ninep.Client.remove n.c n.fid));
+        wrap (fun () -> Ninep.Client.remove n.c n.fid));
     fs_stat =
       (fun n ->
         n.tick "Tstat";
-        wrapn n (fun () -> Ninep.Client.stat n.c n.fid));
+        wrap (fun () -> Ninep.Client.stat n.c n.fid));
     fs_wstat =
       (fun n d ->
         n.tick "Twstat";
-        wrapn n (fun () -> Ninep.Client.wstat n.c n.fid d));
+        wrap (fun () -> Ninep.Client.wstat n.c n.fid d));
     fs_clunk =
       (fun n ->
         n.tick "Tclunk";
-        if n.dead = None then
-          try Ninep.Client.clunk n.c n.fid with Ninep.Client.Err _ -> ());
+        try Ninep.Client.clunk n.c n.fid with Ninep.Client.Err _ -> ());
     fs_clone =
       (fun n ->
         n.tick "Tclone";
-        match wrapn n (fun () -> Ninep.Client.clone n.c n.fid) with
-        | Ok fid -> { c = n.c; fid; nqid = n.nqid; tick = n.tick; dead = None }
-        | Error e ->
-          (* do NOT raise: the clone is taken mid-walk (Chan.walk1) and
-             mid-resolve; a dead server must degrade to per-operation
-             errors so union fallbacks and error isolation work *)
-          { c = n.c; fid = Ninep.Client.no_fid; nqid = n.nqid; tick = n.tick; dead = Some e });
+        wrap (fun () -> { n with fid = Ninep.Client.clone n.c n.fid }));
   }
 
 let stats_text m =

@@ -42,16 +42,14 @@ val fs :
     carried.  Every operation goes to the connection that minted the
     node's fid, whichever connection the [fs] was made with.
 
-    A clone against a dead connection does not raise: it yields a dead
-    node that answers every subsequent operation with the hangup error,
-    so a union walk steps past a partitioned member instead of
-    crashing, and directory merges skip it (per-mount error
-    isolation). *)
+    A clone can fail: on a hung-up connection [fs_clone] answers the
+    hangup error like every other operation, so a union walk steps
+    past a partitioned member and directory merges skip it (per-mount
+    error isolation). *)
 
 val live : node -> (unit, string) result
 (** [Error] with the reason any operation on the node would now fail
-    with, found without a message: the node is dead, or its connection
-    has hung up. *)
+    with, found without a message: its connection has hung up. *)
 
 val stats_text : Obs.Metrics.t -> string
 (** One ["name count\n"] line per {!rpc_names} entry (zeros included)

@@ -47,7 +47,6 @@ let fork t =
   { t with table = List.map (fun e -> { e with unions = e.unions }) t.table }
 
 let uname t = t.ns_uname
-let root t = Chan.clone t.root_chan
 
 let fresh_devid t =
   let id = t.next_devid in
@@ -86,45 +85,53 @@ let members t c =
   | e -> e.unions
   | exception Not_found -> [ { m_chan = c; m_create = true } ]
 
-let union_of t c = List.map (fun m -> m.m_chan) (members t c)
-
 (* Walk one component from [c], consulting the union at [c]'s key.  The
    result is the {e underlying} channel — it is never "entered" even if
    it is itself a mount point, so the union information at its key
-   remains available for the next step.  A member that fails (including
-   a member whose server died: the mount driver answers every op on a
-   dead connection with its hangup error) does not stop the walk — the
-   remaining members are still consulted, so one dead server cannot
-   take a whole union directory down with it. *)
+   remains available for the next step.  A plain step walks [c] in
+   place; a union crossing walks clones of the members and clunks [c].
+   A member whose clone or walk fails (a dead server answers both with
+   its hangup error) does not stop the walk — the remaining members
+   are still consulted, so one dead server cannot take a whole union
+   directory down with it. *)
 let walk1 t c name =
-  let rec try_members last_err = function
-    | [] ->
-      Error (match last_err with Some e -> e | None -> "file does not exist")
+  let rec try_members = function
+    | [] -> Error "file does not exist"
     | m :: rest -> (
       match Chan.walk1 m.m_chan name with
-      | Ok c' -> Ok c'
-      | Error e ->
-        if !chaos_union_lost_walk && rest <> [] && is_conn_error e then
-          Error e
-        else try_members (Some e) rest)
+      | Ok c' ->
+        Chan.clunk c;
+        Ok c'
+      | Error e when rest = [] || (!chaos_union_lost_walk && is_conn_error e)
+        ->
+        Error e
+      | Error _ -> try_members rest)
   in
-  try_members None (members t c)
+  match lookup t c with
+  | e -> try_members e.unions
+  | exception Not_found -> Chan.walk c name
+
+let replace c m =
+  let c' = Chan.clone m.m_chan in
+  Chan.clunk c;
+  c'
 
 (* Cross into the mounted tree at [c], if any: the head of its union. *)
 let enter t c =
   match lookup t c with
-  | { unions = m0 :: _; _ } -> Chan.clone m0.m_chan
+  | { unions = m0 :: _; _ } -> replace c m0
   | { unions = []; _ } | (exception Not_found) -> c
 
 (* The member creation lands in: the first with the MCREATE bit, per
    the paper's bind -c.  A union where no member allows creation
-   refuses, like the kernel's "mounted directory forbids creation". *)
+   refuses, like the kernel's "mounted directory forbids creation".
+   Outside a union the directory itself is the target. *)
 let create_target t c =
   match lookup t c with
-  | exception Not_found -> Ok (Chan.clone c)
+  | exception Not_found -> Ok c
   | e -> (
     match List.find_opt (fun m -> m.m_create) e.unions with
-    | Some m -> Ok (Chan.clone m.m_chan)
+    | Some m -> ( try Ok (replace c m) with Chan.Error e -> Error e)
     | None -> Error "mounted directory forbids creation")
 
 let normalize ~dot path =
@@ -143,14 +150,18 @@ let normalize ~dot path =
   in
   clean [] parts
 
+(* namec: clone the root once and walk it in place; whatever channel a
+   failure leaves in hand is clunked *)
 let resolve_gen ~enter_last t path =
   let components = normalize ~dot:"/" path in
   let rec go c = function
-    | [] -> if enter_last then enter t c else c
+    | [] -> if enter_last then Chan.clunk_on_error c (enter t) else c
     | name :: rest -> (
       match walk1 t c name with
       | Ok c' -> go c' rest
-      | Error e -> raise (Chan.Error (Printf.sprintf "%s: %s" path e)))
+      | Error e ->
+        Chan.clunk c;
+        raise (Chan.Error (Printf.sprintf "%s: %s" path e)))
   in
   go (Chan.clone t.root_chan) components
 
@@ -207,7 +218,6 @@ let read_dir t c =
     if not (Chan.is_dir m) then []
     else begin
       let m = Chan.clone m in
-      Chan.open_ m Ninep.Fcall.Oread;
       let out = ref [] in
       let rec go off =
         let data = Chan.read m ~offset:(Int64.of_int off) ~count:Ninep.Fcall.maxfdata in
@@ -219,8 +229,9 @@ let read_dir t c =
           go (off + String.length data)
         end
       in
-      go 0;
-      Chan.clunk m;
+      Chan.using m (fun m ->
+          Chan.open_ m Ninep.Fcall.Oread;
+          go 0);
       List.rev !out
     end
   in
@@ -240,5 +251,5 @@ let read_dir t c =
             Hashtbl.replace seen name ();
             true
           end)
-        (member_entries m))
-    (union_of t c)
+        (member_entries m.m_chan))
+    (members t c)

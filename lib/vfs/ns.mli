@@ -27,7 +27,6 @@ val fork : t -> t
     (rfork RFNAMEG). *)
 
 val uname : t -> string
-val root : t -> Chan.t
 
 val fresh_devid : t -> int
 (** Allocate an identity for a newly mounted server instance (the
@@ -46,7 +45,8 @@ val mounts : t -> (string * Obs.Metrics.t) list
 
 val resolve : t -> string -> Chan.t
 (** Walk an absolute, normalized path to a channel, applying mount
-    table unions at every step.  @raise Chan.Error. *)
+    table unions at every step: one clone of the root, stepped by
+    {!walk1}.  A failed walk clunks what it held.  @raise Chan.Error. *)
 
 val resolve_for_mount : t -> string -> Chan.t
 (** Like {!resolve}, but the final component does not enter an
@@ -54,13 +54,17 @@ val resolve_for_mount : t -> string -> Chan.t
     single union, as the mount system call requires. *)
 
 val walk1 : t -> Chan.t -> string -> (Chan.t, string) result
-(** One-component, union-aware walk.  The result is the {e underlying}
-    channel — call {!enter} before opening a file, so a channel that is
-    itself a mount point keeps its union for further walks. *)
+(** One-component, union-aware walk.  Like {!enter} and {!create_target}
+    it takes the channel over, as namec does: on success the result
+    replaces it (walked in place, or clunked once a union member's
+    clone answered); on failure it is still the caller's.  The result
+    is the {e underlying} channel — call {!enter} before opening a
+    file, so a channel that is itself a mount point keeps its union
+    for further walks. *)
 
 val enter : t -> Chan.t -> Chan.t
-(** Cross into the tree mounted at a channel (the head of its union);
-    identity when nothing is mounted there. *)
+(** Cross into the tree mounted at a channel (a clone of the head of
+    its union); identity when nothing is mounted there. *)
 
 val bind : ?mcreate:bool -> t -> src:Chan.t -> onto:Chan.t -> flag -> unit
 (** Install [src] over [onto] in the mount table.  With [Before]/
@@ -78,18 +82,15 @@ val unmount : ?src:Chan.t -> t -> onto:Chan.t -> unit
     member(s) whose channel key matches [src] (Plan 9's two-argument
     unmount), dissolving the union when the last member goes. *)
 
-val union_of : t -> Chan.t -> Chan.t list
-(** The ordered union list at a channel ([[c]] if nothing is
-    mounted). *)
-
 type member = { m_chan : Chan.t; m_create : bool }
 
 val members : t -> Chan.t -> member list
-(** Like {!union_of} but with each member's MCREATE bit. *)
+(** The ordered union list at a channel, with each member's MCREATE
+    bit ([[c]] if nothing is mounted). *)
 
 val create_target : t -> Chan.t -> (Chan.t, string) result
 (** Where a create through [c] lands: a clone of the first union
-    member carrying MCREATE — or of [c] itself when nothing is mounted
+    member carrying MCREATE — or [c] itself when nothing is mounted
     there.  [Error "mounted directory forbids creation"] when a union
     exists but no member allows creation. *)
 

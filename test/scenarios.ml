@@ -318,10 +318,52 @@ let tcpcc_collapse =
                       !completed)))
       done)
 
+(* ---- the fid audit ---- *)
+
+(* [fs] and the number of nodes its server holds: attached or cloned,
+   and not yet clunked or removed — the server's side of the peer
+   client's [Ninep.Client.open_fids] *)
+let counted fs =
+  let held = ref 0 in
+  let took r =
+    if Result.is_ok r then incr held;
+    r
+  in
+  ( {
+      fs with
+      Ninep.Server.fs_attach =
+        (fun ~uname ~aname -> took (fs.Ninep.Server.fs_attach ~uname ~aname));
+      fs_clone = (fun n -> took (fs.fs_clone n));
+      fs_clunk =
+        (fun n ->
+          decr held;
+          fs.fs_clunk n);
+      fs_remove =
+        (fun n ->
+          decr held;
+          fs.fs_remove n);
+    },
+    held )
+
+(* The end-of-run audit: the body's "open fids: N" line must show only
+   the [held] fids that live channels still hold — a walk that leaks a
+   fid per step fails here under every schedule. *)
+let fid_audit ~held o =
+  let prefix = "open fids: " in
+  let want = prefix ^ string_of_int held in
+  let lines = String.split_on_char '\n' o.E.o_transcript in
+  if List.mem want lines then Ok ()
+  else
+    match List.find_opt (String.starts_with ~prefix) lines with
+    | Some l ->
+      Error (Printf.sprintf "fid leak: %s, live channels hold %d" l held)
+    | None -> Error "no fid count in the transcript"
+
 (* ---- 9P over a mount: walk / read / write / remove ---- *)
 
 let ninep_mount =
   raw "9p-mount" ~descr:"mount a served ramfs and walk/read/write through it"
+    ~check:(fid_audit ~held:1)
     (fun eng say ->
       let local = Ninep.Ramfs.make ~name:"root" () in
       Ninep.Ramfs.mkdir local "/mnt";
@@ -347,18 +389,22 @@ let ninep_mount =
         (Printf.sprintf "removed: %b"
            (match Vfs.Env.stat env "/mnt/sub/out" with
            | _ -> false
-           | exception Vfs.Chan.Error _ -> true)))
+           | exception Vfs.Chan.Error _ -> true));
+      (* the mount table's attach root is the one fid left *)
+      say (Printf.sprintf "open fids: %d" (Ninep.Client.open_fids client)))
 
 (* ---- cfs: coherence across a foreign write ---- *)
 
 let cfs_coherence =
   raw "cfs-coherence"
     ~descr:"cached read, foreign rewrite behind the cache, fresh reopen"
+    ~check:(fid_audit ~held:0)
     (fun eng say ->
       let ram = Ninep.Ramfs.make ~name:"ram" () in
       Ninep.Ramfs.add_file ram "/f" "old contents";
       let up_ct, up_st = Ninep.Transport.pipe eng in
-      let _srv = Ninep.Server.serve eng (Ninep.Ramfs.fs ram) up_st in
+      let up_fs, up_held = counted (Ninep.Ramfs.fs ram) in
+      let _srv = Ninep.Server.serve eng up_fs up_st in
       let cache = Cfs.make eng ~upstream:up_ct () in
       let foreign_ct, foreign_st = Ninep.Transport.pipe eng in
       let _srv2 = Ninep.Server.serve eng (Ninep.Ramfs.fs ram) foreign_st in
@@ -388,7 +434,18 @@ let cfs_coherence =
       say
         (Printf.sprintf "invalidated: %b"
            (Cfs.counter cache "invalidations" > 0));
-      Ninep.Client.clunk c fid2)
+      Ninep.Client.clunk c fid2;
+      (* a Tclwalk that misses gives its upstream clone back *)
+      let root = Ninep.Client.attach c ~uname:"u" ~aname:"" in
+      (match Ninep.Client.walk_path c root [ "nope" ] with
+      | fid ->
+        Ninep.Client.clunk c fid;
+        say "missing file: unexpectedly found"
+      | exception Ninep.Client.Err _ -> say "missing file: clean error");
+      Ninep.Client.clunk c root;
+      (* every downstream fid is clunked, so the cache's mount client
+         holds nothing upstream *)
+      say (Printf.sprintf "open fids: %d" !up_held))
 
 (* ---- URP over Datakit ---- *)
 

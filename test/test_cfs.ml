@@ -539,6 +539,34 @@ let test_upstream_fence () =
   Sim.Engine.run eng;
   Alcotest.(check bool) "client body completed" true !finished
 
+(* a Tclwalk that misses at the cache takes an upstream clone for the
+   walk and must give it back, as a failed Tclwalk leaves no new fid *)
+let test_failed_clwalk_gives_clone_back () =
+  let eng = Sim.Engine.create () in
+  let ram = Ninep.Ramfs.make ~name:"ram" () in
+  Ninep.Ramfs.add_file ram "/f" "ffff";
+  let up_fs, held = Scenarios.counted (Ninep.Ramfs.fs ram) in
+  let up_ct, up_st = Ninep.Transport.pipe eng in
+  let _srv = Ninep.Server.serve eng up_fs up_st in
+  let cache = Cfs.make eng ~upstream:up_ct () in
+  let finished = ref false in
+  ignore
+    (Sim.Proc.spawn eng ~name:"client" (fun () ->
+         let c = Ninep.Client.make eng (Cfs.transport cache) in
+         Ninep.Client.session c;
+         let root = Ninep.Client.attach c ~uname:"u" ~aname:"" in
+         let before = !held in
+         Alcotest.(check int) "the attach holds one upstream fid" 1 before;
+         (match Ninep.Client.walk_path c root [ "nope" ] with
+         | _ -> Alcotest.fail "walk to a missing name succeeded"
+         | exception Ninep.Client.Err _ -> ());
+         Alcotest.(check int) "upstream fids unchanged" before !held;
+         Alcotest.(check int) "downstream: only the root" 1
+           (Ninep.Client.open_fids c);
+         finished := true));
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "client body completed" true !finished
+
 let test_bench_deterministic () =
   let a = Cfs_bench.run ~seed:9 () in
   let b = Cfs_bench.run ~seed:9 () in
@@ -591,7 +619,11 @@ let () =
       ( "mnt",
         [ Alcotest.test_case "per-mount RPC counters" `Quick test_mnt_counters ] );
       ( "upstream",
-        [ Alcotest.test_case "stale fids fenced" `Quick test_upstream_fence ] );
+        [
+          Alcotest.test_case "stale fids fenced" `Quick test_upstream_fence;
+          Alcotest.test_case "failed Tclwalk gives its clone back" `Quick
+            test_failed_clwalk_gives_clone_back;
+        ] );
       ( "bench",
         [
           Alcotest.test_case "same seed, identical JSON" `Quick

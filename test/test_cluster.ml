@@ -131,6 +131,22 @@ let test_fid_balance_in_life () =
       Alcotest.(check int) "balanced after clunk" before
         (Ninep.Client.open_fids clientB))
 
+(* deep reads through the relay: A's walk steps B's exportfs node in
+   place, and B's walk below its own mount steps in place on C, so
+   neither connection keeps a fid per step *)
+let test_deep_reads_balance_both_hops () =
+  with_chain (fun _eng _tr ~envA ~envB:_ ~ramC:_ ~clientB ~clientC ~ctC:_ ->
+      let b0 = Ninep.Client.open_fids clientB
+      and c0 = Ninep.Client.open_fids clientC in
+      for _ = 1 to 5 do
+        Alcotest.(check string) "two hops" "cc\n"
+          (Vfs.Env.read_file envA "/n/next/n/next/srv/cc")
+      done;
+      Alcotest.(check int) "A's connection to B balanced" b0
+        (Ninep.Client.open_fids clientB);
+      Alcotest.(check int) "B's connection to C balanced" c0
+        (Ninep.Client.open_fids clientC))
+
 (* ---- Tflush forwards hop by hop when a blocked reader is killed ---- *)
 
 let test_flush_forwarding () =
@@ -389,6 +405,8 @@ let () =
             test_leaked_fids_on_death;
           Alcotest.test_case "fid balance in life" `Quick
             test_fid_balance_in_life;
+          Alcotest.test_case "deep reads balance both hops" `Quick
+            test_deep_reads_balance_both_hops;
           Alcotest.test_case "flush forwarding" `Quick test_flush_forwarding;
           Alcotest.test_case "handler exception" `Quick
             test_handler_exception_is_rerror;

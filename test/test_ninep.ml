@@ -516,7 +516,7 @@ let test_threaded_server_no_stall () =
       fs_stat = (fun () -> Error "no");
       fs_wstat = (fun () _ -> Error "no");
       fs_clunk = ignore;
-      fs_clone = Fun.id;
+      fs_clone = Result.ok;
     }
   in
   let ct, st = Ninep.Transport.pipe eng in
@@ -573,7 +573,7 @@ let tag_trace ~script ~on_reply =
       fs_stat = (fun () -> Error "no");
       fs_wstat = (fun () _ -> Error "no");
       fs_clunk = ignore;
-      fs_clone = Fun.id;
+      fs_clone = Result.ok;
     }
   in
   let ct, st = Ninep.Transport.pipe eng in
@@ -816,7 +816,7 @@ let test_devtab_clone_is_unopened () =
   let fs, refs = devtab_fixture 2 in
   let nd = devtab_walk fs [ "1"; "ctl" ] in
   ok (fs.Ninep.Server.fs_open nd F.Ordwr ~trunc:false);
-  let c = fs.fs_clone nd in
+  let c = ok (fs.fs_clone nd) in
   Alcotest.(check (result string string)) "clone refuses reads" (Error "not open")
     (fs.fs_read c ~offset:0L ~count:10);
   Alcotest.(check (result int string)) "and writes" (Error "not open")

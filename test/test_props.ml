@@ -699,6 +699,159 @@ let prop_union_mcreate =
         QCheck.Test.fail_reportf
           "model says creation forbidden but the create succeeded")
 
+(* ---- walks through the mount driver, against a local reference ----
+
+   A random tree is served over 9P and mounted at /n/r, alone (Repl)
+   or after a local directory (After); the reference name space binds
+   the same tree as a local ramfs at the same point.  Stat,
+   open-read-close, ls and create-then-remove of random paths of depth
+   1-5, present and missing, must answer the same through both, and
+   each op must give back every fid it took: the mount client's
+   open_fids returns to its baseline after every op. *)
+
+let wdirs = [ "a"; "b"; "c" ]
+let wfiles = [ "f"; "g" ]
+
+(* a file path: up to four directories, then a file *)
+let wfile_gen =
+  QCheck.Gen.(
+    map2 (fun ds f -> ds @ [ f ])
+      (list_size (0 -- 4) (oneofl wdirs))
+      (oneofl wfiles))
+
+(* a file of the tree or one of its directories; the same with one
+   component (middle or last) renamed to a miss; or random names *)
+let wquery_gen tree =
+  let open QCheck.Gen in
+  let prefix p =
+    map (fun k -> List.filteri (fun i _ -> i < k) p) (1 -- List.length p)
+  in
+  let miss p =
+    map
+      (fun k -> List.mapi (fun i c -> if i = k then "x" else c) p)
+      (0 -- (List.length p - 1))
+  in
+  frequency
+    [
+      (3, oneofl tree >>= prefix);
+      (2, oneofl tree >>= prefix >>= miss);
+      (1, list_size (1 -- 5) (oneofl (("x" :: wdirs) @ wfiles)));
+    ]
+
+let wpath q = "/n/r/" ^ String.concat "/" q
+
+let wcase_arb =
+  QCheck.make
+    ~print:(fun (tree, union, qs) ->
+      Printf.sprintf "%s; tree {%s}; queries {%s}"
+        (if union then "After" else "Repl")
+        (String.concat " " (List.map wpath tree))
+        (String.concat " " (List.map wpath qs)))
+    QCheck.Gen.(
+      list_size (1 -- 6) wfile_gen >>= fun tree ->
+      map2
+        (fun union qs -> (tree, union, qs))
+        bool
+        (list_size (1 -- 8) (wquery_gen tree)))
+
+(* a name space whose /n/r is a plain local directory — under a union,
+   holding a file and a directory that shadow the tree's *)
+let wenv union =
+  let ram = Ninep.Ramfs.make ~name:"root" () in
+  Ninep.Ramfs.mkdir ram "/n/r";
+  if union then begin
+    Ninep.Ramfs.add_file ram "/n/r/g" "local g";
+    Ninep.Ramfs.add_file ram "/n/r/c/f" "local c/f"
+  end;
+  let ns = Vfs.Ns.make ~root:(Ninep.Ramfs.fs ram) ~uname:"u" in
+  Vfs.Env.make ~ns ~uname:"u"
+
+let wtree tree =
+  let ram = Ninep.Ramfs.make ~name:"tree" () in
+  List.iter
+    (fun p ->
+      Ninep.Ramfs.add_file ram
+        ("/" ^ String.concat "/" p)
+        (String.concat "." p))
+    tree;
+  Ninep.Ramfs.fs ram
+
+(* each op renders its answer, or its error, as one string *)
+let wops =
+  let names ds = String.concat "," (List.map (fun d -> d.F.d_name) ds) in
+  [
+    ( "stat",
+      fun env p ->
+        let d = Vfs.Env.stat env p in
+        Printf.sprintf "%s dir=%b len=%Ld" d.F.d_name (F.qid_is_dir d.F.d_qid)
+          d.F.d_length );
+    ( "read",
+      fun env p ->
+        let data = Vfs.Env.read_file env p in
+        if List.mem (Filename.basename p) wdirs then
+          names
+            (List.init (String.length data / F.dirlen) (fun i ->
+                 F.decode_dir data (i * F.dirlen)))
+        else data );
+    ("ls", fun env p -> names (Vfs.Env.ls env p));
+    ( "create-remove",
+      fun env p ->
+        let fd = Vfs.Env.create env p ~perm:0o644l F.Owrite in
+        ignore (Vfs.Env.write env fd "new");
+        Vfs.Env.close env fd;
+        Vfs.Env.remove env p;
+        "created and removed" );
+  ]
+
+let wrun (tree, union, qs) =
+  let eng = Sim.Engine.create () in
+  let result = ref (Error "the walker did not finish") in
+  ignore
+    (Sim.Proc.spawn eng ~name:"walker" (fun () ->
+         let flag = if union then Vfs.Ns.After else Vfs.Ns.Repl in
+         let real = wenv union and reference = wenv union in
+         let ct, st = Ninep.Transport.pipe eng in
+         ignore (Ninep.Server.serve eng (wtree tree) st);
+         let client = Ninep.Client.make eng ct in
+         Ninep.Client.session client;
+         Vfs.Env.mount real client ~onto:"/n/r" flag;
+         Vfs.Env.mount_fs reference (wtree tree) ~onto:"/n/r" flag;
+         let base = Ninep.Client.open_fids client in
+         let answer op env p =
+           try op env p with Vfs.Chan.Error e -> "error: " ^ e
+         in
+         let check q (name, op) =
+           let p = wpath q in
+           let got = answer op real p and want = answer op reference p in
+           if got <> want then
+             Error
+               (Printf.sprintf "%s %s: mounted %S, reference %S" name p got
+                  want)
+           else
+             let n = Ninep.Client.open_fids client in
+             if n <> base then
+               Error
+                 (Printf.sprintf "%s %s: %d fids open, baseline %d" name p n
+                    base)
+             else Ok ()
+         in
+         let check_all r q =
+           List.fold_left
+             (fun r op -> Result.bind r (fun () -> check q op))
+             r wops
+         in
+         result := List.fold_left check_all (Ok ()) qs));
+  Sim.Engine.run eng;
+  !result
+
+let prop_mount_walks =
+  QCheck.Test.make
+    ~name:"mounted walks answer as local ones and give every fid back"
+    ~count:200 wcase_arb (fun c ->
+      match wrun c with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_report e)
+
 (* ---- the stacked-cfs coherence property ----------------------------
 
    Random read / write-through / foreign-write streams through a
@@ -879,5 +1032,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_union_ls;
           QCheck_alcotest.to_alcotest prop_union_mcreate;
         ] );
+      ("mount-walks", [ QCheck_alcotest.to_alcotest prop_mount_walks ]);
       ("cfs-stack", [ QCheck_alcotest.to_alcotest prop_cfs_stack ]);
     ]

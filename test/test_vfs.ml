@@ -299,6 +299,85 @@ let test_walk_through_mount_point () =
       Alcotest.(check string) "relative through mount" "found"
         (Vfs.Env.read_file env "nest/file"))
 
+(* namec's rule: a walk clones once, steps in place and gives back
+   whatever it held, so after any path operation — one that succeeds,
+   or one that fails at a middle or last component — the client holds
+   only the mount's attach root *)
+let test_walks_give_fids_back () =
+  with_remote (fun env local remote client ->
+      Ninep.Ramfs.mkdir local "/n/helix";
+      Ninep.Ramfs.add_file remote "/a/b/c/d" "deep";
+      Vfs.Env.mount env client ~onto:"/n/helix" Vfs.Ns.Repl;
+      let only_root what =
+        Alcotest.(check int) (what ^ ": only the attach root") 1
+          (Ninep.Client.open_fids client)
+      in
+      only_root "mounted";
+      for _ = 1 to 3 do
+        Alcotest.(check string) "deep read" "deep"
+          (Vfs.Env.read_file env "/n/helix/a/b/c/d")
+      done;
+      only_root "three deep reads";
+      Alcotest.(check string) "deep stat" "d"
+        (Vfs.Env.stat env "/n/helix/a/b/c/d").Ninep.Fcall.d_name;
+      only_root "deep stat";
+      List.iter
+        (fun (what, path) ->
+          (match Vfs.Env.stat env path with
+          | _ -> Alcotest.failf "stat %s succeeded" path
+          | exception Vfs.Chan.Error _ -> ());
+          only_root what)
+        [ ("missing middle", "/n/helix/a/nope/c/d");
+          ("missing last", "/n/helix/a/b/nope") ];
+      (* a union on a remote directory: crossing it clunks the remote
+         channel the walk stepped from; the table keeps its member *)
+      Ninep.Ramfs.add_file local "/l/y" "local y";
+      Vfs.Env.bind env ~src:"/l" ~onto:"/n/helix/a" Vfs.Ns.After;
+      Alcotest.(check int) "the union holds the mounted-upon fid" 2
+        (Ninep.Client.open_fids client);
+      Alcotest.(check string) "through the union" "deep"
+        (Vfs.Env.read_file env "/n/helix/a/b/c/d");
+      Alcotest.(check string) "its local member" "local y"
+        (Vfs.Env.read_file env "/n/helix/a/y");
+      Alcotest.(check int) "crossings give their fids back" 2
+        (Ninep.Client.open_fids client))
+
+(* a union whose head member's connection hung up: the clone of the
+   head fails, and the walk goes on to the next member *)
+let test_union_dead_head () =
+  let eng = Sim.Engine.create () in
+  let local = Ninep.Ramfs.make ~name:"root" () in
+  Ninep.Ramfs.mkdir local "/u";
+  Ninep.Ramfs.add_file local "/b/x" "from b";
+  let remote = Ninep.Ramfs.make ~name:"remote" () in
+  Ninep.Ramfs.add_file remote "/x" "from remote";
+  let ct, st = Ninep.Transport.pipe eng in
+  let _srv = Ninep.Server.serve eng (Ninep.Ramfs.fs remote) st in
+  let finished = ref false in
+  let _p =
+    Sim.Proc.spawn eng ~name:"test" (fun () ->
+        let ns = Vfs.Ns.make ~root:(Ninep.Ramfs.fs local) ~uname:"u" in
+        let env = Vfs.Env.make ~ns ~uname:"u" in
+        let client = Ninep.Client.make eng ct in
+        Ninep.Client.session client;
+        Vfs.Env.mount env client ~onto:"/u" Vfs.Ns.Repl;
+        Vfs.Env.bind env ~src:"/b" ~onto:"/u" Vfs.Ns.After;
+        Alcotest.(check string) "the head answers" "from remote"
+          (Vfs.Env.read_file env "/u/x");
+        Ninep.Client.hangup client;
+        let under = Vfs.Ns.resolve_for_mount ns "/u" in
+        let head = (List.hd (Vfs.Ns.members ns under)).Vfs.Ns.m_chan in
+        Alcotest.(check bool) "the head's clone fails" true
+          (match Vfs.Chan.clone head with
+           | _ -> false
+           | exception Vfs.Chan.Error _ -> true);
+        Alcotest.(check string) "the walk reaches the second member" "from b"
+          (Vfs.Env.read_file env "/u/x");
+        finished := true)
+  in
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "test body completed" true !finished
+
 (* ---- lexical path normalization ---- *)
 
 let test_normalize_cases () =
@@ -401,5 +480,9 @@ let () =
             test_mount_remote_errors_propagate;
           Alcotest.test_case "walk through mount" `Quick
             test_walk_through_mount_point;
+          Alcotest.test_case "walks give fids back" `Quick
+            test_walks_give_fids_back;
+          Alcotest.test_case "union past a dead head" `Quick
+            test_union_dead_head;
         ] );
     ]
