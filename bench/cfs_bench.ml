@@ -86,7 +86,8 @@ let replay ~cached ~seed ~baud =
   let prof = Obs.Prof.create ~clock:Unix.gettimeofday () in
   Sim.Engine.attach_prof eng prof;
   let term_end, srv_end =
-    Netsim.Serial.create_pair ~baud ~name:"bootline" eng
+    Netsim.Link.create_pair ~rate:(float_of_int baud) ~byte_bits:10
+      ~latency:0. eng
   in
   let ramfs = Ninep.Ramfs.make ~owner:"bootes" ~name:"bootfs" () in
   List.iter

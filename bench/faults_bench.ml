@@ -51,7 +51,10 @@ let urp_xfer ~seed =
          done));
   Sim.Engine.run ~until:600.0 eng;
   let sum f = List.fold_left (fun a c -> a + f (Dk.Urp.counters c)) 0 !convs in
-  let line f = f (Dk.Switch.line_stats la) + f (Dk.Switch.line_stats lb) in
+  let line f =
+    f (Dk.Switch.line_stats la).Dk.Switch.injected
+    + f (Dk.Switch.line_stats lb).Dk.Switch.injected
+  in
   ( {
       Xfer.zero with
       converged = !got = msgs;
@@ -59,9 +62,9 @@ let urp_xfer ~seed =
       retransmits = sum (fun c -> c.Dk.Urp.retransmits);
       queries = sum (fun c -> c.Dk.Urp.enqs_sent);
       dups_suppressed = sum (fun c -> c.Dk.Urp.dups_dropped);
-      drops_injected = line (fun s -> s.Dk.Switch.drops_injected);
-      dups_injected = line (fun s -> s.Dk.Switch.dups_injected);
-      reorders_injected = line (fun s -> s.Dk.Switch.reorders_injected);
+      drops_injected = line (fun s -> s.Netsim.Fault.drops);
+      dups_injected = line (fun s -> s.Netsim.Fault.dups);
+      reorders_injected = line (fun s -> s.Netsim.Fault.reorders);
     },
     Obs.Prof.report prof )
 

@@ -187,13 +187,12 @@ let cyclone =
       (fun () ->
         let eng = Sim.Engine.create () in
         let fa, fb =
-          Netsim.Fiber.create_pair ~bandwidth_bps:125e6 ~latency:10e-6
-            ~name:"cyclone" eng
+          Netsim.Link.create_pair ~rate:125e6 ~byte_bits:8 ~latency:10e-6 eng
         in
         let mk fiber =
           let cpu = Sim.Cpu.create eng in
           let rq = Block.Q.create ~limit:(256 * 1024) eng in
-          Netsim.Fiber.set_rx fiber (fun msg ->
+          Netsim.Link.set_rx fiber (fun msg ->
               (* board-side DMA copy into host memory *)
               Sim.Cpu.run_after cpu
                 (cyclone_msg_cost
@@ -208,7 +207,7 @@ let cyclone =
                     (syscall_cost +. cyclone_msg_cost
                     +. (float_of_int (String.length data)
                        /. cyclone_copy_rate));
-                  Netsim.Fiber.send fiber data);
+                  Netsim.Link.send fiber data);
               c_recv =
                 (fun n ->
                   let data = Block.Q.read rq n in

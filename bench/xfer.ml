@@ -123,14 +123,15 @@ let run ?(seed = 9) ?(schedule = ignore) ?(msgs = 200) ?(size = 1000) proto =
   in
   Sim.Engine.run ~until:600.0 eng;
   let injected f =
-    f (Netsim.Ether.nic_stats nic_a) + f (Netsim.Ether.nic_stats nic_b)
+    f (Netsim.Ether.nic_stats nic_a).Netsim.Ether.injected
+    + f (Netsim.Ether.nic_stats nic_b).Netsim.Ether.injected
   in
   ( {
       (counts ()) with
       converged = !got >= total;
       elapsed = !finish;
-      drops_injected = injected (fun s -> s.drops_injected);
-      dups_injected = injected (fun s -> s.dups_injected);
-      reorders_injected = injected (fun s -> s.reorders_injected);
+      drops_injected = injected (fun s -> s.Netsim.Fault.drops);
+      dups_injected = injected (fun s -> s.Netsim.Fault.dups);
+      reorders_injected = injected (fun s -> s.Netsim.Fault.reorders);
     },
     Obs.Prof.report prof )

@@ -15,7 +15,7 @@ let () =
   (* the far end of the phone line: a file server speaking 9P straight
      over the wire *)
   let term_end, srv_end =
-    Netsim.Serial.create_pair ~baud:9600 ~name:"homeline" eng
+    Netsim.Link.create_pair ~rate:9600. ~byte_bits:10 ~latency:0. eng
   in
   let fsroot = Ninep.Ramfs.make ~owner:"bootes" ~name:"fs" () in
   Ninep.Ramfs.add_file fsroot "/lib/namespace"

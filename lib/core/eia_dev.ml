@@ -5,7 +5,7 @@ let ctl_write line rq text =
   if String.length cmd >= 2 && cmd.[0] = 'b' then
     match int_of_string_opt (String.sub cmd 1 (String.length cmd - 1)) with
     | Some baud when baud > 0 ->
-      Netsim.Serial.set_baud line baud;
+      Netsim.Link.set_rate line (float_of_int baud);
       Ok ()
     | Some _ | None -> Error ("bad baud rate: " ^ cmd)
   else if cmd = "f" then begin
@@ -22,12 +22,12 @@ let ctl_write line rq text =
   else Error ("bad control message: " ^ cmd)
 
 let fs ~index line =
-  let eng = Netsim.Serial.engine line in
+  let eng = Netsim.Link.engine line in
   (* received bytes; a plain byte stream *)
   let rq = Block.Q.create ~limit:(64 * 1024) eng in
   (* interrupt side: queue the arriving bytes, dropping on overflow
      like a real UART fifo *)
-  Netsim.Serial.set_rx line (fun bytes ->
+  Netsim.Link.set_rx line (fun bytes ->
       ignore (Block.Q.try_put rq (Block.make bytes)));
   let name = Printf.sprintf "eia%d" index in
   Ninep.Devtab.fs
@@ -44,7 +44,7 @@ let fs ~index line =
             read = (fun _ ~offset:_ ~count -> Ok (Block.Q.read rq count));
             write =
               (fun _ data ->
-                Netsim.Serial.send line data;
+                Netsim.Link.send line data;
                 Ok (String.length data));
           };
           {
@@ -52,10 +52,10 @@ let fs ~index line =
             name = name ^ "ctl";
             read =
               (fun _ ~offset ~count ->
+                let baud = int_of_float (Netsim.Link.rate line) in
                 Ok
-                  (Ninep.Server.slice
-                     (Printf.sprintf "b%d\n" (Netsim.Serial.baud line))
-                     ~offset ~count));
+                  (Ninep.Server.slice (Printf.sprintf "b%d\n" baud) ~offset
+                     ~count));
             write =
               (fun _ data ->
                 Result.map (fun () -> String.length data) (ctl_write line rq data));
@@ -68,11 +68,11 @@ let fs ~index line =
    stateful splitter reassembles them on receive (exactly the TCP
    treatment from Fcall.Frame). *)
 let transport line =
-  let eng = Netsim.Serial.engine line in
+  let eng = Netsim.Link.engine line in
   let inbox : string option Sim.Mbox.t = Sim.Mbox.create eng in
   let sp = Ninep.Fcall.Frame.splitter () in
   let closed = ref false in
-  Netsim.Serial.set_rx line (fun bytes ->
+  Netsim.Link.set_rx line (fun bytes ->
       List.iter
         (fun msg -> Sim.Mbox.send inbox (Some msg))
         (Ninep.Fcall.Frame.feed sp bytes));
@@ -80,7 +80,7 @@ let transport line =
     Ninep.Transport.t_send =
       (fun msg ->
         if not !closed then
-          Netsim.Serial.send line (Ninep.Fcall.Frame.wrap msg));
+          Netsim.Link.send line (Ninep.Fcall.Frame.wrap msg));
     t_recv = (fun () -> if !closed then None else Sim.Mbox.recv inbox);
     t_close =
       (fun () ->

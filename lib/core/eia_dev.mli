@@ -6,15 +6,15 @@
 
 type node
 
-val fs : index:int -> Netsim.Serial.endpoint -> node Ninep.Server.fs
+val fs : index:int -> Netsim.Link.endpoint -> node Ninep.Server.fs
 (** Serves [eia<index>] (the data file, a byte stream to and from the
     line) and [eia<index>ctl].  Recognized control strings: [b<rate>]
     (set the baud rate), [f] (flush pending input). *)
 
-val mount : Vfs.Env.t -> index:int -> Netsim.Serial.endpoint -> unit
+val mount : Vfs.Env.t -> index:int -> Netsim.Link.endpoint -> unit
 (** Union the two files into [/dev]. *)
 
-val transport : Netsim.Serial.endpoint -> Ninep.Transport.t
+val transport : Netsim.Link.endpoint -> Ninep.Transport.t
 (** Run 9P directly over the line: messages travel with
     {!Ninep.Fcall.Frame} length prefixes (a byte stream keeps no
     message delimiters).  Takes over the endpoint's receive side, so

@@ -1,60 +1,10 @@
-type conn = {
-  id : int;
-  dev : dev;
-  port_conn : Inet.Etherport.conn;
-  (* [Some q] for connections created through the clone file; [None]
-     for the kernel's own connections (IP, ARP), which are visible in
-     the tree but whose data belongs to the kernel *)
-  rq : Block.Q.t option;
-  mutable users : int;
-}
+module Port = Inet.Etherport
 
-and dev = {
-  port : Inet.Etherport.t;
-  conns : (int, conn) Hashtbl.t;  (* every conn we have exposed *)
-}
-
-type node = conn Ninep.Devtab.node
-
-let hex_of_frame (fr : Netsim.Ether.frame) =
-  Netsim.Eaddr.to_string fr.Netsim.Ether.src ^ fr.Netsim.Ether.payload
-
-let alloc_conn dev =
-  let eng = Inet.Etherport.engine dev.port in
-  let port_conn = Inet.Etherport.connect dev.port 0 in
-  let id = Inet.Etherport.conn_id port_conn in
-  let q = Block.Q.create ~limit:(128 * 1024) eng in
-  let c = { id; dev; port_conn; rq = Some q; users = 0 } in
-  Inet.Etherport.set_rx port_conn (fun fr ->
-      (* drop when the reader is slow, like real hardware *)
-      ignore (Block.Q.try_put q (Block.make ~delim:true (hex_of_frame fr))));
-  Hashtbl.replace dev.conns id c;
-  c
-
-(* the kernel's own connections are exposed read-only under their
-   driver ids, so the tree shows the whole interface (Figure 1) *)
-let lookup_conn dev id =
-  match Hashtbl.find_opt dev.conns id with
-  | Some c -> Some c
-  | None ->
-    List.find_opt
-      (fun pc -> Inet.Etherport.conn_id pc = id)
-      (Inet.Etherport.conns dev.port)
-    |> Option.map (fun pc ->
-           let c = { id; dev; port_conn = pc; rq = None; users = 0 } in
-           Hashtbl.replace dev.conns id c;
-           c)
-
-let release c =
-  match c.rq with
-  | None -> () (* not ours to close *)
-  | Some q ->
-    c.users <- c.users - 1;
-    if c.users <= 0 then begin
-      Inet.Etherport.close_conn c.port_conn;
-      Block.Q.close q;
-      Hashtbl.remove c.dev.conns c.id
-    end
+(* The directories are the driver's own connections, the kernel's (IP,
+   ARP) included, so the tree shows the whole interface (Figure 1); a
+   kernel connection has no read queue and its data and ctl are not the
+   device's. *)
+type node = Port.conn Ninep.Devtab.node
 
 let ctl_write c text =
   let words =
@@ -65,11 +15,11 @@ let ctl_write c text =
   | [ "connect"; ty ] -> (
     match int_of_string_opt ty with
     | Some ty ->
-      Inet.Etherport.set_conn_type c.port_conn ty;
+      Port.set_conn_type c ty;
       Ok ()
     | None -> Error ("bad packet type: " ^ ty))
   | [ "promiscuous" ] ->
-    Inet.Etherport.set_promiscuous c.port_conn true;
+    Port.set_promiscuous c true;
     Ok ()
   | _ -> Error ("bad control message: " ^ String.trim text)
 
@@ -94,11 +44,11 @@ let text name f =
 let conv_files =
   [|
     {
-      (text "ctl" (fun c -> string_of_int c.id)) with
+      (text "ctl" (fun c -> string_of_int (Port.conn_id c))) with
       write =
         (fun n data ->
           let c = conv n in
-          if c.rq = None then kernel
+          if Port.rq c = None then kernel
           else Result.map (fun () -> String.length data) (ctl_write c data));
     };
     {
@@ -106,26 +56,25 @@ let conv_files =
       name = "data";
       read =
         (fun n ~offset:_ ~count ->
-          match (conv n).rq with
+          match Port.rq (conv n) with
           | Some q -> Ok (Block.Q.read q count)
           | None -> kernel);
       write =
         (fun n data ->
           let c = conv n in
-          if c.rq = None then kernel
+          if Port.rq c = None then kernel
           else
             match parse_dst data with
             | Some (dst, payload) ->
-              Inet.Etherport.send c.port_conn ~dst payload;
+              Port.send c ~dst payload;
               Ok (String.length data)
             | None -> Error "bad frame: want 12 hex digit destination");
     };
-    text "stats" (fun c -> Inet.Etherport.stats_text c.dev.port);
-    text "type" (fun c -> string_of_int (Inet.Etherport.conn_type c.port_conn) ^ "\n");
+    text "stats" (fun c -> Port.stats_text (Port.driver c));
+    text "type" (fun c -> string_of_int (Port.conn_type c) ^ "\n");
   |]
 
 let fs port =
-  let dev = { port; conns = Hashtbl.create 17 } in
   Ninep.Devtab.fs
     {
       Ninep.Devtab.table with
@@ -137,23 +86,17 @@ let fs port =
           {
             Ninep.Devtab.file with
             name = "clone";
-            open_ = (fun n -> Ninep.Devtab.redirect n (alloc_conn dev) "ctl");
+            open_ = (fun n -> Ninep.Devtab.redirect n (Port.clone port) "ctl");
           };
         |];
       convs =
         {
           conv_files;
-          number = (fun c -> c.id);
-          find = lookup_conn dev;
-          listing =
-            (fun () ->
-              (* every live driver connection appears, kernel-owned
-                 included *)
-              List.map Inet.Etherport.conn_id (Inet.Etherport.conns dev.port)
-              |> List.sort compare
-              |> List.filter_map (lookup_conn dev));
-          hold = (fun c -> c.users <- c.users + 1);
-          release;
+          number = Port.conn_id;
+          find = Port.find port;
+          listing = (fun () -> Port.conns port);
+          hold = Port.hold;
+          release = Port.release;
         };
     }
 
@@ -162,7 +105,7 @@ let mount env port ~name =
   Vfs.Env.mount_fs env (fs port) ~onto:("/net/" ^ name) Vfs.Ns.Repl
 
 let render_tree port =
-  let conns = Inet.Etherport.conns port in
+  let conns = Port.conns port in
   let b = Buffer.create 256 in
   Buffer.add_string b "ether\n";
   Buffer.add_string b "|-- clone\n";
@@ -172,8 +115,8 @@ let render_tree port =
       let branch = if last then "`--" else "|--" in
       let stem = if last then "    " else "|   " in
       Buffer.add_string b
-        (Printf.sprintf "%s %d (type %d)\n" branch (Inet.Etherport.conn_id c)
-           (Inet.Etherport.conn_type c));
+        (Printf.sprintf "%s %d (type %d)\n" branch (Port.conn_id c)
+           (Port.conn_type c));
       List.iteri
         (fun j f ->
           let fl = if j = 3 then "`--" else "|--" in

@@ -5,21 +5,22 @@ module Log = (val Logs.src_log src : Logs.LOG)
 module Switch = struct
   module Fault = Netsim.Fault
 
-  type cell_ = Data_ of { payload : string; last : bool } | Ctl_ of string | Hangup_
+  type cell =
+    | Data of { payload : string; last : bool }
+    | Ctl of string
+    | Hangup
 
   type stats = {
     mutable cells_in : int;
     mutable cells_out : int;
-    mutable drops_injected : int;
-    mutable dups_injected : int;
-    mutable reorders_injected : int;
+    injected : Fault.tally;
   }
 
   type cend = {
     ce_line : line;
     ce_chan : int;
     mutable ce_peer : cend option;
-    ce_inq : cell_ option Sim.Mbox.t;  (* None = end of circuit *)
+    ce_inq : cell Sim.Mbox.t;  (* [Hangup] = end of circuit *)
     mutable ce_up : bool;
   }
 
@@ -30,7 +31,6 @@ module Switch = struct
     l_chans : (int, cend) Hashtbl.t;
     mutable l_next_chan : int;
     mutable l_busy_until : float;  (* uplink serialization *)
-    l_fault : Fault.t;
     l_stats : stats;
   }
 
@@ -80,22 +80,13 @@ module Switch = struct
         l_chans = Hashtbl.create 17;
         l_next_chan = 1;
         l_busy_until = 0.;
-        l_fault = Fault.create ();
-        l_stats =
-          {
-            cells_in = 0;
-            cells_out = 0;
-            drops_injected = 0;
-            dups_injected = 0;
-            reorders_injected = 0;
-          };
+        l_stats = { cells_in = 0; cells_out = 0; injected = Fault.tally () };
       }
     in
     Hashtbl.replace t.lines name line;
     line
 
   let line_name l = l.l_name
-  let line_faults l = l.l_fault
   let line_stats l = l.l_stats
 
   let alloc_end line =
@@ -114,48 +105,13 @@ module Switch = struct
     ce
 
   let cell_bytes = function
-    | Data_ { payload; _ } -> String.length payload + 4
-    | Ctl_ s -> String.length s + 4
-    | Hangup_ -> 4
+    | Data { payload; _ } -> String.length payload + 4
+    | Ctl s -> String.length s + 4
+    | Hangup -> 4
 
-  let cell_payload = function
-    | Data_ { payload; _ } -> payload
-    | Ctl_ s -> s
-    | Hangup_ -> ""
-
-  (* The single choke point every injected fault funnels through:
-     bumps the would-be receiver's line stats and emits a tagged
-     Obs event so taps can attribute it. *)
-  let inject sw ~src ~(dst : line) ~kind ~reason bytes =
-    (match kind with
-    | `Drop -> dst.l_stats.drops_injected <- dst.l_stats.drops_injected + 1
-    | `Dup -> dst.l_stats.dups_injected <- dst.l_stats.dups_injected + 1
-    | `Reorder ->
-      dst.l_stats.reorders_injected <- dst.l_stats.reorders_injected + 1);
-    match Sim.Engine.obs sw.eng with
-    | None -> ()
-    | Some tr ->
-      let kind_s =
-        match kind with
-        | `Drop -> if reason = "partition" then "partition" else "drop"
-        | `Dup -> "dup"
-        | `Reorder -> "reorder"
-      in
-      Obs.Trace.emit tr
-        (Obs.Event.Fault
-           {
-             medium = sw.sw_name;
-             kind = kind_s;
-             reason;
-             src;
-             dst = dst.l_name;
-             proto = "dk";
-             bytes;
-           });
-      Obs.Trace.bump tr ("fault." ^ kind_s) 1;
-      match kind with
-      | `Drop -> Obs.Trace.bump tr "dk.cell.drop" 1
-      | `Dup | `Reorder -> ()
+  let inject sw ~src ~(dst : line) kind ~reason bytes =
+    Fault.inject dst.l_stats.injected sw.eng ~medium:sw.sw_name kind ~reason
+      ~src ~dst:dst.l_name ~proto:"dk" ~bytes ~lost:"dk.cell.drop"
 
   (* Serialize on the sender's line, cross the switch, deliver to the
      peer end's queue. *)
@@ -174,27 +130,14 @@ module Switch = struct
       let dst = peer.ce_line in
       let v =
         match cell with
-        | Hangup_ ->
+        | Data { payload; _ } | Ctl payload when Fault.active sw.sw_fault ->
+          Fault.decide sw.sw_fault (Sim.Engine.random sw.eng) ~now payload
+        | Data _ | Ctl _ -> Fault.pass
+        | Hangup ->
           (* hangups are exempt from every fault: a lost hangup would
              wedge circuit teardown, and the real switch tore circuits
              down out of band *)
           Fault.pass
-        | Data_ _ | Ctl_ _ ->
-          let rng = Sim.Engine.random sw.eng in
-          let payload = cell_payload cell in
-          let v =
-            if Fault.active sw.sw_fault then
-              Fault.decide sw.sw_fault rng ~now payload
-            else Fault.pass
-          in
-          let v =
-            if Fault.active line.l_fault then
-              Fault.combine v (Fault.decide line.l_fault rng ~now payload)
-            else v
-          in
-          if Fault.active dst.l_fault then
-            Fault.combine v (Fault.decide dst.l_fault rng ~now payload)
-          else v
       in
       (match Sim.Engine.obs sw.eng with
       | None -> ()
@@ -211,23 +154,21 @@ module Switch = struct
              });
         Obs.Trace.bump tr "dk.cell.tx" 1);
       match v.Fault.v_drop with
-      | Some reason -> inject sw ~src:line.l_name ~dst ~kind:`Drop ~reason bytes
+      | Some reason -> inject sw ~src:line.l_name ~dst Fault.Drop ~reason bytes
       | None ->
         let deliver at =
           Sim.Engine.at ~label:"dk" sw.eng at (fun () ->
               if peer.ce_up then begin
                 dst.l_stats.cells_in <- dst.l_stats.cells_in + 1;
-                Sim.Mbox.send peer.ce_inq
-                  (match cell with Hangup_ -> None | c -> Some c)
+                Sim.Mbox.send peer.ce_inq cell
               end)
         in
         let base = finish +. sw.latency +. v.Fault.v_delay in
         if v.Fault.v_reorder then
-          inject sw ~src:line.l_name ~dst ~kind:`Reorder ~reason:"reorder"
-            bytes;
+          inject sw ~src:line.l_name ~dst Fault.Reorder ~reason:"reorder" bytes;
         deliver base;
         if v.Fault.v_dup then begin
-          inject sw ~src:line.l_name ~dst ~kind:`Dup ~reason:"dup" bytes;
+          inject sw ~src:line.l_name ~dst Fault.Dup ~reason:"dup" bytes;
           deliver (base +. (float_of_int (bytes * 8) /. sw.bandwidth))
         end
 end
@@ -235,7 +176,7 @@ end
 module Circuit = struct
   type t = Switch.cend
 
-  type cell =
+  type cell = Switch.cell =
     | Data of { payload : string; last : bool }
     | Ctl of string
     | Hangup
@@ -327,32 +268,24 @@ module Circuit = struct
     Sim.Engine.after ~label:"dk" sw.Switch.eng sw.Switch.latency (fun () ->
         inc.Switch.in_abort (Rejected reason))
 
-  let send (ce : t) cell =
-    if ce.Switch.ce_up then
-      Switch.send_cell ce
-        (match cell with
-        | Data { payload; last } -> Switch.Data_ { payload; last }
-        | Ctl s -> Switch.Ctl_ s
-        | Hangup -> Switch.Hangup_)
+  let send (ce : t) cell = if ce.Switch.ce_up then Switch.send_cell ce cell
 
   let recv (ce : t) =
-    if not ce.Switch.ce_up then None
+    if not ce.Switch.ce_up then Hangup
     else
       match Sim.Mbox.recv ce.Switch.ce_inq with
-      | None ->
+      | Hangup ->
         ce.Switch.ce_up <- false;
-        None
-      | Some (Switch.Data_ { payload; last }) -> Some (Data { payload; last })
-      | Some (Switch.Ctl_ s) -> Some (Ctl s)
-      | Some Switch.Hangup_ -> None
+        Hangup
+      | cell -> cell
 
   let hangup (ce : t) =
     if ce.Switch.ce_up then begin
-      Switch.send_cell ce Switch.Hangup_;
+      Switch.send_cell ce Hangup;
       ce.Switch.ce_up <- false;
       Hashtbl.remove ce.Switch.ce_line.Switch.l_chans ce.Switch.ce_chan;
       (* unblock a local reader too *)
-      Sim.Mbox.send ce.Switch.ce_inq None
+      Sim.Mbox.send ce.Switch.ce_inq Hangup
     end
 
   let peer_name (ce : t) =
@@ -603,17 +536,17 @@ module Urp = struct
                 let c = Lazy.force conv in
                 let rec loop () =
                   match Circuit.recv circ with
-                  | Some (Circuit.Data { payload; _ }) ->
+                  | Circuit.Data { payload; _ } ->
                     (* model receive-side protocol processing *)
                     (match cell_cost c (String.length payload) with
                     | Some (cpu, cost) -> Sim.Cpu.busy_wait cpu cost
                     | None -> ());
                     handle_data c payload;
                     loop ()
-                  | Some (Circuit.Ctl s) ->
+                  | Circuit.Ctl s ->
                     handle_ctl c s;
                     loop ()
-                  | Some Circuit.Hangup | None ->
+                  | Circuit.Hangup ->
                     c.closed_ <- true;
                     Block.Q.force_put c.rq (Block.hangup ());
                     Block.Q.close c.rq;

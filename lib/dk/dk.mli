@@ -21,9 +21,8 @@ module Switch : sig
   type stats = {
     mutable cells_in : int;
     mutable cells_out : int;
-    mutable drops_injected : int;  (** injected drops (loss, burst, partition, filter) bound for this line *)
-    mutable dups_injected : int;
-    mutable reorders_injected : int;
+    injected : Netsim.Fault.tally;
+        (** injected faults on cells bound for this line *)
   }
 
   val create :
@@ -52,12 +51,6 @@ module Switch : sig
       @raise Invalid_argument if the name is taken. *)
 
   val line_name : line -> string
-
-  val line_faults : line -> Netsim.Fault.t
-  (** This line's own fault schedule, applied (after the switch's and
-      the sender's) to every cell it would receive or send —
-      partitioning one line models pulling its fiber. *)
-
   val line_stats : line -> stats
 end
 
@@ -102,8 +95,8 @@ module Circuit : sig
   (** Queue a cell for the circuit (never blocks; the wire paces
       itself). *)
 
-  val recv : t -> cell option
-  (** Next cell in order; blocks; [None] once hung up. *)
+  val recv : t -> cell
+  (** Next cell in order; blocks; [Hangup] once hung up. *)
 
   val hangup : t -> unit
   val peer_name : t -> string

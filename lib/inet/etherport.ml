@@ -5,6 +5,10 @@ type conn = {
   mutable promiscuous : bool;
   mutable rx : Netsim.Ether.frame -> unit;
   mutable open_ : bool;
+  rq : Block.Q.t option;
+      (* the read queue of a connection opened through the device's
+         clone file; [None] for the kernel's own *)
+  mutable users : int;  (* open device files *)
 }
 
 and t = {
@@ -60,23 +64,32 @@ let engine t = t.eng
 let addr t = Netsim.Ether.nic_addr t.nic
 let nic t = t.nic
 
-let connect t ptype =
+let add t ptype rq =
   let c =
-    {
-      id = t.next_id;
-      driver = t;
-      ptype;
-      promiscuous = false;
-      rx = ignore;
-      open_ = true;
-    }
+    { id = t.next_id; driver = t; ptype; promiscuous = false; rx = ignore;
+      open_ = true; rq; users = 0 }
   in
   t.next_id <- t.next_id + 1;
   t.connections <- t.connections @ [ c ];
   c
 
+let connect t ptype = add t ptype None
+
+let clone t =
+  let q = Block.Q.create ~limit:(128 * 1024) t.eng in
+  let c = add t 0 (Some q) in
+  c.rx <-
+    (fun { Netsim.Ether.src; payload; _ } ->
+      (* drop when the reader is slow, like real hardware *)
+      let msg = Netsim.Eaddr.to_string src ^ payload in
+      ignore (Block.Q.try_put q (Block.make ~delim:true msg)));
+  c
+
+let find t id = List.find_opt (fun c -> c.id = id) t.connections
+
 let conn_type c = c.ptype
 let conn_id c = c.id
+let driver c = c.driver
 let set_conn_type c ptype = c.ptype <- ptype
 
 let refresh_promiscuity t =
@@ -102,6 +115,17 @@ let close_conn c =
   c.open_ <- false;
   c.driver.connections <- List.filter (fun x -> x.id <> c.id) c.driver.connections;
   refresh_promiscuity c.driver
+
+let rq c = c.rq
+let hold c = c.users <- c.users + 1
+
+let release c =
+  c.users <- c.users - 1;
+  match c.rq with
+  | Some q when c.users <= 0 ->
+    close_conn c;
+    Block.Q.close q
+  | Some _ | None -> () (* a kernel connection is not the device's to close *)
 
 let conns t = List.filter (fun c -> c.open_) t.connections
 

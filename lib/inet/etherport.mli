@@ -27,10 +27,33 @@ val nic : t -> Netsim.Ether.nic
     host. *)
 
 val connect : t -> int -> conn
-(** Allocate a connection for the given packet type (-1 = all). *)
+(** Allocate a kernel connection for the given packet type (-1 =
+    all). *)
+
+val clone : t -> conn
+(** What opening the device's [clone] file does: a connection of type 0
+    whose frames queue on its own read queue ({!rq}) as 12 hex digits
+    of source address followed by the payload, dropped when the reader
+    falls 128 KiB behind.  Like Plan 9's netif, the connection lives
+    while its files are open: {!release} of its last user closes it. *)
+
+val find : t -> int -> conn option
+(** The open connection with this id. *)
+
+val rq : conn -> Block.Q.t option
+(** A cloned connection's read queue; [None] for a kernel
+    connection. *)
+
+val hold : conn -> unit
+(** One more open file of the connection. *)
+
+val release : conn -> unit
+(** One open file fewer; a cloned connection left with none is
+    closed.  Kernel connections stay. *)
 
 val conn_type : conn -> int
 val conn_id : conn -> int
+val driver : conn -> t
 
 val set_conn_type : conn -> int -> unit
 (** What writing [connect n] to an open connection's ctl file does. *)
@@ -50,7 +73,8 @@ val set_rx : conn -> (Netsim.Ether.frame -> unit) -> unit
 val close_conn : conn -> unit
 
 val conns : t -> conn list
-(** Open connections, lowest-numbered first. *)
+(** Open connections, lowest-numbered first: Figure 1's numbered
+    directories. *)
 
 val stats_text : t -> string
 (** The ASCII contents of the [stats] file: interface address,

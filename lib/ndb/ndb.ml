@@ -114,9 +114,6 @@ let make sources =
 let of_string text =
   make [ { src_path = None; src_mtime = 0.; src_entries = parse_string text } ]
 
-let of_entries es =
-  make [ { src_path = None; src_mtime = 0.; src_entries = es } ]
-
 let read_file path =
   let ic = open_in_bin path in
   Fun.protect
@@ -246,10 +243,6 @@ let fresh_index t attr =
         Hashtbl.replace t.indexes attr i;
         Some i
       | None -> None))
-
-let hashed_attrs t =
-  List.sort_uniq compare
-    (Hashtbl.fold (fun a _ acc -> a :: acc) t.indexes [])
 
 (* ---- searching ---- *)
 

@@ -30,8 +30,6 @@ val parse_string : string -> entry list
 val of_string : string -> t
 (** An in-memory, single-file database (tests, generated worlds). *)
 
-val of_entries : entry list -> t
-
 val open_files : string list -> t
 (** A database backed by real files, in search order — conventionally
     [/lib/ndb/local] then [/lib/ndb/global].
@@ -61,8 +59,6 @@ val write_hash : t -> attr:string -> unit
 (** Build the on-disk index file [<master>.<attr>] for a file-backed
     database (in-memory databases index in memory).  The index records
     the master's modification time. *)
-
-val hashed_attrs : t -> string list
 
 type lookup_stats = {
   mutable hash_lookups : int;  (** searches answered from an index *)

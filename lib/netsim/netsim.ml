@@ -84,12 +84,6 @@ module Fault = struct
     t.burst_loss <- loss;
     t.in_burst <- false
 
-  let clear_burst t =
-    t.burst_enter <- 0.;
-    t.burst_exit <- 0.;
-    t.burst_loss <- 0.;
-    t.in_burst <- false
-
   let set_dup t p =
     check_prob "set_dup" p;
     t.dup <- p
@@ -123,7 +117,6 @@ module Fault = struct
     List.exists (fun (a, b) -> now >= a && now < b) t.partitions
 
   let set_filter t fn = t.filter <- Some fn
-  let clear_filter t = t.filter <- None
 
   let active t =
     t.loss > 0. || t.burst_enter > 0. || t.in_burst || t.dup > 0.
@@ -193,6 +186,34 @@ module Fault = struct
         ]
     in
     if parts = [] then "none" else String.concat " " parts
+
+  type kind = Drop | Dup | Reorder
+  type tally = { mutable drops : int; mutable dups : int; mutable reorders : int }
+
+  let tally () = { drops = 0; dups = 0; reorders = 0 }
+
+  (* The choke point: every injected fault on every medium passes
+     through here exactly once per affected receiver, bumping that
+     receiver's tally and emitting the tagged Obs event so snoopy and
+     p9stat can attribute it. *)
+  let inject tally eng ~medium kind ~reason ~src ~dst ~proto ~bytes ~lost =
+    (match kind with
+    | Drop -> tally.drops <- tally.drops + 1
+    | Dup -> tally.dups <- tally.dups + 1
+    | Reorder -> tally.reorders <- tally.reorders + 1);
+    match Sim.Engine.obs eng with
+    | None -> ()
+    | Some tr ->
+      let kind_s =
+        match kind with
+        | Drop -> if reason = "partition" then "partition" else "drop"
+        | Dup -> "dup"
+        | Reorder -> "reorder"
+      in
+      Obs.Trace.emit tr
+        (Obs.Event.Fault { medium; kind = kind_s; reason; src; dst; proto; bytes });
+      Obs.Trace.bump tr ("fault." ^ kind_s) 1;
+      if kind = Drop then Obs.Trace.bump tr lost 1
 end
 
 module Ether = struct
@@ -210,9 +231,7 @@ module Ether = struct
     mutable out_bytes : int;
     mutable crc_errors : int;
     mutable overflows : int;
-    mutable drops_injected : int;
-    mutable dups_injected : int;
-    mutable reorders_injected : int;
+    injected : Fault.tally;
   }
 
   type nic = {
@@ -293,9 +312,7 @@ module Ether = struct
             out_bytes = 0;
             crc_errors = 0;
             overflows = 0;
-            drops_injected = 0;
-            dups_injected = 0;
-            reorders_injected = 0;
+            injected = Fault.tally ();
           };
         nfault = Fault.create ();
       }
@@ -335,45 +352,17 @@ module Ether = struct
         | Obs.Event.Drop _ -> "pkt.drop")
         1
 
-  (* The choke point: every injected fault — drop (incl. partition),
-     dup, reorder — passes through here exactly once per affected
-     station, bumping the would-be receiver's stats and emitting the
-     tagged Obs event so snoopy/p9stat can attribute it. *)
-  let inject t station ~kind ~reason frame =
-    (match kind with
-    | `Drop ->
-      station.stats.drops_injected <- station.stats.drops_injected + 1;
-      (* frames lost on the wire still look like CRC noise to the
-         station, as before *)
-      (match reason with
-      | "loss" | "burst" | "crc" ->
-        station.stats.crc_errors <- station.stats.crc_errors + 1
-      | _ -> ())
-    | `Dup -> station.stats.dups_injected <- station.stats.dups_injected + 1
-    | `Reorder ->
-      station.stats.reorders_injected <- station.stats.reorders_injected + 1);
-    match Sim.Engine.obs t.eng with
-    | None -> ()
-    | Some tr ->
-      let kind_s =
-        match kind with
-        | `Drop -> if reason = "partition" then "partition" else "drop"
-        | `Dup -> "dup"
-        | `Reorder -> "reorder"
-      in
-      Obs.Trace.emit tr
-        (Obs.Event.Fault
-           {
-             medium = t.ename;
-             kind = kind_s;
-             reason;
-             src = Eaddr.to_string frame.src;
-             dst = Eaddr.to_string station.addr;
-             proto = frame_proto ~etype:frame.etype frame.payload;
-             bytes = String.length frame.payload;
-           });
-      Obs.Trace.bump tr ("fault." ^ kind_s) 1;
-      if kind = `Drop then Obs.Trace.bump tr "pkt.drop" 1
+  let inject t station kind ~reason frame =
+    (* frames lost on the wire still look like CRC noise to the
+       station *)
+    (match (kind, reason) with
+    | Fault.Drop, ("loss" | "burst" | "crc") ->
+      station.stats.crc_errors <- station.stats.crc_errors + 1
+    | _ -> ());
+    Fault.inject station.stats.injected t.eng ~medium:t.ename kind ~reason
+      ~src:(Eaddr.to_string frame.src) ~dst:(Eaddr.to_string station.addr)
+      ~proto:(frame_proto ~etype:frame.etype frame.payload)
+      ~bytes:(String.length frame.payload) ~lost:"pkt.drop"
 
   let rx_deliver t station frame =
     station.stats.in_packets <- station.stats.in_packets + 1;
@@ -418,7 +407,7 @@ module Ether = struct
             in
             match v.Fault.v_drop with
             | Some reason ->
-              inject t station ~kind:`Drop ~reason frame;
+              inject t station Fault.Drop ~reason frame;
               Log.debug (fun m ->
                   m "%s: frame %s->%s type %d dropped (%s)" t.ename
                     (Eaddr.to_string frame.src)
@@ -426,12 +415,12 @@ module Ether = struct
                     frame.etype reason)
             | None ->
               if v.Fault.v_reorder then
-                inject t station ~kind:`Reorder ~reason:"reorder" frame;
+                inject t station Fault.Reorder ~reason:"reorder" frame;
               Sim.Engine.at ~label:"ether" t.eng
                 (deliver_at +. v.Fault.v_delay)
                 (fun () -> rx_deliver t station frame);
               if v.Fault.v_dup then begin
-                inject t station ~kind:`Dup ~reason:"dup" frame;
+                inject t station Fault.Dup ~reason:"dup" frame;
                 (* the copy trails by one frame time, like a stale
                    retransmission from a confused bridge *)
                 Sim.Engine.at ~label:"ether" t.eng
@@ -443,37 +432,33 @@ module Ether = struct
       t.stations
 end
 
-module Fiber = struct
+module Link = struct
   type endpoint = {
-    fname : string;
     eng : Sim.Engine.t;
-    bandwidth : float;
+    mutable rate : float;  (* bits per second *)
+    byte_bits : int;
     latency : float;
     mutable peer : endpoint option;
     mutable rx : string -> unit;
     mutable busy_until : float;
   }
 
-  let create_pair ?(bandwidth_bps = 125e6) ?(latency = 10e-6) ~name eng =
-    let mk suffix =
-      {
-        fname = name ^ suffix;
-        eng;
-        bandwidth = bandwidth_bps;
-        latency;
-        peer = None;
-        rx = ignore;
-        busy_until = 0.;
-      }
+  let create_pair ~rate ~byte_bits ~latency eng =
+    let mk () =
+      { eng; rate; byte_bits; latency; peer = None; rx = ignore; busy_until = 0. }
     in
-    let a = mk ".0" and b = mk ".1" in
+    let a = mk () and b = mk () in
     a.peer <- Some b;
     b.peer <- Some a;
     (a, b)
 
-  let name e = e.fname
   let engine e = e.eng
+  let rate e = e.rate
   let set_rx e fn = e.rx <- fn
+
+  let set_rate e r =
+    e.rate <- r;
+    match e.peer with None -> () | Some p -> p.rate <- r
 
   let send e msg =
     match e.peer with
@@ -482,56 +467,9 @@ module Fiber = struct
       let now = Sim.Engine.now e.eng in
       let start = if e.busy_until > now then e.busy_until else now in
       let finish =
-        start +. (float_of_int (String.length msg * 8) /. e.bandwidth)
+        start +. (float_of_int (String.length msg * e.byte_bits) /. e.rate)
       in
       e.busy_until <- finish;
-      Sim.Engine.at ~label:"ether" e.eng (finish +. e.latency) (fun () -> peer.rx msg)
-end
-
-module Serial = struct
-  type endpoint = {
-    sname : string;
-    eng : Sim.Engine.t;
-    mutable baud_ : int;
-    mutable peer : endpoint option;
-    mutable rx : string -> unit;
-    mutable busy_until : float;
-  }
-
-  let create_pair ?(baud = 9600) ~name eng =
-    let mk suffix =
-      {
-        sname = name ^ suffix;
-        eng;
-        baud_ = baud;
-        peer = None;
-        rx = ignore;
-        busy_until = 0.;
-      }
-    in
-    let a = mk ".0" and b = mk ".1" in
-    a.peer <- Some b;
-    b.peer <- Some a;
-    (a, b)
-
-  let set_baud e n =
-    e.baud_ <- n;
-    match e.peer with None -> () | Some p -> p.baud_ <- n
-
-  let baud e = e.baud_
-  let set_rx e fn = e.rx <- fn
-  let engine e = e.eng
-
-  let send e msg =
-    match e.peer with
-    | None -> ()
-    | Some peer ->
-      let now = Sim.Engine.now e.eng in
-      let start = if e.busy_until > now then e.busy_until else now in
-      (* 10 bit times per byte: start bit, 8 data, stop bit *)
-      let finish =
-        start +. (float_of_int (String.length msg * 10) /. float_of_int e.baud_)
-      in
-      e.busy_until <- finish;
-      Sim.Engine.at ~label:"ether" e.eng finish (fun () -> peer.rx msg)
+      Sim.Engine.at ~label:"ether" e.eng (finish +. e.latency) (fun () ->
+          peer.rx msg)
 end

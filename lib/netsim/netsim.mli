@@ -1,10 +1,11 @@
 (** Simulated physical network media.
 
     Stands in for the paper's hardware: the LANCE Ethernet (section
-    2.2), the Cyclone VME fiber boards (section 7), and the RS232/ISDN
-    serial lines (section 1).  Each medium models wire bandwidth,
-    propagation latency, and (for Ethernet) random frame loss drawn from
-    the engine's seeded RNG, so behaviour is reproducible.
+    2.2), and one point-to-point {!Link} for the Cyclone VME fiber
+    boards (section 7) and the RS232/ISDN serial lines (section 1).
+    Each medium models wire bandwidth, propagation latency, and (for
+    Ethernet) random frame loss drawn from the engine's seeded RNG, so
+    behaviour is reproducible.
 
     Media deliver to receive callbacks outside any process context —
     the moral equivalent of an interrupt.  Drivers built on top must
@@ -29,8 +30,7 @@ module Fault : sig
   (** A fault-injection schedule for a simulated medium.
 
       One [Fault.t] hangs off every Ethernet segment (and every station
-      on it), and off every Datakit switch (and every line on it).  A
-      schedule can combine:
+      on it), and off every Datakit switch.  A schedule can combine:
 
       - uniform random loss ({!set_loss});
       - Gilbert-style on/off {e burst} loss ({!set_burst}): a two-state
@@ -53,10 +53,10 @@ module Fault : sig
       runs are byte-identical, and an empty schedule leaves the RNG
       stream exactly as it was before this layer existed.
 
-      Every injected fault is routed through one choke point that bumps
-      the would-be receiver's stats and emits a tagged
-      {!Obs.Event.Fault} event ([fault.drop], [fault.dup],
-      [fault.reorder], [fault.partition] counters). *)
+      Every injected fault on every medium is routed through one choke
+      point ({!inject}) that bumps the would-be receiver's {!tally} and
+      emits a tagged {!Obs.Event.Fault} event ([fault.drop],
+      [fault.dup], [fault.reorder], [fault.partition] counters). *)
 
   type t
 
@@ -81,8 +81,6 @@ module Fault : sig
   (** Gilbert on/off loss.  Stationary burst occupancy is
       [p_enter /. (p_enter +. p_exit)]; mean burst length [1/p_exit]
       frames; frames inside a burst are lost with [loss]. *)
-
-  val clear_burst : t -> unit
 
   val set_dup : t -> float -> unit
   (** Per-frame duplication probability. *)
@@ -112,8 +110,6 @@ module Fault : sig
   (** Deterministic drop hook: called with each frame payload; return
       [Some reason] to discard it.  Runs before any random draw. *)
 
-  val clear_filter : t -> unit
-
   val active : t -> bool
   (** Whether any fault is configured (fast-path guard). *)
 
@@ -127,6 +123,37 @@ module Fault : sig
 
   val describe : t -> string
   (** Human-readable one-line summary of the schedule. *)
+
+  type kind = Drop | Dup | Reorder
+
+  type tally = {
+    mutable drops : int;
+        (** injected drops of every kind (loss, burst, partition,
+            filter) *)
+    mutable dups : int;  (** injected duplicate deliveries *)
+    mutable reorders : int;  (** injected late deliveries *)
+  }
+  (** The injected faults one receiver (an Ethernet station, a Datakit
+      line) was dealt. *)
+
+  val tally : unit -> tally
+
+  val inject :
+    tally ->
+    Sim.Engine.t ->
+    medium:string ->
+    kind ->
+    reason:string ->
+    src:string ->
+    dst:string ->
+    proto:string ->
+    bytes:int ->
+    lost:string ->
+    unit
+  (** Record one injected fault against the receiver's [tally]: with a
+      trace attached, emit {!Obs.Event.Fault} (kind ["partition"] for a
+      drop whose reason is ["partition"]), bump [fault.<kind>], and on
+      a drop also the medium's own [lost] counter. *)
 end
 
 module Ether : sig
@@ -151,11 +178,7 @@ module Ether : sig
     mutable out_bytes : int;
     mutable crc_errors : int;  (** frames lost on the wire *)
     mutable overflows : int;  (** frames dropped because rx was full *)
-    mutable drops_injected : int;
-        (** injected drops of every kind (loss, burst, partition,
-            filter) this station would have received *)
-    mutable dups_injected : int;  (** injected duplicate deliveries *)
-    mutable reorders_injected : int;  (** injected late deliveries *)
+    injected : Fault.tally;  (** injected faults this station was dealt *)
   }
 
   val create :
@@ -217,46 +240,32 @@ module Ether : sig
   (** 14-byte Ethernet header + 4-byte CRC counted in wire time. *)
 end
 
-module Fiber : sig
-  (** A Cyclone-style point-to-point fiber link: reliable, in-order
-      message delivery with very low per-message overhead ("copying
-      messages from system memory to fiber without intermediate
-      buffering"). *)
+module Link : sig
+  (** A point-to-point full-duplex link: each direction carries one
+      message at a time at [rate] bits per second, [byte_bits] bits per
+      byte, and delivers it [latency] seconds after its last bit.  The
+      Cyclone VME fiber of section 7 is 125e6 bits/s, 8 bits per byte
+      and 10 us; an RS232 line is its baud rate, 10 bits per byte
+      (start, 8 data, stop) and no latency. *)
 
   type endpoint
 
   val create_pair :
-    ?bandwidth_bps:float ->
-    ?latency:float ->
-    name:string ->
+    rate:float ->
+    byte_bits:int ->
+    latency:float ->
     Sim.Engine.t ->
     endpoint * endpoint
-  (** [bandwidth_bps] defaults to 125e6, [latency] to 10e-6 s. *)
 
   val send : endpoint -> string -> unit
-  (** Transmit one delimited message to the peer. *)
+  (** Transmit one message to the peer. *)
 
   val set_rx : endpoint -> (string -> unit) -> unit
-  val name : endpoint -> string
-  val engine : endpoint -> Sim.Engine.t
-end
 
-module Serial : sig
-  (** An RS232/ISDN-style full-duplex byte pipe clocked at a baud
-      rate. *)
-
-  type endpoint
-
-  val create_pair :
-    ?baud:int -> name:string -> Sim.Engine.t -> endpoint * endpoint
-  (** [baud] defaults to 9600; 10 bit times per byte (start/stop). *)
-
-  val set_baud : endpoint -> int -> unit
+  val set_rate : endpoint -> float -> unit
   (** Reclock both directions — what writing [b1200] to [/dev/eia1ctl]
       does. *)
 
-  val baud : endpoint -> int
-  val send : endpoint -> string -> unit
-  val set_rx : endpoint -> (string -> unit) -> unit
+  val rate : endpoint -> float
   val engine : endpoint -> Sim.Engine.t
 end

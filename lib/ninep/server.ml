@@ -53,10 +53,27 @@ let serve ?(threaded = false) ?auth eng fs tr =
         Hashtbl.iter (fun _ n -> fs.fs_clunk n) fids;
         Hashtbl.reset fids
       in
-      let reply tag r = tr.Transport.t_send (Fcall.encode (Fcall.R (tag, r))) in
+      let eof = ref false in
+      let reply tag r =
+        if not !eof then tr.Transport.t_send (Fcall.encode (Fcall.R (tag, r)))
+      in
       (* threaded mode: the handler process still working on each tag,
          so a Tflush can abort exactly the request it names *)
       let inflight : (int, Sim.Proc.t) Hashtbl.t = Hashtbl.create 17 in
+      (* at transport EOF no reply leaves, and every handler still in
+         flight is killed (in tag order) and joined before the fids are
+         clunked, so none runs on against a clunked node *)
+      let finish () =
+        eof := true;
+        let handlers =
+          Hashtbl.fold (fun tag p acc -> (tag, p) :: acc) inflight []
+          |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        in
+        Hashtbl.reset inflight;
+        List.iter (fun (_, p) -> Sim.Proc.kill p) handlers;
+        List.iter (fun (_, p) -> Sim.Proc.join p) handlers;
+        clear_fids ()
+      in
       let handle tag (t : Fcall.tmsg) =
         let err e = reply tag (Fcall.Rerror e) in
         let with_fid fid k =
@@ -218,7 +235,7 @@ let serve ?(threaded = false) ?auth eng fs tr =
       in
       let rec loop () =
         match tr.Transport.t_recv () with
-        | None -> clear_fids ()
+        | None -> finish ()
         | Some raw ->
           (match Fcall.decode raw with
           | Fcall.T (tag, _) when threaded && Hashtbl.mem inflight tag ->

@@ -411,7 +411,6 @@ module Prof = struct
     Buffer.add_string b "]}";
     Buffer.contents b
 
-  let to_json p = report_json (report p)
 end
 
 module Series = struct
@@ -473,7 +472,6 @@ module Trace = struct
         (* ambient span scope: the engine installs "current proc pid,
            else 0", so each simulated process carries its own stack *)
     metrics : Metrics.t;
-    mutable taps : (float -> Event.t -> unit) list;
     mutable next_span : int;
     mutable next_trace : int;
     open_spans : (int, frame) Hashtbl.t;  (* span id -> frame *)
@@ -489,7 +487,6 @@ module Trace = struct
       clock = (fun () -> 0.);
       scope_fn = (fun () -> 0);
       metrics = Metrics.create ();
-      taps = [];
       next_span = 0;
       next_trace = 0;
       open_spans = Hashtbl.create 31;
@@ -502,7 +499,6 @@ module Trace = struct
   let metrics t = t.metrics
   let bump t name n = Metrics.bump t.metrics name n
   let observe t name v = Metrics.observe t.metrics name v
-  let add_tap t fn = t.taps <- t.taps @ [ fn ]
   let seq t = t.nseq
   let dropped t = max 0 (t.nseq - t.capacity)
 
@@ -510,8 +506,7 @@ module Trace = struct
     let time = t.clock () in
     t.ring.(t.next) <- Some { e_t = time; e_seq = t.nseq; e_ev = ev };
     t.next <- (t.next + 1) mod t.capacity;
-    t.nseq <- t.nseq + 1;
-    List.iter (fun tap -> tap time ev) t.taps
+    t.nseq <- t.nseq + 1
 
   let note t ~sub msg = emit t (Event.Note { sub; msg })
 
@@ -574,12 +569,6 @@ module Trace = struct
     | Some [] | None -> 0
 
   let span_open_count t = Hashtbl.length t.open_spans
-
-  let span_opens t =
-    Hashtbl.fold (fun _ fr acc -> fr :: acc) t.open_spans []
-    |> List.sort (fun a b -> compare a.fr_span b.fr_span)
-    |> List.map (fun fr ->
-           (fr.fr_span, fr.fr_layer, fr.fr_name, fr.fr_trace, fr.fr_scope))
 
   let span_drain t =
     (* close every open span, innermost first per scope, in scope order
@@ -757,6 +746,5 @@ module Span = struct
   let current = Trace.span_current
   let drain = Trace.span_drain
   let open_count = Trace.span_open_count
-  let opens = Trace.span_opens
   let tree = Trace.span_tree
 end

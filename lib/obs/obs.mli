@@ -185,9 +185,6 @@ module Prof : sig
 
   val report_json : report -> string
   (** One-line JSON object — the [perf] member of the bench files. *)
-
-  val to_json : t -> string
-  (** [report_json (report t)]. *)
 end
 
 module Series : sig
@@ -237,7 +234,7 @@ module Trace : sig
   val now : t -> float
 
   val emit : t -> Event.t -> unit
-  (** Stamp with the clock, append to the ring, feed the taps. *)
+  (** Stamp with the clock and append to the ring. *)
 
   val note : t -> sub:string -> string -> unit
   (** [emit] of an {!Event.Note}. *)
@@ -247,10 +244,6 @@ module Trace : sig
 
   val observe : t -> string -> float -> unit
   val metrics : t -> Metrics.t
-
-  val add_tap : t -> (float -> Event.t -> unit) -> unit
-  (** Live subscriber, called synchronously on every emit — how the
-      snoopy tap and /net/log follow a running world. *)
 
   val events : t -> (float * int * Event.t) list
   (** (time, sequence, event), oldest first; at most [capacity]. *)
@@ -262,7 +255,7 @@ module Trace : sig
   (** Events overwritten by ring wrap-around. *)
 
   val clear : t -> unit
-  (** Empty the ring and the metrics (taps and clock stay). *)
+  (** Empty the ring and the metrics (the clock stays). *)
 
   val render : ?limit:int -> t -> string
   (** Newest [limit] (default 100) events as text lines, oldest first —
@@ -318,10 +311,6 @@ module Span : sig
       forever still closes its spans and names itself in the trace. *)
 
   val open_count : Trace.t -> int
-
-  val opens : Trace.t -> (int * string * string * int * int) list
-  (** Currently open spans as [(span, layer, name, trace, scope)],
-      oldest first. *)
 
   val tree : ?trace:int -> Trace.t -> string
   (** Render the recorded span begins as an indented tree (optionally

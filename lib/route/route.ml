@@ -121,7 +121,6 @@ let table t = t.table
 let stats t = t.stats
 let ifaces t = t.ifaces
 let set_deliver t fn = t.deliver <- Some fn
-let set_forwarding t b = t.forwarding <- b
 let forwarding t = t.forwarding
 
 let local t dst =
@@ -326,12 +325,12 @@ let tunnel_iface t ~ifname ~addr ~mask setup =
          txq := [];
          let rec rx () =
            match Dk.Circuit.recv c with
-           | Some (Dk.Circuit.Data { payload; _ }) ->
+           | Dk.Circuit.Data { payload; _ } ->
              t.stats.tun_rx <- t.stats.tun_rx + 1;
              input t ~ingress:iface payload;
              rx ()
-           | Some _ -> rx ()
-           | None -> ()
+           | Dk.Circuit.Ctl _ -> rx ()
+           | Dk.Circuit.Hangup -> ()
          in
          rx ()));
   iface

@@ -86,10 +86,7 @@ val set_deliver : t -> (string -> unit) -> unit
     [Inet.Ip.deliver_raw] on the host's primary stack. *)
 
 val forwarding : t -> bool
-
-val set_forwarding : t -> bool -> unit
-(** Forwarding turns on automatically at the second interface; this
-    overrides (e.g. to build a multi-homed non-gateway). *)
+(** Forwarding turns on automatically at the second interface. *)
 
 val add_iface : t -> iface -> unit
 (** Register an interface and its on-link route. *)

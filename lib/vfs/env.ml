@@ -158,8 +158,6 @@ let fd_path t fd = (fetch t fd).of_path
 
 let stat t path = Chan.using (resolve t path) Chan.stat
 
-let fstat t fd = Chan.stat (fetch t fd).of_chan
-
 let wstat t path d = Chan.using (resolve t path) (fun c -> Chan.wstat c d)
 
 let remove t path = Chan.remove (resolve t path)
@@ -214,16 +212,20 @@ let install_chan t chan ~path =
     { of_chan = chan; of_path = path; of_offset = 0L; of_dirdata = None;
       of_refs = 1 }
 
+let bind_chan ~mcreate t csrc ~onto flag =
+  match Ns.resolve_for_mount t.env_ns (abspath t onto) with
+  | conto -> Ns.bind ~mcreate t.env_ns ~src:csrc ~onto:conto flag
+  | exception (Chan.Error _ as e) ->
+    Chan.clunk csrc;
+    raise e
+
 let bind ?(mcreate = true) t ~src ~onto flag =
-  let csrc = resolve t src in
-  let conto = Ns.resolve_for_mount t.env_ns (abspath t onto) in
-  Ns.bind ~mcreate t.env_ns ~src:csrc ~onto:conto flag
+  bind_chan ~mcreate t (resolve t src) ~onto flag
 
 let mount_fs ?(mcreate = true) t fs ~onto flag =
   let devid = Ns.fresh_devid t.env_ns in
   let csrc = Chan.attach ~devid fs ~uname:t.env_uname ~aname:"" in
-  let conto = Ns.resolve_for_mount t.env_ns (abspath t onto) in
-  Ns.bind ~mcreate t.env_ns ~src:csrc ~onto:conto flag
+  bind_chan ~mcreate t csrc ~onto flag
 
 let mount ?(mcreate = true) t client ?(aname = "") ~onto flag =
   let metrics = Obs.Metrics.create () in
@@ -231,7 +233,11 @@ let mount ?(mcreate = true) t client ?(aname = "") ~onto flag =
   let fs = Mnt.fs client ~aname ~metrics ~name:("mnt:" ^ onto) () in
   mount_fs ~mcreate t fs ~onto flag
 
+(* [onto] and [src] are only keys; the members the unmount drops stay
+   unclunked, since a forked name space may still hold them *)
 let unmount ?src t ~onto =
   let under = Ns.resolve_for_mount t.env_ns (abspath t onto) in
-  let csrc = Option.map (resolve t) src in
-  Ns.unmount ?src:csrc t.env_ns ~onto:under
+  Chan.using under (fun under ->
+      let csrc = Option.map (resolve t) src in
+      Ns.unmount ?src:csrc t.env_ns ~onto:under;
+      Option.iter Chan.clunk csrc)

@@ -44,7 +44,6 @@ val fd_path : t -> fd -> string
 (** The path the descriptor was opened with ("fd2path"). *)
 
 val stat : t -> string -> Ninep.Fcall.dir
-val fstat : t -> fd -> Ninep.Fcall.dir
 val wstat : t -> string -> Ninep.Fcall.dir -> unit
 val remove : t -> string -> unit
 

@@ -172,6 +172,7 @@ let bind ?(mcreate = true) t ~src ~onto flag =
   let m = { m_chan = src; m_create = mcreate } in
   match lookup t onto with
   | e ->
+    Chan.clunk onto;
     e.unions <-
       (match flag with
       | Repl -> [ m ]
@@ -190,7 +191,8 @@ let bind ?(mcreate = true) t ~src ~onto flag =
       | After -> [ onto_m; m ]
     in
     t.table <-
-      { onto_dev = Chan.devid onto; onto_path = qpath onto; unions } :: t.table
+      { onto_dev = Chan.devid onto; onto_path = qpath onto; unions } :: t.table;
+    if flag = Repl then Chan.clunk onto
 
 let unmount ?src t ~onto =
   let dev = Chan.devid onto and path = qpath onto in

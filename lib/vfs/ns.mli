@@ -75,12 +75,15 @@ val bind : ?mcreate:bool -> t -> src:Chan.t -> onto:Chan.t -> flag -> unit
     joins it with MCREATE set, preserving this table's historical
     create-in-the-underlying-directory behaviour — a documented
     divergence from the 1993 kernel, which required an explicit [-c]
-    even there. *)
+    even there.  Takes over both channels: [onto] is clunked unless it
+    joins a fresh union. *)
 
 val unmount : ?src:Chan.t -> t -> onto:Chan.t -> unit
 (** Drop every mount on [onto]; with [src], drop only the union
     member(s) whose channel key matches [src] (Plan 9's two-argument
-    unmount), dissolving the union when the last member goes. *)
+    unmount), dissolving the union when the last member goes.  [onto]
+    and [src] stay the caller's; the dropped members are not clunked,
+    since a forked name space may still hold them. *)
 
 type member = { m_chan : Chan.t; m_create : bool }
 

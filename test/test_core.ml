@@ -573,6 +573,48 @@ let test_ether_tree_figure1 () =
         (contains stats "0800690222f0");
       Vfs.Env.close env fd)
 
+(* The device's directories are the driver's connection table: a cloned
+   connection lives while any of its files is open and leaves the
+   table with the last clunk; the kernel's own stay and refuse
+   writes. *)
+let test_ether_conn_lifetime () =
+  in_world (fun w ->
+      let helix = P9net.World.host w "helix" in
+      let port = Option.get helix.P9net.Host.etherport in
+      let env = Vfs.Env.fork helix.P9net.Host.env in
+      let ids () = List.map Inet.Etherport.conn_id (Inet.Etherport.conns port) in
+      let kernel = ids () in
+      let fd = Vfs.Env.open_ env "/net/ether0/clone" F.Ordwr in
+      let n = String.trim (Vfs.Env.read env fd 32) in
+      let id = int_of_string n in
+      Alcotest.(check (list int)) "listed once cloned" (kernel @ [ id ]) (ids ());
+      let data = Vfs.Env.open_ env ("/net/ether0/" ^ n ^ "/data") F.Oread in
+      Vfs.Env.close env fd;
+      Alcotest.(check bool) "held by its data file" true
+        (Inet.Etherport.find port id <> None);
+      Vfs.Env.close env data;
+      Alcotest.(check (list int)) "gone with the last clunk" kernel (ids ());
+      Alcotest.(check bool) "not found by id" true
+        (Inet.Etherport.find port id = None);
+      Alcotest.(check bool) "its directory is gone" true
+        (try
+           ignore (Vfs.Env.stat env ("/net/ether0/" ^ n));
+           false
+         with Vfs.Chan.Error _ -> true);
+      let k = "/net/ether0/" ^ string_of_int (List.hd kernel) in
+      List.iter
+        (fun (file, msg) ->
+          let fd = Vfs.Env.open_ env (k ^ "/" ^ file) F.Owrite in
+          Alcotest.(check string) (file ^ " of a kernel connection")
+            "connection belongs to the kernel"
+            (try
+               ignore (Vfs.Env.write env fd msg);
+               "written"
+             with Vfs.Chan.Error e -> e);
+          Vfs.Env.close env fd)
+        [ ("ctl", "connect 2054"); ("data", "ffffffffffffhello") ];
+      Alcotest.(check (list int)) "kernel connections stay" kernel (ids ()))
+
 let test_ether_snoop () =
   in_world (fun w ->
       let helix = P9net.World.host w "helix" in
@@ -833,6 +875,8 @@ let () =
         [
           Alcotest.test_case "figure 1 tree" `Quick test_ether_tree_figure1;
           Alcotest.test_case "snoop" `Quick test_ether_snoop;
+          Alcotest.test_case "connection lifetime" `Quick
+            test_ether_conn_lifetime;
         ] );
       ( "format",
         [ Alcotest.test_case "ls -l conn dir" `Quick test_ls_l_conn_dir ] );

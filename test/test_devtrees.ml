@@ -210,7 +210,9 @@ let devtrees () =
       in
       let snoop = P9net.Snoop.start w.P9net.World.ether in
       P9net.Snoop.mount env snoop;
-      let a, _ = Netsim.Serial.create_pair ~name:"eia1" eng in
+      let a, _ =
+        Netsim.Link.create_pair ~rate:9600. ~byte_bits:10 ~latency:0. eng
+      in
       P9net.Eia_dev.mount env ~index:1 a;
       let ram = Ninep.Ramfs.make ~name:"upstream" () in
       Ninep.Ramfs.add_file ram "/f" "cached";

@@ -105,11 +105,11 @@ let test_cells_ordered () =
         let circ = Dk.Circuit.accept inc in
         let rec go () =
           match Dk.Circuit.recv circ with
-          | Some (Dk.Circuit.Data { payload; _ }) ->
+          | Dk.Circuit.Data { payload; _ } ->
             got := payload :: !got;
             go ()
-          | Some (Dk.Circuit.Ctl _) -> go ()
-          | Some Dk.Circuit.Hangup | None -> ()
+          | Dk.Circuit.Ctl _ -> go ()
+          | Dk.Circuit.Hangup -> ()
         in
         go ())
   in

@@ -295,7 +295,8 @@ let test_il_reorder_still_in_order () =
   let reorders =
     List.fold_left
       (fun acc nic ->
-        acc + (Netsim.Ether.nic_stats nic).Netsim.Ether.reorders_injected)
+        let s = Netsim.Ether.nic_stats nic in
+        acc + s.Netsim.Ether.injected.Netsim.Fault.reorders)
       0 nics
   in
   Alcotest.(check bool) "reordering actually happened" true (reorders > 0)
@@ -327,7 +328,8 @@ let test_il_survives_link_flap () =
   let drops =
     List.fold_left
       (fun acc nic ->
-        acc + (Netsim.Ether.nic_stats nic).Netsim.Ether.drops_injected)
+        let s = Netsim.Ether.nic_stats nic in
+        acc + s.Netsim.Ether.injected.Netsim.Fault.drops)
       0 nics
   in
   Alcotest.(check bool) "flap dropped frames" true (drops > 0)
@@ -377,9 +379,9 @@ let test_fault_schedule_determinism () =
       List.fold_left
         (fun (d, u, r) nic ->
           let s = Netsim.Ether.nic_stats nic in
-          ( d + s.Netsim.Ether.drops_injected,
-            u + s.Netsim.Ether.dups_injected,
-            r + s.Netsim.Ether.reorders_injected ))
+          ( d + s.Netsim.Ether.injected.Netsim.Fault.drops,
+            u + s.Netsim.Ether.injected.Netsim.Fault.dups,
+            r + s.Netsim.Ether.injected.Netsim.Fault.reorders ))
         (0, 0, 0) nics
     in
     Printf.sprintf "got=%d rexmit=%d queries=%d dups=%d inj=%d/%d/%d"

@@ -207,7 +207,8 @@ let test_set_loss_alias () =
   let sb = Netsim.Ether.nic_stats b in
   Alcotest.(check int) "lost" 0 !got;
   Alcotest.(check int) "crc_errors (legacy)" 1 sb.Netsim.Ether.crc_errors;
-  Alcotest.(check int) "drops_injected" 1 sb.Netsim.Ether.drops_injected;
+  Alcotest.(check int) "drops_injected" 1
+    sb.Netsim.Ether.injected.Netsim.Fault.drops;
   Netsim.Fault.set_loss (Netsim.Ether.faults seg) 0.0;
   Netsim.Ether.transmit a (frame_to a b "fine");
   Sim.Engine.run eng;
@@ -225,7 +226,7 @@ let test_dup_delivers_twice () =
   Alcotest.(check (list string)) "copy trails the original"
     [ "twice"; "twice" ] !got;
   Alcotest.(check int) "dups_injected" 1
-    (Netsim.Ether.nic_stats b).Netsim.Ether.dups_injected
+    (Netsim.Ether.nic_stats b).Netsim.Ether.injected.Netsim.Fault.dups
 
 let test_reorder_swaps_frames () =
   (* frame 1 is marked for reordering (2 ms late), frame 2 is not:
@@ -245,7 +246,7 @@ let test_reorder_swaps_frames () =
   Alcotest.(check (list string)) "successor overtook"
     [ "second"; "first" ] (List.rev !got);
   Alcotest.(check int) "reorders_injected" 1
-    (Netsim.Ether.nic_stats b).Netsim.Ether.reorders_injected
+    (Netsim.Ether.nic_stats b).Netsim.Ether.injected.Netsim.Fault.reorders
 
 let test_partition_window_and_heal () =
   let eng, seg = mk_seg () in
@@ -265,7 +266,7 @@ let test_partition_window_and_heal () =
   Sim.Engine.run eng;
   Alcotest.(check (list string)) "only the post-heal frame" [ "after" ] !got;
   Alcotest.(check int) "drops_injected" 1
-    (Netsim.Ether.nic_stats b).Netsim.Ether.drops_injected;
+    (Netsim.Ether.nic_stats b).Netsim.Ether.injected.Netsim.Fault.drops;
   Alcotest.(check int) "obs fault.partition" 1
     (Obs.Metrics.counter (Obs.Trace.metrics tr) "fault.partition");
   (* partitions are not CRC noise *)
@@ -332,7 +333,7 @@ let test_gilbert_burst_ratio () =
   (* bursty, not uniform: drops must come in runs, so the number of
      distinct loss events per dropped frame is well under 1 *)
   Alcotest.(check int) "every drop attributed" (n - !got)
-    (Netsim.Ether.nic_stats b).Netsim.Ether.drops_injected
+    (Netsim.Ether.nic_stats b).Netsim.Ether.injected.Netsim.Fault.drops
 
 let test_fault_determinism () =
   (* same seed, same schedule => byte-identical delivery pattern *)
@@ -402,24 +403,25 @@ let test_flap_windows () =
 
 let test_fiber_roundtrip () =
   let eng = Sim.Engine.create () in
-  let a, b = Netsim.Fiber.create_pair ~name:"cyclone" eng in
+  let a, b =
+    Netsim.Link.create_pair ~rate:125e6 ~byte_bits:8 ~latency:10e-6 eng
+  in
   let got = ref [] in
-  Netsim.Fiber.set_rx b (fun m -> got := m :: !got);
-  Netsim.Fiber.set_rx a (fun m -> Netsim.Fiber.send a ("echo:" ^ m));
-  Netsim.Fiber.send a "one";
-  Netsim.Fiber.send a "two";
+  Netsim.Link.set_rx b (fun m -> got := m :: !got);
+  Netsim.Link.set_rx a (fun m -> Netsim.Link.send a ("echo:" ^ m));
+  Netsim.Link.send a "one";
+  Netsim.Link.send a "two";
   Sim.Engine.run eng;
   Alcotest.(check (list string)) "in order" [ "one"; "two" ] (List.rev !got)
 
 let test_fiber_timing () =
   let eng = Sim.Engine.create () in
   let a, b =
-    Netsim.Fiber.create_pair ~bandwidth_bps:125e6 ~latency:10e-6
-      ~name:"cyclone" eng
+    Netsim.Link.create_pair ~rate:125e6 ~byte_bits:8 ~latency:10e-6 eng
   in
   let at = ref 0. in
-  Netsim.Fiber.set_rx b (fun _ -> at := Sim.Engine.now eng);
-  Netsim.Fiber.send a (String.make 16384 'x');
+  Netsim.Link.set_rx b (fun _ -> at := Sim.Engine.now eng);
+  Netsim.Link.send a (String.make 16384 'x');
   Sim.Engine.run eng;
   Alcotest.(check (float 1e-9)) "16k at 125Mb/s + latency"
     ((16384. *. 8. /. 125e6) +. 10e-6)
@@ -427,16 +429,18 @@ let test_fiber_timing () =
 
 let test_serial_baud () =
   let eng = Sim.Engine.create () in
-  let a, b = Netsim.Serial.create_pair ~baud:9600 ~name:"eia1" eng in
+  let a, b =
+    Netsim.Link.create_pair ~rate:9600. ~byte_bits:10 ~latency:0. eng
+  in
   let at = ref 0. in
-  Netsim.Serial.set_rx b (fun _ -> at := Sim.Engine.now eng);
-  Netsim.Serial.send a (String.make 96 'x');
+  Netsim.Link.set_rx b (fun _ -> at := Sim.Engine.now eng);
+  Netsim.Link.send a (String.make 96 'x');
   Sim.Engine.run eng;
   (* 96 bytes * 10 bits / 9600 baud = 0.1 s *)
   Alcotest.(check (float 1e-9)) "9600 baud" 0.1 !at;
   (* reclock to 1200 baud, like echo b1200 > /dev/eia1ctl *)
-  Netsim.Serial.set_baud a 1200;
-  Alcotest.(check int) "peer reclocked too" 1200 (Netsim.Serial.baud b)
+  Netsim.Link.set_rate a 1200.;
+  Alcotest.(check (float 0.)) "peer reclocked too" 1200. (Netsim.Link.rate b)
 
 let () =
   Alcotest.run "netsim"

@@ -545,6 +545,80 @@ let test_threaded_server_no_stall () =
   Alcotest.(check bool) "write finished while read blocked" true
     (!fast_done_at > 0. && !fast_done_at < 5.0)
 
+(* Transport EOF with two reads in flight on a threaded server: both
+   handlers are killed (each takes a second to unwind) and joined, the
+   fid's clunk runs only after both died, and no R is sent after EOF *)
+let test_threaded_eof_kills_handlers () =
+  let eng = Sim.Engine.create () in
+  let handlers = ref [] in
+  let killed = ref [] in
+  let clunks = ref [] in
+  let fs =
+    let quid = { F.qpath = 1; qvers = 0 } in
+    {
+      Ninep.Server.fs_name = "eoffs";
+      fs_attach = (fun ~uname:_ ~aname:_ -> Ok ());
+      fs_qid = (fun () -> quid);
+      fs_walk = (fun () _ -> Ok ());
+      fs_open = (fun () _ ~trunc:_ -> Ok ());
+      fs_read =
+        (fun () ~offset ~count:_ ->
+          handlers := Sim.Proc.self () :: !handlers;
+          (try Sim.Time.sleep eng (Int64.to_float offset)
+           with Sim.Proc.Killed ->
+             killed := Sim.Proc.name (Sim.Proc.self ()) :: !killed;
+             Sim.Time.sleep eng 1.0;
+             raise Sim.Proc.Killed);
+          Ok "done");
+      fs_write = (fun () ~offset:_ ~data -> Ok (String.length data));
+      fs_create = (fun () ~name:_ ~perm:_ _ -> Error "no");
+      fs_remove = (fun () -> Error "no");
+      fs_stat = (fun () -> Error "no");
+      fs_wstat = (fun () _ -> Error "no");
+      fs_clunk =
+        (fun () -> clunks := List.map Sim.Proc.alive !handlers :: !clunks);
+      fs_clone = Result.ok;
+    }
+  in
+  let ct, st = Ninep.Transport.pipe eng in
+  let eof = ref false and late = ref 0 in
+  let st =
+    {
+      st with
+      Ninep.Transport.t_recv =
+        (fun () ->
+          let r = st.Ninep.Transport.t_recv () in
+          if r = None then eof := true;
+          r);
+      t_send =
+        (fun m ->
+          if !eof then incr late;
+          st.Ninep.Transport.t_send m);
+    }
+  in
+  let _srv = Ninep.Server.serve ~threaded:true eng fs st in
+  let _client =
+    Sim.Proc.spawn eng (fun () ->
+        let send tag t = ct.Ninep.Transport.t_send (F.encode (F.T (tag, t))) in
+        send 1 (F.Tattach { fid = 1; uname = "u"; aname = "" });
+        send 2 (F.Topen { fid = 1; mode = F.Oread; trunc = false });
+        send 6 (F.Tread { fid = 1; offset = 5L; count = 10 });
+        send 5 (F.Tread { fid = 1; offset = 5L; count = 10 });
+        Sim.Time.sleep eng 1.0;
+        ct.Ninep.Transport.t_close ())
+  in
+  Sim.Engine.run eng;
+  Alcotest.(check int) "two handlers blocked in fs_read" 2
+    (List.length !handlers);
+  Alcotest.(check (list string)) "killed in tag order"
+    [ "9psrv:eoffs:t5"; "9psrv:eoffs:t6" ]
+    (List.rev !killed);
+  Alcotest.(check bool) "both dead" true
+    (List.for_all (fun p -> not (Sim.Proc.alive p)) !handlers);
+  Alcotest.(check (list (list bool))) "one clunk, after both died"
+    [ [ false; false ] ] !clunks;
+  Alcotest.(check int) "no R after EOF" 0 !late
+
 (* A threaded server whose reads block for [offset] virtual seconds and
    take one more second to unwind when flushed, the way a relaying
    server passes the flush on.  [script] drives the raw client end:
@@ -937,6 +1011,8 @@ let () =
             test_hangup_fails_outstanding;
           Alcotest.test_case "threaded server doesn't stall" `Quick
             test_threaded_server_no_stall;
+          Alcotest.test_case "threaded server at EOF" `Quick
+            test_threaded_eof_kills_handlers;
           Alcotest.test_case "tag reused while in flight" `Quick
             test_tag_reuse_in_flight;
           Alcotest.test_case "tag reused right after Rflush" `Quick

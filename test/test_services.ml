@@ -294,7 +294,9 @@ let test_bad_secret_cannot_attach () =
 
 let with_serial f =
   let eng = Sim.Engine.create () in
-  let a, b = Netsim.Serial.create_pair ~baud:9600 ~name:"eia1" eng in
+  let a, b =
+    Netsim.Link.create_pair ~rate:9600. ~byte_bits:10 ~latency:0. eng
+  in
   let ram = Ninep.Ramfs.make ~name:"root" () in
   Ninep.Ramfs.mkdir ram "/dev";
   let ns = Vfs.Ns.make ~root:(Ninep.Ramfs.fs ram) ~uname:"bootes" in
@@ -332,12 +334,12 @@ let test_eia_ls_l_shape () =
 let test_eia_transmit_receive () =
   with_serial (fun eng env _a b ->
       let got = ref "" in
-      Netsim.Serial.set_rx b (fun s -> got := !got ^ s);
+      Netsim.Link.set_rx b (fun s -> got := !got ^ s);
       let fd = Vfs.Env.open_ env "/dev/eia1" F.Ordwr in
       ignore (Vfs.Env.write env fd "ATDT5551212");
       Sim.Time.sleep eng 1.0;
       Alcotest.(check string) "line got the bytes" "ATDT5551212" !got;
-      Netsim.Serial.send b "CONNECT";
+      Netsim.Link.send b "CONNECT";
       Sim.Time.sleep eng 1.0;
       Alcotest.(check string) "we got the reply" "CONNECT"
         (Vfs.Env.read env fd 100);
@@ -347,7 +349,7 @@ let test_eia_baud_via_ctl () =
   with_serial (fun _eng env a _b ->
       (* the paper's example: echo b1200 > /dev/eia1ctl *)
       Vfs.Env.write_file env "/dev/eia1ctl" "b1200";
-      Alcotest.(check int) "line reclocked" 1200 (Netsim.Serial.baud a);
+      Alcotest.(check (float 0.)) "line reclocked" 1200. (Netsim.Link.rate a);
       Alcotest.(check string) "ctl reads back" "b1200\n"
         (Vfs.Env.read_file env "/dev/eia1ctl"))
 
@@ -364,7 +366,7 @@ let test_eia_bad_ctl () =
 let test_eia_timing_depends_on_baud () =
   with_serial (fun eng env _a b ->
       let arrival = ref 0. in
-      Netsim.Serial.set_rx b (fun _ -> arrival := Sim.Engine.now eng);
+      Netsim.Link.set_rx b (fun _ -> arrival := Sim.Engine.now eng);
       Vfs.Env.write_file env "/dev/eia1ctl" "b1200";
       let t0 = Sim.Engine.now eng in
       let fd = Vfs.Env.open_ env "/dev/eia1" F.Owrite in
@@ -433,7 +435,9 @@ let test_boot_unknown_station () =
    and mount a file server through it. *)
 let test_9p_over_serial_line () =
   let eng = Sim.Engine.create () in
-  let a, b = Netsim.Serial.create_pair ~baud:19200 ~name:"eia1" eng in
+  let a, b =
+    Netsim.Link.create_pair ~rate:19200. ~byte_bits:10 ~latency:0. eng
+  in
   let mk_env line =
     let ram = Ninep.Ramfs.make ~name:"root" () in
     Ninep.Ramfs.mkdir ram "/dev";

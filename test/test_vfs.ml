@@ -299,6 +299,34 @@ let test_walk_through_mount_point () =
       Alcotest.(check string) "relative through mount" "found"
         (Vfs.Env.read_file env "nest/file"))
 
+(* bind and unmount resolve their mount point only as a mount-table
+   key: unless it joins a union, its fid goes back to the server *)
+let test_binds_give_fids_back () =
+  with_remote (fun env local remote client ->
+      Ninep.Ramfs.mkdir local "/n/helix";
+      Ninep.Ramfs.mkdir local "/l";
+      Ninep.Ramfs.mkdir remote "/a";
+      Vfs.Env.mount env client ~onto:"/n/helix" Vfs.Ns.Repl;
+      let only_root what =
+        Alcotest.(check int) (what ^ ": only the attach root") 1
+          (Ninep.Client.open_fids client)
+      in
+      Vfs.Env.bind env ~src:"/l" ~onto:"/n/helix/a" Vfs.Ns.Repl;
+      only_root "repl bind";
+      Vfs.Env.unmount env ~onto:"/n/helix/a";
+      only_root "unmount";
+      Vfs.Env.bind env ~src:"/l" ~onto:"/n/helix/a" Vfs.Ns.Repl;
+      Vfs.Env.bind env ~src:"/l" ~onto:"/n/helix/a" Vfs.Ns.After;
+      only_root "two more binds";
+      Vfs.Env.unmount env ~src:"/l" ~onto:"/n/helix/a";
+      only_root "unmount of one member";
+      (match
+         Vfs.Env.bind env ~src:"/n/helix/a" ~onto:"/nowhere" Vfs.Ns.Repl
+       with
+      | () -> Alcotest.fail "bind onto a missing file succeeded"
+      | exception Vfs.Chan.Error _ -> ());
+      only_root "bind onto a missing file")
+
 (* namec's rule: a walk clones once, steps in place and gives back
    whatever it held, so after any path operation — one that succeeds,
    or one that fails at a middle or last component — the client holds
@@ -480,6 +508,8 @@ let () =
             test_mount_remote_errors_propagate;
           Alcotest.test_case "walk through mount" `Quick
             test_walk_through_mount_point;
+          Alcotest.test_case "binds give fids back" `Quick
+            test_binds_give_fids_back;
           Alcotest.test_case "walks give fids back" `Quick
             test_walks_give_fids_back;
           Alcotest.test_case "union past a dead head" `Quick
