@@ -51,6 +51,10 @@ let perf_shape (name, (r : Obs.Prof.report)) =
   List.filter_map Fun.id
     [
       expect (r.r_events > 0) "%s: no events dispatched" name;
+      (* each spawn's first run is a dispatch of its own *)
+      expect
+        (r.r_spawns >= 0 && r.r_spawns <= r.r_events)
+        "%s: spawns = %d outside [0, events = %d]" name r.r_spawns r.r_events;
       expect (r.r_events_per_sec > 0.) "%s: events_per_sec = %g" name
         r.r_events_per_sec;
       expect (r.r_minor_words_per_event >= 0.)

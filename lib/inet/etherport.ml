@@ -20,20 +20,24 @@ and t = {
   kproc : Sim.Proc.t;
 }
 
+(* a top-level walk rather than a [List.iter] closure: a received frame
+   allocates nothing here *)
+let rec deliver mine frame = function
+  | [] -> ()
+  | c :: rest ->
+    if c.open_ then begin
+      let type_match = c.ptype = -1 || c.ptype = frame.Netsim.Ether.etype in
+      let addr_match =
+        c.promiscuous
+        || frame.Netsim.Ether.dst = mine
+        || frame.Netsim.Ether.dst = Netsim.Eaddr.broadcast
+      in
+      if type_match && addr_match then c.rx frame
+    end;
+    deliver mine frame rest
+
 let distribute driver frame =
-  let mine = Netsim.Ether.nic_addr driver.nic in
-  List.iter
-    (fun c ->
-      if c.open_ then begin
-        let type_match = c.ptype = -1 || c.ptype = frame.Netsim.Ether.etype in
-        let addr_match =
-          c.promiscuous
-          || frame.Netsim.Ether.dst = mine
-          || frame.Netsim.Ether.dst = Netsim.Eaddr.broadcast
-        in
-        if type_match && addr_match then c.rx frame
-      end)
-    driver.connections
+  deliver (Netsim.Ether.nic_addr driver.nic) frame driver.connections
 
 let create eng nic =
   let inbox = Sim.Mbox.create eng in

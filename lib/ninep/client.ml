@@ -2,10 +2,25 @@ exception Err of string
 
 type fid = int
 
+(* One outstanding call.  Its caller sleeps on [wake] until the reply
+   lands in [reply] or the reader role is handed to it.  While asleep it
+   is linked, oldest first, in the client's circular list of waiting
+   callers; an unlinked call points at itself. *)
+type call = {
+  tag : int;
+  wake : Sim.Rendez.t;
+  mutable answered : bool;
+  mutable reply : Fcall.rmsg;
+  mutable older : call;
+  mutable newer : call;
+}
+
 type t = {
   eng : Sim.Engine.t;
   tr : Transport.t;
-  waiting : (int, Fcall.rmsg -> unit) Hashtbl.t;
+  calls : (int, call) Hashtbl.t;  (* outstanding, by tag *)
+  waiting : call;  (* head of the waiting list; never a real call *)
+  mutable reader : call;  (* the caller reading the transport, or [waiting] *)
   (* every fid the server still holds for us: allocated on attach /
      clone / clwalk, dropped on clunk / remove.  Whatever is left when
      the connection dies is leaked on the server side — the counter the
@@ -20,15 +35,43 @@ let alive t = not t.dead
 
 let open_fids t = Hashtbl.length t.live_fids
 
+let new_call eng tag =
+  let wake = Sim.Rendez.create eng in
+  let rec c =
+    { tag; wake; answered = false; reply = Fcall.Rnop; older = c; newer = c }
+  in
+  c
+
+let enqueue t c =
+  let h = t.waiting in
+  c.older <- h.older;
+  c.newer <- h;
+  h.older.newer <- c;
+  h.older <- c
+
+let unlink c =
+  if c.newer != c then begin
+    c.older.newer <- c.newer;
+    c.newer.older <- c.older;
+    c.older <- c;
+    c.newer <- c
+  end
+
+let answer c r =
+  c.answered <- true;
+  c.reply <- r;
+  unlink c;
+  Sim.Rendez.wakeup c.wake
+
 (* the death path, run once, just after [dead] is first set: every
-   waiter learns the connection hung up, and the fids the server still
+   caller learns the connection hung up, and the fids the server still
    held for us are accounted as leaked in the trace.  They stay in
    [live_fids], which is what the mount driver's per-mount ledger
    reads. *)
 let fail_all t =
-  let ws = Hashtbl.fold (fun _ w acc -> w :: acc) t.waiting [] in
-  Hashtbl.reset t.waiting;
-  List.iter (fun w -> w (Fcall.Rerror "connection hung up")) ws;
+  let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.calls [] in
+  Hashtbl.reset t.calls;
+  List.iter (fun c -> answer c (Fcall.Rerror "connection hung up")) cs;
   let leaked = Hashtbl.length t.live_fids in
   if leaked > 0 then
     match Sim.Engine.obs t.eng with
@@ -36,39 +79,62 @@ let fail_all t =
     | None -> ()
 
 let make eng tr =
-  let t =
-    { eng; tr; waiting = Hashtbl.create 17; live_fids = Hashtbl.create 17;
-      next_tag = 1; next_fid = 1; dead = false }
-  in
-  let _demux =
-    Sim.Proc.spawn eng ~name:"9p-demux" (fun () ->
-        let rec loop () =
-          match tr.Transport.t_recv () with
-          | None ->
-            if not t.dead then begin
-              t.dead <- true;
-              fail_all t
-            end
-          | Some raw ->
-            (match Fcall.decode raw with
-            | Fcall.R (tag, r) -> (
-              match Hashtbl.find_opt t.waiting tag with
-              | Some waiter ->
-                Hashtbl.remove t.waiting tag;
-                waiter r
-              | None -> () (* flushed or stray *))
-            | Fcall.T (_, _) -> () (* clients ignore requests *)
-            | exception Fcall.Bad_message _ -> ());
-            loop ()
-        in
-        loop ())
-  in
-  t
+  let waiting = new_call eng 0 in
+  { eng; tr; calls = Hashtbl.create 17; waiting; reader = waiting;
+    live_fids = Hashtbl.create 17; next_tag = 1; next_fid = 1; dead = false }
 
 let alloc_tag t =
   let tag = t.next_tag in
   t.next_tag <- (if tag >= 0xfffe then 1 else tag + 1);
   tag
+
+(* the reader role goes to the oldest caller still waiting *)
+let hand_on t =
+  t.reader <- t.waiting;
+  let c = t.waiting.newer in
+  if c != t.waiting then begin
+    unlink c;
+    Sim.Rendez.wakeup c.wake
+  end
+
+(* As the mount driver's mountmux: there is no reader process.  A
+   caller whose reply has not come reads the transport itself if nobody
+   else does, delivers other callers' replies by tag, and hands the role
+   on when its own reply arrives. *)
+let rec await t c =
+  if c.answered then c.reply
+  else if t.reader != t.waiting then begin
+    enqueue t c;
+    Sim.Rendez.sleep c.wake;
+    await t c
+  end
+  else begin
+    t.reader <- c;
+    read_until t c;
+    hand_on t;
+    c.reply
+  end
+
+and read_until t c =
+  if not c.answered then begin
+    (match t.tr.Transport.t_recv () with
+    | None ->
+      if not t.dead then begin
+        t.dead <- true;
+        fail_all t
+      end
+    | Some raw -> (
+      match Fcall.decode raw with
+      | Fcall.R (tag, r) -> (
+        match Hashtbl.find t.calls tag with
+        | c' ->
+          Hashtbl.remove t.calls tag;
+          answer c' r
+        | exception Not_found -> () (* flushed or stray *))
+      | Fcall.T (_, _) -> () (* clients ignore requests *)
+      | exception Fcall.Bad_message _ -> ()));
+    read_until t c
+  end
 
 let rpc t tmsg =
   if t.dead then raise (Err "connection hung up");
@@ -88,22 +154,24 @@ let rpc t tmsg =
   | None -> ()
   | Some tr ->
     Obs.Trace.emit tr
-      (Obs.Event.Fcall
-         { role = `T; tag; msg = Fcall.tmsg_name tmsg; latency = 0. }));
+      (Obs.Event.Fcall { role = `T; tag; msg = Fcall.tmsg_name tmsg; latency = 0. }));
   let t0 = Sim.Engine.now t.eng in
-  t.tr.Transport.t_send raw;
+  let c = new_call t.eng tag in
+  Hashtbl.replace t.calls tag c;
   let r =
     try
-      Sim.Proc.suspend ~register:(fun ~resume ~abort:_ ->
-          Hashtbl.replace t.waiting tag resume;
-          fun () -> Hashtbl.remove t.waiting tag)
+      t.tr.Transport.t_send raw;
+      await t c
     with e ->
       (* the calling process was killed while waiting (e.g. the
-         server relaying this call saw a Tflush): tell our own server
-         to forget the tag before unwinding, so the flush propagates
-         hop by hop down an import chain.  Fire-and-forget — we are
-         mid-abort and must not block; the Rflush lands on a tag
-         nobody waits for. *)
+         server relaying this call saw a Tflush): give up the reader
+         role if we held it, and tell our own server to forget the tag
+         before unwinding, so the flush propagates hop by hop down an
+         import chain.  Fire-and-forget — we are mid-abort and must not
+         block; the Rflush lands on a tag nobody waits for. *)
+      if not c.answered then Hashtbl.remove t.calls tag;
+      unlink c;
+      if t.reader == c then hand_on t;
       if not t.dead then begin
         (try
            t.tr.Transport.t_send

@@ -4,9 +4,19 @@
     the file server."
 
     Each call marshals a T-message, assigns a tag, transmits it, and
-    blocks the calling process until the matching R-message arrives; a
-    demultiplexer process routes replies by tag, so any number of
-    processes can use one connection concurrently. *)
+    blocks the calling process until the matching R-message arrives, so
+    any number of processes can use one connection concurrently.  As
+    in the kernel's [mountmux] there is no reader process: a caller
+    whose reply has not come reads the transport itself when no other
+    caller does, hands other callers' replies to them by tag, and
+    passes the reading on to the oldest caller still waiting once its
+    own reply is in.
+
+    So nothing reads the transport between calls, and a hang-up is
+    discovered by the next call: until then {!alive} is still true, so
+    the mount driver's liveness check ([Vfs.Mnt]) and cfs serving a
+    cached read see the connection as up, and the call that finds the
+    EOF fails with {!Err}, as do all calls waiting with it. *)
 
 type t
 type fid
@@ -15,7 +25,7 @@ exception Err of string
 (** An Rerror from the server (or a dead connection). *)
 
 val make : Sim.Engine.t -> Transport.t -> t
-(** Start the demultiplexer on a transport. *)
+(** A client on a transport; it starts no process. *)
 
 val session : t -> unit
 (** Initialize the connection (Tsession).  Call once before attach. *)
@@ -59,6 +69,8 @@ val rpc : t -> Fcall.tmsg -> Fcall.rmsg
     a dead connection, or a message {!Fcall.encode} refuses. *)
 
 val alive : t -> bool
+(** False once a call has found the transport's EOF, or after
+    {!hangup}. *)
 
 val open_fids : t -> int
 (** How many fids the server currently holds for this client
@@ -67,5 +79,8 @@ val open_fids : t -> int
     the death also bumps the [9p.fids_leaked] trace counter by it. *)
 
 val hangup : t -> unit
-(** Close the transport; outstanding and future calls raise
-    {!Err}. *)
+(** Mark the connection dead at once and close the transport;
+    outstanding and future calls raise {!Err}.  A caller blocked
+    waiting fails at once; the caller reading the transport, if any,
+    fails when its read returns (at once on a {!Transport.pipe}, whose
+    close ends both ends' reads). *)

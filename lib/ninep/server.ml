@@ -37,6 +37,15 @@ let dir_data entries ~offset ~count =
 
 type auth_hook = uname:string -> challenge:string -> ticket:string -> bool
 
+(* threaded mode: a worker of the connection's pool, asleep on [wake]
+   while idle; the serve loop sets its next job before waking it *)
+type worker = {
+  proc : Sim.Proc.t;
+  wake : Sim.Rendez.t;
+  mutable tag : int;
+  mutable job : Fcall.tmsg;
+}
+
 let serve ?(threaded = false) ?auth eng fs tr =
   Sim.Proc.spawn eng ~name:("9psrv:" ^ fs.fs_name) (fun () ->
       let fids : (int, 'n) Hashtbl.t = Hashtbl.create 17 in
@@ -54,17 +63,30 @@ let serve ?(threaded = false) ?auth eng fs tr =
         Hashtbl.reset fids
       in
       let eof = ref false in
-      let reply tag r =
-        if not !eof then tr.Transport.t_send (Fcall.encode (Fcall.R (tag, r)))
-      in
-      (* threaded mode: the handler process still working on each tag,
-         so a Tflush can abort exactly the request it names *)
+      let send tag r = tr.Transport.t_send (Fcall.encode (Fcall.R (tag, r))) in
+      (* threaded mode: the worker still working on each tag, so a
+         Tflush can abort exactly the request it names *)
       let inflight : (int, Sim.Proc.t) Hashtbl.t = Hashtbl.create 17 in
-      (* at transport EOF no reply leaves, and every handler still in
-         flight is killed (in tag order) and joined before the fids are
-         clunked, so none runs on against a clunked node *)
+      let owns tag =
+        match Hashtbl.find inflight tag with
+        | p -> p == Sim.Proc.self ()
+        | exception Not_found -> false
+      in
+      (* a threaded worker answers only while its tag is still its own:
+         once a Tflush or EOF has taken the tag, no R may leave for it,
+         even from a victim that was already woken when the kill came *)
+      let reply tag r =
+        if (not !eof) && ((not threaded) || owns tag) then send tag r
+      in
+      let idle = ref [] in
+      (* at transport EOF no reply leaves, idle workers exit, and every
+         worker still in flight is killed (in tag order) and joined
+         before the fids are clunked, so none runs on against a clunked
+         node *)
       let finish () =
         eof := true;
+        List.iter (fun w -> Sim.Rendez.wakeup w.wake) !idle;
+        idle := [];
         let handlers =
           Hashtbl.fold (fun tag p acc -> (tag, p) :: acc) inflight []
           |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
@@ -233,6 +255,42 @@ let serve ?(threaded = false) ?auth eng fs tr =
         | Sim.Proc.Killed as e -> raise e
         | e -> reply tag (Fcall.Rerror (Printexc.to_string e))
       in
+      (* a worker serves its job, then goes back to the pool and sleeps
+         until the serve loop hands it the next one.  A worker whose tag
+         was taken (Tflush, EOF) has a kill pending, landing at its next
+         sleep: it exits instead, so the pool never holds it. *)
+      let rec work w =
+        safe_handle w.tag w.job;
+        if owns w.tag then begin
+          Hashtbl.remove inflight w.tag;
+          idle := w :: !idle;
+          Sim.Rendez.sleep w.wake;
+          if not !eof then work w
+        end
+      in
+      let spawned = ref 0 in
+      (* every T goes to a worker in arrival order, Tflush included:
+         waking an idle one schedules it exactly as spawning one would *)
+      let dispatch tag t =
+        match !idle with
+        | w :: rest ->
+          idle := rest;
+          w.tag <- tag;
+          w.job <- t;
+          Hashtbl.replace inflight tag w.proc;
+          Sim.Rendez.wakeup w.wake
+        | [] ->
+          incr spawned;
+          let p =
+            Sim.Proc.spawn eng
+              ~name:(Printf.sprintf "9psrv:%s:w%d" fs.fs_name !spawned)
+              (fun () ->
+                work
+                  { proc = Sim.Proc.self (); wake = Sim.Rendez.create eng;
+                    tag; job = t })
+          in
+          Hashtbl.replace inflight tag p
+      in
       let rec loop () =
         match tr.Transport.t_recv () with
         | None -> finish ()
@@ -241,26 +299,9 @@ let serve ?(threaded = false) ?auth eng fs tr =
           | Fcall.T (tag, _) when threaded && Hashtbl.mem inflight tag ->
             (* a second request under a live tag would hide the first
                from Tflush *)
-            reply tag (Fcall.Rerror "tag in use")
+            send tag (Fcall.Rerror "tag in use")
           | Fcall.T (tag, t) ->
-            if threaded then begin
-              let p =
-                Sim.Proc.spawn eng
-                  ~name:(Printf.sprintf "9psrv:%s:t%d" fs.fs_name tag)
-                  (fun () ->
-                    let me = Sim.Proc.self () in
-                    (* a Tflush may have handed the tag to a later
-                       request already *)
-                    let release () =
-                      match Hashtbl.find_opt inflight tag with
-                      | Some p when p == me -> Hashtbl.remove inflight tag
-                      | Some _ | None -> ()
-                    in
-                    Fun.protect ~finally:release (fun () -> safe_handle tag t))
-              in
-              Hashtbl.replace inflight tag p
-            end
-            else safe_handle tag t
+            if threaded then dispatch tag t else safe_handle tag t
           | Fcall.R (_, _) -> () (* servers ignore replies *)
           | exception Fcall.Bad_message m ->
             Log.debug (fun f -> f "%s: bad message: %s" fs.fs_name m));

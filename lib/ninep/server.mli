@@ -54,11 +54,18 @@ val serve :
 (** Spawn the protocol loop; it exits when the transport hangs up.
     All fids are clunked (via [fs_clunk]) on exit.
 
-    With [threaded] (default false), each T-message is handled in its
-    own process so a blocking operation (a read on an empty stream)
-    doesn't stall other clients — the property the paper demands of
-    exportfs: "Exportfs must be multithreaded since the system calls
-    open, read and write may block."
+    With [threaded] (default false), each T-message is handled by a
+    worker process of the connection's pool, so a blocking operation (a
+    read on an empty stream) doesn't stall other clients — the property
+    the paper demands of exportfs: "Exportfs must be multithreaded since
+    the system calls open, read and write may block."  The serve loop
+    hands each T, in arrival order, to an idle worker, or spawns one when
+    none is idle, so the pool grows to the connection's peak number of
+    requests in flight and costs no process per message.  A Tflush kills
+    the worker holding the tag, which then never rejoins the pool, and
+    once Rflush is sent no R goes out under the flushed request's tag.
+    At transport EOF idle workers exit and busy ones are killed (in tag
+    order) and joined before the fids are clunked.
 
     With [auth], Rsession carries a random challenge and Tattach is
     refused until a Tauth presents a ticket the hook accepts — "the

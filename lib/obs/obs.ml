@@ -258,6 +258,7 @@ module Prof = struct
                                  allocated there directly (not promoted) *)
     mutable promoted0 : float;
     mutable majors0 : int;  (* major collections *)
+    mutable spawns : unit -> int;  (* processes spawned since attach *)
   }
 
   let create ~clock () =
@@ -274,7 +275,10 @@ module Prof = struct
       direct0 = 0.;
       promoted0 = 0.;
       majors0 = 0;
+      spawns = (fun () -> 0);
     }
+
+  let set_spawns p f = p.spawns <- f
 
   let reset p =
     Hashtbl.reset p.layers;
@@ -332,6 +336,7 @@ module Prof = struct
 
   type report = {
     r_events : int;
+    r_spawns : int;
     r_wall_s : float;  (* first dispatch begin to last dispatch end *)
     r_dispatch_s : float;
     r_events_per_sec : float;
@@ -377,6 +382,7 @@ module Prof = struct
     in
     {
       r_events = p.events;
+      r_spawns = p.spawns ();
       r_wall_s = wall;
       r_dispatch_s = p.dispatch;
       r_events_per_sec = (if wall > 0. then fev /. wall else 0.);
@@ -391,13 +397,13 @@ module Prof = struct
   let report_json r =
     let b = Buffer.create 512 in
     Printf.bprintf b
-      "{\"events\": %d, \"wall_s\": %.6f, \"dispatch_s\": %.6f, \
-       \"events_per_sec\": %.1f, \"minor_words\": %.0f, \
+      "{\"events\": %d, \"spawns\": %d, \"wall_s\": %.6f, \
+       \"dispatch_s\": %.6f, \"events_per_sec\": %.1f, \"minor_words\": %.0f, \
        \"minor_words_per_event\": %.1f, \"direct_major_words\": %.0f, \
        \"promoted_words\": %.0f, \"major_collections\": %d, \
        \"share_sum\": %.4f, \"layers\": ["
-      r.r_events r.r_wall_s r.r_dispatch_s r.r_events_per_sec r.r_minor_words
-      r.r_minor_words_per_event r.r_direct_major_words r.r_promoted_words
+      r.r_events r.r_spawns r.r_wall_s r.r_dispatch_s r.r_events_per_sec
+      r.r_minor_words r.r_minor_words_per_event r.r_direct_major_words r.r_promoted_words
       r.r_major_collections
       (List.fold_left (fun s l -> s +. l.l_share) 0. r.r_layers);
     List.iteri

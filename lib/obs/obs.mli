@@ -154,6 +154,11 @@ module Prof : sig
 
   val reset : t -> unit
 
+  val set_spawns : t -> (unit -> int) -> unit
+  (** Install the spawn gauge a report reads; {!Sim.Engine.attach_prof}
+      installs the engine's count of processes spawned since the attach.
+      Without one a report's [r_spawns] is 0. *)
+
   type layer = {
     l_label : string;
     l_events : int;
@@ -167,6 +172,7 @@ module Prof : sig
 
   type report = {
     r_events : int;
+    r_spawns : int;  (** processes spawned, from the gauge set by {!set_spawns} *)
     r_wall_s : float;  (** first dispatch begin to last dispatch end *)
     r_dispatch_s : float;  (** sum of per-event deltas *)
     r_events_per_sec : float;  (** events / wall_s *)

@@ -239,7 +239,13 @@ module Engine = struct
     t.obs <- Some tr
 
   let obs t = t.obs
-  let attach_prof t p = t.prof <- Some p
+  let spawned t = t.next_pid - 1
+
+  let attach_prof t p =
+    let base = spawned t in
+    Obs.Prof.set_spawns p (fun () -> spawned t - base);
+    t.prof <- Some p
+
   let prof t = t.prof
   let at ?label t time fn = schedule_at ?label t time fn
   let after ?label t dt fn = schedule_at ?label t (t.now +. dt) fn

@@ -98,7 +98,8 @@ module Engine : sig
   val attach_prof : t -> Obs.Prof.t -> unit
   (** Install a wall-clock profiler: every subsequent event dispatch is
       bracketed with {!Obs.Prof.begin_event}/{!Obs.Prof.end_event}
-      under the heap entry's handler-class label.  Orthogonal to
+      under the heap entry's handler-class label, and its reports count
+      the processes spawned from then on.  Orthogonal to
       {!attach_obs} — profiling reads the real clock and is therefore
       not deterministic, but it never touches virtual time, so it does
       not perturb the simulation. *)
@@ -115,6 +116,9 @@ module Engine : sig
 
   val peak_procs : t -> int
   (** High-water mark of {!live_procs} since creation. *)
+
+  val spawned : t -> int
+  (** Processes ever spawned since creation; O(1). *)
 
   val pending : t -> int
   (** Number of queued events. *)

@@ -393,6 +393,80 @@ let ninep_mount =
       (* the mount table's attach root is the one fid left *)
       say (Printf.sprintf "open fids: %d" (Ninep.Client.open_fids client)))
 
+(* ---- threaded 9P: a Tflush the instant its victim's read ends ---- *)
+
+(* Whether the read's reply or the flush lands first is the schedule's
+   choice; either way Rflush is final: no R under tag 5 may follow it. *)
+let flush_race_check o =
+  let rec go flushed = function
+    | [] -> Ok ()
+    | "R6 flush" :: rest -> go true rest
+    | "R5 read" :: _ when flushed -> Error "R5 after the Rflush that flushed it"
+    | _ :: rest -> go flushed rest
+  in
+  go false (String.split_on_char '\n' o.E.o_transcript)
+
+let ninep_flush_race =
+  raw "9p-flush-race" ~schedule_dependent:true ~check:flush_race_check
+    ~descr:"threaded server: a Tflush lands the instant its victim's read ends"
+    (fun eng say ->
+      let module F = Ninep.Fcall in
+      let qid = { F.qpath = 1; qvers = 0 } in
+      let fs =
+        {
+          Ninep.Server.fs_name = "slowfs";
+          fs_attach = (fun ~uname:_ ~aname:_ -> Ok ());
+          fs_qid = (fun () -> qid);
+          fs_walk = (fun () _ -> Ok ());
+          fs_open = (fun () _ ~trunc:_ -> Ok ());
+          fs_read =
+            (fun () ~offset:_ ~count:_ ->
+              Sim.Time.sleep eng 1.0;
+              Ok "done");
+          fs_write = (fun () ~offset:_ ~data -> Ok (String.length data));
+          fs_create = (fun () ~name:_ ~perm:_ _ -> Error "no");
+          fs_remove = (fun () -> Error "no");
+          fs_stat = (fun () -> Error "no");
+          fs_wstat = (fun () _ -> Error "no");
+          fs_clunk = ignore;
+          fs_clone = Result.ok;
+        }
+      in
+      let ct, st = Ninep.Transport.pipe eng in
+      let _srv = Ninep.Server.serve ~threaded:true eng fs st in
+      let send tag t = ct.Ninep.Transport.t_send (F.encode (F.T (tag, t))) in
+      let _recorder =
+        Sim.Proc.spawn eng ~name:"sc:recorder" (fun () ->
+            let rec loop () =
+              match ct.Ninep.Transport.t_recv () with
+              | None -> ()
+              | Some raw ->
+                (match F.decode raw with
+                | F.R (tag, r) ->
+                  let kind =
+                    match r with
+                    | F.Rattach _ -> "attach"
+                    | F.Ropen _ -> "open"
+                    | F.Rread _ -> "read"
+                    | F.Rflush -> "flush"
+                    | _ -> "other"
+                  in
+                  say (Printf.sprintf "R%d %s" tag kind)
+                | F.T _ -> ());
+                loop ()
+            in
+            loop ())
+      in
+      send 1 (F.Tattach { fid = 1; uname = "u"; aname = "" });
+      send 2 (F.Topen { fid = 1; mode = F.Oread; trunc = false });
+      Sim.Time.sleep eng 0.1;
+      send 5 (F.Tread { fid = 1; offset = 0L; count = 10 });
+      (* the read's sleep ends at exactly this instant *)
+      Sim.Time.sleep eng 1.0;
+      send 6 (F.Tflush { oldtag = 5 });
+      Sim.Time.sleep eng 5.0;
+      ct.Ninep.Transport.t_close ())
+
 (* ---- cfs: coherence across a foreign write ---- *)
 
 let cfs_coherence =
@@ -1263,6 +1337,7 @@ let all : E.scenario list =
     backlog;
     tcpcc_collapse;
     ninep_mount;
+    ninep_flush_race;
     cfs_coherence;
     urp_dk;
     exportfs_rt;

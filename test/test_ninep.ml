@@ -547,7 +547,8 @@ let test_threaded_server_no_stall () =
 
 (* Transport EOF with two reads in flight on a threaded server: both
    handlers are killed (each takes a second to unwind) and joined, the
-   fid's clunk runs only after both died, and no R is sent after EOF *)
+   fid's clunk runs only after both died, and no R is sent after EOF.
+   Each read's count equals its tag, which names the handler serving it. *)
 let test_threaded_eof_kills_handlers () =
   let eng = Sim.Engine.create () in
   let handlers = ref [] in
@@ -562,11 +563,11 @@ let test_threaded_eof_kills_handlers () =
       fs_walk = (fun () _ -> Ok ());
       fs_open = (fun () _ ~trunc:_ -> Ok ());
       fs_read =
-        (fun () ~offset ~count:_ ->
+        (fun () ~offset ~count ->
           handlers := Sim.Proc.self () :: !handlers;
           (try Sim.Time.sleep eng (Int64.to_float offset)
            with Sim.Proc.Killed ->
-             killed := Sim.Proc.name (Sim.Proc.self ()) :: !killed;
+             killed := Printf.sprintf "t%d" count :: !killed;
              Sim.Time.sleep eng 1.0;
              raise Sim.Proc.Killed);
           Ok "done");
@@ -602,8 +603,8 @@ let test_threaded_eof_kills_handlers () =
         let send tag t = ct.Ninep.Transport.t_send (F.encode (F.T (tag, t))) in
         send 1 (F.Tattach { fid = 1; uname = "u"; aname = "" });
         send 2 (F.Topen { fid = 1; mode = F.Oread; trunc = false });
-        send 6 (F.Tread { fid = 1; offset = 5L; count = 10 });
-        send 5 (F.Tread { fid = 1; offset = 5L; count = 10 });
+        send 6 (F.Tread { fid = 1; offset = 5L; count = 6 });
+        send 5 (F.Tread { fid = 1; offset = 5L; count = 5 });
         Sim.Time.sleep eng 1.0;
         ct.Ninep.Transport.t_close ())
   in
@@ -611,7 +612,7 @@ let test_threaded_eof_kills_handlers () =
   Alcotest.(check int) "two handlers blocked in fs_read" 2
     (List.length !handlers);
   Alcotest.(check (list string)) "killed in tag order"
-    [ "9psrv:eoffs:t5"; "9psrv:eoffs:t6" ]
+    [ "t5"; "t6" ]
     (List.rev !killed);
   Alcotest.(check bool) "both dead" true
     (List.for_all (fun p -> not (Sim.Proc.alive p)) !handlers);
@@ -624,34 +625,34 @@ let test_threaded_eof_kills_handlers () =
    server passes the flush on.  [script] drives the raw client end:
    [send tag t] transmits at the current time; [on_reply send tag r]
    runs as each R arrives.  Returns every T sent and R received, in order. *)
-let tag_trace ~script ~on_reply =
-  let eng = Sim.Engine.create () in
-  let blocking_fs =
-    let quid = { F.qpath = 1; qvers = 0 } in
-    {
-      Ninep.Server.fs_name = "blockfs";
-      fs_attach = (fun ~uname:_ ~aname:_ -> Ok ());
-      fs_qid = (fun () -> quid);
-      fs_walk = (fun () _ -> Ok ());
-      fs_open = (fun () _ ~trunc:_ -> Ok ());
-      fs_read =
-        (fun () ~offset ~count:_ ->
-          (try Sim.Time.sleep eng (Int64.to_float offset)
-           with Sim.Proc.Killed ->
-             Sim.Time.sleep eng 1.0;
-             raise Sim.Proc.Killed);
-          Ok "done");
-      fs_write = (fun () ~offset:_ ~data -> Ok (String.length data));
-      fs_create = (fun () ~name:_ ~perm:_ _ -> Error "no");
-      fs_remove = (fun () -> Error "no");
-      fs_stat = (fun () -> Error "no");
-      fs_wstat = (fun () _ -> Error "no");
-      fs_clunk = ignore;
-      fs_clone = Result.ok;
-    }
-  in
+let blocking_fs eng =
+  let quid = { F.qpath = 1; qvers = 0 } in
+  {
+    Ninep.Server.fs_name = "blockfs";
+    fs_attach = (fun ~uname:_ ~aname:_ -> Ok ());
+    fs_qid = (fun () -> quid);
+    fs_walk = (fun () _ -> Ok ());
+    fs_open = (fun () _ ~trunc:_ -> Ok ());
+    fs_read =
+      (fun () ~offset ~count:_ ->
+        (try Sim.Time.sleep eng (Int64.to_float offset)
+         with Sim.Proc.Killed ->
+           Sim.Time.sleep eng 1.0;
+           raise Sim.Proc.Killed);
+        Ok "done");
+    fs_write = (fun () ~offset:_ ~data -> Ok (String.length data));
+    fs_create = (fun () ~name:_ ~perm:_ _ -> Error "no");
+    fs_remove = (fun () -> Error "no");
+    fs_stat = (fun () -> Error "no");
+    fs_wstat = (fun () _ -> Error "no");
+    fs_clunk = ignore;
+    fs_clone = Result.ok;
+  }
+
+let tag_trace ?sched ~script ~on_reply () =
+  let eng = Sim.Engine.create ?sched () in
   let ct, st = Ninep.Transport.pipe eng in
-  let _srv = Ninep.Server.serve ~threaded:true eng blocking_fs st in
+  let _srv = Ninep.Server.serve ~threaded:true eng (blocking_fs eng) st in
   let log = ref [] in
   let send tag t =
     log := `T (tag, t) :: !log;
@@ -731,6 +732,7 @@ let test_tag_reuse_in_flight () =
       ~script:(fun ~sleep:_ send ->
         send 5 (F.Tread { fid = 1; offset = 1L; count = 10 });
         send 5 (F.Tread { fid = 1; offset = 10L; count = 10 }))
+      ()
   in
   check_tags trace;
   Alcotest.(check (list string)) "replies under tag 5" [ "tag in use"; "read" ]
@@ -753,10 +755,91 @@ let test_tag_reuse_after_flush () =
         (* after the first handler has unwound *)
         sleep 2.0;
         send 7 (F.Tflush { oldtag = 5 }))
+      ()
   in
   check_tags trace;
   Alcotest.(check int) "nothing answers under tag 5" 0
     (List.length (rtags trace 5))
+
+(* A Tflush that arrives the instant its victim's read ends: under some
+   schedules the victim has been woken, but has not yet run, when the
+   kill comes.  Rflush is final all the same: no seed may see an R under
+   tag 5 after it. *)
+let test_flush_race_rflush_final () =
+  let races =
+    List.filter
+      (fun seed ->
+        let trace =
+          tag_trace ~sched:(Sim.Sched.Shuffle seed)
+            ~on_reply:(fun _ _ _ -> ())
+            ~script:(fun ~sleep send ->
+              send 5 (F.Tread { fid = 1; offset = 1L; count = 10 });
+              sleep 1.0;
+              send 6 (F.Tflush { oldtag = 5 }))
+            ()
+        in
+        match check_tags trace with () -> false | exception _ -> true)
+      (List.init 200 (fun i -> i + 1))
+  in
+  Alcotest.(check (list int)) "shuffle seeds with an R after Rflush" [] races
+
+(* The threaded server's pool: it grows to the connection's peak
+   concurrency, reuses idle workers, and replaces a flushed one. *)
+let test_worker_pool () =
+  let eng = Sim.Engine.create () in
+  let ct, st = Ninep.Transport.pipe eng in
+  let srv = Ninep.Server.serve ~threaded:true eng (blocking_fs eng) st in
+  let send tag t = ct.Ninep.Transport.t_send (F.encode (F.T (tag, t))) in
+  let recv () =
+    match ct.Ninep.Transport.t_recv () with
+    | Some raw -> (
+      match F.decode raw with
+      | F.R (tag, r) -> (tag, r)
+      | F.T _ -> Alcotest.fail "a T from the server")
+    | None -> Alcotest.fail "server hung up"
+  in
+  let workers = ref [] in
+  let _driver =
+    Sim.Proc.spawn eng (fun () ->
+        let s0 = Sim.Engine.spawned eng in
+        let count what =
+          workers := (what, Sim.Engine.spawned eng - s0) :: !workers
+        in
+        send 1 (F.Tattach { fid = 1; uname = "u"; aname = "" });
+        ignore (recv ());
+        send 2 (F.Topen { fid = 1; mode = F.Oread; trunc = false });
+        ignore (recv ());
+        for _ = 1 to 98 do
+          send 3 (F.Tread { fid = 1; offset = 0L; count = 10 });
+          ignore (recv ())
+        done;
+        count "100 sequential requests";
+        List.iter
+          (fun tag -> send tag (F.Tread { fid = 1; offset = 10L; count = 10 }))
+          [ 4; 5; 6 ];
+        Sim.Time.sleep eng 1.0;
+        count "three blocked reads";
+        (* every worker is busy, so the Tflush takes a fourth; once the
+           flushed one has unwound, that one serves the next request *)
+        send 7 (F.Tflush { oldtag = 4 });
+        Alcotest.(check bool) "Rflush" true (recv () = (7, F.Rflush));
+        Sim.Time.sleep eng 2.0;
+        send 8 (F.Tread { fid = 1; offset = 0L; count = 10 });
+        Alcotest.(check bool) "next request served" true
+          (recv () = (8, F.Rread { data = "done" }));
+        count "flush, then one more request";
+        Alcotest.(check (list int)) "the other two reads complete" [ 5; 6 ]
+          (List.sort compare [ fst (recv ()); fst (recv ()) ]);
+        ct.Ninep.Transport.t_close ())
+  in
+  Sim.Engine.run eng;
+  Alcotest.(check (list (pair string int))) "workers spawned"
+    [ ("100 sequential requests", 1); ("three blocked reads", 3);
+      ("flush, then one more request", 4) ]
+    (List.rev !workers);
+  Alcotest.(check bool) "server exited at EOF" false (Sim.Proc.alive srv);
+  Alcotest.(check int) "no worker outlives the connection" 0
+    (Sim.Engine.live_procs eng)
 
 let test_pp_dir_format () =
   let d =
@@ -1013,10 +1096,14 @@ let () =
             test_threaded_server_no_stall;
           Alcotest.test_case "threaded server at EOF" `Quick
             test_threaded_eof_kills_handlers;
+          Alcotest.test_case "threaded server's worker pool" `Quick
+            test_worker_pool;
           Alcotest.test_case "tag reused while in flight" `Quick
             test_tag_reuse_in_flight;
           Alcotest.test_case "tag reused right after Rflush" `Quick
             test_tag_reuse_after_flush;
+          Alcotest.test_case "Rflush is final under 200 schedules" `Quick
+            test_flush_race_rflush_final;
         ] );
       ( "format",
         [ Alcotest.test_case "pp_dir" `Quick test_pp_dir_format ] );
