@@ -348,8 +348,9 @@ let write_update t (qid : Ninep.Fcall.qid) ~offset ~data =
 (* ---- the proxy file server ---- *)
 
 (* The upstream face is the mount driver; caching adds a qid check
-   after every walk, open, create and stat, the block cache on file
-   reads, the cache update after a write and the drop after a remove.
+   after every walk (a Tclwalk too), open, create and stat, the block
+   cache on file reads, the cache update after a write and the drop
+   after a remove.
    Every node keeps the upstream client that minted its fid, so after
    [set_upstream] an old fid fails on its own hung-up connection and
    can never name a fid of the new one. *)
@@ -372,6 +373,11 @@ let proxy_fs t =
     fs_walk =
       (fun n name ->
         let r = up.fs_walk n name in
+        Result.iter noted r;
+        r);
+    fs_clwalk =
+      (fun n name ->
+        let r = up.fs_clwalk n name in
         Result.iter noted r;
         r);
     fs_open =

@@ -93,10 +93,6 @@ val flush : t -> unit
 (** Drop every cached block (version tracking restarts; never counts as
     an invalidation). *)
 
-val set_readahead : t -> int -> unit
-val set_budget : t -> int -> unit
-(** Shrinking the budget evicts immediately. *)
-
 (** {1 Cache observability} *)
 
 val counter : t -> string -> int
@@ -120,14 +116,12 @@ val stats_text : t -> string
 (** The [stats] file: one ["name value\n"] line per counter plus
     current [cached_bytes]/[cached_files]. *)
 
-val status_text : t -> string
-(** The [status] file: one line of configuration and occupancy. *)
-
 type ctlnode
 
 val ctl_fs : t -> ctlnode Ninep.Server.fs
 (** A conversation directory exposing the cache: [ctl] (write
-    ["flush"], ["readahead n"], ["budget n"], or ["bsize n"] — the last
-    implies a flush), [stats] ({!stats_text}) and [status]
-    ({!status_text}).  Mount it wherever the name space wants it, e.g.
+    ["flush"], ["readahead n"], ["budget n"] (a smaller budget evicts
+    at once), or ["bsize n"] — the last implies a flush), [stats]
+    ({!stats_text}) and [status] (one line of configuration and
+    occupancy).  Mount it wherever the name space wants it, e.g.
     [/mnt/cfs]. *)

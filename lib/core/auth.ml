@@ -1,7 +1,8 @@
 exception Auth_error of string
 
-(* a 64-bit keyed FNV-1a variant: two passes with the key mixed in
-   front and behind.  A placeholder for the era's DES — documented. *)
+(* a 64-bit keyed FNV-1a variant as 16 hex digits: two passes with the
+   key mixed in front and behind.  Not cryptographically secure; a
+   placeholder for the era's DES — documented. *)
 let keyed_hash ~key data =
   let fnv s h0 =
     let h = ref h0 in

@@ -16,10 +16,6 @@
     documented in DESIGN.md; the protocol structure, not the cipher, is
     the reproduction target. *)
 
-val keyed_hash : key:string -> string -> string
-(** A 64-bit keyed digest as 16 hex digits.  NOT cryptographically
-    secure — a placeholder with the right type. *)
-
 val make_ticket : authkey:string -> user:string -> challenge:string -> string
 val validate : authkey:string -> user:string -> challenge:string -> ticket:string -> bool
 
@@ -29,7 +25,7 @@ val serve :
   Host.t -> users:(string * string) list -> authkey:string -> unit
 (** Announce [net!*!rexauth].  Wire protocol, one delimited message
     each way: request ["ticket <user> <challenge> <mac>"] where [mac] =
-    [keyed_hash ~key:<user secret> (user ^ challenge)]; reply
+    the keyed hash of [user ^ challenge] under the user's secret; reply
     ["ok <ticket>"] or ["no <reason>"]. *)
 
 exception Auth_error of string

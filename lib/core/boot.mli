@@ -14,9 +14,6 @@
     request ["boot?"], reply
     ["boot <ip> <mask> <gw|none> <bootf> <fs-ip|none>"]. *)
 
-val packet_type : int
-(** 0xB007 *)
-
 type config = {
   bc_ip : Inet.Ipaddr.t;
   bc_mask : Inet.Ipaddr.t;

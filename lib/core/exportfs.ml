@@ -33,6 +33,10 @@ let remap_qid qm ch q =
   let dir = q.Ninep.Fcall.qpath land Ninep.Fcall.qdir_bit in
   { q with Ninep.Fcall.qpath = path lor dir }
 
+(* exportfs keeps no path state; ".." is resolved by the importer's
+   lexical cleanup before it ever reaches us *)
+let dotdot = "walk .. not supported across export"
+
 let fs env =
   let qm = { qm_tbl = Hashtbl.create 64; qm_next = 1 } in
   {
@@ -46,13 +50,10 @@ let fs env =
     fs_qid = (fun n -> remap_qid qm n.ch (Vfs.Chan.qid n.ch));
     fs_walk =
       (fun n name ->
-        if name = ".." then
-          (* exportfs keeps no path state; ".." is resolved by the
-             importer's lexical cleanup before it ever reaches us *)
-          Error "walk .. not supported across export"
+        if name = ".." then Error dotdot
         else
           (* the node's own channel walks in place, as the fid does;
-             only a union crossing clones upstream *)
+             only a union crossing makes a new channel *)
           match Vfs.Ns.walk1 (Vfs.Env.ns n.env) n.ch name with
           | Ok ch ->
             n.ch <- ch;
@@ -140,6 +141,15 @@ let fs env =
         match Vfs.Chan.clone n.ch with
         | ch -> Ok { env = n.env; ch; opened = false; dirdata = None }
         | exception Vfs.Chan.Error e -> Error e);
+    fs_clwalk =
+      (fun n name ->
+        if name = ".." then Error dotdot
+        else
+          (* no clone of our own channel: a Tclwalk from the importer
+             is one Tclwalk at a mount it crosses *)
+          match Vfs.Ns.clwalk (Vfs.Env.ns n.env) n.ch name with
+          | Ok ch -> Ok { env = n.env; ch; opened = false; dirdata = None }
+          | Error e -> Error e);
   }
 
 let serve eng env tr = Ninep.Server.serve ~threaded:true eng (fs env) tr

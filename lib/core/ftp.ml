@@ -285,7 +285,7 @@ let stat_of n =
 let wrap f = try Ok (f ()) with Ftp_error e -> Error e
 
 let ftpfs session =
-  {
+  let rec fs = {
     Ninep.Server.fs_name = "ftpfs";
     fs_attach =
       (fun ~uname:_ ~aname:_ ->
@@ -404,7 +404,9 @@ let ftpfs session =
     fs_clone =
       (fun n ->
         Ok { n with opened = false; wbuf = None });
-  }
+    fs_clwalk = (fun n name -> Ninep.Server.clone_walk fs n name);
+  } in
+  fs
 
 type mountpoint = { mp_session : session; mp_ctl : Vfs.Env.fd }
 

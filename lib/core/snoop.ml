@@ -123,6 +123,8 @@ type t = {
   mutable running : bool;
 }
 
+(* the tap's station address, chosen to collide with nothing a host
+   would use *)
 let default_addr = "feeddefaced0"
 
 let start ?(addr = default_addr) seg =

@@ -24,12 +24,9 @@ val render_frame :
 
 type t
 
-val default_addr : string
-(** The tap's station address, ["feeddefaced0"] — chosen to collide
-    with nothing a host would use. *)
-
 val start : ?addr:string -> Netsim.Ether.t -> t
-(** Attach the tap to a segment.
+(** Attach the tap to a segment, at station address [addr] (default
+    ["feeddefaced0"]).
     @raise Invalid_argument if [addr] is already on the segment. *)
 
 val stop : t -> unit

@@ -173,6 +173,8 @@ let autoroute t =
 
 (* ---- the chain/union test cluster ---- *)
 
+(* [n] identical hosts [c0 .. c(n-1)] on one flat subnet
+   (10.20.0.0/24), each speaking IL, with exportfs and echo registered *)
 let cluster_ndb n =
   let b = Buffer.create 512 in
   Buffer.add_string b
@@ -213,8 +215,12 @@ let host_faults t name =
 (* ---- the diskless fleet: terminals x racks x one origin ---- *)
 
 let fleet_origin = "origin"
+
+(* rack [k]'s gateway-plus-cache host *)
 let rack_sys k = Printf.sprintf "rk%02d" k
 let terminal_sys k i = Printf.sprintf "tm%02d-%03d" k i
+
+(* rack [k]'s leaf subnet (and segment) name *)
 let rack_net k = Printf.sprintf "rack%d" k
 
 (* The fleet's ndb: a spine subnet carrying the origin file server and

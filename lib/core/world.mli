@@ -78,11 +78,6 @@ val segment_faults : t -> string -> Netsim.Fault.t
 val dk_faults : t -> Netsim.Fault.t
 (** The Datakit switch's fault schedule. *)
 
-val cluster_ndb : int -> string
-(** An ndb describing [n] identical hosts [c0 .. c(n-1)] on one flat
-    subnet ([10.20.0.0/24]), each speaking IL, with [exportfs] and
-    [echo] services registered. *)
-
 val cluster : ?seed:int -> ?sched:Sim.Sched.policy -> ?n:int -> unit -> t
 (** A booted cluster of [n] (default 4) hosts for the distributed
     name-space scenarios: every host serves exportfs, carries seed
@@ -100,14 +95,8 @@ val host_faults : t -> string -> Netsim.Fault.t
 val fleet_origin : string
 (** ["origin"], the fleet's one file server. *)
 
-val rack_sys : int -> string
-(** ["rkNN"], rack [k]'s gateway-plus-cache host. *)
-
 val terminal_sys : int -> int -> string
 (** ["tmNN-III"], terminal [i] of rack [k]. *)
-
-val rack_net : int -> string
-(** ["rackN"], rack [k]'s leaf subnet (and segment) name. *)
 
 val fleet_ndb : ?racks:int -> ?terminals:int -> unit -> string
 (** The fleet in ndb form: a [spine] subnet (10.90/16) carrying the

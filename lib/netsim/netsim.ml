@@ -149,6 +149,8 @@ module Fault = struct
           { v_drop = None; v_dup = dup; v_reorder = reorder; v_delay = delay }
         end
 
+  (* merge a segment-level and a station-level verdict: first drop
+     wins; dup/reorder or; delays add *)
   let combine a b =
     match (a.v_drop, b.v_drop) with
     | Some _, _ -> a
@@ -254,7 +256,10 @@ module Ether = struct
     mutable busy_until : float;
   }
 
+  (* shorter payloads are padded on the wire for timing purposes *)
   let min_frame = 60
+
+  (* 14-byte Ethernet header + 4-byte CRC, counted in wire time *)
   let header_bytes = 18
 
   (* the innermost protocol, read from the wire bytes: unfragmented IP

@@ -117,10 +117,6 @@ module Fault : sig
   (** One per-frame decision; steps the burst chain.  Exposed for the
       media implementations and for determinism tests. *)
 
-  val combine : verdict -> verdict -> verdict
-  (** Merge a segment-level and a station-level verdict: first drop
-      wins; dup/reorder or; delays add. *)
-
   val describe : t -> string
   (** Human-readable one-line summary of the schedule. *)
 
@@ -231,13 +227,6 @@ module Ether : sig
       (one frame on the wire at a time) and delivers after transmission
       plus propagation time; lost frames count as [crc_errors] at every
       would-be receiver. *)
-
-  val min_frame : int
-  (** 60 bytes: shorter payloads are padded on the wire for timing
-      purposes. *)
-
-  val header_bytes : int
-  (** 14-byte Ethernet header + 4-byte CRC counted in wire time. *)
 end
 
 module Link : sig

@@ -239,21 +239,25 @@ let clunk t fid =
     if not t.dead then Hashtbl.remove t.live_fids fid;
     raise (Err e)
 
+let clwalk t fid name =
+  let newfid = alloc_fid t in
+  match rpc t (Fcall.Tclwalk { fid; newfid; name }) with
+  | Fcall.Rclwalk { qid; _ } ->
+    Hashtbl.replace t.live_fids newfid ();
+    (newfid, qid)
+  | _ -> bad t "Tclwalk"
+
 let walk_path t fid names =
   match names with
   | [] -> clone t fid
   | first :: rest -> (
-    let newfid = alloc_fid t in
-    match rpc t (Fcall.Tclwalk { fid; newfid; name = first }) with
-    | Fcall.Rclwalk _ -> (
-      Hashtbl.replace t.live_fids newfid ();
-      try
-        List.iter (fun name -> ignore (walk t newfid name)) rest;
-        newfid
-      with e ->
-        (try clunk t newfid with Err _ -> ());
-        raise e)
-    | _ -> bad t "Tclwalk")
+    let newfid, _ = clwalk t fid first in
+    try
+      List.iter (fun name -> ignore (walk t newfid name)) rest;
+      newfid
+    with e ->
+      (try clunk t newfid with Err _ -> ());
+      raise e)
 
 let open_ t fid ?(trunc = false) mode =
   match rpc t (Fcall.Topen { fid; mode; trunc }) with

@@ -42,10 +42,15 @@ val clone : t -> fid -> fid
 val walk : t -> fid -> string -> Fcall.qid
 (** Move the fid one level down the hierarchy. *)
 
+val clwalk : t -> fid -> string -> fid * Fcall.qid
+(** Clone the fid and walk the clone one step, in one Tclwalk round
+    trip: the new fid and its qid.  The input fid is untouched; on
+    failure the server holds no new fid. *)
+
 val walk_path : t -> fid -> string list -> fid
-(** Clone then walk each component (using Tclwalk for the first hop);
-    the input fid is untouched.  Clunks the partial fid and re-raises
-    on failure. *)
+(** {!clwalk} the first component, then walk the rest in place; the
+    input fid is untouched.  Clunks the partial fid and re-raises on
+    failure. *)
 
 val open_ : t -> fid -> ?trunc:bool -> Fcall.mode -> Fcall.qid
 val create : t -> fid -> name:string -> perm:int32 -> Fcall.mode -> Fcall.qid

@@ -147,7 +147,7 @@ let redirect n c name =
   Ok ()
 
 let fs tab =
-  {
+  let rec fs = {
     Server.fs_name = tab.fs_name;
     fs_attach =
       (fun ~uname:_ ~aname:_ ->
@@ -186,7 +186,9 @@ let fs tab =
           end
         end);
     fs_clone = (fun n -> Ok { n with opened = false });
-  }
+    fs_clwalk = (fun n name -> Server.clone_walk fs n name);
+  } in
+  fs
 
 let service ~name ~file:fname ~show handle =
   fs

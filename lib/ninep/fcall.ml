@@ -10,6 +10,7 @@ let qid_is_dir q = q.qpath land qdir_bit <> 0
 
 type mode = Oread | Owrite | Ordwr | Oexec
 
+(* OR of the wire mode byte meaning truncate *)
 let mode_trunc = 0x10
 
 let mode_to_int ?(trunc = false) m =

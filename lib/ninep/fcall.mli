@@ -41,12 +41,6 @@ val qid_is_dir : qid -> bool
 (** Open/create modes. *)
 type mode = Oread | Owrite | Ordwr | Oexec
 
-val mode_trunc : int
-(** OR of the wire mode byte meaning truncate (0x10). *)
-
-val mode_to_int : ?trunc:bool -> mode -> int
-val mode_of_int : int -> (mode * bool) option
-
 type dir = {
   d_name : string;
   d_uid : string;

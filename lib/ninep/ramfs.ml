@@ -69,7 +69,7 @@ let lookup dir name =
   | Dir children -> List.find_opt (fun e -> e.e_name = name) !children
 
 let fs t =
-  {
+  let rec fs = {
     Server.fs_name = t.fsname;
     fs_attach =
       (fun ~uname ~aname:_ ->
@@ -210,7 +210,9 @@ let fs t =
         Ok ());
     fs_clunk = (fun _ -> ());
     fs_clone = (fun n -> Ok { n_entry = n.n_entry; n_open = false });
-  }
+    fs_clwalk = (fun n name -> Server.clone_walk fs n name);
+  } in
+  fs
 
 (* ---- direct manipulation ---- *)
 

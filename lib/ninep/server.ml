@@ -17,7 +17,18 @@ type 'n fs = {
   fs_wstat : 'n -> Fcall.dir -> (unit, string) result;
   fs_clunk : 'n -> unit;
   fs_clone : 'n -> ('n, string) result;
+  fs_clwalk : 'n -> string -> ('n, string) result;
 }
+
+let clone_walk fs n name =
+  match fs.fs_clone n with
+  | Error e -> Error e
+  | Ok c -> (
+    match fs.fs_walk c name with
+    | Ok _ as r -> r
+    | Error e ->
+      fs.fs_clunk c;
+      Error e)
 
 let read_only_err = "permission denied"
 
@@ -172,17 +183,14 @@ let serve ?(threaded = false) ?auth eng fs tr =
               if Hashtbl.mem fids newfid && newfid <> fid then
                 err "fid in use"
               else
-                match fs.fs_clone node with
-                | Error e -> err e
-                | Ok clone -> (
-                  match fs.fs_walk clone name with
-                  | Ok node' ->
-                    Hashtbl.replace fids newfid node';
-                    reply tag (Fcall.Rclwalk { newfid; qid = fs.fs_qid node' })
-                  | Error e ->
-                    (* a failed Tclwalk leaves no new fid *)
-                    fs.fs_clunk clone;
-                    err e))
+                (* a failed Tclwalk leaves no new fid *)
+                match fs.fs_clwalk node name with
+                | Ok node' ->
+                  (* newfid = fid walks the fid: its old node goes *)
+                  if newfid = fid then fs.fs_clunk node;
+                  Hashtbl.replace fids newfid node';
+                  reply tag (Fcall.Rclwalk { newfid; qid = fs.fs_qid node' })
+                | Error e -> err e)
         | Fcall.Topen { fid; mode; trunc } ->
           with_fid fid (fun node ->
               match fs.fs_open node mode ~trunc with

@@ -25,9 +25,21 @@ type 'n fs = {
   fs_clunk : 'n -> unit;
   fs_clone : 'n -> ('n, string) result;
       (** duplicate per-fid state; identity for stateless nodes.  On
-          [Error] Tclone answers Rerror; a failed Tclwalk gives its
-          clone back (clunks it). *)
+          [Error] Tclone answers Rerror. *)
+  fs_clwalk : 'n -> string -> ('n, string) result;
+      (** clone and walk one step, as Tclwalk: a fresh node, the
+          argument untouched; on [Error] no new node exists (a clone
+          made on the way is clunked).  This is how a walk crosses a
+          mount ([Vfs.Chan.walk1]): the mount driver sends it as one
+          Tclwalk, one round trip instead of a Tclone and a Twalk.
+          Servers with no cheaper way use {!clone_walk}. *)
 }
+
+val clone_walk : 'n fs -> 'n -> string -> ('n, string) result
+(** [fs_clwalk] from the record's own parts: [fs_clone], then
+    [fs_walk] on the clone, which [fs_clunk] gives back if the walk
+    fails.  A server refers to its own record to use it:
+    [let rec fs = { ...; fs_clwalk = (fun n -> clone_walk fs n) }]. *)
 
 val read_only_err : string
 (** ["permission denied"] — convenience for read-only files. *)

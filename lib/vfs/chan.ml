@@ -45,13 +45,10 @@ let using c f =
   clunk c;
   v
 
-let walk1 c name =
-  match clone c with
-  | exception Error e -> Result.Error e
-  | c' ->
-    let r = walk c' name in
-    if Result.is_error r then clunk c';
-    r
+let walk1 (Chan c) name =
+  match c.ops.Ninep.Server.fs_clwalk c.node name with
+  | Ok node -> Ok (Chan { c with node })
+  | Error e -> Error e
 
 let open_ (Chan c) ?(trunc = false) mode =
   ok (c.ops.Ninep.Server.fs_open c.node mode ~trunc)

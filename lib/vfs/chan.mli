@@ -36,8 +36,9 @@ val walk : t -> string -> (t, string) result
     the argument; on [Error] the argument is unchanged. *)
 
 val walk1 : t -> string -> (t, string) result
-(** Clone, then {!walk} the clone (clunked if the walk fails); the
-    argument is untouched. *)
+(** A new channel one step below the argument, which is untouched:
+    the server's [fs_clwalk], so on a mount it is one Tclwalk.  On
+    [Error] no new channel exists. *)
 
 val open_ : t -> ?trunc:bool -> Ninep.Fcall.mode -> unit
 val create : t -> name:string -> perm:int32 -> Ninep.Fcall.mode -> t

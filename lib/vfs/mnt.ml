@@ -11,8 +11,8 @@ let live n =
   if Ninep.Client.alive n.c then Ok () else Error "connection hung up"
 
 let rpc_names =
-  [ "Tattach"; "Tclone"; "Twalk"; "Topen"; "Tcreate"; "Tread"; "Twrite";
-    "Tclunk"; "Tremove"; "Tstat"; "Twstat" ]
+  [ "Tattach"; "Tclone"; "Twalk"; "Tclwalk"; "Topen"; "Tcreate"; "Tread";
+    "Twrite"; "Tclunk"; "Tremove"; "Tstat"; "Twstat" ]
 
 let fs client ?(aname = "") ?metrics ~name () =
   let tick msg =
@@ -74,6 +74,12 @@ let fs client ?(aname = "") ?metrics ~name () =
       (fun n ->
         n.tick "Tclone";
         wrap (fun () -> { n with fid = Ninep.Client.clone n.c n.fid }));
+    fs_clwalk =
+      (fun n name ->
+        n.tick "Tclwalk";
+        wrap (fun () ->
+            let fid, nqid = Ninep.Client.clwalk n.c n.fid name in
+            { n with fid; nqid }));
   }
 
 let stats_text m =

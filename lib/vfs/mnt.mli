@@ -22,8 +22,8 @@ type node
 
 val rpc_names : string list
 (** The T-message counter names, in wire-protocol order: [Tattach],
-    [Tclone], [Twalk], [Topen], [Tcreate], [Tread], [Twrite], [Tclunk],
-    [Tremove], [Tstat], [Twstat]. *)
+    [Tclone], [Twalk], [Tclwalk], [Topen], [Tcreate], [Tread],
+    [Twrite], [Tclunk], [Tremove], [Tstat], [Twstat]. *)
 
 val fs :
   Ninep.Client.t ->
@@ -38,14 +38,16 @@ val fs :
     T-message it sends (see {!rpc_names}), counted whether or not the
     server answers with an error.
 
-    A node's qid is the one its last Rattach, Rwalk, Ropen or Rcreate
-    carried.  Every operation goes to the connection that minted the
-    node's fid, whichever connection the [fs] was made with.
+    A node's qid is the one its last Rattach, Rwalk, Rclwalk, Ropen or
+    Rcreate carried.  [fs_clwalk] is one Tclwalk: a walk that crosses
+    a mount costs one round trip.  Every operation goes to the
+    connection that minted the node's fid, whichever connection the
+    [fs] was made with.
 
-    A clone can fail: on a hung-up connection [fs_clone] answers the
-    hangup error like every other operation, so a union walk steps
-    past a partitioned member and directory merges skip it (per-mount
-    error isolation). *)
+    A clone can fail: on a hung-up connection [fs_clone] and
+    [fs_clwalk] answer the hangup error like every other operation, so
+    a union walk steps past a partitioned member and directory merges
+    skip it (per-mount error isolation). *)
 
 val live : node -> (unit, string) result
 (** [Error] with the reason any operation on the node would now fail

@@ -89,27 +89,33 @@ let members t c =
    result is the {e underlying} channel — it is never "entered" even if
    it is itself a mount point, so the union information at its key
    remains available for the next step.  A plain step walks [c] in
-   place; a union crossing walks clones of the members and clunks [c].
-   A member whose clone or walk fails (a dead server answers both with
-   its hangup error) does not stop the walk — the remaining members
-   are still consulted, so one dead server cannot take a whole union
-   directory down with it. *)
+   place; a union crossing walks each member one step into a new
+   channel ([Chan.walk1], one Tclwalk on a mount) and clunks [c].  A
+   member whose walk fails (a dead server answers with its hangup
+   error) does not stop the walk — the remaining members are still
+   consulted, so one dead server cannot take a whole union directory
+   down with it. *)
+let rec cross name = function
+  | [] -> Error "file does not exist"
+  | m :: rest -> (
+    match Chan.walk1 m.m_chan name with
+    | Ok _ as r -> r
+    | Error e when rest = [] || (!chaos_union_lost_walk && is_conn_error e) ->
+      Error e
+    | Error _ -> cross name rest)
+
 let walk1 t c name =
-  let rec try_members = function
-    | [] -> Error "file does not exist"
-    | m :: rest -> (
-      match Chan.walk1 m.m_chan name with
-      | Ok c' ->
-        Chan.clunk c;
-        Ok c'
-      | Error e when rest = [] || (!chaos_union_lost_walk && is_conn_error e)
-        ->
-        Error e
-      | Error _ -> try_members rest)
-  in
   match lookup t c with
-  | e -> try_members e.unions
+  | e ->
+    let r = cross name e.unions in
+    if Result.is_ok r then Chan.clunk c;
+    r
   | exception Not_found -> Chan.walk c name
+
+let clwalk t c name =
+  match lookup t c with
+  | e -> cross name e.unions
+  | exception Not_found -> Chan.walk1 c name
 
 let replace c m =
   let c' = Chan.clone m.m_chan in

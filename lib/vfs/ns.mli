@@ -57,10 +57,15 @@ val walk1 : t -> Chan.t -> string -> (Chan.t, string) result
 (** One-component, union-aware walk.  Like {!enter} and {!create_target}
     it takes the channel over, as namec does: on success the result
     replaces it (walked in place, or clunked once a union member's
-    clone answered); on failure it is still the caller's.  The result
+    walk answered); on failure it is still the caller's.  The result
     is the {e underlying} channel — call {!enter} before opening a
     file, so a channel that is itself a mount point keeps its union
     for further walks. *)
+
+val clwalk : t -> Chan.t -> string -> (Chan.t, string) result
+(** {!walk1} into a new channel, leaving the argument untouched, as
+    Tclwalk does: a union member's {!Chan.walk1}, or the channel's own
+    where nothing is mounted.  On failure no new channel exists. *)
 
 val enter : t -> Chan.t -> Chan.t
 (** Cross into the tree mounted at a channel (a clone of the head of

@@ -320,9 +320,9 @@ let tcpcc_collapse =
 
 (* ---- the fid audit ---- *)
 
-(* [fs] and the number of nodes its server holds: attached or cloned,
-   and not yet clunked or removed — the server's side of the peer
-   client's [Ninep.Client.open_fids] *)
+(* [fs] and the number of nodes its server holds: attached, cloned or
+   clwalked, and not yet clunked or removed — the server's side of the
+   peer client's [Ninep.Client.open_fids] *)
 let counted fs =
   let held = ref 0 in
   let took r =
@@ -334,6 +334,7 @@ let counted fs =
       Ninep.Server.fs_attach =
         (fun ~uname ~aname -> took (fs.Ninep.Server.fs_attach ~uname ~aname));
       fs_clone = (fun n -> took (fs.fs_clone n));
+      fs_clwalk = (fun n name -> took (fs.fs_clwalk n name));
       fs_clunk =
         (fun n ->
           decr held;
@@ -430,6 +431,7 @@ let ninep_flush_race =
           fs_wstat = (fun () _ -> Error "no");
           fs_clunk = ignore;
           fs_clone = Result.ok;
+          fs_clwalk = (fun () _ -> Ok ());
         }
       in
       let ct, st = Ninep.Transport.pipe eng in

@@ -517,6 +517,7 @@ let test_threaded_server_no_stall () =
       fs_wstat = (fun () _ -> Error "no");
       fs_clunk = ignore;
       fs_clone = Result.ok;
+      fs_clwalk = (fun () _ -> Ok ());
     }
   in
   let ct, st = Ninep.Transport.pipe eng in
@@ -579,6 +580,7 @@ let test_threaded_eof_kills_handlers () =
       fs_clunk =
         (fun () -> clunks := List.map Sim.Proc.alive !handlers :: !clunks);
       fs_clone = Result.ok;
+      fs_clwalk = (fun () _ -> Ok ());
     }
   in
   let ct, st = Ninep.Transport.pipe eng in
@@ -647,6 +649,7 @@ let blocking_fs eng =
     fs_wstat = (fun () _ -> Error "no");
     fs_clunk = ignore;
     fs_clone = Result.ok;
+    fs_clwalk = (fun () _ -> Ok ());
   }
 
 let tag_trace ?sched ~script ~on_reply () =
@@ -987,6 +990,33 @@ let test_devtab_clone_is_unopened () =
   fs.fs_clunk nd;
   Alcotest.(check int) "released" 0 refs.(1)
 
+(* a Tclwalk whose newfid is its own fid walks that fid: the node it
+   held goes back to the server, here releasing its conversation *)
+let test_clwalk_onto_own_fid () =
+  let fs, refs = devtab_fixture 2 in
+  let eng = Sim.Engine.create () in
+  let ct, st = Ninep.Transport.pipe eng in
+  let _srv = Ninep.Server.serve eng fs st in
+  let finished = ref false in
+  let _cli =
+    Sim.Proc.spawn eng ~name:"client" (fun () ->
+        let c = Ninep.Client.make eng ct in
+        Ninep.Client.session c;
+        List.iter
+          (fun t -> ignore (Ninep.Client.rpc c t))
+          [ F.Tattach { fid = 1; uname = "u"; aname = "" };
+            F.Tclwalk { fid = 1; newfid = 2; name = "1" };
+            F.Twalk { fid = 2; name = "ctl" };
+            F.Topen { fid = 2; mode = F.Ordwr; trunc = false } ];
+        Alcotest.(check int) "the open fid holds conversation 1" 1 refs.(1);
+        ignore
+          (Ninep.Client.rpc c (F.Tclwalk { fid = 2; newfid = 2; name = ".." }));
+        Alcotest.(check int) "its old node was clunked" 0 refs.(1);
+        finished := true)
+  in
+  Sim.Engine.run eng;
+  Alcotest.(check bool) "client body completed" true !finished
+
 let test_devtab_service_replies_per_fid () =
   let fs =
     Ninep.Devtab.service ~name:"echo" ~file:"echo"
@@ -1085,6 +1115,8 @@ let () =
             test_devtab_clone_is_unopened;
           Alcotest.test_case "service replies per fid" `Quick
             test_devtab_service_replies_per_fid;
+          Alcotest.test_case "Tclwalk onto its own fid" `Quick
+            test_clwalk_onto_own_fid;
         ] );
       ( "mount-driver",
         [

@@ -370,8 +370,71 @@ let test_walks_give_fids_back () =
       Alcotest.(check int) "crossings give their fids back" 2
         (Ninep.Client.open_fids client))
 
-(* a union whose head member's connection hung up: the clone of the
-   head fails, and the walk goes on to the next member *)
+(* a walk that crosses a mount is one Tclwalk round trip, with no
+   Tclone or Twalk; a member that lacks the name leaves no fid behind,
+   so a union falls through to the next; cfs relays the Tclwalk
+   upstream as one message *)
+let test_mount_crossing_is_one_tclwalk () =
+  with_remote (fun env local remote client ->
+      Ninep.Ramfs.mkdir local "/n/helix";
+      Ninep.Ramfs.mkdir local "/dev/mnt";
+      Ninep.Ramfs.add_file local "/b/only-local" "local";
+      Ninep.Ramfs.add_file remote "/f" "remote f";
+      Vfs.Env.mount env client ~onto:"/n/helix" Vfs.Ns.Repl;
+      Vfs.Env.mount env client ~onto:"/b" Vfs.Ns.Before;
+      Vfs.Env.mount_fs env
+        (Vfs.Mnt.stats_fs (fun () -> Vfs.Ns.mounts (Vfs.Env.ns env)))
+        ~onto:"/dev/mnt" Vfs.Ns.Repl;
+      let has_lines path want =
+        let got = String.split_on_char '\n' (Vfs.Env.read_file env path) in
+        List.iter
+          (fun l ->
+            Alcotest.(check bool) (path ^ ": " ^ l) true (List.mem l got))
+          want
+      in
+      Alcotest.(check string) "stat under the mount" "f"
+        (Vfs.Env.stat env "/n/helix/f").F.d_name;
+      has_lines "/dev/mnt/0/stats" [ "Tclwalk 1"; "Tclone 0"; "Twalk 0" ];
+      let fids = Ninep.Client.open_fids client in
+      Alcotest.(check string) "the union falls through" "local"
+        (Vfs.Env.read_file env "/b/only-local");
+      has_lines "/dev/mnt/1/stats" [ "Tclwalk 1"; "Tclone 0"; "Twalk 0" ];
+      Alcotest.(check int) "a failed Tclwalk leaves no fid" fids
+        (Ninep.Client.open_fids client));
+  Util.in_world ~from:"helix" (fun w env ->
+      let eng = w.P9net.World.eng in
+      let ram = Ninep.Ramfs.make ~name:"upstream" () in
+      Ninep.Ramfs.add_file ram "/f" "cached";
+      let cli, srv = Ninep.Transport.pipe eng in
+      ignore (Ninep.Server.serve eng (Ninep.Ramfs.fs ram) srv);
+      let sent = Hashtbl.create 7 in
+      let count name = Option.value ~default:0 (Hashtbl.find_opt sent name) in
+      let upstream =
+        {
+          cli with
+          Ninep.Transport.t_send =
+            (fun raw ->
+              (match F.decode raw with
+              | F.T (_, t) ->
+                let name = F.tmsg_name t in
+                Hashtbl.replace sent name (count name + 1)
+              | F.R _ -> ());
+              cli.t_send raw);
+        }
+      in
+      let helix = P9net.World.host w "helix" in
+      ignore
+        (P9net.Host.mount_cached helix ~env ~upstream ~onto:"/n" Vfs.Ns.Repl);
+      Hashtbl.reset sent;
+      Alcotest.(check string) "stat through cfs" "f"
+        (Vfs.Env.stat env "/n/f").F.d_name;
+      List.iter
+        (fun (name, n) ->
+          Alcotest.(check int) ("upstream " ^ name) n (count name))
+        [ ("Tclwalk", 1); ("Tclone", 0); ("Twalk", 0) ])
+
+(* a union whose head member's connection hung up: the head's walk
+   fails, and the walk goes on to the next member *)
 let test_union_dead_head () =
   let eng = Sim.Engine.create () in
   let local = Ninep.Ramfs.make ~name:"root" () in
@@ -514,5 +577,7 @@ let () =
             test_walks_give_fids_back;
           Alcotest.test_case "union past a dead head" `Quick
             test_union_dead_head;
+          Alcotest.test_case "a mount crossing is one Tclwalk" `Quick
+            test_mount_crossing_is_one_tclwalk;
         ] );
     ]
