@@ -1,14 +1,26 @@
-let src = Logs.Src.create "dk" ~doc:"Datakit switch and URP"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 module Switch = struct
   module Fault = Netsim.Fault
 
+  type ctl = Ack | Enq | Echo | Close
+
   type cell =
-    | Data of { payload : string; last : bool }
-    | Ctl of string
+    | Data of { payload : string; off : int; len : int; seq : int; last : bool }
+    | Packet of string
+    | Ctl of { op : ctl; seq : int }
     | Hangup
+
+  (* the text URP's control cells once carried, built once per
+     sequence number: the bytes a control cell costs the line, and
+     what a fault filter sees *)
+  let ack_text = Array.init 256 (fun seq -> "ack " ^ string_of_int seq)
+  let echo_text = Array.init 256 (fun seq -> "echo " ^ string_of_int seq)
+
+  let ctl_text op seq =
+    match op with
+    | Ack -> ack_text.(seq)
+    | Echo -> echo_text.(seq)
+    | Enq -> "enq"
+    | Close -> "close"
 
   type stats = {
     mutable cells_in : int;
@@ -21,6 +33,8 @@ module Switch = struct
     ce_chan : int;
     mutable ce_peer : cend option;
     ce_inq : cell Sim.Mbox.t;  (* [Hangup] = end of circuit *)
+    mutable ce_rx : (cell -> unit) option;
+        (* set: cells go straight to it from the delivery event *)
     mutable ce_up : bool;
   }
 
@@ -28,11 +42,13 @@ module Switch = struct
     l_name : string;
     l_sw : t;
     l_services : (string, incoming Sim.Mbox.t) Hashtbl.t;
-    l_chans : (int, cend) Hashtbl.t;
     mutable l_next_chan : int;
-    mutable l_busy_until : float;  (* uplink serialization *)
+    l_busy : busy;  (* uplink serialization *)
     l_stats : stats;
   }
+
+  (* all-float, so stored unboxed: setting it allocates nothing *)
+  and busy = { mutable until : float }
 
   and incoming = {
     in_caller : string;
@@ -77,9 +93,8 @@ module Switch = struct
         l_name = name;
         l_sw = t;
         l_services = Hashtbl.create 7;
-        l_chans = Hashtbl.create 17;
         l_next_chan = 1;
-        l_busy_until = 0.;
+        l_busy = { until = 0. };
         l_stats = { cells_in = 0; cells_out = 0; injected = Fault.tally () };
       }
     in
@@ -92,29 +107,37 @@ module Switch = struct
   let alloc_end line =
     let chan = line.l_next_chan in
     line.l_next_chan <- chan + 1;
-    let ce =
-      {
-        ce_line = line;
-        ce_chan = chan;
-        ce_peer = None;
-        ce_inq = Sim.Mbox.create line.l_sw.eng;
-        ce_up = true;
-      }
-    in
-    Hashtbl.replace line.l_chans chan ce;
-    ce
+    {
+      ce_line = line;
+      ce_chan = chan;
+      ce_peer = None;
+      ce_inq = Sim.Mbox.create line.l_sw.eng;
+      ce_rx = None;
+      ce_up = true;
+    }
 
+  (* a data cell is a 2-byte header (seq, last flag) and its bytes;
+     every cell adds 4 bytes of framing *)
   let cell_bytes = function
-    | Data { payload; _ } -> String.length payload + 4
-    | Ctl s -> String.length s + 4
+    | Data { len; _ } -> len + 6
+    | Packet raw -> String.length raw + 4
+    | Ctl { op; seq } -> String.length (ctl_text op seq) + 4
     | Hangup -> 4
+
+  (* hand a cell to its end: the callback, or the mailbox [recv] reads *)
+  let deliver ce cell =
+    match ce.ce_rx with
+    | None -> Sim.Mbox.send ce.ce_inq cell
+    | Some rx ->
+      (match cell with Hangup -> ce.ce_up <- false | _ -> ());
+      rx cell
 
   let inject sw ~src ~(dst : line) kind ~reason bytes =
     Fault.inject dst.l_stats.injected sw.eng ~medium:sw.sw_name kind ~reason
       ~src ~dst:dst.l_name ~proto:"dk" ~bytes ~lost:"dk.cell.drop"
 
   (* Serialize on the sender's line, cross the switch, deliver to the
-     peer end's queue. *)
+     peer end. *)
   let send_cell ce cell =
     match ce.ce_peer with
     | None -> ()
@@ -123,16 +146,21 @@ module Switch = struct
       let now = Sim.Engine.now sw.eng in
       let line = ce.ce_line in
       let bytes = cell_bytes cell in
-      let start = if line.l_busy_until > now then line.l_busy_until else now in
+      let busy = line.l_busy in
+      let start = if busy.until > now then busy.until else now in
       let finish = start +. (float_of_int (bytes * 8) /. sw.bandwidth) in
-      line.l_busy_until <- finish;
+      busy.until <- finish;
       line.l_stats.cells_out <- line.l_stats.cells_out + 1;
       let dst = peer.ce_line in
       let v =
         match cell with
-        | Data { payload; _ } | Ctl payload when Fault.active sw.sw_fault ->
+        | (Data { payload; _ } | Packet payload) when Fault.active sw.sw_fault
+          ->
           Fault.decide sw.sw_fault (Sim.Engine.random sw.eng) ~now payload
-        | Data _ | Ctl _ -> Fault.pass
+        | Ctl { op; seq } when Fault.active sw.sw_fault ->
+          Fault.decide sw.sw_fault (Sim.Engine.random sw.eng) ~now
+            (ctl_text op seq)
+        | Data _ | Packet _ | Ctl _ -> Fault.pass
         | Hangup ->
           (* hangups are exempt from every fault: a lost hangup would
              wedge circuit teardown, and the real switch tore circuits
@@ -156,29 +184,33 @@ module Switch = struct
       match v.Fault.v_drop with
       | Some reason -> inject sw ~src:line.l_name ~dst Fault.Drop ~reason bytes
       | None ->
-        let deliver at =
-          Sim.Engine.at ~label:"dk" sw.eng at (fun () ->
-              if peer.ce_up then begin
-                dst.l_stats.cells_in <- dst.l_stats.cells_in + 1;
-                Sim.Mbox.send peer.ce_inq cell
-              end)
+        let arrive () =
+          if peer.ce_up then begin
+            dst.l_stats.cells_in <- dst.l_stats.cells_in + 1;
+            deliver peer cell
+          end
         in
         let base = finish +. sw.latency +. v.Fault.v_delay in
         if v.Fault.v_reorder then
           inject sw ~src:line.l_name ~dst Fault.Reorder ~reason:"reorder" bytes;
-        deliver base;
+        Sim.Engine.at ~label:"dk" sw.eng base arrive;
         if v.Fault.v_dup then begin
           inject sw ~src:line.l_name ~dst Fault.Dup ~reason:"dup" bytes;
-          deliver (base +. (float_of_int (bytes * 8) /. sw.bandwidth))
+          Sim.Engine.at ~label:"dk" sw.eng
+            (base +. (float_of_int (bytes * 8) /. sw.bandwidth))
+            arrive
         end
 end
 
 module Circuit = struct
   type t = Switch.cend
 
+  type ctl = Switch.ctl = Ack | Enq | Echo | Close
+
   type cell = Switch.cell =
-    | Data of { payload : string; last : bool }
-    | Ctl of string
+    | Data of { payload : string; off : int; len : int; seq : int; last : bool }
+    | Packet of string
+    | Ctl of { op : ctl; seq : int }
     | Hangup
 
   exception Rejected of string
@@ -279,13 +311,25 @@ module Circuit = struct
         Hangup
       | cell -> cell
 
+  let set_rx (ce : t) rx =
+    ce.Switch.ce_rx <- Some rx;
+    (* cells that arrived before the callback, in order *)
+    let rec drain () =
+      match Sim.Mbox.try_recv ce.Switch.ce_inq with
+      | Some cell ->
+        Switch.deliver ce cell;
+        drain ()
+      | None -> ()
+    in
+    drain ()
+
   let hangup (ce : t) =
     if ce.Switch.ce_up then begin
       Switch.send_cell ce Hangup;
       ce.Switch.ce_up <- false;
-      Hashtbl.remove ce.Switch.ce_line.Switch.l_chans ce.Switch.ce_chan;
-      (* unblock a local reader too *)
-      Sim.Mbox.send ce.Switch.ce_inq Hangup
+      (* unblock a local reader too; a callback owner hung up itself *)
+      if Option.is_none ce.Switch.ce_rx then
+        Sim.Mbox.send ce.Switch.ce_inq Hangup
     end
 
   let peer_name (ce : t) =
@@ -326,6 +370,10 @@ module Urp = struct
 
   exception Hungup
 
+  (* One conversation end.  It has no process of its own: the switch's
+     delivery event hands it each cell (as a stream module's put
+     routine runs in the line's context), and a single timer slot
+     carries its enquiries. *)
   type conv = {
     circ : Circuit.t;
     cfg : config;
@@ -333,76 +381,136 @@ module Urp = struct
     stats : counters;
     (* transmit side; sequence numbers are mod 256, window << 128 *)
     mutable snd_seq : int;  (* seq of next cell to send *)
-    mutable unacked : (int * string) list;
-        (* seq and the cell as sent (header and payload), kept for
-           retransmission *)
+    unacked : Circuit.cell array;
+        (* a ring of the cells sent and not yet acked, kept for
+           retransmission; an ack frees a prefix of it *)
+    mutable una_head : int;  (* slot of the oldest *)
+    mutable una_count : int;
     wwait : Sim.Rendez.t;
     mutable last_progress : float;
     mutable backoff : int;
+    enq : Sim.Time.timer;
+        (* armed while cells are unacked; it may lapse once after *)
+    mutable grid : float;
+        (* enquiries fall on [over]'s time plus k * min_timeout/2, each
+           point one float add after the last; this is the latest point
+           not after now that has been stepped to *)
     (* receive side *)
     mutable rcv_expect : int;  (* next in-order seq *)
-    partial : Buffer.t;  (* cells of the message being assembled *)
+    mutable part_first : string;
+        (* the message being assembled: the first cell's bytes are
+           [part_first] from [part_off], the later cells [part_rest],
+           newest first; [part_len] bytes in all, 0 = none *)
+    mutable part_off : int;
+    mutable part_rest : (string * int * int) list;
+    mutable part_len : int;
+    rx_backlog : Circuit.cell Queue.t;
+        (* cells that arrived while the modelled CPU works on a data
+           cell, handled in arrival order *)
+    mutable rx_busy : bool;
     rq : Block.Q.t;
     mutable closed_ : bool;
-    ticker : Sim.Time.ticker;
-    kproc : Sim.Proc.t;
   }
 
   let counters c = c.stats
   let seq_diff a b = (a - b + 256) mod 256
 
-  let cell_cost c bytes =
-    match c.cfg.cpu with
-    | None -> None
-    | Some cpu ->
-      Some (cpu, c.cfg.cost_per_cell +. (c.cfg.cost_per_byte *. float_of_int bytes))
+  (* control cells for every sequence number, built once *)
+  let ack_cell = Array.init 256 (fun seq -> Circuit.Ctl { op = Ack; seq })
+  let echo_cell = Array.init 256 (fun seq -> Circuit.Ctl { op = Echo; seq })
+  let enq_cell = Circuit.Ctl { op = Enq; seq = 0 }
+  let close_cell = Circuit.Ctl { op = Close; seq = 0 }
 
-  let tx_cell c payload =
-    match cell_cost c (String.length payload) with
-    | None -> Circuit.send c.circ (Circuit.Data { payload; last = true })
-    | Some (cpu, cost) ->
-      Sim.Cpu.run_after ~label:"dk" cpu cost (fun () ->
-          Circuit.send c.circ (Circuit.Data { payload; last = true }))
+  (* a data cell costs the CPU its 2-byte header and its bytes *)
+  let cell_cost c len =
+    c.cfg.cost_per_cell +. (c.cfg.cost_per_byte *. float_of_int (len + 2))
 
-  let tx_ctl c s = Circuit.send c.circ (Circuit.Ctl s)
-
-  let send_raw c cell =
+  let send_data c cell len =
     c.stats.cells_sent <- c.stats.cells_sent + 1;
-    tx_cell c cell
+    match c.cfg.cpu with
+    | None -> Circuit.send c.circ cell
+    | Some cpu ->
+      Sim.Cpu.run_after ~label:"dk" cpu (cell_cost c len) (fun () ->
+          Circuit.send c.circ cell)
 
-  (* a cell is a 2-byte header (seq, last flag) and [len] bytes of
-     [msg] from [off], built in one buffer *)
-  let make_cell ~seq ~last msg off len =
-    let cell = Bytes.create (2 + len) in
-    Bytes.set cell 0 (Char.chr seq);
-    Bytes.set cell 1 (if last then '\001' else '\000');
-    Bytes.blit_string msg off cell 2 len;
-    Bytes.unsafe_to_string cell
+  let shut c =
+    c.closed_ <- true;
+    Block.Q.force_put c.rq (Block.hangup ());
+    Block.Q.close c.rq;
+    Sim.Rendez.wakeup_all c.wwait;
+    Sim.Time.disarm c.enq
 
-  (* ack texts for every sequence number, built once *)
-  let ack_text = Array.init 256 (fun seq -> "ack " ^ string_of_int seq)
+  let dead_enqs = 10
+  (* consecutive unanswered enquiries before declaring the circuit
+     dead — the switch would have torn a real circuit down *)
 
+  let deadline c =
+    c.last_progress
+    +. (c.cfg.min_timeout *. float_of_int (1 lsl min c.backoff 5))
+
+  (* Arm the enquiry at the first grid point at or after the deadline:
+     where a ticker at min_timeout/2 would first have found it due. *)
+  let rec arm_enq c =
+    let step = c.cfg.min_timeout /. 2. in
+    let now = Sim.Engine.now c.eng in
+    let g = ref c.grid in
+    while !g +. step <= now do
+      g := !g +. step
+    done;
+    c.grid <- !g;
+    let due = deadline c in
+    while !g < due do
+      g := !g +. step
+    done;
+    Sim.Time.arm_at c.enq !g (fun () -> enq_fire c)
+
+  and enq_fire c =
+    let now = Sim.Engine.now c.eng in
+    c.grid <- now;
+    if c.una_count > 0 && not c.closed_ then
+      if now < deadline c then arm_enq c
+      else if c.backoff >= dead_enqs then begin
+        shut c;
+        Circuit.hangup c.circ
+      end
+      else begin
+        c.stats.enqs_sent <- c.stats.enqs_sent + 1;
+        c.backoff <- c.backoff + 1;
+        c.last_progress <- now;
+        Circuit.send c.circ enq_cell;
+        arm_enq c
+      end
+
+  let acks ack = function
+    | Circuit.Data { seq; _ } -> seq_diff ack seq < 128
+    | Circuit.Packet _ | Circuit.Ctl _ | Circuit.Hangup -> false
+
+  (* [ack] acknowledges every outstanding cell up to and including
+     it *)
   let process_ack c ack =
-    (* ack acknowledges every outstanding cell up to and including
-       [ack] *)
-    let acked (seq, _) =
-      (* seq is acked if it is within 'window' behind or equal to ack *)
-      seq_diff ack seq < 128
-    in
-    let before = List.length c.unacked in
-    c.unacked <- List.filter (fun cell -> not (acked cell)) c.unacked;
-    if List.length c.unacked < before then begin
+    let before = c.una_count in
+    while c.una_count > 0 && acks ack c.unacked.(c.una_head) do
+      c.unacked.(c.una_head) <- Circuit.Hangup;
+      c.una_head <- (c.una_head + 1) mod c.cfg.window;
+      c.una_count <- c.una_count - 1
+    done;
+    if c.una_count < before then begin
+      let backoff = c.backoff in
       c.last_progress <- Sim.Engine.now c.eng;
       c.backoff <- 0;
+      (* A backed-off enquiry is armed late: pull it in, or drop it
+         when the window has drained.  Without backoff the armed point
+         is no later than the new deadline's; it re-arms or lapses when
+         it fires. *)
+      if backoff > 0 then
+        if c.una_count = 0 then Sim.Time.disarm c.enq else arm_enq c;
       Sim.Rendez.wakeup_all c.wwait
     end
 
-  let retransmit_from c ack =
-    let missing =
-      List.filter (fun (seq, _) -> seq_diff ack seq >= 128) c.unacked
-    in
-    List.iter
-      (fun (seq, cell) ->
+  let retransmit c =
+    for i = 0 to c.una_count - 1 do
+      match c.unacked.((c.una_head + i) mod c.cfg.window) with
+      | Circuit.Data { seq; len; _ } as cell ->
         c.stats.retransmits <- c.stats.retransmits + 1;
         (match Sim.Engine.obs c.eng with
         | None -> ()
@@ -413,150 +521,123 @@ module Urp = struct
                  proto = "urp";
                  conv = c.circ.Switch.ce_chan;
                  id = seq;
-                 bytes = String.length cell - 2;
+                 bytes = len;
                });
           Obs.Trace.bump tr "urp.retransmits" 1);
-        send_raw c cell)
-      missing
+        send_data c cell len
+      | Circuit.Packet _ | Circuit.Ctl _ | Circuit.Hangup -> ()
+    done
 
-  let handle_data c cell =
-    let n = String.length cell - 2 in
-    if n >= 0 then begin
-      let seq = Char.code cell.[0] in
-      let last = cell.[1] = '\001' in
-      if seq = c.rcv_expect then begin
-        c.stats.cells_rcvd <- c.stats.cells_rcvd + 1;
-        c.stats.bytes_rcvd <- c.stats.bytes_rcvd + n;
-        c.rcv_expect <- (c.rcv_expect + 1) mod 256;
-        if last && Buffer.length c.partial = 0 then begin
-          (* a one-cell message: queue a view of the cell itself *)
-          let msg = Block.view cell 2 n in
-          msg.Block.delim <- true;
-          Block.Q.force_put c.rq msg
-        end
-        else begin
-          Buffer.add_substring c.partial cell 2 n;
-          if last then begin
-            Block.Q.force_put c.rq
-              (Block.make ~delim:true (Buffer.contents c.partial));
-            Buffer.clear c.partial
+  let handle_data c ~seq ~last payload off len =
+    if seq = c.rcv_expect then begin
+      c.stats.cells_rcvd <- c.stats.cells_rcvd + 1;
+      c.stats.bytes_rcvd <- c.stats.bytes_rcvd + len;
+      c.rcv_expect <- (c.rcv_expect + 1) mod 256;
+      if last then begin
+        let msg =
+          if c.part_len = 0 then Block.view payload off len
+          else begin
+            (* join the cells' views in one copy *)
+            let whole =
+              Block.gather c.part_first c.part_off (c.part_len + len)
+                ((payload, off, len) :: c.part_rest)
+            in
+            c.part_first <- "";
+            c.part_rest <- [];
+            c.part_len <- 0;
+            Block.make whole
           end
-        end;
-        tx_ctl c ack_text.(seq)
+        in
+        msg.Block.delim <- true;
+        Block.Q.force_put c.rq msg
+      end
+      else if c.part_len = 0 then begin
+        c.part_first <- payload;
+        c.part_off <- off;
+        c.part_len <- len
       end
       else begin
-        (* URP receivers do not buffer out-of-order cells: the window
-           is small, the circuit is ordered, loss is rare *)
-        c.stats.dups_dropped <- c.stats.dups_dropped + 1;
-        tx_ctl c ack_text.((c.rcv_expect + 255) mod 256)
-      end
+        c.part_rest <- (payload, off, len) :: c.part_rest;
+        c.part_len <- c.part_len + len
+      end;
+      Circuit.send c.circ ack_cell.(seq)
+    end
+    else begin
+      (* URP receivers do not buffer out-of-order cells: the window
+         is small, the circuit is ordered, loss is rare *)
+      c.stats.dups_dropped <- c.stats.dups_dropped + 1;
+      Circuit.send c.circ ack_cell.((c.rcv_expect + 255) mod 256)
     end
 
-  let handle_ctl c s =
-    match String.split_on_char ' ' s with
-    | [ "ack"; n ] -> (
-      match int_of_string_opt n with
-      | Some ack -> process_ack c ack
-      | None -> ())
-    | [ "enq" ] ->
+  let handle c = function
+    | Circuit.Data { payload; off; len; seq; last } ->
+      handle_data c ~seq ~last payload off len
+    | Circuit.Ctl { op = Ack; seq } -> process_ack c seq
+    | Circuit.Ctl { op = Enq; _ } ->
       (* report our receive state: last in-order cell consumed *)
-      tx_ctl c (Printf.sprintf "echo %d" ((c.rcv_expect + 255) mod 256))
-    | [ "echo"; n ] -> (
-      match int_of_string_opt n with
-      | Some ack ->
-        process_ack c ack;
-        retransmit_from c ack
-      | None -> ())
-    | [ "close" ] ->
-      c.closed_ <- true;
-      Block.Q.force_put c.rq (Block.hangup ());
-      Block.Q.close c.rq;
-      Sim.Rendez.wakeup_all c.wwait
-    | _ -> Log.debug (fun m -> m "urp: unknown ctl %S" s)
+      Circuit.send c.circ echo_cell.((c.rcv_expect + 255) mod 256)
+    | Circuit.Ctl { op = Echo; seq } ->
+      process_ack c seq;
+      retransmit c
+    | Circuit.Ctl { op = Close; _ } | Circuit.Hangup -> shut c
+    | Circuit.Packet _ -> ()
 
-  let dead_enqs = 10
-  (* consecutive unanswered enquiries before declaring the circuit
-     dead — the switch would have torn a real circuit down *)
-
-  let tick c =
-    if c.unacked <> [] && not c.closed_ then begin
-      let now = Sim.Engine.now c.eng in
-      let deadline =
-        c.last_progress
-        +. (c.cfg.min_timeout *. float_of_int (1 lsl min c.backoff 5))
-      in
-      if now >= deadline then
-        if c.backoff >= dead_enqs then begin
-          c.closed_ <- true;
-          Block.Q.force_put c.rq (Block.hangup ());
-          Block.Q.close c.rq;
-          Circuit.hangup c.circ;
-          Sim.Rendez.wakeup_all c.wwait
-        end
-        else begin
-          c.stats.enqs_sent <- c.stats.enqs_sent + 1;
-          c.backoff <- c.backoff + 1;
-          c.last_progress <- now;
-          tx_ctl c "enq"
-        end
-    end
+  (* The circuit's receive callback.  With a modelled CPU a data cell
+     is handled once the CPU has spent its cost, and the cells behind
+     it wait their turn. *)
+  let rec rx c cell =
+    match (c.cfg.cpu, cell) with
+    | None, _ -> handle c cell
+    | Some _, _ when c.rx_busy -> Queue.push cell c.rx_backlog
+    | Some cpu, Circuit.Data { len; _ } ->
+      c.rx_busy <- true;
+      Sim.Cpu.run_after ~label:"dk" cpu (cell_cost c len) (fun () ->
+          c.rx_busy <- false;
+          handle c cell;
+          while (not c.rx_busy) && not (Queue.is_empty c.rx_backlog) do
+            rx c (Queue.pop c.rx_backlog)
+          done)
+    | Some _, _ -> handle c cell
 
   let over ?(config = default_config) circ =
     let eng = circ.Switch.ce_line.Switch.l_sw.Switch.eng in
-    let rec conv =
-      lazy
-        {
-          circ;
-          cfg = config;
-          eng;
-          stats =
-            {
-              cells_sent = 0;
-              cells_rcvd = 0;
-              bytes_sent = 0;
-              bytes_rcvd = 0;
-              retransmits = 0;
-              enqs_sent = 0;
-              dups_dropped = 0;
-            };
-          snd_seq = 0;
-          unacked = [];
-          wwait = Sim.Rendez.create eng;
-          last_progress = 0.;
-          backoff = 0;
-          rcv_expect = 0;
-          partial = Buffer.create 256;
-          rq = Block.Q.create eng;
-          closed_ = false;
-          ticker =
-            Sim.Time.every ~label:"dk" eng (config.min_timeout /. 2.) (fun () ->
-                tick (Lazy.force conv));
-          kproc =
-            Sim.Proc.spawn eng ~name:"urp" (fun () ->
-                let c = Lazy.force conv in
-                let rec loop () =
-                  match Circuit.recv circ with
-                  | Circuit.Data { payload; _ } ->
-                    (* model receive-side protocol processing *)
-                    (match cell_cost c (String.length payload) with
-                    | Some (cpu, cost) -> Sim.Cpu.busy_wait cpu cost
-                    | None -> ());
-                    handle_data c payload;
-                    loop ()
-                  | Circuit.Ctl s ->
-                    handle_ctl c s;
-                    loop ()
-                  | Circuit.Hangup ->
-                    c.closed_ <- true;
-                    Block.Q.force_put c.rq (Block.hangup ());
-                    Block.Q.close c.rq;
-                    Sim.Rendez.wakeup_all c.wwait;
-                    Sim.Time.cancel c.ticker
-                in
-                loop ());
-        }
+    let c =
+      {
+        circ;
+        cfg = config;
+        eng;
+        stats =
+          {
+            cells_sent = 0;
+            cells_rcvd = 0;
+            bytes_sent = 0;
+            bytes_rcvd = 0;
+            retransmits = 0;
+            enqs_sent = 0;
+            dups_dropped = 0;
+          };
+        snd_seq = 0;
+        unacked = Array.make config.window Circuit.Hangup;
+        una_head = 0;
+        una_count = 0;
+        wwait = Sim.Rendez.create eng;
+        last_progress = 0.;
+        backoff = 0;
+        enq = Sim.Time.timer ~label:"dk" eng;
+        grid = Sim.Engine.now eng;
+        rcv_expect = 0;
+        part_first = "";
+        part_off = 0;
+        part_rest = [];
+        part_len = 0;
+        rx_backlog = Queue.create ();
+        rx_busy = false;
+        rq = Block.Q.create eng;
+        closed_ = false;
+      }
     in
-    Lazy.force conv
+    Circuit.set_rx circ (rx c);
+    c
 
   let write c msg =
     if c.closed_ then raise Hungup;
@@ -564,20 +645,22 @@ module Urp = struct
     let ncells = max 1 ((n + c.cfg.cell_size - 1) / c.cfg.cell_size) in
     for i = 0 to ncells - 1 do
       let off = i * c.cfg.cell_size in
-      let take = min c.cfg.cell_size (n - off) in
+      let len = min c.cfg.cell_size (n - off) in
       let last = i = ncells - 1 in
-      while List.length c.unacked >= c.cfg.window && not c.closed_ do
+      while c.una_count >= c.cfg.window && not c.closed_ do
         Sim.Rendez.sleep c.wwait
       done;
       if c.closed_ then raise Hungup;
       let seq = c.snd_seq in
       c.snd_seq <- (seq + 1) mod 256;
-      let cell = make_cell ~seq ~last msg off take in
-      c.unacked <- c.unacked @ [ (seq, cell) ];
-      if c.unacked <> [] && c.backoff = 0 then
-        c.last_progress <- Sim.Engine.now c.eng;
-      c.stats.bytes_sent <- c.stats.bytes_sent + take;
-      send_raw c cell
+      (* the cell is a view of [msg]: nothing is copied *)
+      let cell = Circuit.Data { payload = msg; off; len; seq; last } in
+      c.unacked.((c.una_head + c.una_count) mod c.cfg.window) <- cell;
+      c.una_count <- c.una_count + 1;
+      if c.backoff = 0 then c.last_progress <- Sim.Engine.now c.eng;
+      if not (Sim.Time.armed c.enq) then arm_enq c;
+      c.stats.bytes_sent <- c.stats.bytes_sent + len;
+      send_data c cell len
     done
 
   let read c n = Block.Q.read c.rq n
@@ -589,13 +672,8 @@ module Urp = struct
 
   let close c =
     if not c.closed_ then begin
-      c.closed_ <- true;
-      tx_ctl c "close";
+      Circuit.send c.circ close_cell;
       Circuit.hangup c.circ;
-      Block.Q.force_put c.rq (Block.hangup ());
-      Block.Q.close c.rq;
-      Sim.Time.cancel c.ticker;
-      Sim.Proc.kill c.kproc;
-      Sim.Rendez.wakeup_all c.wwait
+      shut c
     end
 end

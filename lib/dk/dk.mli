@@ -12,7 +12,13 @@
     delivery with a small window — which is why 9P could run over
     Datakit directly.  Recovery is enquiry-based (an [enq] elicits the
     receiver's state; only missing cells are resent), the ancestor of
-    IL's query scheme. *)
+    IL's query scheme.
+
+    As in the paper, where URP is a stream module on the Datakit line,
+    a URP conversation has no process of its own: the switch's delivery
+    event hands it each cell ({!Circuit.set_rx}), and one timer slot,
+    armed when a cell goes unacknowledged, carries its enquiries.  An
+    idle conversation schedules nothing. *)
 
 module Switch : sig
   type t
@@ -44,7 +50,9 @@ module Switch : sig
       cell crossing the switch.  [Hangup] cells are exempt from all
       faults (losing one would wedge circuit teardown; the real switch
       tore circuits down out of band).  Same determinism contract as
-      {!Netsim.Fault}. *)
+      {!Netsim.Fault}.  A {!Netsim.Fault.set_filter} hook sees a data
+      cell's whole message, a packet cell's packet and a control
+      cell's text form (["ack 3"], ["enq"], ["echo 3"], ["close"]). *)
 
   val attach : t -> name:string -> line
   (** Attach a host under a hierarchical name like ["nj/astro/helix"].
@@ -60,10 +68,25 @@ module Circuit : sig
 
   type t
 
+  type ctl =
+    | Ack  (** every cell up to [seq] arrived *)
+    | Enq  (** asks the receiver for its state *)
+    | Echo  (** the answer to [Enq]: the last in-order cell, [seq] *)
+    | Close  (** the sender closed the conversation *)
+
   type cell =
-    | Data of { payload : string; last : bool }
-        (** [last] marks a message boundary (BOT/EOT analog) *)
-    | Ctl of string  (** in-band control used by URP *)
+    | Data of { payload : string; off : int; len : int; seq : int; last : bool }
+        (** A URP data cell: a view of [len] bytes of [payload] from
+            [off], so sending one copies nothing.  [seq] is the cell's
+            sequence number mod 256; [last] marks a message boundary
+            (BOT/EOT analog).  It costs the line [len] bytes, a 2-byte
+            header and 4 bytes of framing. *)
+    | Packet of string
+        (** a whole packet in one cell (the IP-over-Datakit tunnel);
+            [String.length] bytes plus 4 of framing *)
+    | Ctl of { op : ctl; seq : int }
+        (** in-band control used by URP; it costs the line the bytes
+            of its text form plus 4 *)
     | Hangup
 
   exception Rejected of string
@@ -96,7 +119,15 @@ module Circuit : sig
       itself). *)
 
   val recv : t -> cell
-  (** Next cell in order; blocks; [Hangup] once hung up. *)
+  (** Next cell in order; blocks; [Hangup] once hung up.  For an end
+      without a receive callback. *)
+
+  val set_rx : t -> (cell -> unit) -> unit
+  (** Hand every later cell, in order, straight to the callback from
+      the switch's delivery event: no mailbox, no process.  Cells that
+      arrived before are handed over at once.  The callback runs
+      outside process context, so it must not block.  A [Hangup] from
+      the peer reaches it; a local {!hangup} does not call back. *)
 
   val hangup : t -> unit
   val peer_name : t -> string
@@ -127,7 +158,14 @@ module Urp : sig
   }
 
   val over : ?config:config -> Circuit.t -> conv
-  (** Run URP over an established circuit (both ends must do this). *)
+  (** Run URP over an established circuit (both ends must do this).
+      It spawns no process: it takes the circuit's receive callback
+      ({!Circuit.set_rx}), and with a [cpu] a data cell is handled once
+      the CPU has spent its cost, the cells behind it in arrival
+      order.  The enquiry timer is armed when a cell goes
+      unacknowledged and fires on the grid of [over]'s time plus
+      multiples of [min_timeout /. 2.]; once the window has drained it
+      lapses at its next point without re-arming. *)
 
   val counters : conv -> counters
 

@@ -294,7 +294,7 @@ let attach_stack t ~ifname st =
 (* -------- IP over Datakit --------
 
    A point-to-point tunnel carrying raw IP packets as single Datakit
-   cells ([last = true] marks each packet).  Datakit's switch delivers
+   cells, one [Packet] each.  Datakit's switch delivers
    in order but a fault schedule can still discard cells; a lost cell
    is simply a lost IP packet, recovered end-to-end by the transports —
    correct IP-over-anything semantics.  Packets sent before the call
@@ -305,7 +305,7 @@ let tunnel_iface t ~ifname ~addr ~mask setup =
   let txq = ref [] in
   let send_cell c raw =
     t.stats.tun_tx <- t.stats.tun_tx + 1;
-    Dk.Circuit.send c (Dk.Circuit.Data { payload = raw; last = true })
+    Dk.Circuit.send c (Dk.Circuit.Packet raw)
   in
   let emit ~nexthop:_ raw =
     match !circ with Some c -> send_cell c raw | None -> txq := raw :: !txq
@@ -325,11 +325,11 @@ let tunnel_iface t ~ifname ~addr ~mask setup =
          txq := [];
          let rec rx () =
            match Dk.Circuit.recv c with
-           | Dk.Circuit.Data { payload; _ } ->
+           | Dk.Circuit.Packet raw ->
              t.stats.tun_rx <- t.stats.tun_rx + 1;
-             input t ~ingress:iface payload;
+             input t ~ingress:iface raw;
              rx ()
-           | Dk.Circuit.Ctl _ -> rx ()
+           | Dk.Circuit.Data _ | Dk.Circuit.Ctl _ -> rx ()
            | Dk.Circuit.Hangup -> ()
          in
          rx ()));

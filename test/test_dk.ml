@@ -105,10 +105,10 @@ let test_cells_ordered () =
         let circ = Dk.Circuit.accept inc in
         let rec go () =
           match Dk.Circuit.recv circ with
-          | Dk.Circuit.Data { payload; _ } ->
-            got := payload :: !got;
+          | Dk.Circuit.Packet p ->
+            got := p :: !got;
             go ()
-          | Dk.Circuit.Ctl _ -> go ()
+          | Dk.Circuit.Data _ | Dk.Circuit.Ctl _ -> go ()
           | Dk.Circuit.Hangup -> ()
         in
         go ())
@@ -117,7 +117,7 @@ let test_cells_ordered () =
     spawn eng (fun () ->
         let circ = Dk.Circuit.dial gnot ~dest:"nj/astro/helix" ~service:"x" in
         List.iter
-          (fun p -> Dk.Circuit.send circ (Dk.Circuit.Data { payload = p; last = true }))
+          (fun p -> Dk.Circuit.send circ (Dk.Circuit.Packet p))
           [ "a"; "b"; "c" ];
         Sim.Time.sleep eng 1.0;
         Dk.Circuit.hangup circ)
@@ -432,6 +432,96 @@ let test_urp_close_gives_eof () =
   Sim.Engine.run ~until:30.0 eng;
   Alcotest.(check bool) "server saw eof" true !eof
 
+(* The enquiry timer keeps the grid a 20 Hz ticker started at [over]
+   would have ticked on, and an ack that resets a backed-off timer
+   pulls the next enquiry in.  The client's first message is lost
+   until two enquiries have gone out (backoff 2); then an ack gets
+   through and the next cell is lost once more.  With [drained] the
+   ack empties the window and the lost cell is a later message's;
+   otherwise it is the second of two messages sent back to back. *)
+let backoff_reset ~drained () =
+  let eng, sw, helix, gnot = make_switch () in
+  let min_timeout = Dk.Urp.default_config.Dk.Urp.min_timeout in
+  let enqs = ref [] in
+  (* when the last progress before the lost cell was made: the second
+     write, or the send of the ack that resets the backoff *)
+  let progress = ref infinity in
+  let m2_lost = ref false in
+  Netsim.Fault.set_filter (Dk.Switch.faults sw) (fun text ->
+      let now = Sim.Engine.now eng in
+      let backed_off = List.length !enqs >= 2 in
+      match text with
+      | "enq" ->
+        enqs := now :: !enqs;
+        None
+      | ("m1" | "m2") when not backed_off -> Some "test"
+      | "m2" when not !m2_lost ->
+        m2_lost := true;
+        Some "test"
+      | "ack 0" when (not drained) && !progress = infinity ->
+        progress := now;
+        None
+      | _ -> None);
+  let got = ref [] in
+  let _server =
+    spawn eng (fun () ->
+        let calls = Dk.Circuit.announce helix ~service:"urp" in
+        let conv = Dk.Urp.over (Dk.Circuit.accept (Sim.Mbox.recv calls)) in
+        let rec go () =
+          match Dk.Urp.read_msg conv with
+          | Some m ->
+            got := m :: !got;
+            go ()
+          | None -> ()
+        in
+        go ())
+  in
+  let t0 = ref 0. and spawns = ref (-1) in
+  let _client =
+    spawn eng (fun () ->
+        let circ = Dk.Circuit.dial gnot ~dest:"nj/astro/helix" ~service:"urp" in
+        t0 := Sim.Engine.now eng;
+        let before = Sim.Engine.spawned eng in
+        let conv = Dk.Urp.over circ in
+        spawns := Sim.Engine.spawned eng - before;
+        Dk.Urp.write conv "m1";
+        if drained then begin
+          while !got = [] do
+            Sim.Time.sleep eng 0.001
+          done;
+          Sim.Time.sleep eng 0.01;
+          progress := Sim.Engine.now eng
+        end;
+        Dk.Urp.write conv "m2")
+  in
+  Sim.Engine.run ~until:30.0 eng;
+  Alcotest.(check int) "Urp.over spawns no process" 0 !spawns;
+  Alcotest.(check (list string)) "both delivered" [ "m1"; "m2" ]
+    (List.rev !got);
+  Alcotest.(check bool) "the second cell was lost" true !m2_lost;
+  let step = min_timeout /. 2. in
+  let rec on_grid g t = if g < t then on_grid (g +. step) t else g = t in
+  List.iter
+    (fun t ->
+      Alcotest.(check bool)
+        (Printf.sprintf "enquiry at %.6f on the grid" t)
+        true (on_grid !t0 t))
+    !enqs;
+  (* the ack's send precedes its arrival by the line's transit *)
+  let slack = if drained then 0. else 1e-3 in
+  match List.filter (fun t -> t > !progress) (List.rev !enqs) with
+  | [] -> Alcotest.fail "no enquiry after the reset"
+  | first :: _ ->
+    let after = first -. !progress in
+    Alcotest.(check bool)
+      (Printf.sprintf "first enquiry %.6f s after progress" after)
+      true
+      (after <= (1.5 *. min_timeout) +. slack)
+
+let test_urp_backoff_reset () =
+  backoff_reset ~drained:true ();
+  backoff_reset ~drained:false ()
+
 let () =
   Alcotest.run "dk"
     [
@@ -460,5 +550,7 @@ let () =
           Alcotest.test_case "fault determinism" `Quick
             test_urp_fault_determinism;
           Alcotest.test_case "close eof" `Quick test_urp_close_gives_eof;
+          Alcotest.test_case "a backoff reset pulls the enquiry in" `Quick
+            test_urp_backoff_reset;
         ] );
     ]

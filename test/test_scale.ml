@@ -92,6 +92,37 @@ let test_tcp_idle_is_eventless () =
   Alcotest.(check int) "zero timer arms while idle" arms (counter tr "timer.arm");
   Alcotest.(check int) "event heap is empty" 0 (Sim.Engine.pending eng)
 
+(* URP too: once a message is exchanged and acked, neither end
+   schedules anything — no ticker, no process of its own *)
+let test_urp_idle_is_eventless () =
+  let eng = Sim.Engine.create ~seed:7 () in
+  let tr = Obs.Trace.create () in
+  Sim.Engine.attach_obs eng tr;
+  let sw = Dk.Switch.create ~name:"dk" eng in
+  let la = Dk.Switch.attach sw ~name:"nj/astro/a" in
+  let lb = Dk.Switch.attach sw ~name:"nj/astro/b" in
+  let got = ref None in
+  ignore
+    (Sim.Proc.spawn eng ~name:"rx" (fun () ->
+         let calls = Dk.Circuit.announce lb ~service:"urp" in
+         let conv = Dk.Urp.over (Dk.Circuit.accept (Sim.Mbox.recv calls)) in
+         got := Dk.Urp.read_msg conv));
+  ignore
+    (Sim.Proc.spawn eng ~name:"tx" (fun () ->
+         let circ = Dk.Circuit.dial la ~dest:"nj/astro/b" ~service:"urp" in
+         Dk.Urp.write (Dk.Urp.over circ) "ping"));
+  (* bounded: a ticker per end would never let the heap drain *)
+  Sim.Engine.run ~until:60. eng;
+  Alcotest.(check (option string)) "message delivered" (Some "ping") !got;
+  let events = Sim.Engine.events eng in
+  let arms = counter tr "timer.arm" in
+  let now = Sim.Engine.now eng in
+  Sim.Engine.run ~until:(now +. 3600.) eng;
+  Alcotest.(check int) "zero events while idle" events (Sim.Engine.events eng);
+  Alcotest.(check int) "zero timer arms while idle" arms (counter tr "timer.arm");
+  Alcotest.(check int) "event heap is empty" 0 (Sim.Engine.pending eng);
+  Alcotest.(check bool) "the enquiry timer was used" true (arms > 0)
+
 (* ---- the transports, each on the one conversation core ---- *)
 
 let il ip = Inet.Il.attach ip
@@ -281,6 +312,8 @@ let () =
             test_il_idle_is_eventless;
           Alcotest.test_case "TCP: idle conversation is eventless" `Quick
             test_tcp_idle_is_eventless;
+          Alcotest.test_case "URP: idle conversation is eventless" `Quick
+            test_urp_idle_is_eventless;
         ] );
       ( "port-exhaustion",
         [
