@@ -63,7 +63,7 @@ let run seed verbose log_lines metrics hostname =
     ignore
       (P9net.Host.spawn h "p9stat" (fun env ->
            if metrics then begin
-             (* arm the sampling ticker before any traffic happens *)
+             (* arm the sampler before any traffic happens *)
              let fd = Vfs.Env.open_ env "/net/metrics" Ninep.Fcall.Ordwr in
              ignore (Vfs.Env.write env fd "start 0.25");
              Vfs.Env.close env fd

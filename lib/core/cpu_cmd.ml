@@ -1,7 +1,3 @@
-let src = Logs.Src.create "cpu" ~doc:"the cpu service"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type command = Vfs.Env.t -> args:string list -> string
 
 let handle_session eng commands env ~dir ~data_fd =
@@ -41,8 +37,7 @@ let handle_session eng commands env ~dir ~data_fd =
            | Failure e -> Printf.sprintf "cpu: %s: %s\n" cmd e
          in
          Vfs.Env.write_file env "/mnt/term/dev/cons" output
-       with Vfs.Chan.Error e | Ninep.Client.Err e ->
-         Log.debug (fun m -> m "cpu session failed: %s" e));
+       with Vfs.Chan.Error _ | Ninep.Client.Err _ -> ());
       Ninep.Client.hangup client)
 
 let serve host ~commands =

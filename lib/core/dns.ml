@@ -1,7 +1,3 @@
-let src = Logs.Src.create "dns" ~doc:"domain name service"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let port = 53
 
 (* Wire format (text datagrams):
@@ -69,7 +65,10 @@ let serve_zone udp ~db =
                 (String.concat "\n" (List.map (fun ip -> "ns " ^ ip) ns))
           in
           Inet.Udp.send conv ~dst:src_addr ~dport:src_port reply
-        | _ -> Log.debug (fun m -> m "dns: malformed query %S" data));
+        | _ -> (
+          match Sim.Engine.obs eng with
+          | None -> ()
+          | Some tr -> Obs.Trace.bump tr "dns.bad_query" 1));
         loop ()
       in
       loop ())

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "ftp" ~doc:"ftp service and ftpfs"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 (* ------------------------------------------------------------------ *)
 (* line-oriented IO over a byte-stream descriptor                      *)
 (* ------------------------------------------------------------------ *)
@@ -397,9 +393,7 @@ let ftpfs session =
         match n.wbuf with
         | Some b -> (
           n.wbuf <- None;
-          try store n.s n.comps (Buffer.contents b)
-          with Ftp_error e ->
-            Log.debug (fun m -> m "ftpfs: flush failed: %s" e))
+          try store n.s n.comps (Buffer.contents b) with Ftp_error _ -> ())
         | None -> ());
     fs_clone =
       (fun n ->

@@ -1,6 +1,8 @@
-let src = Logs.Src.create "listener" ~doc:"service listener"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+(* a peer's fault, counted only when it happens *)
+let bump eng name =
+  match Sim.Engine.obs eng with
+  | None -> ()
+  | Some tr -> Obs.Trace.bump tr name 1
 
 let start eng ?backlog env ~addr ~handler =
   Sim.Proc.spawn eng ~name:("listen:" ^ addr) (fun () ->
@@ -30,12 +32,11 @@ let start eng ?backlog env ~addr ~handler =
                        Vfs.Env.close child_env data_fd;
                        Vfs.Env.close child_env conn.Dial.ctl_fd)
                      (fun () -> handler child_env conn ~data_fd)
-                 | exception Dial.Dial_error e ->
+                 | exception Dial.Dial_error _ ->
                    Vfs.Env.close child_env conn.Dial.ctl_fd;
-                   Log.debug (fun m -> m "%s: accept: %s" addr e)));
+                   bump eng "listener.accept_err"));
           Vfs.Env.close env conn.Dial.ctl_fd;
           loop ()
-        | exception Dial.Dial_error e ->
-          Log.debug (fun m -> m "%s: listen: %s" addr e)
+        | exception Dial.Dial_error _ -> bump eng "listener.listen_err"
       in
       loop ())

@@ -65,12 +65,12 @@ let mount_log env eng =
 
 (* /net/metrics: periodic counter snapshots as "name value ts" lines
    (Prometheus exposition, virtual timestamps).  Sampling is opt-in —
-   an always-on ticker would add engine events to every run and
+   an always-on sampler would add engine events to every run and
    perturb the event-economy baselines — so a plain read without any
    stored samples shows one live snapshot instead. *)
 let mount_metrics env eng =
   let series = ref None in
-  let ticker = ref None in
+  let sampler = Sim.Time.timer ~label:"obs" eng in
   let get_series () =
     match Sim.Engine.obs eng with
     | None -> None
@@ -82,22 +82,16 @@ let mount_metrics env eng =
         series := Some s;
         Some s)
   in
-  let stop () =
-    match !ticker with
-    | Some tk ->
-      Sim.Time.cancel tk;
-      ticker := None
-    | None -> ()
-  in
+  let stop () = Sim.Time.disarm sampler in
   let start interval =
     match get_series () with
     | None -> Error "metrics: tracing disabled"
     | Some s ->
-      stop ();
-      ticker :=
-        Some
-          (Sim.Time.every ~label:"obs" eng interval (fun () ->
-               Obs.Series.sample s (Sim.Engine.now eng)));
+      let rec sample () =
+        Obs.Series.sample s (Sim.Engine.now eng);
+        Sim.Time.arm sampler interval sample
+      in
+      Sim.Time.arm sampler interval sample;
       Ok ""
   in
   let text () =

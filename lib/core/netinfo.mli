@@ -13,7 +13,7 @@
       read.
     - [/net/metrics]: periodic counter snapshots as Prometheus-style
       [name value ts] lines (virtual timestamps).  Writing
-      [start [interval]] arms a sampling ticker, [stop] disarms it,
+      [start [interval]] arms a sampling timer, [stop] disarms it,
       [sample] takes one snapshot now, [clear] empties the ring.  A
       read with no stored samples shows one live snapshot. *)
 
@@ -41,4 +41,4 @@ val mount_log : Vfs.Env.t -> Sim.Engine.t -> unit
 val mount_metrics : Vfs.Env.t -> Sim.Engine.t -> unit
 (** Serve periodic counter time-series at [/net/metrics] ("tracing
     disabled" when no trace is attached).  Sampling is opt-in: write
-    [start [interval]] to arm the ticker. *)
+    [start [interval]] to arm the sampler. *)

@@ -32,9 +32,8 @@ module Switch = struct
     ce_line : line;
     ce_chan : int;
     mutable ce_peer : cend option;
-    ce_inq : cell Sim.Mbox.t;  (* [Hangup] = end of circuit *)
-    mutable ce_rx : (cell -> unit) option;
-        (* set: cells go straight to it from the delivery event *)
+    mutable ce_rx : cell -> unit;
+        (* cells go straight to it from the delivery event *)
     mutable ce_up : bool;
   }
 
@@ -111,8 +110,7 @@ module Switch = struct
       ce_line = line;
       ce_chan = chan;
       ce_peer = None;
-      ce_inq = Sim.Mbox.create line.l_sw.eng;
-      ce_rx = None;
+      ce_rx = ignore;
       ce_up = true;
     }
 
@@ -123,14 +121,6 @@ module Switch = struct
     | Packet raw -> String.length raw + 4
     | Ctl { op; seq } -> String.length (ctl_text op seq) + 4
     | Hangup -> 4
-
-  (* hand a cell to its end: the callback, or the mailbox [recv] reads *)
-  let deliver ce cell =
-    match ce.ce_rx with
-    | None -> Sim.Mbox.send ce.ce_inq cell
-    | Some rx ->
-      (match cell with Hangup -> ce.ce_up <- false | _ -> ());
-      rx cell
 
   let inject sw ~src ~(dst : line) kind ~reason bytes =
     Fault.inject dst.l_stats.injected sw.eng ~medium:sw.sw_name kind ~reason
@@ -187,7 +177,8 @@ module Switch = struct
         let arrive () =
           if peer.ce_up then begin
             dst.l_stats.cells_in <- dst.l_stats.cells_in + 1;
-            deliver peer cell
+            (match cell with Hangup -> peer.ce_up <- false | _ -> ());
+            peer.ce_rx cell
           end
         in
         let base = finish +. sw.latency +. v.Fault.v_delay in
@@ -302,34 +293,12 @@ module Circuit = struct
 
   let send (ce : t) cell = if ce.Switch.ce_up then Switch.send_cell ce cell
 
-  let recv (ce : t) =
-    if not ce.Switch.ce_up then Hangup
-    else
-      match Sim.Mbox.recv ce.Switch.ce_inq with
-      | Hangup ->
-        ce.Switch.ce_up <- false;
-        Hangup
-      | cell -> cell
-
-  let set_rx (ce : t) rx =
-    ce.Switch.ce_rx <- Some rx;
-    (* cells that arrived before the callback, in order *)
-    let rec drain () =
-      match Sim.Mbox.try_recv ce.Switch.ce_inq with
-      | Some cell ->
-        Switch.deliver ce cell;
-        drain ()
-      | None -> ()
-    in
-    drain ()
+  let set_rx (ce : t) rx = ce.Switch.ce_rx <- rx
 
   let hangup (ce : t) =
     if ce.Switch.ce_up then begin
       Switch.send_cell ce Hangup;
-      ce.Switch.ce_up <- false;
-      (* unblock a local reader too; a callback owner hung up itself *)
-      if Option.is_none ce.Switch.ce_rx then
-        Sim.Mbox.send ce.Switch.ce_inq Hangup
+      ce.Switch.ce_up <- false
     end
 
   let peer_name (ce : t) =

@@ -118,16 +118,16 @@ module Circuit : sig
   (** Queue a cell for the circuit (never blocks; the wire paces
       itself). *)
 
-  val recv : t -> cell
-  (** Next cell in order; blocks; [Hangup] once hung up.  For an end
-      without a receive callback. *)
-
   val set_rx : t -> (cell -> unit) -> unit
   (** Hand every later cell, in order, straight to the callback from
-      the switch's delivery event: no mailbox, no process.  Cells that
-      arrived before are handed over at once.  The callback runs
-      outside process context, so it must not block.  A [Hangup] from
-      the peer reaches it; a local {!hangup} does not call back. *)
+      the switch's delivery event: no mailbox, no process.  An end
+      starts with a callback that drops every cell, so call [set_rx]
+      before the calling process next blocks after {!accept} returns
+      or {!dial} resumes.  No cell is lost that way: the first one
+      needs at least a cell time on the line, and [accept] returns,
+      and [dial] resumes, sooner.  The callback runs outside process
+      context, so it must not block.  A [Hangup] from the peer reaches
+      it; a local {!hangup} does not call back. *)
 
   val hangup : t -> unit
   val peer_name : t -> string

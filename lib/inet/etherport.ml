@@ -16,8 +16,6 @@ and t = {
   nic : Netsim.Ether.nic;
   mutable connections : conn list;  (* ascending id *)
   mutable next_id : int;
-  inbox : Netsim.Ether.frame Sim.Mbox.t;
-  kproc : Sim.Proc.t;
 }
 
 (* a top-level walk rather than a [List.iter] closure: a received frame
@@ -40,28 +38,8 @@ let distribute driver frame =
   deliver (Netsim.Ether.nic_addr driver.nic) frame driver.connections
 
 let create eng nic =
-  let inbox = Sim.Mbox.create eng in
-  let rec driver =
-    lazy
-      {
-        eng;
-        nic;
-        connections = [];
-        next_id = 0;
-        inbox;
-        kproc =
-          Sim.Proc.spawn eng ~name:"etherkproc" (fun () ->
-              let rec loop () =
-                let frame = Sim.Mbox.recv inbox in
-                distribute (Lazy.force driver) frame;
-                loop ()
-              in
-              loop ());
-      }
-  in
-  let driver = Lazy.force driver in
-  (* interrupt side: just queue and wake the kernel process *)
-  Netsim.Ether.set_rx nic (fun frame -> Sim.Mbox.send inbox frame);
+  let driver = { eng; nic; connections = []; next_id = 0 } in
+  Netsim.Ether.set_rx nic (distribute driver);
   driver
 
 let engine t = t.eng
@@ -142,5 +120,3 @@ let stats_text t =
     s.Netsim.Ether.in_bytes s.Netsim.Ether.out_bytes s.Netsim.Ether.crc_errors
     s.Netsim.Ether.overflows
     (List.length t.connections)
-
-let shutdown t = Sim.Proc.kill t.kproc

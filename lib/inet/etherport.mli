@@ -8,15 +8,19 @@
     receives a copy; type [-1] selects all packets; promiscuous
     connections see traffic addressed to other stations too.
 
-    Reception follows the paper's interrupt discipline: the medium's
-    delivery callback (interrupt context) only queues the frame; a
-    kernel process distributes copies to connections. *)
+    Reception: the medium's delivery event hands each frame to the
+    connections itself.  In the paper an interrupt routine only queues
+    the frame and a kernel process runs the protocol code, because
+    interrupt code had to stay short; here the delivery event cannot
+    be preempted and costs no virtual time, so a queue and a process
+    between it and the connections would model neither CPU time nor a
+    queue limit, only add an event and a process switch per frame. *)
 
 type t
 type conn
 
 val create : Sim.Engine.t -> Netsim.Ether.nic -> t
-(** Start the driver and its kernel process. *)
+(** Take the station's receive callback; spawns no process. *)
 
 val engine : t -> Sim.Engine.t
 val addr : t -> Netsim.Eaddr.t
@@ -68,7 +72,8 @@ val send : conn -> dst:Netsim.Eaddr.t -> string -> unit
     address and packet type." *)
 
 val set_rx : conn -> (Netsim.Ether.frame -> unit) -> unit
-(** Frame consumer, invoked from the driver's kernel process. *)
+(** Frame consumer, invoked from the medium's delivery event: outside
+    process context, so it must not block. *)
 
 val close_conn : conn -> unit
 
@@ -79,6 +84,3 @@ val conns : t -> conn list
 val stats_text : t -> string
 (** The ASCII contents of the [stats] file: interface address,
     input/output counts, error statistics. *)
-
-val shutdown : t -> unit
-(** Kill the kernel process (tests). *)

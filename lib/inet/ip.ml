@@ -1,7 +1,3 @@
-let src = Logs.Src.create "ip" ~doc:"simulated IP layer"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 let proto_il = 40
 let proto_tcp = 6
 let proto_tcpcc = 105
@@ -176,8 +172,7 @@ let rec arp_retry t target =
     if !tries >= arp_retries then begin
       t.stats.arp_unresolved_drops <-
         t.stats.arp_unresolved_drops + List.length !queued;
-      Hashtbl.remove t.arp target;
-      Log.debug (fun m -> m "arp: giving up on %a" Ipaddr.pp target)
+      Hashtbl.remove t.arp target
     end
     else begin
       incr tries;

@@ -6,9 +6,9 @@
     fragmentation/reassembly (IL and UDP rely on IP fragmentation for
     messages larger than the medium's MTU).
 
-    Transport handlers ({!register_proto}) run in the Ethernet driver's
-    kernel process; they may block only on their own conversation
-    queues, never indefinitely, or they would stall the interface. *)
+    Transport handlers ({!register_proto}) run from the Ethernet's
+    delivery event, outside process context, so they must not
+    block. *)
 
 type stack
 

@@ -27,7 +27,6 @@ let to_string t =
   Printf.sprintf "%d.%d.%d.%d" (t lsr 24) ((t lsr 16) land 0xff)
     ((t lsr 8) land 0xff) (t land 0xff)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let any = 0
 let broadcast = 0xffffffff
 let logand = ( land )

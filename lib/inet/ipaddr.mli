@@ -17,7 +17,6 @@ val compare : t -> t -> int
 (** Unsigned numeric order: 10.0.0.1 sorts before 135.104.9.2. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
 
 val any : t
 (** 0.0.0.0 — the "*" of announce strings. *)

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "netsim" ~doc:"simulated physical media"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 module Eaddr = struct
   type t = string
 
@@ -15,7 +11,6 @@ module Eaddr = struct
 
   let to_string t = t
   let broadcast = "ffffffffffff"
-  let pp fmt t = Format.pp_print_string fmt t
 end
 
 module Fault = struct
@@ -411,13 +406,7 @@ module Ether = struct
               else seg_v
             in
             match v.Fault.v_drop with
-            | Some reason ->
-              inject t station Fault.Drop ~reason frame;
-              Log.debug (fun m ->
-                  m "%s: frame %s->%s type %d dropped (%s)" t.ename
-                    (Eaddr.to_string frame.src)
-                    (Eaddr.to_string frame.dst)
-                    frame.etype reason)
+            | Some reason -> inject t station Fault.Drop ~reason frame
             | None ->
               if v.Fault.v_reorder then
                 inject t station Fault.Reorder ~reason:"reorder" frame;

@@ -8,10 +8,11 @@
     behaviour is reproducible.
 
     Media deliver to receive callbacks outside any process context —
-    the moral equivalent of an interrupt.  Drivers built on top must
-    obey the paper's rule that "the interrupt routine may not allocate
-    blocks or call a put routine": in practice they hand the frame to a
-    queue or mailbox that wakes a kernel process. *)
+    the moral equivalent of an interrupt, except that a delivery
+    cannot be preempted and costs no virtual time.  So drivers run
+    their protocol code right in the callback, where the paper's
+    interrupt routine queued the frame for a kernel process; the
+    callback must not block. *)
 
 module Eaddr : sig
   type t = private string
@@ -23,7 +24,6 @@ module Eaddr : sig
 
   val to_string : t -> string
   val broadcast : t
-  val pp : Format.formatter -> t -> unit
 end
 
 module Fault : sig
@@ -218,7 +218,7 @@ module Ether : sig
   val set_rx : nic -> (frame -> unit) -> unit
   (** Delivery callback: called once per frame addressed to this
       station (unicast match, broadcast, or any frame if promiscuous).
-      Interrupt context: must not block. *)
+      Outside process context: must not block. *)
 
   val set_promiscuous : nic -> bool -> unit
 

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "9psrv" ~doc:"9P server framework"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 type 'n fs = {
   fs_name : string;
   fs_attach : uname:string -> aname:string -> ('n, string) result;
@@ -311,8 +307,10 @@ let serve ?(threaded = false) ?auth eng fs tr =
           | Fcall.T (tag, t) ->
             if threaded then dispatch tag t else safe_handle tag t
           | Fcall.R (_, _) -> () (* servers ignore replies *)
-          | exception Fcall.Bad_message m ->
-            Log.debug (fun f -> f "%s: bad message: %s" fs.fs_name m));
+          | exception Fcall.Bad_message _ -> (
+            match Sim.Engine.obs eng with
+            | None -> ()
+            | Some tr -> Obs.Trace.bump tr "9p.bad_msg" 1));
           loop ()
       in
       loop ())

@@ -196,7 +196,7 @@ end
 module Series : sig
   (** A bounded ring of periodic counter snapshots — the data behind
       [/net/metrics].  Sampling is driven by the caller (a virtual-time
-      ticker), so the series is as deterministic as the counters. *)
+      timer), so the series is as deterministic as the counters. *)
 
   type t
 

@@ -1,7 +1,3 @@
-let src = Logs.Src.create "route" ~doc:"per-host IP route table and forwarder"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 (* -------- the route table: longest-prefix match -------- *)
 
 module Table = struct
@@ -141,7 +137,6 @@ let drop t ~reason raw =
   | "blackhole" -> t.stats.blackholed <- t.stats.blackholed + 1
   | "transit_refused" -> t.stats.transit_refused <- t.stats.transit_refused + 1
   | _ -> t.stats.bad_header <- t.stats.bad_header + 1);
-  Log.debug (fun m -> m "%s: drop (%s), %d bytes" t.name reason (String.length raw));
   match Sim.Engine.obs t.eng with
   | None -> ()
   | Some tr ->
@@ -298,7 +293,9 @@ let attach_stack t ~ifname st =
    in order but a fault schedule can still discard cells; a lost cell
    is simply a lost IP packet, recovered end-to-end by the transports —
    correct IP-over-anything semantics.  Packets sent before the call
-   completes are queued and flushed at establishment. *)
+   completes are queued and flushed at establishment.  The tunnel's
+   process only places the call: received packets go to [input]
+   straight from the switch's delivery event. *)
 
 let tunnel_iface t ~ifname ~addr ~mask setup =
   let circ = ref None in
@@ -321,18 +318,13 @@ let tunnel_iface t ~ifname ~addr ~mask setup =
        (fun () ->
          let c = setup () in
          circ := Some c;
-         List.iter (send_cell c) (List.rev !txq);
-         txq := [];
-         let rec rx () =
-           match Dk.Circuit.recv c with
+         Dk.Circuit.set_rx c (function
            | Dk.Circuit.Packet raw ->
              t.stats.tun_rx <- t.stats.tun_rx + 1;
-             input t ~ingress:iface raw;
-             rx ()
-           | Dk.Circuit.Data _ | Dk.Circuit.Ctl _ -> rx ()
-           | Dk.Circuit.Hangup -> ()
-         in
-         rx ()));
+             input t ~ingress:iface raw
+           | Dk.Circuit.Data _ | Dk.Circuit.Ctl _ | Dk.Circuit.Hangup -> ());
+         List.iter (send_cell c) (List.rev !txq);
+         txq := []));
   iface
 
 let dk_tunnel_listen t ~ifname ~addr ~mask line ~service =

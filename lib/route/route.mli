@@ -106,8 +106,10 @@ val dk_tunnel_listen :
   iface
 (** The answering end of a point-to-point IP-over-Datakit tunnel:
     announces [service] on [line], accepts one call, then carries raw
-    IP packets as delimited Datakit cells.  Packets routed into the
-    tunnel before establishment are queued and flushed. *)
+    IP packets as Datakit cells, one each.  Packets routed into the
+    tunnel before establishment are queued and flushed.  The tunnel's
+    process only places the call; received packets reach {!input}
+    from the switch's delivery event. *)
 
 val dk_tunnel_dial :
   t ->

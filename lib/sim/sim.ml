@@ -1,7 +1,3 @@
-let src = Logs.Src.create "sim" ~doc:"discrete-event simulation kernel"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 (* Tie-break policy for same-timestamp events.  Everything at distinct
    times is ordered by time; within an equal-time batch the policy
    decides, and every policy is a pure function of (policy, serial) so
@@ -137,7 +133,7 @@ type engine = {
   rng : Random.State.t;
   procs : proc Pidtbl.t;  (* live processes by pid *)
   mutable peak_procs : int;  (* high-water mark of [procs] *)
-  mutable crashes : (string * exn) list;
+  mutable crashes : exn list;
   mutable next_pid : int;
   mutable events : int;  (* live events executed since creation *)
   mutable obs : Obs.Trace.t option;
@@ -296,9 +292,8 @@ module Engine = struct
     (match until with Some limit when limit > t.now -> t.now <- limit | _ -> ());
     match List.rev t.crashes with
     | [] -> ()
-    | (name, e) :: _ ->
+    | e :: _ ->
       t.crashes <- [];
-      Log.err (fun m -> m "proc %s crashed: %s" name (Printexc.to_string e));
       raise e
 
   let live_procs t = Pidtbl.length t.procs
@@ -480,7 +475,7 @@ module Proc = struct
             | Killed -> emit_phase p Obs.Event.Exit
             | e ->
               emit_phase p Obs.Event.Crash;
-              eng.crashes <- (pname, e) :: eng.crashes);
+              eng.crashes <- e :: eng.crashes);
             finish p);
         effc =
           (fun (type a) (eff : a Effect.t) :
@@ -546,21 +541,6 @@ module Time = struct
     Proc.timed_wait eng (if dt <= 0. then Deferred else Normal) (eng.now +. dt)
 
   let yield eng = sleep eng 0.
-
-  type ticker = { mutable live : bool }
-
-  let every ?(label = "tick") eng dt fn =
-    let tk = { live = true } in
-    let rec tick () =
-      if tk.live then begin
-        fn ();
-        schedule_at ~label eng (eng.now +. dt) tick
-      end
-    in
-    schedule_at ~label eng (eng.now +. dt) tick;
-    tk
-
-  let cancel tk = tk.live <- false
 
   (* A one-shot re-armable timer slot: at most one pending heap entry at
      a time.  Arming replaces any pending deadline; disarming cancels it

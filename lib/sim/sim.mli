@@ -191,15 +191,6 @@ module Time : sig
   (** Reschedule the calling process after already-queued same-time
       events. *)
 
-  type ticker
-
-  val every : ?label:string -> Engine.t -> float -> (unit -> unit) -> ticker
-  (** Run a callback every [dt] seconds (not in process context) until
-      {!cancel}.  [label] (default ["tick"]) is the profiler's handler
-      class for the tick dispatches. *)
-
-  val cancel : ticker -> unit
-
   type timer
   (** A one-shot re-armable timer slot holding at most one pending
       deadline.  This is the building block for per-conversation
@@ -283,8 +274,8 @@ end
 
 module Mbox : sig
   type 'a t
-  (** Unbounded mailbox with blocking receive; the standard way a
-      driver's interrupt side hands work to its kernel process. *)
+  (** Unbounded mailbox with blocking receive: how an event hands work
+      to a process, e.g. calls to a listener. *)
 
   val create : Engine.t -> 'a t
   val send : 'a t -> 'a -> unit

@@ -11,7 +11,7 @@
 
    Conventions: every process a scenario owns carries an "sc:" marker in
    its name; those are the processes that must not be left stalled.
-   Daemons of the standing world (listeners, protocol kprocs) park
+   Daemons of the standing world (listeners, servers) park
    themselves blocked by design and are exempt. *)
 
 module E = Sim.Explore

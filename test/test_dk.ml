@@ -103,15 +103,9 @@ let test_cells_ordered () =
         let calls = Dk.Circuit.announce helix ~service:"x" in
         let inc = Sim.Mbox.recv calls in
         let circ = Dk.Circuit.accept inc in
-        let rec go () =
-          match Dk.Circuit.recv circ with
-          | Dk.Circuit.Packet p ->
-            got := p :: !got;
-            go ()
-          | Dk.Circuit.Data _ | Dk.Circuit.Ctl _ -> go ()
-          | Dk.Circuit.Hangup -> ()
-        in
-        go ())
+        Dk.Circuit.set_rx circ (function
+          | Dk.Circuit.Packet p -> got := p :: !got
+          | Dk.Circuit.Data _ | Dk.Circuit.Ctl _ | Dk.Circuit.Hangup -> ()))
   in
   let _client =
     spawn eng (fun () ->
@@ -124,6 +118,29 @@ let test_cells_ordered () =
   in
   Sim.Engine.run ~until:10.0 eng;
   Alcotest.(check (list string)) "in order" [ "a"; "b"; "c" ] (List.rev !got)
+
+(* An end drops cells until [set_rx]; none can arrive before it is set
+   right after [dial] returns, since even the smallest cell the callee
+   sends right after [accept] takes a cell time on the line and the
+   caller resumes one switch transit after the accept. *)
+let test_first_cell_after_accept () =
+  let eng, _sw, helix, gnot = make_switch () in
+  let got = ref [] in
+  let _server =
+    spawn eng (fun () ->
+        let calls = Dk.Circuit.announce helix ~service:"x" in
+        let circ = Dk.Circuit.accept (Sim.Mbox.recv calls) in
+        Dk.Circuit.send circ (Dk.Circuit.Packet ""))
+  in
+  let _client =
+    spawn eng (fun () ->
+        let circ = Dk.Circuit.dial gnot ~dest:"nj/astro/helix" ~service:"x" in
+        Dk.Circuit.set_rx circ (function
+          | Dk.Circuit.Packet p -> got := p :: !got
+          | Dk.Circuit.Data _ | Dk.Circuit.Ctl _ | Dk.Circuit.Hangup -> ()))
+  in
+  Sim.Engine.run ~until:10.0 eng;
+  Alcotest.(check (list string)) "first cell kept" [ "" ] !got
 
 let urp_pair ?loss ?config () =
   let eng, sw, helix, gnot = make_switch ?loss () in
@@ -535,6 +552,8 @@ let () =
             test_dial_unknown_service;
           Alcotest.test_case "wildcard service" `Quick test_wildcard_service;
           Alcotest.test_case "cells ordered" `Quick test_cells_ordered;
+          Alcotest.test_case "first cell after accept" `Quick
+            test_first_cell_after_accept;
         ] );
       ( "urp",
         [

@@ -122,7 +122,10 @@ let test_il_connect_and_echo () =
         Inet.Il.close conv)
   in
   Sim.Engine.run ~until:10.0 eng;
-  Alcotest.(check string) "echoed" "echo:hello il" !got
+  Alcotest.(check string) "echoed" "echo:hello il" !got;
+  (* frames reach IL from the medium's delivery event: no driver
+     process is left blocked *)
+  Alcotest.(check (list string)) "nothing stalled" [] (Sim.Engine.stalled eng)
 
 let test_il_preserves_delimiters () =
   let eng, _seg, h1, h2 = make_world () in
@@ -950,6 +953,15 @@ let test_udp_dialed_takes_its_peer () =
 
 (* ---- IP layer details ---- *)
 
+(* the medium's delivery event hands each frame to the connections;
+   the driver has no process of its own *)
+let test_driver_spawns_nothing () =
+  let eng = Sim.Engine.create () in
+  let seg = Netsim.Ether.create ~name:"ether0" eng in
+  let nic = Netsim.Ether.attach seg (ea "080069020001") in
+  ignore (Inet.Etherport.create eng nic);
+  Alcotest.(check int) "no process" 0 (Sim.Engine.spawned eng)
+
 let test_arp_resolves_once () =
   let eng, _seg, h1, h2 = make_world () in
   let _c =
@@ -1337,6 +1349,8 @@ let () =
         ] );
       ( "ip",
         [
+          Alcotest.test_case "driver spawns nothing" `Quick
+            test_driver_spawns_nothing;
           Alcotest.test_case "arp resolves once" `Quick test_arp_resolves_once;
           Alcotest.test_case "loopback" `Quick test_ip_loopback;
           Alcotest.test_case "no route" `Quick test_no_route_raises;

@@ -212,6 +212,25 @@ let test_routed_world_echo () =
     (stat (fun c -> c.Route.forwarded) > 0);
   Alcotest.(check bool) "the dk tunnel carried packets" true
     (stat (fun c -> c.Route.tun_tx) > 0 && stat (fun c -> c.Route.tun_rx) > 0);
+  (* a tunnel's process only places the call: packets reach the node
+     from the switch's delivery event *)
+  let tunnel_ends =
+    List.concat_map
+      (fun gw ->
+        match gw.P9net.Host.node with
+        | Some n ->
+          List.filter_map
+            (fun i ->
+              if String.starts_with ~prefix:"dk" i.Route.if_name then
+                Some (Route.name n ^ ":" ^ i.Route.if_name)
+              else None)
+            (Route.ifaces n)
+        | None -> [])
+      gws
+  in
+  Alcotest.(check int) "two tunnel ends" 2 (List.length tunnel_ends);
+  Alcotest.(check (list string)) "no tunnel process alive" []
+    (List.filter (fun p -> List.mem p tunnel_ends) (Sim.Engine.stalled eng));
   Alcotest.(check int) "no drops at the choke point" 0
     (stat (fun c ->
          c.Route.no_route + c.Route.ttl_exceeded + c.Route.blackholed

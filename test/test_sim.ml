@@ -270,14 +270,6 @@ let test_block_outside_process () =
       ignore (Sim.Mbox.recv (Sim.Mbox.create eng : int Sim.Mbox.t)));
   Alcotest.(check int) "nothing scheduled" 0 (Sim.Engine.pending eng)
 
-let test_ticker () =
-  let eng = Sim.Engine.create () in
-  let ticks = ref 0 in
-  let tk = Sim.Time.every eng 1.0 (fun () -> incr ticks) in
-  Sim.Engine.at eng 5.5 (fun () -> Sim.Time.cancel tk);
-  Sim.Engine.run eng;
-  Alcotest.(check int) "5 ticks then cancelled" 5 !ticks
-
 let test_cpu_serializes () =
   let eng = Sim.Engine.create () in
   let cpu = Sim.Cpu.create eng in
@@ -678,7 +670,6 @@ let () =
             test_kill_after_wakeup;
           Alcotest.test_case "blocking outside a process" `Quick
             test_block_outside_process;
-          Alcotest.test_case "ticker" `Quick test_ticker;
         ] );
       ( "cpu",
         [
