@@ -179,7 +179,7 @@ let run ?(seed = 11) ?(leaves = leaves) ?(clients_per_leaf = clients_per_leaf)
 (* engine events per conversation for the routed topology (seed 11,
    16 leaves x 14 clients x 45 conversations): dearer than the flat
    swarm because every packet crosses two to four gateway hops *)
-let baseline = 110.0 (* measured 50.41 *)
+let baseline = 56.0 (* measured 50.41 *)
 
 let spec =
   {
@@ -238,6 +238,71 @@ let scale_points = [ 22; 45; 90 ]
 let scale_slack = 1.10
 let direct_major_bound = 1.0
 
+(* The stations-per-segment axis: unicast 100-byte frames from the
+   first station of one segment to its last, with 8, 32 and 128
+   stations attached.  The segment offers a unicast frame to its
+   addressee alone, so the time per frame must not grow with the
+   stations it passes by: ns/frame at 128 may exceed 8's by at most
+   50%, each the median of three runs.  That is loose enough for host
+   noise and tight enough for a scan of every station (about 19 ns a
+   station, 4x at 128).  The axis checks time, not words: a scan
+   allocates nothing per station. *)
+let station_points = [ 8; 32; 128 ]
+let station_slack = 1.5
+let station_frames = 100_000
+let station_batch = 1_000
+
+type station_point = {
+  s_stations : int;
+  s_delivered : int;  (* frames the addressee received, per run *)
+  s_events : int;  (* engine events, per run *)
+  s_ns_per_frame : float;  (* wall clock, the median of three runs *)
+}
+
+let station_run stations =
+  let eng = Sim.Engine.create () in
+  let seg = Netsim.Ether.create ~name:"ether0" eng in
+  let nics =
+    Array.init stations (fun i ->
+        Netsim.Ether.attach seg
+          (Netsim.Eaddr.of_string (Printf.sprintf "08006903%04x" i)))
+  in
+  let got = ref 0 in
+  Array.iter (fun n -> Netsim.Ether.set_rx n (fun _ -> incr got)) nics;
+  let src = nics.(0) in
+  let frame =
+    {
+      Netsim.Ether.src = Netsim.Ether.nic_addr src;
+      dst = Netsim.Ether.nic_addr nics.(stations - 1);
+      etype = 0x0800;
+      payload = String.make 100 'x';
+    }
+  in
+  (* every run starts from the same heap, whatever ran before it *)
+  Gc.full_major ();
+  let t0 = Unix.gettimeofday () in
+  for _ = 1 to station_frames / station_batch do
+    for _ = 1 to station_batch do
+      Netsim.Ether.transmit src frame
+    done;
+    Sim.Engine.run eng
+  done;
+  let ns = (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int station_frames in
+  (!got, Sim.Engine.events eng, ns)
+
+let station_point stations =
+  let runs = List.init 3 (fun _ -> station_run stations) in
+  let got, events, _ = List.hd runs in
+  let ns = List.sort Float.compare (List.map (fun (_, _, ns) -> ns) runs) in
+  { s_stations = stations; s_delivered = got; s_events = events;
+    s_ns_per_frame = List.nth ns 1 }
+
+type scale = {
+  convs : (result * float * float) list;
+      (* per point: minor and direct-major words per event *)
+  stations : station_point list;
+}
+
 let scale_spec =
   let run () =
     let points =
@@ -249,26 +314,39 @@ let scale_spec =
           (c, r, perf))
         scale_points
     in
+    let stations = List.map station_point station_points in
     let row (c, r, _) =
       Printf.sprintf
         "    {\"convs_per_client\": %d, \"convs\": %d, \"converged\": %b, \
          \"peak_procs\": %d, \"engine_events\": %d, \"events_per_conv\": %.2f}"
         c r.r_total r.r_converged r.r_peak_procs r.r_events (events_per_conv r)
     in
+    let station_row p =
+      Printf.sprintf
+        "    {\"stations\": %d, \"frames\": %d, \"delivered\": %d, \
+         \"engine_events\": %d}"
+        p.s_stations station_frames p.s_delivered p.s_events
+    in
     {
       Bench.json =
         "{\n  \"bench\": \"routed_scale\",\n  \"seed\": 11,\n  \"points\": [\n"
         ^ String.concat ",\n" (List.map row points)
+        ^ "\n  ],\n  \"stations\": [\n"
+        ^ String.concat ",\n" (List.map station_row stations)
         ^ "\n  ]\n}\n";
       perf =
         List.map (fun (_, r, perf) -> (Printf.sprintf "n%d" r.r_total, perf)) points;
       value =
-        List.map
-          (fun (_, r, (perf : Obs.Prof.report)) ->
-            ( r,
-              perf.r_minor_words_per_event,
-              perf.r_direct_major_words /. float_of_int perf.r_events ))
-          points;
+        {
+          convs =
+            List.map
+              (fun (_, r, (perf : Obs.Prof.report)) ->
+                ( r,
+                  perf.r_minor_words_per_event,
+                  perf.r_direct_major_words /. float_of_int perf.r_events ))
+              points;
+          stations;
+        };
     }
   in
   let show o =
@@ -278,39 +356,46 @@ let scale_spec =
         Printf.printf
           "%6d convs: %7.1f minor words/event %6.2f direct-major words/event\n"
           r.r_total wpe dmaj)
-      o.Bench.value
+      o.Bench.value.convs;
+    List.iter
+      (fun p ->
+        Printf.printf "%6d stations: %7.1f ns/frame (median of 3)\n" p.s_stations
+          p.s_ns_per_frame)
+      o.Bench.value.stations
   in
   {
     Bench.name = "scale";
-    title = "scale - routed swarm at N, 2N and 4N conversations";
+    title =
+      "scale - routed swarm at N, 2N and 4N conversations; 8 to 128 \
+       stations a segment";
     file = "scale";
     run;
     show;
     checks =
       [
-        ("converged", fun pts ->
+        ("converged", fun v ->
             List.find_map
               (fun (r, _, _) ->
                 Bench.expect r.r_converged "%d convs: converged only %d"
                   r.r_total r.r_completed)
-              pts);
-        ("peak procs", fun pts ->
+              v.convs);
+        ("peak procs", fun v ->
             List.find_map
               (fun (r, _, _) ->
                 Bench.expect
                   (r.r_peak_procs >= r.r_total)
                   "%d convs: peak live processes %d < conversations"
                   r.r_total r.r_peak_procs)
-              pts);
-        ("words/event flat", fun pts ->
-            let n, w1, _ = List.hd pts and n4, w4, _ = List.hd (List.rev pts) in
+              v.convs);
+        ("words/event flat", fun v ->
+            let n, w1, _ = List.hd v.convs and n4, w4, _ = List.hd (List.rev v.convs) in
             Bench.expect
               (w4 <= w1 *. scale_slack)
               "%.1f minor words/event at %d convs vs %.1f at %d (> +%.0f%%) \
                — per-event cost grows with N"
               w4 n4.r_total w1 n.r_total
               ((scale_slack -. 1.) *. 100.));
-        ("direct-major words/event", fun pts ->
+        ("direct-major words/event", fun v ->
             List.find_map
               (fun (r, _, dmaj) ->
                 Bench.expect
@@ -318,7 +403,23 @@ let scale_spec =
                   "%d convs: %.2f words/event allocated straight into the \
                    major heap (bound %.1f) — a read stages its bytes again"
                   r.r_total dmaj direct_major_bound)
-              pts);
+              v.convs);
+        ("stations delivered", fun v ->
+            List.find_map
+              (fun p ->
+                Bench.expect
+                  (p.s_delivered = station_frames)
+                  "%d stations: %d of %d frames delivered" p.s_stations
+                  p.s_delivered station_frames)
+              v.stations);
+        ("ns/frame flat in stations", fun v ->
+            let p1 = List.hd v.stations and p4 = List.hd (List.rev v.stations) in
+            Bench.expect
+              (p4.s_ns_per_frame <= p1.s_ns_per_frame *. station_slack)
+              "%.1f ns/frame at %d stations vs %.1f at %d (> %.1fx) — a \
+               unicast frame visits every station"
+              p4.s_ns_per_frame p4.s_stations p1.s_ns_per_frame p1.s_stations
+              station_slack);
       ];
     golden = false;
   }

@@ -236,7 +236,7 @@ let run ?(seed = 11) ?(hosts = hosts) ?(convs_per_host = convs_per_host) () =
    25 hosts x 40 conversations, 512-byte messages); the run fails if
    the event economy regresses past them — e.g. if someone reintroduces
    a per-conversation ticker, events per conversation explodes *)
-let baselines = [ ("il", 46.0 (* measured 25.68 *)); ("tcp", 60.0 (* 31.68 *)) ]
+let baselines = [ ("il", 28.0 (* measured 25.68 *)); ("tcp", 35.0 (* 31.68 *)) ]
 
 let spec =
   let checks (proto, baseline) =

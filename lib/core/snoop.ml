@@ -150,8 +150,8 @@ let start ?(addr = default_addr) seg =
         Buffer.add_string t.buf
           (render_frame
              ~time:(Sim.Engine.now eng)
-             ~src:(Netsim.Eaddr.to_string fr.src)
-             ~dst:(Netsim.Eaddr.to_string fr.dst)
+             ~src:(Netsim.Ether.text nic fr.src)
+             ~dst:(Netsim.Ether.text nic fr.dst)
              ~etype:fr.etype fr.payload);
         Buffer.add_char t.buf '\n'
       end);

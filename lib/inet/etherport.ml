@@ -62,9 +62,12 @@ let clone t =
   let c = add t 0 (Some q) in
   c.rx <-
     (fun { Netsim.Ether.src; payload; _ } ->
-      (* drop when the reader is slow, like real hardware *)
-      let msg = Netsim.Eaddr.to_string src ^ payload in
-      ignore (Block.Q.try_put q (Block.make ~delim:true msg)));
+      let msg = Netsim.Ether.text t.nic src ^ payload in
+      if not (Block.Q.try_put q (Block.make ~delim:true msg)) then begin
+        (* dropped because the reader is slow, like real hardware *)
+        let s = Netsim.Ether.nic_stats t.nic in
+        s.Netsim.Ether.overflows <- s.Netsim.Ether.overflows + 1
+      end);
   c
 
 let find t id = List.find_opt (fun c -> c.id = id) t.connections
@@ -115,7 +118,7 @@ let stats_text t =
   let s = Netsim.Ether.nic_stats t.nic in
   Printf.sprintf
     "addr: %s\nin: %d\nout: %d\nin bytes: %d\nout bytes: %d\ncrc errs: %d\noverflows: %d\nconnections: %d\n"
-    (Netsim.Eaddr.to_string (Netsim.Ether.nic_addr t.nic))
+    (Netsim.Ether.text t.nic (Netsim.Ether.nic_addr t.nic))
     s.Netsim.Ether.in_packets s.Netsim.Ether.out_packets
     s.Netsim.Ether.in_bytes s.Netsim.Ether.out_bytes s.Netsim.Ether.crc_errors
     s.Netsim.Ether.overflows

@@ -38,7 +38,8 @@ val clone : t -> conn
 (** What opening the device's [clone] file does: a connection of type 0
     whose frames queue on its own read queue ({!rq}) as 12 hex digits
     of source address followed by the payload, dropped when the reader
-    falls 128 KiB behind.  Like Plan 9's netif, the connection lives
+    falls 128 KiB behind; each drop counts in the interface's
+    [overflows].  Like Plan 9's netif, the connection lives
     while its files are open: {!release} of its last user closes it. *)
 
 val find : t -> int -> conn option

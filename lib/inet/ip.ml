@@ -57,7 +57,7 @@ type stack = {
   stats : counters;
   (* a routing node hands non-local arrivals here; None until a
      Route.Node claims the stack *)
-  mutable forward : (header -> string -> unit) option;
+  mutable forward : (Ipaddr.t -> string -> unit) option;
   (* route selection for locally-originated packets, one raw fragment
      at a time; None falls back to the built-in my-subnet-or-gateway
      rule *)
@@ -86,16 +86,14 @@ let put32 b off v =
 let get16 s off = (Char.code s.[off] lsl 8) lor Char.code s.[off + 1]
 let get32 s off = (get16 s off lsl 16) lor get16 s (off + 2)
 
-(* Ethernet addresses travel on the wire as 6 raw bytes. *)
-let eaddr_to_raw e =
-  let s = Netsim.Eaddr.to_string e in
-  String.init 6 (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
+(* Ethernet addresses travel on the wire as 6 raw bytes, most
+   significant first. *)
+let put_eaddr b off (e : Netsim.Eaddr.t) =
+  put16 b off ((e :> int) lsr 32);
+  put32 b (off + 2) ((e :> int) land 0xffff_ffff)
 
 let eaddr_of_raw s off =
-  Netsim.Eaddr.of_string
-    (String.concat ""
-       (List.init 6 (fun i -> Printf.sprintf "%02x" (Char.code s.[off + i]))))
+  Netsim.Eaddr.of_int ((get16 s off lsl 32) lor get32 s (off + 2))
 
 (* -------- IP header -------- *)
 
@@ -119,17 +117,15 @@ let write_header b ~len ~ipid ~frag_off ~more ~proto ~src:sa ~dst:da =
   in
   put16 b 10 sum
 
+(* a well-formed, option-free header with a good checksum: what the
+   receive path checks before it reads any field in place *)
+let header_ok pkt =
+  String.length pkt >= header_len
+  && Char.code pkt.[0] = 0x45
+  && Chksum.valid_sub pkt 0 header_len
+
 let decode_header pkt =
-  if String.length pkt < header_len then None
-  else if Char.code pkt.[0] <> 0x45 then None
-  else if
-    let v = ref (Chksum.ones_sum pkt 0 header_len) in
-    (while !v lsr 16 <> 0 do
-       v := (!v land 0xffff) + (!v lsr 16)
-     done;
-     !v)
-    <> 0xffff
-  then None
+  if not (header_ok pkt) then None
   else
     let fragword = get16 pkt 6 in
     Some
@@ -152,9 +148,9 @@ let encode_arp ~op ~sha ~spa ~tha ~tpa =
   Bytes.set b 4 '\006';
   Bytes.set b 5 '\004';
   put16 b 6 op;
-  Bytes.blit_string (eaddr_to_raw sha) 0 b 8 6;
+  put_eaddr b 8 sha;
   put32 b 14 (spa : Ipaddr.t :> int);
-  Bytes.blit_string (eaddr_to_raw tha) 0 b 18 6;
+  put_eaddr b 18 tha;
   put32 b 24 (tpa : Ipaddr.t :> int);
   Bytes.to_string b
 
@@ -182,11 +178,11 @@ let rec arp_retry t target =
   | Some (Resolved _) | None -> ()
 
 let resolve_and_send t nexthop raw =
-  match Hashtbl.find_opt t.arp nexthop with
-  | Some (Resolved (ea, expiry)) when Sim.Engine.now t.eng < expiry ->
+  match Hashtbl.find t.arp nexthop with
+  | Resolved (ea, expiry) when Sim.Engine.now t.eng < expiry ->
     transmit_raw t ~dst_ether:ea raw
-  | Some (Pending (queued, _)) -> queued := raw :: !queued
-  | Some (Resolved _) | None ->
+  | Pending (queued, _) -> queued := raw :: !queued
+  | Resolved _ | (exception Not_found) ->
     t.stats.arp_misses <- t.stats.arp_misses + 1;
     Hashtbl.replace t.arp nexthop (Pending (ref [ raw ], ref 1));
     arp_request t nexthop;
@@ -217,9 +213,9 @@ let arp_input t (frame : Netsim.Ether.frame) =
 (* -------- receive path -------- *)
 
 let dispatch t ~src:sa ~dst:da ~proto payload =
-  match Hashtbl.find_opt t.protos proto with
-  | Some handler -> handler ~src:sa ~dst:da payload
-  | None -> t.stats.ip_no_proto <- t.stats.ip_no_proto + 1
+  match Hashtbl.find t.protos proto with
+  | handler -> handler ~src:sa ~dst:da payload
+  | exception Not_found -> t.stats.ip_no_proto <- t.stats.ip_no_proto + 1
 
 let reassemble t h payload =
   let key = (h.h_src, h.h_ipid) in
@@ -264,35 +260,44 @@ let emit_badsum t =
     Obs.Trace.bump tr "ip.badsum" 1
 
 (* hand the transport a view of the datagram's payload over the
-   received bytes; fragments wait for the rest of their datagram *)
-let input_local t h raw =
-  let payload = Block.view raw header_len (h.h_len - header_len) in
-  if h.h_frag_off = 0 && not h.h_more then
-    dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto payload
+   received bytes, read from the header in place; fragments wait for
+   the rest of their datagram *)
+let input_local t raw len =
+  let payload = Block.view raw header_len (len - header_len) in
+  let src = Ipaddr.of_int (get32 raw 12) and dst = Ipaddr.of_int (get32 raw 16) in
+  let proto = Char.code raw.[9] in
+  if get16 raw 6 land 0x3fff = 0 then dispatch t ~src ~dst ~proto payload
   else
-    match reassemble t h payload with
-    | Some whole -> dispatch t ~src:h.h_src ~dst:h.h_dst ~proto:h.h_proto whole
+    match decode_header raw with
+    | Some h -> (
+      match reassemble t h payload with
+      | Some whole -> dispatch t ~src ~dst ~proto whole
+      | None -> ())
     | None -> ()
 
+(* a checked header and the datagram's length, or [-1] after counting
+   a bad one *)
+let checked_len t raw =
+  if not (header_ok raw) then (emit_badsum t; -1)
+  else
+    let len = get16 raw 2 in
+    if String.length raw < len then (emit_badsum t; -1) else len
+
 let ip_input t (frame : Netsim.Ether.frame) =
-  match decode_header frame.Netsim.Ether.payload with
-  | None -> emit_badsum t
-  | Some h ->
-    let p = frame.Netsim.Ether.payload in
-    if String.length p < h.h_len then emit_badsum t
-    else begin
-      t.stats.ip_in <- t.stats.ip_in + 1;
-      if
-        Ipaddr.equal h.h_dst t.my_addr
-        || Ipaddr.equal h.h_dst Ipaddr.broadcast
-      then input_local t h p
-      else
-        match t.forward with
-        | Some fwd ->
-          (* transit: the frame as it came, trimmed only when padded *)
-          fwd h (if String.length p = h.h_len then p else String.sub p 0 h.h_len)
-        | None -> () (* hosts silently drop transit packets *)
-    end
+  let p = frame.Netsim.Ether.payload in
+  let len = checked_len t p in
+  if len >= 0 then begin
+    t.stats.ip_in <- t.stats.ip_in + 1;
+    let dst = Ipaddr.of_int (get32 p 16) in
+    if Ipaddr.equal dst t.my_addr || Ipaddr.equal dst Ipaddr.broadcast then
+      input_local t p len
+    else
+      match t.forward with
+      | Some fwd ->
+        (* transit: the frame as it came, trimmed only when padded *)
+        fwd dst (if String.length p = len then p else String.sub p 0 len)
+      | None -> () (* hosts silently drop transit packets *)
+  end
 
 (* -------- send path -------- *)
 
@@ -395,10 +400,8 @@ let output_raw t ~nexthop raw =
    destination address — multi-homed delivery and tunnel receive.
    Fragments reassemble as usual. *)
 let deliver_raw t raw =
-  match decode_header raw with
-  | None -> emit_badsum t
-  | Some h ->
-    if String.length raw < h.h_len then emit_badsum t else input_local t h raw
+  let len = checked_len t raw in
+  if len >= 0 then input_local t raw len
 
 let set_forward t fn = t.forward <- Some fn
 let set_route_out t fn = t.route_out <- Some fn

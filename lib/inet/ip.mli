@@ -119,20 +119,24 @@ val get16 : string -> int -> int
 val get32 : string -> int -> int
 
 val decode_header : string -> header option
-(** Parse and checksum-validate an IP header; [None] when malformed. *)
+(** Parse and checksum-validate an IP header; [None] when malformed.
+    Kept for tools and the routing layer's rare paths (a tunnel's
+    input, a drop's trace): the receive path checks the header and
+    reads each field straight from the frame, allocating no record. *)
 
 val set_route_out : stack -> (string -> Ipaddr.t -> unit) -> unit
 (** Install the route-selection hook: {!send} hands it each raw
     (already fragmented) packet with the destination, instead of
     applying the built-in my-subnet-or-gateway rule. *)
 
-val set_forward : stack -> (header -> string -> unit) -> unit
+val set_forward : stack -> (Ipaddr.t -> string -> unit) -> unit
 (** Install the transit hook: packets arriving from the wire whose
     destination is not this stack's address are handed over raw
-    (truncated to the header's length), with the header already decoded
-    from them.  The raw string is the received frame itself whenever no
-    truncation was needed.  Without the hook they are silently dropped,
-    as hosts should. *)
+    (truncated to the header's length), with the header already checked
+    and the destination address read from it.  The raw string is the
+    received frame itself whenever no truncation was needed, and the
+    hook is handed nothing else: a forward decodes no header record.
+    Without the hook they are silently dropped, as hosts should. *)
 
 val output_raw : stack -> nexthop:Ipaddr.t -> string -> unit
 (** Transmit one raw IP packet toward [nexthop] on this interface's

@@ -1,5 +1,5 @@
 module Eaddr = struct
-  type t = string
+  type t = int
 
   let is_hex c =
     (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
@@ -7,10 +7,11 @@ module Eaddr = struct
   let of_string s =
     if String.length s <> 12 || not (String.for_all is_hex s) then
       invalid_arg ("Eaddr.of_string: " ^ s);
-    String.lowercase_ascii s
+    int_of_string ("0x" ^ s)
 
-  let to_string t = t
-  let broadcast = "ffffffffffff"
+  let of_int i = i land 0xffff_ffff_ffff
+  let to_string t = Printf.sprintf "%012x" t
+  let broadcast = 0xffff_ffff_ffff
 end
 
 module Fault = struct
@@ -231,8 +232,17 @@ module Ether = struct
     injected : Fault.tally;
   }
 
+  module Stations = Hashtbl.Make (Int)
+
+  (* all floats, so stores into it box nothing *)
+  type clock = {
+    mutable busy_until : float;  (* the wire is busy until then *)
+    mutable deliver_at : float;  (* the frame being offered arrives then *)
+  }
+
   type nic = {
     addr : Eaddr.t;
+    text : string;  (* [addr] rendered once, at attach *)
     seg : t;
     mutable rx : frame -> unit;
     mutable promiscuous : bool;
@@ -247,8 +257,10 @@ module Ether = struct
     latency : float;
     frame_overhead : float;
     sfault : Fault.t;
-    mutable stations : nic list;
-    mutable busy_until : float;
+    mutable stations : nic list;  (* newest first: the scan order *)
+    by_addr : nic Stations.t;
+    mutable promisc : int;  (* promiscuous stations attached *)
+    clock : clock;
   }
 
   (* shorter payloads are padded on the wire for timing purposes *)
@@ -286,7 +298,9 @@ module Ether = struct
       frame_overhead;
       sfault;
       stations = [];
-      busy_until = 0.;
+      by_addr = Stations.create 16;
+      promisc = 0;
+      clock = { busy_until = 0.; deliver_at = 0. };
     }
 
   let faults t = t.sfault
@@ -294,13 +308,14 @@ module Ether = struct
   let engine t = t.eng
 
   let attach t addr =
-    if List.exists (fun n -> n.addr = addr) t.stations then
+    if Stations.mem t.by_addr addr then
       invalid_arg
         (Printf.sprintf "Ether.attach: %s already on %s"
            (Eaddr.to_string addr) t.ename);
     let nic =
       {
         addr;
+        text = Eaddr.to_string addr;
         seg = t;
         rx = ignore;
         promiscuous = false;
@@ -318,17 +333,40 @@ module Ether = struct
       }
     in
     t.stations <- nic :: t.stations;
+    Stations.replace t.by_addr addr nic;
     nic
 
   let nic_addr n = n.addr
   let nic_stats n = n.stats
   let nic_faults n = n.nfault
   let set_rx n fn = n.rx <- fn
-  let set_promiscuous n b = n.promiscuous <- b
 
-  let wire_time t frame =
-    let bytes = max min_frame (String.length frame.payload) + header_bytes in
-    (float_of_int (bytes * 8) /. t.bandwidth) +. t.frame_overhead
+  let set_promiscuous n b =
+    if n.promiscuous <> b then begin
+      n.promiscuous <- b;
+      n.seg.promisc <- (n.seg.promisc + if b then 1 else -1)
+    end
+
+  let broadcast_text = Eaddr.to_string Eaddr.broadcast
+
+  (* an address as text, rendered afresh only when no station on the
+     segment owns it *)
+  let seg_text t a =
+    if a = Eaddr.broadcast then broadcast_text
+    else
+      match Stations.find t.by_addr a with
+      | n -> n.text
+      | exception Not_found -> Eaddr.to_string a
+
+  let text n a = seg_text n.seg a
+
+  let wire_bits frame =
+    let n = String.length frame.payload in
+    ((if n > min_frame then n else min_frame) + header_bytes) * 8
+
+  (* inlined: a float returned from a call is boxed *)
+  let[@inline] wire_time t frame =
+    (float_of_int (wire_bits frame) /. t.bandwidth) +. t.frame_overhead
 
   let emit_pkt t op frame =
     match Sim.Engine.obs t.eng with
@@ -340,8 +378,8 @@ module Ether = struct
            {
              medium = t.ename;
              op;
-             src = Eaddr.to_string frame.src;
-             dst = Eaddr.to_string frame.dst;
+             src = seg_text t frame.src;
+             dst = seg_text t frame.dst;
              proto;
              bytes = String.length frame.payload;
            });
@@ -360,7 +398,7 @@ module Ether = struct
       station.stats.crc_errors <- station.stats.crc_errors + 1
     | _ -> ());
     Fault.inject station.stats.injected t.eng ~medium:t.ename kind ~reason
-      ~src:(Eaddr.to_string frame.src) ~dst:(Eaddr.to_string station.addr)
+      ~src:(seg_text t frame.src) ~dst:station.text
       ~proto:(frame_proto ~etype:frame.etype frame.payload)
       ~bytes:(String.length frame.payload) ~lost:"pkt.drop"
 
@@ -371,6 +409,45 @@ module Ether = struct
     emit_pkt t Obs.Event.Rx frame;
     station.rx frame
 
+  (* one station's share of a frame: its own fault draws, then the
+     delivery event *)
+  let offer t station frame seg_v =
+    let v =
+      if Fault.active station.nfault then
+        Fault.combine seg_v
+          (Fault.decide station.nfault (Sim.Engine.random t.eng)
+             ~now:(Sim.Engine.now t.eng) frame.payload)
+      else seg_v
+    in
+    match v.Fault.v_drop with
+    | Some reason -> inject t station Fault.Drop ~reason frame
+    | None ->
+      if v.Fault.v_reorder then
+        inject t station Fault.Reorder ~reason:"reorder" frame;
+      Sim.Engine.at ~label:"ether" t.eng
+        (t.clock.deliver_at +. v.Fault.v_delay)
+        (fun () -> rx_deliver t station frame);
+      if v.Fault.v_dup then begin
+        inject t station Fault.Dup ~reason:"dup" frame;
+        (* the copy trails by one frame time, like a stale
+           retransmission from a confused bridge *)
+        Sim.Engine.at ~label:"ether" t.eng
+          (t.clock.deliver_at +. v.Fault.v_delay +. wire_time t frame)
+          (fun () -> rx_deliver t station frame)
+      end
+
+  (* every station but the sender that wants the frame, in station
+     order *)
+  let rec scan t sender frame seg_v = function
+    | [] -> ()
+    | station :: rest ->
+      if
+        station != sender
+        && (station.promiscuous || station.addr = frame.dst
+           || frame.dst = Eaddr.broadcast)
+      then offer t station frame seg_v;
+      scan t sender frame seg_v rest
+
   let transmit n frame =
     let t = n.seg in
     let now = Sim.Engine.now t.eng in
@@ -378,52 +455,26 @@ module Ether = struct
     n.stats.out_bytes <- n.stats.out_bytes + String.length frame.payload;
     emit_pkt t Obs.Event.Tx frame;
     (* the shared medium serializes frames *)
-    let start = if t.busy_until > now then t.busy_until else now in
-    let finish = start +. wire_time t frame in
-    t.busy_until <- finish;
-    let rng = Sim.Engine.random t.eng in
+    let c = t.clock in
+    let start = if c.busy_until > now then c.busy_until else now in
+    c.busy_until <- start +. wire_time t frame;
+    c.deliver_at <- c.busy_until +. t.latency;
     (* all fault decisions are drawn here, at transmit time, in station
        order — never inside delayed callbacks — so the draw sequence
        (and with it the whole run) is a pure function of the seed *)
     let seg_v =
-      if Fault.active t.sfault then Fault.decide t.sfault rng ~now frame.payload
+      if Fault.active t.sfault then
+        Fault.decide t.sfault (Sim.Engine.random t.eng) ~now frame.payload
       else Fault.pass
     in
-    let deliver_at = finish +. t.latency in
-    List.iter
-      (fun station ->
-        if station.addr <> n.addr then begin
-          let wants =
-            station.promiscuous
-            || station.addr = frame.dst
-            || frame.dst = Eaddr.broadcast
-          in
-          if wants then begin
-            let v =
-              if Fault.active station.nfault then
-                Fault.combine seg_v
-                  (Fault.decide station.nfault rng ~now frame.payload)
-              else seg_v
-            in
-            match v.Fault.v_drop with
-            | Some reason -> inject t station Fault.Drop ~reason frame
-            | None ->
-              if v.Fault.v_reorder then
-                inject t station Fault.Reorder ~reason:"reorder" frame;
-              Sim.Engine.at ~label:"ether" t.eng
-                (deliver_at +. v.Fault.v_delay)
-                (fun () -> rx_deliver t station frame);
-              if v.Fault.v_dup then begin
-                inject t station Fault.Dup ~reason:"dup" frame;
-                (* the copy trails by one frame time, like a stale
-                   retransmission from a confused bridge *)
-                Sim.Engine.at ~label:"ether" t.eng
-                  (deliver_at +. v.Fault.v_delay +. wire_time t frame)
-                  (fun () -> rx_deliver t station frame)
-              end
-          end
-        end)
-      t.stations
+    if frame.dst = Eaddr.broadcast || t.promisc > 0 then
+      scan t n frame seg_v t.stations
+    else
+      (* only the addressee wants a unicast frame, so it alone is
+         offered it: the same draws as the scan *)
+      match Stations.find t.by_addr frame.dst with
+      | station -> if station != n then offer t station frame seg_v
+      | exception Not_found -> ()
 end
 
 module Link = struct

@@ -15,14 +15,23 @@
     callback must not block. *)
 
 module Eaddr : sig
-  type t = private string
-  (** A 48-bit Ethernet address as 12 lowercase hex digits, e.g.
-      ["0800690222f0"]. *)
+  type t = private int
+  (** A 48-bit Ethernet address, held as an immediate int so a segment
+      keys its stations on it and a frame compares addresses without
+      touching memory; [(a :> int)] reads it.  Its text is 12 lowercase
+      hex digits, e.g. ["0800690222f0"]. *)
 
   val of_string : string -> t
-  (** @raise Invalid_argument unless 12 hex digits. *)
+  (** Either case is accepted.
+      @raise Invalid_argument unless 12 hex digits. *)
+
+  val of_int : int -> t
+  (** The low 48 bits of an int — how the ARP codec reads an address. *)
 
   val to_string : t -> string
+  (** Renders afresh on every call: per-frame paths use the text each
+      station keeps ({!Ether.text}) instead. *)
+
   val broadcast : t
 end
 
@@ -48,8 +57,9 @@ module Fault : sig
         that must kill one specific packet.
 
       {b Determinism contract}: every probabilistic decision is drawn
-      from the engine's seeded RNG at {e transmit} time, in attachment
-      order, and a probability of zero draws nothing — so same-seed
+      from the engine's seeded RNG at {e transmit} time, in station
+      order (see {!Ether.transmit}), and a probability of zero draws
+      nothing — so same-seed
       runs are byte-identical, and an empty schedule leaves the RNG
       stream exactly as it was before this layer existed.
 
@@ -173,7 +183,9 @@ module Ether : sig
     mutable in_bytes : int;
     mutable out_bytes : int;
     mutable crc_errors : int;  (** frames lost on the wire *)
-    mutable overflows : int;  (** frames dropped because rx was full *)
+    mutable overflows : int;
+        (** frames dropped because a reader's queue was full (bumped by
+            the clone connection that owns the queue) *)
     injected : Fault.tally;  (** injected faults this station was dealt *)
   }
 
@@ -215,6 +227,13 @@ module Ether : sig
       to every frame it would receive — partitioning one station models
       unplugging its transceiver. *)
 
+  val text : nic -> Eaddr.t -> string
+  (** An address heard on this station's segment, as 12 hex digits.
+      Every station's text is rendered once, when it attaches, and
+      shared from then on: the trace, the stats file, a tap and a clone
+      connection's reads render nothing per frame.  Only an address no
+      station on the segment owns is rendered afresh. *)
+
   val set_rx : nic -> (frame -> unit) -> unit
   (** Delivery callback: called once per frame addressed to this
       station (unicast match, broadcast, or any frame if promiscuous).
@@ -226,7 +245,20 @@ module Ether : sig
   (** Queue a frame for the wire.  The segment serializes transmissions
       (one frame on the wire at a time) and delivers after transmission
       plus propagation time; lost frames count as [crc_errors] at every
-      would-be receiver. *)
+      would-be receiver.
+
+      {b Address filter.}  Like the LANCE, the segment hands a station
+      only the frames it wants.  The segment keys its stations by
+      address and counts its promiscuous ones.  A unicast frame on a
+      segment with no promiscuous station is offered to its addressee
+      alone — one table lookup, whatever the number of stations; a
+      frame to an address nobody owns schedules nothing.  A broadcast
+      frame, or any frame on a segment with a promiscuous station, is
+      offered to every wanting station in station order (newest
+      attached first).  Either way the stations offered the frame are
+      exactly those that want it, in the same order, so the per-station
+      fault draws, and with them the seeded RNG stream and the event
+      serials, are what a scan of every station would make. *)
 end
 
 module Link : sig

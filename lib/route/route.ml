@@ -48,14 +48,23 @@ module Table = struct
 
   let flush t = t.entries <- []
 
-  (* a first-match scan that allocates only its [Some] *)
+  (* what [first_match] returns when no entry matches *)
+  let none =
+    { r_dest = Inet.Ipaddr.any; r_mask = Inet.Ipaddr.any; r_target = Blackhole;
+      r_uses = 0 }
+
+  (* a first-match scan that allocates nothing *)
   let rec first_match dst = function
-    | [] -> None
+    | [] -> none
     | e :: rest ->
-      if Inet.Ipaddr.in_subnet dst ~net:e.r_dest ~mask:e.r_mask then Some e
+      if Inet.Ipaddr.in_subnet dst ~net:e.r_dest ~mask:e.r_mask then e
       else first_match dst rest
 
-  let lookup t dst = first_match dst t.entries
+  let find t dst = first_match dst t.entries
+
+  let lookup t dst =
+    let e = find t dst in
+    if e == none then None else Some e
 
   let entries t = t.entries
 end
@@ -88,6 +97,7 @@ type t = {
   mutable ifaces : iface list;
   mutable deliver : (string -> unit) option;
   mutable forwarding : bool;
+  mutable hop : Inet.Ipaddr.t;  (* the next hop [resolve] chose *)
   stats : counters;
 }
 
@@ -99,6 +109,7 @@ let create ~name eng =
     ifaces = [];
     deliver = None;
     forwarding = false;
+    hop = Inet.Ipaddr.any;
     stats =
       {
         forwarded = 0;
@@ -119,8 +130,9 @@ let ifaces t = t.ifaces
 let set_deliver t fn = t.deliver <- Some fn
 let forwarding t = t.forwarding
 
-let local t dst =
-  List.exists (fun i -> Inet.Ipaddr.equal dst i.if_addr) t.ifaces
+let rec local dst = function
+  | [] -> false
+  | i :: rest -> Inet.Ipaddr.equal dst i.if_addr || local dst rest
 
 (* -------- the drop choke point (one per node) --------
 
@@ -159,32 +171,42 @@ let drop t ~reason raw =
          });
     Obs.Trace.bump tr ("ip." ^ reason) 1
 
-(* -------- route resolution -------- *)
+(* -------- route resolution --------
 
-type resolution =
-  | Emit of iface * Inet.Ipaddr.t  (* interface, next hop *)
-  | Black
-  | Unroutable
+   Resolution allocates nothing: it returns the interface itself, or
+   one of two sentinels, and leaves the next hop in [hop]. *)
+
+let sentinel name =
+  { if_name = name; if_addr = Inet.Ipaddr.any; if_mask = Inet.Ipaddr.any;
+    if_emit = (fun ~nexthop:_ _ -> ()); if_stack = None }
+
+let black = sentinel "blackhole"
+let unroutable = sentinel "unroutable"
+
+let rec named ifname = function
+  | [] -> unroutable
+  | i :: rest -> if i.if_name = ifname then i else named ifname rest
+
+let rec facing gw = function
+  | [] -> unroutable
+  | i :: rest ->
+    if Inet.Ipaddr.in_subnet gw ~net:i.if_addr ~mask:i.if_mask then i
+    else facing gw rest
 
 let resolve t dst =
-  match Table.lookup t.table dst with
-  | None -> Unroutable
-  | Some e -> (
+  let e = Table.find t.table dst in
+  if e == Table.none then unroutable
+  else begin
     e.Table.r_uses <- e.Table.r_uses + 1;
     match e.Table.r_target with
-    | Table.Blackhole -> Black
-    | Table.Onlink ifname -> (
-      match List.find_opt (fun i -> i.if_name = ifname) t.ifaces with
-      | Some i -> Emit (i, dst)
-      | None -> Unroutable)
-    | Table.Via gw -> (
-      match
-        List.find_opt
-          (fun i -> Inet.Ipaddr.in_subnet gw ~net:i.if_addr ~mask:i.if_mask)
-          t.ifaces
-      with
-      | Some i -> Emit (i, gw)
-      | None -> Unroutable))
+    | Table.Blackhole -> black
+    | Table.Onlink ifname ->
+      t.hop <- dst;
+      named ifname t.ifaces
+    | Table.Via gw ->
+      t.hop <- gw;
+      facing gw t.ifaces
+  end
 
 let deliver_local t raw =
   match t.deliver with Some d -> d raw | None -> ()
@@ -194,15 +216,16 @@ let deliver_local t raw =
    node's own addresses loops back on the next tick, like the stack's
    own loopback. *)
 let output t raw dst =
-  if local t dst || Inet.Ipaddr.equal dst Inet.Ipaddr.broadcast then
+  if local dst t.ifaces || Inet.Ipaddr.equal dst Inet.Ipaddr.broadcast then
     Sim.Engine.after ~label:"route" t.eng 0. (fun () -> deliver_local t raw)
   else
-    match resolve t dst with
-    | Emit (i, nexthop) -> i.if_emit ~nexthop raw
-    | Black -> drop t ~reason:"blackhole" raw
-    | Unroutable ->
+    let i = resolve t dst in
+    if i == black then drop t ~reason:"blackhole" raw
+    else if i == unroutable then begin
       drop t ~reason:"no_route" raw;
       raise (Inet.Ip.No_route dst)
+    end
+    else i.if_emit ~nexthop:t.hop raw
 
 (* -------- transit -------- *)
 
@@ -224,13 +247,12 @@ let decrement_ttl raw =
   Bytes.set b 11 (Char.chr (sum land 0xff));
   Bytes.unsafe_to_string b
 
-(* a packet arriving from the wire whose destination is not the
-   receiving stack, with its header already decoded: deliver if it is
-   for any of our interfaces, otherwise forward (gateways) or refuse
+(* a packet arriving from the wire whose destination [dst] is not the
+   receiving stack, its header already checked: deliver if it is for
+   any of our interfaces, otherwise forward (gateways) or refuse
    (hosts) *)
-let transit t ~ingress h raw =
-  let dst = h.Inet.Ip.h_dst in
-  if local t dst || Inet.Ipaddr.equal dst Inet.Ipaddr.broadcast then
+let transit t ~ingress dst raw =
+  if local dst t.ifaces || Inet.Ipaddr.equal dst Inet.Ipaddr.broadcast then
     deliver_local t raw
   else if not t.forwarding then drop t ~reason:"transit_refused" raw
   else if Char.code raw.[8] <= 1 then begin
@@ -243,22 +265,23 @@ let transit t ~ingress h raw =
   end
   else
     let raw = decrement_ttl raw in
-    match resolve t dst with
-    | Emit (i, nexthop) ->
+    let i = resolve t dst in
+    if i == black then drop t ~reason:"blackhole" raw
+    else if i == unroutable then drop t ~reason:"no_route" raw
+    else begin
       t.stats.forwarded <- t.stats.forwarded + 1;
       (match ingress.if_stack with
       | Some st ->
         let c = Inet.Ip.counters st in
         c.Inet.Ip.ip_forwarded <- c.Inet.Ip.ip_forwarded + 1
       | None -> ());
-      i.if_emit ~nexthop raw
-    | Black -> drop t ~reason:"blackhole" raw
-    | Unroutable -> drop t ~reason:"no_route" raw
+      i.if_emit ~nexthop:t.hop raw
+    end
 
 let input t ~ingress raw =
   match Inet.Ip.decode_header raw with
   | None -> drop t ~reason:"bad_header" raw
-  | Some h -> transit t ~ingress h raw
+  | Some h -> transit t ~ingress h.Inet.Ip.h_dst raw
 
 (* -------- interfaces -------- *)
 
@@ -283,7 +306,7 @@ let attach_stack t ~ifname st =
   in
   add_iface t iface;
   Inet.Ip.set_route_out st (fun raw dst -> output t raw dst);
-  Inet.Ip.set_forward st (fun h raw -> transit t ~ingress:iface h raw);
+  Inet.Ip.set_forward st (fun dst raw -> transit t ~ingress:iface dst raw);
   iface
 
 (* -------- IP over Datakit --------

@@ -266,16 +266,17 @@ module Engine = struct
       else step t (* cancelled: skip without advancing time *)
     end
 
+  (* drop dead entries off the top so the peek is accurate; top level,
+     so the run loop allocates nothing per event *)
+  let rec prune h =
+    if h.Heap.n > 0 && not h.Heap.a.(0).Heap.live then begin
+      ignore (Heap.pop h);
+      prune h
+    end
+
   let run ?until t =
     let continue_ () =
-      (* drop dead entries off the top so the peek is accurate *)
-      let rec prune () =
-        if t.heap.Heap.n > 0 && not t.heap.Heap.a.(0).Heap.live then begin
-          ignore (Heap.pop t.heap);
-          prune ()
-        end
-      in
-      prune ();
+      prune t.heap;
       t.heap.Heap.n > 0
       &&
       match until with

@@ -615,6 +615,43 @@ let test_ether_conn_lifetime () =
         [ ("ctl", "connect 2054"); ("data", "ffffffffffffhello") ];
       Alcotest.(check (list int)) "kernel connections stay" kernel (ids ()))
 
+(* a clone connection nobody reads drops what overflows its queue, and
+   the interface's stats file counts each drop *)
+let test_ether_overflow_counted () =
+  in_world (fun w ->
+      let helix = P9net.World.host w "helix" in
+      let env = Vfs.Env.fork helix.P9net.Host.env in
+      let fd = Vfs.Env.open_ env "/net/ether0/clone" F.Ordwr in
+      let n = String.trim (Vfs.Env.read env fd 32) in
+      ignore (Vfs.Env.write env fd "connect -1");
+      let stats () = Vfs.Env.read_file env ("/net/ether0/" ^ n ^ "/stats") in
+      let overflows () =
+        List.find_map
+          (fun l -> Scanf.sscanf_opt l "overflows: %d" Fun.id)
+          (String.split_on_char '\n' (stats ()))
+      in
+      Alcotest.(check (option int)) "none yet" (Some 0) (overflows ());
+      let sender =
+        Netsim.Ether.attach w.P9net.World.ether
+          (Netsim.Eaddr.of_string "08006902beee")
+      in
+      let dst = Inet.Etherport.addr (Option.get helix.P9net.Host.etherport) in
+      (* 200 KiB at an interface whose reader holds 128 KiB *)
+      for _ = 1 to 200 do
+        Netsim.Ether.transmit sender
+          {
+            Netsim.Ether.src = Netsim.Ether.nic_addr sender;
+            dst;
+            etype = 0x1234;
+            payload = String.make 1024 'z';
+          }
+      done;
+      Sim.Time.sleep w.P9net.World.eng 1.0;
+      match overflows () with
+      | Some k when k > 0 && k < 200 -> Vfs.Env.close env fd
+      | Some k -> Alcotest.failf "overflows: %d of 200 frames" k
+      | None -> Alcotest.failf "no overflows line in:\n%s" (stats ()))
+
 let test_ether_snoop () =
   in_world (fun w ->
       let helix = P9net.World.host w "helix" in
@@ -875,6 +912,8 @@ let () =
         [
           Alcotest.test_case "figure 1 tree" `Quick test_ether_tree_figure1;
           Alcotest.test_case "snoop" `Quick test_ether_snoop;
+          Alcotest.test_case "unread clone overflows" `Quick
+            test_ether_overflow_counted;
           Alcotest.test_case "connection lifetime" `Quick
             test_ether_conn_lifetime;
         ] );

@@ -97,6 +97,27 @@ let prop_checksum_detects_flip =
          a single bit flip is always caught *)
       not (Inet.Chksum.valid (Bytes.to_string b)))
 
+(* the definition: big-endian 16-bit words, two bytes at a time, an odd
+   last byte padded with zero *)
+let bytewise_sum ~init s off len =
+  let sum = ref init in
+  for k = 0 to len - 1 do
+    let c = Char.code s.[off + k] in
+    sum := !sum + if k land 1 = 0 then c lsl 8 else c
+  done;
+  !sum
+
+let prop_ones_sum_bytewise =
+  QCheck.Test.make ~name:"word sum equals the byte-wise sum" ~count:500
+    QCheck.(
+      quad (string_of_size Gen.(0 -- 300)) small_nat small_nat (int_bound 0xfffff))
+    (fun (s, a, b, init) ->
+      let n = String.length s in
+      let off = if n = 0 then 0 else a mod (n + 1) in
+      let len = if n - off = 0 then 0 else b mod (n - off + 1) in
+      Inet.Chksum.ones_sum ~init s off len = bytewise_sum ~init s off len
+      && Inet.Chksum.ones_sum s off len = bytewise_sum ~init:0 s off len)
+
 (* ---- IL ---- *)
 
 let test_il_connect_and_echo () =
@@ -1283,6 +1304,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_checksum_validates;
           QCheck_alcotest.to_alcotest prop_checksum_detects_flip;
+          QCheck_alcotest.to_alcotest prop_ones_sum_bytewise;
         ] );
       ( "il",
         [

@@ -10,6 +10,21 @@ let test_eaddr () =
   Alcotest.(check string) "broadcast" "ffffffffffff"
     (Netsim.Eaddr.to_string Netsim.Eaddr.broadcast)
 
+let test_eaddr_round_trip () =
+  List.iter
+    (fun text ->
+      let a = ea text in
+      Alcotest.(check string) ("renders " ^ text) (String.lowercase_ascii text)
+        (Netsim.Eaddr.to_string a);
+      Alcotest.(check bool) ("reparses " ^ text) true
+        (ea (Netsim.Eaddr.to_string a) = a))
+    [ "0800690222F0"; "aBcDeF012345"; "000000000001"; "FFFFFFFFFFFE" ];
+  Alcotest.(check bool) "either case is one address" true
+    (ea "FEEDDEFACED0" = ea "feeddefaced0");
+  Alcotest.(check bool) "broadcast" true (ea "FfFfFfFfFfFf" = Netsim.Eaddr.broadcast);
+  Alcotest.check_raises "not hex" (Invalid_argument "Eaddr.of_string: 0800690222fg")
+    (fun () -> ignore (ea "0800690222fg"))
+
 let mk_seg ?loss ?bandwidth_bps ?latency () =
   let eng = Sim.Engine.create () in
   let seg =
@@ -72,6 +87,61 @@ let test_promiscuous () =
     };
   Sim.Engine.run eng;
   Alcotest.(check int) "snooper saw unicast" 1 !seen
+
+(* a promiscuous station turns the addressed delivery back into the
+   scan: the addressee and the promiscuous station both get the frame,
+   in station order (newest attached first) *)
+let test_promiscuous_station_order () =
+  let eng, seg = mk_seg () in
+  let a = Netsim.Ether.attach seg (ea "0800690222f0") in
+  let p = Netsim.Ether.attach seg (ea "0800690222f1") in
+  let b = Netsim.Ether.attach seg (ea "0800690222f2") in
+  let _c = Netsim.Ether.attach seg (ea "0800690222f3") in
+  Netsim.Ether.set_promiscuous p true;
+  let order = ref [] in
+  Netsim.Ether.set_rx p (fun _ -> order := "p" :: !order);
+  Netsim.Ether.set_rx b (fun _ -> order := "b" :: !order);
+  Netsim.Ether.transmit a
+    {
+      Netsim.Ether.src = Netsim.Ether.nic_addr a;
+      dst = Netsim.Ether.nic_addr b;
+      etype = 2048;
+      payload = "both";
+    };
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "addressee, then the promiscuous station"
+    [ "b"; "p" ] (List.rev !order);
+  Netsim.Ether.set_promiscuous p false;
+  order := [];
+  Netsim.Ether.transmit a
+    {
+      Netsim.Ether.src = Netsim.Ether.nic_addr a;
+      dst = Netsim.Ether.nic_addr b;
+      etype = 2048;
+      payload = "one";
+    };
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "promiscuity off again" [ "b" ] (List.rev !order)
+
+let test_absent_addressee () =
+  let eng, seg = mk_seg () in
+  let a = Netsim.Ether.attach seg (ea "0800690222f0") in
+  let b = Netsim.Ether.attach seg (ea "0800690222f1") in
+  Netsim.Ether.set_rx b (fun _ -> Alcotest.fail "b is not the addressee");
+  Sim.Engine.run eng;
+  let before = Sim.Engine.events eng in
+  Netsim.Ether.transmit a
+    {
+      Netsim.Ether.src = Netsim.Ether.nic_addr a;
+      dst = ea "0800690222ff";
+      etype = 2048;
+      payload = "nobody";
+    };
+  Alcotest.(check int) "nothing scheduled" 0 (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  Alcotest.(check int) "no event ran" before (Sim.Engine.events eng);
+  Alcotest.(check int) "still sent" 1
+    (Netsim.Ether.nic_stats a).Netsim.Ether.out_packets
 
 let test_no_self_delivery () =
   let eng, seg = mk_seg () in
@@ -445,12 +515,19 @@ let test_serial_baud () =
 let () =
   Alcotest.run "netsim"
     [
-      ("eaddr", [ Alcotest.test_case "parse" `Quick test_eaddr ]);
+      ( "eaddr",
+        [
+          Alcotest.test_case "parse" `Quick test_eaddr;
+          Alcotest.test_case "round trip" `Quick test_eaddr_round_trip;
+        ] );
       ( "ether",
         [
           Alcotest.test_case "unicast" `Quick test_unicast_delivery;
           Alcotest.test_case "broadcast" `Quick test_broadcast_delivery;
           Alcotest.test_case "promiscuous" `Quick test_promiscuous;
+          Alcotest.test_case "promiscuous station order" `Quick
+            test_promiscuous_station_order;
+          Alcotest.test_case "absent addressee" `Quick test_absent_addressee;
           Alcotest.test_case "no self delivery" `Quick test_no_self_delivery;
           Alcotest.test_case "dup attach" `Quick
             test_duplicate_attach_rejected;

@@ -514,6 +514,67 @@ let test_padded_transit_frame_trimmed () =
       (Inet.Ip.counters st).Inet.Ip.ip_forwarded
   | l -> Alcotest.failf "%d packets forwarded, expected 1" (List.length l)
 
+(* A frame crossing one gateway, from the wire on one segment to the
+   receiver's transport on the other, allocates the copy the forward
+   costs (TTL and checksum are patched in it), the frame record that
+   carries it, the two delivery events and the view the receiver's
+   transport gets: no header record, no route resolution, no address
+   comparison garbage. *)
+let test_forward_allocation () =
+  let eng = Sim.Engine.create () in
+  let seg0 = Netsim.Ether.create ~name:"ether0" eng in
+  let seg1 = Netsim.Ether.create ~name:"ether1" eng in
+  let stack seg e a =
+    Inet.Ip.create ~addr:(ip a) ~mask:(ip "255.255.255.0")
+      (Inet.Etherport.create eng (Netsim.Ether.attach seg (ea e)))
+  in
+  let node = Route.create ~name:"gw" eng in
+  ignore (Route.attach_stack node ~ifname:"ether0" (stack seg0 "080069060001" "10.71.0.1"));
+  ignore (Route.attach_stack node ~ifname:"ether1" (stack seg1 "080069060002" "10.72.0.1"));
+  let rcv = stack seg1 "080069060003" "10.72.0.9" in
+  let got = ref 0 in
+  Inet.Ip.register_proto rcv ~proto:Inet.Ip.proto_udp (fun ~src:_ ~dst:_ _ ->
+      incr got);
+  (* a few idle stations on each segment, so the frame has others to
+     pass by *)
+  for n = 4 to 9 do
+    ignore (Netsim.Ether.attach seg0 (ea (Printf.sprintf "0800690600%02x" n)));
+    ignore (Netsim.Ether.attach seg1 (ea (Printf.sprintf "0800690610%02x" n)))
+  done;
+  let sender = Netsim.Ether.attach seg0 (ea "080069060010") in
+  let gw = ea "080069060001" in
+  let raw = ip_packet ~ttl:64 ~src:"10.71.0.5" ~dst:"10.72.0.9" (String.make 100 'x') in
+  let send () =
+    Netsim.Ether.transmit sender
+      {
+        Netsim.Ether.src = Netsim.Ether.nic_addr sender;
+        dst = gw;
+        etype = 0x0800;
+        payload = raw;
+      };
+    Sim.Engine.run eng
+  in
+  (* the first frame resolves the receiver's address *)
+  send ();
+  Alcotest.(check int) "first frame through" 1 !got;
+  let n = 1000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    send ()
+  done;
+  let per_frame = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every frame through" (n + 1) !got;
+  (* the copy: a header word and the bytes, padded to a whole word.
+     Beside it: two frame records (5 words each), two delivery events
+     (entry, time and closure: 15 each), the transport's view (6) and
+     the engine run this loop starts per frame (10), 56 words in all;
+     the string compares, header options and route resolution once
+     here made it 152 *)
+  let copy = float_of_int (1 + (String.length raw / 8) + 1) in
+  if per_frame > copy +. 60. then
+    Alcotest.failf "%.1f minor words per forwarded frame (copy %.0f)" per_frame
+      copy
+
 let () =
   Alcotest.run "route"
     [
@@ -558,5 +619,7 @@ let () =
             test_forward_ttl_reaching_one;
           Alcotest.test_case "padded frame trimmed" `Quick
             test_padded_transit_frame_trimmed;
+          Alcotest.test_case "words per forwarded frame" `Quick
+            test_forward_allocation;
         ] );
     ]
