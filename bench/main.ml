@@ -504,7 +504,8 @@ let il_pair eng =
    wakes it and runs the engine until it has parked again.  The IL and
    9P rows follow the same pattern with a whole round trip per call:
    the client parks on a mailbox, and each call releases it for one
-   exchange and runs the engine until every timer has lapsed. *)
+   exchange and runs the engine until every timer has lapsed.  The
+   timer row arms and disarms one timer per call: no switch at all. *)
 let switch_primitives () =
   let idle eng = while Sim.Engine.step eng do () done in
   let parked name body = (name, body (Sim.Engine.create ())) in
@@ -532,6 +533,12 @@ let switch_primitives () =
         fun () ->
           ignore (Sim.Engine.step eng);
           ignore (Sim.Engine.step eng));
+    parked "sim:timer-rearm" (fun eng ->
+        let t = Sim.Time.timer eng in
+        let fired () = () in
+        fun () ->
+          Sim.Time.arm_at t (Sim.Engine.now eng +. 1.) fired;
+          Sim.Time.disarm t);
     parked "sim:rendez-switch" (fun eng ->
         let r = Sim.Rendez.create eng in
         forever (fun () -> Sim.Rendez.sleep r) eng;

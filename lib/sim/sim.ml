@@ -52,22 +52,23 @@ type sched_cls = Normal | Deferred
 (* Event queue: a binary min-heap ordered by (time, rank, serial).  The
    rank is the policy's tie-break key (0 under Fifo, so same-time events
    fall through to serial order = FIFO, which is what the default
-   deterministic schedule requires). *)
+   deterministic schedule requires).  Every entry knows its slot, so a
+   reusable deadline is one entry that is moved or removed in place:
+   the queue holds only live work. *)
 module Heap = struct
   type entry = {
-    time : float;
-    rank : int;  (* policy tie-break within an equal-time batch *)
-    serial : int;
-    mutable live : bool;  (* cancelled entries are skipped on pop *)
+    mutable time : float;
+    mutable rank : int;  (* policy tie-break within an equal-time batch *)
+    mutable serial : int;
+    mutable pos : int;  (* slot in the array, or -1 when not queued *)
     label : string;  (* handler class, for the wall-clock profiler *)
     fn : unit -> unit;
   }
 
   type t = { mutable a : entry array; mutable n : int }
 
-  let dummy =
-    { time = 0.; rank = 0; serial = 0; live = false; label = ""; fn = ignore }
-
+  let entry label fn = { time = 0.; rank = 0; serial = 0; pos = -1; label; fn }
+  let dummy = entry "" ignore
   let create () = { a = Array.make 64 dummy; n = 0 }
 
   let before x y =
@@ -75,27 +76,33 @@ module Heap = struct
     || (x.time = y.time
        && (x.rank < y.rank || (x.rank = y.rank && x.serial < y.serial)))
 
-  let rec sift_up h i =
-    if i > 0 then begin
-      let p = (i - 1) / 2 in
-      if before h.a.(i) h.a.(p) then begin
-        let t = h.a.(i) in
-        h.a.(i) <- h.a.(p);
-        h.a.(p) <- t;
-        sift_up h p
-      end
-    end
+  let set h i e =
+    h.a.(i) <- e;
+    e.pos <- i
 
-  let rec sift_down h i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let m = if l < h.n && before h.a.(l) h.a.(i) then l else i in
-    let m = if r < h.n && before h.a.(r) h.a.(m) then r else m in
-    if m <> i then begin
-      let t = h.a.(i) in
-      h.a.(i) <- h.a.(m);
-      h.a.(m) <- t;
-      sift_down h m
+  (* settle [e] into the hole at [i], moving earlier parents down *)
+  let rec sift_up h i e =
+    let p = (i - 1) / 2 in
+    if i > 0 && before e h.a.(p) then begin
+      set h i h.a.(p);
+      sift_up h p e
     end
+    else set h i e
+
+  (* settle [e] into the hole at [i], moving earlier children up *)
+  let rec sift_down h i e =
+    let l = (2 * i) + 1 in
+    let c = if l + 1 < h.n && before h.a.(l + 1) h.a.(l) then l + 1 else l in
+    if c < h.n && before h.a.(c) e then begin
+      set h i h.a.(c);
+      sift_down h c e
+    end
+    else set h i e
+
+  (* restore the order around slot [i] after [e]'s key changed *)
+  let fix h i e =
+    if i > 0 && before e h.a.((i - 1) / 2) then sift_up h i e
+    else sift_down h i e
 
   let push h e =
     if h.n = Array.length h.a then begin
@@ -103,17 +110,22 @@ module Heap = struct
       Array.blit h.a 0 a 0 h.n;
       h.a <- a
     end;
-    h.a.(h.n) <- e;
     h.n <- h.n + 1;
-    sift_up h (h.n - 1)
+    sift_up h (h.n - 1) e
+
+  (* take a queued [e] out; O(log n) *)
+  let remove h e =
+    let i = e.pos in
+    e.pos <- -1;
+    h.n <- h.n - 1;
+    let last = h.a.(h.n) in
+    h.a.(h.n) <- dummy;
+    if i < h.n then fix h i last
 
   (* the earliest entry; the caller checks [n > 0] *)
   let pop h =
     let top = h.a.(0) in
-    h.n <- h.n - 1;
-    h.a.(0) <- h.a.(h.n);
-    h.a.(h.n) <- dummy;
-    sift_down h 0;
+    remove h top;
     top
 end
 
@@ -135,7 +147,7 @@ type engine = {
   mutable peak_procs : int;  (* high-water mark of [procs] *)
   mutable crashes : exn list;
   mutable next_pid : int;
-  mutable events : int;  (* live events executed since creation *)
+  mutable events : int;  (* events executed since creation *)
   mutable obs : Obs.Trace.t option;
       (* observability sink; every instrumented layer guards emission on
          this being [Some], so a world without a sink pays nothing *)
@@ -145,8 +157,8 @@ type engine = {
 }
 
 (* A process owns its sleep state, as in the Plan 9 kernel: everything
-   a wait needs is set up once at spawn and reused by every wait, so
-   sleep and wakeup allocate only the heap entries they schedule. *)
+   a wait needs is set up once and reused by every wait, so a sleep
+   allocates only its resume event. *)
 and proc = {
   pid : int;
   pname : string;
@@ -158,14 +170,13 @@ and proc = {
   mutable slot : (unit, unit) Effect.Deep.continuation option;
       (* the continuation a [Block] left behind *)
   mutable gen : int;  (* bumped by every settle; stamps generic callbacks *)
-  mutable timer : Heap.entry;  (* the pending timer, or [Heap.dummy] *)
+  mutable timer : Heap.entry;  (* for timed waits; made at the first *)
   mutable rendez : rendez;  (* the Rendez slept on, or [no_rendez] *)
   mutable prev : proc option;  (* Rendez FIFO links *)
   mutable next : proc option;
   mutable cleanup : unit -> unit;  (* a generic suspension's, or [no_cleanup] *)
   mutable abort_with : exn option;  (* raise this at resume instead *)
   resume : unit -> unit;  (* the resume event: continue the slot *)
-  wake : unit -> unit;  (* the timer's event: wake this process *)
 }
 
 (* An intrusive FIFO of the processes sleeping on it, oldest first. *)
@@ -185,16 +196,18 @@ let rank_of sched cls serial =
   | Sched.Shuffle seed, Normal -> Sched.mix seed serial
   | Sched.Adversarial, Normal -> -serial
 
-let push_entry eng cls label time fn =
-  let time = if time < eng.now then eng.now else time in
+(* key [e] for [time] with the next serial and queue it, moving it in
+   place if it is queued already *)
+let queue_at eng cls e time =
+  e.Heap.time <- (if time < eng.now then eng.now else time);
   eng.serial <- eng.serial + 1;
-  let rank = rank_of eng.sched cls eng.serial in
-  let e = { Heap.time; rank; serial = eng.serial; live = true; label; fn } in
-  Heap.push eng.heap e;
-  e
+  e.Heap.rank <- rank_of eng.sched cls eng.serial;
+  e.Heap.serial <- eng.serial;
+  if e.Heap.pos < 0 then Heap.push eng.heap e
+  else Heap.fix eng.heap e.Heap.pos e
 
 let schedule_at ?(cls = Normal) ?(label = "engine") eng time fn =
-  ignore (push_entry eng cls label time fn)
+  queue_at eng cls (Heap.entry label fn) time
 
 (* The process currently executing, if any.  Engines never run
    concurrently, so a single global is safe and avoids threading a
@@ -248,43 +261,25 @@ module Engine = struct
   let pending t = t.heap.Heap.n
   let events t = t.events
 
-  let rec step t =
-    if t.heap.Heap.n = 0 then false
-    else begin
-      let e = Heap.pop t.heap in
-      if e.Heap.live then begin
-        t.now <- e.Heap.time;
-        t.events <- t.events + 1;
-        (match t.prof with
-        | None -> e.Heap.fn ()
-        | Some p ->
-          Obs.Prof.begin_event p;
-          e.Heap.fn ();
-          Obs.Prof.end_event p e.Heap.label);
-        true
-      end
-      else step t (* cancelled: skip without advancing time *)
-    end
-
-  (* drop dead entries off the top so the peek is accurate; top level,
-     so the run loop allocates nothing per event *)
-  let rec prune h =
-    if h.Heap.n > 0 && not h.Heap.a.(0).Heap.live then begin
-      ignore (Heap.pop h);
-      prune h
-    end
+  let step t =
+    t.heap.Heap.n > 0
+    &&
+    let e = Heap.pop t.heap in
+    t.now <- e.Heap.time;
+    t.events <- t.events + 1;
+    (match t.prof with
+    | None -> e.Heap.fn ()
+    | Some p ->
+      Obs.Prof.begin_event p;
+      e.Heap.fn ();
+      Obs.Prof.end_event p e.Heap.label);
+    true
 
   let run ?until t =
-    let continue_ () =
-      prune t.heap;
-      t.heap.Heap.n > 0
-      &&
-      match until with
-      | None -> true
-      | Some limit -> t.heap.Heap.a.(0).Heap.time <= limit
-    in
-    let rec loop () = if continue_ () then if step t then loop () in
-    loop ();
+    let limit = match until with Some l -> l | None -> infinity in
+    while t.heap.Heap.n > 0 && t.heap.Heap.a.(0).Heap.time <= limit do
+      ignore (step t)
+    done;
     (* a drained queue means every open span's operation is blocked
        forever (or abandoned): close them as orphans so the trace names
        the stuck work instead of silently losing it *)
@@ -374,16 +369,14 @@ module Proc = struct
     p.rendez <- no_rendez;
     r.count <- r.count - 1
 
-  (* End the current wait, whatever it was: leave the Rendez, cancel
-     the timer, run a generic suspension's cleanup.  The generation bump
-     turns every callback handed out for this wait into a no-op. *)
+  (* End the current wait, whatever it was: leave the Rendez, take the
+     timer entry out of the queue, run a generic suspension's cleanup.
+     The generation bump turns every callback handed out for this wait
+     into a no-op. *)
   let settle p =
     p.gen <- p.gen + 1;
     if p.rendez != no_rendez then unlink p.rendez p;
-    if p.timer != Heap.dummy then begin
-      p.timer.Heap.live <- false;
-      p.timer <- Heap.dummy
-    end;
+    if p.timer.Heap.pos >= 0 then Heap.remove p.eng.heap p.timer;
     if p.cleanup != no_cleanup then begin
       let f = p.cleanup in
       p.cleanup <- no_cleanup;
@@ -393,7 +386,7 @@ module Proc = struct
   let make_ready p =
     emit_phase p Obs.Event.Wake;
     p.state <- Ready;
-    ignore (push_entry p.eng Normal p.pclass p.eng.now p.resume)
+    schedule_at ~label:p.pclass p.eng p.eng.now p.resume
 
   (* the one wakeup path and the one abort path; callers guarantee [p]
      is waiting (it is linked, its timer is live, or the stamp matches) *)
@@ -440,9 +433,11 @@ module Proc = struct
 
   let block () = Effect.perform Block
 
-  let timed_wait eng cls time =
+  let timed_wait cls time =
     let p = block_begin () in
-    p.timer <- push_entry eng cls p.pclass time p.wake;
+    if p.timer == Heap.dummy then
+      p.timer <- Heap.entry p.pclass (fun () -> wake p);
+    queue_at p.eng cls p.timer time;
     block ()
 
   let spawn eng ?name body =
@@ -456,8 +451,7 @@ module Proc = struct
       { pid; pname; pclass; eng; state = Ready; exit_waiters = [];
         some = Some p; slot = None; gen = 0; timer = Heap.dummy;
         rendez = no_rendez; prev = None; next = None; cleanup = no_cleanup;
-        abort_with = None; resume = (fun () -> run_as p continue_slot);
-        wake = (fun () -> wake p) }
+        abort_with = None; resume = (fun () -> run_as p continue_slot) }
     in
     Pidtbl.add eng.procs pid p;
     let live = Pidtbl.length eng.procs in
@@ -535,56 +529,60 @@ end
 
 module Time = struct
   let sleep eng dt =
-    (* the timer entry is cancelled when the sleep settles, so a killed
-       process leaves no phantom event behind.  A zero-length sleep is a
-       yield, whose contract is "after already-queued same-time events"
-       under every policy — hence the Deferred class. *)
-    Proc.timed_wait eng (if dt <= 0. then Deferred else Normal) (eng.now +. dt)
+    (* a killed sleeper's entry leaves the queue as the wait settles.  A
+       zero-length sleep is a yield, whose contract is "after
+       already-queued same-time events" under every policy — hence the
+       Deferred class. *)
+    Proc.timed_wait (if dt <= 0. then Deferred else Normal) (eng.now +. dt)
 
   let yield eng = sleep eng 0.
 
-  (* A one-shot re-armable timer slot: at most one pending heap entry at
-     a time.  Arming replaces any pending deadline; disarming cancels it
-     in O(1) by marking the entry dead (the heap skips it on pop).  This
-     is what lets an idle protocol conversation cost zero events: its
-     timers are simply not armed. *)
+  (* A one-shot re-armable timer: one heap entry, made with the timer
+     and moved by every arm.  Disarming takes it out of the queue, so an
+     idle protocol conversation costs zero events and a cancelled
+     deadline leaves nothing behind. *)
   type timer = {
     teng : engine;
-    tlabel : string;
-    mutable tentry : Heap.entry option;
+    mutable entry : Heap.entry;  (* set once, by [timer] *)
+    mutable fn : unit -> unit;  (* the callback of the last arm *)
   }
-
-  let timer ?(label = "timer") eng = { teng = eng; tlabel = label; tentry = None }
 
   let timer_bump t name =
     match t.teng.obs with
     | None -> ()
     | Some tr -> Obs.Trace.bump tr name 1
 
+  (* the entry's event: the queue has already let go of it, so [fn]
+     may re-arm.  Fire and disarm drop the callback, so an idle timer
+     keeps no closure alive (2.6 MB of routed-swarm's peak heap). *)
+  let fire t =
+    let f = t.fn in
+    t.fn <- ignore;
+    timer_bump t "timer.fire";
+    f ()
+
+  (* not a [let rec]: that would allocate the records twice *)
+  let timer ?(label = "timer") eng =
+    let t = { teng = eng; entry = Heap.dummy; fn = ignore } in
+    t.entry <- Heap.entry label (fun () -> fire t);
+    t
+
+  let armed t = t.entry.Heap.pos >= 0
+
   let disarm t =
-    match t.tentry with
-    | None -> ()
-    | Some e ->
-      e.Heap.live <- false;
-      t.tentry <- None;
+    if armed t then begin
+      Heap.remove t.teng.heap t.entry;
+      t.fn <- ignore;
       timer_bump t "timer.disarm"
+    end
 
   let arm_at t time fn =
-    disarm t;
+    if armed t then timer_bump t "timer.disarm";
     timer_bump t "timer.arm";
-    let e =
-      push_entry t.teng Normal t.tlabel time (fun () ->
-          t.tentry <- None;
-          timer_bump t "timer.fire";
-          fn ())
-    in
-    t.tentry <- Some e
+    t.fn <- fn;
+    queue_at t.teng Normal t.entry time
 
   let arm t dt fn = arm_at t (t.teng.now +. dt) fn
-  let armed t = t.tentry <> None
-
-  let deadline t =
-    match t.tentry with Some e -> Some e.Heap.time | None -> None
 end
 
 module Cpu = struct
@@ -608,7 +606,7 @@ module Cpu = struct
 
   let busy_wait t dt =
     let finish = occupy t dt in
-    Proc.timed_wait t.ceng Normal finish
+    Proc.timed_wait Normal finish
 end
 
 module Rendez = struct

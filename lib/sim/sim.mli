@@ -121,12 +121,12 @@ module Engine : sig
   (** Processes ever spawned since creation; O(1). *)
 
   val pending : t -> int
-  (** Number of queued events. *)
+  (** Number of queued events, exactly: a disarmed timer or a settled
+      sleep takes its entry out of the queue. *)
 
   val events : t -> int
-  (** Total live events executed since creation.  Cancelled entries are
-      skipped without counting, so this measures real engine work —
-      benches use it to assert event volume per unit of goodput. *)
+  (** Total events executed since creation — benches use it to assert
+      event volume per unit of goodput. *)
 end
 
 module Proc : sig
@@ -177,8 +177,9 @@ module Proc : sig
       thunk that runs exactly once when the suspension settles, in the
       settling caller's context (at once, if [register] already settled
       it); callers use it to drop the callbacks they stored.
-      [Rendez.sleep] and [Time.sleep] do not go through here: they link
-      the process's own wake slot and allocate no callbacks.
+      [Rendez.sleep] and [Time.sleep] do not go through here: they use
+      the process's own [Rendez] links and timer entry and allocate no
+      callbacks.
       @raise Failure outside a process. *)
 end
 
@@ -192,11 +193,12 @@ module Time : sig
       events. *)
 
   type timer
-  (** A one-shot re-armable timer slot holding at most one pending
-      deadline.  This is the building block for per-conversation
-      protocol timers: arm on state change, disarm when the work is
-      acknowledged, and an idle conversation contributes zero events to
-      the engine.  With an observability sink attached, arms, fires and
+  (** A one-shot re-armable timer holding at most one pending deadline:
+      one queue entry, made with the timer and moved by every arm, so
+      arming and disarming allocate nothing.  This is the building block
+      for per-conversation protocol timers: arm on state change, disarm
+      when the work is acknowledged, and an idle conversation
+      contributes zero events to the engine.  With an observability sink attached, arms, fires and
       disarms are counted under [timer.arm] / [timer.fire] /
       [timer.disarm]. *)
 
@@ -215,13 +217,11 @@ module Time : sig
   (** [arm t dt fn] = [arm_at t (now +. dt) fn]. *)
 
   val disarm : timer -> unit
-  (** Cancel the pending deadline, if any; O(1). *)
+  (** Cancel the pending deadline, if any: its entry leaves the queue,
+      in O(log n). *)
 
   val armed : timer -> bool
   (** Whether a deadline is pending. *)
-
-  val deadline : timer -> float option
-  (** The pending absolute deadline, if armed. *)
 end
 
 module Cpu : sig

@@ -434,7 +434,7 @@ let test_sleep_words () =
            Sim.Time.sleep eng 1.0
          done));
   ignore (Sim.Engine.step eng);
-  check_ceiling "Time.sleep" 24.
+  check_ceiling "Time.sleep" 16.
     (words_per_op 1_000 (fun () ->
          ignore (Sim.Engine.step eng);
          ignore (Sim.Engine.step eng)))
@@ -453,6 +453,128 @@ let test_mbox_words () =
     (words_per_op 1_000 (fun () ->
          Sim.Mbox.send mb 0;
          idle eng))
+
+let test_timer_rearm_words () =
+  (* one arm_at/disarm cycle moves the timer's one entry in and out of
+     the queue: the deadline's float box is all it may allocate *)
+  let eng = Sim.Engine.create () in
+  let t = Sim.Time.timer eng in
+  let fired () = Alcotest.fail "a disarmed timer fired" in
+  check_ceiling "a timer re-arm" 3.
+    (words_per_op 1_000 (fun () ->
+         Sim.Time.arm_at t (Sim.Engine.now eng +. 1.) fired;
+         Sim.Time.disarm t));
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending eng)
+
+(* The event queue against a model: random interleavings of one-shot
+   events, timer arms and disarms, and steps.  The model keeps what is
+   queued as (time, rank, serial, id); a step must fire the least, and
+   [Engine.pending] must count exactly what the model holds. *)
+type qop = At of int | Arm of int * int | Disarm of int | Step
+
+let show_qop = function
+  | At dt -> Printf.sprintf "At %d" dt
+  | Arm (k, dt) -> Printf.sprintf "Arm (%d, %d)" k dt
+  | Disarm k -> Printf.sprintf "Disarm %d" k
+  | Step -> "Step"
+
+let ntimers = 3
+
+let gen_qop =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun dt -> At dt) (0 -- 3));
+        (3, map2 (fun k dt -> Arm (k, dt)) (0 -- (ntimers - 1)) (0 -- 3));
+        (2, map (fun k -> Disarm k) (0 -- (ntimers - 1)));
+        (4, return Step);
+      ])
+
+let gen_policy =
+  QCheck.Gen.(
+    oneof
+      [
+        return Sim.Sched.Fifo;
+        map (fun s -> Sim.Sched.Shuffle s) (0 -- 1000);
+        return Sim.Sched.Adversarial;
+      ])
+
+let queue_model_holds (sched, ops) =
+  let eng = Sim.Engine.create ~sched () in
+  let timers = Array.init ntimers (fun _ -> Sim.Time.timer eng) in
+  let fired = ref [] in
+  let serial = ref 0 and next_id = ref 0 in
+  (* queued (time, rank, serial, id), with the timer's index if any *)
+  let model = ref [] in
+  let key (t, r, s, _, _) = (t, r, s) in
+  let queue ?timer time =
+    incr serial;
+    incr next_id;
+    let rank =
+      match sched with
+      | Sim.Sched.Fifo -> 0
+      | Sim.Sched.Shuffle seed -> Sim.Sched.mix seed !serial
+      | Sim.Sched.Adversarial -> - !serial
+    in
+    let id = !next_id in
+    model := (time, rank, !serial, id, timer) :: !model;
+    fun () -> fired := id :: !fired
+  in
+  let unqueue k =
+    model := List.filter (fun (_, _, _, _, tm) -> tm <> Some k) !model
+  in
+  let step () =
+    match List.sort (fun a b -> compare (key a) (key b)) !model with
+    | [] -> QCheck.Test.fail_report "the model is empty"
+    | ((_, _, _, id, _) as least) :: _ ->
+      model := List.filter (fun e -> e != least) !model;
+      if not (Sim.Engine.step eng) then
+        QCheck.Test.fail_reportf "step found nothing; model holds %d" id;
+      (match !fired with
+      | got :: _ when got = id -> ()
+      | got :: _ -> QCheck.Test.fail_reportf "fired %d, model says %d" got id
+      | [] -> QCheck.Test.fail_reportf "nothing fired, model says %d" id)
+  in
+  let apply op =
+    let now = Sim.Engine.now eng in
+    (match op with
+    | At dt ->
+      let time = now +. float_of_int dt in
+      Sim.Engine.at eng time (queue time)
+    | Arm (k, dt) ->
+      unqueue k;
+      let time = now +. float_of_int dt in
+      Sim.Time.arm_at timers.(k) time (queue ~timer:k time)
+    | Disarm k ->
+      unqueue k;
+      Sim.Time.disarm timers.(k)
+    | Step -> if !model = [] then assert (not (Sim.Engine.step eng)) else step ());
+    if Sim.Engine.pending eng <> List.length !model then
+      QCheck.Test.fail_reportf "after %s: pending %d, model queues %d"
+        (show_qop op) (Sim.Engine.pending eng) (List.length !model);
+    Array.iteri
+      (fun k t ->
+        let queued = List.exists (fun (_, _, _, _, tm) -> tm = Some k) !model in
+        if Sim.Time.armed t <> queued then
+          QCheck.Test.fail_reportf "after %s: timer %d armed %b, model %b"
+            (show_qop op) k (Sim.Time.armed t) queued)
+      timers
+  in
+  List.iter apply ops;
+  (* drain: what is left fires in the model's order too *)
+  while !model <> [] do
+    apply Step
+  done;
+  true
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"event queue matches a sorted-list model" ~count:500
+    (QCheck.make
+       ~print:(fun (sched, ops) ->
+         Printf.sprintf "%s: [%s]" (Sim.Sched.to_string sched)
+           (String.concat "; " (List.map show_qop ops)))
+       QCheck.Gen.(pair gen_policy (list_size (0 -- 60) gen_qop)))
+    queue_model_holds
 
 let test_determinism () =
   let trace () =
@@ -644,6 +766,9 @@ let () =
             test_wakeup_cost_flat;
           Alcotest.test_case "Time.sleep words" `Quick test_sleep_words;
           Alcotest.test_case "Mbox message words" `Quick test_mbox_words;
+          Alcotest.test_case "timer re-arm words" `Quick
+            test_timer_rearm_words;
+          QCheck_alcotest.to_alcotest prop_queue_model;
         ] );
       ( "proc",
         [
