@@ -54,10 +54,11 @@ module Switch = struct
     in_service : string;
     in_callee : line;
     in_caller_line : line;
-    mutable in_settled : bool;
-    in_resume : cend -> unit;
-    in_abort : exn -> unit;
+    mutable in_outcome : outcome;
+    in_dialer : Sim.Rendez.t;  (* the dialer sleeps here until it is set *)
   }
+
+  and outcome = Pending | Accepted of cend | Refused of string
 
   and t = {
     sw_name : string;
@@ -246,50 +247,58 @@ module Circuit = struct
       | None ->
         fin ();
         raise (Rejected ("unknown service: " ^ service))
-      | Some mbox ->
-        (match
-           Sim.Proc.suspend ~register:(fun ~resume ~abort ->
-            let inc =
-              {
-                Switch.in_caller = line.Switch.l_name;
-                in_service = service;
-                in_callee = callee;
-                in_caller_line = line;
-                in_settled = false;
-                in_resume = resume;
-                in_abort = abort;
-              }
-            in
-            (* call setup crosses the switch *)
-            Sim.Engine.after ~label:"dk" sw.Switch.eng sw.Switch.latency (fun () ->
-                Sim.Mbox.send mbox inc);
-            ignore)
-         with
-        | ce ->
+      | Some mbox -> (
+        let eng = sw.Switch.eng in
+        (* a dial outside a process fails before the call leaves *)
+        ignore (Sim.Proc.self ());
+        let inc =
+          {
+            Switch.in_caller = line.Switch.l_name;
+            in_service = service;
+            in_callee = callee;
+            in_caller_line = line;
+            in_outcome = Switch.Pending;
+            in_dialer = Sim.Rendez.create eng;
+          }
+        in
+        (* call setup crosses the switch *)
+        Sim.Engine.after ~label:"dk" eng sw.Switch.latency (fun () ->
+            Sim.Mbox.send mbox inc);
+        match Sim.Rendez.sleep inc.Switch.in_dialer with
+        | () -> (
           fin ();
-          ce
+          match inc.Switch.in_outcome with
+          | Switch.Accepted ce -> ce
+          | Switch.Refused reason -> raise (Rejected reason)
+          | Switch.Pending -> assert false)
         | exception e ->
           fin ();
           raise e))
 
+  let settled (inc : incoming) =
+    match inc.Switch.in_outcome with Switch.Pending -> false | _ -> true
+
+  (* record the outcome and wake the dialer once the answer has crossed
+     the switch; a dialer killed meanwhile has left the Rendez, so the
+     wakeup finds nobody *)
+  let answer (inc : incoming) outcome =
+    inc.Switch.in_outcome <- outcome;
+    let sw = inc.Switch.in_callee.Switch.l_sw in
+    Sim.Engine.after ~label:"dk" sw.Switch.eng sw.Switch.latency (fun () ->
+        Sim.Rendez.wakeup inc.Switch.in_dialer)
+
   let accept (inc : incoming) =
-    if inc.Switch.in_settled then invalid_arg "Dk.Circuit.accept: settled";
-    inc.Switch.in_settled <- true;
+    if settled inc then invalid_arg "Dk.Circuit.accept: settled";
     let caller_end = Switch.alloc_end inc.Switch.in_caller_line in
     let callee_end = Switch.alloc_end inc.Switch.in_callee in
     caller_end.Switch.ce_peer <- Some callee_end;
     callee_end.Switch.ce_peer <- Some caller_end;
-    let sw = inc.Switch.in_callee.Switch.l_sw in
-    Sim.Engine.after ~label:"dk" sw.Switch.eng sw.Switch.latency (fun () ->
-        inc.Switch.in_resume caller_end);
+    answer inc (Switch.Accepted caller_end);
     callee_end
 
   let reject (inc : incoming) ~reason =
-    if inc.Switch.in_settled then invalid_arg "Dk.Circuit.reject: settled";
-    inc.Switch.in_settled <- true;
-    let sw = inc.Switch.in_callee.Switch.l_sw in
-    Sim.Engine.after ~label:"dk" sw.Switch.eng sw.Switch.latency (fun () ->
-        inc.Switch.in_abort (Rejected reason))
+    if settled inc then invalid_arg "Dk.Circuit.reject: settled";
+    answer inc (Switch.Refused reason)
 
   let send (ce : t) cell = if ce.Switch.ce_up then Switch.send_cell ce cell
 

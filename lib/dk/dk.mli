@@ -98,7 +98,9 @@ module Circuit : sig
   (** A call delivered to a listener, not yet accepted. *)
 
   val dial : Switch.line -> dest:string -> service:string -> t
-  (** Place a call; blocks the calling process until accepted.
+  (** Place a call; blocks the calling process until the callee's
+      answer has crossed the switch.  A dialer killed meanwhile stops
+      waiting at once, and the late answer wakes nobody.
       @raise Rejected / @raise No_such_line on failure. *)
 
   val announce : Switch.line -> service:string -> incoming Sim.Mbox.t

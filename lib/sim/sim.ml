@@ -41,10 +41,11 @@ module Sched = struct
 end
 
 (* Scheduling class: [Deferred] entries are polling/yield rescheduling
-   loops (Proc.kill's retry, Time.yield) that must run after every
-   ordinary same-time event no matter the policy — under Adversarial a
-   LIFO-ordered self-rescheduling poll would livelock, and Time.yield's
-   contract is "after already-queued same-time events" by definition.
+   loops (Proc.kill's retry, a zero-length Time.sleep) that must run
+   after every ordinary same-time event no matter the policy — under
+   Adversarial a LIFO-ordered self-rescheduling poll would livelock, and
+   a zero-length sleep's contract is "after already-queued same-time
+   events" by definition.
    Under Fifo both classes rank 0, preserving the historical order
    byte for byte. *)
 type sched_cls = Normal | Deferred
@@ -132,7 +133,7 @@ end
 type proc_state =
   | Ready  (* its resume event is queued *)
   | Running
-  | Blocked  (* waiting on a Rendez, a timer or a generic suspension *)
+  | Blocked  (* sleeping on a Rendez or on its timer *)
   | Dead
 
 module Pidtbl = Hashtbl.Make (Int)
@@ -165,18 +166,16 @@ and proc = {
   pclass : string;  (* handler class for the profiler, from the name *)
   eng : engine;
   mutable state : proc_state;
-  mutable exit_waiters : (unit -> unit) list;
-  some : proc option;  (* [Some p], shared by [current] and the links *)
+  mutable some : proc option;  (* [Some p], shared by [current] and the links *)
   mutable slot : (unit, unit) Effect.Deep.continuation option;
       (* the continuation a [Block] left behind *)
-  mutable gen : int;  (* bumped by every settle; stamps generic callbacks *)
   mutable timer : Heap.entry;  (* for timed waits; made at the first *)
   mutable rendez : rendez;  (* the Rendez slept on, or [no_rendez] *)
   mutable prev : proc option;  (* Rendez FIFO links *)
   mutable next : proc option;
-  mutable cleanup : unit -> unit;  (* a generic suspension's, or [no_cleanup] *)
-  mutable abort_with : exn option;  (* raise this at resume instead *)
-  resume : unit -> unit;  (* the resume event: continue the slot *)
+  mutable exited : rendez;  (* joiners sleep here; made at the first join *)
+  mutable killed : bool;  (* raise [Killed] at resume instead *)
+  mutable resume : unit -> unit;  (* the resume event: continue the slot *)
 }
 
 (* An intrusive FIFO of the processes sleeping on it, oldest first. *)
@@ -186,8 +185,8 @@ and rendez = {
   mutable count : int;
 }
 
-let no_rendez = { head = None; tail = None; count = 0 }
-let no_cleanup () = ()
+let new_rendez () = { head = None; tail = None; count = 0 }
+let no_rendez = new_rendez ()
 
 let rank_of sched cls serial =
   match (sched, cls) with
@@ -346,13 +345,6 @@ module Proc = struct
     | None -> ()
     | Some tr -> Obs.Trace.emit tr (Obs.Event.Proc { name = p.pname; phase })
 
-  let finish p =
-    p.state <- Dead;
-    Pidtbl.remove p.eng.procs p.pid;
-    let ws = p.exit_waiters in
-    p.exit_waiters <- [];
-    List.iter (fun w -> w ()) ws
-
   (* Rendez links: O(1) append at the tail and O(1) unlink anywhere *)
   let enqueue r p =
     p.rendez <- r;
@@ -369,35 +361,34 @@ module Proc = struct
     p.rendez <- no_rendez;
     r.count <- r.count - 1
 
-  (* End the current wait, whatever it was: leave the Rendez, take the
-     timer entry out of the queue, run a generic suspension's cleanup.
-     The generation bump turns every callback handed out for this wait
-     into a no-op. *)
-  let settle p =
-    p.gen <- p.gen + 1;
+  (* The one wakeup path; callers guarantee [p] is waiting (it is
+     linked on a Rendez or its timer is queued).  Settling ends the wait
+     whatever it was: the process leaves its Rendez and its timer entry
+     leaves the queue, so a later wakeup or deadline finds nobody. *)
+  let wake p =
     if p.rendez != no_rendez then unlink p.rendez p;
     if p.timer.Heap.pos >= 0 then Heap.remove p.eng.heap p.timer;
-    if p.cleanup != no_cleanup then begin
-      let f = p.cleanup in
-      p.cleanup <- no_cleanup;
-      f ()
-    end
-
-  let make_ready p =
     emit_phase p Obs.Event.Wake;
     p.state <- Ready;
     schedule_at ~label:p.pclass p.eng p.eng.now p.resume
 
-  (* the one wakeup path and the one abort path; callers guarantee [p]
-     is waiting (it is linked, its timer is live, or the stamp matches) *)
-  let wake p =
-    settle p;
-    make_ready p
+  (* the one abort path: wake [p] into [Killed] *)
+  let abort p =
+    p.killed <- true;
+    wake p
 
-  let abort p e =
-    settle p;
-    p.abort_with <- Some e;
-    make_ready p
+  (* each wake unlinks the head, so this drains the FIFO oldest first *)
+  let rec wakeup_all r =
+    match r.head with
+    | None -> ()
+    | Some p ->
+      wake p;
+      wakeup_all r
+
+  let finish p =
+    p.state <- Dead;
+    Pidtbl.remove p.eng.procs p.pid;
+    wakeup_all p.exited
 
   (* run [f p] as the current process [p] *)
   let run_as p f =
@@ -416,15 +407,14 @@ module Proc = struct
     | None -> assert false
     | Some k -> (
       p.slot <- None;
-      match p.abort_with with
-      | None -> Effect.Deep.continue k ()
-      | Some e ->
-        p.abort_with <- None;
-        Effect.Deep.discontinue k e)
+      if p.killed then begin
+        p.killed <- false;
+        Effect.Deep.discontinue k Killed
+      end
+      else Effect.Deep.continue k ())
 
   (* The two halves of every wait: mark the caller blocked, register
-     the waiter (link on a Rendez, push a timer, hand out callbacks),
-     then [block]. *)
+     the waiter (link on a Rendez, queue the timer), then [block]. *)
   let block_begin () =
     let p = self () in
     p.state <- Blocked;
@@ -447,12 +437,14 @@ module Proc = struct
       match name with Some n -> n | None -> Printf.sprintf "proc%d" pid
     in
     let pclass = proc_class pname in
-    let rec p =
-      { pid; pname; pclass; eng; state = Ready; exit_waiters = [];
-        some = Some p; slot = None; gen = 0; timer = Heap.dummy;
-        rendez = no_rendez; prev = None; next = None; cleanup = no_cleanup;
-        abort_with = None; resume = (fun () -> run_as p continue_slot) }
+    (* not a [let rec]: that would allocate the record twice *)
+    let p =
+      { pid; pname; pclass; eng; state = Ready; some = None; slot = None;
+        timer = Heap.dummy; rendez = no_rendez; prev = None; next = None;
+        exited = no_rendez; killed = false; resume = ignore }
     in
+    p.some <- Some p;
+    p.resume <- (fun () -> run_as p continue_slot);
     Pidtbl.add eng.procs pid p;
     let live = Pidtbl.length eng.procs in
     if live > eng.peak_procs then eng.peak_procs <- live;
@@ -484,27 +476,10 @@ module Proc = struct
         run_as p (fun _ -> Effect.Deep.match_with body () handler));
     p
 
-  let suspend ~register =
-    let p = block_begin () in
-    let stamp = p.gen in
-    let got = ref None in
-    let resume v =
-      if p.gen = stamp then begin
-        got := Some v;
-        wake p
-      end
-    in
-    let abort e = if p.gen = stamp then abort p e in
-    let cleanup = register ~resume ~abort in
-    (* settled already if [register] resumed or aborted at once *)
-    if p.gen = stamp then p.cleanup <- cleanup else cleanup ();
-    block ();
-    match !got with Some v -> v | None -> assert false
-
   let kill p =
     match p.state with
     | Dead -> ()
-    | Blocked -> abort p Killed
+    | Blocked -> abort p
     | Ready | Running ->
       (* The kill lands when the victim next blocks: we poll cheaply
          by scheduling a check; a Ready proc will be Blocked or Dead
@@ -515,16 +490,21 @@ module Proc = struct
       let rec retry () =
         match p.state with
         | Dead -> ()
-        | Blocked -> abort p Killed
+        | Blocked -> abort p
         | Ready | Running -> schedule_at ~cls:Deferred p.eng p.eng.now retry
       in
       schedule_at ~cls:Deferred p.eng p.eng.now retry
 
+  let sleep r =
+    let p = block_begin () in
+    enqueue r p;
+    block ()
+
   let join p =
-    if alive p then
-      suspend ~register:(fun ~resume ~abort:_ ->
-          p.exit_waiters <- (fun () -> resume ()) :: p.exit_waiters;
-          no_cleanup)
+    if alive p then begin
+      if p.exited == no_rendez then p.exited <- new_rendez ();
+      sleep p.exited
+    end
 end
 
 module Time = struct
@@ -534,8 +514,6 @@ module Time = struct
        already-queued same-time events" under every policy — hence the
        Deferred class. *)
     Proc.timed_wait (if dt <= 0. then Deferred else Normal) (eng.now +. dt)
-
-  let yield eng = sleep eng 0.
 
   (* A one-shot re-armable timer: one heap entry, made with the timer
      and moved by every arm.  Disarming takes it out of the queue, so an
@@ -612,22 +590,10 @@ end
 module Rendez = struct
   type t = rendez
 
-  let create (_ : engine) = { head = None; tail = None; count = 0 }
-
-  let sleep r =
-    let p = Proc.block_begin () in
-    Proc.enqueue r p;
-    Proc.block ()
-
+  let create (_ : engine) = new_rendez ()
+  let sleep = Proc.sleep
   let wakeup r = match r.head with None -> () | Some p -> Proc.wake p
-
-  (* each wake unlinks the head, so this drains the FIFO oldest first *)
-  let rec wakeup_all r =
-    match r.head with
-    | None -> ()
-    | Some p ->
-      Proc.wake p;
-      wakeup_all r
+  let wakeup_all = Proc.wakeup_all
 
   let waiters r = r.count
 end

@@ -4,14 +4,17 @@
     time and of "helper kernel processes" (Presotto & Winterbottom,
     section 2.4).  An {!Engine.t} owns a virtual clock and an event
     queue; {!Proc.spawn} creates a cooperative process implemented with
-    OCaml 5 effect handlers.  Processes run until they block on a
-    {!Rendez.t}, an {!Mbox.t}, a {!Time.sleep}, or exit.  Every blocking
-    call must be made from inside a process: outside one it raises the
-    [Failure] of {!Proc.self} and schedules nothing.  Execution is
-    fully deterministic: events at equal timestamps fire in the order
-    the engine's {!Sched.policy} dictates (FIFO by default) and all
-    randomness flows from the engine's seeded {!Engine.random} state, so
-    every test and benchmark is reproducible. *)
+    OCaml 5 effect handlers.  As in the Plan 9 kernel, a process blocks
+    in one way only: it sleeps on a {!Rendez.t} ({!Mbox.recv} and
+    {!Proc.join} sleep on one) or on its own deadline ({!Time.sleep},
+    {!Cpu.busy_wait}), and a wakeup, the deadline or a {!Proc.kill}
+    ends the sleep.  Every blocking call must be made from inside a
+    process: outside one it raises the [Failure] of {!Proc.self} and
+    schedules nothing.  Execution is fully deterministic: events at
+    equal timestamps fire in the order the engine's {!Sched.policy}
+    dictates (FIFO by default) and all randomness flows from the
+    engine's seeded {!Engine.random} state, so every test and benchmark
+    is reproducible. *)
 
 module Sched : sig
   type policy =
@@ -29,9 +32,9 @@ module Sched : sig
       {e legal} concurrency interleaving of the simulated kernel
       processes; code whose observable behaviour depends on the choice
       has an ordering bug.  Polling/yield reschedules ({!Proc.kill}'s
-      retry, {!Time.yield}) are exempt from reordering — they always run
-      after the ordinary same-time events, preserving their contract and
-      ruling out adversarial livelock. *)
+      retry, a zero-length {!Time.sleep}) are exempt from reordering —
+      they always run after the ordinary same-time events, preserving
+      their contract and ruling out adversarial livelock. *)
 
   val to_string : policy -> string
   (** ["fifo"], ["shuffle:SEED"], ["adversarial"]. *)
@@ -160,37 +163,19 @@ module Proc : sig
   val alive : t -> bool
 
   val join : t -> unit
-  (** Block until [t] exits (normally, crashed, or killed). *)
-
-  val suspend :
-    register:(resume:('a -> unit) -> abort:(exn -> unit) -> unit -> unit) ->
-    'a
-  (** Block the calling process on a wait that outside code settles.
-      [register] is called at once, on the caller's stack, with two
-      callbacks: [resume v] schedules the process to continue returning
-      [v]; [abort e] schedules it to continue by raising [e].  The first
-      of them to be called, or a {!kill}, settles the suspension; each
-      callback carries the suspension's generation stamp, so after the
-      settle both are no-ops forever — calling a kept [resume] or
-      [abort] cannot disturb a later suspension of the same process.
-      [register] may call either callback itself.  It returns a cleanup
-      thunk that runs exactly once when the suspension settles, in the
-      settling caller's context (at once, if [register] already settled
-      it); callers use it to drop the callbacks they stored.
-      [Rendez.sleep] and [Time.sleep] do not go through here: they use
-      the process's own [Rendez] links and timer entry and allocate no
-      callbacks.
-      @raise Failure outside a process. *)
+  (** Block until [t] exits (normally, crashed, or killed): sleep on a
+      {!Rendez.t} that [t] wakes, all joiners oldest first, as it exits.
+      [t] makes that Rendez at its first join.  A joiner that is killed
+      leaves it at once.  Returns at once if [t] is dead.
+      @raise Failure outside a process, when [t] is alive. *)
 end
 
 module Time : sig
   val sleep : Engine.t -> float -> unit
-  (** Block the calling process for [dt] virtual seconds.
+  (** Block the calling process for [dt] virtual seconds.  [sleep eng 0.]
+      yields: the process runs again after already-queued same-time
+      events, under every {!Sched.policy}.
       @raise Failure outside a process. *)
-
-  val yield : Engine.t -> unit
-  (** Reschedule the calling process after already-queued same-time
-      events. *)
 
   type timer
   (** A one-shot re-armable timer holding at most one pending deadline:

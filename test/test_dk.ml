@@ -53,6 +53,59 @@ let test_dial_reject_with_reason () =
   Sim.Engine.run ~until:10.0 eng;
   Alcotest.(check string) "reason delivered" "permission denied" !reason
 
+(* A dialer killed before the callee answers has left its Rendez: the
+   late [answer] raises nothing in the callee and resumes nobody, not
+   even once the victim waits for something else, while a live dialer
+   queued behind it still gets its answer. *)
+let late_answer_to_killed_dialer answer ~live_outcome =
+  let eng, _sw, helix, gnot = make_switch () in
+  let calls = Dk.Circuit.announce helix ~service:"9fs" in
+  let log = ref [] in
+  let note s = log := Printf.sprintf "%s@%.1f" s (Sim.Engine.now eng) :: !log in
+  let _server =
+    spawn eng ~name:"server" (fun () ->
+        for _ = 1 to 2 do
+          let inc = Sim.Mbox.recv calls in
+          Sim.Time.sleep eng 1.0;
+          answer inc;
+          note "answered"
+        done)
+  in
+  let dial () = Dk.Circuit.dial gnot ~dest:"nj/astro/helix" ~service:"9fs" in
+  let victim =
+    spawn eng ~name:"victim" (fun () ->
+        match dial () with
+        | _ -> note "victim connected"
+        | exception Sim.Proc.Killed ->
+          note "victim killed";
+          Sim.Time.sleep eng 5.0;
+          note "victim slept")
+  in
+  let _live =
+    spawn eng ~name:"live" (fun () ->
+        match dial () with
+        | _ -> note "live connected"
+        | exception Dk.Circuit.Rejected r -> note ("live rejected: " ^ r))
+  in
+  Sim.Engine.after eng 0.5 (fun () -> Sim.Proc.kill victim);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "only the live dialer answered"
+    [ "victim killed@0.5"; "answered@1.0"; "answered@2.0";
+      live_outcome ^ "@2.0"; "victim slept@5.5" ]
+    (List.rev !log);
+  Alcotest.(check (list string)) "nobody stalled" [] (Sim.Engine.stalled eng);
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending eng)
+
+let test_late_accept () =
+  late_answer_to_killed_dialer
+    (fun inc -> ignore (Dk.Circuit.accept inc))
+    ~live_outcome:"live connected"
+
+let test_late_reject () =
+  late_answer_to_killed_dialer
+    (fun inc -> Dk.Circuit.reject inc ~reason:"busy")
+    ~live_outcome:"live rejected: busy"
+
 let test_dial_no_such_line () =
   let eng, _sw, _helix, gnot = make_switch () in
   let ok = ref false in
@@ -548,6 +601,10 @@ let () =
           Alcotest.test_case "reject with reason" `Quick
             test_dial_reject_with_reason;
           Alcotest.test_case "no such line" `Quick test_dial_no_such_line;
+          Alcotest.test_case "late accept to a killed dialer" `Quick
+            test_late_accept;
+          Alcotest.test_case "late reject to a killed dialer" `Quick
+            test_late_reject;
           Alcotest.test_case "unknown service" `Quick
             test_dial_unknown_service;
           Alcotest.test_case "wildcard service" `Quick test_wildcard_service;

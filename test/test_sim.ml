@@ -81,6 +81,48 @@ let test_join_dead () =
   Sim.Engine.run eng;
   Alcotest.(check bool) "join of dead proc returns" true !finished
 
+let test_killed_joiner () =
+  (* a joiner killed inside [join] leaves the target's Rendez at once:
+     the target's exit later must not resume it, not even when it has
+     gone on to wait for something else *)
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  let note s = log := Printf.sprintf "%s@%.0f" s (Sim.Engine.now eng) :: !log in
+  let target =
+    Sim.Proc.spawn eng ~name:"target" (fun () -> Sim.Time.sleep eng 10.0)
+  in
+  let joiner =
+    Sim.Proc.spawn eng ~name:"joiner" (fun () ->
+        match Sim.Proc.join target with
+        | () -> note "joined"
+        | exception Sim.Proc.Killed ->
+          note "killed";
+          Sim.Time.sleep eng 20.0;
+          note "slept")
+  in
+  Sim.Engine.after eng 1.0 (fun () -> Sim.Proc.kill joiner);
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "not resumed by the exit"
+    [ "killed@1"; "slept@21" ] (List.rev !log);
+  Alcotest.(check bool) "target exited" false (Sim.Proc.alive target);
+  Alcotest.(check (list string)) "nobody stalled" [] (Sim.Engine.stalled eng);
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending eng)
+
+let test_two_joiners () =
+  let eng = Sim.Engine.create () in
+  let woke = ref [] in
+  let target = Sim.Proc.spawn eng (fun () -> Sim.Time.sleep eng 5.0) in
+  List.iter
+    (fun name ->
+      ignore
+        (Sim.Proc.spawn eng ~name (fun () ->
+             Sim.Proc.join target;
+             woke := Printf.sprintf "%s@%.0f" name (Sim.Engine.now eng) :: !woke)))
+    [ "first"; "second" ];
+  Sim.Engine.run eng;
+  Alcotest.(check (list string)) "both resume, oldest first"
+    [ "first@5"; "second@5" ] (List.rev !woke)
+
 let test_kill_sleeping () =
   let eng = Sim.Engine.create () in
   let cleaned = ref false in
@@ -174,46 +216,6 @@ let test_killed_sleeper_passes_wakeup () =
   Alcotest.(check (list string)) "b got the wakeup" [ "b" ] !woke;
   Alcotest.(check bool) "a dead" false (Sim.Proc.alive a);
   Alcotest.(check (list string)) "nobody stalled" [] (Sim.Engine.stalled eng)
-
-let test_stale_callbacks_inert () =
-  (* callbacks kept past their suspension's settlement (as dk's
-     in_resume and the 9P client's waiting table may be) do nothing to
-     a later suspension of the same process *)
-  let eng = Sim.Engine.create () in
-  let first = ref None and second = ref None in
-  let got = ref [] in
-  let p =
-    Sim.Proc.spawn eng ~name:"waiter" (fun () ->
-        let v =
-          Sim.Proc.suspend ~register:(fun ~resume ~abort ->
-              first := Some (resume, abort);
-              ignore)
-        in
-        got := v :: !got;
-        let v =
-          Sim.Proc.suspend ~register:(fun ~resume ~abort:_ ->
-              second := Some resume;
-              ignore)
-        in
-        got := v :: !got)
-  in
-  Sim.Engine.run eng;
-  let resume1, abort1 = Option.get !first in
-  resume1 1;
-  Sim.Engine.run eng;
-  Alcotest.(check (list int)) "first resumed" [ 1 ] !got;
-  (* the process is suspended again: the first pair must be inert *)
-  resume1 99;
-  abort1 (Failure "stale abort");
-  Sim.Engine.run eng;
-  Alcotest.(check (list int)) "stale resume ignored" [ 1 ] !got;
-  Alcotest.(check (list string)) "still suspended" [ "waiter" ]
-    (Sim.Engine.stalled eng);
-  (Option.get !second) 7;
-  Sim.Engine.run eng;
-  Alcotest.(check (list int)) "second resumed by its own callback" [ 7; 1 ]
-    !got;
-  Alcotest.(check bool) "exited normally" false (Sim.Proc.alive p)
 
 let test_wakeup_all_fifo () =
   let eng = Sim.Engine.create () in
@@ -438,6 +440,16 @@ let test_sleep_words () =
     (words_per_op 1_000 (fun () ->
          ignore (Sim.Engine.step eng);
          ignore (Sim.Engine.step eng)))
+
+let test_spawn_words () =
+  (* one spawn of a process that exits at once: its record, its
+     [Some], its resume closure, its effect handler and its start
+     event, 93 words (112 when the record was a [let rec], built twice) *)
+  let eng = Sim.Engine.create () in
+  check_ceiling "a spawn and exit" 96.
+    (words_per_op 1_000 (fun () ->
+         ignore (Sim.Proc.spawn eng ~name:"short" ignore);
+         idle eng))
 
 let test_mbox_words () =
   (* one Mbox.send to a receiver blocked in recv, until it blocks again *)
@@ -766,6 +778,7 @@ let () =
             test_wakeup_cost_flat;
           Alcotest.test_case "Time.sleep words" `Quick test_sleep_words;
           Alcotest.test_case "Mbox message words" `Quick test_mbox_words;
+          Alcotest.test_case "spawn words" `Quick test_spawn_words;
           Alcotest.test_case "timer re-arm words" `Quick
             test_timer_rearm_words;
           QCheck_alcotest.to_alcotest prop_queue_model;
@@ -776,6 +789,9 @@ let () =
           Alcotest.test_case "crash raises" `Quick test_proc_crash_raises;
           Alcotest.test_case "join" `Quick test_join;
           Alcotest.test_case "join dead" `Quick test_join_dead;
+          Alcotest.test_case "killed joiner not resumed" `Quick
+            test_killed_joiner;
+          Alcotest.test_case "two joiners" `Quick test_two_joiners;
           Alcotest.test_case "kill sleeping" `Quick test_kill_sleeping;
           Alcotest.test_case "kill is not crash" `Quick test_kill_is_not_crash;
         ] );
@@ -787,8 +803,6 @@ let () =
           Alcotest.test_case "mbox" `Quick test_mbox;
           Alcotest.test_case "killed sleeper passes the wakeup on" `Quick
             test_killed_sleeper_passes_wakeup;
-          Alcotest.test_case "stale suspend callbacks are inert" `Quick
-            test_stale_callbacks_inert;
           Alcotest.test_case "wakeup_all in FIFO order" `Quick
             test_wakeup_all_fifo;
           Alcotest.test_case "kill after wakeup lands at next block" `Quick
