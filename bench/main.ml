@@ -481,8 +481,8 @@ let profile_spec =
 (* Wall-clock microbenchmarks (bechamel)                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Two hosts on one Ethernet with IL attached: (client, server). *)
-let il_pair eng =
+(* Two hosts on one Ethernet with [attach]'s protocol: (client, server). *)
+let inet_pair attach eng =
   let seg = Netsim.Ether.create ~name:"ether0" eng in
   let mk n =
     let nic =
@@ -495,14 +495,17 @@ let il_pair eng =
         ~mask:(Inet.Ipaddr.of_string "255.255.255.0")
         (Inet.Etherport.create eng nic)
     in
-    Inet.Il.attach ip
+    attach ip
   in
   (mk 1, mk 2)
+
+let il_pair = inet_pair Inet.Il.attach
 
 (* The process-switch primitives, one switch per call of [op], on a
    world built once: a process parks in the primitive and each call
    wakes it and runs the engine until it has parked again.  The IL and
-   9P rows follow the same pattern with a whole round trip per call:
+   9P rows, and the TCP and URP echoes beside IL's, follow the same
+   pattern with a whole round trip per call:
    the client parks on a mailbox, and each call releases it for one
    exchange and runs the engine until every timer has lapsed.  The
    timer row arms and disarms one timer per call: no switch at all. *)
@@ -534,10 +537,9 @@ let switch_primitives () =
           ignore (Sim.Engine.step eng);
           ignore (Sim.Engine.step eng));
     parked "sim:timer-rearm" (fun eng ->
-        let t = Sim.Time.timer eng in
-        let fired () = () in
+        let t = Sim.Time.timer eng ignore in
         fun () ->
-          Sim.Time.arm_at t (Sim.Engine.now eng +. 1.) fired;
+          Sim.Time.arm_at t (Sim.Engine.now eng +. 1.);
           Sim.Time.disarm t);
     parked "sim:rendez-switch" (fun eng ->
         let r = Sim.Rendez.create eng in
@@ -576,6 +578,44 @@ let switch_primitives () =
           (fun c ->
             Inet.Il.write c msg;
             ignore (Inet.Il.read_msg c)));
+    parked "tcp:echo-560" (fun eng ->
+        let cli, srv = inet_pair Inet.Tcp.attach eng in
+        let lis = Inet.Conv.announce srv ~port:7 in
+        ignore
+          (Sim.Proc.spawn eng (fun () ->
+               let c = Inet.Conv.listen lis in
+               while true do
+                 Inet.Tcp.write c (Inet.Tcp.read c 4096)
+               done));
+        let msg = String.make 560 'e' in
+        (* a byte stream: read until the whole echo is back *)
+        let rec read_n c n =
+          if n > 0 then read_n c (n - String.length (Inet.Tcp.read c n))
+        in
+        round_trips eng
+          ~setup:(fun () -> Inet.Conv.connect cli ~raddr:server_addr ~rport:7)
+          (fun c ->
+            Inet.Tcp.write c msg;
+            read_n c (String.length msg)));
+    parked "urp:echo-560" (fun eng ->
+        let sw = Dk.Switch.create ~name:"dk" eng in
+        let srv = Dk.Switch.attach sw ~name:"nj/astro/helix" in
+        let cli = Dk.Switch.attach sw ~name:"nj/astro/philw-gnot" in
+        let calls = Dk.Circuit.announce srv ~service:"echo" in
+        ignore
+          (Sim.Proc.spawn eng (fun () ->
+               let c = Dk.Urp.over (Dk.Circuit.accept (Sim.Mbox.recv calls)) in
+               while true do
+                 Option.iter (Dk.Urp.write c) (Dk.Urp.read_msg c)
+               done));
+        let msg = String.make 560 'e' in
+        round_trips eng
+          ~setup:(fun () ->
+            Dk.Urp.over
+              (Dk.Circuit.dial cli ~dest:"nj/astro/helix" ~service:"echo"))
+          (fun c ->
+            Dk.Urp.write c msg;
+            ignore (Dk.Urp.read_msg c)));
     parked "9p:tread-512-il" (fun eng ->
         let cli, srv = il_pair eng in
         let ram = Ninep.Ramfs.make ~name:"ram" () in

@@ -68,30 +68,33 @@ let mount_log env eng =
    an always-on sampler would add engine events to every run and
    perturb the event-economy baselines — so a plain read without any
    stored samples shows one live snapshot instead. *)
+type metrics = {
+  mutable series : Obs.Series.t option;  (* made at the first use *)
+  mutable interval : float;
+  mutable sampler : Sim.Time.timer;  (* re-arms itself every [interval] *)
+}
+
 let mount_metrics env eng =
-  let series = ref None in
-  let sampler = Sim.Time.timer ~label:"obs" eng in
+  let m = { series = None; interval = 1.0; sampler = Sim.Time.none } in
+  m.sampler <-
+    Sim.Time.timer ~label:"obs" eng (fun () ->
+        (match m.series with
+        | Some s -> Obs.Series.sample s (Sim.Engine.now eng)
+        | None -> ());
+        Sim.Time.arm m.sampler m.interval);
   let get_series () =
-    match Sim.Engine.obs eng with
-    | None -> None
-    | Some tr -> (
-      match !series with
-      | Some s -> Some s
-      | None ->
-        let s = Obs.Series.create (Obs.Trace.metrics tr) in
-        series := Some s;
-        Some s)
+    (match (m.series, Sim.Engine.obs eng) with
+    | None, Some tr ->
+      m.series <- Some (Obs.Series.create (Obs.Trace.metrics tr))
+    | _ -> ());
+    m.series
   in
-  let stop () = Sim.Time.disarm sampler in
   let start interval =
     match get_series () with
     | None -> Error "metrics: tracing disabled"
-    | Some s ->
-      let rec sample () =
-        Obs.Series.sample s (Sim.Engine.now eng);
-        Sim.Time.arm sampler interval sample
-      in
-      Sim.Time.arm sampler interval sample;
+    | Some _ ->
+      m.interval <- interval;
+      Sim.Time.arm m.sampler interval;
       Ok ""
   in
   let text () =
@@ -104,14 +107,13 @@ let mount_metrics env eng =
     (fun req ->
       match String.split_on_char ' ' (String.trim req) with
       | [ "" ] -> Ok (text ())
-      | [ "start" ] -> ( match start 1.0 with Ok _ -> Ok "" | Error e -> Error e)
+      | [ "start" ] -> start 1.0
       | [ "start"; iv ] -> (
         match float_of_string_opt iv with
-        | Some dt when dt > 0. -> (
-          match start dt with Ok _ -> Ok "" | Error e -> Error e)
+        | Some dt when dt > 0. -> start dt
         | _ -> Error ("metrics: bad interval: " ^ iv))
       | [ "stop" ] ->
-        stop ();
+        Sim.Time.disarm m.sampler;
         Ok ""
       | [ "sample" ] -> (
         match get_series () with
@@ -120,7 +122,7 @@ let mount_metrics env eng =
           Obs.Series.sample s (Sim.Engine.now eng);
           Ok (text ()))
       | [ "clear" ] ->
-        (match !series with Some s -> Obs.Series.clear s | None -> ());
+        (match m.series with Some s -> Obs.Series.clear s | None -> ());
         Ok ""
       | _ -> Error ("metrics: bad request: " ^ String.trim req))
 

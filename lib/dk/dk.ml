@@ -367,7 +367,7 @@ module Urp = struct
     wwait : Sim.Rendez.t;
     mutable last_progress : float;
     mutable backoff : int;
-    enq : Sim.Time.timer;
+    mutable enq : Sim.Time.timer;
         (* armed while cells are unacked; it may lapse once after *)
     mutable grid : float;
         (* enquiries fall on [over]'s time plus k * min_timeout/2, each
@@ -428,7 +428,7 @@ module Urp = struct
 
   (* Arm the enquiry at the first grid point at or after the deadline:
      where a ticker at min_timeout/2 would first have found it due. *)
-  let rec arm_enq c =
+  let arm_enq c =
     let step = c.cfg.min_timeout /. 2. in
     let now = Sim.Engine.now c.eng in
     let g = ref c.grid in
@@ -440,9 +440,9 @@ module Urp = struct
     while !g < due do
       g := !g +. step
     done;
-    Sim.Time.arm_at c.enq !g (fun () -> enq_fire c)
+    Sim.Time.arm_at c.enq !g
 
-  and enq_fire c =
+  let enq_fire c =
     let now = Sim.Engine.now c.eng in
     c.grid <- now;
     if c.una_count > 0 && not c.closed_ then
@@ -601,7 +601,7 @@ module Urp = struct
         wwait = Sim.Rendez.create eng;
         last_progress = 0.;
         backoff = 0;
-        enq = Sim.Time.timer ~label:"dk" eng;
+        enq = Sim.Time.none;
         grid = Sim.Engine.now eng;
         rcv_expect = 0;
         part_first = "";
@@ -614,6 +614,7 @@ module Urp = struct
         closed_ = false;
       }
     in
+    c.enq <- Sim.Time.timer ~label:"dk" eng (fun () -> enq_fire c);
     Circuit.set_rx circ (rx c);
     c
 

@@ -14,12 +14,11 @@ type ('c, 'p) ep = {
   rq : Block.Q.t;
   wwait : Sim.Rendez.t;
   estwait : Sim.Rendez.t;
-  death_tmr : Sim.Time.timer;
+  mutable death_tmr : Sim.Time.timer;  (* made by [opened] *)
   mutable death_at : float;
       (* pushed on every ack; rather than re-arm the heap entry each
          time, the timer fires at the stale deadline and re-arms itself
          if the real one has moved (lazy reschedule) *)
-  mutable expire : unit -> unit;  (* the timer's handler, made once *)
   mutable phase : phase;
   mutable err : string option;
   mutable lis : ('c, 'p) listener option;  (* a half-open call's slot *)
@@ -151,9 +150,8 @@ let make ?limit ?lis st ~lport ~rport ~raddr phase =
     rq = Block.Q.create ?limit st.eng;
     wwait = Sim.Rendez.create st.eng;
     estwait = Sim.Rendez.create st.eng;
-    death_tmr = Sim.Time.timer ~label:st.name st.eng;
+    death_tmr = Sim.Time.none;
     death_at = 0.;
-    expire = ignore;
     phase;
     err = None;
     lis;
@@ -177,12 +175,12 @@ let trace_state ep ~from_ ~to_ =
 let arm_death ep =
   ep.death_at <- Sim.Engine.now ep.stack.eng +. ep.stack.death_time;
   if not (Sim.Time.armed ep.death_tmr) then
-    Sim.Time.arm_at ep.death_tmr ep.death_at ep.expire
+    Sim.Time.arm_at ep.death_tmr ep.death_at
 
-let death_fire ep c () =
+let death_fire ep c =
   if Sim.Engine.now ep.stack.eng < ep.death_at then
     (* the deadline moved while we slept: chase it *)
-    Sim.Time.arm_at ep.death_tmr ep.death_at ep.expire
+    Sim.Time.arm_at ep.death_tmr ep.death_at
   else
     let pr = ep.stack.pr in
     match ep.phase with
@@ -194,7 +192,9 @@ let death_fire ep c () =
 
 let opened ep c ~state =
   insert ep c;
-  ep.expire <- death_fire ep c;
+  ep.death_tmr <-
+    Sim.Time.timer ~label:ep.stack.name ep.stack.eng (fun () ->
+        death_fire ep c);
   arm_death ep;
   trace_state ep ~from_:"Closed" ~to_:state
 

@@ -54,9 +54,8 @@ type ('c, 'p) ep = {
   rq : Block.Q.t;  (** what the reader reads; a hangup block ends it *)
   wwait : Sim.Rendez.t;  (** writers waiting for window space *)
   estwait : Sim.Rendez.t;  (** the active open's wait *)
-  death_tmr : Sim.Time.timer;
+  mutable death_tmr : Sim.Time.timer;  (** made by {!opened} *)
   mutable death_at : float;
-  mutable expire : unit -> unit;  (** the death timer's handler *)
   mutable phase : phase;
   mutable err : string option;  (** why the conversation went down *)
   mutable lis : ('c, 'p) listener option;
@@ -182,8 +181,8 @@ val insert : ('c, 'p) ep -> 'c -> unit
 (** Enter the conversation in the table. *)
 
 val opened : ('c, 'p) ep -> 'c -> state:string -> unit
-(** {!insert}, arm the death timer and trace the move from [Closed] to
-    the protocol's first [state]. *)
+(** {!insert}, make and arm the death timer, and trace the move from
+    [Closed] to the protocol's first [state]. *)
 
 val find : ('c, 'p) stack -> lport:int -> rport:int -> raddr:Ipaddr.t -> 'c option
 val listener : ('c, 'p) stack -> int -> ('c, 'p) listener option

@@ -82,8 +82,8 @@ type conv = {
   mutable srtt : float;
   mutable mdev : float;
   mutable backoff : int;
-  rexmit_tmr : Sim.Time.timer;  (* disarmed = nothing awaiting (re)send *)
-  ack_tmr : Sim.Time.timer;  (* delayed ack, armed = ack owed *)
+  mutable rexmit_tmr : Sim.Time.timer;  (* disarmed = nothing to resend *)
+  mutable ack_tmr : Sim.Time.timer;  (* delayed ack, armed = ack owed *)
   mutable rtt_id : int;  (* message being timed, 0 = none *)
   mutable rtt_sent_at : float;
   mutable close_sent : bool;
@@ -238,12 +238,10 @@ let busy c = (not (Queue.is_empty c.unacked)) || c.state = SClosing
    deadlines it needs on the engine heap and disarms them when the work
    is acknowledged, so an idle conversation schedules nothing at all. *)
 
-let rec arm_timer c =
-  Sim.Time.arm_at c.rexmit_tmr
-    (Sim.Engine.now c.pv.eng +. rto c)
-    (fun () -> rexmit_fire c)
+let arm_timer c =
+  Sim.Time.arm_at c.rexmit_tmr (Sim.Engine.now c.pv.eng +. rto c)
 
-and rexmit_fire c =
+let rexmit_fire c =
   match c.state with
   | SClosed -> ()
   | SSyncer | SSyncee ->
@@ -328,7 +326,7 @@ let send_ack_now c = xmit c Ack ~id:(c.next - 1) ()
 
 let schedule_ack c =
   if not (Sim.Time.armed c.ack_tmr) then
-    Sim.Time.arm c.ack_tmr c.pv.cfg.ack_delay (fun () -> send_ack_now c)
+    Sim.Time.arm c.ack_tmr c.pv.cfg.ack_delay
 
 let rec drain_oow c =
   match c.oow with
@@ -515,13 +513,15 @@ let make_conv ?lis st ~lport ~rport ~raddr ~state ~start ~rstart =
       srtt = 0.;
       mdev = 0.;
       backoff = 0;
-      rexmit_tmr = Sim.Time.timer ~label:"il" pv.eng;
-      ack_tmr = Sim.Time.timer ~label:"il" pv.eng;
+      rexmit_tmr = Sim.Time.none;
+      ack_tmr = Sim.Time.none;
       rtt_id = 0;
       rtt_sent_at = 0.;
       close_sent = false;
     }
   in
+  c.rexmit_tmr <- Sim.Time.timer ~label:"il" pv.eng (fun () -> rexmit_fire c);
+  c.ack_tmr <- Sim.Time.timer ~label:"il" pv.eng (fun () -> send_ack_now c);
   Conv.opened c.ep c ~state:(state_str state);
   c
 

@@ -80,7 +80,7 @@ type conv = {
   mutable srtt : float;
   mutable mdev : float;
   mutable backoff : int;
-  rexmit_tmr : Sim.Time.timer;  (* disarmed = nothing outstanding *)
+  mutable rexmit_tmr : Sim.Time.timer;  (* disarmed = nothing outstanding *)
   mutable rtt_seq : int;  (* sequence being timed; 0 = none *)
   mutable rtt_sent_at : float;
   mutable retransmitting : bool;  (* Karn: don't time retransmitted data *)
@@ -95,7 +95,7 @@ type conv = {
          only.  The baseline receiver drops anything not at rcv_nxt,
          which is what makes its sender's go-back-N necessary *)
   (* zero-window persist state (both protos) *)
-  persist_tmr : Sim.Time.timer;
+  mutable persist_tmr : Sim.Time.timer;
   mutable persist_backoff : int;
 }
 
@@ -341,9 +341,7 @@ let bump_counter c name n =
   | Some tr -> Obs.Trace.bump tr (c.pv.pname ^ "." ^ name) n
 
 let rec arm_rto c =
-  Sim.Time.arm_at c.rexmit_tmr
-    (Sim.Engine.now c.pv.eng +. rto c)
-    (fun () -> rto_fire c)
+  Sim.Time.arm_at c.rexmit_tmr (Sim.Engine.now c.pv.eng +. rto c)
 
 and rto_fire c =
   match c.state with
@@ -426,9 +424,7 @@ and persist_interval c =
   min c.pv.cfg.max_rto (max c.pv.cfg.min_rto t)
 
 and arm_persist c =
-  Sim.Time.arm_at c.persist_tmr
-    (Sim.Engine.now c.pv.eng +. persist_interval c)
-    (fun () -> persist_fire c)
+  Sim.Time.arm_at c.persist_tmr (Sim.Engine.now c.pv.eng +. persist_interval c)
 
 and persist_fire c =
   match c.state with
@@ -829,7 +825,7 @@ let make_conv ?lis st ~lport ~rport ~raddr ~state ~iss =
       srtt = 0.;
       mdev = 0.;
       backoff = 0;
-      rexmit_tmr = Sim.Time.timer ~label:pv.pname pv.eng;
+      rexmit_tmr = Sim.Time.none;
       rtt_seq = 0;
       rtt_sent_at = 0.;
       retransmitting = false;
@@ -839,10 +835,13 @@ let make_conv ?lis st ~lport ~rport ~raddr ~state ~iss =
       recover = 0;
       in_recovery = false;
       ooo = [];
-      persist_tmr = Sim.Time.timer ~label:pv.pname pv.eng;
+      persist_tmr = Sim.Time.none;
       persist_backoff = 0;
     }
   in
+  c.rexmit_tmr <- Sim.Time.timer ~label:pv.pname pv.eng (fun () -> rto_fire c);
+  c.persist_tmr <-
+    Sim.Time.timer ~label:pv.pname pv.eng (fun () -> persist_fire c);
   Conv.opened c.ep c ~state:(state_str state);
   c
 

@@ -315,13 +315,15 @@ module Proc = struct
   let engine p = p.eng
   let alive p = p.state <> Dead
 
+  (* a walk that allocates nothing, as a [String.sub] per prefix would *)
+  let rec has_prefix name p i =
+    i = String.length p
+    || (i < String.length name && name.[i] = p.[i] && has_prefix name p (i + 1))
+
   (* handler class for the profiler, derived once at spawn from the
      conventional process names used across the stack *)
   let proc_class name =
-    let starts p =
-      String.length name >= String.length p
-      && String.sub name 0 (String.length p) = p
-    in
+    let starts p = has_prefix name p 0 in
     if starts "9p" then "9p"
     else if starts "cfs" then "cfs"
     else if starts "urp" || starts "dk" then "dk"
@@ -516,51 +518,40 @@ module Time = struct
     Proc.timed_wait (if dt <= 0. then Deferred else Normal) (eng.now +. dt)
 
   (* A one-shot re-armable timer: one heap entry, made with the timer
-     and moved by every arm.  Disarming takes it out of the queue, so an
-     idle protocol conversation costs zero events and a cancelled
-     deadline leaves nothing behind. *)
-  type timer = {
-    teng : engine;
-    mutable entry : Heap.entry;  (* set once, by [timer] *)
-    mutable fn : unit -> unit;  (* the callback of the last arm *)
-  }
+     and its handler, so an arm only moves the deadline.  Disarming
+     takes the entry out of the queue, so an idle protocol conversation
+     costs zero events and a cancelled deadline leaves nothing behind. *)
+  type timer = { teng : engine; entry : Heap.entry }
 
-  let timer_bump t name =
-    match t.teng.obs with
-    | None -> ()
-    | Some tr -> Obs.Trace.bump tr name 1
+  let timer_bump eng name =
+    match eng.obs with None -> () | Some tr -> Obs.Trace.bump tr name 1
 
-  (* the entry's event: the queue has already let go of it, so [fn]
-     may re-arm.  Fire and disarm drop the callback, so an idle timer
-     keeps no closure alive (2.6 MB of routed-swarm's peak heap). *)
-  let fire t =
-    let f = t.fn in
-    t.fn <- ignore;
-    timer_bump t "timer.fire";
-    f ()
+  (* the entry's event: the queue has let go of it, so [handler] may re-arm *)
+  let timer ?(label = "timer") eng handler =
+    let fire () =
+      timer_bump eng "timer.fire";
+      handler ()
+    in
+    { teng = eng; entry = Heap.entry label fire }
 
-  (* not a [let rec]: that would allocate the records twice *)
-  let timer ?(label = "timer") eng =
-    let t = { teng = eng; entry = Heap.dummy; fn = ignore } in
-    t.entry <- Heap.entry label (fun () -> fire t);
-    t
+  (* what a record holds until its own timer can be made: never armed *)
+  let none = { teng = Engine.create (); entry = Heap.dummy }
 
   let armed t = t.entry.Heap.pos >= 0
 
   let disarm t =
     if armed t then begin
       Heap.remove t.teng.heap t.entry;
-      t.fn <- ignore;
-      timer_bump t "timer.disarm"
+      timer_bump t.teng "timer.disarm"
     end
 
-  let arm_at t time fn =
-    if armed t then timer_bump t "timer.disarm";
-    timer_bump t "timer.arm";
-    t.fn <- fn;
+  let arm_at t time =
+    if t == none then invalid_arg "Sim.Time.arm_at: Time.none";
+    if armed t then timer_bump t.teng "timer.disarm";
+    timer_bump t.teng "timer.arm";
     queue_at t.teng Normal t.entry time
 
-  let arm t dt fn = arm_at t (t.teng.now +. dt) fn
+  let arm t dt = arm_at t (t.teng.now +. dt)
 end
 
 module Cpu = struct

@@ -178,28 +178,31 @@ module Time : sig
       @raise Failure outside a process. *)
 
   type timer
-  (** A one-shot re-armable timer holding at most one pending deadline:
-      one queue entry, made with the timer and moved by every arm, so
-      arming and disarming allocate nothing.  This is the building block
-      for per-conversation protocol timers: arm on state change, disarm
+  (** A one-shot re-armable timer: one queue entry and one handler, both
+      made with the timer, so an arm only moves the deadline and
+      allocates nothing but its float.  The building block for
+      per-conversation protocol timers: arm on state change, disarm
       when the work is acknowledged, and an idle conversation
-      contributes zero events to the engine.  With an observability sink attached, arms, fires and
-      disarms are counted under [timer.arm] / [timer.fire] /
-      [timer.disarm]. *)
+      contributes zero events to the engine.  With an observability
+      sink attached, arms, fires and disarms are counted under
+      [timer.arm] / [timer.fire] / [timer.disarm]. *)
 
-  val timer : ?label:string -> Engine.t -> timer
-  (** A fresh, disarmed timer.  [label] (default ["timer"]) is the
-      profiler's handler class for its fire dispatches — protocols pass
-      their own name ("il", "tcp"). *)
+  val timer : ?label:string -> Engine.t -> (unit -> unit) -> timer
+  (** [timer eng handler]: a fresh, disarmed timer that runs [handler]
+      at each deadline, outside process context and already disarmed,
+      so the handler may re-arm it.  [label] (default ["timer"]) is the
+      profiler's handler class for its fires ("il", "tcp"). *)
 
-  val arm_at : timer -> float -> (unit -> unit) -> unit
-  (** [arm_at t time fn] schedules [fn] at absolute virtual [time]
-      (clamped to now), replacing any pending deadline.  [fn] runs
-      outside process context with the timer already disarmed, so it may
-      re-arm. *)
+  val none : timer
+  (** Never armed: what a record holds until the timer whose handler
+      names that record is made.  @raise Invalid_argument when armed. *)
 
-  val arm : timer -> float -> (unit -> unit) -> unit
-  (** [arm t dt fn] = [arm_at t (now +. dt) fn]. *)
+  val arm_at : timer -> float -> unit
+  (** [arm_at t time] moves the deadline to absolute virtual [time]
+      (clamped to now), replacing any pending one. *)
+
+  val arm : timer -> float -> unit
+  (** [arm t dt] = [arm_at t (now +. dt)]. *)
 
   val disarm : timer -> unit
   (** Cancel the pending deadline, if any: its entry leaves the queue,

@@ -1289,6 +1289,48 @@ let test_decode_header_boxes_nothing () =
   Alcotest.(check (float 0.)) "words per decode" 10.
     ((Gc.minor_words () -. before) /. 1000.)
 
+(* one 560-byte IL echo round trip, until every timer has lapsed: the
+   message and its echo, their acks and the conversations' deadlines:
+   548.6 minor words (566.6 when every timer arm built a closure) *)
+let test_il_echo_words () =
+  let eng, _seg, h1, h2 = make_world () in
+  let lis = Inet.Il.announce h2.il ~port:7 in
+  ignore
+    (spawn eng ~name:"echo" (fun () ->
+         let c = Inet.Conv.listen lis in
+         while true do
+           Option.iter (Inet.Il.write c) (Inet.Il.read_msg c)
+         done));
+  let go = Sim.Mbox.create eng in
+  let msg = String.make 560 'e' in
+  let echoed = ref 0 in
+  ignore
+    (spawn eng ~name:"client" (fun () ->
+         let c = Inet.Il.connect h1.il ~raddr:(ip "135.104.9.32") ~rport:7 in
+         while true do
+           Sim.Mbox.recv go;
+           Inet.Il.write c msg;
+           if Inet.Il.read_msg c = Some msg then incr echoed
+         done));
+  let idle () = while Sim.Engine.step eng do () done in
+  let round_trip () =
+    Sim.Mbox.send go ();
+    idle ()
+  in
+  idle ();
+  round_trip ();
+  let n = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    round_trip ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check int) "every message echoed" (n + 1) !echoed;
+  let ceiling = 552. in
+  if words > ceiling then
+    Alcotest.failf "an IL echo round trip costs %.1f minor words, ceiling %.0f"
+      words ceiling
+
 let () =
   Alcotest.run "inet"
     [
@@ -1398,5 +1440,7 @@ let () =
             test_ip_hands_up_frame_view;
           Alcotest.test_case "header decode boxes no address" `Quick
             test_decode_header_boxes_nothing;
+          Alcotest.test_case "IL echo round trip words" `Quick
+            test_il_echo_words;
         ] );
     ]

@@ -569,6 +569,41 @@ let test_net_metrics () =
            (Hashtbl.length stamps >= 2);
          Alcotest.(check bool) "packet counters sampled" true
            (contains body "pkt.");
+         (* a second start moves the one sampler to the new period, and
+            a stop ends it *)
+         let eng = w.P9net.World.eng in
+         let stamps_after t0 =
+           List.filter_map
+             (fun l ->
+               match String.split_on_char ' ' l with
+               | [ _; _; ts ] -> (
+                 match float_of_string_opt ts with
+                 | Some t when t > t0 -> Some t
+                 | _ -> None)
+               | _ -> None)
+             (String.split_on_char '\n' (Vfs.Env.read_file env "/net/metrics"))
+           |> List.sort_uniq compare
+         in
+         let fd = ctl () in
+         ignore (Vfs.Env.write env fd "start 0.25");
+         Vfs.Env.close env fd;
+         let restarted = Sim.Engine.now eng in
+         Sim.Time.sleep eng 1.1;
+         let later = stamps_after restarted in
+         Alcotest.(check int) "four samples in 1.1 s" 4 (List.length later);
+         ignore
+           (List.fold_left
+              (fun prev t ->
+                Alcotest.(check (float 1e-5)) "0.25 s apart" 0.25 (t -. prev);
+                t)
+              (List.hd later) (List.tl later));
+         let fd = ctl () in
+         ignore (Vfs.Env.write env fd "stop");
+         Vfs.Env.close env fd;
+         let stopped = stamps_after 0. in
+         Sim.Time.sleep eng 2.0;
+         Alcotest.(check (list (float 0.))) "no sample after stop" stopped
+           (stamps_after 0.);
          (* stop the ticker, clear the ring: a fresh read falls back to
             one live snapshot (single timestamp = now) *)
          let fd = ctl () in

@@ -444,9 +444,10 @@ let test_sleep_words () =
 let test_spawn_words () =
   (* one spawn of a process that exits at once: its record, its
      [Some], its resume closure, its effect handler and its start
-     event, 93 words (112 when the record was a [let rec], built twice) *)
+     event, 75 words (112 when the record was a [let rec], built twice;
+     93 when the name's class was found with a [String.sub] per prefix) *)
   let eng = Sim.Engine.create () in
-  check_ceiling "a spawn and exit" 96.
+  check_ceiling "a spawn and exit" 78.
     (words_per_op 1_000 (fun () ->
          ignore (Sim.Proc.spawn eng ~name:"short" ignore);
          idle eng))
@@ -470,12 +471,66 @@ let test_timer_rearm_words () =
   (* one arm_at/disarm cycle moves the timer's one entry in and out of
      the queue: the deadline's float box is all it may allocate *)
   let eng = Sim.Engine.create () in
-  let t = Sim.Time.timer eng in
-  let fired () = Alcotest.fail "a disarmed timer fired" in
+  let t =
+    Sim.Time.timer eng (fun () -> Alcotest.fail "a disarmed timer fired")
+  in
   check_ceiling "a timer re-arm" 3.
     (words_per_op 1_000 (fun () ->
-         Sim.Time.arm_at t (Sim.Engine.now eng +. 1.) fired;
+         Sim.Time.arm_at t (Sim.Engine.now eng +. 1.);
          Sim.Time.disarm t));
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending eng)
+
+let test_timer_last_arm_wins () =
+  (* an arm moves the one deadline: the handler runs once, at the last
+     deadline set, whether that is later or earlier than the one before *)
+  let eng = Sim.Engine.create () in
+  let log = ref [] in
+  let t = Sim.Time.timer eng (fun () -> log := Sim.Engine.now eng :: !log) in
+  Sim.Time.arm_at t 1.0;
+  Sim.Time.arm_at t 2.0;
+  Alcotest.(check int) "one entry" 1 (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  Alcotest.(check (list (float 0.))) "once, at the later time" [ 2.0 ] !log;
+  log := [];
+  Sim.Time.arm t 3.0;
+  Sim.Time.arm t 1.0;
+  Sim.Engine.run eng;
+  Alcotest.(check (list (float 0.))) "once, at the last deadline" [ 3.0 ] !log
+
+let test_timer_self_rearm () =
+  (* a handler that re-arms its own timer: one fire per period, and the
+     timer's one entry is all the queue ever holds *)
+  let eng = Sim.Engine.create () in
+  let fires = ref [] in
+  let self = ref Sim.Time.none in
+  let t =
+    Sim.Time.timer eng (fun () ->
+        fires := Sim.Engine.now eng :: !fires;
+        Sim.Time.arm !self 0.5)
+  in
+  self := t;
+  Sim.Time.arm t 0.5;
+  for i = 1 to 8 do
+    Alcotest.(check int) "pending before" 1 (Sim.Engine.pending eng);
+    ignore (Sim.Engine.step eng);
+    Alcotest.(check int) "pending after" 1 (Sim.Engine.pending eng);
+    Alcotest.(check int) "fires" i (List.length !fires);
+    Alcotest.(check (float 1e-9)) "at the period" (0.5 *. float_of_int i)
+      (Sim.Engine.now eng)
+  done;
+  Sim.Time.disarm t;
+  Alcotest.(check int) "disarmed" 0 (Sim.Engine.pending eng)
+
+let test_timer_none () =
+  let eng = Sim.Engine.create () in
+  Alcotest.(check bool) "never armed" false (Sim.Time.armed Sim.Time.none);
+  Sim.Time.disarm Sim.Time.none;
+  Alcotest.check_raises "arm_at"
+    (Invalid_argument "Sim.Time.arm_at: Time.none") (fun () ->
+      Sim.Time.arm_at Sim.Time.none 1.0);
+  Alcotest.check_raises "arm" (Invalid_argument "Sim.Time.arm_at: Time.none")
+    (fun () -> Sim.Time.arm Sim.Time.none 1.0);
+  Alcotest.(check bool) "still not armed" false (Sim.Time.armed Sim.Time.none);
   Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending eng)
 
 (* The event queue against a model: random interleavings of one-shot
@@ -513,8 +568,13 @@ let gen_policy =
 
 let queue_model_holds (sched, ops) =
   let eng = Sim.Engine.create ~sched () in
-  let timers = Array.init ntimers (fun _ -> Sim.Time.timer eng) in
   let fired = ref [] in
+  (* each timer's handler reports the id recorded at its last arm *)
+  let last_arm = Array.make ntimers 0 in
+  let timers =
+    Array.init ntimers (fun k ->
+        Sim.Time.timer eng (fun () -> fired := last_arm.(k) :: !fired))
+  in
   let serial = ref 0 and next_id = ref 0 in
   (* queued (time, rank, serial, id), with the timer's index if any *)
   let model = ref [] in
@@ -530,7 +590,7 @@ let queue_model_holds (sched, ops) =
     in
     let id = !next_id in
     model := (time, rank, !serial, id, timer) :: !model;
-    fun () -> fired := id :: !fired
+    id
   in
   let unqueue k =
     model := List.filter (fun (_, _, _, _, tm) -> tm <> Some k) !model
@@ -552,11 +612,13 @@ let queue_model_holds (sched, ops) =
     (match op with
     | At dt ->
       let time = now +. float_of_int dt in
-      Sim.Engine.at eng time (queue time)
+      let id = queue time in
+      Sim.Engine.at eng time (fun () -> fired := id :: !fired)
     | Arm (k, dt) ->
       unqueue k;
       let time = now +. float_of_int dt in
-      Sim.Time.arm_at timers.(k) time (queue ~timer:k time)
+      last_arm.(k) <- queue ~timer:k time;
+      Sim.Time.arm_at timers.(k) time
     | Disarm k ->
       unqueue k;
       Sim.Time.disarm timers.(k)
@@ -781,6 +843,11 @@ let () =
           Alcotest.test_case "spawn words" `Quick test_spawn_words;
           Alcotest.test_case "timer re-arm words" `Quick
             test_timer_rearm_words;
+          Alcotest.test_case "two arms fire once, at the last deadline" `Quick
+            test_timer_last_arm_wins;
+          Alcotest.test_case "self re-arming timer" `Quick
+            test_timer_self_rearm;
+          Alcotest.test_case "arming Time.none raises" `Quick test_timer_none;
           QCheck_alcotest.to_alcotest prop_queue_model;
         ] );
       ( "proc",
